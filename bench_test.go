@@ -21,6 +21,7 @@ import (
 	"repro/internal/heavyhitters"
 	"repro/internal/ldprand"
 	"repro/internal/rappor"
+	"repro/internal/task/freqtask"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -53,14 +54,14 @@ func BenchmarkE13Privatize(b *testing.B) {
 		m := m
 		b.Run(fmt.Sprintf("%s/d=%d", m.Name, d), func(b *testing.B) {
 			o := m.Build(freq.Config{Epsilon: 1, Domain: d, Source: ldprand.NewSplitMix64(1)})
-			env, err := core.Privatize(o, 7)
+			env, err := freqtask.Privatize(o, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
 			_ = env
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Privatize(o, i%d); err != nil {
+				if _, err := freqtask.Privatize(o, i%d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -237,7 +238,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	b.Run("single-mutex", func(b *testing.B) {
 		// The pre-sharding architecture, reproduced inline: parse and
 		// aggregate serialized on one lock around one oracle.
-		oracle, err := core.NewOracle(core.MechanismGRR, p, nil)
+		oracle, err := freqtask.NewOracle(core.MechanismGRR, p.Epsilon, p.Domain, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,14 +246,14 @@ func BenchmarkServerThroughput(b *testing.B) {
 		var i atomic.Uint64
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				var e core.Envelope
+				var e freqtask.Envelope
 				if err := json.Unmarshal(raws[i.Add(1)%pool], &e); err != nil {
 					// b.Fatal is not legal off the benchmark goroutine.
 					b.Error(err)
 					return
 				}
 				mu.Lock()
-				err := core.Aggregate(oracle, e)
+				err := freqtask.Aggregate(oracle, e)
 				mu.Unlock()
 				if err != nil {
 					b.Error(err)
@@ -263,7 +264,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	})
 
 	b.Run("sharded", func(b *testing.B) {
-		agg, err := core.NewFreqShardedAggregator(core.MechanismGRR, p, 0)
+		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +281,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 
 	b.Run("sharded-batch", func(b *testing.B) {
 		const batch = 256
-		agg, err := core.NewFreqShardedAggregator(core.MechanismGRR, p, 0)
+		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +316,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 
 	b.Run("sharded-binary", func(b *testing.B) {
-		agg, err := core.NewFreqShardedAggregator(core.MechanismGRR, p, 0)
+		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +333,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 
 	b.Run("sharded-batch-binary", func(b *testing.B) {
 		const batch = 256
-		agg, err := core.NewFreqShardedAggregator(core.MechanismGRR, p, 0)
+		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,21 +354,21 @@ func BenchmarkServerThroughput(b *testing.B) {
 // BenchmarkEnvelopeRoundTrip measures the wire-format overhead of the
 // HTTP collection path for a 1-bit OLH report.
 func BenchmarkEnvelopeRoundTrip(b *testing.B) {
-	o, err := core.NewOracle(core.MechanismOLH, core.PrivacyParams{Epsilon: 1, Domain: 128}, ldprand.NewSplitMix64(1))
+	o, err := freqtask.NewOracle(core.MechanismOLH, 1, 128, ldprand.NewSplitMix64(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := core.NewOracle(core.MechanismOLH, core.PrivacyParams{Epsilon: 1, Domain: 128}, ldprand.NewSplitMix64(2))
+	srv, err := freqtask.NewOracle(core.MechanismOLH, 1, 128, ldprand.NewSplitMix64(2))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env, err := core.Privatize(o, i%128)
+		env, err := freqtask.Privatize(o, i%128)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := core.Aggregate(srv, env); err != nil {
+		if err := freqtask.Aggregate(srv, env); err != nil {
 			b.Fatal(err)
 		}
 	}

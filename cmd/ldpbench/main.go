@@ -9,16 +9,6 @@
 //	ldpbench -users 100000 -trials 10 -seed 7
 //	ldpbench -list           # list experiment ids
 //	ldpbench -json BENCH.json  # also write machine-readable results
-//	ldpbench -run none -codec -json BENCH.json  # codec cost only
-//
-// With -codec the run also measures JSON-vs-binary codec cost (wire
-// bytes per report across every mechanism, snapshot encode/restore at
-// -codec-width × -codec-hashes sketch scale) and embeds the figures
-// in the -json summary under "codec".
-//
-// With -relay the run also measures relay fan-in throughput (the E20
-// topology at each -relays count, -relay-batch reports per batch) and
-// embeds the figures in the -json summary under "relay".
 //
 // With -json PATH the run additionally writes a machine-readable
 // summary (configuration plus experiment id → wall-clock seconds), the
@@ -45,16 +35,12 @@ type benchResult struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// benchSummary is the -json file layout. Codec is present only under
-// -codec: the structured JSON-vs-binary measurements at the requested
-// sketch scale.
+// benchSummary is the -json file layout.
 type benchSummary struct {
-	Users   int                       `json:"users"`
-	Trials  int                       `json:"trials"`
-	Seed    uint64                    `json:"seed"`
-	Results []benchResult             `json:"results"`
-	Codec   *experiments.CodecSummary `json:"codec,omitempty"`
-	Relay   *experiments.RelaySummary `json:"relay,omitempty"`
+	Users   int           `json:"users"`
+	Trials  int           `json:"trials"`
+	Seed    uint64        `json:"seed"`
+	Results []benchResult `json:"results"`
 }
 
 func main() {
@@ -65,12 +51,6 @@ func main() {
 		seed     = flag.Uint64("seed", experiments.DefaultConfig().Seed, "deterministic seed")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		jsonPath = flag.String("json", "", "write machine-readable results (id → seconds) to this path")
-		codec    = flag.Bool("codec", false, "measure JSON vs binary codec cost and add it to -json output")
-		codecW   = flag.Int("codec-width", 1<<16, "sketch cells per row for the -codec snapshot measurement")
-		codecH   = flag.Int("codec-hashes", 1<<10, "sketch rows for the -codec snapshot measurement")
-		relay    = flag.Bool("relay", false, "measure relay fan-in throughput vs single node and add it to -json output")
-		relays   = flag.String("relays", "2,4", "comma-separated relay counts for the -relay measurement")
-		relayB   = flag.Int("relay-batch", 100, "reports per batch for the -relay measurement")
 	)
 	flag.Parse()
 
@@ -88,9 +68,7 @@ func main() {
 	}
 
 	var selected []experiments.Experiment
-	if *runIDs == "none" {
-		// -run none: skip the suite, e.g. for a codec-only run.
-	} else if *runIDs == "" {
+	if *runIDs == "" {
 		selected = experiments.All()
 	} else {
 		for _, id := range strings.Split(*runIDs, ",") {
@@ -116,42 +94,6 @@ func main() {
 		summary.Results = append(summary.Results, benchResult{
 			ID: e.ID, Title: e.Title, Seconds: time.Since(start).Seconds(),
 		})
-	}
-
-	if *codec {
-		start := time.Now()
-		cs, err := experiments.Codec(cfg, *codecW, *codecH)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ldpbench: codec:", err)
-			os.Exit(1)
-		}
-		summary.Codec = &cs
-		s := cs.Snapshot
-		fmt.Printf("codec: CMS %dx%d snapshot %d B json / %d B binary (%.2fx), restore %.3fs json / %.3fs binary (%.2fx), measured in %.1fs\n",
-			s.Width, s.Hashes, s.JSONBytes, s.BinBytes, s.SizeRatio,
-			s.JSONRestoreSec, s.BinRestoreSec, s.RestoreSpeedup, time.Since(start).Seconds())
-	}
-
-	if *relay {
-		var counts []int
-		for _, s := range strings.Split(*relays, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "ldpbench: bad -relays entry %q\n", s)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
-		rs, err := experiments.RelayFanIn(cfg, counts, *relayB)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ldpbench: relay:", err)
-			os.Exit(1)
-		}
-		summary.Relay = &rs
-		for _, top := range rs.Topologies {
-			fmt.Printf("relay: %d relays %.0f reports/s vs single %.0f reports/s (%.2fx, exact)\n",
-				top.Relays, top.ReportsPerSec, float64(rs.Users)/rs.SingleSeconds, top.Speedup)
-		}
 	}
 
 	if *jsonPath != "" {

@@ -88,10 +88,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fsio"
+	"repro/internal/task/freqtask"
 
 	// Task adapters register themselves with the task registry; every
 	// family linked here is creatable via POST /collections and
-	// restorable from snapshots. (The freq adapter rides in with core.)
+	// restorable from snapshots.
 	_ "repro/internal/task/cmstask"
 	_ "repro/internal/task/hhtask"
 	_ "repro/internal/task/meantask"
@@ -103,7 +104,7 @@ func main() {
 		mode        = flag.String("mode", "aggregate", "\"aggregate\" (terminal aggregation node) or \"relay\" (fold locally, flush merged deltas to -upstream)")
 		upstream    = flag.String("upstream", "", "relay mode: base URL of the upstream aggregation node (e.g. http://agg:8080)")
 		flushEvery  = flag.Duration("flush-interval", cluster.DefaultFlushInterval, "relay mode: how often to flush merged deltas upstream")
-		mechanism   = flag.String("mechanism", core.MechanismOLH, "default collection's frequency oracle: "+strings.Join(core.Mechanisms(), ", "))
+		mechanism   = flag.String("mechanism", core.MechanismOLH, "default collection's frequency oracle: "+strings.Join(freqtask.Mechanisms(), ", "))
 		epsilon     = flag.Float64("epsilon", 1.0, "default collection's privacy budget per report")
 		domain      = flag.Int("domain", 128, "default collection's input domain size")
 		shards      = flag.Int("shards", 0, "aggregation shards per collection (0 = one per core)")

@@ -38,10 +38,11 @@ func TestPipelineWithAccountingAndPostprocessing(t *testing.T) {
 	ledger := accounting.NewLedger(accounting.Budget{Epsilon: totalEps})
 
 	params := core.PrivacyParams{Epsilon: perDay.Epsilon, Domain: domain}
-	svc, err := core.NewService(core.MechanismOLH, params)
-	if err != nil {
+	reg := core.NewCollectionRegistry()
+	if _, err := reg.Create(core.DefaultCollection, core.FreqCollectionConfig(core.MechanismOLH, params, 0)); err != nil {
 		t.Fatal(err)
 	}
+	svc := core.NewMultiService(reg, nil)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 

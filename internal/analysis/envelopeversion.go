@@ -8,11 +8,11 @@ import (
 )
 
 // EnvelopeVersion requires every UnmarshalState and
-// UnmarshalStateBinary implementation to gate on a state-version tag
-// before trusting the payload. The
-// checkpoint envelope itself is versioned (v2 → v3 → v4 migrations in
-// internal/core), and the aggregator states it wraps carry their own
-// tags for the same reason: a state blob written by a future format
+// UnmarshalLegacyState implementation to gate on a state-version tag
+// before trusting the payload. The checkpoint envelope itself is
+// versioned (v5, with a reader for v0–v4 in internal/core/legacy.go),
+// and the aggregator states it wraps carry their own tags for the same
+// reason: a state blob written by a future format
 // revision must be refused loudly at restore time, not reinterpreted
 // field-by-field into a silently corrupt aggregate. The hhtask guard
 // is the canonical shape:
@@ -25,20 +25,21 @@ import (
 // named "V"/"v" or contains "version", looked for in the method body
 // and, depth-limited, through same-package helpers it delegates to
 // (freq's unmarshalStateAs pattern). Delegating to another package's
-// UnmarshalState/UnmarshalStateBinary also satisfies the check — the
-// delegate is analyzed where it is defined. Binary decoders satisfy it
-// the same way JSON ones do: read the version byte into a local named
-// "version" and compare before touching the payload.
+// UnmarshalState/UnmarshalLegacyState also satisfies the check — the
+// delegate is analyzed where it is defined. The binary decoders
+// satisfy it the same way the legacy JSON ones do: read the version
+// byte into a local named "version" and compare before touching the
+// payload.
 var EnvelopeVersion = &Analyzer{
 	Name: "envelopeversion",
-	Doc:  "require UnmarshalState and UnmarshalStateBinary implementations to refuse unknown state-version tags",
+	Doc:  "require UnmarshalState and UnmarshalLegacyState implementations to refuse unknown state-version tags",
 	Run:  runEnvelopeVersion,
 }
 
 // isStateUnmarshal reports whether the method name is one of the
 // restore entry points the guard requirement covers.
 func isStateUnmarshal(name string) bool {
-	return name == "UnmarshalState" || name == "UnmarshalStateBinary"
+	return name == "UnmarshalState" || name == "UnmarshalLegacyState"
 }
 
 // guardDepth bounds how many same-package delegation hops the guard

@@ -1,7 +1,7 @@
 // Package envelopeversion is the ldplint envelopeversion fixture:
-// UnmarshalState implementations with and without a version gate, the
-// delegation shapes the analyzer follows, and the waiver escape
-// hatch.
+// UnmarshalState and UnmarshalLegacyState implementations with and
+// without a version gate, the delegation shapes the analyzer follows,
+// and the waiver escape hatch.
 package envelopeversion
 
 import (
@@ -16,28 +16,25 @@ type state struct {
 
 type guarded struct{ n int }
 
-// UnmarshalState carries the canonical guard.
+// UnmarshalState reads its version byte into a local named "version"
+// and compares before the payload — the binary-codec shape.
 func (g *guarded) UnmarshalState(data []byte) error {
-	var st state
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
+	if len(data) == 0 {
+		return fmt.Errorf("empty state")
 	}
-	if st.V != 0 {
-		return fmt.Errorf("unsupported state version %d", st.V)
+	version := int(data[0])
+	if version != 0 {
+		return fmt.Errorf("unsupported state version %d", version)
 	}
-	g.n = st.N
+	g.n = len(data) - 1
 	return nil
 }
 
 type unguarded struct{ n int }
 
-// UnmarshalState trusts whatever version wrote the blob.
+// UnmarshalState trusts whatever layout revision wrote the blob.
 func (u *unguarded) UnmarshalState(data []byte) error { // want `UnmarshalState accepts any state version`
-	var st state
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	u.n = st.N
+	u.n = len(data)
 	return nil
 }
 
@@ -71,40 +68,43 @@ type wrapper struct{ in inner }
 // shape: the format owner enforces the guard in its own package.
 func (w *wrapper) UnmarshalState(data []byte) error { return w.in.UnmarshalState(data) }
 
-type binGuarded struct{ n int }
+type legacyGuarded struct{ n int }
 
-// UnmarshalStateBinary reads its version byte into a local named
-// "version" and compares before the payload — the binary-codec shape.
-func (g *binGuarded) UnmarshalStateBinary(data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("empty state")
+// UnmarshalLegacyState carries the canonical guard of the JSON states.
+func (g *legacyGuarded) UnmarshalLegacyState(data []byte) error {
+	var st state
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
 	}
-	version := int(data[0])
-	if version != 0 {
-		return fmt.Errorf("unsupported state version %d", version)
+	if st.V != 0 {
+		return fmt.Errorf("unsupported state version %d", st.V)
 	}
-	g.n = len(data) - 1
+	g.n = st.N
 	return nil
 }
 
-type binUnguarded struct{ n int }
+type legacyUnguarded struct{ n int }
 
-// UnmarshalStateBinary trusts whatever layout revision wrote the blob.
-func (u *binUnguarded) UnmarshalStateBinary(data []byte) error { // want `UnmarshalStateBinary accepts any state version`
-	u.n = len(data)
+// UnmarshalLegacyState trusts whatever version wrote the blob.
+func (u *legacyUnguarded) UnmarshalLegacyState(data []byte) error { // want `UnmarshalLegacyState accepts any state version`
+	var st state
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	u.n = st.N
 	return nil
 }
 
-type binInner interface {
-	UnmarshalStateBinary([]byte) error
+type legacyInner interface {
+	UnmarshalLegacyState([]byte) error
 }
 
-type binWrapper struct{ in binInner }
+type legacyWrapper struct{ in legacyInner }
 
-// UnmarshalStateBinary delegates through an interface, the adapter
+// UnmarshalLegacyState delegates through an interface, the adapter
 // shape: the format owner enforces the guard in its own package.
-func (w *binWrapper) UnmarshalStateBinary(data []byte) error {
-	return w.in.UnmarshalStateBinary(data)
+func (w *legacyWrapper) UnmarshalLegacyState(data []byte) error {
+	return w.in.UnmarshalLegacyState(data)
 }
 
 type passthrough struct{ raw []byte }

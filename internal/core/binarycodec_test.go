@@ -1,16 +1,17 @@
 package core
 
-// Cross-codec properties of the binary report/state formats: a state
-// written in either codec restores to the same aggregate bit for bit,
-// re-encoding is a fixed point, both wire forms fold identically, the
-// binary HTTP surface negotiates per collection, and legacy (v2–v4)
-// checkpoint files still restore byte-identically.
+// Properties of the one state codec and the binary report wire: a
+// marshaled state restores to the same aggregate bit for bit and
+// re-encoding is a fixed point, the frozen legacy JSON states upgrade
+// to exactly their golden binary twins, both wire forms fold
+// identically, the binary HTTP surface negotiates per collection, and
+// the committed v2–v4 checkpoint files restore bit-identically and are
+// rewritten in the current container by the next checkpoint.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,106 +23,125 @@ import (
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/cmstask"
+	"repro/internal/task/hhtask"
 	"repro/internal/task/meantask"
 )
 
-// codecCases enumerates one collection per task family and mechanism
-// shape worth cross-checking, with a filler that drives deterministic
-// reports into it.
-func codecCases() []struct {
+// codecCase is one task family and mechanism shape worth
+// cross-checking: a live collection config with a filler that drives
+// deterministic reports into it, plus the committed state fixture of
+// that family — the legacy JSON file, its golden binary twin, and the
+// task config both were written under (at commit 5a353ae, by the last
+// build with a JSON state encoder; see the owning package's tests).
+type codecCase struct {
 	name string
 	cfg  CollectionConfig
 	fill func(t *testing.T, c *Collection, seed uint64, n int)
-} {
-	freq := func(mech string) CollectionConfig {
-		return FreqCollectionConfig(mech, PrivacyParams{Epsilon: 1.5, Domain: 16}, 2)
+
+	legacy, golden string // fixture paths relative to internal/
+	fixtureCfg     task.Config
+}
+
+func codecCases() []codecCase {
+	freq := func(mech string) codecCase {
+		return codecCase{
+			name: "freq-" + mech,
+			cfg:  FreqCollectionConfig(mech, PrivacyParams{Epsilon: 1.5, Domain: 16}, 2),
+			fill: fill,
+
+			legacy:     "freq/testdata/state_" + mech + ".json",
+			golden:     "freq/testdata/state_" + mech + ".bin",
+			fixtureCfg: FreqTaskConfig(mech, PrivacyParams{Epsilon: 1.25, Domain: 16}),
+		}
 	}
-	hcms := CollectionConfig{
-		Config: task.Config{Task: task.TypeSketch, Mechanism: cmstask.MechanismHCMS, Epsilon: 2, Width: 32, Hashes: 4, SketchSeed: 9},
-		Shards: 2,
+	sketch := func(mech string) codecCase {
+		return codecCase{
+			name: "sketch-" + mech,
+			cfg: CollectionConfig{
+				Config: task.Config{Task: task.TypeSketch, Mechanism: mech, Epsilon: 2, Width: 32, Hashes: 4, SketchSeed: 9},
+				Shards: 2,
+			},
+			fill: fillSketch,
+
+			legacy:     "task/cmstask/testdata/state_" + mech + ".json",
+			golden:     "task/cmstask/testdata/state_" + mech + ".bin",
+			fixtureCfg: task.Config{Task: task.TypeSketch, Mechanism: mech, Epsilon: 2, Width: 64, Hashes: 8, SketchSeed: 42},
+		}
 	}
-	return []struct {
-		name string
-		cfg  CollectionConfig
-		fill func(t *testing.T, c *Collection, seed uint64, n int)
-	}{
-		{"freq-GRR", freq(MechanismGRR), fill},
-		{"freq-OUE", freq(MechanismOUE), fill},
-		{"freq-SHE", freq(MechanismSHE), fill},
-		{"freq-THE", freq(MechanismTHE), fill},
-		{"freq-OLH", freq(MechanismOLH), fill},
-		{"freq-HRR", freq(MechanismHRR), fill},
-		{"freq-SS", freq(MechanismSS), fill},
-		{"mean-harmony", meanCfg(), fillMean},
-		{"sketch-CMS", sketchCfg(), fillSketch},
-		{"sketch-HCMS", hcms, fillSketch},
-		{"hh-PEM", hhCfg(2, 0), fillHH},
+	return []codecCase{
+		freq(MechanismGRR), freq(MechanismOUE), freq(MechanismSHE), freq(MechanismTHE),
+		freq(MechanismOLH), freq(MechanismHRR), freq(MechanismSS),
+		{
+			name: "mean-harmony", cfg: meanCfg(), fill: fillMean,
+			legacy: "mean/testdata/state_harmony.json", golden: "mean/testdata/state_harmony.bin",
+			fixtureCfg: task.Config{Task: task.TypeMean, Mechanism: meantask.MechanismHarmony, Epsilon: 1, Dim: 3},
+		},
+		sketch(cmstask.MechanismCMS), sketch(cmstask.MechanismHCMS),
+		{
+			name: "hh-PEM", cfg: hhCfg(2, 0), fill: fillHH,
+			legacy: "task/hhtask/testdata/state_v2.json", golden: "task/hhtask/testdata/state.bin",
+			fixtureCfg: task.Config{Task: task.TypeHH, Mechanism: hhtask.MechanismPEM, Epsilon: 2, Bits: 8, Levels: 4, K: 3},
+		},
 	}
 }
 
-// TestCrossCodecStateBitIdentical is the cross-codec property: for a
-// populated aggregate, state → binary → restore and state → JSON →
-// restore land on the same aggregate bit for bit (their re-marshaled
-// states are equal in both codecs), and binary re-encode is a fixed
-// point.
+// fixtureFile reads one committed fixture, path relative to internal/.
+func fixtureFile(t testing.TB, path string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", filepath.FromSlash(path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestCrossCodecStateBitIdentical is the cross-codec property, frozen:
+// the committed legacy JSON state of every task family upgrades
+// (through legacy.go, the way an old checkpoint or merge frame does)
+// to exactly its committed binary twin, that twin restores into a
+// sharded aggregator and re-marshals to itself, and so does the state
+// of a freshly populated collection.
 func TestCrossCodecStateBitIdentical(t *testing.T) {
 	for _, tc := range codecCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			golden := fixtureFile(t, tc.golden)
+			upgraded, err := upgradeLegacyState(tc.fixtureCfg, fixtureFile(t, tc.legacy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(upgraded, golden) {
+				t.Fatalf("legacy JSON fixture upgrades to\n%x\ngolden binary fixture is\n%x", upgraded, golden)
+			}
+
 			reg := NewCollectionRegistry()
 			c, err := reg.Create("x", tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.fill(t, c, 77, 120)
-			agg := c.Aggregator()
-			if !agg.BinaryState() {
-				t.Fatal("task has no binary state codec")
-			}
-			jsonState, err := agg.MarshalState()
+			live, err := c.Aggregator().MarshalState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			binState, err := agg.MarshalStateBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mk := func() *ShardedAggregator {
-				a, err := NewShardedAggregator(tc.cfg.Config, 2)
+			for _, fp := range []struct {
+				cfg   task.Config
+				state []byte
+			}{{tc.fixtureCfg, golden}, {tc.cfg.Config, live}} {
+				restored, err := NewShardedAggregator(fp.cfg, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return a
+				if err := restored.RestoreState(fp.state); err != nil {
+					t.Fatal(err)
+				}
+				again, err := restored.MarshalState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again, fp.state) {
+					t.Fatal("re-encode after restore is not a fixed point")
+				}
 			}
-			fromJSON, fromBin := mk(), mk()
-			if err := fromJSON.RestoreState(jsonState); err != nil {
-				t.Fatal(err)
-			}
-			if err := fromBin.RestoreStateBinary(binState); err != nil {
-				t.Fatal(err)
-			}
-			j1, err := fromJSON.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			j2, err := fromBin.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(j1, j2) {
-				t.Fatalf("JSON-restored and binary-restored states differ:\n%s\nvs\n%s", j1, j2)
-			}
-			b1, err := fromJSON.MarshalStateBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b2, err := fromBin.MarshalStateBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1, binState) || !bytes.Equal(b2, binState) {
-				t.Fatal("binary re-encode after restore is not a fixed point")
-			}
-			t.Logf("%s: state %d bytes JSON, %d bytes binary", tc.name, len(jsonState), len(binState))
 		})
 	}
 }
@@ -376,9 +396,9 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// TestStatusReportsCheckpointInfo pins the /status durability fields:
+// TestStatusReportsCheckpointInfo pins the /status durability field:
 // after a checkpoint, the collection's status carries the snapshot's
-// on-disk size and its state encoding.
+// on-disk size.
 func TestStatusReportsCheckpointInfo(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewStore(dir)
@@ -409,74 +429,90 @@ func TestStatusReportsCheckpointInfo(t *testing.T) {
 	if st.Bytes != fi.Size() {
 		t.Fatalf("checkpoint_bytes = %d, file is %d", st.Bytes, fi.Size())
 	}
-	if st.Enc != EncBinary {
-		t.Fatalf("checkpoint_enc = %q, want %q", st.Enc, EncBinary)
-	}
 }
 
-// TestLegacySnapshotVersionsRestore pins backward compatibility across
-// every historical checkpoint envelope: the same aggregate state
-// framed as a bare v2 snapshot, a bare v3 snapshot and a v4
-// checksummed wrapper must all restore to the binary-era aggregate bit
-// for bit.
-func TestLegacySnapshotVersionsRestore(t *testing.T) {
-	cfg := FreqCollectionConfig(MechanismOLH, PrivacyParams{Epsilon: 2, Domain: 8}, 2)
+// loadFixtureDir restores a state directory holding the given files
+// (name → contents) into a fresh registry.
+func loadFixtureDir(t *testing.T, files map[string][]byte) (string, *Store, *CollectionRegistry) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, blob := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := NewCollectionRegistry()
-	c, err := reg.Create("legacyfmt", cfg)
+	restored, err := store.Load(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fill(t, c, 61, 50)
-	state, err := c.Aggregator().MarshalState()
-	if err != nil {
-		t.Fatal(err)
+	if len(restored) != 1 {
+		t.Fatalf("restored %v (state dir now holds %v)", restored, dirListing(t, dir))
 	}
-	wantBin, err := c.Aggregator().MarshalStateBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	return dir, store, reg
+}
 
-	frame := func(version int) []byte {
-		t.Helper()
-		snap := CollectionSnapshot{Version: version, Name: "legacyfmt", Config: cfg, State: state}
-		inner, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if version < snapshotVersionJSON {
-			return inner // bare pre-checksum framing
-		}
-		blob, err := json.Marshal(snapshotFile{Version: version, CRC32C: crc32.Checksum(inner, crcTable), Snapshot: inner})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	for _, version := range []int{2, 3, 4} {
+// TestLegacySnapshotVersionsRestore pins backward compatibility with
+// every historical checkpoint envelope against committed files
+// (testdata/snapshot_vN.json, written at commit 5a353ae): a bare v2
+// snapshot, a bare phase-aware v3 snapshot of an hh collection in
+// round 1, and a v4 checksummed wrapper carrying a journal rotation
+// point and dedup marks. Each must restore, and the first checkpoint
+// afterwards — with no report ingested, the idle collection the
+// pre-PR-12 Store.Load left on its legacy file forever — must rewrite
+// it as exactly the v5 container the parent build wrote for the same
+// restored state (testdata/snapshot_vN.golden.v5). Byte equality of
+// that file is the whole contract at once: the legacy state restored
+// bit-identically, round/frontier/batches survived, and this build's
+// v5 writer is the parent's. The rewritten file then restores to the
+// state it holds.
+func TestLegacySnapshotVersionsRestore(t *testing.T) {
+	for version, name := range map[int]string{2: "legacyfmt", 3: "legacyhh", 4: "legacyfmt"} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "legacyfmt"+snapshotExt), frame(version), 0o644); err != nil {
+			legacy := fixtureFile(t, fmt.Sprintf("core/testdata/snapshot_v%d.json", version))
+			golden := fixtureFile(t, fmt.Sprintf("core/testdata/snapshot_v%d.golden.v5", version))
+			dir, store, reg := loadFixtureDir(t, map[string][]byte{name + snapshotExt: legacy})
+			if err := store.SaveAll(reg); err != nil {
 				t.Fatal(err)
 			}
-			store, err := NewStore(dir)
+			rewritten, err := os.ReadFile(filepath.Join(dir, name+snapshotExt))
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg2 := NewCollectionRegistry()
-			restored, err := store.Load(reg2)
+			if !bytes.HasPrefix(rewritten, snapshotMagic) {
+				t.Fatalf("idle legacy snapshot was not upgraded: %s", rewritten[:min(len(rewritten), 60)])
+			}
+			if !bytes.Equal(rewritten, golden) {
+				t.Fatalf("v%d upgraded to\n%q\ngolden v5 file is\n%q", version, rewritten, golden)
+			}
+			// A second idle checkpoint has nothing left to upgrade.
+			before, err := os.Stat(filepath.Join(dir, name+snapshotExt))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(restored) != 1 {
-				t.Fatalf("restored %v (corrupt files: %v)", restored, dirListing(t, dir))
+			if err := store.SaveAll(reg); err != nil {
+				t.Fatal(err)
 			}
-			c2, _ := reg2.Get("legacyfmt")
-			got, err := c2.Aggregator().MarshalStateBinary()
+			if after, err := os.Stat(filepath.Join(dir, name+snapshotExt)); err != nil || !os.SameFile(before, after) {
+				t.Fatalf("idle v5 snapshot was rewritten again (%v)", err)
+			}
+
+			_, _, reg2 := loadFixtureDir(t, map[string][]byte{name + snapshotExt: rewritten})
+			c2, _ := reg2.Get(name)
+			got, err := c2.Aggregator().MarshalState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, wantBin) {
-				t.Fatalf("v%d restore diverges from the live aggregate", version)
+			want, _, err := decodeSnapshot(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.State) {
+				t.Fatalf("v%d restore diverges from the golden state", version)
 			}
 		})
 	}
@@ -542,7 +578,7 @@ func TestBinaryCheckpointKillRestart(t *testing.T) {
 	if got := counts(t, c2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored counts diverge:\n%v\nvs\n%v", got, want)
 	}
-	if info, ok := store2.LastCheckpoint(DefaultCollection); !ok || info.Enc != EncBinary || info.Bytes != int64(len(blob)) {
+	if info, ok := store2.LastCheckpoint(DefaultCollection); !ok || info.Bytes != int64(len(blob)) {
 		t.Fatalf("restored checkpoint info = %+v, %v", info, ok)
 	}
 }

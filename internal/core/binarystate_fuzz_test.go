@@ -1,6 +1,6 @@
 package core
 
-// Native fuzzing for RestoreStateBinary: version-5 checkpoint
+// Native fuzzing for RestoreState: version-5 checkpoint
 // containers hand the task adapter raw state bytes from disk, where a
 // crash, bit rot, or an operator edit can leave anything — truncated
 // payloads, flipped bits, length prefixes that lie about how much
@@ -43,7 +43,7 @@ func FuzzBinaryState(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		state, err := a.MarshalStateBinary()
+		state, err := a.MarshalState()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func FuzzBinaryState(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	state, err := filled.MarshalStateBinary()
+	state, err := filled.MarshalState()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func FuzzBinaryState(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := a.RestoreStateBinary(data); err != nil {
+			if err := a.RestoreState(data); err != nil {
 				continue // refused loudly: the acceptable failure mode
 			}
 			// Accepted states must leave a fully consistent aggregator:
@@ -96,7 +96,7 @@ func FuzzBinaryState(f *testing.F) {
 			if _, err := a.MarshalState(); err != nil {
 				t.Fatalf("%s %s: accepted binary state does not marshal as JSON: %v", cfg.Task, cfg.Mechanism, err)
 			}
-			out, err := a.MarshalStateBinary()
+			out, err := a.MarshalState()
 			if err != nil {
 				t.Fatalf("%s %s: accepted binary state does not re-marshal: %v", cfg.Task, cfg.Mechanism, err)
 			}
@@ -104,10 +104,10 @@ func FuzzBinaryState(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.RestoreStateBinary(out); err != nil {
+			if err := b.RestoreState(out); err != nil {
 				t.Fatalf("%s %s: re-marshaled state of an accepted restore is refused: %v", cfg.Task, cfg.Mechanism, err)
 			}
-			out2, err := b.MarshalStateBinary()
+			out2, err := b.MarshalState()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/ldprand"
+	"repro/internal/task/freqtask"
 )
 
 func getBody(t *testing.T, url string) string {
@@ -189,13 +190,13 @@ func TestCollectionCountCap(t *testing.T) {
 // broken batch reports the first rejections in detail plus a summary
 // count, never one error line per envelope.
 func TestAddBatchErrorCap(t *testing.T) {
-	agg, err := NewFreqShardedAggregator(MechanismGRR, params(), 2)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, params()), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]json.RawMessage, 100)
 	for i := range batch {
-		batch[i] = mustRaw(t, Envelope{Mechanism: "GRR", Value: 999}) // all out of domain
+		batch[i] = mustRaw(t, freqtask.Envelope{Mechanism: "GRR", Value: 999}) // all out of domain
 	}
 	accepted, err := agg.AddBatch(batch)
 	if accepted != 0 || err == nil {
@@ -238,7 +239,7 @@ func TestFlatRoutesAliasDefaultCollection(t *testing.T) {
 // must not re-merge the shards, and any ingestion invalidates exactly
 // once.
 func TestEstimateUsesEpochCache(t *testing.T) {
-	svc, err := NewServiceSharded(MechanismGRR, params(), 4)
+	svc, err := newFreqService(MechanismGRR, params(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +283,11 @@ func TestEstimateUsesEpochCache(t *testing.T) {
 // TestMergedCachedSharesSnapshot verifies the cache at the aggregator
 // level: same epoch → the very same merged oracle is returned.
 func TestMergedCachedSharesSnapshot(t *testing.T) {
-	agg, err := NewFreqShardedAggregator(MechanismGRR, params(), 3)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, params()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Add(mustRaw(t, Envelope{Mechanism: "GRR", Value: 1})); err != nil {
+	if err := agg.Add(mustRaw(t, freqtask.Envelope{Mechanism: "GRR", Value: 1})); err != nil {
 		t.Fatal(err)
 	}
 	m1, err := agg.MergedCached()
@@ -300,7 +301,7 @@ func TestMergedCachedSharesSnapshot(t *testing.T) {
 	if m1 != m2 {
 		t.Fatal("unchanged epoch returned a new merge")
 	}
-	if err := agg.Add(mustRaw(t, Envelope{Mechanism: "GRR", Value: 2})); err != nil {
+	if err := agg.Add(mustRaw(t, freqtask.Envelope{Mechanism: "GRR", Value: 2})); err != nil {
 		t.Fatal(err)
 	}
 	m3, err := agg.MergedCached()

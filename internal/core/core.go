@@ -9,9 +9,9 @@
 // means, private sketches — is a configuration tag resolved through
 // the task registry, so new mechanism families plug in as adapter
 // packages without touching this one. The frequency wire format and
-// oracle registry themselves live in internal/task/freqtask; this
-// package re-exports those names because the frequency path predates
-// the task layer and its callers are everywhere.
+// oracle registry live in internal/task/freqtask; this file keeps the
+// (mechanism, ε, domain) names the binaries and the load harness
+// configure frequency surveys with.
 //
 // Only privatized data ever crosses the client boundary — the Client
 // type runs the randomization locally and exposes no raw-value
@@ -48,26 +48,6 @@ const (
 	MechanismSS  = freqtask.MechanismSS
 )
 
-// Mechanisms lists the frequency registry names in presentation order.
-func Mechanisms() []string { return freqtask.Mechanisms() }
-
-// Envelope is the JSON wire format of one privatized frequency report.
-type Envelope = freqtask.Envelope
-
-// NewOracle builds a frequency oracle by registry name. A nil source
-// selects crypto/rand.
-func NewOracle(name string, p PrivacyParams, src ldprand.Source) (freq.Oracle, error) {
-	return freqtask.NewOracle(name, p.Epsilon, p.Domain, src)
-}
-
-// Privatize runs the client half of the oracle on value v and wraps
-// the report in an Envelope.
-func Privatize(o freq.Oracle, v int) (Envelope, error) { return freqtask.Privatize(o, v) }
-
-// Aggregate folds an Envelope into the matching oracle, rejecting
-// malformed payloads (they arrive from the network).
-func Aggregate(o freq.Oracle, e Envelope) error { return freqtask.Aggregate(o, e) }
-
 // FreqTaskConfig is the task configuration of a frequency survey, the
 // bridge from the legacy (mechanism, ε, domain) surface to the
 // task-generic stack.
@@ -85,7 +65,7 @@ type Client struct {
 // NewClient returns a reporting client for the named mechanism. A nil
 // source selects crypto/rand (the production configuration).
 func NewClient(mechanism string, p PrivacyParams, src ldprand.Source) (*Client, error) {
-	o, err := NewOracle(mechanism, p, src)
+	o, err := freqtask.NewOracle(mechanism, p.Epsilon, p.Domain, src)
 	if err != nil {
 		return nil, err
 	}
@@ -93,11 +73,11 @@ func NewClient(mechanism string, p PrivacyParams, src ldprand.Source) (*Client, 
 }
 
 // Report privatizes one value into a wire envelope.
-func (c *Client) Report(v int) (Envelope, error) {
+func (c *Client) Report(v int) (freqtask.Envelope, error) {
 	if v < 0 || v >= c.params.Domain {
-		return Envelope{}, fmt.Errorf("core: value %d outside domain [0,%d)", v, c.params.Domain)
+		return freqtask.Envelope{}, fmt.Errorf("core: value %d outside domain [0,%d)", v, c.params.Domain)
 	}
-	return Privatize(c.oracle, v)
+	return freqtask.Privatize(c.oracle, v)
 }
 
 // ReportBinary privatizes one value into a binary wire envelope, the
@@ -113,8 +93,8 @@ func (c *Client) ReportBinary(v int) ([]byte, error) {
 // payload of one POST /report/batch. Each value is randomized
 // independently, exactly as per-value Report calls would; batching
 // changes only the transport framing, never the privacy guarantee.
-func (c *Client) ReportBatch(values []int) ([]Envelope, error) {
-	out := make([]Envelope, 0, len(values))
+func (c *Client) ReportBatch(values []int) ([]freqtask.Envelope, error) {
+	out := make([]freqtask.Envelope, 0, len(values))
 	for i, v := range values {
 		env, err := c.Report(v)
 		if err != nil {

@@ -15,8 +15,8 @@ import (
 func params() PrivacyParams { return PrivacyParams{Epsilon: 2, Domain: 8} }
 
 func TestNewOracleAllMechanisms(t *testing.T) {
-	for _, name := range Mechanisms() {
-		o, err := NewOracle(name, params(), ldprand.NewSplitMix64(1))
+	for _, name := range freqtask.Mechanisms() {
+		o, err := newOracle(name, params(), ldprand.NewSplitMix64(1))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -27,13 +27,13 @@ func TestNewOracleAllMechanisms(t *testing.T) {
 }
 
 func TestNewOracleRejectsBad(t *testing.T) {
-	if _, err := NewOracle("NOPE", params(), nil); err == nil {
+	if _, err := newOracle("NOPE", params(), nil); err == nil {
 		t.Error("unknown mechanism accepted")
 	}
-	if _, err := NewOracle(MechanismGRR, PrivacyParams{Epsilon: 0, Domain: 8}, nil); err == nil {
+	if _, err := newOracle(MechanismGRR, PrivacyParams{Epsilon: 0, Domain: 8}, nil); err == nil {
 		t.Error("epsilon 0 accepted")
 	}
-	if _, err := NewOracle(MechanismGRR, PrivacyParams{Epsilon: 1, Domain: 1}, nil); err == nil {
+	if _, err := newOracle(MechanismGRR, PrivacyParams{Epsilon: 1, Domain: 1}, nil); err == nil {
 		t.Error("domain 1 accepted")
 	}
 }
@@ -43,14 +43,14 @@ func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 	// on a fresh "server" oracle — the full wire path for every
 	// mechanism, checking estimates converge on a skewed input.
 	const n = 20000
-	for _, name := range Mechanisms() {
+	for _, name := range freqtask.Mechanisms() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			client, err := NewOracle(name, params(), ldprand.NewSplitMix64(2))
+			client, err := newOracle(name, params(), ldprand.NewSplitMix64(2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			server, err := NewOracle(name, params(), ldprand.NewSplitMix64(3))
+			server, err := newOracle(name, params(), ldprand.NewSplitMix64(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 					v = 1 + ldprand.Intn(src, 7)
 				}
 				truth[v]++
-				env, err := Privatize(client, v)
+				env, err := freqtask.Privatize(client, v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,11 +70,11 @@ func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var back Envelope
+				var back freqtask.Envelope
 				if err := json.Unmarshal(data, &back); err != nil {
 					t.Fatal(err)
 				}
-				if err := Aggregate(server, back); err != nil {
+				if err := freqtask.Aggregate(server, back); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -91,8 +91,8 @@ func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 }
 
 func TestAggregateRejectsMismatchedMechanism(t *testing.T) {
-	grr, _ := NewOracle(MechanismGRR, params(), ldprand.NewSplitMix64(5))
-	if err := Aggregate(grr, Envelope{Mechanism: "OLH", Value: 1}); err == nil {
+	grr, _ := newOracle(MechanismGRR, params(), ldprand.NewSplitMix64(5))
+	if err := freqtask.Aggregate(grr, freqtask.Envelope{Mechanism: "OLH", Value: 1}); err == nil {
 		t.Fatal("mechanism mismatch accepted")
 	}
 }
@@ -100,20 +100,20 @@ func TestAggregateRejectsMismatchedMechanism(t *testing.T) {
 func TestAggregateRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		mech string
-		env  Envelope
+		env  freqtask.Envelope
 	}{
-		{MechanismGRR, Envelope{Mechanism: "GRR", Value: 99}},
-		{MechanismGRR, Envelope{Mechanism: "GRR", Value: -1}},
-		{MechanismOUE, Envelope{Mechanism: "OUE", Bits: "!!!not-base64!!!"}},
-		{MechanismOUE, Envelope{Mechanism: "OUE", Bits: ""}},
-		{MechanismSHE, Envelope{Mechanism: "SHE", Reals: []float64{1, 2}}},
-		{MechanismOLH, Envelope{Mechanism: "OLH", Value: 10000}},
-		{MechanismHRR, Envelope{Mechanism: "HRR", Value: 0, Sign: 0}},
-		{MechanismHRR, Envelope{Mechanism: "HRR", Value: -2, Sign: 1}},
+		{MechanismGRR, freqtask.Envelope{Mechanism: "GRR", Value: 99}},
+		{MechanismGRR, freqtask.Envelope{Mechanism: "GRR", Value: -1}},
+		{MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: "!!!not-base64!!!"}},
+		{MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: ""}},
+		{MechanismSHE, freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1, 2}}},
+		{MechanismOLH, freqtask.Envelope{Mechanism: "OLH", Value: 10000}},
+		{MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: 0, Sign: 0}},
+		{MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: -2, Sign: 1}},
 	}
 	for _, c := range cases {
-		o, _ := NewOracle(c.mech, params(), ldprand.NewSplitMix64(6))
-		if err := Aggregate(o, c.env); err == nil {
+		o, _ := newOracle(c.mech, params(), ldprand.NewSplitMix64(6))
+		if err := freqtask.Aggregate(o, c.env); err == nil {
 			t.Errorf("%s: malformed envelope accepted: %+v", c.mech, c.env)
 		}
 		if o.Collected() != 0 {
@@ -149,7 +149,7 @@ func TestClientReport(t *testing.T) {
 }
 
 func TestServiceEndToEnd(t *testing.T) {
-	svc, err := NewService(MechanismGRR, params())
+	svc, err := newFreqService(MechanismGRR, params(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestServiceEndToEnd(t *testing.T) {
 }
 
 func TestServiceRejectsBadRequests(t *testing.T) {
-	svc, _ := NewService(MechanismGRR, params())
+	svc, _ := newFreqService(MechanismGRR, params(), 0)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -236,7 +236,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		t.Errorf("garbage report status %d", resp.StatusCode)
 	}
 	// Valid JSON, invalid report.
-	body, _ := json.Marshal(Envelope{Mechanism: "GRR", Value: 999})
+	body, _ := json.Marshal(freqtask.Envelope{Mechanism: "GRR", Value: 999})
 	resp, _ = http.Post(ts.URL+"/report", "application/json", bytes.NewReader(body))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -251,7 +251,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 }
 
 func TestServiceConcurrentReports(t *testing.T) {
-	svc, _ := NewService(MechanismOUE, params())
+	svc, _ := newFreqService(MechanismOUE, params(), 0)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 

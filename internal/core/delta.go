@@ -4,23 +4,17 @@
 // deduplicate it (ID), and — for phased tasks — refuse it when the
 // relay's round view is stale (Round/Done).
 //
-// Two wire encodings share one header:
+// On the wire and in the relay outbox a delta is a self-checking
+// container mirroring the LDPSNAP5 checkpoint layout:
 //
-//   - JSON: the Delta struct marshalled directly; State is base64.
-//     Always available — it falls back to the task's JSON state codec
-//     when the task has no binary one.
+//	"LDPDELTA1" | crc32c(rest) LE | version byte |
+//	blob(header JSON, State omitted) | blob(binary task state)
 //
-//   - Binary: a self-checking container for tasks implementing
-//     task.BinaryStater, mirroring the LDPSNAP5 checkpoint layout:
-//
-//     "LDPDELTA1" | crc32c(rest) LE | version byte |
-//     blob(header JSON, State omitted) | blob(binary task state)
-//
-// Both decoders are version-gated: an unknown container or header
-// version is an error, never a guess. The binary decoder treats the
-// input as hostile (it also arrives over HTTP): the CRC is checked
-// before any parsing, lengths are bounds-checked by binenc, and
-// trailing garbage is rejected.
+// The decoder is version-gated — an unknown container or header
+// version is an error, never a guess — and treats the input as hostile
+// (it arrives over HTTP): the CRC is checked before any parsing,
+// lengths are bounds-checked by binenc, and trailing garbage is
+// rejected.
 package core
 
 import (
@@ -44,8 +38,9 @@ const DeltaVersion = 1
 var deltaMagic = []byte("LDPDELTA1")
 
 // Delta is one relay flush. State carries the merged task state in the
-// encoding named by Enc ("" = the task's JSON state codec, EncBinary =
-// its binary codec).
+// task's binary layout; Enc is the constant EncBinary, kept in the
+// header so containers stay byte-identical to (and accepted by) the
+// builds that chose between two state encodings.
 type Delta struct {
 	Version    int    `json:"version"`
 	Collection string `json:"collection"`
@@ -87,16 +82,10 @@ func EncodeDeltaBinary(d Delta) ([]byte, error) {
 	return append(blob, body...), nil
 }
 
-// IsBinaryDelta reports whether blob starts with the binary delta
-// container magic.
-func IsBinaryDelta(blob []byte) bool {
-	return bytes.HasPrefix(blob, deltaMagic)
-}
-
 // DecodeDeltaBinary unpacks a binary delta container. The returned
 // Delta owns its State (no aliasing of blob).
 func DecodeDeltaBinary(blob []byte) (Delta, error) {
-	if !IsBinaryDelta(blob) {
+	if !bytes.HasPrefix(blob, deltaMagic) {
 		return Delta{}, fmt.Errorf("core: not a binary delta container")
 	}
 	body := blob[len(deltaMagic):]
@@ -131,24 +120,10 @@ func DecodeDeltaBinary(blob []byte) (Delta, error) {
 	if d.Version != DeltaVersion {
 		return Delta{}, fmt.Errorf("core: unsupported delta header version %d (max %d)", d.Version, DeltaVersion)
 	}
-	d.Enc = EncBinary
+	if d.Enc != EncBinary {
+		return Delta{}, fmt.Errorf("core: unsupported delta state encoding %q", d.Enc)
+	}
 	d.State = append([]byte(nil), state...)
-	return d, nil
-}
-
-// DecodeDelta decodes either wire form: the binary container when
-// binary is set, the JSON header otherwise.
-func DecodeDelta(blob []byte, binaryWire bool) (Delta, error) {
-	if binaryWire {
-		return DecodeDeltaBinary(blob)
-	}
-	var d Delta
-	if err := json.Unmarshal(blob, &d); err != nil {
-		return Delta{}, fmt.Errorf("core: decode delta: %w", err)
-	}
-	if d.Version != DeltaVersion {
-		return Delta{}, fmt.Errorf("core: unsupported delta version %d (max %d)", d.Version, DeltaVersion)
-	}
 	return d, nil
 }
 

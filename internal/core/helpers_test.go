@@ -1,17 +1,37 @@
 package core
 
 // Shared helpers for the core test suite: marshaling typed freq
-// envelopes into the raw JSON the task-generic aggregator ingests, and
-// reading frequency counts back out of a task aggregator.
+// envelopes into the raw JSON the task-generic aggregator ingests,
+// reading frequency counts back out of a task aggregator, and the
+// (mechanism, PrivacyParams) shorthands for freqtask's constructors.
 
 import (
 	"encoding/json"
 	"os"
 	"testing"
 
+	"repro/internal/freq"
+	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/freqtask"
 )
+
+// newOracle builds a frequency oracle by registry name from the
+// PrivacyParams the suite's fixtures are written in.
+func newOracle(name string, p PrivacyParams, src ldprand.Source) (freq.Oracle, error) {
+	return freqtask.NewOracle(name, p.Epsilon, p.Domain, src)
+}
+
+// newFreqService returns a single-survey frequency service: the survey
+// is the default collection, reachable through both the flat and the
+// /collections routes.
+func newFreqService(mechanism string, p PrivacyParams, shards int) (*Service, error) {
+	reg := NewCollectionRegistry()
+	if _, err := reg.Create(DefaultCollection, FreqCollectionConfig(mechanism, p, shards)); err != nil {
+		return nil, err
+	}
+	return NewMultiService(reg, nil), nil
+}
 
 // mustRaw marshals any value (an Envelope, a task envelope struct)
 // into the raw JSON report form the aggregation stack ingests.
@@ -25,7 +45,7 @@ func mustRaw(t testing.TB, v any) json.RawMessage {
 }
 
 // rawEnvs marshals a slice of freq envelopes into raw JSON reports.
-func rawEnvs(t testing.TB, envs []Envelope) []json.RawMessage {
+func rawEnvs(t testing.TB, envs []freqtask.Envelope) []json.RawMessage {
 	t.Helper()
 	out := make([]json.RawMessage, len(envs))
 	for i := range envs {
@@ -53,7 +73,7 @@ func readSnapshotFile(t testing.TB, path string) CollectionSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := decodeSnapshot(blob)
+	snap, _, err := decodeSnapshot(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

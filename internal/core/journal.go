@@ -80,8 +80,10 @@ const (
 )
 
 // EncBinary tags binary-encoded payloads wherever an encoding is
-// recorded: journal batch frames, checkpoint state, /status bodies.
-// The zero value (absent) means JSON everywhere it appears.
+// recorded. In journal batch frames the zero value (absent) means JSON
+// report envelopes. For task state — checkpoint headers, delta
+// headers, merge frames — it is a constant: an absent tag marks a
+// merge frame written by a pre-binary build (see legacy.go).
 const EncBinary = "bin"
 
 // journalRecord is one frame's JSON payload.
@@ -89,7 +91,7 @@ type journalRecord struct {
 	Kind     string            `json:"kind"`
 	ID       string            `json:"id,omitempty"`       // batch/merge: idempotency key; flush: the cut delta's key
 	Envs     []json.RawMessage `json:"envs,omitempty"`     // batch: JSON report envelopes as received
-	Enc      string            `json:"enc,omitempty"`      // batch/merge: EncBinary when Bins/State is binary
+	Enc      string            `json:"enc,omitempty"`      // batch: EncBinary when Bins carries the reports; merge: EncBinary (absent = legacy JSON state)
 	Bins     [][]byte          `json:"bins,omitempty"`     // batch: binary report payloads (base64 inside the frame JSON)
 	Round    int               `json:"round,omitempty"`    // advance: the round that was closed; flush/adopt: round at the boundary
 	State    []byte            `json:"state,omitempty"`    // merge: the delta's task state (base64 inside the frame JSON)
@@ -575,7 +577,7 @@ func (c *Collection) IngestMerge(d Delta) (MergeResult, error) {
 		}
 	}
 	c.walMu.RLock()
-	delta, err := c.agg.NewDelta(d.State, d.Enc == EncBinary)
+	delta, err := c.agg.NewDelta(d.State)
 	if err != nil {
 		c.walMu.RUnlock()
 		abandon()
@@ -597,7 +599,7 @@ func (c *Collection) IngestMerge(d Delta) (MergeResult, error) {
 		}
 	}
 	if c.journal != nil {
-		rec := journalRecord{Kind: recordMerge, ID: id, Enc: d.Enc, State: d.State, Reports: delta.Collected()}
+		rec := journalRecord{Kind: recordMerge, ID: id, Enc: EncBinary, State: d.State, Reports: delta.Collected()}
 		if err := c.journal.append(rec); err != nil {
 			c.walMu.RUnlock()
 			abandon()
@@ -679,7 +681,7 @@ func (c *Collection) cutLocked(id string, journalFrame bool) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	state, enc, err := marshalTaskState(merged)
+	state, err := merged.MarshalState()
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +691,7 @@ func (c *Collection) cutLocked(id string, journalFrame bool) (*Delta, error) {
 		ID:         id,
 		Config:     c.cfg.Config,
 		Reports:    merged.Collected(),
-		Enc:        enc,
+		Enc:        EncBinary,
 		State:      state,
 	}
 	if p, ok := merged.(task.Phased); ok {

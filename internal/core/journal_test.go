@@ -16,10 +16,11 @@ import (
 	"testing"
 
 	"repro/internal/fsio"
+	"repro/internal/task/freqtask"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	rec := journalRecord{Kind: recordBatch, ID: "b-1", Envs: rawEnvs(t, []Envelope{{Mechanism: MechanismGRR, Value: 3}})}
+	rec := journalRecord{Kind: recordBatch, ID: "b-1", Envs: rawEnvs(t, []freqtask.Envelope{{Mechanism: MechanismGRR, Value: 3}})}
 	buf, err := frame(rec)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -53,17 +55,14 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsBinaryDelta(blob) {
+	if !bytes.HasPrefix(blob, deltaMagic) {
 		t.Fatal("encoded delta does not carry the container magic")
 	}
 	got, err := DecodeDeltaBinary(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The decoder stamps Enc itself (the container IS the binary wire);
-	// every other field must round-trip exactly.
-	if got.Collection != d.Collection || got.ID != d.ID || got.Reports != d.Reports ||
-		got.Config != d.Config || !bytes.Equal(got.State, d.State) {
+	if !reflect.DeepEqual(got, d) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, d)
 	}
 
@@ -83,26 +82,62 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 		t.Fatal("truncated container decoded cleanly")
 	}
 
-	// Unknown container versions are refused, never guessed at (the
-	// checksum refuses the raw splice; the version gate is what guards a
-	// well-formed future container, which TestDeltaJSONVersionGate
-	// covers for the header and this splice covers for the byte).
+	// Unknown container versions are refused, never guessed at: the
+	// checksum refuses the raw splice of the version byte, and a
+	// well-formed container whose header names a future version — or a
+	// state encoding other than the one that exists — is refused by
+	// the header gate.
 	future := append([]byte(nil), blob...)
 	future[len(deltaMagic)+4] = DeltaVersion + 1
 	if _, err := DecodeDeltaBinary(future); err == nil {
 		t.Fatal("spliced container version decoded cleanly")
 	}
+	for name, forge := range map[string]func(*Delta){
+		"future header version": func(d *Delta) { d.Version = DeltaVersion + 1 },
+		"JSON state encoding":   func(d *Delta) { d.Enc = "" },
+	} {
+		forged := d
+		forge(&forged)
+		blob, err := EncodeDeltaBinary(forged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeDeltaBinary(blob); err == nil {
+			t.Fatalf("%s decoded cleanly", name)
+		}
+	}
 }
 
-func TestDeltaJSONVersionGate(t *testing.T) {
-	d := cutFrom(t, testCfg(), "vg-1", crashBatches(t)[0])
-	d.Version = DeltaVersion + 1
-	blob, err := json.Marshal(d)
+// TestDeltaGoldenContainer pins the LDPDELTA1 bytes against a committed
+// container (testdata/delta_v1.bin, cut by the parent build at commit
+// 5a353ae from 50 OLH reports): it decodes, folds into an empty
+// collection, and cutting that collection under the same id re-emits
+// the identical bytes — container layout, header field order and the
+// task state codec all held still.
+func TestDeltaGoldenContainer(t *testing.T) {
+	golden := fixtureFile(t, "core/testdata/delta_v1.bin")
+	d, err := DecodeDeltaBinary(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeDelta(blob, false); err == nil {
-		t.Fatal("future JSON delta version decoded cleanly")
+	reg := NewCollectionRegistry()
+	c, err := reg.Create(d.Collection, CollectionConfig{Config: d.Config, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.IngestMerge(d); err != nil || res.Accepted != 50 {
+		t.Fatalf("golden delta did not fold: %+v, %v", res, err)
+	}
+	recut, err := c.CutDelta(d.ID)
+	if err != nil || recut == nil {
+		t.Fatalf("re-cut: %v, %v", recut, err)
+	}
+	blob, err := EncodeDeltaBinary(*recut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, golden) {
+		t.Fatalf("re-cut container\n%q\ngolden\n%q", blob, golden)
 	}
 }
 
@@ -275,13 +310,21 @@ func TestIngestMergeWrongRound(t *testing.T) {
 // garbage, 409 on wrong round, oversized idempotency key rejected.
 func TestMergeHTTPStatuses(t *testing.T) {
 	reg := NewCollectionRegistry()
-	if _, err := reg.Create("agg", testCfg()); err != nil {
+	agg, err := reg.Create("agg", testCfg())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Create("hh", hhCfg(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewMultiService(reg, nil)
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Attach(agg); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewMultiService(reg, store)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -307,42 +350,40 @@ func TestMergeHTTPStatuses(t *testing.T) {
 
 	batches := crashBatches(t)
 	d := cutFrom(t, testCfg(), "http-1", batches[0], batches[1])
-
-	// JSON wire.
-	blob, err := json.Marshal(d)
+	blob, err := EncodeDeltaBinary(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, mr := post("/collections/agg/merge", "application/json", "", blob)
+
+	// The pre-PR-12 JSON delta form is gone: a JSON body — even a
+	// well-formed old-style delta — is 415, journals and folds nothing.
+	legacy, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _ := post("/collections/agg/merge", "application/json", "", legacy)
+	if frames, _, _ := agg.JournalHealth(); resp.StatusCode != http.StatusUnsupportedMediaType || frames != 0 || agg.Aggregator().Collected() != 0 {
+		t.Fatalf("JSON merge: %s, %d frames journaled, %d reports folded; want 415 and nothing", resp.Status, frames, agg.Aggregator().Collected())
+	}
+
+	// The container, then the identical container again — the second
+	// answer must come from the dedup record.
+	resp, mr := post("/collections/agg/merge", ContentTypeBinary, "", blob)
 	if resp.StatusCode != http.StatusOK || mr.Accepted == 0 || mr.Replayed {
-		t.Fatalf("JSON merge: %s %+v", resp.Status, mr)
+		t.Fatalf("merge: %s %+v", resp.Status, mr)
 	}
-
-	// Binary wire, new key; then the identical container again — the
-	// second answer must come from the dedup record.
-	d2 := cutFrom(t, testCfg(), "http-2", batches[2])
-	bin, err := EncodeDeltaBinary(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, mr = post("/merge?collection=ignored", ContentTypeBinary, "", bin)
-	if resp.StatusCode != http.StatusNotFound {
-		// The flat route targets the default collection, which this
-		// registry-only service does not define under "default"; use the
-		// named route instead.
-		t.Logf("flat route: %s", resp.Status)
-	}
-	resp, mr = post("/collections/agg/merge", ContentTypeBinary, "", bin)
-	if resp.StatusCode != http.StatusOK || mr.Replayed {
-		t.Fatalf("binary merge: %s %+v", resp.Status, mr)
-	}
-	resp, mr = post("/collections/agg/merge", ContentTypeBinary, "", bin)
+	resp, mr = post("/collections/agg/merge", ContentTypeBinary, "", blob)
 	if resp.StatusCode != http.StatusOK || !mr.Replayed {
-		t.Fatalf("binary merge retry: %s %+v, want replayed", resp.Status, mr)
+		t.Fatalf("merge retry: %s %+v, want replayed", resp.Status, mr)
+	}
+	// The flat alias targets the default collection, which this
+	// registry does not define.
+	if resp, _ = post("/merge", ContentTypeBinary, "", blob); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("flat route without a default collection: %s, want 404", resp.Status)
 	}
 
 	// Config mismatch → 400 with a diagnostic naming the collection.
-	resp, _ = post("/collections/hh/merge", "application/json", "", blob)
+	resp, _ = post("/collections/hh/merge", ContentTypeBinary, "", blob)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("config mismatch: %s, want 400", resp.Status)
 	}
@@ -352,23 +393,59 @@ func TestMergeHTTPStatuses(t *testing.T) {
 	if err := mustAdvance(reg, "hh", 0); err != nil {
 		t.Fatal(err)
 	}
-	hblob, err := json.Marshal(dh)
+	hblob, err := EncodeDeltaBinary(dh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _ = post("/collections/hh/merge", "application/json", "", hblob)
+	resp, _ = post("/collections/hh/merge", ContentTypeBinary, "", hblob)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale merge: %s, want 409", resp.Status)
 	}
 
 	// Garbage body → 400; oversized Idempotency-Key → 400.
-	resp, _ = post("/collections/agg/merge", "application/json", "", []byte("{"))
+	resp, _ = post("/collections/agg/merge", ContentTypeBinary, "", []byte("{"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage merge body: %s, want 400", resp.Status)
 	}
-	resp, _ = post("/collections/agg/merge", "application/json", strings.Repeat("k", 200), blob)
+	resp, _ = post("/collections/agg/merge", ContentTypeBinary, strings.Repeat("k", 200), blob)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized key: %s, want 400", resp.Status)
+	}
+}
+
+// TestLegacyMergeFrameReplays pins journal compatibility: a state
+// directory written by the parent build (commit 5a353ae) whose journal
+// holds a merge frame with a JSON delta state — what a pre-PR-12
+// aggregator journaled when a delta arrived in the JSON form — replays
+// exactly. The checkpoint that follows must equal, byte for byte, the
+// one the parent build wrote after replaying the same directory.
+func TestLegacyMergeFrameReplays(t *testing.T) {
+	files := make(map[string][]byte)
+	for _, name := range []string{"mergelegacy.json", "mergelegacy.journal.000002"} {
+		files[name] = fixtureFile(t, "core/testdata/legacy_merge/"+name)
+	}
+	if !bytes.Contains(files["mergelegacy.journal.000002"], []byte(`"kind":"merge"`)) ||
+		bytes.Contains(files["mergelegacy.journal.000002"], []byte(`"enc"`)) {
+		t.Fatal("fixture journal does not hold an untagged (JSON-state) merge frame")
+	}
+	dir, store, reg := loadFixtureDir(t, files)
+	c, _ := reg.Get("mergelegacy")
+	if c.Aggregator().Collected() != 50 {
+		t.Fatalf("replayed %d reports, want 50 (state dir now holds %v)", c.Aggregator().Collected(), dirListing(t, dir))
+	}
+	// The frame's idempotency key was re-seeded: a retry replays.
+	if res, err := c.IngestMerge(Delta{ID: "fx-merge-json"}); err != nil || !res.Replayed || res.Accepted != 50 {
+		t.Fatalf("retry of the journaled merge: %+v, %v", res, err)
+	}
+	if err := store.SaveAll(reg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "mergelegacy"+snapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if golden := fixtureFile(t, "core/testdata/legacy_merge.golden.v5"); !bytes.Equal(got, golden) {
+		t.Fatalf("checkpoint after replay\n%q\ngolden\n%q", got, golden)
 	}
 }
 

@@ -1,10 +1,13 @@
 // Checkpoint persistence for collection servers: each collection's
-// merged aggregate state is written as one checksummed JSON snapshot
-// file under a state directory, atomically (write a temp file, fsync,
+// merged aggregate state is written as one checksummed binary
+// container (LDPSNAP5: a JSON header plus the task's binary state)
+// under a state directory, atomically (write a temp file, fsync,
 // rename), and restored on startup so a restarted server resumes with
 // exactly its pre-restart counts. Snapshots are small — one serialized
-// oracle per collection, independent of how many reports it absorbed —
-// which is what makes frequent checkpointing affordable.
+// task state per collection, independent of how many reports it
+// absorbed — which is what makes frequent checkpointing affordable.
+// Files written by older builds (JSON, versions 0–4) are read through
+// legacy.go and rewritten in the current format by the next checkpoint.
 //
 // The store also owns each collection's write-ahead journal (see
 // journal.go): Save rotates the journal to a fresh segment before
@@ -48,53 +51,19 @@ const snapshotExt = ".json"
 // operator can see what the file was.
 const corruptExt = ".corrupt"
 
-// SnapshotVersion is the current checkpoint envelope version. Version
-// history:
-//
-//	0 (absent) — pre-task checkpoints: the config carries no task tag
-//	             (all collections were frequency surveys) and the state
-//	             blob is a freq oracle state. Still restored: the
-//	             missing tag resolves to the freq task, whose adapter
-//	             state format is the oracle state byte for byte.
-//	2          — task-tagged checkpoints: the config names a task type
-//	             and the state blob is that task's adapter state.
-//	3          — phase-aware checkpoints: for phased (multi-round)
-//	             tasks the envelope additionally records the round
-//	             number and published frontier the state was captured
-//	             at, cross-checked on restore so a protocol never
-//	             silently resumes at the wrong round. One-shot tasks
-//	             carry neither field, and version-2 snapshots restore
-//	             unchanged (the state formats are identical).
-//	4          — checksummed checkpoints: the file is a wrapper
-//	             {version, crc32c, snapshot} whose CRC32C covers the
-//	             inner snapshot bytes verbatim, so bit rot is detected
-//	             rather than restored. The inner snapshot additionally
-//	             records the journal rotation point (journal_gen) and
-//	             the acknowledged batch IDs (batches) that make
-//	             client retries idempotent across restarts. Versions
-//	             0–3 (bare snapshots) still restore unchanged.
-//	5          — binary-state checkpoints: when the collection's task
-//	             implements task.BinaryStater, the file is a binary
-//	             container — the snapshotMagic prefix, a CRC32C, the
-//	             JSON envelope header (everything but the state, with
-//	             enc recording the state encoding) and the raw binary
-//	             state bytes — so a CMS-scale counter matrix is never
-//	             printed as JSON numbers. Tasks without a binary codec
-//	             keep writing version-4 files byte for byte, and
-//	             versions 0–4 still restore bit-identically.
-//
-// Versions above the current one are quarantined at load: a newer
-// build's snapshot may carry semantics this build would silently
-// misread.
+// SnapshotVersion is the current — and only written — checkpoint
+// envelope version: a binary container of the snapshotMagic prefix, a
+// CRC32C over everything after it, the uvarint-prefixed JSON header
+// (a CollectionSnapshot without its State) and the task's binary state
+// to end of file, so a CMS-scale counter matrix is never printed as
+// JSON numbers. legacy.go has the history of versions 0–4. Versions
+// above the current one are quarantined at load: a newer build's
+// snapshot may carry semantics this build would silently misread.
 const SnapshotVersion = 5
 
-// snapshotVersionJSON is the checksummed JSON wrapper version, still
-// written for collections whose task has no binary state codec.
-const snapshotVersionJSON = 4
-
-// snapshotMagic prefixes version-5 binary checkpoint containers. It is
-// not valid JSON, so older builds quarantine (never misparse) the file,
-// and the decoder dispatches on it before touching any JSON machinery.
+// snapshotMagic prefixes checkpoint containers. It is not valid JSON,
+// so pre-binary builds quarantine (never misparse) the file, and Load
+// hands anything without it to the legacy reader.
 var snapshotMagic = []byte("LDPSNAP5")
 
 // CollectionSnapshot is the on-disk format of one collection: its
@@ -108,30 +77,20 @@ var snapshotMagic = []byte("LDPSNAP5")
 // at or above it and deletes the rest. Batches carries the dedup
 // memory of acknowledged batch IDs.
 type CollectionSnapshot struct {
-	Version    int              `json:"version,omitempty"`
-	Name       string           `json:"name"`
-	Config     CollectionConfig `json:"config"`
-	State      json.RawMessage  `json:"state,omitempty"`
-	Round      int              `json:"round,omitempty"`
-	Frontier   json.RawMessage  `json:"frontier,omitempty"`
-	JournalGen int              `json:"journal_gen,omitempty"`
-	Batches    []BatchMark      `json:"batches,omitempty"`
-	// Enc records the State encoding: EncBinary for the task's binary
-	// state layout (version-5 containers), absent for JSON. In a
-	// version-5 file this struct sans State is the JSON header and
-	// State holds the raw bytes that follow it.
+	Version int              `json:"version,omitempty"`
+	Name    string           `json:"name"`
+	Config  CollectionConfig `json:"config"`
+	// State is the task's binary state. On disk it follows the header
+	// raw; only legacy JSON files carry it as a field.
+	State      json.RawMessage `json:"state,omitempty"`
+	Round      int             `json:"round,omitempty"`
+	Frontier   json.RawMessage `json:"frontier,omitempty"`
+	JournalGen int             `json:"journal_gen,omitempty"`
+	Batches    []BatchMark     `json:"batches,omitempty"`
+	// Enc is the constant EncBinary in every container header; it is
+	// kept so files stay byte-identical to (and readable by) the
+	// builds that chose between two state encodings.
 	Enc string `json:"enc,omitempty"`
-}
-
-// snapshotFile is the version-4 on-disk wrapper: the inner snapshot's
-// bytes verbatim plus their CRC32C. Keeping the checksum outside the
-// snapshot (rather than as a field inside it) means verification is a
-// plain Checksum call over raw bytes, with no re-marshaling step whose
-// field ordering would have to be canonical.
-type snapshotFile struct {
-	Version  int             `json:"version"`
-	CRC32C   uint32          `json:"crc32c"`
-	Snapshot json.RawMessage `json:"snapshot"`
 }
 
 // Store persists collection snapshots in one directory, one file per
@@ -161,11 +120,9 @@ type Store struct {
 }
 
 // CheckpointInfo describes a collection's last durable snapshot — its
-// on-disk size and state encoding — served by /status so operators can
-// see what the binary codec is buying.
+// on-disk size — served by /status.
 type CheckpointInfo struct {
-	Bytes int64  `json:"checkpoint_bytes"`
-	Enc   string `json:"checkpoint_enc,omitempty"` // EncBinary or absent (JSON)
+	Bytes int64 `json:"checkpoint_bytes"`
 }
 
 // saveHealth tracks one collection's checkpoint failures since its
@@ -230,8 +187,8 @@ func NewStoreFS(dir string, fsys fsio.FS, journalSync string) (*Store, error) {
 	}, nil
 }
 
-// LastCheckpoint returns the size and encoding of the collection's
-// last written (or startup-restored) snapshot, if one is known.
+// LastCheckpoint returns the size of the collection's last written (or
+// startup-restored) snapshot, if one is known.
 func (st *Store) LastCheckpoint(name string) (CheckpointInfo, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -433,21 +390,18 @@ func (st *Store) save(reg *CollectionRegistry, c *Collection) error {
 		c.walMu.Unlock()
 		return fmt.Errorf("core: checkpoint %q: %w", c.name, err)
 	}
-	state, enc, err := marshalTaskState(merged)
+	state, err := merged.MarshalState()
 	if err != nil {
 		c.walMu.Unlock()
 		return fmt.Errorf("core: checkpoint %q: %w", c.name, err)
 	}
 	snap := CollectionSnapshot{
-		Version:    snapshotVersionJSON,
+		Version:    SnapshotVersion,
 		Name:       c.name,
 		Config:     c.cfg,
 		State:      state,
 		JournalGen: newGen,
-		Enc:        enc,
-	}
-	if enc == EncBinary {
-		snap.Version = SnapshotVersion
+		Enc:        EncBinary,
 	}
 	if p, ok := merged.(task.Phased); ok {
 		snap.Round = p.Round()
@@ -470,7 +424,7 @@ func (st *Store) save(reg *CollectionRegistry, c *Collection) error {
 	}
 	st.mu.Lock()
 	st.saved[c.name] = epoch
-	st.sizes[c.name] = CheckpointInfo{Bytes: int64(len(blob)), Enc: enc}
+	st.sizes[c.name] = CheckpointInfo{Bytes: int64(len(blob))}
 	st.mu.Unlock()
 	// The snapshot is durable: every journal generation below newGen is
 	// superseded. Dropping them also clears the journal's broken flag —
@@ -605,54 +559,23 @@ func (st *Store) Remove(reg *CollectionRegistry, name string) error {
 	return st.fs.SyncDir(st.dir)
 }
 
-// marshalTaskState serializes a merged aggregate in the task's binary
-// state layout when it has one, falling back to JSON (enc is EncBinary
-// or empty accordingly).
-func marshalTaskState(merged task.Aggregator) (state []byte, enc string, err error) {
-	if bs, ok := merged.(task.BinaryStater); ok {
-		state, err = bs.MarshalStateBinary()
-		if err == nil {
-			return state, EncBinary, nil
-		}
-		if !errors.Is(err, task.ErrBinaryUnsupported) {
-			return nil, "", err
-		}
-	}
-	state, err = merged.MarshalState()
-	return state, "", err
-}
-
-// encodeSnapshot serializes one snapshot into its on-disk bytes: the
-// version-5 binary container for binary task states, the version-4
-// checksummed JSON wrapper otherwise (byte for byte what pre-binary
-// builds wrote).
+// encodeSnapshot serializes one snapshot into its on-disk container.
 func encodeSnapshot(snap CollectionSnapshot) ([]byte, error) {
-	if snap.Enc == EncBinary {
-		state := snap.State
-		snap.State = nil // the header carries everything but the state
-		header, err := json.Marshal(snap)
-		if err != nil {
-			return nil, err
-		}
-		blob := make([]byte, 0, len(snapshotMagic)+4+10+len(header)+len(state))
-		blob = append(blob, snapshotMagic...)
-		blob = append(blob, 0, 0, 0, 0) // CRC32C, patched below
-		blob = binary.AppendUvarint(blob, uint64(len(header)))
-		blob = append(blob, header...)
-		blob = append(blob, state...)
-		crcOff := len(snapshotMagic)
-		binary.LittleEndian.PutUint32(blob[crcOff:crcOff+4], crc32.Checksum(blob[crcOff+4:], crcTable))
-		return blob, nil
-	}
-	inner, err := json.Marshal(snap)
+	state := snap.State
+	snap.State = nil // the header carries everything but the state
+	header, err := json.Marshal(snap)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(snapshotFile{
-		Version:  snapshotVersionJSON,
-		CRC32C:   crc32.Checksum(inner, crcTable),
-		Snapshot: inner,
-	})
+	blob := make([]byte, 0, len(snapshotMagic)+4+10+len(header)+len(state))
+	blob = append(blob, snapshotMagic...)
+	blob = append(blob, 0, 0, 0, 0) // CRC32C, patched below
+	blob = binary.AppendUvarint(blob, uint64(len(header)))
+	blob = append(blob, header...)
+	blob = append(blob, state...)
+	crcOff := len(snapshotMagic)
+	binary.LittleEndian.PutUint32(blob[crcOff:crcOff+4], crc32.Checksum(blob[crcOff+4:], crcTable))
+	return blob, nil
 }
 
 // decodeSnapshotBinary parses a version-5 binary container (the caller
@@ -685,48 +608,18 @@ func decodeSnapshotBinary(blob []byte) (CollectionSnapshot, error) {
 	return snap, nil
 }
 
-// decodeSnapshot parses a snapshot file of any supported version,
-// verifying the version-4 wrapper's (or version-5 container's)
-// checksum. Every error it returns means the file is corrupt or
-// foreign — quarantine material, not an infrastructure failure.
-func decodeSnapshot(blob []byte) (CollectionSnapshot, error) {
+// decodeSnapshot parses a snapshot file, verifying its checksum;
+// legacy reports that it came through the pre-binary reader (its State
+// is then already re-encoded in the binary layout). Every error means
+// the file is corrupt or foreign — quarantine material, not an
+// infrastructure failure.
+func decodeSnapshot(blob []byte) (snap CollectionSnapshot, legacy bool, err error) {
 	if bytes.HasPrefix(blob, snapshotMagic) {
-		return decodeSnapshotBinary(blob)
+		snap, err = decodeSnapshotBinary(blob)
+		return snap, false, err
 	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(blob, &probe); err != nil {
-		return CollectionSnapshot{}, fmt.Errorf("not a JSON snapshot: %w", err)
-	}
-	var snap CollectionSnapshot
-	if probe.Version < snapshotVersionJSON {
-		// A bare pre-checksum snapshot (versions 0–3).
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			return CollectionSnapshot{}, err
-		}
-		return snap, nil
-	}
-	if probe.Version > SnapshotVersion {
-		return CollectionSnapshot{}, fmt.Errorf("version %d is newer than this build's %d", probe.Version, SnapshotVersion)
-	}
-	var file snapshotFile
-	if err := json.Unmarshal(blob, &file); err != nil {
-		return CollectionSnapshot{}, err
-	}
-	if len(file.Snapshot) == 0 {
-		return CollectionSnapshot{}, errors.New("checksummed wrapper carries no snapshot")
-	}
-	if sum := crc32.Checksum(file.Snapshot, crcTable); sum != file.CRC32C {
-		return CollectionSnapshot{}, fmt.Errorf("checksum mismatch: file says %08x, contents hash to %08x", file.CRC32C, sum)
-	}
-	if err := json.Unmarshal(file.Snapshot, &snap); err != nil {
-		return CollectionSnapshot{}, err
-	}
-	if snap.Version > SnapshotVersion {
-		return CollectionSnapshot{}, fmt.Errorf("version %d is newer than this build's %d", snap.Version, SnapshotVersion)
-	}
-	return snap, nil
+	snap, err = decodeLegacySnapshot(blob)
+	return snap, true, err
 }
 
 // quarantine sets a corrupt file aside under the .corrupt suffix so
@@ -776,7 +669,7 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 			log.Printf("core: read snapshot %q: %v (skipped)", name, err)
 			continue
 		}
-		snap, err := decodeSnapshot(blob)
+		snap, legacy, err := decodeSnapshot(blob)
 		if err != nil {
 			st.quarantine(path, fmt.Errorf("snapshot %q: %w", name, err))
 			continue
@@ -807,11 +700,7 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 			continue
 		}
 		if len(snap.State) > 0 {
-			restore := c.agg.RestoreState
-			if snap.Enc == EncBinary {
-				restore = c.agg.RestoreStateBinary
-			}
-			if err := restore(snap.State); err != nil {
+			if err := c.agg.RestoreState(snap.State); err != nil {
 				reg.Delete(name) // don't leave a half-restored collection serving
 				st.quarantine(path, fmt.Errorf("snapshot %q: %w", name, err))
 				continue
@@ -835,17 +724,18 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 			// reports may be missing from it. Surface, keep serving.
 			log.Printf("core: replay journal %q: %v", name, err)
 		}
-		if replayed == 0 {
+		st.mu.Lock()
+		if replayed == 0 && !legacy {
 			// Nothing beyond the snapshot: the next checkpoint may
 			// skip on an unchanged epoch. With replayed frames the
 			// epoch entry is withheld so the next checkpoint persists
-			// the replayed state and truncates the journal.
-			st.mu.Lock()
+			// the replayed state and truncates the journal; with a
+			// legacy file it is withheld so the next checkpoint
+			// rewrites the file in the current format even if the
+			// collection stays idle.
 			st.saved[name] = c.agg.Epoch()
-			st.mu.Unlock()
 		}
-		st.mu.Lock()
-		st.sizes[name] = CheckpointInfo{Bytes: int64(len(blob)), Enc: snap.Enc}
+		st.sizes[name] = CheckpointInfo{Bytes: int64(len(blob))}
 		st.mu.Unlock()
 		restored = append(restored, name)
 	}
@@ -966,7 +856,14 @@ func (c *Collection) replayRecord(rec journalRecord, sink FlushSink) error {
 		// splitting users across rounds.
 		return c.agg.AdvanceExpecting(rec.Round)
 	case recordMerge:
-		delta, err := c.agg.NewDelta(rec.State, rec.Enc == EncBinary)
+		state, err := rec.State, error(nil)
+		if rec.Enc != EncBinary { // a JSON-state frame from a pre-binary build
+			state, err = upgradeLegacyState(c.cfg.Config, state)
+			if err != nil {
+				return err
+			}
+		}
+		delta, err := c.agg.NewDelta(state)
 		if err != nil {
 			return err
 		}

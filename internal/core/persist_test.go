@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/ldprand"
+	"repro/internal/task/freqtask"
 )
 
 // fill drives n random in-domain values through a collection via the
@@ -58,7 +59,7 @@ func TestCheckpointRestartCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewCollectionRegistry()
-	for i, mech := range Mechanisms() {
+	for i, mech := range freqtask.Mechanisms() {
 		cfg := FreqCollectionConfig(mech, PrivacyParams{Epsilon: 1.5, Domain: 12}, 3)
 		c, err := reg.Create("survey-"+mech, cfg)
 		if err != nil {
@@ -81,10 +82,10 @@ func TestCheckpointRestartCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restored) != len(Mechanisms()) {
-		t.Fatalf("restored %d collections, want %d", len(restored), len(Mechanisms()))
+	if len(restored) != len(freqtask.Mechanisms()) {
+		t.Fatalf("restored %d collections, want %d", len(restored), len(freqtask.Mechanisms()))
 	}
-	for _, mech := range Mechanisms() {
+	for _, mech := range freqtask.Mechanisms() {
 		name := "survey-" + mech
 		before, _ := reg.Get(name)
 		after, ok := reg2.Get(name)
@@ -392,7 +393,7 @@ func mustSnapshotBlob(t *testing.T, name string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(CollectionSnapshot{Name: name, Config: testCfg(), State: state})
+	blob, err := encodeSnapshot(CollectionSnapshot{Version: SnapshotVersion, Name: name, Config: testCfg(), State: state, Enc: EncBinary})
 	if err != nil {
 		t.Fatal(err)
 	}

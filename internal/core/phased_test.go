@@ -11,7 +11,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -499,22 +498,13 @@ func TestSnapshotRoundTripPerTask(t *testing.T) {
 
 // TestSnapshotV2RestoresUnchanged is the forward-compat satellite: a
 // version-2 (PR 4-era) snapshot — task-tagged, no round/frontier,
-// no checksum wrapper — restores bit-identically and is re-written at
-// the current version.
+// no checksum wrapper, its state the frozen internal/freq JSON fixture
+// — restores bit-identically and is re-written at the current version
+// by the next checkpoint, ingest or no ingest.
 func TestSnapshotV2RestoresUnchanged(t *testing.T) {
 	dir := t.TempDir()
-	oracle, err := NewOracle(MechanismOLH, PrivacyParams{Epsilon: 2, Domain: 8}, ldprand.NewSplitMix64(111))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		oracle.Collect(i % 8)
-	}
-	state, err := oracle.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := []byte(`{"version":2,"name":"legacy2","config":{"task":"freq","mechanism":"OLH","epsilon":2,"domain":8,"shards":2},"state":` + string(state) + `}`)
+	state := fixtureFile(t, "freq/testdata/state_OLH.json")
+	v2 := []byte(`{"version":2,"name":"legacy2","config":{"task":"freq","mechanism":"OLH","epsilon":1.25,"domain":16,"shards":2},"state":` + string(state) + `}`)
 	if err := os.WriteFile(filepath.Join(dir, "legacy2.json"), v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -532,16 +522,16 @@ func TestSnapshotV2RestoresUnchanged(t *testing.T) {
 		t.Fatalf("restored %v", restored)
 	}
 	c, _ := reg.Get("legacy2")
-	if got, want := counts(t, c), oracle.EstimateCounts(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("v2 restore estimates %v want %v", got, want)
+	golden := fixtureFile(t, "freq/testdata/state_OLH.bin")
+	if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, golden) {
+		t.Fatalf("v2 restore marshals to %x (%v), golden %x", got, err, golden)
 	}
-	fill(t, c, 112, 5) // move the epoch so Save writes
 	if err := store.Save(reg, c); err != nil {
 		t.Fatal(err)
 	}
 	snap := readSnapshotFile(t, filepath.Join(dir, "legacy2.json"))
-	if snap.Version != SnapshotVersion {
-		t.Fatalf("re-written snapshot version %d want %d", snap.Version, SnapshotVersion)
+	if snap.Version != SnapshotVersion || !bytes.Equal(snap.State, golden) {
+		t.Fatalf("re-written snapshot version %d want %d, state %x", snap.Version, SnapshotVersion, snap.State)
 	}
 }
 

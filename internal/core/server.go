@@ -116,24 +116,6 @@ type Service struct {
 // clears, a slow fsync) stay "ok", a stuck disk does not.
 const DefaultUnhealthyAfter = 3
 
-// NewService returns a single-survey frequency collection service for
-// the named mechanism with one aggregation shard per core (GOMAXPROCS).
-func NewService(mechanism string, p PrivacyParams) (*Service, error) {
-	return NewServiceSharded(mechanism, p, 0)
-}
-
-// NewServiceSharded returns a single-survey frequency collection
-// service with an explicit shard count; shards <= 0 selects GOMAXPROCS.
-// The survey becomes the default collection, reachable through both the
-// flat and the /collections routes.
-func NewServiceSharded(mechanism string, p PrivacyParams, shards int) (*Service, error) {
-	reg := NewCollectionRegistry()
-	if _, err := reg.Create(DefaultCollection, FreqCollectionConfig(mechanism, p, shards)); err != nil {
-		return nil, err
-	}
-	return NewMultiService(reg, nil), nil
-}
-
 // NewMultiService returns a service over an externally built registry,
 // for processes that restore collections from a Store before serving.
 // A non-nil store makes the collection-management routes persistent:
@@ -197,28 +179,31 @@ func (s *Service) Aggregator() *ShardedAggregator {
 // header.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// Flat legacy routes over the default collection.
-	mux.HandleFunc("POST /report", s.withCollection(s.handleReport))
-	mux.HandleFunc("POST /report/batch", s.withCollection(s.handleReportBatch))
-	mux.HandleFunc("GET /estimate", s.withCollection(s.handleEstimate))
-	mux.HandleFunc("GET /status", s.withCollection(s.handleStatus))
-	mux.HandleFunc("GET /frontier", s.withCollection(s.handleFrontier))
-	mux.HandleFunc("POST /advance", s.withCollection(s.handleAdvance))
-	mux.HandleFunc("POST /merge", s.withCollection(s.handleMerge))
+	// Per-collection planes: data (report, estimate, status),
+	// interactive protocol (frontier, advance) and cluster (merge —
+	// relays fold their accumulated state in here). Each route is
+	// registered under /collections/{name} and again flat, where it
+	// serves the default collection.
+	for _, r := range []struct {
+		method, path string
+		h            func(http.ResponseWriter, *http.Request, *Collection)
+	}{
+		{"POST", "/report", s.handleReport},
+		{"POST", "/report/batch", s.handleReportBatch},
+		{"GET", "/estimate", s.handleEstimate},
+		{"GET", "/status", s.handleStatus},
+		{"GET", "/frontier", s.handleFrontier},
+		{"POST", "/advance", s.handleAdvance},
+		{"POST", "/merge", s.handleMerge},
+	} {
+		h := s.withCollection(r.h)
+		mux.HandleFunc(r.method+" /collections/{name}"+r.path, h)
+		mux.HandleFunc(r.method+" "+r.path, h)
+	}
 	// Collection management.
 	mux.HandleFunc("POST /collections", s.handleCollectionCreate)
 	mux.HandleFunc("GET /collections", s.handleCollectionList)
 	mux.HandleFunc("DELETE /collections/{name}", s.handleCollectionDelete)
-	// Per-collection data plane.
-	mux.HandleFunc("POST /collections/{name}/report", s.withCollection(s.handleReport))
-	mux.HandleFunc("POST /collections/{name}/report/batch", s.withCollection(s.handleReportBatch))
-	mux.HandleFunc("GET /collections/{name}/estimate", s.withCollection(s.handleEstimate))
-	mux.HandleFunc("GET /collections/{name}/status", s.withCollection(s.handleStatus))
-	// Interactive (phased) protocol plane.
-	mux.HandleFunc("GET /collections/{name}/frontier", s.withCollection(s.handleFrontier))
-	mux.HandleFunc("POST /collections/{name}/advance", s.withCollection(s.handleAdvance))
-	// Cluster plane: relays fold their accumulated state in here.
-	mux.HandleFunc("POST /collections/{name}/merge", s.withCollection(s.handleMerge))
 	// Operational plane.
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
@@ -454,12 +439,11 @@ type MergeResponse struct {
 }
 
 // handleMerge folds a relay's state delta into the collection through
-// the exact Merge path. The body is a versioned delta — the binary
-// container under the binary media type, the JSON header otherwise —
-// and an Idempotency-Key header (which overrides the delta's embedded
-// ID) makes retries fold exactly once. Failure mapping follows the
-// report routes: config or codec mismatch 400 before anything is
-// journaled, stale round 409, binary state for a JSON-only task 415,
+// the exact Merge path. The body is the LDPDELTA1 container under the
+// binary media type (anything else is 415), and an Idempotency-Key
+// header (which overrides the delta's embedded ID) makes retries fold
+// exactly once. Failure mapping follows the report routes: config or
+// codec mismatch 400 before anything is journaled, stale round 409,
 // journal down or duplicate in flight 503.
 func (s *Service) handleMerge(w http.ResponseWriter, r *http.Request, c *Collection) {
 	id := r.Header.Get("Idempotency-Key")
@@ -467,12 +451,16 @@ func (s *Service) handleMerge(w http.ResponseWriter, r *http.Request, c *Collect
 		http.Error(w, fmt.Sprintf("Idempotency-Key exceeds %d bytes", maxBatchIDBytes), http.StatusBadRequest)
 		return
 	}
+	if !isBinaryReport(r) {
+		http.Error(w, "delta must be an "+ContentTypeBinary+" container", http.StatusUnsupportedMediaType)
+		return
+	}
 	buf, ok := readRawBody(w, r, maxBatchBytes, "delta")
 	if !ok {
 		return
 	}
 	defer releaseBodyBuf(buf)
-	d, err := DecodeDelta(buf.Bytes(), isBinaryReport(r))
+	d, err := DecodeDeltaBinary(buf.Bytes())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -736,8 +724,8 @@ type StatusResponse struct {
 	Phase        string `json:"phase,omitempty"`
 	// Encodings lists the report wire encodings the collection accepts
 	// ("json" always; "binary" when the task has a binary decoder), and
-	// the embedded CheckpointInfo carries the size and state encoding of
-	// the collection's last durable snapshot when a store tracks one.
+	// the embedded CheckpointInfo carries the size of the collection's
+	// last durable snapshot when a store tracks one.
 	Encodings []string `json:"encodings"`
 	// Config is the full round-trippable collection configuration — the
 	// flattened fields above cover the common ones, but a relay

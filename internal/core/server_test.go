@@ -20,7 +20,7 @@ import (
 
 func newTestServer(t *testing.T, mechanism string, shards int) (*Service, *httptest.Server) {
 	t.Helper()
-	svc, err := NewServiceSharded(mechanism, params(), shards)
+	svc, err := newFreqService(mechanism, params(), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func postJSON(t *testing.T, url string, body []byte) *http.Response {
 
 func TestHandleReportHappyPath(t *testing.T) {
 	_, ts := newTestServer(t, MechanismGRR, 2)
-	body, _ := json.Marshal(Envelope{Mechanism: "GRR", Value: 3})
+	body, _ := json.Marshal(freqtask.Envelope{Mechanism: "GRR", Value: 3})
 	resp := postJSON(t, ts.URL+"/report", body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -108,7 +108,7 @@ func TestHandleReportBatchHappyPath(t *testing.T) {
 
 func TestHandleReportBatchPartialReject(t *testing.T) {
 	svc, ts := newTestServer(t, MechanismGRR, 2)
-	batch := []Envelope{
+	batch := []freqtask.Envelope{
 		{Mechanism: "GRR", Value: 1},
 		{Mechanism: "GRR", Value: 99}, // out of domain
 		{Mechanism: "GRR", Value: 2},
@@ -135,20 +135,20 @@ func TestHandleReportRejectsMalformedEnvelopes(t *testing.T) {
 	cases := []struct {
 		name      string
 		mechanism string
-		env       Envelope
+		env       freqtask.Envelope
 	}{
-		{"wrong mechanism name", MechanismGRR, Envelope{Mechanism: "OLH", Value: 1}},
-		{"unknown mechanism name", MechanismGRR, Envelope{Mechanism: "NOPE", Value: 1}},
-		{"out-of-range GRR value", MechanismGRR, Envelope{Mechanism: "GRR", Value: 8}},
-		{"negative GRR value", MechanismGRR, Envelope{Mechanism: "GRR", Value: -1}},
-		{"bad base64 bits", MechanismOUE, Envelope{Mechanism: "OUE", Bits: "***"}},
-		{"empty bits", MechanismOUE, Envelope{Mechanism: "OUE", Bits: ""}},
-		{"wrong SHE length", MechanismSHE, Envelope{Mechanism: "SHE", Reals: []float64{1}}},
+		{"wrong mechanism name", MechanismGRR, freqtask.Envelope{Mechanism: "OLH", Value: 1}},
+		{"unknown mechanism name", MechanismGRR, freqtask.Envelope{Mechanism: "NOPE", Value: 1}},
+		{"out-of-range GRR value", MechanismGRR, freqtask.Envelope{Mechanism: "GRR", Value: 8}},
+		{"negative GRR value", MechanismGRR, freqtask.Envelope{Mechanism: "GRR", Value: -1}},
+		{"bad base64 bits", MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: "***"}},
+		{"empty bits", MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: ""}},
+		{"wrong SHE length", MechanismSHE, freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1}}},
 		{"overflow-scale SHE component", MechanismSHE,
-			Envelope{Mechanism: "SHE", Reals: []float64{1.7e308, 0, 0, 0, 0, 0, 0, 0}}},
+			freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1.7e308, 0, 0, 0, 0, 0, 0, 0}}},
 		{"negative overflow SHE component", MechanismSHE,
-			Envelope{Mechanism: "SHE", Reals: []float64{0, -1e10, 0, 0, 0, 0, 0, 0}}},
-		{"bad HRR sign", MechanismHRR, Envelope{Mechanism: "HRR", Value: 1, Sign: 2}},
+			freqtask.Envelope{Mechanism: "SHE", Reals: []float64{0, -1e10, 0, 0, 0, 0, 0, 0}}},
+		{"bad HRR sign", MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: 1, Sign: 2}},
 	}
 	for _, c := range cases {
 		c := c

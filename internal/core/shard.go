@@ -58,11 +58,6 @@ type ShardedAggregator struct {
 	// only JSON on the wire.
 	prepareBinary func([]byte) (any, error)
 
-	// binaryState is set when the task implements task.BinaryStater,
-	// so checkpoints (and /status) know the collection can snapshot in
-	// the binary layout without asserting per call.
-	binaryState bool
-
 	// collected counts accepted reports across all shards, maintained
 	// atomically so Collected — which backs every /status hit and the
 	// collection listing — never takes the shard locks. It is advanced
@@ -159,7 +154,6 @@ func NewShardedAggregator(cfg task.Config, shards int) (*ShardedAggregator, erro
 	if b, ok := a.shards[0].agg.(task.BinaryReporter); ok {
 		a.prepareBinary = b.PrepareBinary
 	}
-	_, a.binaryState = a.shards[0].agg.(task.BinaryStater)
 	_, a.phased = a.shards[0].agg.(task.Phased)
 	return a, nil
 }
@@ -167,16 +161,6 @@ func NewShardedAggregator(cfg task.Config, shards int) (*ShardedAggregator, erro
 // BinaryWire reports whether the collection's task accepts binary wire
 // report envelopes (implements task.BinaryReporter).
 func (a *ShardedAggregator) BinaryWire() bool { return a.prepareBinary != nil }
-
-// BinaryState reports whether the collection's task snapshots in the
-// binary state layout (implements task.BinaryStater).
-func (a *ShardedAggregator) BinaryState() bool { return a.binaryState }
-
-// NewFreqShardedAggregator builds a sharded frequency aggregator from
-// the legacy (mechanism, params) surface.
-func NewFreqShardedAggregator(mechanism string, p PrivacyParams, shards int) (*ShardedAggregator, error) {
-	return NewShardedAggregator(FreqTaskConfig(mechanism, p), shards)
-}
 
 // TaskType returns the task type name the aggregator serves.
 func (a *ShardedAggregator) TaskType() string { return a.cfg.Type() }
@@ -597,21 +581,6 @@ func (a *ShardedAggregator) MarshalState() ([]byte, error) {
 	return merged.MarshalState()
 }
 
-// MarshalStateBinary serializes the combined state in the task's
-// binary layout (task.ErrBinaryUnsupported when the task has none, the
-// signal for the checkpoint store to fall back to JSON).
-func (a *ShardedAggregator) MarshalStateBinary() ([]byte, error) {
-	merged, err := a.MergedCached()
-	if err != nil {
-		return nil, err
-	}
-	bs, ok := merged.(task.BinaryStater)
-	if !ok {
-		return nil, task.ErrBinaryUnsupported
-	}
-	return bs.MarshalStateBinary()
-}
-
 // RestoreState loads a state blob produced by MarshalState into the
 // aggregator, which must be empty (restore happens at startup, before
 // ingestion begins — restoring over live data would double-count).
@@ -621,31 +590,12 @@ func (a *ShardedAggregator) MarshalStateBinary() ([]byte, error) {
 // position, so every shard validates report rounds identically from
 // the first post-restore request.
 func (a *ShardedAggregator) RestoreState(data []byte) error {
-	return a.restoreState(data, false)
-}
-
-// RestoreStateBinary loads a state blob produced by MarshalStateBinary,
-// under the same empty-aggregator contract as RestoreState.
-func (a *ShardedAggregator) RestoreStateBinary(data []byte) error {
-	return a.restoreState(data, true)
-}
-
-func (a *ShardedAggregator) restoreState(data []byte, binary bool) error {
 	if a.Collected() != 0 || a.collectedWalk() != 0 {
 		return errors.New("core: cannot restore state into a non-empty aggregator")
 	}
 	s := a.shards[0]
 	s.mu.Lock()
-	var err error
-	if binary {
-		if bs, ok := s.agg.(task.BinaryStater); ok {
-			err = bs.UnmarshalStateBinary(data)
-		} else {
-			err = task.ErrBinaryUnsupported
-		}
-	} else {
-		err = s.agg.UnmarshalState(data)
-	}
+	err := s.agg.UnmarshalState(data)
 	restored := s.agg.Collected()
 	s.mu.Unlock()
 	if err != nil {
@@ -792,20 +742,10 @@ func (a *ShardedAggregator) MaybeAdvance(quota int) (bool, error) {
 // FoldDelta. No locks are taken: decoding runs outside every critical
 // section, and the state layouts themselves are version-gated by the
 // task codecs.
-func (a *ShardedAggregator) NewDelta(state []byte, binary bool) (task.Aggregator, error) {
+func (a *ShardedAggregator) NewDelta(state []byte) (task.Aggregator, error) {
 	agg, err := task.New(a.cfg)
 	if err != nil {
 		return nil, err
-	}
-	if binary {
-		bs, ok := agg.(task.BinaryStater)
-		if !ok {
-			return nil, fmt.Errorf("core: collection task has no binary state codec: %w", ErrBinaryWire)
-		}
-		if err := bs.UnmarshalStateBinary(state); err != nil {
-			return nil, err
-		}
-		return agg, nil
 	}
 	if err := agg.UnmarshalState(state); err != nil {
 		return nil, err

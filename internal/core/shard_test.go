@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ldprand"
+	"repro/internal/task/freqtask"
 )
 
 // shardParams uses a domain large enough that hash routing exercises
@@ -16,7 +17,7 @@ func shardParams() PrivacyParams { return PrivacyParams{Epsilon: 2, Domain: 32} 
 // genEnvelopes deterministically privatizes n values through one
 // seeded client, so tests can replay the identical report stream into
 // different aggregation topologies.
-func genEnvelopes(t testing.TB, mechanism string, n int, seed uint64) []Envelope {
+func genEnvelopes(t testing.TB, mechanism string, n int, seed uint64) []freqtask.Envelope {
 	t.Helper()
 	client, err := NewClient(mechanism, shardParams(), ldprand.NewSplitMix64(seed))
 	if err != nil {
@@ -54,17 +55,17 @@ func TestShardedMatchesSequentialUnderConcurrency(t *testing.T) {
 			raws := rawEnvs(t, envs)
 
 			// Sequential baseline: one oracle, one order.
-			seq, err := NewOracle(name, shardParams(), nil)
+			seq, err := newOracle(name, shardParams(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range envs {
-				if err := Aggregate(seq, e); err != nil {
+				if err := freqtask.Aggregate(seq, e); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			agg, err := NewFreqShardedAggregator(name, shardParams(), 4)
+			agg, err := NewShardedAggregator(FreqTaskConfig(name, shardParams()), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func TestShardedMatchesSequentialUnderConcurrency(t *testing.T) {
 func TestShardedConcurrentSinglesAndReads(t *testing.T) {
 	const workers, per = 6, 200
 	raws := rawEnvs(t, genEnvelopes(t, MechanismGRR, workers*per, 43))
-	agg, err := NewFreqShardedAggregator(MechanismGRR, shardParams(), 3)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, shardParams()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestShardedConcurrentSinglesAndReads(t *testing.T) {
 // through every mutation: adds, batches (with rejects), restore and
 // reset must keep the atomic counter equal to the per-shard lock-walk.
 func TestCollectedCounterMatchesLockWalk(t *testing.T) {
-	agg, err := NewFreqShardedAggregator(MechanismGRR, shardParams(), 3)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, shardParams()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestCollectedCounterMatchesLockWalk(t *testing.T) {
 	check("after adds")
 	// A batch with rejects: only accepted envelopes may count.
 	batch := append([]json.RawMessage{}, raws[20:40]...)
-	batch = append(batch, mustRaw(t, Envelope{Mechanism: "GRR", Value: 999}))
+	batch = append(batch, mustRaw(t, freqtask.Envelope{Mechanism: "GRR", Value: 999}))
 	if _, err := agg.AddBatch(batch); err == nil {
 		t.Fatal("invalid envelope accepted")
 	}
@@ -199,7 +200,7 @@ func TestCollectedCounterMatchesLockWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg2, err := NewFreqShardedAggregator(MechanismGRR, shardParams(), 2)
+	agg2, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, shardParams()), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestCollectedCounterMatchesLockWalk(t *testing.T) {
 func TestShardedAggregatorRouting(t *testing.T) {
 	const n = 4000
 	raws := rawEnvs(t, genEnvelopes(t, MechanismGRR, n, 47))
-	agg, err := NewFreqShardedAggregator(MechanismGRR, shardParams(), 4)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, shardParams()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +243,15 @@ func TestShardedAggregatorRouting(t *testing.T) {
 // atomic batch semantics: invalid envelopes are rejected and reported,
 // valid ones still land.
 func TestShardedAggregatorBatchPartialAccept(t *testing.T) {
-	agg, err := NewFreqShardedAggregator(MechanismGRR, shardParams(), 2)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, shardParams()), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := []json.RawMessage{
-		mustRaw(t, Envelope{Mechanism: "GRR", Value: 3}),
-		mustRaw(t, Envelope{Mechanism: "GRR", Value: 999}), // out of domain
-		mustRaw(t, Envelope{Mechanism: "OLH", Value: 0}),   // wrong mechanism
-		mustRaw(t, Envelope{Mechanism: "GRR", Value: 5}),
+		mustRaw(t, freqtask.Envelope{Mechanism: "GRR", Value: 3}),
+		mustRaw(t, freqtask.Envelope{Mechanism: "GRR", Value: 999}), // out of domain
+		mustRaw(t, freqtask.Envelope{Mechanism: "OLH", Value: 0}),   // wrong mechanism
+		mustRaw(t, freqtask.Envelope{Mechanism: "GRR", Value: 5}),
 	}
 	accepted, err := agg.AddBatch(batch)
 	if err == nil {
@@ -270,7 +271,7 @@ func TestShardedAggregatorBatchPartialAccept(t *testing.T) {
 
 // TestShardedAggregatorReset checks Reset clears every shard.
 func TestShardedAggregatorReset(t *testing.T) {
-	agg, err := NewFreqShardedAggregator(MechanismOUE, shardParams(), 3)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismOUE, shardParams()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestShardedAggregatorReset(t *testing.T) {
 // TestShardedAggregatorDefaults checks the GOMAXPROCS default and
 // accessors.
 func TestShardedAggregatorDefaults(t *testing.T) {
-	agg, err := NewFreqShardedAggregator(MechanismGRR, shardParams(), 0)
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, shardParams()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestShardedAggregatorDefaults(t *testing.T) {
 	if agg.Mechanism() != MechanismGRR || agg.Params().Domain != 32 || agg.TaskType() != "freq" {
 		t.Fatalf("accessors: %s %s %+v", agg.TaskType(), agg.Mechanism(), agg.Params())
 	}
-	if _, err := NewFreqShardedAggregator("NOPE", shardParams(), 2); err == nil {
+	if _, err := NewShardedAggregator(FreqTaskConfig("NOPE", shardParams()), 2); err == nil {
 		t.Fatal("unknown mechanism accepted")
 	}
 }

@@ -227,21 +227,19 @@ func TestThreeTaskServerRestartCycle(t *testing.T) {
 func TestPreTaskSnapshotRestoresAsFreq(t *testing.T) {
 	dir := t.TempDir()
 
-	// Build the legacy state exactly as the pre-task pipeline did: a
-	// bare oracle whose MarshalState is the snapshot's state blob.
-	oracle, err := NewOracle(MechanismOLH, PrivacyParams{Epsilon: 2, Domain: 8}, ldprand.NewSplitMix64(41))
+	// The legacy state is what the pre-task pipeline wrote: a bare
+	// oracle's JSON state (the frozen internal/freq fixture), whose
+	// aggregate the golden binary fixture also holds.
+	oracle, err := newOracle(MechanismOLH, PrivacyParams{Epsilon: 1.25, Domain: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 250; i++ {
-		oracle.Collect(i % 8)
-	}
-	state, err := oracle.MarshalState()
-	if err != nil {
+	if err := oracle.UnmarshalState(fixtureFile(t, "freq/testdata/state_OLH.bin")); err != nil {
 		t.Fatal(err)
 	}
 	// The exact PR 3 on-disk shape: name, untagged config, state.
-	legacy := []byte(`{"name":"legacy","config":{"mechanism":"OLH","epsilon":2,"domain":8,"shards":3},"state":` + string(state) + `}`)
+	legacy := []byte(`{"name":"legacy","config":{"mechanism":"OLH","epsilon":1.25,"domain":16,"shards":3},"state":` +
+		string(fixtureFile(t, "freq/testdata/state_OLH.json")) + `}`)
 	if err := os.WriteFile(filepath.Join(dir, "legacy.json"), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +266,11 @@ func TestPreTaskSnapshotRestoresAsFreq(t *testing.T) {
 	if c.Config().Task != task.TypeFreq {
 		t.Fatalf("restored config task %q, want %q", c.Config().Task, task.TypeFreq)
 	}
-	if c.Config() != FreqCollectionConfig(MechanismOLH, PrivacyParams{Epsilon: 2, Domain: 8}, 3) {
+	if c.Config() != FreqCollectionConfig(MechanismOLH, PrivacyParams{Epsilon: 1.25, Domain: 16}, 3) {
 		t.Fatalf("restored config %+v not equal to its tagged equivalent", c.Config())
 	}
-	if c.Aggregator().Collected() != 250 {
-		t.Fatalf("collected %d want 250", c.Aggregator().Collected())
+	if c.Aggregator().Collected() != 200 {
+		t.Fatalf("collected %d want 200", c.Aggregator().Collected())
 	}
 	if !reflect.DeepEqual(counts(t, c), oracle.EstimateCounts()) {
 		t.Fatal("legacy snapshot estimates differ from the originating oracle")

@@ -82,10 +82,6 @@ func All() []Experiment {
 			Source: "Nguyên et al. 2016, tutorial §1.4", Run: runE17},
 		{ID: "E18", Title: "Served heavy hitters: interactive PEM over the task stack",
 			Source: "Bassily–Smith 2015; tutorial §1.4 (interactivity)", Run: runE18},
-		{ID: "E19", Title: "Codec cost: JSON vs binary wire bytes and snapshot encode/restore",
-			Source: "Apple white paper 2017 (transport); Price 2016 (sketch size bounds)", Run: runE19},
-		{ID: "E20", Title: "Relay fan-in: N-relay ingest tier vs single node, exact merge",
-			Source: "tutorial abstract (\"Internet scale\"); RAPPOR shuffler deployments", Run: runE20},
 	}
 }
 

@@ -71,8 +71,8 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Errorf("%s incomplete", e.ID)
 		}
 	}
-	if len(seen) != 20 {
-		t.Fatalf("have %d experiments, want 20", len(seen))
+	if len(seen) != 18 {
+		t.Fatalf("have %d experiments, want 18", len(seen))
 	}
 }
 

@@ -1,28 +1,18 @@
-// Binary state codecs for the frequency oracles. Each mechanism's
-// binary layout carries exactly the fields of its JSON state struct —
-// a leading format-version byte, the mechanism name, the debiasing
+// State codec for the frequency oracles. Each mechanism's layout is a
+// leading format-version byte, the mechanism name, the debiasing
 // parameters, the report count, and the tally vector (varint-packed
-// for integer tallies, raw 8-byte words for float sums) — and both
-// codecs feed the same applyState validation, so a state restored
-// from either encoding is bit-identical to the other.
+// for integer tallies, raw 8-byte words for float sums). Decoding
+// feeds the same applyState validation as the read-only legacy JSON
+// decoders (UnmarshalLegacyState), so a state restored from either is
+// bit-identical.
 package freq
 
 import (
 	"repro/internal/binenc"
 )
 
-// BinaryStater is the binary-codec capability of an Oracle, mirroring
-// task.BinaryStater one layer down: the task adapter wrapping an
-// oracle asserts for it and falls back to JSON when the wrapped
-// mechanism predates the binary layouts.
-type BinaryStater interface {
-	MarshalStateBinary() ([]byte, error)
-	UnmarshalStateBinary(data []byte) error
-}
-
-// binaryStateVersion tags the current binary state layouts. It is the
-// first byte of every payload and is checked before anything else is
-// read, mirroring the JSON states' "v" field.
+// binaryStateVersion tags the current state layouts. It is the first
+// byte of every payload and is checked before anything else is read.
 const binaryStateVersion = 0
 
 // readBinaryStateVersion consumes and checks the leading version tag.
@@ -36,15 +26,15 @@ func readBinaryStateVersion(name string, r *binenc.Reader) error {
 
 // --- GRR (and BinaryRR) ---
 
-// MarshalStateBinary implements BinaryStater.
-func (g *GRR) MarshalStateBinary() ([]byte, error) { return g.marshalStateBinaryAs(g.Name()) }
+// MarshalState implements Oracle.
+func (g *GRR) MarshalState() ([]byte, error) { return g.marshalStateAs(g.Name()) }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (g *GRR) UnmarshalStateBinary(data []byte) error {
-	return g.unmarshalStateBinaryAs(g.Name(), data)
+// UnmarshalState implements Oracle.
+func (g *GRR) UnmarshalState(data []byte) error {
+	return g.unmarshalStateAs(g.Name(), data)
 }
 
-func (g *GRR) marshalStateBinaryAs(name string) ([]byte, error) {
+func (g *GRR) marshalStateAs(name string) ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -56,7 +46,7 @@ func (g *GRR) marshalStateBinaryAs(name string) ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-func (g *GRR) unmarshalStateBinaryAs(name string, data []byte) error {
+func (g *GRR) unmarshalStateAs(name string, data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion(name, r); err != nil {
 		return err
@@ -73,19 +63,19 @@ func (g *GRR) unmarshalStateBinaryAs(name string, data []byte) error {
 	return g.applyState(name, st)
 }
 
-// MarshalStateBinary implements BinaryStater, writing the wrapper's
-// "RR" name like MarshalState does.
-func (b BinaryRR) MarshalStateBinary() ([]byte, error) { return b.GRR.marshalStateBinaryAs(b.Name()) }
+// MarshalState implements Oracle, writing the wrapper's "RR" name so
+// BinaryRR state cannot silently restore into a generic d=2 GRR.
+func (b BinaryRR) MarshalState() ([]byte, error) { return b.GRR.marshalStateAs(b.Name()) }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (b BinaryRR) UnmarshalStateBinary(data []byte) error {
-	return b.GRR.unmarshalStateBinaryAs(b.Name(), data)
+// UnmarshalState implements Oracle.
+func (b BinaryRR) UnmarshalState(data []byte) error {
+	return b.GRR.unmarshalStateAs(b.Name(), data)
 }
 
 // --- UE (SUE/OUE/custom) ---
 
-// MarshalStateBinary implements BinaryStater.
-func (u *UE) MarshalStateBinary() ([]byte, error) {
+// MarshalState implements Oracle.
+func (u *UE) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -99,8 +89,8 @@ func (u *UE) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (u *UE) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState implements Oracle.
+func (u *UE) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion(u.name, r); err != nil {
 		return err
@@ -121,8 +111,8 @@ func (u *UE) UnmarshalStateBinary(data []byte) error {
 
 // --- SHE ---
 
-// MarshalStateBinary implements BinaryStater.
-func (s *SHE) MarshalStateBinary() ([]byte, error) {
+// MarshalState implements Oracle.
+func (s *SHE) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -134,8 +124,8 @@ func (s *SHE) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (s *SHE) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState implements Oracle.
+func (s *SHE) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion(s.Name(), r); err != nil {
 		return err
@@ -154,8 +144,8 @@ func (s *SHE) UnmarshalStateBinary(data []byte) error {
 
 // --- THE ---
 
-// MarshalStateBinary implements BinaryStater.
-func (t *THE) MarshalStateBinary() ([]byte, error) {
+// MarshalState implements Oracle.
+func (t *THE) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -168,8 +158,8 @@ func (t *THE) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (t *THE) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState implements Oracle.
+func (t *THE) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion(t.Name(), r); err != nil {
 		return err
@@ -189,8 +179,8 @@ func (t *THE) UnmarshalStateBinary(data []byte) error {
 
 // --- LH (BLH/OLH/custom) ---
 
-// MarshalStateBinary implements BinaryStater.
-func (l *LH) MarshalStateBinary() ([]byte, error) {
+// MarshalState implements Oracle.
+func (l *LH) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -203,8 +193,8 @@ func (l *LH) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (l *LH) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState implements Oracle.
+func (l *LH) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion(l.name, r); err != nil {
 		return err
@@ -224,8 +214,8 @@ func (l *LH) UnmarshalStateBinary(data []byte) error {
 
 // --- HRR ---
 
-// MarshalStateBinary implements BinaryStater.
-func (h *HRR) MarshalStateBinary() ([]byte, error) {
+// MarshalState implements Oracle.
+func (h *HRR) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -237,8 +227,8 @@ func (h *HRR) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (h *HRR) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState implements Oracle.
+func (h *HRR) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion(h.Name(), r); err != nil {
 		return err
@@ -257,8 +247,8 @@ func (h *HRR) UnmarshalStateBinary(data []byte) error {
 
 // --- SS ---
 
-// MarshalStateBinary implements BinaryStater.
-func (s *SS) MarshalStateBinary() ([]byte, error) {
+// MarshalState implements Oracle.
+func (s *SS) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -271,8 +261,8 @@ func (s *SS) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements BinaryStater.
-func (s *SS) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState implements Oracle.
+func (s *SS) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion(s.Name(), r); err != nil {
 		return err

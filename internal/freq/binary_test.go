@@ -1,7 +1,10 @@
 package freq
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ldprand"
@@ -43,64 +46,76 @@ func sameCounts(a, b []float64) bool {
 	return true
 }
 
-// TestBinaryStateRoundTrip checks that for every mechanism, JSON →
-// restore and binary → restore produce bit-identical estimates, and
-// that a binary ⟷ JSON re-encode is a fixed point.
+// TestBinaryStateRoundTrip checks that for every mechanism a state
+// restored onto a fresh oracle estimates bit-identically and
+// re-marshals to the same bytes.
 func TestBinaryStateRoundTrip(t *testing.T) {
 	for _, o := range binaryOracles(t, 500) {
-		bs, ok := o.(BinaryStater)
-		if !ok {
-			t.Fatalf("%s (%T) does not implement BinaryStater", o.Name(), o)
-		}
 		want := o.EstimateCounts()
-		js, err := o.MarshalState()
+		bin, err := o.MarshalState()
 		if err != nil {
 			t.Fatalf("%s: MarshalState: %v", o.Name(), err)
 		}
-		bin, err := bs.MarshalStateBinary()
-		if err != nil {
-			t.Fatalf("%s: MarshalStateBinary: %v", o.Name(), err)
-		}
-		if len(bin) >= len(js) {
-			t.Errorf("%s: binary state %dB not smaller than JSON %dB", o.Name(), len(bin), len(js))
-		}
-
-		// Binary restore onto a fresh oracle of the same configuration.
 		fresh := freshLike(t, o)
-		if err := fresh.(BinaryStater).UnmarshalStateBinary(bin); err != nil {
-			t.Fatalf("%s: UnmarshalStateBinary: %v", o.Name(), err)
+		if err := fresh.UnmarshalState(bin); err != nil {
+			t.Fatalf("%s: UnmarshalState: %v", o.Name(), err)
 		}
 		if !sameCounts(want, fresh.EstimateCounts()) {
-			t.Errorf("%s: binary restore diverged from source estimates", o.Name())
+			t.Errorf("%s: restore diverged from source estimates", o.Name())
 		}
 		if fresh.Collected() != o.Collected() {
-			t.Errorf("%s: binary restore Collected = %d, want %d", o.Name(), fresh.Collected(), o.Collected())
+			t.Errorf("%s: restore Collected = %d, want %d", o.Name(), fresh.Collected(), o.Collected())
 		}
-
-		// Fixed point: binary-restored state re-marshals to the same
-		// JSON and the same binary as the original.
-		js2, err := fresh.MarshalState()
+		bin2, err := fresh.MarshalState()
 		if err != nil {
 			t.Fatalf("%s: re-MarshalState: %v", o.Name(), err)
 		}
-		if string(js2) != string(js) {
-			t.Errorf("%s: binary→JSON re-encode not a fixed point", o.Name())
-		}
-		bin2, err := fresh.(BinaryStater).MarshalStateBinary()
-		if err != nil {
-			t.Fatalf("%s: re-MarshalStateBinary: %v", o.Name(), err)
-		}
 		if string(bin2) != string(bin) {
-			t.Errorf("%s: binary re-encode not a fixed point", o.Name())
+			t.Errorf("%s: re-encode not a fixed point", o.Name())
 		}
+	}
+}
 
-		// JSON restore must agree with the binary restore.
-		fresh2 := freshLike(t, o)
-		if err := fresh2.UnmarshalState(js); err != nil {
-			t.Fatalf("%s: UnmarshalState: %v", o.Name(), err)
+// TestLegacyStateFixtures is the frozen half of the compatibility
+// contract. testdata/state_<mechanism>.json and .bin are the JSON and
+// binary encodings of one aggregate (ε=1.25, d=16, 200 reports),
+// written at commit 5a353ae by the last build that had a JSON encoder:
+// the JSON must still restore, to exactly the aggregate the binary
+// fixture holds, and this build must write that aggregate as exactly
+// those bytes.
+func TestLegacyStateFixtures(t *testing.T) {
+	builders := []func() Oracle{func() Oracle { return NewBinaryRR(1.25, nil) }}
+	for _, m := range Mechanisms() {
+		builders = append(builders, func() Oracle { return m.Build(Config{Epsilon: 1.25, Domain: 16}) })
+	}
+	for _, build := range builders {
+		o := build()
+		legacy, err := os.ReadFile(filepath.Join("testdata", "state_"+o.Name()+".json"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !sameCounts(want, fresh2.EstimateCounts()) {
-			t.Errorf("%s: JSON restore diverged from source estimates", o.Name())
+		golden, err := os.ReadFile(filepath.Join("testdata", "state_"+o.Name()+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromLegacy, fromGolden := build(), build()
+		if err := fromLegacy.UnmarshalLegacyState(legacy); err != nil {
+			t.Fatalf("%s: legacy JSON fixture refused: %v", o.Name(), err)
+		}
+		if err := fromGolden.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden binary fixture refused: %v", o.Name(), err)
+		}
+		for via, r := range map[string]Oracle{"legacy JSON": fromLegacy, "binary": fromGolden} {
+			if r.Collected() != 200 {
+				t.Errorf("%s via %s: Collected = %d, want 200", o.Name(), via, r.Collected())
+			}
+			got, err := r.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, golden) {
+				t.Errorf("%s via %s: MarshalState = %x, golden %x", o.Name(), via, got, golden)
+			}
 		}
 	}
 }
@@ -127,16 +142,15 @@ func freshLike(t *testing.T, o Oracle) Oracle {
 func TestBinaryStateRefusesGarbage(t *testing.T) {
 	oracles := binaryOracles(t, 100)
 	for _, o := range oracles {
-		bs := o.(BinaryStater)
-		bin, err := bs.MarshalStateBinary()
+		bin, err := o.MarshalState()
 		if err != nil {
-			t.Fatalf("%s: MarshalStateBinary: %v", o.Name(), err)
+			t.Fatalf("%s: MarshalState: %v", o.Name(), err)
 		}
 		want := o.EstimateCounts()
 
 		// Every truncation must be refused.
 		for cut := 0; cut < len(bin); cut += 1 + len(bin)/64 {
-			if err := bs.UnmarshalStateBinary(bin[:cut]); err == nil {
+			if err := o.UnmarshalState(bin[:cut]); err == nil {
 				t.Errorf("%s: truncation at %d accepted", o.Name(), cut)
 			}
 		}
@@ -144,7 +158,7 @@ func TestBinaryStateRefusesGarbage(t *testing.T) {
 		// read.
 		bad := append([]byte(nil), bin...)
 		bad[0] = 99
-		if err := bs.UnmarshalStateBinary(bad); err == nil {
+		if err := o.UnmarshalState(bad); err == nil {
 			t.Errorf("%s: future version accepted", o.Name())
 		}
 		if !sameCounts(want, o.EstimateCounts()) {
@@ -153,12 +167,12 @@ func TestBinaryStateRefusesGarbage(t *testing.T) {
 	}
 	// Cross-mechanism restore: every payload into every other oracle.
 	for _, src := range oracles {
-		bin, _ := src.(BinaryStater).MarshalStateBinary()
+		bin, _ := src.MarshalState()
 		for _, dst := range oracles {
 			if dst.Name() == src.Name() {
 				continue
 			}
-			if err := dst.(BinaryStater).UnmarshalStateBinary(bin); err == nil {
+			if err := dst.UnmarshalState(bin); err == nil {
 				t.Errorf("%s state accepted by %s", src.Name(), dst.Name())
 			}
 		}

@@ -65,12 +65,12 @@ type Oracle interface {
 	// concurrent privatization.
 	Snapshot() Oracle
 	// MarshalState serializes the oracle's aggregate state (the
-	// accumulated tallies plus the parameters that debias them) as
-	// JSON. Every accumulator in this package is a count or float64
-	// sum vector, and Go's JSON encoding of float64 round-trips
-	// exactly, so Marshal → Unmarshal reproduces the estimates
-	// bit for bit — the property the checkpoint/restore cycle of a
-	// collection server depends on.
+	// accumulated tallies plus the parameters that debias them) in
+	// the mechanism's versioned binary layout (see binary.go).
+	// Integer tallies and raw float64 words round-trip exactly, so
+	// Marshal → Unmarshal reproduces the estimates bit for bit — the
+	// property the checkpoint/restore cycle of a collection server
+	// depends on.
 	MarshalState() ([]byte, error)
 	// UnmarshalState replaces the oracle's aggregate state with a
 	// previously marshalled one. The state must come from the same
@@ -80,6 +80,10 @@ type Oracle interface {
 	// a differently-configured oracle cannot silently debias with
 	// the wrong constants.
 	UnmarshalState(data []byte) error
+	// UnmarshalLegacyState is UnmarshalState for the JSON state
+	// format builds before the binary layout wrote. Read-only: no
+	// encoder for it remains.
+	UnmarshalLegacyState(data []byte) error
 }
 
 // mergeTypeError reports an attempt to merge across mechanisms.

@@ -145,19 +145,12 @@ type grrState struct {
 	Counts    []int   `json:"counts"`
 }
 
-// MarshalState implements Oracle.
-func (g *GRR) MarshalState() ([]byte, error) { return g.marshalStateAs(g.Name()) }
-
-// UnmarshalState implements Oracle.
-func (g *GRR) UnmarshalState(data []byte) error { return g.unmarshalStateAs(g.Name(), data) }
-
-func (g *GRR) marshalStateAs(name string) ([]byte, error) {
-	return json.Marshal(grrState{
-		Mechanism: name, Epsilon: g.epsilon, Domain: g.d, N: g.n, Counts: g.counts,
-	})
+// UnmarshalLegacyState implements Oracle.
+func (g *GRR) UnmarshalLegacyState(data []byte) error {
+	return g.unmarshalLegacyStateAs(g.Name(), data)
 }
 
-func (g *GRR) unmarshalStateAs(name string, data []byte) error {
+func (g *GRR) unmarshalLegacyStateAs(name string, data []byte) error {
 	var st grrState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return stateDecodeError(name, err)
@@ -165,9 +158,8 @@ func (g *GRR) unmarshalStateAs(name string, data []byte) error {
 	return g.applyState(name, st)
 }
 
-// applyState validates a decoded state (from either codec — the JSON
-// and binary decoders feed the same struct through this one path, so
-// both restore with identical semantics) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (g *GRR) applyState(name string, st grrState) error {
 	if err := checkStateVersion(name, st.V); err != nil {
 		return err
@@ -236,12 +228,10 @@ func (b BinaryRR) Merge(other Oracle) error {
 // Snapshot implements Oracle.
 func (b BinaryRR) Snapshot() Oracle { return BinaryRR{b.GRR.snapshotGRR()} }
 
-// MarshalState implements Oracle, writing the wrapper's "RR" name so
-// BinaryRR state cannot silently restore into a generic d=2 GRR.
-func (b BinaryRR) MarshalState() ([]byte, error) { return b.GRR.marshalStateAs(b.Name()) }
-
-// UnmarshalState implements Oracle.
-func (b BinaryRR) UnmarshalState(data []byte) error { return b.GRR.unmarshalStateAs(b.Name(), data) }
+// UnmarshalLegacyState implements Oracle under the wrapper's "RR" name.
+func (b BinaryRR) UnmarshalLegacyState(data []byte) error {
+	return b.GRR.unmarshalLegacyStateAs(b.Name(), data)
+}
 
 // EstimateProportion returns the estimated fraction of "1" answers and
 // the half-width of a (1−delta) confidence interval around it, using

@@ -132,15 +132,8 @@ type sheState struct {
 	Sums      []float64 `json:"sums"`
 }
 
-// MarshalState implements Oracle.
-func (s *SHE) MarshalState() ([]byte, error) {
-	return json.Marshal(sheState{
-		Mechanism: s.Name(), Epsilon: s.epsilon, Domain: s.d, N: s.n, Sums: s.sums,
-	})
-}
-
-// UnmarshalState implements Oracle.
-func (s *SHE) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState implements Oracle.
+func (s *SHE) UnmarshalLegacyState(data []byte) error {
 	var st sheState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return stateDecodeError(s.Name(), err)
@@ -148,8 +141,8 @@ func (s *SHE) UnmarshalState(data []byte) error {
 	return s.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (s *SHE) applyState(st sheState) error {
 	if err := checkStateVersion(s.Name(), st.V); err != nil {
 		return err
@@ -351,16 +344,8 @@ type theState struct {
 	Ones      []int   `json:"ones"`
 }
 
-// MarshalState implements Oracle.
-func (t *THE) MarshalState() ([]byte, error) {
-	return json.Marshal(theState{
-		Mechanism: t.Name(), Epsilon: t.epsilon, Domain: t.d,
-		Theta: t.theta, N: t.n, Ones: t.ones,
-	})
-}
-
-// UnmarshalState implements Oracle.
-func (t *THE) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState implements Oracle.
+func (t *THE) UnmarshalLegacyState(data []byte) error {
 	var st theState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return stateDecodeError(t.Name(), err)
@@ -368,8 +353,8 @@ func (t *THE) UnmarshalState(data []byte) error {
 	return t.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (t *THE) applyState(st theState) error {
 	if err := checkStateVersion(t.Name(), st.V); err != nil {
 		return err

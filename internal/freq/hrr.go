@@ -166,15 +166,8 @@ type hrrState struct {
 	CoefSum   []float64 `json:"coef_sum"`
 }
 
-// MarshalState implements Oracle.
-func (h *HRR) MarshalState() ([]byte, error) {
-	return json.Marshal(hrrState{
-		Mechanism: h.Name(), Epsilon: h.epsilon, Domain: h.d, N: h.n, CoefSum: h.coefSum,
-	})
-}
-
-// UnmarshalState implements Oracle.
-func (h *HRR) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState implements Oracle.
+func (h *HRR) UnmarshalLegacyState(data []byte) error {
 	var st hrrState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return stateDecodeError(h.Name(), err)
@@ -182,8 +175,8 @@ func (h *HRR) UnmarshalState(data []byte) error {
 	return h.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (h *HRR) applyState(st hrrState) error {
 	if err := checkStateVersion(h.Name(), st.V); err != nil {
 		return err

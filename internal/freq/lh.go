@@ -198,16 +198,8 @@ type lhState struct {
 	Support   []float64 `json:"support"`
 }
 
-// MarshalState implements Oracle.
-func (l *LH) MarshalState() ([]byte, error) {
-	return json.Marshal(lhState{
-		Mechanism: l.name, Epsilon: l.epsilon, Domain: l.d,
-		G: l.g, N: l.n, Support: l.support,
-	})
-}
-
-// UnmarshalState implements Oracle.
-func (l *LH) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState implements Oracle.
+func (l *LH) UnmarshalLegacyState(data []byte) error {
 	var st lhState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return stateDecodeError(l.name, err)
@@ -215,8 +207,8 @@ func (l *LH) UnmarshalState(data []byte) error {
 	return l.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (l *LH) applyState(st lhState) error {
 	if err := checkStateVersion(l.name, st.V); err != nil {
 		return err

@@ -4,63 +4,66 @@ package freq_test
 // splitting a report stream across k oracles and merging them must be
 // indistinguishable from one oracle aggregating the whole stream. This
 // is the algebraic fact the sharded server (internal/core) relies on,
-// so it is pinned here, driven through the core.Mechanisms() registry
+// so it is pinned here, driven through the freqtask.Mechanisms() registry
 // so any mechanism added there is covered automatically.
 //
 // The external test package is deliberate: it lets the test reuse the
-// core wire path (Privatize/Aggregate envelopes) to feed the exact
+// freqtask wire path (Privatize/Aggregate envelopes) to feed the exact
 // same randomized reports to both sides without an import cycle.
 
 import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/freq"
 	"repro/internal/ldprand"
+	"repro/internal/task/freqtask"
 )
 
-func mergeParams() core.PrivacyParams { return core.PrivacyParams{Epsilon: 1.5, Domain: 16} }
+// newOracle builds a registry oracle at the suite's default ε=1.5, d=16.
+func newOracle(name string, src ldprand.Source) (freq.Oracle, error) {
+	return freqtask.NewOracle(name, 1.5, 16, src)
+}
 
 // TestMergeLawAllMechanisms checks Merge(split(reports)) ≡
 // aggregate(all reports) on Collected() and EstimateCounts().
 func TestMergeLawAllMechanisms(t *testing.T) {
 	const n, parts = 3000, 7
-	for _, name := range core.Mechanisms() {
+	for _, name := range freqtask.Mechanisms() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			client, err := core.NewOracle(name, mergeParams(), ldprand.NewSplitMix64(11))
+			client, err := newOracle(name, ldprand.NewSplitMix64(11))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sequential, err := core.NewOracle(name, mergeParams(), nil)
+			sequential, err := newOracle(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			shards := make([]freq.Oracle, parts)
 			for i := range shards {
-				if shards[i], err = core.NewOracle(name, mergeParams(), nil); err != nil {
+				if shards[i], err = newOracle(name, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 			src := ldprand.NewSplitMix64(12)
 			for i := 0; i < n; i++ {
 				v := ldprand.Intn(src, 16)
-				env, err := core.Privatize(client, v)
+				env, err := freqtask.Privatize(client, v)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// The same envelope goes to the sequential oracle and
 				// to one of the split oracles.
-				if err := core.Aggregate(sequential, env); err != nil {
+				if err := freqtask.Aggregate(sequential, env); err != nil {
 					t.Fatal(err)
 				}
-				if err := core.Aggregate(shards[i%parts], env); err != nil {
+				if err := freqtask.Aggregate(shards[i%parts], env); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			merged, err := core.NewOracle(name, mergeParams(), nil)
+			merged, err := newOracle(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,19 +93,19 @@ func TestMergeLawAllMechanisms(t *testing.T) {
 // TestMergeRejectsIncompatible checks that cross-mechanism and
 // cross-parameter merges fail rather than silently corrupting tallies.
 func TestMergeRejectsIncompatible(t *testing.T) {
-	for _, name := range core.Mechanisms() {
+	for _, name := range freqtask.Mechanisms() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			dst, err := core.NewOracle(name, mergeParams(), nil)
+			dst, err := newOracle(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Different mechanism.
-			otherName := core.MechanismGRR
-			if name == core.MechanismGRR {
-				otherName = core.MechanismOUE
+			otherName := freqtask.MechanismGRR
+			if name == freqtask.MechanismGRR {
+				otherName = freqtask.MechanismOUE
 			}
-			other, err := core.NewOracle(otherName, mergeParams(), nil)
+			other, err := newOracle(otherName, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +113,7 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 				t.Errorf("merged %s into %s", otherName, name)
 			}
 			// Same mechanism, different epsilon.
-			diffEps, err := core.NewOracle(name, core.PrivacyParams{Epsilon: 0.5, Domain: 16}, nil)
+			diffEps, err := freqtask.NewOracle(name, 0.5, 16, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +121,7 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 				t.Errorf("%s: merged mismatched epsilon", name)
 			}
 			// Same mechanism, different domain.
-			diffDom, err := core.NewOracle(name, core.PrivacyParams{Epsilon: 1.5, Domain: 32}, nil)
+			diffDom, err := freqtask.NewOracle(name, 1.5, 32, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,10 +138,10 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 // TestSnapshotIsIndependent checks that a snapshot is a deep copy: the
 // original keeps collecting without disturbing the snapshot's state.
 func TestSnapshotIsIndependent(t *testing.T) {
-	for _, name := range core.Mechanisms() {
+	for _, name := range freqtask.Mechanisms() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			o, err := core.NewOracle(name, mergeParams(), ldprand.NewSplitMix64(21))
+			o, err := newOracle(name, ldprand.NewSplitMix64(21))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -195,16 +195,8 @@ type ssState struct {
 	Support   []int   `json:"support"`
 }
 
-// MarshalState implements Oracle.
-func (s *SS) MarshalState() ([]byte, error) {
-	return json.Marshal(ssState{
-		Mechanism: s.Name(), Epsilon: s.epsilon, Domain: s.d,
-		K: s.k, N: s.n, Support: s.support,
-	})
-}
-
-// UnmarshalState implements Oracle.
-func (s *SS) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState implements Oracle.
+func (s *SS) UnmarshalLegacyState(data []byte) error {
 	var st ssState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return stateDecodeError(s.Name(), err)
@@ -212,8 +204,8 @@ func (s *SS) UnmarshalState(data []byte) error {
 	return s.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (s *SS) applyState(st ssState) error {
 	if err := checkStateVersion(s.Name(), st.V); err != nil {
 		return err

@@ -7,6 +7,8 @@ package freq
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -51,7 +53,7 @@ func TestStateRoundTripAllMechanisms(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(state, again) {
-				t.Fatalf("re-marshalled state differs:\n%s\n%s", state, again)
+				t.Fatalf("re-marshalled state differs:\n%x\n%x", state, again)
 			}
 			// The restored oracle is a full citizen: merging the
 			// original's snapshot in doubles every tally.
@@ -137,11 +139,17 @@ func TestStateRejectsParamAndShapeChanges(t *testing.T) {
 			if err := m.Build(Config{Epsilon: 1.2, Domain: 32}).UnmarshalState(st); err == nil {
 				t.Error("state restored under a different domain")
 			}
-			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalState([]byte(`{"mechanism":`)); err == nil {
-				t.Error("truncated JSON accepted")
+			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalState(st[:len(st)/2]); err == nil {
+				t.Error("truncated state accepted")
 			}
-			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalState([]byte(`{}`)); err == nil {
-				t.Error("empty state object accepted")
+			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalState(nil); err == nil {
+				t.Error("empty state accepted")
+			}
+			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalLegacyState([]byte(`{"mechanism":`)); err == nil {
+				t.Error("truncated legacy JSON accepted")
+			}
+			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalLegacyState([]byte(`{}`)); err == nil {
+				t.Error("empty legacy state object accepted")
 			}
 		})
 	}
@@ -167,33 +175,30 @@ func TestStateFailureLeavesOracleUsable(t *testing.T) {
 	}
 }
 
-// TestStateRejectsUnknownVersion pins the version gate on every
-// mechanism: the current format omits the tag (so existing snapshots
-// are unchanged), an explicit v=0 tag still restores, and any other
-// tag — a blob from a future format revision — is refused instead of
-// being reinterpreted field-by-field.
+// TestStateRejectsUnknownVersion pins the version gate of the legacy
+// JSON decoder on every mechanism: the frozen fixtures carry no tag,
+// an explicit v=0 tag still restores, and any other tag is refused
+// instead of being reinterpreted field-by-field. (The binary layout's
+// gate is pinned by TestBinaryStateRefusesGarbage.)
 func TestStateRejectsUnknownVersion(t *testing.T) {
-	cfg := Config{Epsilon: 1.2, Domain: 16}
 	for _, m := range Mechanisms() {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
-			o := m.Build(Config{Epsilon: cfg.Epsilon, Domain: cfg.Domain, Source: ldprand.NewSplitMix64(11)})
-			collectSome(o, 13, 100)
-			state, err := o.MarshalState()
+			state, err := os.ReadFile(filepath.Join("testdata", "state_"+m.Name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if bytes.Contains(state, []byte(`"v":`)) {
-				t.Fatalf("current format must omit the version tag: %s", state)
+				t.Fatalf("fixture carries a version tag: %s", state)
 			}
-			fresh := m.Build(cfg)
-			if err := fresh.UnmarshalState(append([]byte(`{"v":99,`), state[1:]...)); err == nil {
+			fresh := m.Build(Config{Epsilon: 1.25, Domain: 16})
+			if err := fresh.UnmarshalLegacyState(append([]byte(`{"v":99,`), state[1:]...)); err == nil {
 				t.Fatal("restore accepted a version-99 state blob")
 			}
 			if fresh.Collected() != 0 {
 				t.Fatal("failed restore mutated the oracle")
 			}
-			if err := fresh.UnmarshalState(append([]byte(`{"v":0,`), state[1:]...)); err != nil {
+			if err := fresh.UnmarshalLegacyState(append([]byte(`{"v":0,`), state[1:]...)); err != nil {
 				t.Fatalf("restore rejected an explicit v=0 tag: %v", err)
 			}
 		})

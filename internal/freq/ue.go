@@ -183,16 +183,8 @@ type ueState struct {
 	Ones      []int   `json:"ones"`
 }
 
-// MarshalState implements Oracle.
-func (u *UE) MarshalState() ([]byte, error) {
-	return json.Marshal(ueState{
-		Mechanism: u.name, Epsilon: u.epsilon, Domain: u.d,
-		P: u.p, Q: u.q, N: u.n, Ones: u.ones,
-	})
-}
-
-// UnmarshalState implements Oracle.
-func (u *UE) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState implements Oracle.
+func (u *UE) UnmarshalLegacyState(data []byte) error {
 	var st ueState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return stateDecodeError(u.name, err)
@@ -200,8 +192,8 @@ func (u *UE) UnmarshalState(data []byte) error {
 	return u.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (u *UE) applyState(st ueState) error {
 	if err := checkStateVersion(u.name, st.V); err != nil {
 		return err

@@ -1,7 +1,8 @@
-// Binary state codecs for the mean estimators, mirroring the freq
-// oracle layouts: a leading version byte (checked before anything
-// else), the mechanism name and parameters, then the sum vector and
-// report count. Both codecs feed the same applyState validation.
+// State codec for the mean estimators, mirroring the freq oracle
+// layouts: a leading version byte (checked before anything else), the
+// mechanism name and parameters, then the sum vector and report
+// count. Decoding feeds the same applyState validation as the legacy
+// JSON decoders.
 package mean
 
 import (
@@ -10,8 +11,8 @@ import (
 	"repro/internal/binenc"
 )
 
-// binaryStateVersion tags the current binary state layouts; it is the
-// first payload byte, mirroring the JSON states' "v" field.
+// binaryStateVersion tags the current state layouts; it is the first
+// payload byte.
 const binaryStateVersion = 0
 
 // readBinaryStateVersion consumes and checks the leading version tag.
@@ -26,8 +27,8 @@ func readBinaryStateVersion(name string, r *binenc.Reader) error {
 	return nil
 }
 
-// MarshalStateBinary serializes the aggregate in the binary layout.
-func (d *Duchi) MarshalStateBinary() ([]byte, error) {
+// MarshalState serializes the aggregate state.
+func (d *Duchi) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -38,9 +39,10 @@ func (d *Duchi) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary restores a binary state blob; errors leave the
-// receiver unchanged.
-func (d *Duchi) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState replaces the aggregate state with a marshalled one.
+// Parameter mismatches (or malformed tallies) are an error and leave
+// the receiver unchanged.
+func (d *Duchi) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion("Duchi", r); err != nil {
 		return err
@@ -56,8 +58,8 @@ func (d *Duchi) UnmarshalStateBinary(data []byte) error {
 	return d.applyState(st)
 }
 
-// MarshalStateBinary serializes the aggregate in the binary layout.
-func (h *Harmony) MarshalStateBinary() ([]byte, error) {
+// MarshalState serializes the aggregate state.
+func (h *Harmony) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -69,9 +71,10 @@ func (h *Harmony) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary restores a binary state blob; errors leave the
-// receiver unchanged.
-func (h *Harmony) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState replaces the aggregate state with a marshalled one.
+// Parameter mismatches (or malformed tallies) are an error and leave
+// the receiver unchanged.
+func (h *Harmony) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion("Harmony", r); err != nil {
 		return err

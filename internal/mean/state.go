@@ -1,8 +1,9 @@
-// Mergeability and state serialization for the mean estimators, the
+// Mergeability and state validation for the mean estimators, the
 // properties that let them ride the sharded collection pipeline: both
 // accumulators are a sum (or sum vector) and a count, so merging is
-// exact and the JSON float64 round trip reproduces estimates bit for
-// bit — the same contract freq.Oracle gives the frequency path.
+// exact and the state round trip (binary.go) reproduces estimates bit
+// for bit — the same contract freq.Oracle gives the frequency path.
+// The JSON decoders here are the read-only legacy input.
 package mean
 
 import (
@@ -43,15 +44,9 @@ type duchiState struct {
 	N         int     `json:"n"`
 }
 
-// MarshalState serializes the aggregate state as JSON.
-func (d *Duchi) MarshalState() ([]byte, error) {
-	return json.Marshal(duchiState{Mechanism: "duchi", Epsilon: d.epsilon, Sum: d.sum, N: d.n})
-}
-
-// UnmarshalState replaces the aggregate state with a marshalled one.
-// Parameter mismatches (or malformed tallies) are an error and leave
-// the receiver unchanged.
-func (d *Duchi) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState restores a JSON state written by a build that
+// predates the binary layout; errors leave the receiver unchanged.
+func (d *Duchi) UnmarshalLegacyState(data []byte) error {
 	var st duchiState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("mean: Duchi state: %w", err)
@@ -59,8 +54,8 @@ func (d *Duchi) UnmarshalState(data []byte) error {
 	return d.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (d *Duchi) applyState(st duchiState) error {
 	if st.V != 0 {
 		return fmt.Errorf("mean: Duchi state: unsupported state version %d", st.V)
@@ -123,14 +118,9 @@ type harmonyState struct {
 	N         int       `json:"n"`
 }
 
-// MarshalState serializes the aggregate state as JSON.
-func (h *Harmony) MarshalState() ([]byte, error) {
-	return json.Marshal(harmonyState{Mechanism: "harmony", Epsilon: h.epsilon, Dim: h.dim, Sums: h.sums, N: h.n})
-}
-
-// UnmarshalState replaces the aggregate state with a marshalled one;
-// mismatched parameters or malformed tallies leave h unchanged.
-func (h *Harmony) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState restores a JSON state written by a build that
+// predates the binary layout; errors leave h unchanged.
+func (h *Harmony) UnmarshalLegacyState(data []byte) error {
 	var st harmonyState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("mean: Harmony state: %w", err)
@@ -138,8 +128,8 @@ func (h *Harmony) UnmarshalState(data []byte) error {
 	return h.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (h *Harmony) applyState(st harmonyState) error {
 	if st.V != 0 {
 		return fmt.Errorf("mean: Harmony state: unsupported state version %d", st.V)

@@ -3,6 +3,8 @@ package mean
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -125,11 +127,16 @@ func TestDuchiStateRoundTrip(t *testing.T) {
 	if err := NewDuchi(2, nil).UnmarshalState(blob); err == nil {
 		t.Fatal("state restored onto mismatched epsilon")
 	}
-	if err := back.UnmarshalState([]byte(`{"mechanism":"duchi","epsilon":1.5,"sum":0,"n":-1}`)); err == nil {
+	if err := back.UnmarshalLegacyState([]byte(`{"mechanism":"duchi","epsilon":1.5,"sum":0,"n":-1}`)); err == nil {
 		t.Fatal("negative count accepted")
 	}
-	if err := back.UnmarshalState([]byte(`garbage`)); err == nil {
-		t.Fatal("garbage state accepted")
+	for _, garbage := range [][]byte{nil, []byte(`garbage`), blob[:len(blob)-1], append([]byte{7}, blob[1:]...)} {
+		if err := back.UnmarshalState(garbage); err == nil {
+			t.Fatalf("garbage state %q accepted", garbage)
+		}
+	}
+	if back.Collected() != d.Collected() || back.Estimate() != d.Estimate() {
+		t.Fatal("refused restore mutated the receiver")
 	}
 }
 
@@ -175,34 +182,26 @@ func TestHarmonyStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateRejectsUnknownVersion pins the version gate: untagged and
-// explicitly v=0 blobs are the current format, anything else is a
-// future revision and must be refused, leaving the estimator
-// unchanged.
+// TestStateRejectsUnknownVersion pins the version gate of the legacy
+// JSON decoders against the frozen fixtures: untagged and explicitly
+// v=0 blobs restore, anything else is a future revision and must be
+// refused. (The binary gate is the leading byte, pinned in the
+// round-trip tests above and in TestLegacyStateFixtures' goldens.)
 func TestStateRejectsUnknownVersion(t *testing.T) {
-	d := NewDuchi(1, ldprand.NewSplitMix64(3))
-	for i := 0; i < 50; i++ {
-		d.Aggregate(d.Privatize(0.25))
-	}
-	h := NewHarmony(1, 3, ldprand.NewSplitMix64(5))
-	for i := 0; i < 50; i++ {
-		h.Aggregate(h.Privatize([]float64{0.1, -0.2, 0.3}))
-	}
 	for _, tc := range []struct {
 		name      string
-		marshal   func() ([]byte, error)
 		unmarshal func([]byte) error
 	}{
-		{"duchi", d.MarshalState, NewDuchi(1, nil).UnmarshalState},
-		{"harmony", h.MarshalState, NewHarmony(1, 3, nil).UnmarshalState},
+		{"duchi", NewDuchi(1, nil).UnmarshalLegacyState},
+		{"harmony", NewHarmony(1, 3, nil).UnmarshalLegacyState},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			state, err := tc.marshal()
+			state, err := os.ReadFile(filepath.Join("testdata", "state_"+tc.name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if bytes.Contains(state, []byte(`"v":`)) {
-				t.Fatalf("current format must omit the version tag: %s", state)
+				t.Fatalf("fixture carries a version tag: %s", state)
 			}
 			if err := tc.unmarshal(append([]byte(`{"v":7,`), state[1:]...)); err == nil {
 				t.Fatal("restore accepted a version-7 state blob")
@@ -211,5 +210,51 @@ func TestStateRejectsUnknownVersion(t *testing.T) {
 				t.Fatalf("restore rejected an explicit v=0 tag: %v", err)
 			}
 		})
+	}
+}
+
+// stater is the state-codec surface Duchi and Harmony share.
+type stater interface {
+	MarshalState() ([]byte, error)
+	UnmarshalState([]byte) error
+	UnmarshalLegacyState([]byte) error
+	Collected() int
+}
+
+// TestLegacyStateFixtures is the frozen half of the compatibility
+// contract: testdata/state_<mechanism>.json and .bin are the JSON and
+// binary encodings of one 200-report aggregate, written at commit
+// 5a353ae by the last build that had a JSON encoder. The JSON must
+// still restore, to exactly the aggregate the binary fixture holds,
+// and this build must write that aggregate as exactly those bytes.
+func TestLegacyStateFixtures(t *testing.T) {
+	for name, build := range map[string]func() stater{
+		"duchi":   func() stater { return NewDuchi(1, nil) },
+		"harmony": func() stater { return NewHarmony(1, 3, nil) },
+	} {
+		legacy, err := os.ReadFile(filepath.Join("testdata", "state_"+name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", "state_"+name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromLegacy, fromGolden := build(), build()
+		if err := fromLegacy.UnmarshalLegacyState(legacy); err != nil {
+			t.Fatalf("%s: legacy JSON fixture refused: %v", name, err)
+		}
+		if err := fromGolden.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden binary fixture refused: %v", name, err)
+		}
+		for via, r := range map[string]stater{"legacy JSON": fromLegacy, "binary": fromGolden} {
+			got, err := r.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Collected() != 200 || !bytes.Equal(got, golden) {
+				t.Errorf("%s via %s: %d reports, MarshalState = %x, golden %x", name, via, r.Collected(), got, golden)
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
-// Binary state codecs for the sketch substrates. The counter matrix
-// dominates a sketch snapshot (a realistic Apple-CMS deployment is
-// 2¹⁶ × 2¹⁰ float64 cells), so the binary layout writes it as raw
-// 8-byte words streamed row by row — no flattened copy on encode, no
-// JSON number parsing on restore — under a single length prefix. The
-// leading version byte is checked before the payload is read, and
-// both codecs feed the same applyState validation.
+// State codec for the sketch substrates. The counter matrix dominates
+// a sketch snapshot (a realistic Apple-CMS deployment is 2¹⁶ × 2¹⁰
+// float64 cells), so the layout writes it as raw 8-byte words streamed
+// row by row — no flattened copy on encode, no number parsing on
+// restore — under a single length prefix. The leading version byte is
+// checked before the payload is read, and decoding feeds the same
+// applyState validation as the legacy JSON decoders.
 package sketch
 
 import (
@@ -13,8 +13,8 @@ import (
 	"repro/internal/binenc"
 )
 
-// binaryStateVersion tags the current binary sketch layouts; it is
-// the first payload byte, mirroring the JSON states' "v" field.
+// binaryStateVersion tags the current sketch layouts; it is the first
+// payload byte.
 const binaryStateVersion = 0
 
 // readBinaryStateVersion consumes and checks the leading version tag.
@@ -29,8 +29,8 @@ func readBinaryStateVersion(name string, r *binenc.Reader) error {
 	return nil
 }
 
-// MarshalStateBinary serializes the sketch in the binary layout.
-func (c *CountMin) MarshalStateBinary() ([]byte, error) {
+// MarshalState serializes the sketch (parameters and counters).
+func (c *CountMin) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -45,9 +45,11 @@ func (c *CountMin) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary restores a binary state blob; parameter
-// mismatches and malformed payloads leave the receiver unchanged.
-func (c *CountMin) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState replaces the counters with a marshalled state. The
+// state must come from a sketch with identical parameters — restoring
+// onto different hash functions would silently misattribute every
+// counter — and malformed states leave the receiver unchanged.
+func (c *CountMin) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion("count-min", r); err != nil {
 		return err
@@ -64,8 +66,8 @@ func (c *CountMin) UnmarshalStateBinary(data []byte) error {
 	return c.applyState(st)
 }
 
-// MarshalStateBinary serializes the sketch in the binary layout.
-func (c *CountSketch) MarshalStateBinary() ([]byte, error) {
+// MarshalState serializes the sketch (parameters and counters).
+func (c *CountSketch) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(binaryStateVersion)
@@ -79,9 +81,9 @@ func (c *CountSketch) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary restores a binary state blob; parameter
-// mismatches and malformed payloads leave the receiver unchanged.
-func (c *CountSketch) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState replaces the counters with a marshalled state; the
+// parameters must match and malformed states leave c unchanged.
+func (c *CountSketch) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := readBinaryStateVersion("count sketch", r); err != nil {
 		return err

@@ -1,8 +1,7 @@
-// State serialization for the sketch substrates, so private sketch
+// State validation for the sketch substrates, so private sketch
 // aggregators built on them (internal/task/cmstask) can checkpoint and
-// restore exactly. Counters are float64 and Go's JSON float64 encoding
-// round-trips exactly, so Marshal → Unmarshal reproduces estimates bit
-// for bit.
+// restore exactly (the codec is in binary.go). The JSON decoders here
+// are the read-only legacy input.
 package sketch
 
 import (
@@ -44,20 +43,9 @@ type countMinState struct {
 	Total float64   `json:"total"`
 }
 
-// MarshalState serializes the sketch (parameters and counters) as JSON.
-func (c *CountMin) MarshalState() ([]byte, error) {
-	flat := make([]float64, 0, c.k*c.m)
-	for _, row := range c.rows {
-		flat = append(flat, row...)
-	}
-	return json.Marshal(countMinState{K: c.k, M: c.m, Seed: c.seed, Rows: flat, Total: c.total})
-}
-
-// UnmarshalState replaces the counters with a marshalled state. The
-// state must come from a sketch with identical parameters — restoring
-// onto different hash functions would silently misattribute every
-// counter — and malformed states leave the receiver unchanged.
-func (c *CountMin) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState restores a JSON state written by a build that
+// predates the binary layout; errors leave the receiver unchanged.
+func (c *CountMin) UnmarshalLegacyState(data []byte) error {
 	var st countMinState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("sketch: count-min state: %w", err)
@@ -65,8 +53,8 @@ func (c *CountMin) UnmarshalState(data []byte) error {
 	return c.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (c *CountMin) applyState(st countMinState) error {
 	if st.V != 0 {
 		return fmt.Errorf("sketch: count-min state: unsupported state version %d", st.V)
@@ -119,18 +107,9 @@ type countSketchState struct {
 	Rows []float64 `json:"rows"` // k*m counters, row-major
 }
 
-// MarshalState serializes the sketch (parameters and counters) as JSON.
-func (c *CountSketch) MarshalState() ([]byte, error) {
-	flat := make([]float64, 0, c.k*c.m)
-	for _, row := range c.rows {
-		flat = append(flat, row...)
-	}
-	return json.Marshal(countSketchState{K: c.k, M: c.m, Seed: c.seed, Rows: flat})
-}
-
-// UnmarshalState replaces the counters with a marshalled state; the
-// parameters must match and malformed states leave c unchanged.
-func (c *CountSketch) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState restores a JSON state written by a build that
+// predates the binary layout; errors leave c unchanged.
+func (c *CountSketch) UnmarshalLegacyState(data []byte) error {
 	var st countSketchState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("sketch: count sketch state: %w", err)
@@ -138,8 +117,8 @@ func (c *CountSketch) UnmarshalState(data []byte) error {
 	return c.applyState(st)
 }
 
-// applyState validates a decoded state (shared by the JSON and binary
-// codecs) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (c *CountSketch) applyState(st countSketchState) error {
 	if st.V != 0 {
 		return fmt.Errorf("sketch: count sketch state: unsupported state version %d", st.V)

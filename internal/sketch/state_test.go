@@ -3,6 +3,8 @@ package sketch
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -42,11 +44,16 @@ func TestCountMinStateRoundTrip(t *testing.T) {
 			t.Fatal("state restored onto mismatched parameters")
 		}
 	}
-	if err := back.UnmarshalState([]byte(`{"k":4,"m":32,"seed":7,"rows":[1],"total":1}`)); err == nil {
+	if err := back.UnmarshalLegacyState([]byte(`{"k":4,"m":32,"seed":7,"rows":[1],"total":1}`)); err == nil {
 		t.Fatal("short rows accepted")
 	}
-	if err := back.UnmarshalState([]byte(`garbage`)); err == nil {
-		t.Fatal("garbage accepted")
+	for _, garbage := range [][]byte{nil, []byte(`garbage`), blob[:len(blob)-1], append([]byte{2}, blob[1:]...)} {
+		if err := back.UnmarshalState(garbage); err == nil {
+			t.Fatalf("garbage state (%d bytes) accepted", len(garbage))
+		}
+	}
+	if back.Total() != c.Total() {
+		t.Fatal("refused restore mutated the receiver")
 	}
 }
 
@@ -89,6 +96,9 @@ func TestCountSketchStateRoundTrip(t *testing.T) {
 	if err := NewCountSketch(5, 32, 10).UnmarshalState(blob); err == nil {
 		t.Fatal("state restored onto mismatched seed")
 	}
+	if err := back.UnmarshalState(append([]byte{2}, blob[1:]...)); err == nil {
+		t.Fatal("version-2 state accepted")
+	}
 	snap := c.Snapshot()
 	c.Reset()
 	if c.Estimate([]byte("item-0")) != 0 {
@@ -99,36 +109,76 @@ func TestCountSketchStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateRejectsUnknownVersion pins the version gate on both
-// sketches: the current format omits the tag, v=0 restores, any other
-// tag is refused.
+// stater is the state-codec surface the two sketches share.
+type stater interface {
+	MarshalState() ([]byte, error)
+	UnmarshalState([]byte) error
+	UnmarshalLegacyState([]byte) error
+}
+
+// fixtures pairs each frozen fixture name with a fresh sketch of the
+// parameters it was written under (k=4, m=32, seed=9).
+var fixtures = []struct {
+	name  string
+	fresh func() stater
+}{
+	{"count-min", func() stater { return NewCountMin(4, 32, 9) }},
+	{"count-sketch", func() stater { return NewCountSketch(4, 32, 9) }},
+}
+
+func fixture(t *testing.T, name, ext string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "state_"+name+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestStateRejectsUnknownVersion pins the version gate of the legacy
+// JSON decoders against the frozen fixtures: untagged and v=0 blobs
+// restore, any other tag is refused.
 func TestStateRejectsUnknownVersion(t *testing.T) {
-	cm := NewCountMin(4, 32, 7)
-	cm.Add([]byte("item"), 3)
-	cs := NewCountSketch(4, 32, 7)
-	cs.Add([]byte("item"), 3)
-	for _, tc := range []struct {
-		name      string
-		marshal   func() ([]byte, error)
-		unmarshal func([]byte) error
-	}{
-		{"count-min", cm.MarshalState, NewCountMin(4, 32, 7).UnmarshalState},
-		{"count-sketch", cs.MarshalState, NewCountSketch(4, 32, 7).UnmarshalState},
-	} {
+	for _, tc := range fixtures {
 		t.Run(tc.name, func(t *testing.T) {
-			state, err := tc.marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
+			state := fixture(t, tc.name, ".json")
 			if bytes.Contains(state, []byte(`"v":`)) {
-				t.Fatalf("current format must omit the version tag: %s", state)
+				t.Fatalf("fixture carries a version tag: %s", state)
 			}
-			if err := tc.unmarshal(append([]byte(`{"v":2,`), state[1:]...)); err == nil {
+			if err := tc.fresh().UnmarshalLegacyState(append([]byte(`{"v":2,`), state[1:]...)); err == nil {
 				t.Fatal("restore accepted a version-2 state blob")
 			}
-			if err := tc.unmarshal(append([]byte(`{"v":0,`), state[1:]...)); err != nil {
+			if err := tc.fresh().UnmarshalLegacyState(append([]byte(`{"v":0,`), state[1:]...)); err != nil {
 				t.Fatalf("restore rejected an explicit v=0 tag: %v", err)
 			}
 		})
+	}
+}
+
+// TestLegacyStateFixtures is the frozen half of the compatibility
+// contract: testdata/state_<sketch>.json and .bin are the JSON and
+// binary encodings of one populated sketch, written at commit 5a353ae
+// by the last build that had a JSON encoder. The JSON must still
+// restore, to exactly the sketch the binary fixture holds, and this
+// build must write that sketch as exactly those bytes.
+func TestLegacyStateFixtures(t *testing.T) {
+	for _, tc := range fixtures {
+		golden := fixture(t, tc.name, ".bin")
+		fromLegacy, fromGolden := tc.fresh(), tc.fresh()
+		if err := fromLegacy.UnmarshalLegacyState(fixture(t, tc.name, ".json")); err != nil {
+			t.Fatalf("%s: legacy JSON fixture refused: %v", tc.name, err)
+		}
+		if err := fromGolden.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden binary fixture refused: %v", tc.name, err)
+		}
+		for via, r := range map[string]stater{"legacy JSON": fromLegacy, "binary": fromGolden} {
+			got, err := r.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, golden) {
+				t.Errorf("%s via %s: MarshalState diverges from the golden bytes", tc.name, via)
+			}
+		}
 	}
 }

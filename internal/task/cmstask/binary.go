@@ -6,8 +6,8 @@
 // a row, a coefficient index and a sign. Both decode paths feed the
 // same prepare validation as the JSON envelope.
 //
-// The binary state wraps the backing sketch's binary layout in the
-// same {mechanism, epsilon, sketch} guard the JSON aggState carries.
+// The state wraps the backing sketch's layout in a {mechanism,
+// epsilon, sketch} guard.
 package cmstask
 
 import (
@@ -24,10 +24,10 @@ const (
 	binaryStateVersion    = 0
 )
 
-// MarshalStateBinary implements task.BinaryStater: the adapter guard
-// fields followed by the backing sketch's binary state as one blob.
-func (a *Aggregator) MarshalStateBinary() ([]byte, error) {
-	blob, err := a.cm.MarshalStateBinary()
+// MarshalState serializes the aggregate state: the adapter guard
+// fields followed by the backing sketch's state as one blob.
+func (a *Aggregator) MarshalState() ([]byte, error) {
+	blob, err := a.cm.MarshalState()
 	if err != nil {
 		return nil, err
 	}
@@ -40,9 +40,9 @@ func (a *Aggregator) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements task.BinaryStater; errors leave the
-// receiver unchanged.
-func (a *Aggregator) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState restores a state blob produced by MarshalState;
+// errors leave the receiver unchanged.
+func (a *Aggregator) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	version := int(r.Byte())
 	if err := r.Err(); err != nil {
@@ -60,7 +60,7 @@ func (a *Aggregator) UnmarshalStateBinary(data []byte) error {
 	if mechanism != a.mechanism || epsilon != a.params.Epsilon {
 		return fmt.Errorf("cmstask: state parameter mismatch")
 	}
-	return a.cm.UnmarshalStateBinary(blob)
+	return a.cm.UnmarshalState(blob)
 }
 
 // PrepareBinary implements task.BinaryReporter: it decodes one binary

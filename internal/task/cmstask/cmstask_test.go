@@ -1,11 +1,14 @@
 package cmstask_test
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -224,6 +227,53 @@ func TestMergeAndStateRoundTrip(t *testing.T) {
 		other, _ := cmstask.New(otherCfg)
 		if err := other.UnmarshalState(blob); err == nil {
 			t.Fatalf("%s: state restored onto mismatched seed", mech)
+		}
+	}
+}
+
+// TestLegacyStateFixtures is the frozen half of the compatibility
+// contract for the adapter's own {mechanism, epsilon, sketch} wrapper:
+// testdata/state_<mechanism>.json and .bin are the JSON and binary
+// encodings of one 200-report aggregate, written at commit 5a353ae by
+// the last build that had a JSON encoder. The JSON must still restore,
+// to exactly the aggregate the binary fixture holds, and this build
+// must write that aggregate as exactly those bytes.
+func TestLegacyStateFixtures(t *testing.T) {
+	for _, mech := range cmstask.Mechanisms() {
+		legacy, err := os.ReadFile(filepath.Join("testdata", "state_"+mech+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", "state_"+mech+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromLegacy, _ := cmstask.New(sketchCfg(mech))
+		fromGolden, _ := cmstask.New(sketchCfg(mech))
+		if err := fromLegacy.(task.LegacyStater).UnmarshalLegacyState(legacy); err != nil {
+			t.Fatalf("%s: legacy JSON fixture refused: %v", mech, err)
+		}
+		if err := fromGolden.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden binary fixture refused: %v", mech, err)
+		}
+		for via, a := range map[string]task.Aggregator{"legacy JSON": fromLegacy, "binary": fromGolden} {
+			got, err := a.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Collected() != 200 || !bytes.Equal(got, golden) {
+				t.Errorf("%s via %s: %d reports, MarshalState diverges from the golden bytes", mech, via, a.Collected())
+			}
+		}
+		// The wrapper's guard: the other mechanism's state is refused.
+		for _, other := range cmstask.Mechanisms() {
+			if other == mech {
+				continue
+			}
+			wrong, _ := cmstask.New(sketchCfg(other))
+			if wrong.(task.LegacyStater).UnmarshalLegacyState(legacy) == nil || wrong.UnmarshalState(golden) == nil {
+				t.Errorf("%s state restored onto a %s aggregator", mech, other)
+			}
 		}
 	}
 }

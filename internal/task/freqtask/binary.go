@@ -1,5 +1,5 @@
-// Binary wire and state codecs for the frequency task. The binary
-// report envelope replaces the JSON Envelope on collections negotiated
+// Binary wire codec for the frequency task. The binary report
+// envelope replaces the JSON Envelope on collections negotiated
 // to application/x-ldp-binary: a leading format-version byte, the
 // mechanism name, and the mechanism-typed payload — raw packed bit
 // vectors for the unary mechanisms instead of base64-in-JSON, varints
@@ -7,11 +7,6 @@
 // Decoding feeds the exact validation the JSON path uses
 // (prepareEnvelope / decodeBits), so the two wire forms accept and
 // reject identical report populations.
-//
-// The state codec delegates to the oracle's own binary layout
-// (freq.BinaryStater); every shipped mechanism implements it, and the
-// task.ErrBinaryUnsupported fallback keeps a hypothetical future
-// oracle without one checkpointing through JSON.
 package freqtask
 
 import (
@@ -20,31 +15,11 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/bitvec"
 	"repro/internal/freq"
-	"repro/internal/task"
 )
 
 // binaryEnvelopeVersion tags the binary report envelope layout. It is
 // the first payload byte and is checked before anything else is read.
 const binaryEnvelopeVersion = 0
-
-// MarshalStateBinary implements task.BinaryStater by delegating to the
-// oracle's binary codec.
-func (a *Aggregator) MarshalStateBinary() ([]byte, error) {
-	bs, ok := a.oracle.(freq.BinaryStater)
-	if !ok {
-		return nil, task.ErrBinaryUnsupported
-	}
-	return bs.MarshalStateBinary()
-}
-
-// UnmarshalStateBinary implements task.BinaryStater.
-func (a *Aggregator) UnmarshalStateBinary(data []byte) error {
-	bs, ok := a.oracle.(freq.BinaryStater)
-	if !ok {
-		return task.ErrBinaryUnsupported
-	}
-	return bs.UnmarshalStateBinary(data)
-}
 
 // PrivatizeBinary runs the client half of the oracle on value v and
 // encodes the report in the binary envelope layout.

@@ -364,14 +364,19 @@ func (a *Aggregator) Snapshot() task.Aggregator {
 	return &Aggregator{oracle: a.oracle.Snapshot()}
 }
 
-// MarshalState serializes the oracle state. The blob is exactly the
-// oracle's own state format — the format pre-task checkpoints hold —
-// so untagged snapshots restore through this adapter bit-identically.
+// MarshalState serializes the oracle state: the blob is exactly the
+// oracle's own binary layout.
 func (a *Aggregator) MarshalState() ([]byte, error) { return a.oracle.MarshalState() }
 
-// UnmarshalState restores a state blob produced by MarshalState (or by
-// the pre-task frequency pipeline).
+// UnmarshalState restores a state blob produced by MarshalState.
 func (a *Aggregator) UnmarshalState(data []byte) error { return a.oracle.UnmarshalState(data) }
+
+// UnmarshalLegacyState implements task.LegacyStater: the legacy blob
+// is the oracle's own JSON state — the format pre-task checkpoints
+// hold — so untagged snapshots restore through this adapter too.
+func (a *Aggregator) UnmarshalLegacyState(data []byte) error {
+	return a.oracle.UnmarshalLegacyState(data)
+}
 
 // EstimateResult is the frequency task's estimate payload: debiased
 // counts over the full domain, plus the top-k values when the query

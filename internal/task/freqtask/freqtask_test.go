@@ -1,8 +1,11 @@
 package freqtask_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -103,8 +106,10 @@ func TestAdapterMatchesDirectOracle(t *testing.T) {
 }
 
 // TestAdapterRestoresPreTaskOracleState pins backward compatibility:
-// a state blob written by a bare oracle (what PR 3 checkpoints hold)
-// restores through the adapter bit-identically.
+// a state blob written by a bare oracle restores through the adapter
+// bit-identically — in today's layout, and in the JSON format PR 3
+// checkpoints hold (the frozen internal/freq fixture, which must
+// re-marshal to its golden binary twin).
 func TestAdapterRestoresPreTaskOracleState(t *testing.T) {
 	o, err := freqtask.NewOracle("OLH", 2, 8, ldprand.NewSplitMix64(5))
 	if err != nil {
@@ -113,7 +118,7 @@ func TestAdapterRestoresPreTaskOracleState(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		o.Collect(i % 8)
 	}
-	blob, err := o.MarshalState() // the pre-task snapshot state format
+	blob, err := o.MarshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +133,26 @@ func TestAdapterRestoresPreTaskOracleState(t *testing.T) {
 		t.Fatalf("collected %d want 300", a.Collected())
 	}
 	if !reflect.DeepEqual(a.(*freqtask.Aggregator).Oracle().EstimateCounts(), o.EstimateCounts()) {
-		t.Fatal("pre-task oracle state restored with different estimates")
+		t.Fatal("bare oracle state restored with different estimates")
+	}
+
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "freq", "testdata", "state_OLH.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "freq", "testdata", "state_OLH.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := freqtask.New(task.Config{Task: task.TypeFreq, Mechanism: "OLH", Epsilon: 1.25, Domain: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.(task.LegacyStater).UnmarshalLegacyState(legacy); err != nil {
+		t.Fatalf("pre-task JSON oracle state refused: %v", err)
+	}
+	if got, err := old.MarshalState(); err != nil || !bytes.Equal(got, golden) {
+		t.Fatalf("pre-task JSON oracle state re-marshals to %x (%v), golden %x", got, err, golden)
 	}
 }
 

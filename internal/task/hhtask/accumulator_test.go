@@ -10,8 +10,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/url"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -35,19 +33,28 @@ func fixtureValue(src ldprand.Source) uint64 {
 	return v
 }
 
-// TestLegacySnapshotRestoresBitIdentically pins the PR5/PR6 snapshot
-// compatibility contract: a committed report-list state restores by
-// folding the listed reports into the accumulator at load, and the
-// result is bit-identical — same marshaled state, same frontier, same
-// post-advance survivors — to an aggregator that absorbed the same
-// envelope stream live.
+// TestLegacySnapshotRestoresBitIdentically pins the snapshot
+// compatibility contract against frozen bytes. The committed PR5/PR6
+// report-list state restores by folding the listed reports into the
+// accumulator at load, and the result is bit-identical — same
+// marshaled state, same frontier, same post-advance survivors — to an
+// aggregator that absorbed the same envelope stream live. That
+// marshaled state is testdata/state.bin, written at commit 5a353ae,
+// and the accumulator-layout JSON of the same aggregate (state_v2.json,
+// the last JSON the adapter ever wrote) restores to it too.
 func TestLegacySnapshotRestoresBitIdentically(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "state_legacy_reports.json"))
-	if err != nil {
-		t.Fatal(err)
+	golden := fixture(t, "state.bin")
+	for _, name := range []string{"state_v2.json", "state_legacy_reports.json"} {
+		a, _ := task.New(cfg())
+		if err := a.(task.LegacyStater).UnmarshalLegacyState(fixture(t, name)); err != nil {
+			t.Fatalf("%s refused: %v", name, err)
+		}
+		if got, err := a.MarshalState(); err != nil || !bytes.Equal(got, golden) {
+			t.Fatalf("%s re-marshals to %x (%v), golden %x", name, got, err, golden)
+		}
 	}
 	restored, _ := task.New(cfg())
-	if err := restored.UnmarshalState(blob); err != nil {
+	if err := restored.(task.LegacyStater).UnmarshalLegacyState(fixture(t, "state_legacy_reports.json")); err != nil {
 		t.Fatalf("legacy snapshot refused: %v", err)
 	}
 	if restored.Collected() != 420 || restored.(task.Phased).RoundReports() != 120 {
@@ -91,7 +98,7 @@ func TestLegacySnapshotRestoresBitIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotState, wantState) {
-		t.Fatalf("legacy restore diverged from live aggregation:\nrestored %s\nlive     %s", gotState, wantState)
+		t.Fatalf("legacy restore diverged from live aggregation:\nrestored %x\nlive     %x", gotState, wantState)
 	}
 	wantF, _ := live.(task.Phased).Frontier()
 	gotF, _ := restored.(task.Phased).Frontier()
@@ -257,26 +264,28 @@ func TestAccumulatorMatchesListReference(t *testing.T) {
 	}
 }
 
-// TestStateVersionGuards pins the new state envelope's refusals: future
+// TestStateVersionGuards pins the state envelope's refusals: future
 // versions, mixed layouts and impossible support sums are all corrupt.
+// The forgeries are edits of the frozen accumulator-layout JSON fixture
+// (round 1, 120 reports over 16 candidates) fed through the legacy
+// decoder, whose validation the binary decoder shares; the binary
+// layout's own version byte is checked last.
 func TestStateVersionGuards(t *testing.T) {
-	a, _ := task.New(cfg())
-	client, _ := NewClient(2, 8, 4, ldprand.NewSplitMix64(55))
-	driveRound(t, a, client, []uint64{0xAB, 3}, 40)
-	blob, err := a.MarshalState()
-	if err != nil {
+	var st map[string]any
+	if err := json.Unmarshal(fixture(t, "state_v2.json"), &st); err != nil {
 		t.Fatal(err)
 	}
-	var st map[string]any
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
+	sums := func(first float64) []any {
+		out := append([]any(nil), st["sums"].([]any)...)
+		out[0] = first
+		return out
 	}
 	cases := map[string]func(map[string]any){
 		"future version":          func(m map[string]any) { m["v"] = 3.0 },
 		"v2 with report list":     func(m map[string]any) { m["reports"] = []map[string]any{{"seed": 1.0, "bucket": 0.0}} },
 		"sums width mismatch":     func(m map[string]any) { m["sums"] = []any{1.0, 2.0} },
-		"sum above round_reports": func(m map[string]any) { m["sums"] = []any{999.0, 0.0, 0.0, 0.0} },
-		"negative sum":            func(m map[string]any) { m["sums"] = []any{-1.0, 0.0, 0.0, 0.0} },
+		"sum above round_reports": func(m map[string]any) { m["sums"] = sums(999) },
+		"negative sum":            func(m map[string]any) { m["sums"] = sums(-1) },
 		"negative round_reports":  func(m map[string]any) { m["round_reports"] = -4.0 },
 		"legacy with sums": func(m map[string]any) {
 			delete(m, "v")
@@ -294,12 +303,18 @@ func TestStateVersionGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh, _ := task.New(cfg())
-		if err := fresh.UnmarshalState(forged); err == nil {
+		if err := fresh.(task.LegacyStater).UnmarshalLegacyState(forged); err == nil {
 			t.Errorf("%s: corrupt state restored without error", name)
 		}
 		// A refused restore leaves the receiver untouched and usable.
 		if fresh.Collected() != 0 || fresh.(task.Phased).Round() != 0 {
 			t.Errorf("%s: refused restore mutated the receiver", name)
+		}
+	}
+	for _, version := range []byte{0, 3} {
+		fresh, _ := task.New(cfg())
+		if err := fresh.UnmarshalState(append([]byte{version}, fixture(t, "state.bin")[1:]...)); err == nil {
+			t.Errorf("binary state tagged version %d restored without error", version)
 		}
 	}
 }

@@ -1,9 +1,9 @@
-// Binary state codec for the heavy-hitter aggregator: the accumulator
-// layout (stateVersionSums) with varint-packed support sums. The
-// leading version byte is checked before the payload is read; the
-// legacy report-list layout was never given a binary form, so only
-// the accumulator version is accepted. Both codecs feed the same
-// applyState validation, making the two encodings interchangeable.
+// State codec for the heavy-hitter aggregator: the accumulator layout
+// (stateVersionSums) with varint-packed support sums. The leading
+// version byte is checked before the payload is read; the legacy
+// report-list layout was never given a binary form, so only the
+// accumulator version is accepted. Decoding feeds the same applyState
+// validation as the legacy JSON decoder.
 package hhtask
 
 import (
@@ -12,8 +12,10 @@ import (
 	"repro/internal/binenc"
 )
 
-// MarshalStateBinary implements task.BinaryStater.
-func (a *Aggregator) MarshalStateBinary() ([]byte, error) {
+// MarshalState serializes the full protocol state: parameters, round
+// position, surviving prefixes, the current round's accumulator and
+// (when done) the final hits.
+func (a *Aggregator) MarshalState() ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
 	w.Byte(stateVersionSums)
@@ -37,16 +39,17 @@ func (a *Aggregator) MarshalStateBinary() ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// UnmarshalStateBinary implements task.BinaryStater; errors leave the
-// receiver unchanged.
-func (a *Aggregator) UnmarshalStateBinary(data []byte) error {
+// UnmarshalState restores a state blob produced by MarshalState. The
+// blob's parameters must match the receiver's; anything else is an
+// error leaving the receiver unchanged.
+func (a *Aggregator) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
 	version := int(r.Byte())
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("hhtask: bad state: %w", err)
 	}
 	if version != stateVersionSums {
-		return fmt.Errorf("hhtask: binary state version %d not supported (have %d)", version, stateVersionSums)
+		return fmt.Errorf("hhtask: state version %d not supported (have %d)", version, stateVersionSums)
 	}
 	var st state
 	st.V = version

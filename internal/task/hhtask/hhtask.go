@@ -536,14 +536,13 @@ func (a *Aggregator) Snapshot() task.Aggregator {
 // stateVersionSums identifies the accumulator state layout: support
 // sums plus a round report counter instead of the report list earlier
 // releases carried. The field is absent (0) in legacy report-list
-// states, which UnmarshalState still restores — bit-identically, by
-// folding the listed reports into a fresh accumulator at load.
+// states, which UnmarshalLegacyState still restores — bit-identically,
+// by folding the listed reports into a fresh accumulator at load.
 const stateVersionSums = 2
 
-// state is the JSON aggregate-state format. Counts are float64,
-// support sums int64 and seeds uint64, all of which Go's JSON encoding
-// round-trips exactly, so Marshal → Unmarshal reproduces the frontier
-// bit for bit.
+// state is the decoded aggregate state: the fields of the binary layout
+// (binary.go), tagged for the legacy JSON format that also carried the
+// version-0 report list.
 type state struct {
 	V         int      `json:"v,omitempty"` // 0 = legacy report list, 2 = accumulator
 	Mechanism string   `json:"mechanism"`
@@ -567,35 +566,11 @@ type state struct {
 	Hits    []Prefix                `json:"hits,omitempty"`
 }
 
-// MarshalState serializes the full protocol state: parameters, round
-// position, surviving prefixes, the current round's accumulator and
-// (when done) the final hits.
-func (a *Aggregator) MarshalState() ([]byte, error) {
-	return json.Marshal(state{
-		V:            stateVersionSums,
-		Mechanism:    MechanismPEM,
-		Epsilon:      a.params.Epsilon,
-		Bits:         a.params.Bits,
-		Levels:       a.params.Levels,
-		K:            a.params.K,
-		Budget:       a.params.CandidateBudget,
-		Round:        a.round,
-		Done:         a.done,
-		PrevUsers:    a.prevUsers,
-		Survivors:    a.survivors,
-		RoundReports: a.roundReports,
-		Sums:         a.sums,
-		Hits:         a.hits,
-	})
-}
-
-// UnmarshalState restores a state blob produced by MarshalState — the
-// current accumulator layout or the legacy report-list layout, which
-// restores bit-identically by folding the listed reports into the
-// accumulator at load. The blob's parameters must match the
-// receiver's; anything else is an error leaving the receiver
-// unchanged.
-func (a *Aggregator) UnmarshalState(data []byte) error {
+// UnmarshalLegacyState implements task.LegacyStater: it restores a
+// JSON state in the accumulator layout or the older report-list
+// layout, which restores bit-identically by folding the listed reports
+// into the accumulator at load. Errors leave the receiver unchanged.
+func (a *Aggregator) UnmarshalLegacyState(data []byte) error {
 	var st state
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("hhtask: bad state: %w", err)
@@ -603,9 +578,8 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 	return a.applyState(st)
 }
 
-// applyState validates a decoded state (from either codec — the JSON
-// and binary decoders feed this one path, so both restore with
-// identical semantics) and installs it.
+// applyState validates a decoded state (shared by the binary and the
+// legacy JSON decoder) and installs it.
 func (a *Aggregator) applyState(st state) error {
 	if st.V != 0 && st.V != stateVersionSums {
 		return fmt.Errorf("hhtask: state version %d not supported (have legacy and %d)", st.V, stateVersionSums)

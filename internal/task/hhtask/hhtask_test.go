@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/url"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/heavyhitters"
@@ -14,6 +16,16 @@ import (
 
 func cfg() task.Config {
 	return task.Config{Task: task.TypeHH, Mechanism: MechanismPEM, Epsilon: 2, Bits: 8, Levels: 4, K: 3}
+}
+
+// fixture reads one committed state fixture from testdata.
+func fixture(t testing.TB, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // driveRound reports n values into a for the aggregator's current
@@ -276,9 +288,12 @@ func TestStateRoundTripsMidRound(t *testing.T) {
 	}
 
 	// Corrupt phase invariants are refused: done must track the final
-	// round exactly, and a completed state carries no reports.
+	// round exactly, and a completed state carries no reports. The
+	// forgeries are edits of the frozen JSON fixture (also round 1,
+	// mid-flight), fed through the legacy decoder — the validation
+	// they exercise is the one both decoders share.
 	var st map[string]any
-	if err := json.Unmarshal(blob, &st); err != nil {
+	if err := json.Unmarshal(fixture(t, "state_v2.json"), &st); err != nil {
 		t.Fatal(err)
 	}
 	for _, corrupt := range []func(map[string]any){
@@ -296,7 +311,7 @@ func TestStateRoundTripsMidRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh, _ := task.New(cfg())
-		if err := fresh.UnmarshalState(forged); err == nil {
+		if err := fresh.(task.LegacyStater).UnmarshalLegacyState(forged); err == nil {
 			t.Fatalf("corrupt state %s restored without error", forged[:80])
 		}
 	}

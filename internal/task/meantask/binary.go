@@ -1,10 +1,8 @@
-// Binary wire and state codecs for the mean task. A mean report is
-// tiny — a mechanism tag, a coordinate, and one float64 — so the
+// Binary wire codec for the mean task. A mean report is tiny — a mechanism tag, a coordinate, and one float64 — so the
 // binary envelope is a fixed handful of bytes: a leading
 // format-version byte, the mechanism name, the varint coordinate, and
 // the raw 8-byte value. Decoding feeds the same prepareEnvelope
-// validation as the JSON path; the state codec delegates to the
-// estimator's binary layout in internal/mean.
+// validation as the JSON path.
 package meantask
 
 import (
@@ -16,23 +14,6 @@ import (
 // binaryEnvelopeVersion tags the binary report envelope layout. It is
 // the first payload byte and is checked before anything else is read.
 const binaryEnvelopeVersion = 0
-
-// MarshalStateBinary implements task.BinaryStater by delegating to the
-// estimator's binary codec.
-func (a *Aggregator) MarshalStateBinary() ([]byte, error) {
-	if a.duchi != nil {
-		return a.duchi.MarshalStateBinary()
-	}
-	return a.harmony.MarshalStateBinary()
-}
-
-// UnmarshalStateBinary implements task.BinaryStater.
-func (a *Aggregator) UnmarshalStateBinary(data []byte) error {
-	if a.duchi != nil {
-		return a.duchi.UnmarshalStateBinary(data)
-	}
-	return a.harmony.UnmarshalStateBinary(data)
-}
 
 // PrepareBinary implements task.BinaryReporter: it decodes one binary
 // report envelope and applies exactly the validation the JSON Prepare

@@ -6,8 +6,9 @@
 // one task: it absorbs privatized report envelopes (raw JSON whose
 // schema the task defines), merges exactly with its peers (every
 // accumulator in the repository is linear, which is what makes sharded
-// aggregation and checkpointing sound), serializes its state for
-// restarts, and answers task-defined estimate queries.
+// aggregation and checkpointing sound), serializes its state in one
+// versioned binary layout for restarts and relay deltas, and answers
+// task-defined estimate queries.
 //
 // New task families register a Factory under their type name; the
 // sharding, persistence and HTTP layers in internal/core are written
@@ -66,14 +67,18 @@ type Aggregator interface {
 	// collecting.
 	Snapshot() Aggregator
 	// MarshalState serializes the aggregate state (tallies plus the
-	// parameters that debias them) as JSON. Accumulators are count or
-	// float64 sum vectors and Go's float64 JSON encoding round-trips
-	// exactly, so Marshal → Unmarshal reproduces estimates bit for bit.
+	// parameters that debias them) in the task's binary layout — the
+	// one state format checkpoints, journal merge frames and relay
+	// deltas carry. The first byte is a format version tag. Integer
+	// tallies and raw float64 words round-trip exactly, so Marshal →
+	// Unmarshal reproduces estimates and frontiers bit for bit.
 	MarshalState() ([]byte, error)
 	// UnmarshalState replaces the aggregate state with a previously
-	// marshalled one. The state must come from the same task and
-	// parameters; anything else is an error leaving the receiver
-	// unchanged.
+	// marshalled one. The version tag is checked before anything else
+	// is read and unknown versions are refused; malformed input
+	// (truncated, bit-flipped, length-lying) must return an error,
+	// never panic or over-allocate. The state must come from the same
+	// task and parameters; any error leaves the receiver unchanged.
 	UnmarshalState(data []byte) error
 	// Estimate answers one analyst query with a task-defined JSON
 	// response (frequency counts, mean ± CI, per-item sketch counts).
@@ -136,32 +141,14 @@ type Preparer interface {
 	Fold(prepared any) error
 }
 
-// ErrBinaryUnsupported marks an aggregator (or the mechanism inside
-// it) that has no binary codec for the requested operation. Callers
-// that detect BinaryStater or BinaryReporter structurally must still
-// handle this error by falling back to JSON: an adapter family may
-// implement the interface while a particular wrapped mechanism does
-// not.
-var ErrBinaryUnsupported = errors.New("task: binary encoding not supported")
-
-// BinaryStater is an optional Aggregator capability: a compact binary
-// codec for the aggregate state, alongside the JSON MarshalState /
-// UnmarshalState pair every Aggregator carries. The two codecs must be
-// interchangeable — UnmarshalStateBinary(MarshalStateBinary()) and
-// UnmarshalState(MarshalState()) restore bit-identical estimates and
-// frontiers — so a checkpoint may be written in either encoding and
-// restored by either path.
-//
-// Layouts are versioned like the JSON states: the first payload byte
-// is a format version tag, checked before anything else is read, and
-// unknown versions are refused loudly. Malformed input (truncated,
-// bit-flipped, length-lying) must return an error, never panic or
-// over-allocate. MarshalStateBinary returns ErrBinaryUnsupported when
-// the concrete mechanism has no binary layout; the caller falls back
-// to the JSON codec.
-type BinaryStater interface {
-	MarshalStateBinary() ([]byte, error)
-	UnmarshalStateBinary(data []byte) error
+// LegacyStater is an optional Aggregator capability: restoring the
+// JSON state format builds before the single binary codec wrote.
+// Read-only — nothing encodes it any more — and asserted for in one
+// place, internal/core/legacy.go, which upgrades old checkpoints and
+// journal merge frames on load. It restores to exactly the aggregate
+// UnmarshalState would from the binary form of the same state.
+type LegacyStater interface {
+	UnmarshalLegacyState(data []byte) error
 }
 
 // BinaryReporter is an optional Aggregator capability extending
