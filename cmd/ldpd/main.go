@@ -24,8 +24,10 @@
 // client refetches the frontier.
 //
 // With -state-dir set, every collection is checkpointed to a
-// checksummed JSON snapshot in that directory (atomically,
-// write-temp-then-rename) every -checkpoint-interval, restored on
+// checksummed binary container (LDPSNAP5: a JSON header plus the
+// task's binary state, in <name>.json for historical reasons) in that
+// directory, atomically (write-temp-then-rename), every
+// -checkpoint-interval, restored on
 // startup, and flushed one final time on SIGINT/SIGTERM before the
 // graceful shutdown completes. Between checkpoints, every acknowledged
 // report batch is appended to a per-collection write-ahead journal and

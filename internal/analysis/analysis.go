@@ -3,9 +3,8 @@
 // on but which otherwise live only in comments and after-the-fact
 // tests. Three invariant families are covered:
 //
-//   - Concurrency: the walMu → advanceMu → cacheMu/estMu → phaseMu →
-//     shard-mutex lock order that keeps checkpoints from seeing torn
-//     rounds, and "no JSON codec or file I/O inside a shard-lock
+//   - Concurrency: the walMu → readMu → phaseMu → shard-mutex lock
+//     order that keeps checkpoints from seeing torn rounds, and "no JSON codec or file I/O inside a shard-lock
 //     critical section" (the reason task.Preparer exists). See
 //     lockorder.go.
 //   - Determinism: Merge/Snapshot/MarshalState/Advance/Frontier call

@@ -11,11 +11,13 @@ import (
 // core.Collection, core.ShardedAggregator, core.journal and
 // cluster.Relay:
 //
-//	flushMu < walMu < advanceMu < cacheMu/estMu < phaseMu < shard mutex < dedupMu < outMu < relayMu
+//	flushMu < walMu < readMu < phaseMu < shard mutex < outMu < relayMu
 //
 // Ingestion holds walMu shared around append+fold so a checkpoint
 // (walMu exclusive) sees journal-generation boundaries exactly;
-// phaseMu excludes shard-walks from a round advance's all-shard
+// readMu guards the merged-snapshot and estimate caches and is held
+// across the shard walk that refills them; phaseMu serializes round
+// advances and excludes shard-walks from an advance's all-shard
 // rewrite; the shard mutexes are innermost so striped ingestion never
 // waits on coordination locks. Acquiring these locks in any other
 // order is a deadlock or a torn-round read waiting for the right
@@ -34,44 +36,45 @@ import (
 // locks, and a codec call under a shard lock re-serializes the whole
 // ingest path on one stripe.
 //
-// A lock is ranked by its field name (walMu, advanceMu, cacheMu,
-// estMu, phaseMu, dedupMu); a field named "mu" ranks as a shard mutex
-// when its struct also carries a task.Aggregator — the signature of a
-// lock striping aggregate state. Unranked mutexes (registry, store,
-// journal internals) are outside the hierarchy and ignored. The check
+// A lock is ranked by its field name (the six in lockRanks); a field
+// named "mu" ranks as a shard mutex when its struct also carries a
+// task.Aggregator — the signature of a lock striping aggregate state.
+// Unranked mutexes (registry, store, journal and dedup-memory
+// internals: self-contained leaves that call nothing while held) are
+// outside the hierarchy and ignored. The check
 // is flow-insensitive across branches that return early and treats
 // interface calls as opaque, so it under-approximates; what it does
 // report is structural.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "check the walMu/phaseMu/shard-mutex acquisition order and forbid JSON codecs and file I/O inside shard-lock critical sections",
+	Doc:  "check the walMu/readMu/phaseMu/shard-mutex acquisition order and forbid JSON codecs and file I/O inside shard-lock critical sections",
 	Run:  runLockOrder,
 }
 
 // Lock ranks, outermost first. Gaps leave room for future layers.
 const (
-	rankFlush   = 5 // relay flush cycle: outermost, held across cut+send
-	rankWal     = 10
-	rankAdvance = 20
-	rankCache   = 30
-	rankPhase   = 40
-	rankShard   = 50
-	rankDedup   = 60
-	rankOutbox  = 65 // outbox spool: leaf, file ops only
-	rankRelay   = 70 // relay standing counters: strict leaf
+	rankFlush  = 5 // relay flush cycle: outermost, held across cut+send
+	rankWal    = 10
+	rankRead   = 30
+	rankPhase  = 40
+	rankShard  = 50
+	rankOutbox = 65 // outbox spool: leaf, file ops only
+	rankRelay  = 70 // relay standing counters: strict leaf
 )
 
+// lockRanks ranks the named locks; with the structurally recognised
+// shard mutex they are the hierarchy's seven.
 var lockRanks = map[string]int{
-	"flushMu":   rankFlush,
-	"walMu":     rankWal,
-	"advanceMu": rankAdvance,
-	"cacheMu":   rankCache,
-	"estMu":     rankCache,
-	"phaseMu":   rankPhase,
-	"dedupMu":   rankDedup,
-	"outMu":     rankOutbox,
-	"relayMu":   rankRelay,
+	"flushMu": rankFlush,
+	"walMu":   rankWal,
+	"readMu":  rankRead,
+	"phaseMu": rankPhase,
+	"outMu":   rankOutbox,
+	"relayMu": rankRelay,
 }
+
+// lockOrderText spells the hierarchy out in diagnostics.
+const lockOrderText = "flushMu < walMu < readMu < phaseMu < shard mu < outMu < relayMu"
 
 // heldLock is one ranked lock currently held on the walked path.
 type heldLock struct {
@@ -466,8 +469,8 @@ func (w *lockWalker) checkCall(held []heldLock, call *ast.CallExpr) []heldLock {
 		for _, h := range held {
 			if h.rank >= rank {
 				w.pass.Reportf(call.Pos(),
-					"%s acquired while %s is held; the lock order is flushMu < walMu < advanceMu < cacheMu/estMu < phaseMu < shard mu < dedupMu < outMu < relayMu",
-					name, h.name)
+					"%s acquired while %s is held; the lock order is %s",
+					name, h.name, lockOrderText)
 				break
 			}
 		}
@@ -483,8 +486,8 @@ func (w *lockWalker) checkCall(held []heldLock, call *ast.CallExpr) []heldLock {
 				for _, h := range held {
 					if h.rank >= rank {
 						w.pass.Reportf(call.Pos(),
-							"call to %s acquires %s while %s is held; the lock order is flushMu < walMu < advanceMu < cacheMu/estMu < phaseMu < shard mu < dedupMu < outMu < relayMu",
-							callee.Name(), name, h.name)
+							"call to %s acquires %s while %s is held; the lock order is %s",
+							callee.Name(), name, h.name, lockOrderText)
 					}
 				}
 			}

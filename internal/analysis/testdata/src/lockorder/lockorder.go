@@ -13,6 +13,7 @@ import (
 
 type coord struct {
 	walMu   sync.RWMutex
+	readMu  sync.Mutex
 	phaseMu sync.Mutex
 	shards  []*shard
 }
@@ -38,6 +39,29 @@ func (c *coord) goodOrder() {
 	c.phaseMu.Lock()
 	c.phaseMu.Unlock()
 	c.walMu.Unlock()
+}
+
+// goodCachedMerge is the read path's shape: the cache lock is held
+// across the shard walk that refills the cache.
+func (c *coord) goodCachedMerge() {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	c.phaseMu.Lock()
+	defer c.phaseMu.Unlock()
+	for _, s := range c.shards {
+		s.mu.Lock()
+		s.mu.Unlock()
+	}
+}
+
+// badCacheUnderShard reaches for the read cache from inside a shard
+// critical section.
+func (c *coord) badCacheUnderShard() {
+	s := c.shards[0]
+	s.mu.Lock()
+	c.readMu.Lock() // want `readMu acquired while shard mu is held; the lock order is flushMu < walMu < readMu < phaseMu < shard mu < outMu < relayMu`
+	c.readMu.Unlock()
+	s.mu.Unlock()
 }
 
 // decodeUnderLock performs codec work inside a shard critical

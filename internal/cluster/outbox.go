@@ -22,8 +22,8 @@ import (
 // own header (collection, idempotency key, round) travels inside the
 // self-checking binary container, keeping filenames trivial.
 //
-// Writes are crash-atomic (temp file, fsync, rename, directory fsync
-// — the checkpoint store's recipe), and a boot-time scan resumes
+// Writes are crash-atomic (fsio.WriteFileAtomic, the checkpoint
+// store's recipe), and a boot-time scan resumes
 // whatever a crash left behind: *.delta files re-enter the queue,
 // temp strays are deleted, .stranded files are only counted.
 type Outbox struct {
@@ -147,31 +147,8 @@ func (o *Outbox) Put(d core.Delta) error {
 	seq := o.seq
 	o.seq++
 	path := filepath.Join(o.dir, fmt.Sprintf("%016x%s", seq, deltaSuffix))
-	f, err := o.fs.CreateTemp(o.dir, ".tmp-delta-*")
-	if err != nil {
+	if err := fsio.WriteFileAtomic(o.fs, path, ".tmp-delta-*", blob); err != nil {
 		return fmt.Errorf("cluster: outbox write: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(blob); err != nil {
-		_ = f.Close()        //ldplint:ok fsiocheck the write error is the one reported; close is cleanup
-		_ = o.fs.Remove(tmp) //ldplint:ok fsiocheck failed temp write already reported; removal is cleanup
-		return fmt.Errorf("cluster: outbox write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()        //ldplint:ok fsiocheck the sync error is the one reported; close is cleanup
-		_ = o.fs.Remove(tmp) //ldplint:ok fsiocheck failed temp sync already reported; removal is cleanup
-		return fmt.Errorf("cluster: outbox sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = o.fs.Remove(tmp) //ldplint:ok fsiocheck failed temp close already reported; removal is cleanup
-		return fmt.Errorf("cluster: outbox close: %w", err)
-	}
-	if err := o.fs.Rename(tmp, path); err != nil {
-		_ = o.fs.Remove(tmp) //ldplint:ok fsiocheck failed rename already reported; removal is cleanup
-		return fmt.Errorf("cluster: outbox rename: %w", err)
-	}
-	if err := o.fs.SyncDir(o.dir); err != nil {
-		return fmt.Errorf("cluster: outbox dir sync: %w", err)
 	}
 	o.queue = append(o.queue, Entry{Seq: seq, Path: path, Collection: d.Collection, ID: d.ID})
 	o.pending[d.Collection]++

@@ -170,32 +170,6 @@ func (u *Upstream) Collections(ctx context.Context) ([]core.StatusResponse, erro
 	return out, nil
 }
 
-// CreateCollection creates a collection upstream (the relay's
-// POST /collections forwards here before mirroring locally). An
-// already-existing collection is not an error — creation is
-// idempotent across the tier.
-func (u *Upstream) CreateCollection(ctx context.Context, name string, cfg core.CollectionConfig) error {
-	body, err := json.Marshal(struct {
-		Name string `json:"name"`
-		core.CollectionConfig
-	}{Name: name, CollectionConfig: cfg})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.base+"/collections", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	err = u.do(req, nil)
-	if errors.Is(err, ErrUpstreamStale) {
-		// POST /collections answers 409 for "name already exists" —
-		// exactly the idempotent outcome we want.
-		return nil
-	}
-	return err
-}
-
 // Proxy forwards one request (method, path+query, body) upstream and
 // returns the raw status and body — the passthrough the relay's read
 // routes (/estimate, /frontier) use so analysts can query any node.
@@ -221,11 +195,4 @@ func (u *Upstream) Proxy(ctx context.Context, method, pathAndQuery string, conte
 		return 0, nil, err
 	}
 	return resp.StatusCode, out, nil
-}
-
-// IsTransient reports whether an upstream error is worth retrying with
-// the same payload: network failures and 5xx-class answers are; stale
-// rounds and permanent rejections are not.
-func IsTransient(err error) bool {
-	return err != nil && !errors.Is(err, ErrUpstreamStale) && !errors.Is(err, ErrUpstreamRejected)
 }

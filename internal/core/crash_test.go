@@ -16,6 +16,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -25,6 +26,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/fsio"
 	"repro/internal/ldprand"
 )
@@ -601,4 +603,100 @@ func TestHealthzDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHealthz(t, ts.URL, http.StatusOK, "ok")
+}
+
+// TestOversizeFrameAckSurvivesRestart: no request body the HTTP caps
+// admit may be journaled as a frame replay refuses. Both bodies below
+// sit inside the 8 MiB batch cap yet inflate inside the frame JSON — a
+// binary batch of kilobyte payloads by base64, a JSON envelope full of
+// '<' by < escaping, six bytes for one. Every envelope in them is
+// rejected, but the batch is journaled before it is folded; a frame
+// over maxFrameBytes used to be written, acknowledged, and then refused
+// at replay as an insane length — truncating away the acknowledged
+// batch journaled behind it. The last part pins the other half of the
+// fix: a record over the (now sufficient) limit is refused at append
+// with nothing written and the journal still healthy.
+func TestOversizeFrameAckSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewCollectionRegistry()
+	ts := httptest.NewServer(NewMultiService(reg, store).Handler())
+	defer ts.Close()
+	if resp := postJSON(t, ts.URL+"/collections", []byte(`{"name":"big","mechanism":"GRR","epsilon":2,"domain":8}`)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	url := ts.URL + "/collections/big/report/batch"
+
+	w := binenc.NewWriter()
+	w.Uvarint(7500)
+	for i := 0; i < 7500; i++ {
+		w.Blob(make([]byte, 1024))
+	}
+	binBody := append([]byte(nil), w.Bytes()...)
+	w.Release()
+	resp, err := http.Post(url, ContentTypeBinary, bytes.NewReader(binBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(binBody) > maxBatchBytes || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-byte binary batch of junk payloads: %d, want 400 (journaled, every envelope rejected)", len(binBody), resp.StatusCode)
+	}
+	// A quarter of the cap in '<' already outgrows the old limit; the
+	// full cap is six times itself, which the limit is sized for.
+	jsonBody := []byte(`[{"mechanism":"` + strings.Repeat("<", maxBatchBytes/4) + `"}]`)
+	if resp, _ := postBatch(t, url, "", jsonBody); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-byte JSON batch of escapable bytes: %d, want 400", len(jsonBody), resp.StatusCode)
+	}
+	if 6*maxBatchBytes >= maxFrameBytes {
+		t.Fatalf("maxFrameBytes %d does not cover a %d-byte body escaped sixfold", maxFrameBytes, maxBatchBytes)
+	}
+	batch := crashBatches(t)[0]
+	if resp, br := postBatch(t, url, "after-big", mustRaw(t, batch)); resp.StatusCode != http.StatusAccepted || br.Accepted != len(batch) {
+		t.Fatalf("batch behind the big frames: %d %+v", resp.StatusCode, br)
+	}
+
+	// A record no HTTP body can produce: refused, not written, not latched.
+	c, _ := reg.Get("big")
+	frames, _, _ := c.JournalHealth()
+	_, err = c.IngestBatchBinary("too-big", [][]byte{make([]byte, maxFrameBytes*3/4+1)})
+	if !errors.Is(err, errFrameTooLarge) || errors.Is(err, ErrJournal) {
+		t.Fatalf("over-limit record: %v, want errFrameTooLarge", err)
+	}
+	if after, _, broken := c.JournalHealth(); after != frames || broken {
+		t.Fatalf("refused record left %d frames (was %d), broken=%v", after, frames, broken)
+	}
+	if res, err := c.IngestBatchBinary("too-big", nil); err != nil || res.Replayed {
+		t.Fatalf("the refused record's key was not released: %+v, %v", res, err)
+	}
+	rec := httptest.NewRecorder()
+	ingestError(rec, err)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit record maps to %d, want 413", rec.Code)
+	}
+
+	// Kill without a checkpoint; the journal alone must carry the ack.
+	ts.Close()
+	c.CloseJournal()
+	store2, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg2 := NewCollectionRegistry()
+	if _, err := store2.Load(reg2); err != nil {
+		t.Fatal(err)
+	}
+	c2, ok := reg2.Get("big")
+	if !ok {
+		t.Fatal("collection lost")
+	}
+	if got := c2.Aggregator().Collected(); got != len(batch) {
+		t.Fatalf("restart restored %d reports, want the %d acknowledged behind the big frames", got, len(batch))
+	}
+	if res, err := c2.IngestBatch("after-big", batch); err != nil || !res.Replayed {
+		t.Fatalf("retry of the acknowledged batch after restart: %+v, %v; want replayed", res, err)
+	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // maxDedupEntries bounds the per-collection batch-ID memory. Dedup
 // exists to absorb client retries, which happen within seconds of the
@@ -32,11 +35,13 @@ const (
 // claim inserts an in-flight placeholder, so two concurrent requests
 // with one ID can never both aggregate it: the loser is told to retry
 // (by which time the winner has completed or abandoned). Entries are
-// evicted oldest-first past the cap. Methods are not safe for
-// concurrent use; the owning Collection locks around them.
+// evicted oldest-first past the cap. It locks itself — mu is a leaf:
+// nothing is called, let alone locked, while it is held — so it is
+// safe to use under any of the collection's ranked locks.
 type dedupLRU struct {
-	m map[string]*list.Element
-	l *list.List // front = most recent
+	mu sync.Mutex
+	m  map[string]*list.Element
+	l  *list.List // front = most recent
 }
 
 type dedupEntry struct {
@@ -51,6 +56,8 @@ func newDedupLRU() *dedupLRU {
 // claim looks the ID up, inserting an in-flight placeholder when it is
 // new. dedupDone comes with the recorded mark.
 func (d *dedupLRU) claim(id string) (BatchMark, dedupState) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if e, ok := d.m[id]; ok {
 		d.l.MoveToFront(e)
 		ent := e.Value.(*dedupEntry)
@@ -66,6 +73,8 @@ func (d *dedupLRU) claim(id string) (BatchMark, dedupState) {
 // complete records the outcome of a claimed ID (or re-records a
 // replayed one).
 func (d *dedupLRU) complete(m BatchMark) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if e, ok := d.m[m.ID]; ok {
 		d.l.MoveToFront(e)
 		*e.Value.(*dedupEntry) = dedupEntry{mark: m, done: true}
@@ -77,12 +86,15 @@ func (d *dedupLRU) complete(m BatchMark) {
 // abandon forgets a claimed ID whose processing failed before anything
 // was aggregated, so the client's retry is treated as new.
 func (d *dedupLRU) abandon(id string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if e, ok := d.m[id]; ok {
 		d.l.Remove(e)
 		delete(d.m, id)
 	}
 }
 
+// insert adds an entry and evicts past the cap; the caller holds mu.
 func (d *dedupLRU) insert(ent *dedupEntry) {
 	d.m[ent.mark.ID] = d.l.PushFront(ent)
 	for d.l.Len() > maxDedupEntries {
@@ -95,6 +107,8 @@ func (d *dedupLRU) insert(ent *dedupEntry) {
 // marks returns the completed entries oldest-first, the order seed
 // re-inserts them in so recency survives a snapshot round trip.
 func (d *dedupLRU) marks() []BatchMark {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	out := make([]BatchMark, 0, d.l.Len())
 	for e := d.l.Back(); e != nil; e = e.Prev() {
 		if ent := e.Value.(*dedupEntry); ent.done {

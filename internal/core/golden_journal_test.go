@@ -1,0 +1,320 @@
+package core
+
+// Golden journal: a state directory written by the parent build
+// (commit 42ca3c4, the last one with a separate ingest function per
+// route and encoding) whose two journal segments hold one frame of
+// every kind and encoding — batch JSON, batch binary, single JSON,
+// single binary, merge, flush on a freq collection; batch, single,
+// advance, merge, flush and adopt on a phased hh collection. The
+// fixture pins three things at once: the live ingest path still
+// writes those bytes, replay still folds them to the state, dedup
+// marks and re-cut deltas the parent build reached, and frame() still
+// re-encodes every record to the bytes it was read from.
+//
+// LDP_UPDATE_GOLDEN=1 go test -run TestGoldenJournal ./internal/core/
+// rewrites the fixture from the running build; the committed one must
+// only ever be regenerated at a commit whose journal format is the
+// reference.
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/ldprand"
+	"repro/internal/task/freqtask"
+	"repro/internal/task/hhtask"
+)
+
+const goldenJournalDir = "testdata/golden_journal"
+
+// goldenFreqReports privatizes n values in both wire forms from one
+// seed (the two clients consume identical randomness).
+func goldenFreqReports(t *testing.T, seed uint64, n int) ([]json.RawMessage, [][]byte) {
+	t.Helper()
+	cfg := testCfg()
+	cj, err := NewClient(cfg.Mechanism, cfg.Params(), ldprand.NewSplitMix64(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := NewClient(cfg.Mechanism, cfg.Params(), ldprand.NewSplitMix64(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs, bins := make([]json.RawMessage, n), make([][]byte, n)
+	for i := range envs {
+		env, err := cj.Report(i % cfg.Domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs[i] = mustRaw(t, env)
+		if bins[i], err = cb.ReportBinary(i % cfg.Domain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return envs, bins
+}
+
+func goldenHHReports(t *testing.T, seed uint64, round, n int) []json.RawMessage {
+	t.Helper()
+	client, err := hhtask.NewClient(2, 8, 4, ldprand.NewSplitMix64(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ldprand.NewSplitMix64(seed + 1)
+	envs := make([]json.RawMessage, n)
+	for i := range envs {
+		if envs[i], err = client.Report(plantedValue(src), round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return envs
+}
+
+// goldenScript drives the fixed traffic script against a fresh store
+// in dir. Only the empty creation checkpoints are written, so every
+// frame stays in the journal.
+func goldenScript(t *testing.T, dir string) {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := NewStore(dir)
+	must(err)
+	reg := NewCollectionRegistry()
+	create := func(name string, cfg CollectionConfig) *Collection {
+		c, err := reg.Create(name, cfg)
+		must(err)
+		must(store.Attach(c))
+		must(store.Save(reg, c))
+		return c
+	}
+	peers := NewCollectionRegistry() // memory-only relay stand-ins the merge deltas are cut from
+
+	// Frequency collection: every report encoding, a merge and a flush.
+	fc := create("gfreq", testCfg())
+	envs, bins := goldenFreqReports(t, 101, 12)
+	bad := mustRaw(t, freqtask.Envelope{Mechanism: "<GRR&>", Value: 1}) // rejected, and HTML-escaped in the frame
+	res, err := fc.IngestBatch("g-json", append(append([]json.RawMessage(nil), envs[:4]...), bad))
+	must(err)
+	if res.Accepted != 4 || res.Rejected != 1 {
+		t.Fatalf("g-json: %+v", res)
+	}
+	_, err = fc.IngestBatchBinary("g-bin", bins[4:8])
+	must(err)
+	must(fc.IngestReport(envs[8]))
+	must(fc.IngestReportBinary(bins[9]))
+	fp, err := peers.Create("gfreq", testCfg())
+	must(err)
+	peerEnvs, _ := goldenFreqReports(t, 103, 5)
+	_, err = fp.IngestBatch("", peerEnvs)
+	must(err)
+	fd, err := fp.CutDelta("g-merge")
+	must(err)
+	_, err = fc.IngestMerge(*fd)
+	must(err)
+	_, err = fc.CutDelta("g-flush")
+	must(err)
+	_, err = fc.IngestBatch("g-json-2", envs[10:12])
+	must(err)
+
+	// Phased collection: rounds, a same-round merge, a cut-and-adopt.
+	hc := create("ghh", hhCfg(2, 0))
+	hp, err := peers.Create("ghh", hhCfg(2, 0))
+	must(err)
+	r0 := goldenHHReports(t, 201, 0, 11)
+	stale := goldenHHReports(t, 203, 3, 1)[0]
+	res, err = hc.IngestBatch("h-r0", append(append([]json.RawMessage(nil), r0[:10]...), stale))
+	must(err)
+	if res.Accepted != 10 || res.Rejected != 1 {
+		t.Fatalf("h-r0: %+v", res)
+	}
+	must(hc.IngestReport(r0[10]))
+	_, err = hp.IngestBatch("", r0) // same round-0 reports, so both sides keep the same survivors
+	must(err)
+	must(hc.AdvanceExpecting(0))
+	must(hp.AdvanceExpecting(0))
+	_, err = hc.IngestBatch("h-r1", goldenHHReports(t, 205, 1, 6))
+	must(err)
+	_, err = hp.IngestBatch("", goldenHHReports(t, 207, 1, 5))
+	must(err)
+	hd, err := hp.CutDelta("h-merge")
+	must(err)
+	_, err = hc.IngestMerge(*hd)
+	must(err)
+	frontier, err := hc.Aggregator().Frontier()
+	must(err)
+	_, err = hc.CutAndAdopt("h-flush", frontier)
+	must(err)
+	_, err = hc.IngestBatch("h-r1b", goldenHHReports(t, 209, 1, 4))
+	must(err)
+
+	for _, c := range reg.Collections() {
+		c.CloseJournal()
+	}
+}
+
+// goldenReplay restarts over dir and returns what the replay produced,
+// keyed by fixture file name: each collection's merged state and dedup
+// marks, and every delta a flush frame re-cut into the sink.
+func goldenReplay(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetFlushSink(func(collection string, d Delta) error {
+		blob, err := EncodeDeltaBinary(d)
+		out["replayed."+collection+"."+d.ID+".delta"] = blob
+		return err
+	})
+	reg := NewCollectionRegistry()
+	if _, err := store.Load(reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range reg.Collections() {
+		state, err := c.Aggregator().MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["replayed."+c.Name()+".state"] = state
+		out["replayed."+c.Name()+".marks"] = mustRaw(t, c.dedup.marks())
+		c.CloseJournal()
+	}
+	return out
+}
+
+// stateDirFiles reads the snapshots and journal segments of a state
+// directory.
+func stateDirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "replayed.") {
+			continue
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = blob
+	}
+	return files
+}
+
+func sortedKeys(m map[string][]byte) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func TestGoldenJournal(t *testing.T) {
+	live := t.TempDir()
+	goldenScript(t, live)
+	liveFiles := stateDirFiles(t, live)
+
+	if os.Getenv("LDP_UPDATE_GOLDEN") != "" {
+		if err := os.RemoveAll(goldenJournalDir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(goldenJournalDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range []map[string][]byte{liveFiles, goldenReplay(t, live)} {
+			for name, blob := range set {
+				if err := os.WriteFile(filepath.Join(goldenJournalDir, name), blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		t.Logf("rewrote %s", goldenJournalDir)
+		return
+	}
+
+	// The live path journals (and checkpoints) exactly the fixture's bytes.
+	golden := stateDirFiles(t, goldenJournalDir)
+	if got, want := sortedKeys(liveFiles), sortedKeys(golden); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("state dir holds %v, fixture %v", got, want)
+	}
+	kinds := make(map[string]bool)
+	for name, want := range golden {
+		if !bytes.Equal(liveFiles[name], want) {
+			t.Errorf("%s: live path wrote\n%q\nfixture\n%q", name, liveFiles[name], want)
+		}
+		if !strings.Contains(name, ".journal.") {
+			continue
+		}
+		// Every record re-encodes to the bytes it was read from.
+		recs, goodLen := parseFrames(want)
+		if goodLen != len(want) {
+			t.Fatalf("%s: fixture sound only up to byte %d of %d", name, goodLen, len(want))
+		}
+		var again []byte
+		for _, rec := range recs {
+			buf, err := frame(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again = append(again, buf...)
+			kind := rec.Kind
+			if rec.Kind == recordBatch {
+				kind += "/" + rec.Enc
+			}
+			kinds[kind] = true
+		}
+		if !bytes.Equal(again, want) {
+			t.Errorf("%s: records re-encode to\n%q\nfixture\n%q", name, again, want)
+		}
+	}
+	for _, kind := range []string{"batch/", "batch/" + EncBinary, recordAdvance, recordMerge, recordFlush, recordAdopt} {
+		if !kinds[kind] {
+			t.Errorf("fixture holds no %q frame", kind)
+		}
+	}
+
+	// Replaying the fixture reaches the parent build's state, dedup
+	// marks and re-cut deltas.
+	dir := t.TempDir()
+	for name, blob := range golden {
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayed := goldenReplay(t, dir)
+	wantReplayed := 0
+	entries, err := os.ReadDir(goldenJournalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "replayed.") {
+			continue
+		}
+		wantReplayed++
+		want, err := os.ReadFile(filepath.Join(goldenJournalDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := replayed[e.Name()]; !ok || !bytes.Equal(got, want) {
+			t.Errorf("%s: replay produced\n%q\nparent build\n%q", e.Name(), got, want)
+		}
+	}
+	if wantReplayed != len(replayed) || wantReplayed != 6 {
+		t.Errorf("replay produced %v, fixture holds %d replay outputs", sortedKeys(replayed), wantReplayed)
+	}
+}

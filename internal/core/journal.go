@@ -99,10 +99,23 @@ type journalRecord struct {
 	Frontier json.RawMessage   `json:"frontier,omitempty"` // adopt: the upstream frontier that was adopted
 }
 
-// maxFrameBytes bounds a replayed frame's claimed payload length: the
-// largest legitimate frame is one full /report/batch body plus record
-// framing, so anything claiming more is corruption, not data.
-const maxFrameBytes = maxBatchBytes + (1 << 20)
+// maxFrameBytes bounds a frame's payload length, at append and at
+// replay alike: the largest legitimate frame is the worst-case
+// encoding of one maxBatchBytes request body, so anything claiming
+// more is corruption, not data. The worst case is a JSON batch —
+// json.Marshal escapes each of < > & (one byte on the wire) to a
+// six-byte \u00XX inside the frame; binary payloads and merge states
+// are base64 (4/3, at most 3.5× for a batch of one-byte payloads once
+// quotes and commas are counted). The extra mebibyte covers the
+// record's own fields.
+const maxFrameBytes = 6*maxBatchBytes + (1 << 20)
+
+// errFrameTooLarge refuses a record whose frame replay would refuse.
+// Nothing was written and the journal stays healthy; HTTP maps it to
+// 413. No body within the request caps can reach it (see
+// maxFrameBytes) — it guards embedders that call the ingest functions
+// directly.
+var errFrameTooLarge = errors.New("core: record exceeds the journal's frame limit")
 
 // segStats tracks one segment's outstanding (not yet checkpointed)
 // frames, the "journal lag" /healthz reports.
@@ -200,7 +213,8 @@ func frame(rec journalRecord) ([]byte, error) {
 }
 
 // append writes one frame to the active segment, creating it if
-// needed, syncing per policy. Any failure marks the journal broken:
+// needed, syncing per policy. A record too large to replay is refused
+// before anything is written; any other failure marks the journal broken:
 // every later append fails too, so nothing further is acknowledged
 // until a successful checkpoint supersedes the journal and clears the
 // flag — the invariant "ack ⇒ durably journaled or checkpointed" holds
@@ -227,6 +241,11 @@ func (j *journal) appendWith(rec journalRecord, forceSync bool) error {
 	buf, err := frame(rec)
 	if err != nil {
 		return fmt.Errorf("%w: encoding frame: %v", ErrJournal, err)
+	}
+	if n := len(buf) - 8; n > maxFrameBytes {
+		// Acknowledging a frame replay would refuse loses it — and
+		// every acknowledged frame behind it — at the next restart.
+		return fmt.Errorf("%w (%d > %d bytes)", errFrameTooLarge, n, maxFrameBytes)
 	}
 	if j.f == nil {
 		f, err := j.fs.OpenFile(journalSegPath(j.dir, j.name, j.gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -393,90 +412,101 @@ type BatchResult struct {
 	RejectErr error
 }
 
-// IngestBatch runs the write-ahead ingest path for one report batch:
-// claim the idempotency key (dedup retries, fence concurrent
-// duplicates), append the batch to the journal, then fold it into the
-// aggregator — in that order, so an acknowledged batch is always
-// recoverable and an unacknowledged one is never double-counted when
-// the client retries it. id may be empty (no deduplication; the batch
-// is still journaled).
+// IngestBatch runs the write-ahead ingest path (see ingest) for one
+// batch of JSON report envelopes. id may be empty (no deduplication;
+// the batch is still journaled).
 func (c *Collection) IngestBatch(id string, batch []json.RawMessage) (BatchResult, error) {
-	return c.ingestBatch(id, journalRecord{Kind: recordBatch, ID: id, Envs: batch}, len(batch),
-		func() (int, error) { return c.agg.AddBatch(batch) })
+	return c.ingest(journalRecord{Kind: recordBatch, ID: id, Envs: batch})
 }
 
-// IngestBatchBinary is the write-ahead ingest path for a batch of
-// binary wire payloads: the journal frame carries the raw payload
-// bytes (Enc/Bins instead of Envs), and replay folds them through the
-// same binary decoder the live path used. The WAL ordering, dedup and
-// acknowledgment rules are exactly IngestBatch's.
+// IngestBatchBinary is IngestBatch for binary wire payloads: the
+// journal frame carries the raw payload bytes (Enc/Bins instead of
+// Envs).
 func (c *Collection) IngestBatchBinary(id string, batch [][]byte) (BatchResult, error) {
-	return c.ingestBatch(id, journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: batch}, len(batch),
-		func() (int, error) { return c.agg.AddBatchBinary(batch) })
+	return c.ingest(journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: batch})
 }
 
-// ingestBatch runs the claim → journal → fold sequence shared by the
-// JSON and binary batch paths.
-func (c *Collection) ingestBatch(id string, rec journalRecord, size int, fold func() (int, error)) (BatchResult, error) {
-	if id != "" {
-		c.dedupMu.Lock()
-		mark, state := c.dedup.claim(id)
-		c.dedupMu.Unlock()
-		switch state {
-		case dedupDone:
-			return BatchResult{Accepted: mark.Accepted, Rejected: mark.Rejected, Replayed: true}, nil
-		case dedupInflight:
-			return BatchResult{}, ErrBatchInFlight
-		}
+// IngestReport journals and folds one JSON report envelope: a batch of
+// one without an idempotency key, answered with the report's own error.
+func (c *Collection) IngestReport(raw json.RawMessage) error {
+	return soleReport(c.ingest(journalRecord{Kind: recordBatch, Envs: []json.RawMessage{raw}}))
+}
+
+// IngestReportBinary is IngestReport for one binary wire payload.
+func (c *Collection) IngestReportBinary(payload []byte) error {
+	return soleReport(c.ingest(journalRecord{Kind: recordBatch, Enc: EncBinary, Bins: [][]byte{payload}}))
+}
+
+// soleReport reduces the outcome of a one-report batch to the error
+// the single-report surface answers with.
+func soleReport(res BatchResult, err error) error {
+	if err != nil {
+		return err
+	}
+	return soleRejection(res.RejectErr)
+}
+
+// claim takes the idempotency key for one request (a no-op for the
+// empty key). replayed comes with the recorded outcome of the first
+// attempt; ErrBatchInFlight means that attempt is still running.
+func (c *Collection) claim(id string) (first BatchMark, replayed bool, err error) {
+	if id == "" {
+		return BatchMark{}, false, nil
+	}
+	switch mark, state := c.dedup.claim(id); state {
+	case dedupDone:
+		return mark, true, nil
+	case dedupInflight:
+		return BatchMark{}, false, ErrBatchInFlight
+	}
+	return BatchMark{}, false, nil
+}
+
+// ingest is the one write-ahead path every report takes, whatever its
+// route and encoding: claim the idempotency key (dedup retries, fence
+// concurrent duplicates), append the record to the journal, then fold
+// it into the aggregator and record the outcome under the key — in
+// that order, so an acknowledged batch is always recoverable and an
+// unacknowledged one is never double-counted when the client retries
+// it. The shared WAL lock spans append, fold and the dedup record, so
+// a checkpoint captures a batch's reports and its key together or not
+// at all.
+func (c *Collection) ingest(rec journalRecord) (BatchResult, error) {
+	mark, replayed, err := c.claim(rec.ID)
+	if replayed {
+		return BatchResult{Accepted: mark.Accepted, Rejected: mark.Rejected, Replayed: true}, nil
+	}
+	if err != nil {
+		return BatchResult{}, err
 	}
 	c.walMu.RLock()
+	defer c.walMu.RUnlock()
 	if c.journal != nil {
 		if err := c.journal.append(rec); err != nil {
-			c.walMu.RUnlock()
-			if id != "" {
-				c.dedupMu.Lock()
-				c.dedup.abandon(id)
-				c.dedupMu.Unlock()
-			}
+			c.dedup.abandon(rec.ID)
 			return BatchResult{}, err
 		}
 	}
-	accepted, rejectErr := fold()
-	c.walMu.RUnlock()
-	res := BatchResult{Accepted: accepted, Rejected: size - accepted, RejectErr: rejectErr}
-	if id != "" {
-		c.dedupMu.Lock()
-		c.dedup.complete(BatchMark{ID: id, Accepted: res.Accepted, Rejected: res.Rejected})
-		c.dedupMu.Unlock()
-	}
-	return res, nil
+	return c.foldBatch(rec), nil
 }
 
-// IngestReport journals and folds one report envelope (the WAL
-// ordering of IngestBatch, without deduplication — single reports
-// carry no idempotency key).
-func (c *Collection) IngestReport(raw json.RawMessage) error {
-	c.walMu.RLock()
-	defer c.walMu.RUnlock()
-	if c.journal != nil {
-		if err := c.journal.append(journalRecord{Kind: recordBatch, Envs: []json.RawMessage{raw}}); err != nil {
-			return err
-		}
+// foldBatch folds one batch record's reports through the decoder its
+// encoding names and records the outcome under its idempotency key:
+// what the live path does after its append and what replay does with
+// the frame it read.
+func (c *Collection) foldBatch(rec journalRecord) BatchResult {
+	var res BatchResult
+	if rec.Enc == EncBinary {
+		res.Accepted, res.RejectErr = c.agg.AddBatchBinary(rec.Bins)
+		res.Rejected = len(rec.Bins) - res.Accepted
+	} else {
+		res.Accepted, res.RejectErr = c.agg.AddBatch(rec.Envs)
+		res.Rejected = len(rec.Envs) - res.Accepted
 	}
-	return c.agg.Add(raw)
-}
-
-// IngestReportBinary journals and folds one binary wire payload, the
-// binary counterpart of IngestReport.
-func (c *Collection) IngestReportBinary(payload []byte) error {
-	c.walMu.RLock()
-	defer c.walMu.RUnlock()
-	if c.journal != nil {
-		if err := c.journal.append(journalRecord{Kind: recordBatch, Enc: EncBinary, Bins: [][]byte{payload}}); err != nil {
-			return err
-		}
+	if rec.ID != "" {
+		c.dedup.complete(BatchMark{ID: rec.ID, Accepted: res.Accepted, Rejected: res.Rejected})
 	}
-	return c.agg.AddBinary(payload)
+	return res
 }
 
 // AdvanceExpecting closes the collection's current round (see
@@ -552,74 +582,63 @@ type MergeResult struct {
 // written. d.ID may be empty (no deduplication; still journaled).
 //
 // Phased collections additionally require the delta's round position
-// to match the collection's: the check runs under the shared WAL lock,
-// where the round cannot move (advances hold it exclusively), so a
-// delta validated here cannot become wrong-round before its fold. A
-// mismatch wraps task.ErrWrongRound for the HTTP layer's 409 mapping.
+// to match the collection's (checkDelta): the check runs under the
+// shared WAL lock, where the round cannot move (advances hold it
+// exclusively), so a delta validated here cannot become wrong-round
+// before its fold. A mismatch wraps task.ErrWrongRound for the HTTP
+// layer's 409 mapping.
 func (c *Collection) IngestMerge(d Delta) (MergeResult, error) {
-	id := d.ID
-	if id != "" {
-		c.dedupMu.Lock()
-		mark, state := c.dedup.claim(id)
-		c.dedupMu.Unlock()
-		switch state {
-		case dedupDone:
-			return MergeResult{Accepted: mark.Accepted, Replayed: true}, nil
-		case dedupInflight:
-			return MergeResult{}, ErrBatchInFlight
-		}
+	mark, replayed, err := c.claim(d.ID)
+	if replayed {
+		return MergeResult{Accepted: mark.Accepted, Replayed: true}, nil
 	}
-	abandon := func() {
-		if id != "" {
-			c.dedupMu.Lock()
-			c.dedup.abandon(id)
-			c.dedupMu.Unlock()
-		}
-	}
-	c.walMu.RLock()
-	delta, err := c.agg.NewDelta(d.State)
 	if err != nil {
-		c.walMu.RUnlock()
-		abandon()
 		return MergeResult{}, err
 	}
-	if c.agg.Phased() {
-		p, ok := delta.(task.Phased)
-		if !ok {
-			c.walMu.RUnlock()
-			abandon()
-			return MergeResult{}, fmt.Errorf("core: delta for phased collection %q carries no phase", c.name)
-		}
-		if p.Round() != c.agg.Round() || p.Done() != c.agg.Done() {
-			round, done := c.agg.Round(), c.agg.Done()
-			c.walMu.RUnlock()
-			abandon()
-			return MergeResult{}, fmt.Errorf("core: delta at round %d (done=%v) cannot merge into collection %q at round %d (done=%v): %w",
-				p.Round(), p.Done(), c.name, round, done, task.ErrWrongRound)
-		}
-	}
-	if c.journal != nil {
-		rec := journalRecord{Kind: recordMerge, ID: id, Enc: EncBinary, State: d.State, Reports: delta.Collected()}
-		if err := c.journal.append(rec); err != nil {
-			c.walMu.RUnlock()
-			abandon()
-			return MergeResult{}, err
-		}
-	}
-	n, err := c.agg.FoldDelta(delta)
-	c.walMu.RUnlock()
+	n, err := c.mergeClaimed(d)
 	if err != nil {
-		// Journaled but not folded: replay will hit the same failure and
-		// truncate the frame as corruption. Do not acknowledge.
-		abandon()
+		// Not acknowledged, so the key is released. If the failure came
+		// after the append, replay will hit it too and truncate the
+		// frame as corruption.
+		c.dedup.abandon(d.ID)
 		return MergeResult{}, err
-	}
-	if id != "" {
-		c.dedupMu.Lock()
-		c.dedup.complete(BatchMark{ID: id, Accepted: n})
-		c.dedupMu.Unlock()
 	}
 	return MergeResult{Accepted: n}, nil
+}
+
+// mergeClaimed is IngestMerge's validate → journal → fold sequence
+// under the shared WAL lock.
+func (c *Collection) mergeClaimed(d Delta) (int, error) {
+	c.walMu.RLock()
+	defer c.walMu.RUnlock()
+	delta, err := c.agg.NewDelta(d.State)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.agg.checkDelta(delta); err != nil {
+		return 0, err
+	}
+	if c.journal != nil {
+		rec := journalRecord{Kind: recordMerge, ID: d.ID, Enc: EncBinary, State: d.State, Reports: delta.Collected()}
+		if err := c.journal.append(rec); err != nil {
+			return 0, err
+		}
+	}
+	return c.foldMerge(d.ID, delta)
+}
+
+// foldMerge folds a decoded delta and records the outcome under its
+// idempotency key: what the live path does after its append and what
+// replay does with the merge frame it read.
+func (c *Collection) foldMerge(id string, delta task.Aggregator) (int, error) {
+	n, err := c.agg.FoldDelta(delta)
+	if err != nil {
+		return 0, err
+	}
+	if id != "" {
+		c.dedup.complete(BatchMark{ID: id, Accepted: n})
+	}
+	return n, nil
 }
 
 // CutDelta captures everything the collection has accumulated since

@@ -13,6 +13,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fsio"
@@ -254,6 +256,40 @@ func TestDedupLRU(t *testing.T) {
 	d2.seed(ms)
 	if mark, state := d2.claim("a"); state != dedupDone || mark.Accepted != 4 {
 		t.Fatalf("seeded claim = %v/%+v, want the original outcome", state, mark)
+	}
+
+	// The type locks itself: racing claimants of one ID elect exactly
+	// one owner, everyone else is fenced until it completes, and every
+	// completed ID is remembered once.
+	const ids, claimants = 64, 8
+	var owners [ids]atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < claimants; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ids; i++ {
+				id := fmt.Sprintf("race-%02d", i)
+				switch mark, state := d.claim(id); state {
+				case dedupNew:
+					owners[i].Add(1)
+					d.complete(BatchMark{ID: id, Accepted: i})
+				case dedupDone:
+					if mark.Accepted != i {
+						t.Errorf("%s answered %+v", id, mark)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range owners {
+		if n := owners[i].Load(); n != 1 {
+			t.Errorf("race-%02d was owned %d times", i, n)
+		}
+	}
+	if n := len(d.marks()); n != 2+ids {
+		t.Fatalf("%d completed marks after the race, want %d", n, 2+ids)
 	}
 }
 

@@ -45,6 +45,10 @@ import (
 // anything else in the directory is ignored on load.
 const snapshotExt = ".json"
 
+// checkpointTmp is the CreateTemp pattern (and sweep glob) of in-flight
+// checkpoint writes.
+const checkpointTmp = ".checkpoint-*.tmp"
+
 // corruptExt marks a file Load quarantined: it failed its checksum,
 // did not parse, or could not be restored. Appended to the original
 // name (snapshot.json.corrupt, name.journal.000002.corrupt), so the
@@ -169,7 +173,7 @@ func NewStoreFS(dir string, fsys fsio.FS, journalSync string) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: state dir: %w", err)
 	}
-	strays, err := fsys.Glob(filepath.Join(dir, ".checkpoint-*.tmp"))
+	strays, err := fsys.Glob(filepath.Join(dir, checkpointTmp))
 	if err != nil {
 		return nil, fmt.Errorf("core: sweeping stray checkpoint temp files: %w", err)
 	}
@@ -410,16 +414,14 @@ func (st *Store) save(reg *CollectionRegistry, c *Collection) error {
 			return fmt.Errorf("core: checkpoint %q: %w", c.name, err)
 		}
 	}
-	c.dedupMu.Lock()
 	snap.Batches = c.dedup.marks()
-	c.dedupMu.Unlock()
 	c.walMu.Unlock()
 
 	blob, err := encodeSnapshot(snap)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint %q: %w", c.name, err)
 	}
-	if err := st.writeAtomic(st.path(c.name), blob); err != nil {
+	if err := fsio.WriteFileAtomic(st.fs, st.path(c.name), checkpointTmp, blob); err != nil {
 		return fmt.Errorf("core: checkpoint %q: %w", c.name, err)
 	}
 	st.mu.Lock()
@@ -471,33 +473,6 @@ func (st *Store) Health(c *Collection) CollectionHealth {
 	st.mu.Unlock()
 	out.JournalLagFrames, out.JournalLagBytes, out.JournalBroken = c.JournalHealth()
 	return out
-}
-
-// writeAtomic writes data to path via a same-directory temp file and
-// rename, syncing the file before the rename and the directory after
-// it, so both the snapshot's bytes and its directory entry are durable
-// by the time the call returns.
-func (st *Store) writeAtomic(path string, data []byte) error {
-	tmp, err := st.fs.CreateTemp(st.dir, ".checkpoint-*.tmp")
-	if err != nil {
-		return err
-	}
-	// The temp file is swept at the next Store open if this crashes;
-	// after a successful rename the remove is a no-op.
-	defer st.fs.Remove(tmp.Name()) //ldplint:ok fsiocheck best-effort cleanup; strays are swept at open
-	if _, err := tmp.Write(data); err != nil {
-		return errors.Join(err, tmp.Close())
-	}
-	if err := tmp.Sync(); err != nil {
-		return errors.Join(err, tmp.Close())
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := st.fs.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return st.fs.SyncDir(st.dir)
 }
 
 // SaveAll checkpoints every collection in the registry, continuing
@@ -755,9 +730,7 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 // after a frame that never became durable, so of uncertain lineage —
 // are quarantined.
 func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, error) {
-	c.dedupMu.Lock()
 	c.dedup.seed(snap.Batches)
-	c.dedupMu.Unlock()
 
 	segs, err := journalSegments(st.fs, st.dir, c.name)
 	if err != nil {
@@ -831,23 +804,9 @@ func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, err
 func (c *Collection) replayRecord(rec journalRecord, sink FlushSink) error {
 	switch rec.Kind {
 	case recordBatch:
-		var accepted, size int
-		var rejectErr error
-		if rec.Enc == EncBinary {
-			size = len(rec.Bins)
-			accepted, rejectErr = c.agg.AddBatchBinary(rec.Bins)
-		} else {
-			size = len(rec.Envs)
-			accepted, rejectErr = c.agg.AddBatch(rec.Envs)
-		}
-		if rejectErr != nil && IsInternal(rejectErr) {
-			return rejectErr
-		}
-		if rec.ID != "" {
-			c.dedupMu.Lock()
-			c.dedup.complete(BatchMark{ID: rec.ID, Accepted: accepted, Rejected: size - accepted})
-			c.dedupMu.Unlock()
-		}
+		// Envelopes the fold rejects were rejected live too; the frame
+		// itself never fails.
+		c.foldBatch(rec)
 		return nil
 	case recordAdvance:
 		// The frame records which round was closed; replay refuses to
@@ -867,16 +826,8 @@ func (c *Collection) replayRecord(rec journalRecord, sink FlushSink) error {
 		if err != nil {
 			return err
 		}
-		n, err := c.agg.FoldDelta(delta)
-		if err != nil {
-			return err
-		}
-		if rec.ID != "" {
-			c.dedupMu.Lock()
-			c.dedup.complete(BatchMark{ID: rec.ID, Accepted: n})
-			c.dedupMu.Unlock()
-		}
-		return nil
+		_, err = c.foldMerge(rec.ID, delta)
+		return err
 	case recordFlush:
 		// A relay cut its state into an outbound delta here. Re-cut the
 		// replayed state under the frame's idempotency key and hand it

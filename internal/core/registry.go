@@ -70,8 +70,7 @@ type Collection struct {
 	journal *journal
 	// dedup remembers recently acknowledged batch IDs so client
 	// retries are answered from the record instead of re-aggregated.
-	dedupMu sync.Mutex
-	dedup   *dedupLRU
+	dedup *dedupLRU
 }
 
 // Name returns the collection's registry name.

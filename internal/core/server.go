@@ -189,7 +189,7 @@ func (s *Service) Handler() http.Handler {
 		h            func(http.ResponseWriter, *http.Request, *Collection)
 	}{
 		{"POST", "/report", s.handleReport},
-		{"POST", "/report/batch", s.handleReportBatch},
+		{"POST", "/report/batch", s.handleReport},
 		{"GET", "/estimate", s.handleEstimate},
 		{"GET", "/status", s.handleStatus},
 		{"GET", "/frontier", s.handleFrontier},
@@ -262,66 +262,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what
 	return true
 }
 
-func (s *Service) handleReport(w http.ResponseWriter, r *http.Request, c *Collection) {
-	if isBinaryReport(r) {
-		s.handleReportBinary(w, r, c)
-		return
-	}
-	// The report is decoded only to a raw JSON value here — the
-	// collection's task owns the envelope schema and validates it.
-	var raw json.RawMessage
-	if !decodeBody(w, r, maxReportBytes, &raw, "report") {
-		return
-	}
-	if err := c.IngestReport(raw); err != nil {
-		http.Error(w, err.Error(), reportErrStatus(err))
-		return
-	}
-	s.maybeAutoAdvance(c)
-	w.WriteHeader(http.StatusAccepted)
-}
-
-// reportErrStatus maps a single-report ingest failure to its HTTP
-// status: a journal failure means "not acknowledged, retry later" (the
-// server's problem, not the envelope's), a wrong-round rejection means
-// the client's protocol view is stale (409 tells it to refetch the
-// frontier and re-report, where a 400 would tell it to "fix" a
-// perfectly well-formed envelope), and everything else is a malformed
-// envelope.
-func reportErrStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrJournal):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, task.ErrWrongRound):
-		return http.StatusConflict
-	case errors.Is(err, ErrBinaryWire):
-		return http.StatusUnsupportedMediaType
-	}
-	return http.StatusBadRequest
-}
-
-// handleReportBinary ingests one binary-encoded report. The gate is
-// per collection: a task without a binary decoder answers 415, and the
-// /status and /frontier bodies advertise which encodings a collection
-// accepts so clients need not probe.
-func (s *Service) handleReportBinary(w http.ResponseWriter, r *http.Request, c *Collection) {
-	if !c.agg.BinaryWire() {
-		http.Error(w, ErrBinaryWire.Error(), http.StatusUnsupportedMediaType)
-		return
-	}
-	buf, ok := readRawBody(w, r, maxReportBytes, "report")
-	if !ok {
-		return
-	}
-	defer releaseBodyBuf(buf)
-	if err := c.IngestReportBinary(buf.Bytes()); err != nil {
-		http.Error(w, err.Error(), reportErrStatus(err))
-		return
-	}
-	s.maybeAutoAdvance(c)
-	w.WriteHeader(http.StatusAccepted)
-}
-
 // BatchResponse is the JSON body of /report/batch: how many envelopes
 // were folded in, and the rejection reasons for the rest. A batch is
 // not atomic — valid envelopes are aggregated even when others in the
@@ -341,78 +281,73 @@ type BatchResponse struct {
 // must not be able to inflate either with a kilobyte key.
 const maxBatchIDBytes = 128
 
-func (s *Service) handleReportBatch(w http.ResponseWriter, r *http.Request, c *Collection) {
-	id := r.Header.Get("Idempotency-Key")
-	if len(id) > maxBatchIDBytes {
-		http.Error(w, fmt.Sprintf("Idempotency-Key exceeds %d bytes", maxBatchIDBytes), http.StatusBadRequest)
-		return
+// handleReport serves /report and /report/batch in both wire
+// encodings. The routes differ in how the body is read — one envelope
+// or many, under the report or the batch size cap — and in how the
+// outcome is phrased (a bare status for one report, a BatchResponse
+// for a batch, whose Idempotency-Key only the batch route honours);
+// the encodings differ in the body reader. Everything between —
+// journal, fold, dedup, auto-advance — is Collection.ingest on the one
+// record the readers fill.
+func (s *Service) handleReport(w http.ResponseWriter, r *http.Request, c *Collection) {
+	batch := strings.HasSuffix(r.URL.Path, "/batch")
+	limit, what := int64(maxReportBytes), "report"
+	rec := journalRecord{Kind: recordBatch}
+	if batch {
+		limit, what = maxBatchBytes, "batch"
+		if rec.ID = r.Header.Get("Idempotency-Key"); len(rec.ID) > maxBatchIDBytes {
+			http.Error(w, fmt.Sprintf("Idempotency-Key exceeds %d bytes", maxBatchIDBytes), http.StatusBadRequest)
+			return
+		}
 	}
 	if isBinaryReport(r) {
-		s.handleReportBatchBinary(w, r, c, id)
-		return
-	}
-	var batch []json.RawMessage
-	if !decodeBody(w, r, maxBatchBytes, &batch, "batch") {
-		return
-	}
-	res, err := c.IngestBatch(id, batch)
-	s.finishBatch(w, c, res, err)
-}
-
-// handleReportBatchBinary ingests a binary-encoded batch: a uvarint
-// report count followed by that many length-prefixed binary envelopes.
-func (s *Service) handleReportBatchBinary(w http.ResponseWriter, r *http.Request, c *Collection, id string) {
-	if !c.agg.BinaryWire() {
-		http.Error(w, ErrBinaryWire.Error(), http.StatusUnsupportedMediaType)
-		return
-	}
-	buf, ok := readRawBody(w, r, maxBatchBytes, "batch")
-	if !ok {
-		return
-	}
-	defer releaseBodyBuf(buf)
-	batch, err := splitBinaryBatch(buf.Bytes())
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
-		return
-	}
-	res, err := c.IngestBatchBinary(id, batch)
-	s.finishBatch(w, c, res, err)
-}
-
-// splitBinaryBatch parses a binary batch body into per-report payload
-// slices aliasing the body buffer (the ingest call copies what it
-// keeps, so the aliases die with the request).
-func splitBinaryBatch(data []byte) ([][]byte, error) {
-	r := binenc.NewReader(data)
-	n := r.Length(1)
-	batch := make([][]byte, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		batch = append(batch, r.Blob())
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return batch, nil
-}
-
-// finishBatch turns an IngestBatch result into the HTTP response, the
-// shared tail of the JSON and binary batch routes.
-func (s *Service) finishBatch(w http.ResponseWriter, c *Collection, res BatchResult, err error) {
-	if err != nil {
-		if errors.Is(err, ErrBatchInFlight) {
-			// The first attempt with this key is still processing —
-			// the retry that raced it should back off and re-send.
-			w.Header().Set("Retry-After", "1")
+		// The gate is per collection: a task without a binary decoder
+		// answers 415, and the /status and /frontier bodies advertise
+		// which encodings a collection accepts so clients need not
+		// probe.
+		if !c.agg.BinaryWire() {
+			http.Error(w, ErrBinaryWire.Error(), http.StatusUnsupportedMediaType)
+			return
 		}
-		// Both failure classes (journal down, duplicate in flight) are
-		// server-side and transient: 503 tells the client to retry,
-		// which the dedup memory makes safe.
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		buf, ok := readRawBody(w, r, limit, what)
+		if !ok {
+			return
+		}
+		defer releaseBodyBuf(buf)
+		rec.Enc = EncBinary
+		if !batch {
+			rec.Bins = [][]byte{buf.Bytes()}
+		} else if rec.Bins, ok = splitBinaryBatch(w, buf.Bytes()); !ok {
+			return
+		}
+	} else {
+		// Reports are decoded only to raw JSON values here — the
+		// collection's task owns the envelope schema and validates it.
+		var body any = &rec.Envs
+		if !batch {
+			rec.Envs = make([]json.RawMessage, 1)
+			body = &rec.Envs[0]
+		}
+		if !decodeBody(w, r, limit, body, what) {
+			return
+		}
+	}
+
+	res, err := c.ingest(rec)
+	if err != nil {
+		ingestError(w, err)
 		return
 	}
 	if res.Accepted > 0 && !res.Replayed {
 		s.maybeAutoAdvance(c)
+	}
+	if !batch {
+		if err := soleRejection(res.RejectErr); err != nil {
+			ingestError(w, err)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+		return
 	}
 	resp := BatchResponse{Accepted: res.Accepted, Rejected: res.Rejected, Replayed: res.Replayed}
 	status := http.StatusAccepted
@@ -427,6 +362,53 @@ func (s *Service) finishBatch(w http.ResponseWriter, c *Collection, res BatchRes
 		}
 	}
 	writeJSON(w, status, resp)
+}
+
+// ingestError answers a failed ingest (report, batch or merge) with
+// the status its cause maps to. Journal down and duplicate in flight
+// are server-side and transient: 503 tells the client to retry (which
+// the dedup memory makes safe), after a pause when the first attempt
+// with its key is still processing. A record the journal could not
+// replay is the client's to split: 413. A wrong-round rejection means
+// the client's protocol view is stale — 409 tells it to refetch the
+// frontier and re-report, where a 400 would tell it to "fix" a
+// perfectly well-formed envelope — and everything else is a malformed
+// envelope.
+func ingestError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrBatchInFlight):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrJournal):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, errFrameTooLarge):
+		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, task.ErrWrongRound):
+		status = http.StatusConflict
+	case errors.Is(err, ErrBinaryWire):
+		status = http.StatusUnsupportedMediaType
+	}
+	http.Error(w, err.Error(), status)
+}
+
+// splitBinaryBatch parses a binary batch body — a uvarint report count
+// followed by that many length-prefixed envelopes — into per-report
+// payload slices aliasing the body buffer (the frame encoder copies
+// what the journal keeps, so the aliases die with the request),
+// answering 400 itself when the framing is broken.
+func splitBinaryBatch(w http.ResponseWriter, data []byte) ([][]byte, bool) {
+	r := binenc.NewReader(data)
+	n := r.Length(1)
+	batch := make([][]byte, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		batch = append(batch, r.Blob())
+	}
+	if err := r.Done(); err != nil {
+		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
+		return nil, false
+	}
+	return batch, true
 }
 
 // MergeResponse is the JSON body of POST .../merge: how many reports
@@ -478,12 +460,7 @@ func (s *Service) handleMerge(w http.ResponseWriter, r *http.Request, c *Collect
 	}
 	res, err := c.IngestMerge(d)
 	if err != nil {
-		if errors.Is(err, ErrBatchInFlight) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		http.Error(w, err.Error(), reportErrStatus(err))
+		ingestError(w, err)
 		return
 	}
 	if res.Accepted > 0 && !res.Replayed {
@@ -863,10 +840,9 @@ func validateCreateConfig(cfg CollectionConfig) error {
 	case task.TypeSketch:
 		perShard = cfg.Width * cfg.Hashes
 	case task.TypeHH:
-		// The hh accumulator is its report list (proportional to
-		// traffic, like every task's collected total, not to the
-		// config); the per-round candidate-set blow-up is bounded by
-		// the adapter at construction.
+		// The hh accumulator is one integer sum per round candidate,
+		// not a function of any field capped above; the adapter bounds
+		// the candidate set (maxRoundCandidates) at construction.
 		perShard = 0
 	}
 	if cells := perShard * shards; cells > maxCreateCells {

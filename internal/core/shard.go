@@ -41,22 +41,17 @@ type ShardedAggregator struct {
 	// lock.
 	reportBits int
 
-	// prepare is the shard-0 aggregator's task.Preparer half when the
-	// task implements it: parsing and payload decoding — the expensive
-	// part of ingestion — then run OUTSIDE the shard locks, and only
-	// the fold runs under them. Prepare reads nothing but immutable
-	// configuration (the task.Preparer contract), so calling it
-	// without synchronization is safe, and a prepared value folds into
-	// any shard of the same configuration. nil when the task only
-	// implements plain Add.
-	prepare func(json.RawMessage) (any, error)
-
-	// prepareBinary is the task.BinaryReporter decode half when the
-	// task implements it: binary wire envelopes decode outside the
-	// shard locks exactly like JSON ones, and the prepared values fold
-	// through the same task.Preparer path. nil when the task speaks
-	// only JSON on the wire.
-	prepareBinary func([]byte) (any, error)
+	// decodeJSON and decodeBinary turn one wire payload into a
+	// fold-ready value: the task's Prepare and PrepareBinary, captured
+	// from the shard-0 aggregator. Both read nothing but immutable
+	// configuration (the task.Preparer contract), so they run OUTSIDE
+	// the shard locks without synchronization and their values fold
+	// into any shard. A task with no binary wire form (binaryWire
+	// false) gets a decodeBinary that refuses every payload with
+	// ErrBinaryWire.
+	decodeJSON   decoder
+	decodeBinary decoder
+	binaryWire   bool
 
 	// collected counts accepted reports across all shards, maintained
 	// atomically so Collected — which backs every /status hit and the
@@ -75,32 +70,32 @@ type ShardedAggregator struct {
 	epoch      atomic.Uint64
 	mergeCount atomic.Uint64 // full merges performed, for tests/observability
 
-	cacheMu     sync.Mutex
-	cached      task.Aggregator // merged snapshot, read-only once published
+	// readMu guards the two read-side caches. cached is the merged
+	// snapshot MergedCached publishes (read-only once published).
+	// estCache holds serialized estimate payloads keyed by
+	// canonicalized query string, valid for one ingestion epoch, so
+	// analysts polling the same ?top=k or ?item= query against an idle
+	// collection re-serialize nothing. The lock is held across a
+	// re-merge (so a burst of readers merges once) but never across a
+	// task Estimate.
+	readMu      sync.Mutex
+	cached      task.Aggregator
 	cachedEpoch uint64
-
-	// estMu guards the per-query estimate-response cache: serialized
-	// estimate payloads keyed by canonicalized query string, valid for
-	// one ingestion epoch, so analysts polling the same ?top=k or
-	// ?item= query against an idle collection re-serialize nothing.
-	estMu    sync.Mutex
-	estCache map[string]estEntry
-	estEpoch uint64
-	estHits  atomic.Uint64 // cache hits, for tests/observability
+	estCache    map[string]estEntry
+	estEpoch    uint64
+	estHits     atomic.Uint64 // cache hits, for tests/observability
 
 	// phased is set when the task implements task.Phased — the
 	// collection runs an interactive multi-round protocol and this
 	// layer coordinates its round boundaries across shards.
 	phased bool
-	// advanceMu serializes round advances (manual and quota-driven),
-	// so two requests crossing the quota together advance one round,
-	// not two.
-	advanceMu sync.Mutex
-	// phaseMu excludes shard-walking readers (Merged) from the window
-	// in which an advance rewrites every shard: without it a reader
-	// could combine one shard from round r with another from r+1 — a
-	// torn round that would fail the merge and, worse, fail a
-	// checkpoint racing the advance.
+	// phaseMu serializes round advances (manual and quota-driven) — two
+	// requests crossing the quota together advance one round, not two —
+	// and excludes shard-walking readers (Merged) from the window in
+	// which an advance rewrites every shard: without it a reader could
+	// combine one shard from round r with another from r+1 — a torn
+	// round that would fail the merge and, worse, fail a checkpoint
+	// racing the advance.
 	phaseMu sync.RWMutex
 	// round/done/roundStart mirror the shards' phase so /status and
 	// quota checks never take a shard lock. roundStart is the value of
@@ -147,20 +142,20 @@ func NewShardedAggregator(cfg task.Config, shards int) (*ShardedAggregator, erro
 		}
 		a.shards[i] = &shard{agg: agg}
 	}
-	a.reportBits = a.shards[0].agg.ReportBits()
-	if p, ok := a.shards[0].agg.(task.Preparer); ok {
-		a.prepare = p.Prepare
+	proto := a.shards[0].agg
+	a.reportBits = proto.ReportBits()
+	a.decodeJSON = func(payload []byte) (any, error) { return proto.Prepare(payload) }
+	a.decodeBinary = func([]byte) (any, error) { return nil, ErrBinaryWire }
+	if b, ok := proto.(task.BinaryReporter); ok {
+		a.decodeBinary, a.binaryWire = b.PrepareBinary, true
 	}
-	if b, ok := a.shards[0].agg.(task.BinaryReporter); ok {
-		a.prepareBinary = b.PrepareBinary
-	}
-	_, a.phased = a.shards[0].agg.(task.Phased)
+	_, a.phased = proto.(task.Phased)
 	return a, nil
 }
 
 // BinaryWire reports whether the collection's task accepts binary wire
 // report envelopes (implements task.BinaryReporter).
-func (a *ShardedAggregator) BinaryWire() bool { return a.prepareBinary != nil }
+func (a *ShardedAggregator) BinaryWire() bool { return a.binaryWire }
 
 // TaskType returns the task type name the aggregator serves.
 func (a *ShardedAggregator) TaskType() string { return a.cfg.Type() }
@@ -207,62 +202,19 @@ func fingerprint(raw json.RawMessage) uint64 {
 	return hashutil.Hash64(0x5ca1ab1e^uint64(len(raw)), tail)
 }
 
-// Add validates and folds one envelope into its shard. With a
-// task.Preparer the parse/validate/decode half runs before the lock is
-// taken; only the accumulate runs under it.
-func (a *ShardedAggregator) Add(raw json.RawMessage) error {
-	s := a.shards[a.route(raw)]
-	var err error
-	if a.prepare != nil {
-		var prepared any
-		if prepared, err = a.prepare(raw); err == nil {
-			s.mu.Lock()
-			err = s.agg.(task.Preparer).Fold(prepared)
-			s.mu.Unlock()
-		}
-	} else {
-		s.mu.Lock()
-		err = s.agg.Add(raw)
-		s.mu.Unlock()
-	}
-	if err == nil {
-		a.collected.Add(1)
-		a.epoch.Add(1)
-	}
-	return err
-}
-
 // ErrBinaryWire is returned when a binary wire payload reaches a
 // collection whose task has no binary decoder; HTTP maps it to 415.
 var ErrBinaryWire = errors.New("core: collection task does not accept binary reports")
 
-// AddBinary validates and folds one binary wire envelope into its
-// shard, the binary counterpart of Add: decode outside the lock, fold
-// under it.
-func (a *ShardedAggregator) AddBinary(payload []byte) error {
-	if a.prepareBinary == nil {
-		return ErrBinaryWire
-	}
-	prepared, err := a.prepareBinary(payload)
-	if err != nil {
-		return err
-	}
-	s := a.shards[a.route(payload)]
-	s.mu.Lock()
-	err = s.agg.(task.Preparer).Fold(prepared)
-	s.mu.Unlock()
-	if err == nil {
-		a.collected.Add(1)
-		a.epoch.Add(1)
-	}
-	return err
-}
+// decoder is the one thing the ingest loop is parameterised by: how a
+// wire payload becomes a fold-ready value.
+type decoder func(payload []byte) (any, error)
 
 // batchChunk bounds how long one stripe lock is held: a large batch is
 // aggregated in chunks, each routed independently, so a single 8 MiB
-// batch of tiny envelopes cannot pin one shard (stalling the single
-// reports hash-routed there and the snapshot pass of a concurrent
-// estimate) for its entire aggregation.
+// batch of tiny envelopes cannot pin one shard (stalling the reports
+// hash-routed there and the snapshot pass of a concurrent estimate)
+// for its entire aggregation.
 const batchChunk = 1024
 
 // maxBatchErrors bounds how many per-envelope rejections the joined
@@ -273,81 +225,72 @@ const batchChunk = 1024
 // response body. The first few rejections carry all the signal.
 const maxBatchErrors = 16
 
-// AddBatch folds a batch of envelopes chunk by chunk: one route and
-// one lock acquisition per chunk (the whole point of batching —
-// per-report locking overhead amortizes to nearly zero) while the
-// rotating stripe spreads chunks and successive batches across shards.
-// Any shard can absorb any envelope, so placement never affects the
-// merged estimate. With a task.Preparer the whole chunk is parsed and
-// decoded before its lock is taken, so concurrent batches contend on
-// vector adds, never on JSON decoding. The batch is not atomic:
-// invalid envelopes are skipped and reported via the joined error
-// (detailed up to maxBatchErrors, then summarized) while the valid
-// remainder is still aggregated. It returns the number of envelopes
-// accepted.
+// rejection is one envelope's entry in the joined batch error.
+type rejection struct {
+	idx int // index in the batch
+	err error
+}
+
+func (r rejection) Error() string { return fmt.Sprintf("envelope %d: %v", r.idx, r.err) }
+func (r rejection) Unwrap() error { return r.err }
+
+// soleRejection strips the batch framing from the outcome of a batch
+// of one: the single-report routes answer with the report's own error,
+// not "envelope 0: ...".
+func soleRejection(err error) error {
+	var r rejection
+	if errors.As(err, &r) {
+		return r.err
+	}
+	return err
+}
+
+// Add validates and folds one JSON envelope: a batch of one.
+func (a *ShardedAggregator) Add(raw json.RawMessage) error {
+	_, err := a.AddBatch([]json.RawMessage{raw})
+	return soleRejection(err)
+}
+
+// AddBinary validates and folds one binary wire envelope: a batch of
+// one.
+func (a *ShardedAggregator) AddBinary(payload []byte) error {
+	_, err := a.AddBatchBinary([][]byte{payload})
+	return soleRejection(err)
+}
+
+// AddBatch folds a batch of JSON envelopes (see addBatch) and returns
+// the number accepted.
 func (a *ShardedAggregator) AddBatch(batch []json.RawMessage) (int, error) {
-	if a.prepare != nil {
-		return a.addBatchPrepared(len(batch),
-			func(i int) []byte { return batch[i] },
-			func(payload []byte) (any, error) { return a.prepare(payload) })
-	}
-	accepted, suppressed := 0, 0
-	var errs []error
-	reject := func(i int, err error) {
-		if len(errs) < maxBatchErrors {
-			errs = append(errs, fmt.Errorf("envelope %d: %w", i, err))
-		} else {
-			suppressed++
-		}
-	}
-	for off := 0; off < len(batch); off += batchChunk {
-		chunk := batch[off:min(off+batchChunk, len(batch))]
-		sh := a.shards[a.route(chunk[0])]
-		sh.mu.Lock()
-		for i := range chunk {
-			if err := sh.agg.Add(chunk[i]); err != nil {
-				reject(off+i, err)
-				continue
-			}
-			accepted++
-		}
-		sh.mu.Unlock()
-	}
-	if accepted > 0 {
-		a.collected.Add(int64(accepted))
-		a.epoch.Add(uint64(accepted))
-	}
-	if suppressed > 0 {
-		errs = append(errs, fmt.Errorf("and %d more rejected envelopes", suppressed))
-	}
-	return accepted, errors.Join(errs...)
+	return a.addBatch(len(batch), func(i int) []byte { return batch[i] }, a.decodeJSON)
 }
 
-// AddBatchBinary folds a batch of binary wire envelopes with the exact
-// chunking and lock discipline of AddBatch's Preparer path: the whole
-// chunk decodes before its lock is taken, invalid payloads are skipped
-// and reported, and the valid remainder is aggregated.
+// AddBatchBinary folds a batch of binary wire envelopes (see addBatch).
+// Against a task with no binary decoder every envelope is rejected
+// with ErrBinaryWire.
 func (a *ShardedAggregator) AddBatchBinary(batch [][]byte) (int, error) {
-	if a.prepareBinary == nil {
-		return 0, ErrBinaryWire
-	}
-	return a.addBatchPrepared(len(batch),
-		func(i int) []byte { return batch[i] },
-		a.prepareBinary)
+	return a.addBatch(len(batch), func(i int) []byte { return batch[i] }, a.decodeBinary)
 }
 
-// addBatchPrepared is the shared prepare-outside/fold-inside batch
-// loop: payloads (fetched by index, so JSON and binary batches share
-// it without copying into a common slice type) decode via prepare
-// before each chunk's lock is taken, and only the folds run under it.
-// The prepared slice is reused across chunks, so a steady batch load
-// allocates no per-chunk bookkeeping.
-func (a *ShardedAggregator) addBatchPrepared(n int, payload func(int) []byte, prepare func([]byte) (any, error)) (int, error) {
+// addBatch is the one route a report takes into a shard, whatever its
+// encoding and whether it arrived alone or in a batch. The batch is
+// folded chunk by chunk: one route and one lock acquisition per chunk
+// (the whole point of batching — per-report locking overhead amortizes
+// to nearly zero) while the rotating stripe spreads chunks and
+// successive batches across shards. Any shard can absorb any envelope,
+// so placement never affects the merged estimate. Payloads (fetched by
+// index, so JSON and binary batches share the loop without copying
+// into a common slice type) are decoded before their chunk's lock is
+// taken and only the folds run under it, so concurrent batches contend
+// on vector adds, never on decoding. The batch is not atomic: invalid
+// envelopes are skipped and reported via the joined error (detailed up
+// to maxBatchErrors, then summarized) while the valid remainder is
+// still aggregated.
+func (a *ShardedAggregator) addBatch(n int, payload func(int) []byte, decode decoder) (int, error) {
 	accepted, suppressed := 0, 0
 	var errs []error
 	reject := func(i int, err error) {
 		if len(errs) < maxBatchErrors {
-			errs = append(errs, fmt.Errorf("envelope %d: %w", i, err))
+			errs = append(errs, rejection{idx: i, err: err})
 		} else {
 			suppressed++
 		}
@@ -362,20 +305,21 @@ func (a *ShardedAggregator) addBatchPrepared(n int, payload func(int) []byte, pr
 		sh := a.shards[a.route(payload(off))]
 		prepared = prepared[:0]
 		for i := off; i < end; i++ {
-			v, err := prepare(payload(i))
+			v, err := decode(payload(i))
 			if err != nil {
 				reject(i, err)
 				continue
 			}
 			prepared = append(prepared, preparedReport{idx: i, val: v})
 		}
-		folder := sh.agg.(task.Preparer)
 		sh.mu.Lock()
+		// Read under the lock: a round advance replaces shard 0's
+		// aggregator while holding every shard lock.
+		agg := sh.agg
 		for _, p := range prepared {
-			// Fold after a successful Prepare does not fail (the
-			// Preparer contract); a failure here still only drops
-			// the one report.
-			if err := folder.Fold(p.val); err != nil {
+			// What Fold rejects (a phased task's wrong-round report)
+			// drops that one report only.
+			if err := agg.Fold(p.val); err != nil {
 				reject(p.idx, err)
 				continue
 			}
@@ -458,8 +402,8 @@ func (a *ShardedAggregator) Merged() (task.Aggregator, error) {
 // always advance the epoch past the recorded one, so the next call
 // re-merges rather than serving them stale forever.
 func (a *ShardedAggregator) MergedCached() (task.Aggregator, error) {
-	a.cacheMu.Lock()
-	defer a.cacheMu.Unlock()
+	a.readMu.Lock()
+	defer a.readMu.Unlock()
 	// Loaded after taking the cache lock (but still before the merge),
 	// so a burst of concurrent readers behind one in-flight merge all
 	// observe the merger's epoch and reuse its result, instead of each
@@ -518,15 +462,15 @@ func (a *ShardedAggregator) EstimateCached(query map[string][]string) (json.RawM
 	// one logical query share a cache entry.
 	key := url.Values(query).Encode()
 	epoch := a.epoch.Load()
-	a.estMu.Lock()
+	a.readMu.Lock()
 	if a.estEpoch == epoch {
 		if e, ok := a.estCache[key]; ok {
 			a.estHits.Add(1)
-			a.estMu.Unlock()
+			a.readMu.Unlock()
 			return e.payload, e.reports, nil
 		}
 	}
-	a.estMu.Unlock()
+	a.readMu.Unlock()
 
 	merged, err := a.MergedCached()
 	if err != nil {
@@ -538,7 +482,7 @@ func (a *ShardedAggregator) EstimateCached(query map[string][]string) (json.RawM
 	}
 	reports := merged.Collected()
 
-	a.estMu.Lock()
+	a.readMu.Lock()
 	// Entries are stored under the epoch read before the merge: the
 	// merge may have absorbed newer reports, making the entry fresher
 	// than its key claims, never staler. A concurrent query that
@@ -551,7 +495,7 @@ func (a *ShardedAggregator) EstimateCached(query map[string][]string) (json.RawM
 		}
 		a.estCache[key] = estEntry{payload: est, reports: reports}
 	}
-	a.estMu.Unlock()
+	a.readMu.Unlock()
 	return est, reports, nil
 }
 
@@ -692,15 +636,15 @@ func (a *ShardedAggregator) Advance() error {
 // mismatch returns an error wrapping task.ErrWrongRound without
 // touching the round: the caller's view of the protocol is stale —
 // typically a second driver already closed the round — and advancing
-// again would burn an empty round. The check runs under the advance
-// lock, so concurrent drivers expecting the same round advance it
-// exactly once.
+// again would burn an empty round. The check runs under the exclusive
+// phase lock, so concurrent drivers expecting the same round advance
+// it exactly once.
 func (a *ShardedAggregator) AdvanceExpecting(expect int) error {
 	if !a.phased {
 		return ErrNotPhased
 	}
-	a.advanceMu.Lock()
-	defer a.advanceMu.Unlock()
+	a.phaseMu.Lock()
+	defer a.phaseMu.Unlock()
 	if cur := a.Round(); expect >= 0 && cur != expect {
 		return fmt.Errorf("core: advance expected round %d but the collection is at round %d: %w",
 			expect, cur, task.ErrWrongRound)
@@ -710,23 +654,23 @@ func (a *ShardedAggregator) AdvanceExpecting(expect int) error {
 
 // MaybeAdvance advances the round iff the current round has accepted
 // at least quota reports and the protocol is not done, reporting
-// whether it advanced. The re-check runs under the advance lock, so
-// concurrent reports crossing the quota together advance one round,
-// not one each.
+// whether it advanced. The re-check runs under the exclusive phase
+// lock, so concurrent reports crossing the quota together advance one
+// round, not one each.
 func (a *ShardedAggregator) MaybeAdvance(quota int) (bool, error) {
 	if !a.phased || quota <= 0 {
 		return false, nil
 	}
 	// Lock-free pre-check: the serving layer calls this after every
 	// accepted report, and funnelling each one through the
-	// collection-global advance mutex just to compare two atomics
+	// collection-global phase lock just to compare two atomics
 	// would re-serialize the ingest path the shard striping
 	// parallelizes. Reports racing the check land on the next call.
 	if a.done.Load() || a.RoundReports() < quota {
 		return false, nil
 	}
-	a.advanceMu.Lock()
-	defer a.advanceMu.Unlock()
+	a.phaseMu.Lock()
+	defer a.phaseMu.Unlock()
 	if a.done.Load() || a.RoundReports() < quota {
 		return false, nil
 	}
@@ -753,15 +697,34 @@ func (a *ShardedAggregator) NewDelta(state []byte) (task.Aggregator, error) {
 	return agg, nil
 }
 
+// checkDelta verifies that a detached delta can fold into the
+// collection: for a phased task it must sit at the collection's
+// current round; anything else wraps task.ErrWrongRound (the relay's
+// view of the frontier is stale — it refetches and re-cuts). The
+// answer only holds while the round cannot move: FoldDelta asks under
+// the phase read-lock, the write-ahead path (before it journals a
+// merge frame) under the collection's shared WAL lock.
+func (a *ShardedAggregator) checkDelta(delta task.Aggregator) error {
+	if !a.phased {
+		return nil
+	}
+	p, ok := delta.(task.Phased)
+	if !ok {
+		return fmt.Errorf("core: delta for phased %s collection carries no phase", a.cfg.Type())
+	}
+	if p.Round() != a.Round() || p.Done() != a.Done() {
+		return fmt.Errorf("core: delta at round %d (done=%v) cannot merge into round %d (done=%v): %w",
+			p.Round(), p.Done(), a.Round(), a.Done(), task.ErrWrongRound)
+	}
+	return nil
+}
+
 // FoldDelta merges a detached delta aggregator (NewDelta) into one
 // shard under its stripe lock — the multi-node ingest path: a relay's
 // whole flush folds with a single Merge, exactly as if every report in
-// it had been posted here directly, because Merge is exact. For a
-// phased task the delta must sit at the collection's current round;
-// anything else wraps task.ErrWrongRound (the relay's view of the
-// frontier is stale — it refetches and re-cuts). The phase read-lock
-// keeps the fold on one side of any concurrent round advance, so the
-// round check and the merge see the same round.
+// it had been posted here directly, because Merge is exact. The phase
+// read-lock keeps the fold on one side of any concurrent round
+// advance, so checkDelta and the merge see the same round.
 //
 // It returns the number of reports the delta carried. The delta is
 // consumed: the shard's Merge may retain parts of its state.
@@ -771,30 +734,18 @@ func (a *ShardedAggregator) FoldDelta(delta task.Aggregator) (int, error) {
 		return 0, fmt.Errorf("core: delta carries negative report count %d", n)
 	}
 	a.phaseMu.RLock()
-	if a.phased {
-		p, ok := delta.(task.Phased)
-		if !ok {
-			a.phaseMu.RUnlock()
-			return 0, fmt.Errorf("core: delta for phased %s collection carries no phase", a.cfg.Type())
-		}
-		if p.Round() != a.Round() || p.Done() != a.Done() {
-			round, done := a.Round(), a.Done()
-			a.phaseMu.RUnlock()
-			return 0, fmt.Errorf("core: delta at round %d (done=%v) cannot merge into round %d (done=%v): %w",
-				p.Round(), p.Done(), round, done, task.ErrWrongRound)
-		}
+	defer a.phaseMu.RUnlock()
+	if err := a.checkDelta(delta); err != nil {
+		return 0, err
 	}
 	s := a.shards[hashutil.Range(a.seq.Add(1)*0x9e3779b97f4a7c15, len(a.shards))]
 	s.mu.Lock()
 	err := s.agg.Merge(delta)
 	s.mu.Unlock()
-	a.phaseMu.RUnlock()
 	if err != nil {
 		return 0, err
 	}
-	if n > 0 {
-		a.collected.Add(int64(n))
-	}
+	a.collected.Add(int64(n))
 	a.epoch.Add(1)
 	return n, nil
 }
@@ -814,8 +765,6 @@ func (a *ShardedAggregator) FoldDelta(delta task.Aggregator) (int, error) {
 // drain under one exclusive walMu section, so no report can land in
 // between.
 func (a *ShardedAggregator) Drain() error {
-	a.advanceMu.Lock()
-	defer a.advanceMu.Unlock()
 	a.phaseMu.Lock()
 	defer a.phaseMu.Unlock()
 	for _, s := range a.shards {
@@ -861,8 +810,6 @@ func (a *ShardedAggregator) AdoptFrontier(frontier json.RawMessage) error {
 	if _, ok := a.shards[0].agg.(task.FrontierAdopter); !ok {
 		return fmt.Errorf("core: %s task cannot adopt a published frontier", a.cfg.Type())
 	}
-	a.advanceMu.Lock()
-	defer a.advanceMu.Unlock()
 	a.phaseMu.Lock()
 	defer a.phaseMu.Unlock()
 	for _, s := range a.shards {
@@ -894,13 +841,11 @@ func (a *ShardedAggregator) AdoptFrontier(frontier json.RawMessage) error {
 	return nil
 }
 
-// advanceLocked computes one round boundary; the caller holds
-// advanceMu. All shard locks are held together for the rewrite —
+// advanceLocked computes one round boundary; the caller holds phaseMu
+// exclusively. All shard locks are held together for the rewrite —
 // ingestion pauses for the merge+prune, which is the round boundary's
 // job description.
 func (a *ShardedAggregator) advanceLocked() error {
-	a.phaseMu.Lock()
-	defer a.phaseMu.Unlock()
 	for _, s := range a.shards {
 		// Same-rank sweep: every shard lock is taken in slice (index)
 		// order, the one canonical order, so two sweeps cannot
@@ -932,9 +877,10 @@ func (a *ShardedAggregator) advanceLocked() error {
 	// The advanced merged aggregator becomes shard 0 — it carries the
 	// full cross-round history — and the other shards adopt its phase
 	// with empty tallies, so a walk over the shards still counts every
-	// report exactly once. (A prepare hook captured from the replaced
-	// aggregator stays valid: Prepare reads only immutable
-	// configuration, which the replacement shares.)
+	// report exactly once. (The decoders captured from the aggregator
+	// shard 0 was built with stay valid — Prepare reads only immutable
+	// configuration, which every replacement shares — and keep that one
+	// object, with its round-0 accumulator, reachable.)
 	a.shards[0].agg = merged
 	for _, s := range a.shards[1:] {
 		if err := s.agg.(task.Phased).AdoptPhase(merged); err != nil {

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -386,11 +387,9 @@ func TestFutureSnapshotVersionRefused(t *testing.T) {
 	}
 }
 
-// plainAgg is a minimal task.Aggregator WITHOUT the optional
-// task.Preparer capability, registered under a test-only type name so
-// the sharded aggregator's locked-Add fallback path stays covered
-// (every built-in adapter implements Preparer, so nothing else
-// exercises it).
+// plainAgg is a minimal task.Aggregator — no binary wire form, no
+// phases, no legacy state — registered under a test-only type name:
+// the smallest adapter the sharded aggregator must serve.
 type plainAgg struct{ sum, n int }
 
 func init() {
@@ -405,14 +404,24 @@ type plainReport struct {
 
 func (p *plainAgg) Type() string { return "plain-test" }
 func (p *plainAgg) Add(raw json.RawMessage) error {
-	var r plainReport
-	if err := json.Unmarshal(raw, &r); err != nil {
+	prepared, err := p.Prepare(raw)
+	if err != nil {
 		return err
 	}
-	if r.V < 0 {
-		return fmt.Errorf("plain-test: negative report")
+	return p.Fold(prepared)
+}
+func (p *plainAgg) Prepare(raw json.RawMessage) (any, error) {
+	var r plainReport
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return nil, err
 	}
-	p.sum += r.V
+	if r.V < 0 {
+		return nil, fmt.Errorf("plain-test: negative report")
+	}
+	return r, nil
+}
+func (p *plainAgg) Fold(prepared any) error {
+	p.sum += prepared.(plainReport).V
 	p.n++
 	return nil
 }
@@ -445,18 +454,19 @@ func (p *plainAgg) Estimate(q url.Values) (json.RawMessage, error) {
 	return json.Marshal(map[string]int{"sum": p.sum})
 }
 
-// TestShardedFallbackWithoutPreparer pins the locked-Add path for task
-// adapters that implement only the core interface.
-func TestShardedFallbackWithoutPreparer(t *testing.T) {
+// TestShardedMinimalAdapter pins that an adapter implementing only the
+// core interface is served by the one ingest loop, and that its missing
+// binary wire form surfaces as ErrBinaryWire per envelope.
+func TestShardedMinimalAdapter(t *testing.T) {
 	agg, err := NewShardedAggregator(task.Config{Task: "plain-test"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.prepare != nil {
-		t.Fatal("non-Preparer adapter produced a prepare hook")
-	}
 	if err := agg.Add(json.RawMessage(`{"v":3}`)); err != nil {
 		t.Fatal(err)
+	}
+	if err := agg.Add(json.RawMessage(`{"v":-3}`)); err == nil || err.Error() != "plain-test: negative report" {
+		t.Fatalf("single rejection %v, want the report's own error", err)
 	}
 	batch := []json.RawMessage{
 		json.RawMessage(`{"v":1}`),
@@ -464,8 +474,17 @@ func TestShardedFallbackWithoutPreparer(t *testing.T) {
 		json.RawMessage(`{"v":2}`),
 	}
 	accepted, err := agg.AddBatch(batch)
-	if accepted != 2 || err == nil {
+	if accepted != 2 || err == nil || err.Error() != "envelope 1: plain-test: negative report" {
 		t.Fatalf("accepted %d err %v", accepted, err)
+	}
+	if agg.BinaryWire() {
+		t.Fatal("adapter without PrepareBinary advertises the binary wire")
+	}
+	if err := agg.AddBinary([]byte{1}); err != ErrBinaryWire {
+		t.Fatalf("AddBinary error %v, want ErrBinaryWire", err)
+	}
+	if n, err := agg.AddBatchBinary([][]byte{{1}, {2}}); n != 0 || !errors.Is(err, ErrBinaryWire) {
+		t.Fatalf("AddBatchBinary = %d, %v; want 0, ErrBinaryWire", n, err)
 	}
 	if agg.Collected() != 3 || agg.collectedWalk() != 3 {
 		t.Fatalf("collected %d / walk %d want 3", agg.Collected(), agg.collectedWalk())
@@ -486,20 +505,58 @@ func TestShardedFallbackWithoutPreparer(t *testing.T) {
 	}
 }
 
-// TestBuiltinAdaptersArePreparers pins that every built-in task family
-// takes the parse-outside-the-lock fast path.
+// TestBuiltinAdaptersArePreparers pins the Preparer contract for every
+// built-in task family, the phased one included: Prepare then Fold is
+// Add, bit for bit, and a value prepared by one instance folds into
+// another of the same configuration.
 func TestBuiltinAdaptersArePreparers(t *testing.T) {
-	for _, cfg := range []task.Config{
-		FreqTaskConfig(MechanismGRR, PrivacyParams{Epsilon: 1, Domain: 4}),
-		meanCfg().Config,
-		sketchCfg().Config,
+	reg := NewCollectionRegistry()
+	for name, tc := range map[string]struct {
+		cfg  CollectionConfig
+		fill func(*testing.T, *Collection, uint64, int)
+	}{
+		"freq":   {testCfg(), fill},
+		"mean":   {meanCfg(), fillMean},
+		"sketch": {sketchCfg(), fillSketch},
+		"hh":     {hhCfg(1, 0), fillHH},
 	} {
-		agg, err := NewShardedAggregator(cfg, 2)
+		// A journal-less collection is just a recorder here: its
+		// envelopes are replayed through both halves below.
+		src, err := reg.Create(name, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if agg.prepare == nil {
-			t.Errorf("task %s does not implement task.Preparer", cfg.Type())
+		var envs []json.RawMessage
+		src.agg.decodeJSON = func(p []byte) (any, error) {
+			envs = append(envs, append(json.RawMessage(nil), p...))
+			return src.agg.shards[0].agg.Prepare(p)
+		}
+		tc.fill(t, src, 77, 30)
+		if len(envs) != 30 {
+			t.Fatalf("%s: recorded %d envelopes", name, len(envs))
+		}
+		whole, err := task.New(tc.cfg.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		halves, _ := task.New(tc.cfg.Config)
+		preparer, _ := task.New(tc.cfg.Config)
+		for _, env := range envs {
+			if err := whole.Add(env); err != nil {
+				t.Fatalf("%s: Add: %v", name, err)
+			}
+			v, err := preparer.Prepare(env)
+			if err != nil {
+				t.Fatalf("%s: Prepare: %v", name, err)
+			}
+			if err := halves.Fold(v); err != nil {
+				t.Fatalf("%s: Fold: %v", name, err)
+			}
+		}
+		a, _ := whole.MarshalState()
+		b, _ := halves.MarshalState()
+		if !bytes.Equal(a, b) || preparer.Collected() != 0 {
+			t.Errorf("%s: Prepare+Fold state %x, Add state %x (preparer collected %d)", name, b, a, preparer.Collected())
 		}
 	}
 }

@@ -158,3 +158,45 @@ func TestFaultRearmResetsCounter(t *testing.T) {
 		t.Fatalf("Ops() after Disarm = %d, want 0", got)
 	}
 }
+
+// TestWriteFileAtomicAtEveryFaultPoint fails and tears each mutating
+// operation of an atomic overwrite in turn: the target always reads as
+// exactly the old or exactly the new content, a transient failure
+// leaves no temp file behind, and an undisturbed write takes five
+// fault points (create, write, sync, rename, dir sync).
+func TestWriteFileAtomicAtEveryFaultPoint(t *testing.T) {
+	dry := NewFault(OS)
+	if err := WriteFileAtomic(dry, filepath.Join(t.TempDir(), "target"), ".tmp-*", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if dry.Ops() != 5 {
+		t.Fatalf("atomic write took %d fault points, want 5", dry.Ops())
+	}
+	for op := 0; op < dry.Ops(); op++ {
+		for name, arm := range map[string]func(*Fault, int){"fail": (*Fault).FailAt, "torn": (*Fault).CrashTornAt} {
+			dir := t.TempDir()
+			target := filepath.Join(dir, "target")
+			if err := os.WriteFile(target, []byte("old"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f := NewFault(OS)
+			arm(f, op)
+			err := WriteFileAtomic(f, target, ".tmp-*", []byte("new-content"))
+			if !errors.Is(err, ErrInjected) {
+				t.Fatalf("%s at op %d: error %v, want injected", name, op, err)
+			}
+			got, rerr := os.ReadFile(target)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			// The rename is op 3: a fault there or earlier keeps the old
+			// file, one after it (the dir sync) has the new one in place.
+			if want := map[bool]string{true: "old", false: "new-content"}[op <= 3]; string(got) != want {
+				t.Errorf("%s at op %d: target reads %q, want %q", name, op, got, want)
+			}
+			if strays, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); name == "fail" && len(strays) != 0 {
+				t.Errorf("transient failure at op %d left %v behind", op, strays)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@
 package fsio
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -89,4 +90,39 @@ func (osFS) SyncDir(path string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// WriteFileAtomic writes data to path so that a crash at any point
+// leaves either the previous file or the new one, never a torn mix: the
+// bytes go to a temp file beside path (tmpPattern, CreateTemp
+// semantics), are fsynced and closed, the temp file is renamed over
+// path, and the directory is fsynced so the rename itself is durable.
+// A failure before the rename removes the temp file (best effort — the
+// owner of the directory sweeps strays matching tmpPattern at open).
+func WriteFileAtomic(fsys FS, path, tmpPattern string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, tmpPattern)
+	if err != nil {
+		return err
+	}
+	err = writeSyncClose(tmp, data)
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp.Name()) //ldplint:ok fsiocheck best-effort cleanup after the reported failure; strays are swept at open
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
+
+// writeSyncClose writes, fsyncs and closes f, closing it on every path.
+func writeSyncClose(f File, data []byte) error {
+	if _, err := f.Write(data); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	if err := f.Sync(); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	return f.Close()
 }

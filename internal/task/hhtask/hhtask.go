@@ -19,9 +19,9 @@
 // Reports from a stale or future round are rejected with
 // task.ErrWrongRound so a lagging client refetches the frontier; this
 // is what keeps each user's single ε-budget report inside exactly one
-// round. The adapter deliberately does not implement task.Preparer:
-// round validation reads the mutable round counter, which the Preparer
-// contract forbids touching outside the shard lock.
+// round. The round check reads the mutable round counter, so it lives
+// in Fold (under the shard lock); Prepare validates only what the
+// immutable parameters decide.
 package hhtask
 
 import (
@@ -191,27 +191,54 @@ func New(cfg task.Config) (task.Aggregator, error) {
 // Type returns "hh".
 func (a *Aggregator) Type() string { return task.TypeHH }
 
-// Add validates and folds one round-tagged envelope. Reports for any
-// round but the current one — including any report once the protocol
-// is done — are rejected wrapping task.ErrWrongRound.
+// Add validates and folds one round-tagged envelope: Prepare, then
+// Fold.
 func (a *Aggregator) Add(report json.RawMessage) error {
+	prepared, err := a.Prepare(report)
+	if err != nil {
+		return err
+	}
+	return a.Fold(prepared)
+}
+
+// roundReport is a Prepared envelope: the local-hashing report plus the
+// round it was privatized against, which only Fold can judge.
+type roundReport struct {
+	round int
+	rep   heavyhitters.LHReport
+}
+
+// Prepare parses one envelope and validates what the immutable
+// parameters decide — mechanism and bucket range (task.Preparer).
+func (a *Aggregator) Prepare(report json.RawMessage) (any, error) {
 	var e Envelope
 	if err := json.Unmarshal(report, &e); err != nil {
-		return fmt.Errorf("hhtask: bad envelope: %w", err)
+		return nil, fmt.Errorf("hhtask: bad envelope: %w", err)
 	}
 	if e.Mechanism != MechanismPEM {
-		return fmt.Errorf("hhtask: envelope mechanism %q does not match %q", e.Mechanism, MechanismPEM)
+		return nil, fmt.Errorf("hhtask: envelope mechanism %q does not match %q", e.Mechanism, MechanismPEM)
+	}
+	if e.Bucket < 0 || e.Bucket >= a.mech.G() {
+		return nil, fmt.Errorf("hhtask: bucket %d out of range [0,%d)", e.Bucket, a.mech.G())
+	}
+	return roundReport{round: e.Round, rep: heavyhitters.LHReport{Seed: e.Seed, Bucket: e.Bucket}}, nil
+}
+
+// Fold accumulates a Prepared report (task.Preparer). Reports for any
+// round but the current one — including any report once the protocol
+// is done — are rejected wrapping task.ErrWrongRound.
+func (a *Aggregator) Fold(prepared any) error {
+	r, ok := prepared.(roundReport)
+	if !ok {
+		return fmt.Errorf("hhtask: cannot fold %T", prepared)
 	}
 	if a.done {
 		return fmt.Errorf("hhtask: protocol completed all %d rounds: %w", a.params.Levels, task.ErrWrongRound)
 	}
-	if e.Round != a.round {
-		return fmt.Errorf("hhtask: report for round %d, collection at round %d: %w", e.Round, a.round, task.ErrWrongRound)
+	if r.round != a.round {
+		return fmt.Errorf("hhtask: report for round %d, collection at round %d: %w", r.round, a.round, task.ErrWrongRound)
 	}
-	if e.Bucket < 0 || e.Bucket >= a.mech.G() {
-		return fmt.Errorf("hhtask: bucket %d out of range [0,%d)", e.Bucket, a.mech.G())
-	}
-	a.mech.FoldSupport(heavyhitters.LHReport{Seed: e.Seed, Bucket: e.Bucket}, a.cands, a.sums)
+	a.mech.FoldSupport(r.rep, a.cands, a.sums)
 	a.roundReports++
 	return nil
 }

@@ -43,9 +43,13 @@ type Aggregator interface {
 	// (e.g. "freq").
 	Type() string
 	// Add validates one privatized report envelope (raw JSON in the
-	// task's schema) and folds it into the aggregate. Envelopes arrive
-	// from the network: malformed ones must error, never panic.
+	// task's schema) and folds it into the aggregate: Prepare then
+	// Fold. Envelopes arrive from the network: malformed ones must
+	// error, never panic.
 	Add(report json.RawMessage) error
+	// Preparer is Add in its two halves, which is how the sharding
+	// layer ingests: decode outside the shard lock, fold under it.
+	Preparer
 	// AddBatch folds a batch of envelopes, skipping invalid ones. It
 	// returns how many were accepted plus a bounded joined error
 	// describing the rejects (see AddAll).
@@ -121,21 +125,21 @@ func (c Config) Type() string {
 	return c.Task
 }
 
-// Preparer is an optional Aggregator capability that splits Add into
-// its two halves: Prepare parses and validates one raw envelope into a
-// typed, fold-ready value, and Fold accumulates a prepared value. The
-// point is lock scope — parsing and payload decoding are the expensive
-// part of ingestion, and a sharding layer that detects this capability
-// runs Prepare outside the shard lock and only Fold under it, so
+// Preparer splits Add into its two halves: Prepare parses and validates
+// one raw envelope into a typed, fold-ready value, and Fold accumulates
+// a prepared value. The point is lock scope — parsing and payload
+// decoding are the expensive part of ingestion, so the sharding layer
+// runs Prepare outside the shard lock and only Fold under it:
 // concurrent batches contend on vector adds, not on JSON decoding.
 //
 // Contract: Prepare must touch only the aggregator's immutable
 // configuration (never the accumulated state), so it is safe to call
 // without synchronization while other goroutines Fold; a value
 // Prepared by one instance may be Folded into any instance of the same
-// configuration. Fold must accept exactly the values Prepare returns —
-// after a successful Prepare it should not fail (a Fold error is
-// counted as a rejected report).
+// configuration. Fold must accept exactly the values Prepare returns.
+// Whatever depends on mutable state is Fold's to check — a phased task
+// validates the report's round there — and a Fold error is counted as
+// a rejected report.
 type Preparer interface {
 	Prepare(report json.RawMessage) (any, error)
 	Fold(prepared any) error
@@ -152,7 +156,7 @@ type LegacyStater interface {
 }
 
 // BinaryReporter is an optional Aggregator capability extending
-// Preparer to the binary wire encoding: PrepareBinary parses and
+// Prepare to the binary wire encoding: PrepareBinary parses and
 // validates one binary report payload into the same fold-ready values
 // Prepare produces, under the same contract (immutable configuration
 // only, safe without synchronization, Fold accepts the result).
