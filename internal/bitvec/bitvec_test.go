@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -243,4 +244,61 @@ func TestMismatchedLengthPanics(t *testing.T) {
 		}
 	}()
 	New(3).Or(New(4))
+}
+
+// TestKernelAdds checks the two fold kernels against their bit-at-a-time
+// definitions over Get, across the word-boundary lengths.
+func TestKernelAdds(t *testing.T) {
+	state := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 { // xorshift64
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return state
+	}
+	weights := [2]float64{-0.4, 1.7}
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000, 1024} {
+		counts, wantCounts := make([]int, n+3), make([]int, n+3)
+		cells, wantCells := make([]float64, n+3), make([]float64, n+3)
+		for round := 0; round < 5; round++ {
+			v := New(n)
+			for i := 0; i < n; i++ {
+				if next()&1 == 1 || i == n-1 && round == 0 {
+					v.Set(i)
+				}
+			}
+			v.AddOnesTo(counts)
+			v.AddWeightsTo(cells, &weights)
+			for i := 0; i < n; i++ {
+				if v.Get(i) {
+					wantCounts[i]++
+					wantCells[i] += weights[1]
+				} else {
+					wantCells[i] += weights[0]
+				}
+			}
+		}
+		// Entries past Len stay untouched (the +3 tail stays zero).
+		if !reflect.DeepEqual(counts, wantCounts) {
+			t.Errorf("n=%d: AddOnesTo = %v, want %v", n, counts, wantCounts)
+		}
+		if !reflect.DeepEqual(cells, wantCells) {
+			t.Errorf("n=%d: AddWeightsTo = %v, want %v", n, cells, wantCells)
+		}
+	}
+}
+
+func TestKernelAddsPanicOnShortDestination(t *testing.T) {
+	v := New(65)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a short destination did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("AddOnesTo", func() { v.AddOnesTo(make([]int, 64)) })
+	mustPanic("AddWeightsTo", func() { v.AddWeightsTo(make([]float64, 64), &[2]float64{}) })
 }

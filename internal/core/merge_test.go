@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/hhtask"
@@ -518,5 +520,113 @@ func TestMergeJournalReplay(t *testing.T) {
 	}
 	if got := counts(t, c2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("estimates after resends = %v, want %v", got, want)
+	}
+}
+
+// TestMergeRefusesPoisonedLHSupport: a delta whose OLH/BLH support
+// vector holds anything but whole numbers in [0, reports] must bounce
+// off /merge with 400 before it is journaled or folded — a NaN, a
+// fraction or an inflated tally folded in would skew every later
+// /estimate, and NaN would make the served JSON unencodable.
+func TestMergeRefusesPoisonedLHSupport(t *testing.T) {
+	for _, mech := range []string{MechanismOLH, MechanismBLH} {
+		cfg := FreqCollectionConfig(mech, PrivacyParams{Epsilon: 2, Domain: 8}, 2)
+		reg := NewCollectionRegistry()
+		agg, err := reg.Create("agg", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Attach(agg); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewMultiService(reg, store).Handler())
+		defer ts.Close()
+
+		client, err := NewClient(cfg.Mechanism, cfg.Params(), ldprand.NewSplitMix64(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]json.RawMessage, 12)
+		for i := range batch {
+			env, err := client.Report(i % cfg.Domain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch[i] = mustRaw(t, env)
+		}
+		good := cutFrom(t, cfg, "good-"+mech, batch)
+		estimate := func() string {
+			t.Helper()
+			resp, err := ts.Client().Get(ts.URL + "/collections/agg/estimate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body bytes.Buffer
+			if _, err := body.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("estimate: %s, %v", resp.Status, err)
+			}
+			return body.String()
+		}
+		merge := func(d Delta) int {
+			t.Helper()
+			blob, err := EncodeDeltaBinary(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := ts.Client().Post(ts.URL+"/collections/agg/merge", ContentTypeBinary, bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		if code := merge(good); code != http.StatusOK {
+			t.Fatalf("%s: honest delta: %d", mech, code)
+		}
+		before := estimate()
+		frames, _, _ := agg.JournalHealth()
+
+		// The honest state's layout, with one support cell replaced.
+		g := 2
+		if mech == MechanismOLH {
+			g = int(math.Ceil(math.Exp(cfg.Epsilon))) + 1
+		}
+		withCell := func(cell float64) Delta {
+			support := make([]float64, cfg.Domain)
+			support[3] = cell
+			w := binenc.NewWriter()
+			defer w.Release()
+			w.Byte(0)
+			w.String(mech)
+			w.Float64(cfg.Epsilon)
+			w.Varint(int64(cfg.Domain))
+			w.Varint(int64(g))
+			w.Varint(int64(good.Reports))
+			w.PackedFloat64s(support)
+			d := good
+			d.ID = fmt.Sprintf("cell-%s-%v", mech, cell)
+			d.State = append([]byte(nil), w.Bytes()...)
+			return d
+		}
+		for _, cell := range []float64{math.NaN(), math.Inf(1), -1, 0.5, float64(good.Reports) + 1} {
+			if code := merge(withCell(cell)); code != http.StatusBadRequest {
+				t.Errorf("%s: delta with support cell %v: %d, want 400", mech, cell, code)
+			}
+		}
+		if after := estimate(); after != before {
+			t.Errorf("%s: /estimate moved after refused deltas:\n%s\n%s", mech, before, after)
+		}
+		if now, _, _ := agg.JournalHealth(); now != frames {
+			t.Errorf("%s: refused deltas journaled %d frames", mech, now-frames)
+		}
+		// The layout is the real one: with a possible tally it folds.
+		if code := merge(withCell(1)); code != http.StatusOK {
+			t.Errorf("%s: delta with support cell 1: %d, want 200", mech, code)
+		}
 	}
 }

@@ -116,9 +116,12 @@ type estEntry struct {
 	reports int
 }
 
-// shard pairs one task aggregator with its stripe lock. Padding would
-// buy a few percent by avoiding false sharing of the mutexes, but the
-// aggregation hot paths dominate, so we keep the struct plain.
+// shard pairs one task aggregator with its stripe lock. The lock is
+// taken once per chunk of up to batchChunk reports and held for the
+// chunk's folds — 1.5 ms for a 500-report OLH d=1024 batch (3.0 µs a
+// report in ldpload's traced run), 0.07 ms for 100 CMS 1024-wide rows —
+// so false sharing between neighbouring mutexes is lost in the fold
+// time and the struct stays unpadded.
 type shard struct {
 	mu  sync.Mutex
 	agg task.Aggregator

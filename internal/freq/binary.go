@@ -189,7 +189,13 @@ func (l *LH) MarshalState() ([]byte, error) {
 	w.Varint(int64(l.d))
 	w.Varint(int64(l.g))
 	w.Varint(int64(l.n))
-	w.PackedFloat64s(l.support)
+	// The tallies are integers in memory; on the wire they stay the
+	// whole-number float vector this layout has always held.
+	support := make([]float64, len(l.support))
+	for v, s := range l.support {
+		support[v] = float64(s)
+	}
+	w.PackedFloat64s(support)
 	return append([]byte(nil), w.Bytes()...), nil
 }
 

@@ -268,9 +268,7 @@ func (t *THE) Aggregate(report *bitvec.Vector) {
 	if report.Len() != t.d {
 		panic("freq: THE report length mismatch")
 	}
-	for _, i := range report.Ones() {
-		t.ones[i]++
-	}
+	report.AddOnesTo(t.ones)
 	t.n++
 }
 

@@ -26,7 +26,7 @@ type LH struct {
 	g       int     // hash range
 	p       float64 // GRR keep-probability over [g]
 	src     ldprand.Source
-	support []float64 // per-value support tallies
+	support []int64 // per-value support tallies
 	n       int
 }
 
@@ -71,7 +71,7 @@ func newLH(name string, epsilon float64, d, g int, src ldprand.Source) *LH {
 		g:       g,
 		p:       expE / (expE + float64(g) - 1),
 		src:     defaultSource(src),
-		support: make([]float64, d),
+		support: make([]int64, d),
 	}
 }
 
@@ -104,18 +104,30 @@ func (l *LH) Privatize(v int) LHReport {
 }
 
 // Aggregate adds support to every domain value consistent with the
-// report. This is the O(d) step of local hashing; the client side is
-// O(1).
+// report. This is the O(d) step of local hashing (the client side is
+// O(1)), and at large d it is what a collector's OLH throughput is:
+// one hash per domain cell per report — 7.2 ns a cell in ldpload's
+// traced run when every cell rebuilt the seed terms and branched 1-in-g
+// on the increment, 2.9 ns with both hoisted out (README, "Fold
+// kernels").
 func (l *LH) Aggregate(r LHReport) {
 	if r.Bucket < 0 || r.Bucket >= l.g {
 		panic("freq: LH report bucket out of range")
 	}
-	for v := 0; v < l.d; v++ {
-		if hashutil.HashIntRange(r.Seed, v, l.g) == r.Bucket {
-			l.support[v]++
-		}
+	h := hashutil.NewIntHasher(r.Seed, l.g)
+	for v := range l.support {
+		l.support[v] += b2i(h.Bucket(v) == r.Bucket)
 	}
 	l.n++
+}
+
+// b2i is 1 for true and 0 for false; the compiler materializes the
+// flag instead of branching.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Collect implements Oracle.
@@ -132,7 +144,7 @@ func (l *LH) EstimateCounts() []float64 {
 	q := 1 / float64(l.g)
 	den := l.p - q
 	for v, s := range l.support {
-		out[v] = (s - float64(l.n)*q) / den
+		out[v] = (float64(s) - float64(l.n)*q) / den
 	}
 	return out
 }
@@ -181,7 +193,7 @@ func (l *LH) Merge(other Oracle) error {
 // Snapshot implements Oracle.
 func (l *LH) Snapshot() Oracle {
 	c := *l
-	c.support = append([]float64(nil), l.support...)
+	c.support = append([]int64(nil), l.support...)
 	return &c
 }
 
@@ -219,7 +231,17 @@ func (l *LH) applyState(st lhState) error {
 	if err := checkStateShape(l.name, st.N, len(st.Support), l.d); err != nil {
 		return err
 	}
-	copy(l.support, st.Support)
+	support := make([]int64, l.d)
+	for v, f := range st.Support {
+		// Each report supports a value at most once, so a tally is a
+		// whole number in [0, n]. The float-side bounds also refuse NaN
+		// and ±Inf and keep the conversion defined.
+		if !(f >= 0 && f < 1<<63) || f != math.Trunc(f) || int64(f) > int64(st.N) {
+			return stateShapeError(l.name)
+		}
+		support[v] = int64(f)
+	}
+	l.support = support
 	l.n = st.N
 	return nil
 }

@@ -7,11 +7,14 @@ package freq
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/ldprand"
 )
 
@@ -202,5 +205,63 @@ func TestStateRejectsUnknownVersion(t *testing.T) {
 				t.Fatalf("restore rejected an explicit v=0 tag: %v", err)
 			}
 		})
+	}
+}
+
+// TestLHStateRefusesBadSupport: a local-hashing support tally is a
+// count of reports — a whole number in [0, n] — and a checkpoint or
+// merge delta saying otherwise would poison every later estimate. Both
+// decoders refuse it and leave the receiver untouched.
+func TestLHStateRefusesBadSupport(t *testing.T) {
+	const d, n = 8, 5
+	for _, build := range []func() *LH{
+		func() *LH { return NewOLH(1.2, d, ldprand.NewSplitMix64(3)) },
+		func() *LH { return NewBLH(1.2, d, ldprand.NewSplitMix64(3)) },
+	} {
+		l := build()
+		collectSome(l, 5, n)
+		good, err := l.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := l.EstimateCounts()
+
+		encode := func(cell float64) []byte {
+			support := make([]float64, d)
+			support[d-1] = cell
+			w := binenc.NewWriter()
+			defer w.Release()
+			w.Byte(binaryStateVersion)
+			w.String(l.name)
+			w.Float64(l.epsilon)
+			w.Varint(d)
+			w.Varint(int64(l.g))
+			w.Varint(n)
+			w.PackedFloat64s(support)
+			return append([]byte(nil), w.Bytes()...)
+		}
+		for _, ok := range []float64{0, 1, n} {
+			if err := build().UnmarshalState(encode(ok)); err != nil {
+				t.Errorf("%s: support cell %v refused: %v", l.name, ok, err)
+			}
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0.5, n + 1, 1 << 63, 1e300} {
+			if err := l.UnmarshalState(encode(bad)); err == nil {
+				t.Errorf("%s: binary state with support cell %v accepted", l.name, bad)
+			}
+		}
+		for _, bad := range []string{"-1", "0.5", "6", "1e300"} {
+			legacy := fmt.Sprintf(`{"mechanism":%q,"epsilon":1.2,"domain":%d,"g":%d,"n":%d,"support":[0,0,0,0,0,0,0,%s]}`,
+				l.name, d, l.g, n, bad)
+			if err := l.UnmarshalLegacyState([]byte(legacy)); err == nil {
+				t.Errorf("%s: legacy state with support cell %s accepted", l.name, bad)
+			}
+		}
+		if !reflect.DeepEqual(l.EstimateCounts(), before) || l.Collected() != n {
+			t.Errorf("%s: a refused restore mutated the oracle", l.name)
+		}
+		if err := l.UnmarshalState(good); err != nil {
+			t.Errorf("%s: own state refused after the hostile ones: %v", l.name, err)
+		}
 	}
 }

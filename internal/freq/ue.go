@@ -104,9 +104,7 @@ func (u *UE) Aggregate(report *bitvec.Vector) {
 	if report.Len() != u.d {
 		panic("freq: UE report length mismatch")
 	}
-	for _, i := range report.Ones() {
-		u.ones[i]++
-	}
+	report.AddOnesTo(u.ones)
 	u.n++
 }
 

@@ -4,16 +4,22 @@
 // Optimized Local Hashing (OLH), Bloom filters and the Apple count-mean
 // sketch all assume a publicly known family {H_s} of hash functions from
 // an item domain into a small range [m], indexed by a seed that travels
-// with each report. The families here are built on FNV-1a mixing with a
-// 64-bit finalizer, which empirically behaves as a universal family for
-// the ranges used in LDP protocols, plus an exact pairwise-independent
-// family over a Mersenne-prime field for code that needs provable
-// 2-independence.
+// with each report. Byte strings (Hash64) are hashed with FNV-1a and a
+// SplitMix64 finalizer; integers (IntHasher, HashInt64) with two
+// SplitMix64 finalizers keyed by the seed. Both empirically behave as
+// universal families for the ranges used in LDP protocols. Pairwise is
+// an exact pairwise-independent family over a Mersenne-prime field for
+// code that needs provable 2-independence.
+//
+// The integer hash is wire protocol: a local-hashing client reports a
+// bucket the server recomputes, at ingest and at every journal replay.
+// Its values are pinned by testdata/golden_hash.txt.
 package hashutil
 
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math/bits"
 )
 
 // Hash64 hashes an arbitrary byte string with a 64-bit seed.
@@ -26,26 +32,48 @@ func Hash64(seed uint64, data []byte) uint64 {
 	return mix64(h.Sum64())
 }
 
+// IntHasher is the integer hash under one seed with its seed-dependent
+// terms precomputed. A local-hashing server evaluates one report's
+// hash on every candidate value, so the loop over candidates should
+// pay only for the two mixing rounds and the range reduction.
+type IntHasher struct {
+	pre, post uint64 // seed + golden ratio; seed with its halves swapped
+	m         uint64 // output range of Bucket
+}
+
+// NewIntHasher returns the integer hash for seed with Bucket mapping
+// into [0, m).
+func NewIntHasher(seed uint64, m int) IntHasher {
+	return IntHasher{pre: seed + 0x9e3779b97f4a7c15, post: bits.RotateLeft64(seed, 32), m: uint64(m)}
+}
+
+// Hash returns the 64-bit hash of item.
+func (h IntHasher) Hash(item int) uint64 {
+	return mix64(mix64(uint64(item)^h.pre) ^ h.post)
+}
+
+// Bucket returns the hash of item reduced to [0, m).
+func (h IntHasher) Bucket(item int) int {
+	hi, _ := bits.Mul64(h.Hash(item), h.m)
+	return int(hi)
+}
+
 // HashInt64 hashes an integer item with a 64-bit seed. It avoids
 // allocating for the common case of integer-encoded domains.
 func HashInt64(seed uint64, item int) uint64 {
-	x := uint64(item)
-	x ^= seed + 0x9e3779b97f4a7c15
-	x = mix64(x)
-	x ^= seed<<32 | seed>>32
-	return mix64(x)
+	return NewIntHasher(seed, 0).Hash(item)
 }
 
 // Range maps a 64-bit hash onto [0, m) without modulo bias, using the
 // multiply-shift reduction.
 func Range(h uint64, m int) int {
-	hi, _ := mul128(h, uint64(m))
+	hi, _ := bits.Mul64(h, uint64(m))
 	return int(hi)
 }
 
 // HashIntRange hashes an integer item into [0, m) under the given seed.
 func HashIntRange(seed uint64, item, m int) int {
-	return Range(HashInt64(seed, item), m)
+	return NewIntHasher(seed, m).Bucket(item)
 }
 
 // HashBytesRange hashes a byte string into [0, m) under the given seed.
@@ -58,23 +86,6 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask
-	hiPart := t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + hiPart + t>>32
-	return hi, lo
 }
 
 // Pairwise is an exactly pairwise-independent hash family
@@ -107,7 +118,7 @@ func (pw Pairwise) Hash(x uint64) int {
 // modMulAdd computes (a*x + b) mod (2^61 - 1) without overflow, using the
 // Mersenne reduction (hi<<3 | lo-part folding).
 func modMulAdd(a, x, b uint64) uint64 {
-	hi, lo := mul128(a, x)
+	hi, lo := bits.Mul64(a, x)
 	// 2^64 ≡ 2^3 (mod 2^61-1), so fold: value = hi*2^64 + lo.
 	res := (lo & MersennePrime61) + (lo >> 61) + (hi<<3)&MersennePrime61 + hi>>58
 	res += b

@@ -124,19 +124,12 @@ func TestPairwiseUniformSingle(t *testing.T) {
 }
 
 func TestModMulAddSmallCases(t *testing.T) {
-	// (a*x + b) mod p cross-checked against big-number-free arithmetic
-	// for values small enough to avoid overflow in the direct formula.
 	cases := []struct{ a, x, b uint64 }{
 		{0, 0, 0}, {1, 1, 1}, {2, 3, 4}, {1 << 20, 1 << 20, 99},
 		{MersennePrime61 - 1, 2, 5},
 	}
 	for _, c := range cases {
-		got := modMulAdd(c.a, c.x, c.b)
-		// Direct computation with 128-bit decomposition.
-		hi, lo := mul128(c.a, c.x)
-		want := (lo%MersennePrime61 + (hi%MersennePrime61)*((1<<63)%MersennePrime61)%MersennePrime61*2%MersennePrime61 + c.b) % MersennePrime61
-		_ = want // the folding identity is awkward to restate; instead check bounds and a known case
-		if got >= MersennePrime61 {
+		if got := modMulAdd(c.a, c.x, c.b); got >= MersennePrime61 {
 			t.Fatalf("modMulAdd(%d,%d,%d) = %d >= p", c.a, c.x, c.b, got)
 		}
 	}
@@ -148,18 +141,91 @@ func TestModMulAddSmallCases(t *testing.T) {
 	}
 }
 
+// TestMul128KnownValues checks the 128-bit products behind Range and
+// Pairwise at the values that exercise every carry of the hand-rolled
+// multiply they used before math/bits.Mul64.
 func TestMul128KnownValues(t *testing.T) {
-	hi, lo := mul128(0xffffffffffffffff, 0xffffffffffffffff)
-	if hi != 0xfffffffffffffffe || lo != 1 {
-		t.Fatalf("mul128 max*max = (%x,%x)", hi, lo)
+	// Range(h, m) is the high word of h·m.
+	for _, c := range []struct {
+		h    uint64
+		m    int
+		want int
+	}{
+		{math.MaxUint64, math.MaxInt, math.MaxInt - 1}, // (2^64−1)(2^63−1) = (2^63−2)·2^64 + …
+		{1 << 32, 1 << 32, 1},
+		{3, 5, 0},
+		{1 << 63, 2, 1},
+		{1<<63 - 1, 2, 0},
+		{0xdeadbeefcafef00d, 1 << 20, 0xdeadb},
+	} {
+		if got := Range(c.h, c.m); got != c.want {
+			t.Errorf("Range(%#x, %d) = %d, want %d", c.h, c.m, got, c.want)
+		}
+		if got := int(refMul128Hi(c.h, uint64(c.m))); got != c.want {
+			t.Errorf("oracle hi(%#x·%d) = %d, want %d", c.h, c.m, got, c.want)
+		}
 	}
-	hi, lo = mul128(1<<32, 1<<32)
-	if hi != 1 || lo != 0 {
-		t.Fatalf("mul128 2^32*2^32 = (%x,%x)", hi, lo)
+	// modMulAdd reduces the full 128-bit a·x mod 2^61−1: with
+	// a = x = p−1 ≡ −1 the product is 1, and a = 2^60, x = 4 wraps the
+	// high word (2^62 ≡ 2).
+	if got := modMulAdd(MersennePrime61-1, MersennePrime61-1, 0); got != 1 {
+		t.Errorf("modMulAdd(p-1,p-1,0) = %d, want 1", got)
 	}
-	hi, lo = mul128(3, 5)
-	if hi != 0 || lo != 15 {
-		t.Fatalf("mul128 3*5 = (%x,%x)", hi, lo)
+	if got := modMulAdd(1<<60, 4, 7); got != 9 {
+		t.Errorf("modMulAdd(2^60,4,7) = %d, want 9", got)
+	}
+	if got := (Pairwise{A: MersennePrime61 - 1, B: 3, M: 1000}).Hash(MersennePrime61 - 2); got != 5 {
+		// (−1)(−2) + 3 = 5 mod p.
+		t.Errorf("Pairwise(-1,3).Hash(-2) = %d, want 5", got)
+	}
+}
+
+// refHashIntRange is the integer hash as it was defined before the fold
+// kernels: two SplitMix64 finalizers and a hand-rolled 128-bit
+// multiply, nothing hoisted. Test-only; IntHasher must agree with it
+// on every input.
+func refHashIntRange(seed uint64, item, m int) int {
+	mix := func(z uint64) uint64 {
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	x := uint64(item)
+	x ^= seed + 0x9e3779b97f4a7c15
+	x = mix(x)
+	x ^= seed<<32 | seed>>32
+	return int(refMul128Hi(mix(x), uint64(m)))
+}
+
+// refMul128Hi is the high word of the 128-bit product a·b by 32-bit
+// limbs.
+func refMul128Hi(a, b uint64) uint64 {
+	const mask = 0xffffffff
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo * bLo
+	c := t >> 32
+	t = aHi*bLo + c
+	mid := t & mask
+	hiPart := t >> 32
+	t = aLo*bHi + mid
+	return aHi*bHi + hiPart + t>>32
+}
+
+func TestKernelIntHasher(t *testing.T) {
+	f := func(seed uint64, item int, mRaw uint32) bool {
+		for _, m := range []int{2, 9, 64, int(mRaw) + 1, math.MaxInt} {
+			want := refHashIntRange(seed, item, m)
+			h := NewIntHasher(seed, m)
+			if h.Bucket(item) != want || HashIntRange(seed, item, m) != want ||
+				Range(h.Hash(item), m) != want || h.Hash(item) != HashInt64(seed, item) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -67,7 +67,7 @@ func (m LHMech) G() int { return m.g }
 // Privatize produces the local-hashing report for value v.
 func (m LHMech) Privatize(v uint64, src ldprand.Source) LHReport {
 	seed := src.Uint64()
-	bucket := hashutil.Range(hashutil.HashInt64(seed, int(v)), m.g)
+	bucket := hashutil.HashIntRange(seed, int(v), m.g)
 	if !ldprand.Bernoulli(src, m.p) {
 		other := ldprand.Intn(src, m.g-1)
 		if other >= bucket {
@@ -90,8 +90,9 @@ func (m LHMech) Privatize(v uint64, src ldprand.Source) LHReport {
 func (m LHMech) EstimateCounts(reports []LHReport, candidates []uint64) []float64 {
 	support := make([]float64, len(candidates))
 	for _, r := range reports {
+		h := hashutil.NewIntHasher(r.Seed, m.g)
 		for i, c := range candidates {
-			if m.Supports(r, c) {
+			if h.Bucket(int(c)) == r.Bucket {
 				support[i]++
 			}
 		}
@@ -110,7 +111,7 @@ func (m LHMech) EstimateCounts(reports []LHReport, candidates []uint64) []float6
 // hashes (under r's seed) into the bucket r announced. This is the 0/1
 // frequency indicator both estimate paths sum per candidate.
 func (m LHMech) Supports(r LHReport, c uint64) bool {
-	return hashutil.Range(hashutil.HashInt64(r.Seed, int(c)), m.g) == r.Bucket
+	return hashutil.HashIntRange(r.Seed, int(c), m.g) == r.Bucket
 }
 
 // FoldSupport adds one report's support indicators into the
@@ -122,11 +123,20 @@ func (m LHMech) Supports(r LHReport, c uint64) bool {
 // must hold a round's state in constant space however much traffic the
 // round absorbs.
 func (m LHMech) FoldSupport(r LHReport, candidates []uint64, sums []int64) {
+	sums = sums[:len(candidates)] // one bounds check, not one per candidate
+	h := hashutil.NewIntHasher(r.Seed, m.g)
 	for i, c := range candidates {
-		if m.Supports(r, c) {
-			sums[i]++
-		}
+		sums[i] += b2i(h.Bucket(int(c)) == r.Bucket)
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler materializes the
+// flag instead of branching.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // EstimateFromSupport debiases support sums accumulated by FoldSupport

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -92,7 +93,7 @@ func (p *PCG64) Uint64() uint64 {
 
 	// 128-bit multiply-add: state = state*mul + inc.
 	hi, lo := p.hi, p.lo
-	carryHi, carryLo := mul128(lo, mulLo)
+	carryHi, carryLo := bits.Mul64(lo, mulLo)
 	carryHi += hi*mulLo + lo*mulHi
 	lo2 := carryLo + incLo
 	hi2 := carryHi + incHi
@@ -105,23 +106,6 @@ func (p *PCG64) Uint64() uint64 {
 	xored := hi2 ^ lo2
 	rot := uint(hi2 >> 58)
 	return xored>>rot | xored<<((64-rot)&63)
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask
-	hiPart := t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + hiPart + t>>32
-	return hi, lo
 }
 
 // Keyed returns a deterministic Source derived from a secret key and a

@@ -51,6 +51,26 @@ func TestPCG64Deterministic(t *testing.T) {
 	}
 }
 
+// TestPCG64KnownValues pins the stream (Keyed sources memoize on it):
+// the values were recorded before the 128-bit state multiply moved to
+// math/bits.Mul64.
+func TestPCG64KnownValues(t *testing.T) {
+	for _, c := range []struct {
+		hi, lo uint64
+		want   []uint64
+	}{
+		{1, 2, []uint64{0xd8a780acaa71a6f5, 0x7d8c6d49bc5535e9, 0x4c5ae44e4d78e17b, 0xd9208a0a24081100}},
+		{^uint64(0), ^uint64(0), []uint64{0x8bd69346b5cae7a6, 0x1d396726771e6c6b}},
+	} {
+		p := NewPCG64(c.hi, c.lo)
+		for i, want := range c.want {
+			if got := p.Uint64(); got != want {
+				t.Errorf("NewPCG64(%#x, %#x) output %d = %#x, want %#x", c.hi, c.lo, i, got, want)
+			}
+		}
+	}
+}
+
 func TestCryptoProducesVariedOutput(t *testing.T) {
 	c := NewCrypto()
 	seen := make(map[uint64]bool)

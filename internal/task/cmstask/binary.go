@@ -64,7 +64,7 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 }
 
 // PrepareBinary implements task.BinaryReporter: it decodes one binary
-// report envelope — unpacking the CMS bit row — and applies exactly
+// report envelope — the CMS bit row stays packed — and applies exactly
 // the validation the JSON Prepare applies, reading only the immutable
 // parameters.
 func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
@@ -76,8 +76,10 @@ func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 	if version != binaryEnvelopeVersion {
 		return nil, fmt.Errorf("cmstask: binary envelope version %d not supported", version)
 	}
-	mechanism := r.String()
-	if r.Err() == nil && mechanism != a.mechanism {
+	// The mechanism is a string on the wire; reading it as the blob it
+	// is laid out as compares it in place instead of copying it out.
+	mechanism := r.Blob()
+	if r.Err() == nil && string(mechanism) != a.mechanism {
 		return nil, fmt.Errorf("cmstask: envelope mechanism %q does not match aggregator %q", mechanism, a.mechanism)
 	}
 	row := int(r.Varint())
@@ -86,18 +88,14 @@ func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("cmstask: bad binary envelope: %w", err)
 		}
-		var v bitvec.Vector
-		if err := v.UnmarshalBinary(raw); err != nil {
+		var bits bitvec.Vector
+		if err := bits.UnmarshalBinary(raw); err != nil {
 			return nil, err
 		}
-		if v.Len() != a.params.Width {
-			return nil, fmt.Errorf("cmstask: report width %d, want %d", v.Len(), a.params.Width)
+		if err := a.checkCMSShape(row, bits.Len()); err != nil {
+			return nil, err
 		}
-		bits := make([]byte, v.Len())
-		for _, i := range v.Ones() {
-			bits[i] = 1
-		}
-		return a.prepareCMSReport(row, bits)
+		return preparedCMS{row: row, bits: bits}, nil
 	}
 	index := int(r.Varint())
 	sign := int8(r.Varint())

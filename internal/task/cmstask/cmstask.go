@@ -22,6 +22,7 @@ import (
 	"math"
 	"net/url"
 
+	"repro/internal/bitvec"
 	"repro/internal/cms"
 	"repro/internal/ldprand"
 	"repro/internal/sketch"
@@ -61,7 +62,11 @@ type Aggregator struct {
 	mechanism string
 	params    cms.Params
 	cEps      float64 // debias constant: (e^(ε/2)+1)/(e^(ε/2)−1) CMS, (e^ε+1)/(e^ε−1) HCMS
-	cm        *sketch.CountMin
+	// cmsWeights[b] is the debiased contribution k·(c_ε/2·v + 1/2) of
+	// one CMS coordinate reporting bit b (v = −1, +1); computed once so
+	// the per-cell fold is a table lookup and an add.
+	cmsWeights [2]float64
+	cm         *sketch.CountMin
 }
 
 // New builds a sketch task aggregator: Mechanism selects "CMS" or
@@ -75,8 +80,15 @@ func New(cfg task.Config) (task.Aggregator, error) {
 			return nil, err
 		}
 		e2 := math.Exp(p.Epsilon / 2)
-		return &Aggregator{mechanism: MechanismCMS, params: p, cEps: (e2 + 1) / (e2 - 1),
-			cm: sketch.NewCountMin(p.Hashes, p.Width, p.Seed)}, nil
+		cEps := (e2 + 1) / (e2 - 1)
+		k := float64(p.Hashes)
+		// The float64 conversions round every intermediate, so no
+		// platform may fuse the multiply into the add: the weights
+		// equal cms.Server's per-cell expression bit for bit.
+		weight := func(v float64) float64 { return float64(k * float64(float64(cEps/2*v)+0.5)) }
+		return &Aggregator{mechanism: MechanismCMS, params: p, cEps: cEps,
+			cmsWeights: [2]float64{weight(-1), weight(1)},
+			cm:         sketch.NewCountMin(p.Hashes, p.Width, p.Seed)}, nil
 	case MechanismHCMS:
 		if err := p.Validate(true); err != nil {
 			return nil, err
@@ -102,10 +114,13 @@ func (a *Aggregator) Add(report json.RawMessage) error {
 	return a.Fold(prepared)
 }
 
-// preparedCMS is a validated, base64-decoded CMS row report.
+// preparedCMS is a validated CMS row report, its ±1 coordinates packed
+// one per bit. Both wire decoders produce it and Fold consumes it
+// packed: the row is never expanded to a byte or an index per
+// coordinate.
 type preparedCMS struct {
 	row  int
-	bits []byte // width bytes, each 0 or 1
+	bits bitvec.Vector // width bits; 1 encodes +1, 0 encodes −1
 }
 
 // preparedHCMS is a validated HCMS coefficient report.
@@ -126,30 +141,39 @@ func (a *Aggregator) Prepare(report json.RawMessage) (any, error) {
 		return nil, fmt.Errorf("cmstask: envelope mechanism %q does not match aggregator %q", e.Mechanism, a.mechanism)
 	}
 	if a.mechanism == MechanismCMS {
-		bits, err := base64.StdEncoding.DecodeString(e.Bits)
+		raw, err := base64.StdEncoding.DecodeString(e.Bits)
 		if err != nil {
 			return nil, fmt.Errorf("cmstask: bad bits encoding: %w", err)
 		}
-		return a.prepareCMSReport(e.Row, bits)
+		if err := a.checkCMSShape(e.Row, len(raw)); err != nil {
+			return nil, err
+		}
+		// The JSON envelope spends a byte per coordinate; pack them.
+		bits := bitvec.New(len(raw))
+		for i, b := range raw {
+			switch b {
+			case 0:
+			case 1:
+				bits.Set(i)
+			default:
+				return nil, fmt.Errorf("cmstask: report bit %d has value %d, want 0 or 1", i, b)
+			}
+		}
+		return preparedCMS{row: e.Row, bits: *bits}, nil
 	}
 	return a.prepareHCMSReport(e.Row, e.Index, e.Sign)
 }
 
-// prepareCMSReport validates one decoded CMS row report; the JSON and
-// binary wire decoders both feed it.
-func (a *Aggregator) prepareCMSReport(row int, bits []byte) (any, error) {
+// checkCMSShape validates the row and width of one decoded CMS row
+// report; the JSON and binary wire decoders both call it.
+func (a *Aggregator) checkCMSShape(row, width int) error {
 	if row < 0 || row >= a.params.Hashes {
-		return nil, fmt.Errorf("cmstask: row %d out of range [0,%d)", row, a.params.Hashes)
+		return fmt.Errorf("cmstask: row %d out of range [0,%d)", row, a.params.Hashes)
 	}
-	if len(bits) != a.params.Width {
-		return nil, fmt.Errorf("cmstask: report width %d, want %d", len(bits), a.params.Width)
+	if width != a.params.Width {
+		return fmt.Errorf("cmstask: report width %d, want %d", width, a.params.Width)
 	}
-	for i, b := range bits {
-		if b != 0 && b != 1 {
-			return nil, fmt.Errorf("cmstask: report bit %d has value %d, want 0 or 1", i, b)
-		}
-	}
-	return preparedCMS{row: row, bits: bits}, nil
+	return nil
 }
 
 // prepareHCMSReport validates one decoded HCMS coefficient report; the
@@ -170,21 +194,15 @@ func (a *Aggregator) prepareHCMSReport(row, index int, sign int8) (any, error) {
 // Fold accumulates a Prepared report (task.Preparer): every coordinate
 // of a CMS row gets the debiased contribution k·(c_ε/2·v + 1/2), a
 // HCMS coefficient gets k·m·c_ε·sign — exactly as cms.Server and
-// cms.HadamardServer fold them.
+// cms.HadamardServer fold them. The CMS row is the O(m) step that sets
+// a sketch collection's throughput (README, "Fold kernels").
 func (a *Aggregator) Fold(prepared any) error {
 	switch p := prepared.(type) {
 	case preparedCMS:
 		if a.mechanism != MechanismCMS {
 			break
 		}
-		k := float64(a.params.Hashes)
-		for i, b := range p.bits {
-			v := -1.0
-			if b == 1 {
-				v = 1
-			}
-			a.cm.AddToCell(p.row, i, k*(a.cEps/2*v+0.5))
-		}
+		p.bits.AddWeightsTo(a.cm.Row(p.row), &a.cmsWeights)
 		a.cm.AddTotal(1)
 		return nil
 	case preparedHCMS:

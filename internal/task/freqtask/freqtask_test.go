@@ -254,3 +254,30 @@ func TestAddRejectsMalformed(t *testing.T) {
 		t.Fatalf("rejected reports counted: %d", a.Collected())
 	}
 }
+
+// TestFoldAllocs pins the binary ingest of one OLH report — the
+// serving path's O(d) fold — at two allocations (the mechanism string
+// and the boxed report), none of them in the fold.
+func TestFoldAllocs(t *testing.T) {
+	o, err := freqtask.NewOracle("OLH", 2, 1024, ldprand.NewSplitMix64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := freqtask.PrivatizeBinary(o, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := freqtask.Wrap(o)
+	allocs := testing.AllocsPerRun(100, func() {
+		prepared, err := a.PrepareBinary(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Fold(prepared); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("PrepareBinary+Fold: %v allocs per OLH report, want at most 2", allocs)
+	}
+}
