@@ -7,11 +7,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cms"
@@ -194,161 +191,6 @@ func BenchmarkPEM(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkServerThroughput compares the serving path's ingestion
-// architectures under parallel load: the seed's single-mutex design
-// (every report serializes on one lock around one oracle) against the
-// sharded aggregator, with and without batching. Envelopes are
-// pre-privatized so the benchmark isolates aggregation throughput —
-// the server-side bottleneck — from client-side randomization cost.
-// Run with -cpu to see the scaling, e.g.:
-//
-//	go test -bench=ServerThroughput -cpu 1,4,8
-//
-// Sharded estimates stay bit-identical to sequential aggregation (the
-// accumulators are integer-valued; see TestSharded* in internal/core),
-// so the speedup is free of any accuracy trade.
-func BenchmarkServerThroughput(b *testing.B) {
-	const d, pool = 128, 8192
-	p := core.PrivacyParams{Epsilon: 1, Domain: d}
-	client, err := core.NewClient(core.MechanismGRR, p, ldprand.NewSplitMix64(71))
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := ldprand.NewSplitMix64(72)
-	values := make([]int, pool)
-	for i := range values {
-		values[i] = ldprand.Intn(src, d)
-	}
-	envs, err := client.ReportBatch(values)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Every variant ingests the same raw JSON (the task-generic wire
-	// form) and pays the same parse+validate work per report, so the
-	// cross-variant ratios compare aggregation architecture only.
-	raws := make([]json.RawMessage, len(envs))
-	for i := range envs {
-		if raws[i], err = json.Marshal(envs[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.Run("single-mutex", func(b *testing.B) {
-		// The pre-sharding architecture, reproduced inline: parse and
-		// aggregate serialized on one lock around one oracle.
-		oracle, err := freqtask.NewOracle(core.MechanismGRR, p.Epsilon, p.Domain, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var mu sync.Mutex
-		var i atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				var e freqtask.Envelope
-				if err := json.Unmarshal(raws[i.Add(1)%pool], &e); err != nil {
-					// b.Fatal is not legal off the benchmark goroutine.
-					b.Error(err)
-					return
-				}
-				mu.Lock()
-				err := freqtask.Aggregate(oracle, e)
-				mu.Unlock()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-
-	b.Run("sharded", func(b *testing.B) {
-		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var i atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := agg.Add(raws[i.Add(1)%pool]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-
-	b.Run("sharded-batch", func(b *testing.B) {
-		const batch = 256
-		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var i atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				off := int(i.Add(1)*batch) % (pool - batch)
-				if _, err := agg.AddBatch(raws[off : off+batch]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		// Report per-envelope cost, comparable to the other two runs.
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/report")
-	})
-
-	// The binary wire variants ingest the same logical reports through
-	// the negotiated binary envelopes (same randomness stream, so the
-	// folded values match the JSON runs): the deltas against "sharded"
-	// and "sharded-batch" isolate the codec's decode and allocation
-	// cost from the aggregation architecture.
-	clientBin, err := core.NewClient(core.MechanismGRR, p, ldprand.NewSplitMix64(71))
-	if err != nil {
-		b.Fatal(err)
-	}
-	bins := make([][]byte, pool)
-	for i := range bins {
-		if bins[i], err = clientBin.ReportBinary(values[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.Run("sharded-binary", func(b *testing.B) {
-		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var i atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := agg.AddBinary(bins[i.Add(1)%pool]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-
-	b.Run("sharded-batch-binary", func(b *testing.B) {
-		const batch = 256
-		agg, err := core.NewShardedAggregator(core.FreqTaskConfig(core.MechanismGRR, p), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var i atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				off := int(i.Add(1)*batch) % (pool - batch)
-				if _, err := agg.AddBatchBinary(bins[off : off+batch]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/report")
-	})
 }
 
 // BenchmarkEnvelopeRoundTrip measures the wire-format overhead of the

@@ -122,7 +122,6 @@ func (wc wireCodec) encodeBatch(batch []json.RawMessage) ([]byte, error) {
 func main() {
 	var (
 		server     = flag.String("server", "http://localhost:8080", "ldpd base URL, or a comma-separated list of relay URLs to round-robin batches across")
-		addr       = flag.String("addr", "", "alias for -server (takes precedence when set): comma-separated ldpd/relay base URLs")
 		collection = flag.String("collection", "", "target collection (empty = the server's default collection via the flat routes)")
 		taskName   = flag.String("task", task.TypeFreq, "task family: freq, mean, sketch")
 		mechanism  = flag.String("mechanism", "", "mechanism within the task family (default: OLH / duchi / CMS per task)")
@@ -161,12 +160,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ldpclient: unknown -encoding %q (have json, binary)\n", *encoding)
 		os.Exit(2)
 	}
-	list := *server
-	if *addr != "" {
-		list = *addr
-	}
 	var targets []string
-	for _, t := range strings.Split(list, ",") {
+	for _, t := range strings.Split(*server, ",") {
 		t = strings.TrimSuffix(strings.TrimSpace(t), "/")
 		if t == "" {
 			continue
@@ -177,7 +172,7 @@ func main() {
 		targets = append(targets, t)
 	}
 	if len(targets) == 0 {
-		fmt.Fprintln(os.Stderr, "ldpclient: -server/-addr names no targets")
+		fmt.Fprintln(os.Stderr, "ldpclient: -server names no targets")
 		os.Exit(2)
 	}
 	ring := &targetRing{targets: targets}

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -46,5 +49,56 @@ func TestServingImportClosure(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("go list reported no repro/internal packages; the check is not looking at this module")
+	}
+}
+
+// TestStateHasOneDecoder pins, structurally, that task state has one
+// codec: the packages that own the leaf state layouts do not import
+// encoding/json (a JSON state reader could not be written there
+// without this test noticing), and nothing in the serving closure
+// declares a second restore entry point — a method named
+// Unmarshal…State — beside UnmarshalState.
+func TestStateHasOneDecoder(t *testing.T) {
+	cmd := exec.Command("go", "list", "-f", `{{.ImportPath}}: {{join .Imports " "}}`,
+		"./internal/freq", "./internal/mean", "./internal/sketch")
+	cmd.Dir = "../.."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("go list reported %d packages, want 3:\n%s", len(lines), out)
+	}
+	for _, line := range lines {
+		pkg, imports, _ := strings.Cut(line, ": ")
+		for _, imp := range strings.Fields(imports) {
+			if imp == "encoding/json" {
+				t.Errorf("%s imports encoding/json; its state layouts are binary only", pkg)
+			}
+		}
+	}
+
+	// gofmt keeps a method declaration's receiver and name on one line.
+	restore := regexp.MustCompile(`(?m)^func \([^)]+\) (Unmarshal\w*State)\(`)
+	for _, p := range servingClosure {
+		files, err := filepath.Glob(filepath.Join("../../internal", p, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files for internal/%s (%v)", p, err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range restore.FindAllSubmatch(src, -1) {
+				if name := string(m[1]); name != "UnmarshalState" {
+					t.Errorf("%s declares a method %s; UnmarshalState is the one state decoder", file, name)
+				}
+			}
+		}
 	}
 }

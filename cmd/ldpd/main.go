@@ -36,9 +36,13 @@
 // fsync'd ("always", survives power loss) or left to the page cache
 // ("none", survives process crashes only, far cheaper). Snapshots that
 // fail their checksum at startup are set aside under a .corrupt suffix
-// and every other collection is restored. GET /healthz reports
-// per-collection checkpoint failures and journal lag, turning 503 once
-// -unhealthy-after consecutive checkpoints have failed.
+// and every other collection is restored; so is a JSON checkpoint from
+// before LDPSNAP5, which only an older build (commit 87453f2, run once
+// on the state directory) can upgrade. Journal frames that are sound
+// but cannot be applied are set aside the same way, never deleted.
+// GET /healthz reports per-collection checkpoint failures and journal
+// lag, turning 503 once -unhealthy-after consecutive checkpoints have
+// failed.
 //
 // With -mode relay -upstream <url>, the process becomes a relay ingest
 // node: it accepts the ordinary report routes, folds into its own

@@ -14,9 +14,8 @@
 //     detorder.go.
 //   - Durability: every error from a mutating fsio.File / fsio.FS
 //     operation must be checked or carry an explicit annotation
-//     (fsiocheck.go), and UnmarshalState / UnmarshalLegacyState
-//     implementations must refuse unknown state-version tags
-//     (envelopeversion.go).
+//     (fsiocheck.go), and UnmarshalState implementations must refuse
+//     unknown state-version tags (envelopeversion.go).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library

@@ -7,57 +7,54 @@ import (
 	"strings"
 )
 
-// EnvelopeVersion requires every UnmarshalState and
-// UnmarshalLegacyState implementation to gate on a state-version tag
-// before trusting the payload. The checkpoint envelope itself is
-// versioned (v5, with a reader for v0–v4 in internal/core/legacy.go),
-// and the aggregator states it wraps carry their own tags for the same
-// reason: a state blob written by a future format
-// revision must be refused loudly at restore time, not reinterpreted
-// field-by-field into a silently corrupt aggregate. The hhtask guard
-// is the canonical shape:
+// EnvelopeVersion requires every UnmarshalState implementation to gate
+// on a state-version tag before trusting the payload. The checkpoint
+// envelope itself is versioned (LDPSNAP5), and the aggregator states
+// it wraps carry their own tags for the same reason: a state blob
+// written by a future format revision must be refused loudly at
+// restore time, not reinterpreted field-by-field into a silently
+// corrupt aggregate. The hhtask guard is the canonical shape — read
+// the leading byte into a local named "version" and compare before
+// touching the payload:
 //
-//	if st.V != 0 && st.V != stateVersionSums {
-//		return fmt.Errorf("hhtask: unsupported state version %d", st.V)
+//	version := int(r.Byte())
+//	...
+//	if version != stateVersionSums {
+//		return fmt.Errorf("hhtask: state version %d not supported", version)
 //	}
 //
 // The analyzer accepts any comparison or switch whose operand is
 // named "V"/"v" or contains "version", looked for in the method body
 // and, depth-limited, through same-package helpers it delegates to
-// (freq's unmarshalStateAs pattern). Delegating to another package's
-// UnmarshalState/UnmarshalLegacyState also satisfies the check — the
-// delegate is analyzed where it is defined. The binary decoders
-// satisfy it the same way the legacy JSON ones do: read the version
-// byte into a local named "version" and compare before touching the
-// payload.
+// (freq's unmarshalStateAs → readBinaryStateVersion pattern).
+// Delegating to another package's UnmarshalState also satisfies the
+// check — the delegate is analyzed where it is defined.
 var EnvelopeVersion = &Analyzer{
 	Name: "envelopeversion",
-	Doc:  "require UnmarshalState and UnmarshalLegacyState implementations to refuse unknown state-version tags",
+	Doc:  "require UnmarshalState implementations to refuse unknown state-version tags",
 	Run:  runEnvelopeVersion,
 }
 
-// isStateUnmarshal reports whether the method name is one of the
-// restore entry points the guard requirement covers.
-func isStateUnmarshal(name string) bool {
-	return name == "UnmarshalState" || name == "UnmarshalLegacyState"
-}
+// restoreMethod is the restore entry point the guard requirement
+// covers.
+const restoreMethod = "UnmarshalState"
 
 // guardDepth bounds how many same-package delegation hops the guard
 // search follows; the repo's deepest real chain (UnmarshalState →
-// unmarshalStateAs) is one hop.
+// unmarshalStateAs → readBinaryStateVersion) is two hops.
 const guardDepth = 3
 
 func runEnvelopeVersion(pass *Pass) error {
 	decls := funcDecls(pass)
 	for fn, decl := range decls {
-		if decl.Recv == nil || !isStateUnmarshal(fn.Name()) {
+		if decl.Recv == nil || fn.Name() != restoreMethod {
 			continue
 		}
 		if hasVersionGuard(pass, decls, decl, guardDepth) {
 			continue
 		}
 		pass.Reportf(decl.Name.Pos(),
-			"%s accepts any state version; compare a version tag (the hhtask `st.V != 0 && st.V != stateVersion...` shape) and refuse unknown ones", fn.Name())
+			"%s accepts any state version; compare a version tag (the hhtask `version != stateVersion...` shape) and refuse unknown ones", fn.Name())
 	}
 	return nil
 }
@@ -82,7 +79,7 @@ func hasVersionGuard(pass *Pass, decls map[*types.Func]*ast.FuncDecl, decl *ast.
 				found = true
 			}
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && isStateUnmarshal(sel.Sel.Name) {
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == restoreMethod {
 				if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.MethodVal && types.IsInterface(s.Recv()) {
 					// Delegation through an interface (the task
 					// adapters wrapping freq.Oracle): the guard lives
@@ -96,7 +93,7 @@ func hasVersionGuard(pass *Pass, decls map[*types.Func]*ast.FuncDecl, decl *ast.
 			if callee == nil {
 				return true
 			}
-			if callee.Pkg() != pass.Pkg && isStateUnmarshal(callee.Name()) {
+			if callee.Pkg() != pass.Pkg && callee.Name() == restoreMethod {
 				// Cross-package delegation: the delegate enforces its
 				// own guard in its own package's ldplint pass.
 				found = true

@@ -1,7 +1,6 @@
 // Package envelopeversion is the ldplint envelopeversion fixture:
-// UnmarshalState and UnmarshalLegacyState implementations with and
-// without a version gate, the delegation shapes the analyzer follows,
-// and the waiver escape hatch.
+// UnmarshalState implementations with and without a version gate, the
+// delegation shapes the analyzer follows, and the waiver escape hatch.
 package envelopeversion
 
 import (
@@ -67,45 +66,6 @@ type wrapper struct{ in inner }
 // UnmarshalState delegates through an interface, the task-adapter
 // shape: the format owner enforces the guard in its own package.
 func (w *wrapper) UnmarshalState(data []byte) error { return w.in.UnmarshalState(data) }
-
-type legacyGuarded struct{ n int }
-
-// UnmarshalLegacyState carries the canonical guard of the JSON states.
-func (g *legacyGuarded) UnmarshalLegacyState(data []byte) error {
-	var st state
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if st.V != 0 {
-		return fmt.Errorf("unsupported state version %d", st.V)
-	}
-	g.n = st.N
-	return nil
-}
-
-type legacyUnguarded struct{ n int }
-
-// UnmarshalLegacyState trusts whatever version wrote the blob.
-func (u *legacyUnguarded) UnmarshalLegacyState(data []byte) error { // want `UnmarshalLegacyState accepts any state version`
-	var st state
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	u.n = st.N
-	return nil
-}
-
-type legacyInner interface {
-	UnmarshalLegacyState([]byte) error
-}
-
-type legacyWrapper struct{ in legacyInner }
-
-// UnmarshalLegacyState delegates through an interface, the adapter
-// shape: the format owner enforces the guard in its own package.
-func (w *legacyWrapper) UnmarshalLegacyState(data []byte) error {
-	return w.in.UnmarshalLegacyState(data)
-}
 
 type passthrough struct{ raw []byte }
 

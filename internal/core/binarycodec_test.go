@@ -2,11 +2,11 @@ package core
 
 // Properties of the one state codec and the binary report wire: a
 // marshaled state restores to the same aggregate bit for bit and
-// re-encoding is a fixed point, the frozen legacy JSON states upgrade
-// to exactly their golden binary twins, both wire forms fold
-// identically, the binary HTTP surface negotiates per collection, and
-// the committed v2–v4 checkpoint files restore bit-identically and are
-// rewritten in the current container by the next checkpoint.
+// re-encoding is a fixed point — for live states and for every frozen
+// state fixture — both wire forms fold identically, the binary HTTP
+// surface negotiates per collection, the committed checkpoint
+// containers restore and re-encode byte for byte, and a checkpoint
+// that predates the container is set aside, never restored.
 
 import (
 	"bytes"
@@ -30,16 +30,15 @@ import (
 // codecCase is one task family and mechanism shape worth
 // cross-checking: a live collection config with a filler that drives
 // deterministic reports into it, plus the committed state fixture of
-// that family — the legacy JSON file, its golden binary twin, and the
-// task config both were written under (at commit 5a353ae, by the last
-// build with a JSON state encoder; see the owning package's tests).
+// that family and the task config it was written under (at commit
+// 5a353ae; see the owning package's tests).
 type codecCase struct {
 	name string
 	cfg  CollectionConfig
 	fill func(t *testing.T, c *Collection, seed uint64, n int)
 
-	legacy, golden string // fixture paths relative to internal/
-	fixtureCfg     task.Config
+	golden     string // fixture path relative to internal/
+	fixtureCfg task.Config
 }
 
 func codecCases() []codecCase {
@@ -49,7 +48,6 @@ func codecCases() []codecCase {
 			cfg:  FreqCollectionConfig(mech, PrivacyParams{Epsilon: 1.5, Domain: 16}, 2),
 			fill: fill,
 
-			legacy:     "freq/testdata/state_" + mech + ".json",
 			golden:     "freq/testdata/state_" + mech + ".bin",
 			fixtureCfg: FreqTaskConfig(mech, PrivacyParams{Epsilon: 1.25, Domain: 16}),
 		}
@@ -63,7 +61,6 @@ func codecCases() []codecCase {
 			},
 			fill: fillSketch,
 
-			legacy:     "task/cmstask/testdata/state_" + mech + ".json",
 			golden:     "task/cmstask/testdata/state_" + mech + ".bin",
 			fixtureCfg: task.Config{Task: task.TypeSketch, Mechanism: mech, Epsilon: 2, Width: 64, Hashes: 8, SketchSeed: 42},
 		}
@@ -73,13 +70,13 @@ func codecCases() []codecCase {
 		freq(MechanismOLH), freq(MechanismHRR), freq(MechanismSS),
 		{
 			name: "mean-harmony", cfg: meanCfg(), fill: fillMean,
-			legacy: "mean/testdata/state_harmony.json", golden: "mean/testdata/state_harmony.bin",
+			golden:     "mean/testdata/state_harmony.bin",
 			fixtureCfg: task.Config{Task: task.TypeMean, Mechanism: meantask.MechanismHarmony, Epsilon: 1, Dim: 3},
 		},
 		sketch(cmstask.MechanismCMS), sketch(cmstask.MechanismHCMS),
 		{
 			name: "hh-PEM", cfg: hhCfg(2, 0), fill: fillHH,
-			legacy: "task/hhtask/testdata/state_v2.json", golden: "task/hhtask/testdata/state.bin",
+			golden:     "task/hhtask/testdata/state.bin",
 			fixtureCfg: task.Config{Task: task.TypeHH, Mechanism: hhtask.MechanismPEM, Epsilon: 2, Bits: 8, Levels: 4, K: 3},
 		},
 	}
@@ -95,24 +92,14 @@ func fixtureFile(t testing.TB, path string) []byte {
 	return blob
 }
 
-// TestCrossCodecStateBitIdentical is the cross-codec property, frozen:
-// the committed legacy JSON state of every task family upgrades
-// (through legacy.go, the way an old checkpoint or merge frame does)
-// to exactly its committed binary twin, that twin restores into a
-// sharded aggregator and re-marshals to itself, and so does the state
-// of a freshly populated collection.
+// TestCrossCodecStateBitIdentical is the state codec's fixed point at
+// the sharded level, frozen: the committed state fixture of every task
+// family restores into a sharded aggregator and re-marshals to itself,
+// and so does the state of a freshly populated collection.
 func TestCrossCodecStateBitIdentical(t *testing.T) {
 	for _, tc := range codecCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			golden := fixtureFile(t, tc.golden)
-			upgraded, err := upgradeLegacyState(tc.fixtureCfg, fixtureFile(t, tc.legacy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(upgraded, golden) {
-				t.Fatalf("legacy JSON fixture upgrades to\n%x\ngolden binary fixture is\n%x", upgraded, golden)
-			}
-
 			reg := NewCollectionRegistry()
 			c, err := reg.Create("x", tc.cfg)
 			if err != nil {
@@ -175,7 +162,7 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 			if err := aj.Add(raw); err != nil {
 				t.Fatalf("json report %d: %v", i, err)
 			}
-			if err := ab.AddBinary(bin); err != nil {
+			if _, err := ab.AddBatchBinary([][]byte{bin}); err != nil {
 				t.Fatalf("binary report %d: %v", i, err)
 			}
 		}
@@ -456,65 +443,104 @@ func loadFixtureDir(t *testing.T, files map[string][]byte) (string, *Store, *Col
 	return dir, store, reg
 }
 
-// TestLegacySnapshotVersionsRestore pins backward compatibility with
-// every historical checkpoint envelope against committed files
-// (testdata/snapshot_vN.json, written at commit 5a353ae): a bare v2
-// snapshot, a bare phase-aware v3 snapshot of an hh collection in
-// round 1, and a v4 checksummed wrapper carrying a journal rotation
-// point and dedup marks. Each must restore, and the first checkpoint
-// afterwards — with no report ingested, the idle collection the
-// pre-PR-12 Store.Load left on its legacy file forever — must rewrite
-// it as exactly the v5 container the parent build wrote for the same
-// restored state (testdata/snapshot_vN.golden.v5). Byte equality of
-// that file is the whole contract at once: the legacy state restored
-// bit-identically, round/frontier/batches survived, and this build's
-// v5 writer is the parent's. The rewritten file then restores to the
-// state it holds.
-func TestLegacySnapshotVersionsRestore(t *testing.T) {
-	for version, name := range map[int]string{2: "legacyfmt", 3: "legacyhh", 4: "legacyfmt"} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			legacy := fixtureFile(t, fmt.Sprintf("core/testdata/snapshot_v%d.json", version))
-			golden := fixtureFile(t, fmt.Sprintf("core/testdata/snapshot_v%d.golden.v5", version))
-			dir, store, reg := loadFixtureDir(t, map[string][]byte{name + snapshotExt: legacy})
-			if err := store.SaveAll(reg); err != nil {
-				t.Fatal(err)
-			}
-			rewritten, err := os.ReadFile(filepath.Join(dir, name+snapshotExt))
+// TestGoldenSnapshotsRestore pins the checkpoint container against
+// committed files, written by the build of commit 5a353ae: an idle
+// freq collection (v2), an hh collection in round 1 with its frontier
+// (v3), a freq collection carrying a journal rotation point and dedup
+// marks (v4), and one checkpointed after a replayed merge frame
+// (merge). Each must decode and re-encode to itself, restore to the
+// state it holds, and — checkpointed again by a store with no memory
+// of the load, so the write is not skipped — come out with nothing
+// moved but the journal rotation point. Byte equality is the whole
+// contract at once: state, round, frontier and batches survive, and
+// this build's container writer is that build's.
+func TestGoldenSnapshotsRestore(t *testing.T) {
+	for _, tc := range []struct{ fixture, name string }{
+		{"snapshot_v2", "legacyfmt"}, {"snapshot_v3", "legacyhh"}, {"snapshot_v4", "legacyfmt"}, {"legacy_merge", "mergelegacy"},
+	} {
+		t.Run(strings.TrimPrefix(tc.fixture, "snapshot_"), func(t *testing.T) {
+			golden := fixtureFile(t, "core/testdata/"+tc.fixture+".golden.v5")
+			want, err := decodeSnapshot(golden)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.HasPrefix(rewritten, snapshotMagic) {
-				t.Fatalf("idle legacy snapshot was not upgraded: %s", rewritten[:min(len(rewritten), 60)])
-			}
-			if !bytes.Equal(rewritten, golden) {
-				t.Fatalf("v%d upgraded to\n%q\ngolden v5 file is\n%q", version, rewritten, golden)
-			}
-			// A second idle checkpoint has nothing left to upgrade.
-			before, err := os.Stat(filepath.Join(dir, name+snapshotExt))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := store.SaveAll(reg); err != nil {
-				t.Fatal(err)
-			}
-			if after, err := os.Stat(filepath.Join(dir, name+snapshotExt)); err != nil || !os.SameFile(before, after) {
-				t.Fatalf("idle v5 snapshot was rewritten again (%v)", err)
+			if again, err := encodeSnapshot(want); err != nil || !bytes.Equal(again, golden) {
+				t.Fatalf("decoded container re-encodes to\n%q (%v)\ngolden\n%q", again, err, golden)
 			}
 
-			_, _, reg2 := loadFixtureDir(t, map[string][]byte{name + snapshotExt: rewritten})
-			c2, _ := reg2.Get(name)
-			got, err := c2.Aggregator().MarshalState()
+			dir, _, reg := loadFixtureDir(t, map[string][]byte{tc.name + snapshotExt: golden})
+			c, _ := reg.Get(tc.name)
+			if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, want.State) {
+				t.Fatalf("restore diverges from the golden state (%v)", err)
+			}
+			fresh, err := NewStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := decodeSnapshot(golden)
+			if err := fresh.Save(reg, c); err != nil {
+				t.Fatal(err)
+			}
+			rewritten, err := os.ReadFile(filepath.Join(dir, tc.name+snapshotExt))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want.State) {
-				t.Fatalf("v%d restore diverges from the golden state", version)
+			want.JournalGen++
+			if rotated, err := encodeSnapshot(want); err != nil || !bytes.Equal(rewritten, rotated) {
+				t.Fatalf("restored collection checkpoints as\n%q\nwant the golden file one rotation on (%v)\n%q", rewritten, err, rotated)
 			}
 		})
+	}
+}
+
+// TestPreContainerSnapshotQuarantined pins what happens to a
+// checkpoint older than the container: the committed version-4 JSON
+// file (checksummed wrapper, JSON state), a task-tagged version-2 one
+// and a bare pre-task one are set aside under .corrupt with their
+// bytes intact — never restored,
+// never rewritten, never deleted — the log says what the file is and
+// which build upgrades it, and the current-format collection beside
+// them restores as if they were not there.
+func TestPreContainerSnapshotQuarantined(t *testing.T) {
+	logged := captureLog(t)
+	old := map[string][]byte{
+		"legacyfmt" + snapshotExt: fixtureFile(t, "core/testdata/snapshot_v4.json"),
+		"tagged" + snapshotExt: []byte(`{"version":2,"name":"tagged","config":{"task":"freq","mechanism":"OLH","epsilon":2,"domain":8,"shards":2},` +
+			`"state":{"mechanism":"OLH","epsilon":2,"domain":8,"g":9,"n":0,"support":[0,0,0,0,0,0,0,0]}}`),
+		"bare" + snapshotExt: []byte(`{"name":"bare","config":{"mechanism":"OLH","epsilon":2,"domain":8,"shards":2},` +
+			`"state":{"mechanism":"OLH","epsilon":2,"domain":8,"g":9,"n":0,"support":[0,0,0,0,0,0,0,0]}}`),
+	}
+	files := map[string][]byte{"legacyhh" + snapshotExt: fixtureFile(t, "core/testdata/snapshot_v3.golden.v5")}
+	for name, blob := range old {
+		files[name] = blob
+	}
+	dir, store, reg := loadFixtureDir(t, files) // exactly one collection restores
+	if _, ok := reg.Get("legacyhh"); !ok || len(reg.Collections()) != 1 {
+		t.Fatalf("restored %d collections, want only the v5 neighbour", len(reg.Collections()))
+	}
+	if err := store.SaveAll(reg); err != nil {
+		t.Fatal(err)
+	}
+	// A later start ignores the set-aside files and restores the same
+	// neighbour.
+	store2, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := store2.Load(NewCollectionRegistry()); err != nil || len(restored) != 1 {
+		t.Fatalf("second load restored %v (%v)", restored, err)
+	}
+	for name, blob := range old {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s is still (or again) in place: %v (state dir holds %v)", name, err, dirListing(t, dir))
+		}
+		if aside, err := os.ReadFile(filepath.Join(dir, name+corruptExt)); err != nil || !bytes.Equal(aside, blob) {
+			t.Errorf("%s%s does not hold the file's bytes (%v)", name, corruptExt, err)
+		}
+		for _, hint := range []string{name + corruptExt, "predates LDPSNAP5", "commit " + upgradeBuild} {
+			if !strings.Contains(logged.String(), hint) {
+				t.Errorf("log does not mention %q:\n%s", hint, logged)
+			}
+		}
 	}
 }
 

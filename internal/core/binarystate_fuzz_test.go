@@ -62,7 +62,7 @@ func FuzzBinaryState(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := filled.AddBinary(bin); err != nil {
+		if _, err := filled.AddBatchBinary([][]byte{bin}); err != nil {
 			f.Fatal(err)
 		}
 	}

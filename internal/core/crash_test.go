@@ -308,6 +308,145 @@ func TestTransientFaultSweepAllBatchesLand(t *testing.T) {
 	}
 }
 
+// TestRestartReplaysSetAsideRefusedFrames pins the difference between
+// a tail that was never acknowledged and one that was. A torn final
+// frame fails its framing and is cut away, nothing kept. A frame replay
+// cannot apply — here a relay's flush frame met by a store started
+// without a flush sink — passed its checksum, and so did the batch
+// behind it: both were acknowledged, so they move byte for byte to a
+// .corrupt file beside the segment before the segment is cut, and
+// putting them back under a store that has the sink recovers them.
+func TestRestartReplaysSetAsideRefusedFrames(t *testing.T) {
+	batches := crashBatches(t)
+	// journaled builds a state dir whose one segment holds what write
+	// appended after the creation checkpoint, and returns the segment.
+	journaled := func(write func(c *Collection)) (dir, seg string) {
+		dir = t.TempDir()
+		store, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewCollectionRegistry()
+		c, err := reg.Create(crashCollection, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Attach(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(reg, c); err != nil {
+			t.Fatal(err)
+		}
+		write(c)
+		c.CloseJournal()
+		segs, err := journalSegments(store.fs, dir, crashCollection)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments %v, %v", segs, err)
+		}
+		return dir, segs[0].path
+	}
+	load := func(dir string, sink FlushSink) *Collection {
+		store, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sink != nil {
+			store.SetFlushSink(sink)
+		}
+		reg := NewCollectionRegistry()
+		if _, err := store.Load(reg); err != nil {
+			t.Fatal(err)
+		}
+		c, ok := reg.Get(crashCollection)
+		if !ok {
+			t.Fatalf("collection did not restore; state dir holds %v", dirListing(t, dir))
+		}
+		c.CloseJournal()
+		return c
+	}
+	ingest := func(c *Collection, i int) {
+		if _, err := c.IngestBatch(batchID(i), batches[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asides := func(dir string) []string {
+		found, err := filepath.Glob(filepath.Join(dir, "*"+corruptExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return found
+	}
+
+	// Torn tail: cut, nothing set aside.
+	dir, seg := journaled(func(c *Collection) { ingest(c, 0) })
+	sound, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append(append([]byte(nil), sound...), sound[:len(sound)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := counts(t, load(dir, nil)); !reflect.DeepEqual(got, crashReference(t, batches[:1])) {
+		t.Fatalf("torn tail: estimates %v", got)
+	}
+	if cut, err := os.ReadFile(seg); err != nil || !bytes.Equal(cut, sound) || len(asides(dir)) != 0 {
+		t.Fatalf("torn tail: segment is %d bytes, want %d (%v), set aside %v", len(cut), len(sound), err, asides(dir))
+	}
+
+	// Refused tail: batch 0, a flush, batch 1 — loaded without a sink.
+	dir, seg = journaled(func(c *Collection) {
+		ingest(c, 0)
+		if _, err := c.CutDelta("cut-1"); err != nil {
+			t.Fatal(err)
+		}
+		ingest(c, 1)
+	})
+	whole, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := load(dir, nil)
+	if got := counts(t, c); !reflect.DeepEqual(got, crashReference(t, batches[:1])) {
+		t.Fatalf("refused tail: estimates %v, want batch 0 alone", got)
+	}
+	found := asides(dir)
+	if len(found) != 1 {
+		t.Fatalf("refused tail: set aside %v, want one file (state dir holds %v)", found, dirListing(t, dir))
+	}
+	tail, err := os.ReadFile(found[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, good := parseFrames(tail)
+	if good != len(tail) || len(recs) != 2 || recs[0].Kind != recordFlush || recs[0].ID != "cut-1" || recs[1].Kind != recordBatch || recs[1].ID != batchID(1) {
+		t.Fatalf("set-aside file holds %d sound bytes of %d, records %+v; want the flush and batch 1", good, len(tail), recs)
+	}
+	head, err := os.ReadFile(seg)
+	if err != nil || !bytes.Equal(append(head, tail...), whole) {
+		t.Fatalf("segment + set-aside file are not the original segment (%v)", err)
+	}
+	// A second start sees a sound segment and leaves the file alone.
+	load(dir, nil)
+	if again := asides(dir); len(again) != 1 || again[0] != found[0] {
+		t.Fatalf("second start: set aside %v", again)
+	}
+
+	// The preserved frames are enough: back behind the segment, under a
+	// store that has the sink, they replay to what the relay
+	// acknowledged — batch 0 re-cut under the flush's key, batch 1 held.
+	if err := os.WriteFile(seg, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var recut []Delta
+	c = load(dir, func(_ string, d Delta) error { recut = append(recut, d); return nil })
+	if len(recut) != 1 || recut[0].ID != "cut-1" || recut[0].Reports != len(batches[0]) {
+		t.Fatalf("replay with a sink re-cut %+v", recut)
+	}
+	if got := counts(t, c); !reflect.DeepEqual(got, crashReference(t, batches[1:2])) {
+		t.Fatalf("replay with a sink: estimates %v, want batch 1 alone", got)
+	}
+}
+
 // TestSnapshotCorruptionModes damages one collection's snapshot three
 // different ways; each mode must quarantine exactly that collection
 // (file set aside under .corrupt, its now-anchorless journal segments
@@ -331,27 +470,12 @@ func TestSnapshotCorruptionModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flip a bit inside the checksummed payload, whichever
-			// framing the file uses: past the CRC word in a binary
-			// container, inside the inner snapshot in a JSON wrapper.
-			idx := len(blob) - len(blob)/4
-			if !bytes.HasPrefix(blob, snapshotMagic) {
-				idx = strings.Index(string(blob), `"snapshot"`)
-				if idx < 0 || idx+40 >= len(blob) {
-					t.Fatal("snapshot file shape changed; update the corruption offset")
-				}
-				idx += 40
-			}
-			blob[idx] ^= 0x40
+			blob[len(blob)-len(blob)/4] ^= 0x40 // inside the checksummed payload
 			if err := os.WriteFile(path, blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"future version", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte(`{"version":99,"crc32c":0,"snapshot":{}}`), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"future version", func(t *testing.T, path string) { claimVersion(t, path, 99) }},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

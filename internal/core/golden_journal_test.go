@@ -109,8 +109,10 @@ func goldenScript(t *testing.T, dir string) {
 	}
 	_, err = fc.IngestBatchBinary("g-bin", bins[4:8])
 	must(err)
-	must(fc.IngestReport(envs[8]))
-	must(fc.IngestReportBinary(bins[9]))
+	_, err = fc.IngestBatch("", envs[8:9]) // what POST /report journals: a batch of one, no key
+	must(err)
+	_, err = fc.IngestBatchBinary("", bins[9:10])
+	must(err)
 	fp, err := peers.Create("gfreq", testCfg())
 	must(err)
 	peerEnvs, _ := goldenFreqReports(t, 103, 5)
@@ -136,7 +138,8 @@ func goldenScript(t *testing.T, dir string) {
 	if res.Accepted != 10 || res.Rejected != 1 {
 		t.Fatalf("h-r0: %+v", res)
 	}
-	must(hc.IngestReport(r0[10]))
+	_, err = hc.IngestBatch("", r0[10:11])
+	must(err)
 	_, err = hp.IngestBatch("", r0) // same round-0 reports, so both sides keep the same survivors
 	must(err)
 	must(hc.AdvanceExpecting(0))

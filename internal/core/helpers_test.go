@@ -6,7 +6,9 @@ package core
 // (mechanism, PrivacyParams) shorthands for freqtask's constructors.
 
 import (
+	"bytes"
 	"encoding/json"
+	"log"
 	"os"
 	"testing"
 
@@ -65,15 +67,15 @@ func freqCounts(t testing.TB, a task.Aggregator) []float64 {
 	return fa.Oracle().EstimateCounts()
 }
 
-// readSnapshotFile reads and decodes a snapshot file of any supported
-// version, failing the test on corruption.
+// readSnapshotFile reads and decodes a snapshot file, failing the test
+// on corruption.
 func readSnapshotFile(t testing.TB, path string) CollectionSnapshot {
 	t.Helper()
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := decodeSnapshot(blob)
+	snap, err := decodeSnapshot(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,4 +94,31 @@ func writeSnapshotFile(t testing.TB, path string, snap CollectionSnapshot) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// claimVersion rewrites a snapshot file as the same container — sound
+// magic, length and checksum — whose header claims another envelope
+// version.
+func claimVersion(t testing.TB, path string, version int) {
+	t.Helper()
+	snap := readSnapshotFile(t, path)
+	snap.Version = version
+	blob, err := encodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// captureLog redirects the process log into a buffer for the rest of
+// the test, for refusals whose log line is the operator's only hint.
+func captureLog(t testing.TB) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return &buf
 }

@@ -1,15 +1,18 @@
 package core
 
-// The one ingest path, checked from both ends: every public entry
-// point (single or batch, JSON or binary) and the replay of what each
-// journaled reach the same state bit for bit, and the loop under them
-// stays exact when a phased task's round advances beneath it.
+// The one ingest path, checked from both ends: every entry point
+// (single reports over HTTP, batches through the ingest functions,
+// JSON or binary) and the replay of what each journaled reach the same
+// state bit for bit, and the loop under them stays exact when a phased
+// task's round advances beneath it.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -19,9 +22,9 @@ import (
 )
 
 // TestIngestEntryPointsAgree feeds the same privatized reports — with
-// one undecodable report per batch — through IngestReport,
-// IngestReportBinary, IngestBatch and IngestBatchBinary, each into its
-// own journaled collection, then restarts each from its journal alone.
+// one undecodable report per batch — through POST …/report in both
+// encodings, IngestBatch and IngestBatchBinary, each into its own
+// journaled collection, then restarts each from its journal alone.
 // All eight states must be bit-identical, the batch routes must record
 // identical dedup marks (the single routes none), and replay must
 // re-record exactly the marks the live path did.
@@ -57,38 +60,45 @@ func TestIngestEntryPointsAgree(t *testing.T) {
 			badEnv, badBin := json.RawMessage(`{"mechanism":"nope"}`), []byte{0xff}
 			// Each route ingests batch b as reports [b*per, (b+1)*per)
 			// followed by one bad report.
+			// postSingles sends one POST …/report per report: 202 for
+			// the good ones, 400 for the bad one behind them.
+			postSingles := func(url, contentType string, good [][]byte, bad []byte) (int, error) {
+				for i, body := range append(append([][]byte(nil), good...), bad) {
+					resp, err := http.Post(url+"/collections/diff/report", contentType, bytes.NewReader(body))
+					if err != nil {
+						return 0, err
+					}
+					resp.Body.Close()
+					want := http.StatusAccepted
+					if i == len(good) {
+						want = http.StatusBadRequest
+					}
+					if resp.StatusCode != want {
+						return 0, fmt.Errorf("report %d answered %s, want %d", i, resp.Status, want)
+					}
+				}
+				return len(good), nil
+			}
 			routes := []struct {
 				name   string
-				ingest func(c *Collection, b int) (accepted int, err error)
+				ingest func(c *Collection, url string, b int) (accepted int, err error)
 			}{
-				{"report", func(c *Collection, b int) (int, error) {
-					for _, env := range envs[b*per : (b+1)*per] {
-						if err := c.IngestReport(env); err != nil {
-							return 0, err
-						}
+				{"report", func(_ *Collection, url string, b int) (int, error) {
+					good := make([][]byte, per)
+					for i, env := range envs[b*per : (b+1)*per] {
+						good[i] = env
 					}
-					if err := c.IngestReport(badEnv); err == nil || errors.Is(err, ErrJournal) {
-						return 0, fmt.Errorf("bad report answered %v", err)
-					}
-					return per, nil
+					return postSingles(url, "application/json", good, badEnv)
 				}},
-				{"report-binary", func(c *Collection, b int) (int, error) {
-					for _, bin := range bins[b*per : (b+1)*per] {
-						if err := c.IngestReportBinary(bin); err != nil {
-							return 0, err
-						}
-					}
-					if err := c.IngestReportBinary(badBin); err == nil || errors.Is(err, ErrJournal) {
-						return 0, fmt.Errorf("bad report answered %v", err)
-					}
-					return per, nil
+				{"report-binary", func(_ *Collection, url string, b int) (int, error) {
+					return postSingles(url, ContentTypeBinary, bins[b*per:(b+1)*per], badBin)
 				}},
-				{"batch", func(c *Collection, b int) (int, error) {
+				{"batch", func(c *Collection, _ string, b int) (int, error) {
 					batch := append(append([]json.RawMessage(nil), envs[b*per:(b+1)*per]...), badEnv)
 					res, err := c.IngestBatch(fmt.Sprintf("diff-%d", b), batch)
 					return res.Accepted, err
 				}},
-				{"batch-binary", func(c *Collection, b int) (int, error) {
+				{"batch-binary", func(c *Collection, _ string, b int) (int, error) {
 					batch := append(append([][]byte(nil), bins[b*per:(b+1)*per]...), badBin)
 					res, err := c.IngestBatchBinary(fmt.Sprintf("diff-%d", b), batch)
 					return res.Accepted, err
@@ -113,11 +123,13 @@ func TestIngestEntryPointsAgree(t *testing.T) {
 				if err := store.Save(reg, c); err != nil {
 					t.Fatal(err)
 				}
+				ts := httptest.NewServer(NewMultiService(reg, store).Handler())
 				for b := 0; b < n/per; b++ {
-					if accepted, err := route.ingest(c, b); err != nil || accepted != per {
+					if accepted, err := route.ingest(c, ts.URL, b); err != nil || accepted != per {
 						t.Fatalf("%s batch %d: accepted %d, %v", route.name, b, accepted, err)
 					}
 				}
+				ts.Close()
 				c.CloseJournal()
 				reg2 := NewCollectionRegistry()
 				store2, err := NewStore(dir)

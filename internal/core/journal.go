@@ -15,8 +15,9 @@
 //
 // A torn final frame — the expected debris of a crash mid-append — fails
 // its length or checksum and is truncated away at replay; it was never
-// acknowledged, so dropping it is exactly right. Replay never refuses
-// startup.
+// acknowledged, so dropping it is exactly right. A sound frame replay
+// cannot apply was acknowledged, so it is set aside, not dropped (see
+// Store.cutTail). Replay never refuses startup.
 package core
 
 import (
@@ -82,8 +83,8 @@ const (
 // EncBinary tags binary-encoded payloads wherever an encoding is
 // recorded. In journal batch frames the zero value (absent) means JSON
 // report envelopes. For task state — checkpoint headers, delta
-// headers, merge frames — it is a constant: an absent tag marks a
-// merge frame written by a pre-binary build (see legacy.go).
+// headers, merge frames — it is a constant, and anything else is
+// refused.
 const EncBinary = "bin"
 
 // journalRecord is one frame's JSON payload.
@@ -91,7 +92,7 @@ type journalRecord struct {
 	Kind     string            `json:"kind"`
 	ID       string            `json:"id,omitempty"`       // batch/merge: idempotency key; flush: the cut delta's key
 	Envs     []json.RawMessage `json:"envs,omitempty"`     // batch: JSON report envelopes as received
-	Enc      string            `json:"enc,omitempty"`      // batch: EncBinary when Bins carries the reports; merge: EncBinary (absent = legacy JSON state)
+	Enc      string            `json:"enc,omitempty"`      // batch: EncBinary when Bins carries the reports; merge: always EncBinary
 	Bins     [][]byte          `json:"bins,omitempty"`     // batch: binary report payloads (base64 inside the frame JSON)
 	Round    int               `json:"round,omitempty"`    // advance: the round that was closed; flush/adopt: round at the boundary
 	State    []byte            `json:"state,omitempty"`    // merge: the delta's task state (base64 inside the frame JSON)
@@ -424,26 +425,6 @@ func (c *Collection) IngestBatch(id string, batch []json.RawMessage) (BatchResul
 // Envs).
 func (c *Collection) IngestBatchBinary(id string, batch [][]byte) (BatchResult, error) {
 	return c.ingest(journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: batch})
-}
-
-// IngestReport journals and folds one JSON report envelope: a batch of
-// one without an idempotency key, answered with the report's own error.
-func (c *Collection) IngestReport(raw json.RawMessage) error {
-	return soleReport(c.ingest(journalRecord{Kind: recordBatch, Envs: []json.RawMessage{raw}}))
-}
-
-// IngestReportBinary is IngestReport for one binary wire payload.
-func (c *Collection) IngestReportBinary(payload []byte) error {
-	return soleReport(c.ingest(journalRecord{Kind: recordBatch, Enc: EncBinary, Bins: [][]byte{payload}}))
-}
-
-// soleReport reduces the outcome of a one-report batch to the error
-// the single-report surface answers with.
-func soleReport(res BatchResult, err error) error {
-	if err != nil {
-		return err
-	}
-	return soleRejection(res.RejectErr)
 }
 
 // claim takes the idempotency key for one request (a no-op for the

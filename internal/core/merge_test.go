@@ -415,39 +415,57 @@ func TestMergeHTTPStatuses(t *testing.T) {
 	}
 }
 
-// TestLegacyMergeFrameReplays pins journal compatibility: a state
-// directory written by the parent build (commit 5a353ae) whose journal
-// holds a merge frame with a JSON delta state — what a pre-PR-12
-// aggregator journaled when a delta arrived in the JSON form — replays
-// exactly. The checkpoint that follows must equal, byte for byte, the
-// one the parent build wrote after replaying the same directory.
-func TestLegacyMergeFrameReplays(t *testing.T) {
+// TestLegacyMergeFrameRefused pins what happens to a merge frame
+// older than the binary state codec: a state directory written by the
+// build of commit 5a353ae whose journal holds a merge frame with a JSON
+// delta state. Replay refuses the frame — the collection serves exactly
+// its snapshot's state, the frame's idempotency key is not recorded —
+// and preserves it: the frame moves, byte for byte, to a .corrupt file
+// beside the segment, and the log says what it is and which build
+// replays it.
+func TestLegacyMergeFrameRefused(t *testing.T) {
+	logged := captureLog(t)
 	files := make(map[string][]byte)
 	for _, name := range []string{"mergelegacy.json", "mergelegacy.journal.000002"} {
 		files[name] = fixtureFile(t, "core/testdata/legacy_merge/"+name)
 	}
-	if !bytes.Contains(files["mergelegacy.journal.000002"], []byte(`"kind":"merge"`)) ||
-		bytes.Contains(files["mergelegacy.journal.000002"], []byte(`"enc"`)) {
-		t.Fatal("fixture journal does not hold an untagged (JSON-state) merge frame")
+	frame := files["mergelegacy.journal.000002"]
+	if recs, good := parseFrames(frame); good != len(frame) || len(recs) != 1 || recs[0].Kind != recordMerge || recs[0].Enc != "" {
+		t.Fatal("fixture journal does not hold exactly one untagged (JSON-state) merge frame")
 	}
 	dir, store, reg := loadFixtureDir(t, files)
 	c, _ := reg.Get("mergelegacy")
-	if c.Aggregator().Collected() != 50 {
-		t.Fatalf("replayed %d reports, want 50 (state dir now holds %v)", c.Aggregator().Collected(), dirListing(t, dir))
+	want := readSnapshotFile(t, filepath.Join(dir, "mergelegacy"+snapshotExt)).State
+	if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, want) || c.Aggregator().Collected() != 0 {
+		t.Fatalf("served state is not the snapshot's: %d reports (%v)", c.Aggregator().Collected(), err)
 	}
-	// The frame's idempotency key was re-seeded: a retry replays.
-	if res, err := c.IngestMerge(Delta{ID: "fx-merge-json"}); err != nil || !res.Replayed || res.Accepted != 50 {
-		t.Fatalf("retry of the journaled merge: %+v, %v", res, err)
+	if marks := c.dedup.marks(); len(marks) != 0 {
+		t.Fatalf("refused frame left dedup marks %+v", marks)
 	}
+	aside, err := os.ReadFile(filepath.Join(dir, "mergelegacy.journal.000002.tail-0"+corruptExt))
+	if err != nil || !bytes.Equal(aside, frame) {
+		t.Fatalf("refused frame not preserved (%v); state dir holds %v", err, dirListing(t, dir))
+	}
+	if seg, err := os.ReadFile(filepath.Join(dir, "mergelegacy.journal.000002")); err != nil || len(seg) != 0 {
+		t.Fatalf("segment still holds %d bytes after the refusal (%v)", len(seg), err)
+	}
+	for _, hint := range []string{"JSON delta state", "commit " + upgradeBuild, "mergelegacy.journal.000002.tail-0" + corruptExt} {
+		if !strings.Contains(logged.String(), hint) {
+			t.Errorf("log does not mention %q:\n%s", hint, logged)
+		}
+	}
+	// The collection keeps serving, and neither a checkpoint nor a
+	// restart touches the preserved frame.
 	if err := store.SaveAll(reg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, "mergelegacy"+snapshotExt))
-	if err != nil {
-		t.Fatal(err)
+	c.CloseJournal()
+	_, _, reg2 := loadFixtureDir(t, stateDirFiles(t, dir))
+	if c2, _ := reg2.Get("mergelegacy"); c2.Aggregator().Collected() != 0 {
+		t.Fatalf("restart served %d reports", c2.Aggregator().Collected())
 	}
-	if golden := fixtureFile(t, "core/testdata/legacy_merge.golden.v5"); !bytes.Equal(got, golden) {
-		t.Fatalf("checkpoint after replay\n%q\ngolden\n%q", got, golden)
+	if aside, err := os.ReadFile(filepath.Join(dir, "mergelegacy.journal.000002.tail-0"+corruptExt)); err != nil || !bytes.Equal(aside, frame) {
+		t.Fatalf("preserved frame did not survive a checkpoint (%v)", err)
 	}
 }
 

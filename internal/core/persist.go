@@ -6,8 +6,6 @@
 // exactly its pre-restart counts. Snapshots are small — one serialized
 // task state per collection, independent of how many reports it
 // absorbed — which is what makes frequent checkpointing affordable.
-// Files written by older builds (JSON, versions 0–4) are read through
-// legacy.go and rewritten in the current format by the next checkpoint.
 //
 // The store also owns each collection's write-ahead journal (see
 // journal.go): Save rotates the journal to a fresh segment before
@@ -20,7 +18,9 @@
 // Load never refuses startup over one bad file: a snapshot that fails
 // its checksum, does not parse, or cannot be restored is set aside
 // under a .corrupt suffix — preserved for the operator, ignored by
-// future Loads — and every other collection is restored normally.
+// future Loads — and every other collection is restored normally. That
+// includes the JSON checkpoints of builds older than the container
+// (see errPreContainer): refused, never rewritten.
 package core
 
 import (
@@ -55,20 +55,36 @@ const checkpointTmp = ".checkpoint-*.tmp"
 // operator can see what the file was.
 const corruptExt = ".corrupt"
 
-// SnapshotVersion is the current — and only written — checkpoint
-// envelope version: a binary container of the snapshotMagic prefix, a
+// SnapshotVersion is the one checkpoint envelope version this build
+// reads and writes: a binary container of the snapshotMagic prefix, a
 // CRC32C over everything after it, the uvarint-prefixed JSON header
 // (a CollectionSnapshot without its State) and the task's binary state
 // to end of file, so a CMS-scale counter matrix is never printed as
-// JSON numbers. legacy.go has the history of versions 0–4. Versions
-// above the current one are quarantined at load: a newer build's
-// snapshot may carry semantics this build would silently misread.
+// JSON numbers. Versions above it are quarantined at load: a newer
+// build's snapshot may carry semantics this build would silently
+// misread. Versions 0–4 were JSON files (see errPreContainer).
 const SnapshotVersion = 5
 
 // snapshotMagic prefixes checkpoint containers. It is not valid JSON,
-// so pre-binary builds quarantine (never misparse) the file, and Load
-// hands anything without it to the legacy reader.
+// so the pre-container builds quarantine (never misparse) the file.
 var snapshotMagic = []byte("LDPSNAP5")
+
+// upgradeBuild names the last commit that reads what this build
+// refuses: JSON checkpoints (envelope versions 0–4) and journal merge
+// frames carrying a JSON delta state. Started once on the state
+// directory, it replays such frames and rewrites every collection as
+// an LDPSNAP5 container at its first checkpoint. upgradeHint is how
+// both refusals tell the operator so.
+const (
+	upgradeBuild = "87453f2"
+	upgradeHint  = "which this build does not read — start a build of commit " + upgradeBuild + " on the state directory once to upgrade it, then this build"
+)
+
+// errPreContainer refuses a JSON snapshot file. Nothing since the
+// container was introduced writes one, so it either predates
+// LDPSNAP5 or is not a checkpoint at all; it is quarantined like any
+// other file this build cannot read, never upgraded in place.
+var errPreContainer = errors.New("a JSON file, not an LDPSNAP5 container: if it is a checkpoint it predates LDPSNAP5 (envelope versions 0–4), " + upgradeHint)
 
 // CollectionSnapshot is the on-disk format of one collection: its
 // configuration (enough to rebuild the aggregator, task tag included)
@@ -84,9 +100,9 @@ type CollectionSnapshot struct {
 	Version int              `json:"version,omitempty"`
 	Name    string           `json:"name"`
 	Config  CollectionConfig `json:"config"`
-	// State is the task's binary state. On disk it follows the header
-	// raw; only legacy JSON files carry it as a field.
-	State      json.RawMessage `json:"state,omitempty"`
+	// State is the task's binary state; on disk it follows the header
+	// raw.
+	State      []byte          `json:"-"`
 	Round      int             `json:"round,omitempty"`
 	Frontier   json.RawMessage `json:"frontier,omitempty"`
 	JournalGen int             `json:"journal_gen,omitempty"`
@@ -243,8 +259,8 @@ type FlushSink func(collection string, d Delta) error
 
 // SetFlushSink installs the relay tier's flush sink. It must be called
 // before Load: a journal holding flush frames (written by a relay)
-// cannot be replayed without one — replay treats that as corruption
-// and truncates, preserving the bytes under .corrupt for the operator.
+// cannot be replayed without one — replay stops at the first, setting
+// it and everything behind it aside under .corrupt for the operator.
 func (st *Store) SetFlushSink(sink FlushSink) {
 	st.flushSink = sink
 }
@@ -536,26 +552,31 @@ func (st *Store) Remove(reg *CollectionRegistry, name string) error {
 
 // encodeSnapshot serializes one snapshot into its on-disk container.
 func encodeSnapshot(snap CollectionSnapshot) ([]byte, error) {
-	state := snap.State
-	snap.State = nil // the header carries everything but the state
-	header, err := json.Marshal(snap)
+	header, err := json.Marshal(snap) // everything but the state
 	if err != nil {
 		return nil, err
 	}
-	blob := make([]byte, 0, len(snapshotMagic)+4+10+len(header)+len(state))
+	blob := make([]byte, 0, len(snapshotMagic)+4+10+len(header)+len(snap.State))
 	blob = append(blob, snapshotMagic...)
 	blob = append(blob, 0, 0, 0, 0) // CRC32C, patched below
 	blob = binary.AppendUvarint(blob, uint64(len(header)))
 	blob = append(blob, header...)
-	blob = append(blob, state...)
+	blob = append(blob, snap.State...)
 	crcOff := len(snapshotMagic)
 	binary.LittleEndian.PutUint32(blob[crcOff:crcOff+4], crc32.Checksum(blob[crcOff+4:], crcTable))
 	return blob, nil
 }
 
-// decodeSnapshotBinary parses a version-5 binary container (the caller
-// verified the magic prefix).
-func decodeSnapshotBinary(blob []byte) (CollectionSnapshot, error) {
+// decodeSnapshot parses a snapshot file, verifying its checksum. Every
+// error means the file is corrupt or foreign — quarantine material, not
+// an infrastructure failure.
+func decodeSnapshot(blob []byte) (CollectionSnapshot, error) {
+	if !bytes.HasPrefix(blob, snapshotMagic) {
+		if json.Valid(blob) {
+			return CollectionSnapshot{}, errPreContainer
+		}
+		return CollectionSnapshot{}, errors.New("not an LDPSNAP5 container")
+	}
 	data := blob[len(snapshotMagic):]
 	if len(data) < 4 {
 		return CollectionSnapshot{}, errors.New("binary container truncated inside the checksum")
@@ -579,22 +600,8 @@ func decodeSnapshotBinary(blob []byte) (CollectionSnapshot, error) {
 	if snap.Version != SnapshotVersion || snap.Enc != EncBinary {
 		return CollectionSnapshot{}, fmt.Errorf("binary container header claims version %d encoding %q", snap.Version, snap.Enc)
 	}
-	snap.State = json.RawMessage(body[n+int(hlen):])
+	snap.State = body[n+int(hlen):]
 	return snap, nil
-}
-
-// decodeSnapshot parses a snapshot file, verifying its checksum;
-// legacy reports that it came through the pre-binary reader (its State
-// is then already re-encoded in the binary layout). Every error means
-// the file is corrupt or foreign — quarantine material, not an
-// infrastructure failure.
-func decodeSnapshot(blob []byte) (snap CollectionSnapshot, legacy bool, err error) {
-	if bytes.HasPrefix(blob, snapshotMagic) {
-		snap, err = decodeSnapshotBinary(blob)
-		return snap, false, err
-	}
-	snap, err = decodeLegacySnapshot(blob)
-	return snap, true, err
 }
 
 // quarantine sets a corrupt file aside under the .corrupt suffix so
@@ -644,7 +651,7 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 			log.Printf("core: read snapshot %q: %v (skipped)", name, err)
 			continue
 		}
-		snap, legacy, err := decodeSnapshot(blob)
+		snap, err := decodeSnapshot(blob)
 		if err != nil {
 			st.quarantine(path, fmt.Errorf("snapshot %q: %w", name, err))
 			continue
@@ -700,14 +707,11 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 			log.Printf("core: replay journal %q: %v", name, err)
 		}
 		st.mu.Lock()
-		if replayed == 0 && !legacy {
+		if replayed == 0 {
 			// Nothing beyond the snapshot: the next checkpoint may
 			// skip on an unchanged epoch. With replayed frames the
 			// epoch entry is withheld so the next checkpoint persists
-			// the replayed state and truncates the journal; with a
-			// legacy file it is withheld so the next checkpoint
-			// rewrites the file in the current format even if the
-			// collection stays idle.
+			// the replayed state and truncates the journal.
 			st.saved[name] = c.agg.Epoch()
 		}
 		st.sizes[name] = CheckpointInfo{Bytes: int64(len(blob))}
@@ -726,9 +730,11 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 //
 // Replay never refuses startup: the first bad frame (torn tail,
 // checksum mismatch, or a record the aggregator rejects) truncates its
-// segment at the last sound frame, and any later segments — written
-// after a frame that never became durable, so of uncertain lineage —
-// are quarantined.
+// segment at the last applied frame, and any later segments — written
+// after a frame that was not applied, so of uncertain lineage — are
+// quarantined. A torn tail was never acknowledged and is simply cut; a
+// sound frame replay could not apply was, so it and everything behind
+// it are first copied aside under a .corrupt name.
 func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, error) {
 	c.dedup.seed(snap.Batches)
 
@@ -764,13 +770,13 @@ func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, err
 			continue
 		}
 		frames, bytes, off := 0, int64(0), 0
+		var refused error // set when the frame at off is sound but could not be applied
 		for off < len(data) {
 			rec, n, ok := nextFrame(data[off:])
 			if !ok {
 				break
 			}
-			if err := c.replayRecord(rec, st.flushSink); err != nil {
-				log.Printf("core: replay %s at offset %d: %v (treated as corruption)", filepath.Base(s.path), off, err)
+			if refused = c.replayRecord(rec, st.flushSink); refused != nil {
 				break
 			}
 			off += n
@@ -779,12 +785,7 @@ func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, err
 			replayed++
 		}
 		if off < len(data) {
-			// Torn or corrupt tail: everything before off is applied
-			// and sound, everything after is untrusted. Cut it away so
-			// the segment on disk matches what was replayed.
-			if err := st.fs.Truncate(s.path, int64(off)); err != nil {
-				log.Printf("core: truncate %s to %d bytes: %v", filepath.Base(s.path), off, err)
-			}
+			st.cutTail(s.path, off, data[off:], refused)
 			stopped = true
 		}
 		if frames > 0 {
@@ -796,6 +797,28 @@ func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, err
 	c.journal = j
 	c.walMu.Unlock()
 	return replayed, nil
+}
+
+// cutTail truncates a segment at off, the end of its last applied
+// frame, so the file matches what was replayed. A torn tail (refused
+// is nil) was never acknowledged and is simply cut. Frames that are
+// sound but could not be applied were acknowledged: they are first
+// copied aside under a .corrupt name that is not a generation, so no
+// later Load takes it for a segment, and if that copy fails the segment
+// is left whole rather than cut.
+func (st *Store) cutTail(seg string, off int, tail []byte, refused error) {
+	if refused != nil {
+		aside := fmt.Sprintf("%s.tail-%d%s", seg, off, corruptExt)
+		if err := fsio.WriteFileAtomic(st.fs, aside, checkpointTmp, tail); err != nil {
+			log.Printf("core: replay %s at offset %d: %v (the unapplied frames could not be set aside, so the segment is left whole: %v)",
+				filepath.Base(seg), off, refused, err)
+			return
+		}
+		log.Printf("core: replay %s at offset %d: %v (unapplied frames set aside as %s)", filepath.Base(seg), off, refused, filepath.Base(aside))
+	}
+	if err := st.fs.Truncate(seg, int64(off)); err != nil {
+		log.Printf("core: truncate %s to %d bytes: %v", filepath.Base(seg), off, err)
+	}
 }
 
 // replayRecord applies one journal record to the restored aggregator,
@@ -815,14 +838,10 @@ func (c *Collection) replayRecord(rec journalRecord, sink FlushSink) error {
 		// splitting users across rounds.
 		return c.agg.AdvanceExpecting(rec.Round)
 	case recordMerge:
-		state, err := rec.State, error(nil)
-		if rec.Enc != EncBinary { // a JSON-state frame from a pre-binary build
-			state, err = upgradeLegacyState(c.cfg.Config, state)
-			if err != nil {
-				return err
-			}
+		if rec.Enc != EncBinary {
+			return errors.New("merge frame carries a JSON delta state, written before the binary state codec, " + upgradeHint)
 		}
-		delta, err := c.agg.NewDelta(state)
+		delta, err := c.agg.NewDelta(rec.State)
 		if err != nil {
 			return err
 		}

@@ -3,8 +3,8 @@ package core
 // Phase-aware task coverage: the interactive heavy-hitter protocol end
 // to end over the HTTP surface (frontier → report → advance, manual
 // and quota-driven), round-aware sharding equivalence, the checkpoint
-// envelope (round + frontier, forward compat from v2 and untagged
-// snapshots, future-version quarantine), mid-round kill → restart →
+// envelope (round + frontier, future-version quarantine), mid-round
+// kill → restart →
 // finish-protocol, the estimate-response cache, and the
 // advance/checkpoint/delete race regression.
 
@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -496,59 +497,26 @@ func TestSnapshotRoundTripPerTask(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2RestoresUnchanged is the forward-compat satellite: a
-// version-2 (PR 4-era) snapshot — task-tagged, no round/frontier,
-// no checksum wrapper, its state the frozen internal/freq JSON fixture
-// — restores bit-identically and is re-written at the current version
-// by the next checkpoint, ingest or no ingest.
-func TestSnapshotV2RestoresUnchanged(t *testing.T) {
+// TestSnapshotVersion6Quarantined pins the version guard at exactly
+// one past the current version — the first envelope this build must
+// not guess at, however sound its framing and checksum. The file is
+// set aside, not restored, and startup continues.
+func TestSnapshotVersion6Quarantined(t *testing.T) {
+	logged := captureLog(t)
 	dir := t.TempDir()
-	state := fixtureFile(t, "freq/testdata/state_OLH.json")
-	v2 := []byte(`{"version":2,"name":"legacy2","config":{"task":"freq","mechanism":"OLH","epsilon":1.25,"domain":16,"shards":2},"state":` + string(state) + `}`)
-	if err := os.WriteFile(filepath.Join(dir, "legacy2.json"), v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	store, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := NewCollectionRegistry()
-	restored, err := store.Load(reg)
-	if err != nil {
+	if _, err := reg.Create("next", testCfg()); err != nil {
 		t.Fatal(err)
 	}
-	if len(restored) != 1 || restored[0] != "legacy2" {
-		t.Fatalf("restored %v", restored)
-	}
-	c, _ := reg.Get("legacy2")
-	golden := fixtureFile(t, "freq/testdata/state_OLH.bin")
-	if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, golden) {
-		t.Fatalf("v2 restore marshals to %x (%v), golden %x", got, err, golden)
-	}
-	if err := store.Save(reg, c); err != nil {
+	if err := store.SaveAll(reg); err != nil {
 		t.Fatal(err)
 	}
-	snap := readSnapshotFile(t, filepath.Join(dir, "legacy2.json"))
-	if snap.Version != SnapshotVersion || !bytes.Equal(snap.State, golden) {
-		t.Fatalf("re-written snapshot version %d want %d, state %x", snap.Version, SnapshotVersion, snap.State)
-	}
-}
+	claimVersion(t, filepath.Join(dir, "next.json"), SnapshotVersion+1)
 
-// TestSnapshotVersion6Quarantined pins the version guard at exactly
-// one past the current version — the first envelope this build must
-// not guess at. The file is set aside, not restored, and startup
-// continues.
-func TestSnapshotVersion6Quarantined(t *testing.T) {
-	dir := t.TempDir()
-	blob := []byte(`{"version":6,"name":"next","config":{"mechanism":"GRR","epsilon":1,"domain":4},"state":null}`)
-	if err := os.WriteFile(filepath.Join(dir, "next.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	restored, err := store.Load(NewCollectionRegistry())
 	if err != nil {
 		t.Fatal(err)
@@ -558,6 +526,9 @@ func TestSnapshotVersion6Quarantined(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "next.json"+corruptExt)); err != nil {
 		t.Fatal("future-version snapshot was not quarantined:", err)
+	}
+	if !strings.Contains(logged.String(), "version 6 is newer than this build's 5") {
+		t.Fatalf("quarantined for another reason:\n%s", logged)
 	}
 }
 

@@ -246,13 +246,3 @@ func (r *CollectionRegistry) Collections() []*Collection {
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
-
-// Names returns the registered collection names, sorted.
-func (r *CollectionRegistry) Names() []string {
-	cols := r.Collections()
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = c.name
-	}
-	return out
-}

@@ -55,7 +55,10 @@ func TestRegistryNamesSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := reg.Names()
+	var got []string
+	for _, c := range reg.Collections() {
+		got = append(got, c.Name())
+	}
 	want := []string{"alpha", "mid", "zeta"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("names %v want %v", got, want)
@@ -88,7 +91,7 @@ func TestRegistryCreateRejectsBadConfig(t *testing.T) {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	if len(reg.Names()) != 0 {
+	if len(reg.Collections()) != 0 {
 		t.Fatal("failed creates left registry entries behind")
 	}
 }

@@ -254,13 +254,6 @@ func (a *ShardedAggregator) Add(raw json.RawMessage) error {
 	return soleRejection(err)
 }
 
-// AddBinary validates and folds one binary wire envelope: a batch of
-// one.
-func (a *ShardedAggregator) AddBinary(payload []byte) error {
-	_, err := a.AddBatchBinary([][]byte{payload})
-	return soleRejection(err)
-}
-
 // AddBatch folds a batch of JSON envelopes (see addBatch) and returns
 // the number accepted.
 func (a *ShardedAggregator) AddBatch(batch []json.RawMessage) (int, error) {

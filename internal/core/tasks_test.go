@@ -221,52 +221,42 @@ func TestThreeTaskServerRestartCycle(t *testing.T) {
 	}
 }
 
-// TestPreTaskSnapshotRestoresAsFreq is the backward-compatibility
-// satellite: a PR 3-format snapshot — no version field, no task tag,
-// state blob written by a bare frequency oracle — restores as a freq
-// collection with bit-identical estimates.
+// TestPreTaskSnapshotRestoresAsFreq pins the untagged config at the
+// store level: a snapshot whose config names no task — how every
+// pre-task collection was configured, and what POST /collections still
+// accepts — restores as a freq collection holding the state a bare
+// frequency oracle wrote (the frozen internal/freq fixture), and the
+// tag is explicit from then on.
 func TestPreTaskSnapshotRestoresAsFreq(t *testing.T) {
-	dir := t.TempDir()
-
-	// The legacy state is what the pre-task pipeline wrote: a bare
-	// oracle's JSON state (the frozen internal/freq fixture), whose
-	// aggregate the golden binary fixture also holds.
+	state := fixtureFile(t, "freq/testdata/state_OLH.bin")
 	oracle, err := newOracle(MechanismOLH, PrivacyParams{Epsilon: 1.25, Domain: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.UnmarshalState(fixtureFile(t, "freq/testdata/state_OLH.bin")); err != nil {
+	if err := oracle.UnmarshalState(state); err != nil {
 		t.Fatal(err)
 	}
-	// The exact PR 3 on-disk shape: name, untagged config, state.
-	legacy := []byte(`{"name":"legacy","config":{"mechanism":"OLH","epsilon":1.25,"domain":16,"shards":3},"state":` +
-		string(fixtureFile(t, "freq/testdata/state_OLH.json")) + `}`)
-	if err := os.WriteFile(filepath.Join(dir, "legacy.json"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := NewStore(dir)
+	untagged, err := encodeSnapshot(CollectionSnapshot{
+		Version: SnapshotVersion,
+		Name:    "untagged",
+		Config:  CollectionConfig{Config: task.Config{Mechanism: MechanismOLH, Epsilon: 1.25, Domain: 16}, Shards: 3},
+		State:   state,
+		Enc:     EncBinary,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewCollectionRegistry()
-	restored, err := store.Load(reg)
-	if err != nil {
-		t.Fatal(err)
+	if bytes.Contains(untagged, []byte(`"task"`)) {
+		t.Fatalf("forged snapshot names a task: %q", untagged)
 	}
-	if len(restored) != 1 || restored[0] != "legacy" {
-		t.Fatalf("restored %v", restored)
-	}
-	c, _ := reg.Get("legacy")
+	dir, store, reg := loadFixtureDir(t, map[string][]byte{"untagged.json": untagged})
+	c, _ := reg.Get("untagged")
 	if c.Aggregator().TaskType() != task.TypeFreq {
-		t.Fatalf("legacy snapshot restored as task %q", c.Aggregator().TaskType())
+		t.Fatalf("untagged snapshot restored as task %q", c.Aggregator().TaskType())
 	}
 	// The restored config is normalized to an explicit tag, so config
 	// comparisons (ldpd's restored-vs-flags check) and re-written
 	// snapshots don't carry a phantom untagged variant.
-	if c.Config().Task != task.TypeFreq {
-		t.Fatalf("restored config task %q, want %q", c.Config().Task, task.TypeFreq)
-	}
 	if c.Config() != FreqCollectionConfig(MechanismOLH, PrivacyParams{Epsilon: 1.25, Domain: 16}, 3) {
 		t.Fatalf("restored config %+v not equal to its tagged equivalent", c.Config())
 	}
@@ -274,34 +264,15 @@ func TestPreTaskSnapshotRestoresAsFreq(t *testing.T) {
 		t.Fatalf("collected %d want 200", c.Aggregator().Collected())
 	}
 	if !reflect.DeepEqual(counts(t, c), oracle.EstimateCounts()) {
-		t.Fatal("legacy snapshot estimates differ from the originating oracle")
+		t.Fatal("untagged snapshot estimates differ from the originating oracle")
 	}
 
-	// Re-checkpointing writes the current (tagged, versioned) envelope,
-	// which must round-trip to the same estimates.
 	fill(t, c, 43, 10) // advance the epoch so Save writes
-	want := counts(t, c)
 	if err := store.Save(reg, c); err != nil {
 		t.Fatal(err)
 	}
-	snap := readSnapshotFile(t, filepath.Join(dir, "legacy.json"))
-	if snap.Version != SnapshotVersion {
-		t.Fatalf("re-written snapshot has version %d want %d", snap.Version, SnapshotVersion)
-	}
-	if snap.Config.Task != task.TypeFreq {
-		t.Fatalf("re-written snapshot config task %q, want %q (version-2 configs name their task)", snap.Config.Task, task.TypeFreq)
-	}
-	reg2 := NewCollectionRegistry()
-	store2, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store2.Load(reg2); err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := reg2.Get("legacy")
-	if !reflect.DeepEqual(counts(t, c2), want) {
-		t.Fatal("tagged re-checkpoint drifted from the legacy restore")
+	if snap := readSnapshotFile(t, filepath.Join(dir, "untagged.json")); snap.Config.Task != task.TypeFreq {
+		t.Fatalf("re-written snapshot config task %q, want %q", snap.Config.Task, task.TypeFreq)
 	}
 }
 
@@ -367,14 +338,20 @@ func TestTaggedSnapshotRoundTripsPerTask(t *testing.T) {
 // from a newer build is quarantined instead of being misread.
 func TestFutureSnapshotVersionRefused(t *testing.T) {
 	dir := t.TempDir()
-	blob := []byte(`{"version":99,"name":"tomorrow","config":{"mechanism":"GRR","epsilon":1,"domain":4},"state":null}`)
-	if err := os.WriteFile(filepath.Join(dir, "tomorrow.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	store, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := NewCollectionRegistry()
+	c, err := reg.Create("tomorrow", testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, c, 7, 20)
+	if err := store.SaveAll(reg); err != nil {
+		t.Fatal(err)
+	}
+	claimVersion(t, filepath.Join(dir, "tomorrow.json"), 99)
 	restored, err := store.Load(NewCollectionRegistry())
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +365,7 @@ func TestFutureSnapshotVersionRefused(t *testing.T) {
 }
 
 // plainAgg is a minimal task.Aggregator — no binary wire form, no
-// phases, no legacy state — registered under a test-only type name:
+// phases — registered under a test-only type name:
 // the smallest adapter the sharded aggregator must serve.
 type plainAgg struct{ sum, n int }
 
@@ -479,9 +456,6 @@ func TestShardedMinimalAdapter(t *testing.T) {
 	}
 	if agg.BinaryWire() {
 		t.Fatal("adapter without PrepareBinary advertises the binary wire")
-	}
-	if err := agg.AddBinary([]byte{1}); err != ErrBinaryWire {
-		t.Fatalf("AddBinary error %v, want ErrBinaryWire", err)
 	}
 	if n, err := agg.AddBatchBinary([][]byte{{1}, {2}}); n != 0 || !errors.Is(err, ErrBinaryWire) {
 		t.Fatalf("AddBatchBinary = %d, %v; want 0, ErrBinaryWire", n, err)

@@ -1,13 +1,18 @@
 // State codec for the frequency oracles. Each mechanism's layout is a
 // leading format-version byte, the mechanism name, the debiasing
 // parameters, the report count, and the tally vector (varint-packed
-// for integer tallies, raw 8-byte words for float sums). Decoding
-// feeds the same applyState validation as the read-only legacy JSON
-// decoders (UnmarshalLegacyState), so a state restored from either is
-// bit-identical.
+// for integer tallies, raw 8-byte words for float sums). A decoder
+// reads every field, refuses a state that does not belong on the
+// receiver — another mechanism or other parameters, a vector of the
+// wrong length, tallies no multiset of reports could have produced —
+// and only then installs it, so any error leaves the receiver
+// unchanged.
 package freq
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/binenc"
 )
 
@@ -15,13 +20,32 @@ import (
 // byte of every payload and is checked before anything else is read.
 const binaryStateVersion = 0
 
-// readBinaryStateVersion consumes and checks the leading version tag.
+// readBinaryStateVersion consumes and checks the leading version tag:
+// any other value means the blob was written by a future revision and
+// must not be reinterpreted field by field.
 func readBinaryStateVersion(name string, r *binenc.Reader) error {
 	version := int(r.Byte())
 	if err := r.Err(); err != nil {
 		return stateDecodeError(name, err)
 	}
-	return checkStateVersion(name, version)
+	if version != binaryStateVersion {
+		return fmt.Errorf("freq: %s state: unsupported state version %d", name, version)
+	}
+	return nil
+}
+
+// checkTallies validates a vector of per-value report tallies: one
+// cell per domain value, each counting at most one per report.
+func checkTallies(name string, n int, tallies []int, d int) error {
+	if err := checkStateShape(name, n, len(tallies), d); err != nil {
+		return err
+	}
+	for _, c := range tallies {
+		if c < 0 || c > n {
+			return stateShapeError(name)
+		}
+	}
+	return nil
 }
 
 // --- GRR (and BinaryRR) ---
@@ -51,16 +75,32 @@ func (g *GRR) unmarshalStateAs(name string, data []byte) error {
 	if err := readBinaryStateVersion(name, r); err != nil {
 		return err
 	}
-	var st grrState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Domain = int(r.Varint())
-	st.N = int(r.Varint())
-	st.Counts = r.Ints()
+	mechanism, epsilon, d := r.String(), r.Float64(), int(r.Varint())
+	n, counts := int(r.Varint()), r.Ints()
 	if err := r.Done(); err != nil {
 		return stateDecodeError(name, err)
 	}
-	return g.applyState(name, st)
+	if mechanism != name || epsilon != g.epsilon || d != g.d {
+		return stateParamError(name)
+	}
+	if err := checkStateShape(name, n, len(counts), g.d); err != nil {
+		return err
+	}
+	// GRR's tally is exact: every report lands in exactly one bucket,
+	// so a state whose counts do not sum to n was corrupted somewhere.
+	sum := 0
+	for _, c := range counts {
+		if c < 0 {
+			return stateShapeError(name)
+		}
+		sum += c
+	}
+	if sum != n {
+		return stateShapeError(name)
+	}
+	copy(g.counts, counts)
+	g.n = n
+	return nil
 }
 
 // MarshalState implements Oracle, writing the wrapper's "RR" name so
@@ -95,18 +135,23 @@ func (u *UE) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion(u.name, r); err != nil {
 		return err
 	}
-	var st ueState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Domain = int(r.Varint())
-	st.P = r.Float64()
-	st.Q = r.Float64()
-	st.N = int(r.Varint())
-	st.Ones = r.Ints()
+	mechanism, epsilon, d := r.String(), r.Float64(), int(r.Varint())
+	p, q := r.Float64(), r.Float64()
+	n, ones := int(r.Varint()), r.Ints()
 	if err := r.Done(); err != nil {
 		return stateDecodeError(u.name, err)
 	}
-	return u.applyState(st)
+	// The (p, q) pair keeps SUE, OUE and custom-UE state mutually
+	// exclusive even at equal ε (they debias with different constants).
+	if mechanism != u.name || epsilon != u.epsilon || d != u.d || p != u.p || q != u.q {
+		return stateParamError(u.name)
+	}
+	if err := checkTallies(u.name, n, ones, u.d); err != nil {
+		return err
+	}
+	copy(u.ones, ones)
+	u.n = n
+	return nil
 }
 
 // --- SHE ---
@@ -130,16 +175,20 @@ func (s *SHE) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion(s.Name(), r); err != nil {
 		return err
 	}
-	var st sheState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Domain = int(r.Varint())
-	st.N = int(r.Varint())
-	st.Sums = r.PackedFloat64s()
+	mechanism, epsilon, d := r.String(), r.Float64(), int(r.Varint())
+	n, sums := int(r.Varint()), r.PackedFloat64s()
 	if err := r.Done(); err != nil {
 		return stateDecodeError(s.Name(), err)
 	}
-	return s.applyState(st)
+	if mechanism != s.Name() || epsilon != s.epsilon || d != s.d {
+		return stateParamError(s.Name())
+	}
+	if err := checkStateShape(s.Name(), n, len(sums), s.d); err != nil {
+		return err
+	}
+	copy(s.sums, sums)
+	s.n = n
+	return nil
 }
 
 // --- THE ---
@@ -164,17 +213,23 @@ func (t *THE) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion(t.Name(), r); err != nil {
 		return err
 	}
-	var st theState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Domain = int(r.Varint())
-	st.Theta = r.Float64()
-	st.N = int(r.Varint())
-	st.Ones = r.Ints()
+	mechanism, epsilon, d := r.String(), r.Float64(), int(r.Varint())
+	theta := r.Float64()
+	n, ones := int(r.Varint()), r.Ints()
 	if err := r.Done(); err != nil {
 		return stateDecodeError(t.Name(), err)
 	}
-	return t.applyState(st)
+	// θ must match because it determines the (p, q) debiasing
+	// constants, which are derived, not stored.
+	if mechanism != t.Name() || epsilon != t.epsilon || d != t.d || theta != t.theta {
+		return stateParamError(t.Name())
+	}
+	if err := checkTallies(t.Name(), n, ones, t.d); err != nil {
+		return err
+	}
+	copy(t.ones, ones)
+	t.n = n
+	return nil
 }
 
 // --- LH (BLH/OLH/custom) ---
@@ -205,17 +260,33 @@ func (l *LH) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion(l.name, r); err != nil {
 		return err
 	}
-	var st lhState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Domain = int(r.Varint())
-	st.G = int(r.Varint())
-	st.N = int(r.Varint())
-	st.Support = r.PackedFloat64s()
+	mechanism, epsilon, d := r.String(), r.Float64(), int(r.Varint())
+	g := int(r.Varint())
+	n, cells := int(r.Varint()), r.PackedFloat64s()
 	if err := r.Done(); err != nil {
 		return stateDecodeError(l.name, err)
 	}
-	return l.applyState(st)
+	// The hash range g fixes the debiasing constants, and the name
+	// distinguishes BLH from an explicit g=2 LH, mirroring Merge.
+	if mechanism != l.name || epsilon != l.epsilon || d != l.d || g != l.g {
+		return stateParamError(l.name)
+	}
+	if err := checkStateShape(l.name, n, len(cells), l.d); err != nil {
+		return err
+	}
+	support := make([]int64, l.d)
+	for v, f := range cells {
+		// Each report supports a value at most once, so a tally is a
+		// whole number in [0, n]. The float-side bounds also refuse NaN
+		// and ±Inf and keep the conversion defined.
+		if !(f >= 0 && f < 1<<63) || f != math.Trunc(f) || int64(f) > int64(n) {
+			return stateShapeError(l.name)
+		}
+		support[v] = int64(f)
+	}
+	l.support = support
+	l.n = n
+	return nil
 }
 
 // --- HRR ---
@@ -239,16 +310,22 @@ func (h *HRR) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion(h.Name(), r); err != nil {
 		return err
 	}
-	var st hrrState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Domain = int(r.Varint())
-	st.N = int(r.Varint())
-	st.CoefSum = r.PackedFloat64s()
+	mechanism, epsilon, d := r.String(), r.Float64(), int(r.Varint())
+	n, coefSum := int(r.Varint()), r.PackedFloat64s()
 	if err := r.Done(); err != nil {
 		return stateDecodeError(h.Name(), err)
 	}
-	return h.applyState(st)
+	if mechanism != h.Name() || epsilon != h.epsilon || d != h.d {
+		return stateParamError(h.Name())
+	}
+	// The coefficient sums run over the padded power-of-two domain,
+	// which is derived from the logical domain and not stored.
+	if err := checkStateShape(h.Name(), n, len(coefSum), h.dd); err != nil {
+		return err
+	}
+	copy(h.coefSum, coefSum)
+	h.n = n
+	return nil
 }
 
 // --- SS ---
@@ -273,15 +350,20 @@ func (s *SS) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion(s.Name(), r); err != nil {
 		return err
 	}
-	var st ssState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Domain = int(r.Varint())
-	st.K = int(r.Varint())
-	st.N = int(r.Varint())
-	st.Support = r.Ints()
+	mechanism, epsilon, d := r.String(), r.Float64(), int(r.Varint())
+	k := int(r.Varint())
+	n, support := int(r.Varint()), r.Ints()
 	if err := r.Done(); err != nil {
 		return stateDecodeError(s.Name(), err)
 	}
-	return s.applyState(st)
+	// The subset size k must match since it fixes (p, q).
+	if mechanism != s.Name() || epsilon != s.epsilon || d != s.d || k != s.k {
+		return stateParamError(s.Name())
+	}
+	if err := checkTallies(s.Name(), n, support, s.d); err != nil {
+		return err
+	}
+	copy(s.support, support)
+	s.n = n
+	return nil
 }

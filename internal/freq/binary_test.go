@@ -77,12 +77,10 @@ func TestBinaryStateRoundTrip(t *testing.T) {
 }
 
 // TestLegacyStateFixtures is the frozen half of the compatibility
-// contract. testdata/state_<mechanism>.json and .bin are the JSON and
-// binary encodings of one aggregate (ε=1.25, d=16, 200 reports),
-// written at commit 5a353ae by the last build that had a JSON encoder:
-// the JSON must still restore, to exactly the aggregate the binary
-// fixture holds, and this build must write that aggregate as exactly
-// those bytes.
+// contract. testdata/state_<mechanism>.bin is the state of one
+// aggregate (ε=1.25, d=16, 200 reports) as an older build wrote it, at
+// commit 5a353ae: it must still restore, to that aggregate, and this
+// build must write that aggregate as exactly those bytes.
 func TestLegacyStateFixtures(t *testing.T) {
 	builders := []func() Oracle{func() Oracle { return NewBinaryRR(1.25, nil) }}
 	for _, m := range Mechanisms() {
@@ -90,32 +88,18 @@ func TestLegacyStateFixtures(t *testing.T) {
 	}
 	for _, build := range builders {
 		o := build()
-		legacy, err := os.ReadFile(filepath.Join("testdata", "state_"+o.Name()+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		golden, err := os.ReadFile(filepath.Join("testdata", "state_"+o.Name()+".bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromLegacy, fromGolden := build(), build()
-		if err := fromLegacy.UnmarshalLegacyState(legacy); err != nil {
-			t.Fatalf("%s: legacy JSON fixture refused: %v", o.Name(), err)
+		if err := o.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden fixture refused: %v", o.Name(), err)
 		}
-		if err := fromGolden.UnmarshalState(golden); err != nil {
-			t.Fatalf("%s: golden binary fixture refused: %v", o.Name(), err)
+		if o.Collected() != 200 {
+			t.Errorf("%s: Collected = %d, want 200", o.Name(), o.Collected())
 		}
-		for via, r := range map[string]Oracle{"legacy JSON": fromLegacy, "binary": fromGolden} {
-			if r.Collected() != 200 {
-				t.Errorf("%s via %s: Collected = %d, want 200", o.Name(), via, r.Collected())
-			}
-			got, err := r.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, golden) {
-				t.Errorf("%s via %s: MarshalState = %x, golden %x", o.Name(), via, got, golden)
-			}
+		if got, err := o.MarshalState(); err != nil || !bytes.Equal(got, golden) {
+			t.Errorf("%s: MarshalState = %x (%v), golden %x", o.Name(), got, err, golden)
 		}
 	}
 }

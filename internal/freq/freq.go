@@ -80,10 +80,6 @@ type Oracle interface {
 	// a differently-configured oracle cannot silently debias with
 	// the wrong constants.
 	UnmarshalState(data []byte) error
-	// UnmarshalLegacyState is UnmarshalState for the JSON state
-	// format builds before the binary layout wrote. Read-only: no
-	// encoder for it remains.
-	UnmarshalLegacyState(data []byte) error
 }
 
 // mergeTypeError reports an attempt to merge across mechanisms.
@@ -112,18 +108,6 @@ func stateParamError(name string) error {
 // malformed: wrong vector length or a negative report count.
 func stateShapeError(name string) error {
 	return fmt.Errorf("freq: %s state has malformed tallies", name)
-}
-
-// checkStateVersion rejects state blobs tagged with a format revision
-// this build does not know. Version 0 is the current (untagged)
-// format — the tag is omitted on marshal so existing snapshots stay
-// bit-identical — and any other value means the blob was written by a
-// future revision and must not be reinterpreted field-by-field.
-func checkStateVersion(name string, v int) error {
-	if v != 0 {
-		return fmt.Errorf("freq: %s state: unsupported state version %d", name, v)
-	}
-	return nil
 }
 
 // checkStateShape validates the parts every mechanism state shares.

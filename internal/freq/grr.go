@@ -1,7 +1,6 @@
 package freq
 
 import (
-	"encoding/json"
 	"math"
 
 	"repro/internal/ldprand"
@@ -135,58 +134,6 @@ func (g *GRR) snapshotGRR() *GRR {
 	return &c
 }
 
-// grrState is the serialized aggregate of a GRR (or BinaryRR) oracle.
-type grrState struct {
-	V         int     `json:"v,omitempty"` // 0 = current format; see checkStateVersion
-	Mechanism string  `json:"mechanism"`
-	Epsilon   float64 `json:"epsilon"`
-	Domain    int     `json:"domain"`
-	N         int     `json:"n"`
-	Counts    []int   `json:"counts"`
-}
-
-// UnmarshalLegacyState implements Oracle.
-func (g *GRR) UnmarshalLegacyState(data []byte) error {
-	return g.unmarshalLegacyStateAs(g.Name(), data)
-}
-
-func (g *GRR) unmarshalLegacyStateAs(name string, data []byte) error {
-	var st grrState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return stateDecodeError(name, err)
-	}
-	return g.applyState(name, st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (g *GRR) applyState(name string, st grrState) error {
-	if err := checkStateVersion(name, st.V); err != nil {
-		return err
-	}
-	if st.Mechanism != name || st.Epsilon != g.epsilon || st.Domain != g.d {
-		return stateParamError(name)
-	}
-	if err := checkStateShape(name, st.N, len(st.Counts), g.d); err != nil {
-		return err
-	}
-	// GRR's tally is exact: every report lands in exactly one bucket,
-	// so a state whose counts do not sum to n was corrupted somewhere.
-	sum := 0
-	for _, c := range st.Counts {
-		if c < 0 {
-			return stateShapeError(name)
-		}
-		sum += c
-	}
-	if sum != st.N {
-		return stateShapeError(name)
-	}
-	copy(g.counts, st.Counts)
-	g.n = st.N
-	return nil
-}
-
 // bitsFor returns ceil(log2(d)), at least 1.
 func bitsFor(d int) int {
 	bits := 0
@@ -227,11 +174,6 @@ func (b BinaryRR) Merge(other Oracle) error {
 
 // Snapshot implements Oracle.
 func (b BinaryRR) Snapshot() Oracle { return BinaryRR{b.GRR.snapshotGRR()} }
-
-// UnmarshalLegacyState implements Oracle under the wrapper's "RR" name.
-func (b BinaryRR) UnmarshalLegacyState(data []byte) error {
-	return b.GRR.unmarshalLegacyStateAs(b.Name(), data)
-}
 
 // EstimateProportion returns the estimated fraction of "1" answers and
 // the half-width of a (1−delta) confidence interval around it, using

@@ -1,7 +1,6 @@
 package freq
 
 import (
-	"encoding/json"
 	"math"
 
 	"repro/internal/bitvec"
@@ -118,44 +117,6 @@ func (s *SHE) Snapshot() Oracle {
 	c := *s
 	c.sums = append([]float64(nil), s.sums...)
 	return &c
-}
-
-// sheState is the serialized aggregate of an SHE oracle. The sums are
-// float64 and JSON round-trips them exactly (shortest representation
-// that parses back to the same bits).
-type sheState struct {
-	V         int       `json:"v,omitempty"` // 0 = current format; see checkStateVersion
-	Mechanism string    `json:"mechanism"`
-	Epsilon   float64   `json:"epsilon"`
-	Domain    int       `json:"domain"`
-	N         int       `json:"n"`
-	Sums      []float64 `json:"sums"`
-}
-
-// UnmarshalLegacyState implements Oracle.
-func (s *SHE) UnmarshalLegacyState(data []byte) error {
-	var st sheState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return stateDecodeError(s.Name(), err)
-	}
-	return s.applyState(st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (s *SHE) applyState(st sheState) error {
-	if err := checkStateVersion(s.Name(), st.V); err != nil {
-		return err
-	}
-	if st.Mechanism != s.Name() || st.Epsilon != s.epsilon || st.Domain != s.d {
-		return stateParamError(s.Name())
-	}
-	if err := checkStateShape(s.Name(), st.N, len(st.Sums), s.d); err != nil {
-		return err
-	}
-	copy(s.sums, st.Sums)
-	s.n = st.N
-	return nil
 }
 
 // THE is thresholded histogram encoding: like SHE, but the client only
@@ -327,49 +288,4 @@ func (t *THE) Snapshot() Oracle {
 	c := *t
 	c.ones = append([]int(nil), t.ones...)
 	return &c
-}
-
-// theState is the serialized aggregate of a THE oracle. θ is carried
-// (and must match on restore) because it determines the (p, q)
-// debiasing constants; p and q themselves are derived, not stored.
-type theState struct {
-	V         int     `json:"v,omitempty"` // 0 = current format; see checkStateVersion
-	Mechanism string  `json:"mechanism"`
-	Epsilon   float64 `json:"epsilon"`
-	Domain    int     `json:"domain"`
-	Theta     float64 `json:"theta"`
-	N         int     `json:"n"`
-	Ones      []int   `json:"ones"`
-}
-
-// UnmarshalLegacyState implements Oracle.
-func (t *THE) UnmarshalLegacyState(data []byte) error {
-	var st theState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return stateDecodeError(t.Name(), err)
-	}
-	return t.applyState(st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (t *THE) applyState(st theState) error {
-	if err := checkStateVersion(t.Name(), st.V); err != nil {
-		return err
-	}
-	if st.Mechanism != t.Name() || st.Epsilon != t.epsilon || st.Domain != t.d ||
-		st.Theta != t.theta {
-		return stateParamError(t.Name())
-	}
-	if err := checkStateShape(t.Name(), st.N, len(st.Ones), t.d); err != nil {
-		return err
-	}
-	for _, c := range st.Ones {
-		if c < 0 || c > st.N {
-			return stateShapeError(t.Name())
-		}
-	}
-	copy(t.ones, st.Ones)
-	t.n = st.N
-	return nil
 }

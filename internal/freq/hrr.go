@@ -1,7 +1,6 @@
 package freq
 
 import (
-	"encoding/json"
 	"math"
 
 	"repro/internal/ldprand"
@@ -152,42 +151,4 @@ func (h *HRR) Snapshot() Oracle {
 	c := *h
 	c.coefSum = append([]float64(nil), h.coefSum...)
 	return &c
-}
-
-// hrrState is the serialized aggregate of an HRR oracle. The
-// coefficient sums run over the padded power-of-two domain, which is
-// derived from the logical domain and therefore not stored separately.
-type hrrState struct {
-	V         int       `json:"v,omitempty"` // 0 = current format; see checkStateVersion
-	Mechanism string    `json:"mechanism"`
-	Epsilon   float64   `json:"epsilon"`
-	Domain    int       `json:"domain"`
-	N         int       `json:"n"`
-	CoefSum   []float64 `json:"coef_sum"`
-}
-
-// UnmarshalLegacyState implements Oracle.
-func (h *HRR) UnmarshalLegacyState(data []byte) error {
-	var st hrrState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return stateDecodeError(h.Name(), err)
-	}
-	return h.applyState(st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (h *HRR) applyState(st hrrState) error {
-	if err := checkStateVersion(h.Name(), st.V); err != nil {
-		return err
-	}
-	if st.Mechanism != h.Name() || st.Epsilon != h.epsilon || st.Domain != h.d {
-		return stateParamError(h.Name())
-	}
-	if err := checkStateShape(h.Name(), st.N, len(st.CoefSum), h.dd); err != nil {
-		return err
-	}
-	copy(h.coefSum, st.CoefSum)
-	h.n = st.N
-	return nil
 }

@@ -1,7 +1,6 @@
 package freq
 
 import (
-	"encoding/json"
 	"math"
 
 	"repro/internal/hashutil"
@@ -195,53 +194,4 @@ func (l *LH) Snapshot() Oracle {
 	c := *l
 	c.support = append([]int64(nil), l.support...)
 	return &c
-}
-
-// lhState is the serialized aggregate of a local-hashing oracle. The
-// hash range g is carried (it fixes the debiasing constants) and the
-// name distinguishes BLH from an explicit g=2 LH, mirroring Merge.
-type lhState struct {
-	V         int       `json:"v,omitempty"` // 0 = current format; see checkStateVersion
-	Mechanism string    `json:"mechanism"`
-	Epsilon   float64   `json:"epsilon"`
-	Domain    int       `json:"domain"`
-	G         int       `json:"g"`
-	N         int       `json:"n"`
-	Support   []float64 `json:"support"`
-}
-
-// UnmarshalLegacyState implements Oracle.
-func (l *LH) UnmarshalLegacyState(data []byte) error {
-	var st lhState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return stateDecodeError(l.name, err)
-	}
-	return l.applyState(st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (l *LH) applyState(st lhState) error {
-	if err := checkStateVersion(l.name, st.V); err != nil {
-		return err
-	}
-	if st.Mechanism != l.name || st.Epsilon != l.epsilon || st.Domain != l.d || st.G != l.g {
-		return stateParamError(l.name)
-	}
-	if err := checkStateShape(l.name, st.N, len(st.Support), l.d); err != nil {
-		return err
-	}
-	support := make([]int64, l.d)
-	for v, f := range st.Support {
-		// Each report supports a value at most once, so a tally is a
-		// whole number in [0, n]. The float-side bounds also refuse NaN
-		// and ±Inf and keep the conversion defined.
-		if !(f >= 0 && f < 1<<63) || f != math.Trunc(f) || int64(f) > int64(st.N) {
-			return stateShapeError(l.name)
-		}
-		support[v] = int64(f)
-	}
-	l.support = support
-	l.n = st.N
-	return nil
 }

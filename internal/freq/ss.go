@@ -1,7 +1,6 @@
 package freq
 
 import (
-	"encoding/json"
 	"math"
 
 	"repro/internal/ldprand"
@@ -181,49 +180,6 @@ func (s *SS) Snapshot() Oracle {
 	c := *s
 	c.support = append([]int(nil), s.support...)
 	return &c
-}
-
-// ssState is the serialized aggregate of a subset-selection oracle.
-// The subset size k is carried since it fixes (p, q).
-type ssState struct {
-	V         int     `json:"v,omitempty"` // 0 = current format; see checkStateVersion
-	Mechanism string  `json:"mechanism"`
-	Epsilon   float64 `json:"epsilon"`
-	Domain    int     `json:"domain"`
-	K         int     `json:"k"`
-	N         int     `json:"n"`
-	Support   []int   `json:"support"`
-}
-
-// UnmarshalLegacyState implements Oracle.
-func (s *SS) UnmarshalLegacyState(data []byte) error {
-	var st ssState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return stateDecodeError(s.Name(), err)
-	}
-	return s.applyState(st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (s *SS) applyState(st ssState) error {
-	if err := checkStateVersion(s.Name(), st.V); err != nil {
-		return err
-	}
-	if st.Mechanism != s.Name() || st.Epsilon != s.epsilon || st.Domain != s.d || st.K != s.k {
-		return stateParamError(s.Name())
-	}
-	if err := checkStateShape(s.Name(), st.N, len(st.Support), s.d); err != nil {
-		return err
-	}
-	for _, c := range st.Support {
-		if c < 0 || c > st.N {
-			return stateShapeError(s.Name())
-		}
-	}
-	copy(s.support, st.Support)
-	s.n = st.N
-	return nil
 }
 
 // sortInts is an insertion sort: subset sizes are small and this keeps

@@ -7,7 +7,6 @@ package freq
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -148,61 +147,159 @@ func TestStateRejectsParamAndShapeChanges(t *testing.T) {
 			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalState(nil); err == nil {
 				t.Error("empty state accepted")
 			}
-			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalLegacyState([]byte(`{"mechanism":`)); err == nil {
-				t.Error("truncated legacy JSON accepted")
-			}
-			if err := m.Build(Config{Epsilon: 1.2, Domain: 16}).UnmarshalLegacyState([]byte(`{}`)); err == nil {
-				t.Error("empty legacy state object accepted")
-			}
 		})
 	}
 }
 
-// TestStateFailureLeavesOracleUsable pins that a rejected restore does
-// not corrupt the receiver: parameter checks run before any tally is
-// touched.
-func TestStateFailureLeavesOracleUsable(t *testing.T) {
-	o := NewGRR(1.0, 8, ldprand.NewSplitMix64(41))
-	collectSome(o, 43, 100)
-	before := o.EstimateCounts()
-	wrong := NewGRR(2.0, 8, nil)
-	wrongState, err := wrong.MarshalState()
-	if err != nil {
-		t.Fatal(err)
+// forgeState writes a state blob field by field, the way each
+// MarshalState lays it out: a byte is the version tag, ints are
+// varints, []int a packed tally vector, []float64 a packed float
+// vector.
+func forgeState(fields ...any) []byte {
+	w := binenc.NewWriter()
+	defer w.Release()
+	for _, f := range fields {
+		switch v := f.(type) {
+		case byte:
+			w.Byte(v)
+		case string:
+			w.String(v)
+		case float64:
+			w.Float64(v)
+		case int:
+			w.Varint(int64(v))
+		case []int:
+			w.Ints(v)
+		case []float64:
+			w.PackedFloat64s(v)
+		default:
+			panic("forgeState: unsupported field type")
+		}
 	}
-	if err := o.UnmarshalState(wrongState); err == nil {
-		t.Fatal("mismatched state accepted")
-	}
-	if !reflect.DeepEqual(o.EstimateCounts(), before) {
-		t.Fatal("failed restore mutated the oracle")
-	}
+	return append([]byte(nil), w.Bytes()...)
 }
 
-// TestStateRejectsUnknownVersion pins the version gate of the legacy
-// JSON decoder on every mechanism: the frozen fixtures carry no tag,
-// an explicit v=0 tag still restores, and any other tag is refused
-// instead of being reinterpreted field-by-field. (The binary layout's
-// gate is pinned by TestBinaryStateRefusesGarbage.)
+// TestStateFailureLeavesOracleUsable pins every refusal a decoder
+// holds beyond the parameter match, on forged states whose header is
+// the receiver's own: tallies no multiset of reports could produce are
+// refused, and a refused restore leaves the receiver's state byte for
+// byte as it was — validation runs before any tally is touched.
+func TestStateFailureLeavesOracleUsable(t *testing.T) {
+	const eps, d = 1.2, 4
+	sue, oue := NewSUE(eps, d, nil), NewOUE(eps, d, nil)
+	the, ss := NewTHE(eps, d, nil), NewSS(eps, d, nil)
+	blh, olh := NewBLH(eps, d, nil), NewOLH(eps, d, nil)
+	ints := func(header ...any) func(n int, tallies []int) []byte {
+		return func(n int, tallies []int) []byte { return forgeState(append(header, n, tallies)...) }
+	}
+	floats := func(header ...any) func(n int, cells []float64) []byte {
+		return func(n int, cells []float64) []byte { return forgeState(append(header, n, cells)...) }
+	}
+	v := byte(binaryStateVersion)
+	intCases := []struct {
+		build func() Oracle
+		forge func(n int, tallies []int) []byte
+		exact bool // tallies must sum to n (GRR), not merely stay within [0, n]
+	}{
+		{func() Oracle { return NewGRR(eps, d, nil) }, ints(v, "GRR", eps, d), true},
+		{func() Oracle { return NewSUE(eps, d, nil) }, ints(v, "SUE", eps, d, sue.p, sue.q), false},
+		{func() Oracle { return NewOUE(eps, d, nil) }, ints(v, "OUE", eps, d, oue.p, oue.q), false},
+		{func() Oracle { return NewTHE(eps, d, nil) }, ints(v, "THE", eps, d, the.theta), false},
+		{func() Oracle { return NewSS(eps, d, nil) }, ints(v, "SS", eps, d, ss.k), false},
+	}
+	floatCases := []struct {
+		build func() Oracle
+		forge func(n int, cells []float64) []byte
+	}{
+		{func() Oracle { return NewSHE(eps, d, nil) }, floats(v, "SHE", eps, d)},
+		{func() Oracle { return NewHRR(eps, d, nil) }, floats(v, "HRR", eps, d)},
+		{func() Oracle { return NewBLH(eps, d, nil) }, floats(v, "BLH", eps, d, blh.g)},
+		{func() Oracle { return NewOLH(eps, d, nil) }, floats(v, "OLH", eps, d, olh.g)},
+	}
+
+	// check restores good onto a fresh oracle (so a refusal below is the
+	// tallies' doing, not the forgery's), then requires every bad state
+	// to bounce off a populated oracle without moving it.
+	check := func(t *testing.T, build func() Oracle, good []byte, bad map[string][]byte) {
+		t.Helper()
+		o := build()
+		if err := o.UnmarshalState(good); err != nil {
+			t.Fatalf("%s: well-formed forged state refused: %v", o.Name(), err)
+		}
+		before, err := o.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, good) {
+			t.Fatalf("%s: forged state re-marshals to %x, forged %x", o.Name(), before, good)
+		}
+		for what, state := range bad {
+			if err := o.UnmarshalState(state); err == nil {
+				t.Errorf("%s: state with %s accepted", o.Name(), what)
+			}
+			if after, err := o.MarshalState(); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("%s: refused state with %s mutated the oracle (%v)", o.Name(), what, err)
+			}
+		}
+	}
+	for _, tc := range intCases {
+		bad := map[string][]byte{
+			"a negative tally":      tc.forge(2, []int{3, -1, 0, 0}),
+			"a short tally vector":  tc.forge(2, []int{1, 1, 0}),
+			"a long tally vector":   tc.forge(2, []int{1, 1, 0, 0, 0}),
+			"a negative n":          tc.forge(-1, []int{0, 0, 0, 0}),
+			"a future version byte": append([]byte{99}, tc.forge(2, []int{1, 1, 0, 0})[1:]...),
+		}
+		if tc.exact {
+			bad["tallies summing below n"] = tc.forge(3, []int{1, 1, 0, 0})
+			bad["tallies summing above n"] = tc.forge(1, []int{1, 1, 0, 0})
+		} else {
+			bad["a tally above n"] = tc.forge(2, []int{3, 0, 0, 0})
+		}
+		check(t, tc.build, tc.forge(2, []int{1, 1, 0, 0}), bad)
+	}
+	for _, tc := range floatCases {
+		check(t, tc.build, tc.forge(2, []float64{1, 1, 0, 0}), map[string][]byte{
+			"a short sum vector":    tc.forge(2, []float64{1, 1, 0}),
+			"a long sum vector":     tc.forge(2, []float64{1, 1, 0, 0, 0}),
+			"a negative n":          tc.forge(-1, []float64{0, 0, 0, 0}),
+			"a future version byte": append([]byte{99}, tc.forge(2, []float64{1, 1, 0, 0})[1:]...),
+		})
+	}
+	rr := ints(v, "RR", eps, 2)
+	check(t, func() Oracle { return NewBinaryRR(eps, nil) }, rr(2, []int{1, 1}), map[string][]byte{
+		"tallies summing below n": rr(3, []int{1, 1}),
+		"a negative tally":        rr(2, []int{3, -1}),
+		"GRR's name":              forgeState(v, "GRR", eps, 2, 2, []int{1, 1}),
+	})
+}
+
+// TestStateRejectsUnknownVersion pins the version gate on every
+// mechanism against the frozen fixtures: the leading tag is checked
+// before anything else is read, so any value but the current one is
+// refused instead of being reinterpreted field by field.
 func TestStateRejectsUnknownVersion(t *testing.T) {
 	for _, m := range Mechanisms() {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
-			state, err := os.ReadFile(filepath.Join("testdata", "state_"+m.Name+".json"))
+			state, err := os.ReadFile(filepath.Join("testdata", "state_"+m.Name+".bin"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Contains(state, []byte(`"v":`)) {
-				t.Fatalf("fixture carries a version tag: %s", state)
+			if state[0] != binaryStateVersion {
+				t.Fatalf("fixture opens with version byte %d", state[0])
 			}
 			fresh := m.Build(Config{Epsilon: 1.25, Domain: 16})
-			if err := fresh.UnmarshalLegacyState(append([]byte(`{"v":99,`), state[1:]...)); err == nil {
-				t.Fatal("restore accepted a version-99 state blob")
+			for _, version := range []byte{1, 2, 99, 0xFF} {
+				if err := fresh.UnmarshalState(append([]byte{version}, state[1:]...)); err == nil {
+					t.Fatalf("restore accepted a version-%d state blob", version)
+				}
 			}
 			if fresh.Collected() != 0 {
 				t.Fatal("failed restore mutated the oracle")
 			}
-			if err := fresh.UnmarshalLegacyState(append([]byte(`{"v":0,`), state[1:]...)); err != nil {
-				t.Fatalf("restore rejected an explicit v=0 tag: %v", err)
+			if err := fresh.UnmarshalState(state); err != nil {
+				t.Fatalf("restore rejected the fixture after the hostile ones: %v", err)
 			}
 		})
 	}
@@ -210,8 +307,8 @@ func TestStateRejectsUnknownVersion(t *testing.T) {
 
 // TestLHStateRefusesBadSupport: a local-hashing support tally is a
 // count of reports — a whole number in [0, n] — and a checkpoint or
-// merge delta saying otherwise would poison every later estimate. Both
-// decoders refuse it and leave the receiver untouched.
+// merge delta saying otherwise would poison every later estimate. The
+// decoder refuses it and leaves the receiver untouched.
 func TestLHStateRefusesBadSupport(t *testing.T) {
 	const d, n = 8, 5
 	for _, build := range []func() *LH{
@@ -229,16 +326,7 @@ func TestLHStateRefusesBadSupport(t *testing.T) {
 		encode := func(cell float64) []byte {
 			support := make([]float64, d)
 			support[d-1] = cell
-			w := binenc.NewWriter()
-			defer w.Release()
-			w.Byte(binaryStateVersion)
-			w.String(l.name)
-			w.Float64(l.epsilon)
-			w.Varint(d)
-			w.Varint(int64(l.g))
-			w.Varint(n)
-			w.PackedFloat64s(support)
-			return append([]byte(nil), w.Bytes()...)
+			return forgeState(byte(binaryStateVersion), l.name, l.epsilon, d, l.g, n, support)
 		}
 		for _, ok := range []float64{0, 1, n} {
 			if err := build().UnmarshalState(encode(ok)); err != nil {
@@ -247,14 +335,7 @@ func TestLHStateRefusesBadSupport(t *testing.T) {
 		}
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0.5, n + 1, 1 << 63, 1e300} {
 			if err := l.UnmarshalState(encode(bad)); err == nil {
-				t.Errorf("%s: binary state with support cell %v accepted", l.name, bad)
-			}
-		}
-		for _, bad := range []string{"-1", "0.5", "6", "1e300"} {
-			legacy := fmt.Sprintf(`{"mechanism":%q,"epsilon":1.2,"domain":%d,"g":%d,"n":%d,"support":[0,0,0,0,0,0,0,%s]}`,
-				l.name, d, l.g, n, bad)
-			if err := l.UnmarshalLegacyState([]byte(legacy)); err == nil {
-				t.Errorf("%s: legacy state with support cell %s accepted", l.name, bad)
+				t.Errorf("%s: state with support cell %v accepted", l.name, bad)
 			}
 		}
 		if !reflect.DeepEqual(l.EstimateCounts(), before) || l.Collected() != n {

@@ -1,7 +1,6 @@
 package freq
 
 import (
-	"encoding/json"
 	"math"
 
 	"repro/internal/bitvec"
@@ -165,51 +164,4 @@ func (u *UE) Snapshot() Oracle {
 	c := *u
 	c.ones = append([]int(nil), u.ones...)
 	return &c
-}
-
-// ueState is the serialized aggregate of a unary-encoding oracle. The
-// (p, q) pair is carried so SUE, OUE and custom-UE state stay mutually
-// exclusive even at equal ε (they debias with different constants).
-type ueState struct {
-	V         int     `json:"v,omitempty"` // 0 = current format; see checkStateVersion
-	Mechanism string  `json:"mechanism"`
-	Epsilon   float64 `json:"epsilon"`
-	Domain    int     `json:"domain"`
-	P         float64 `json:"p"`
-	Q         float64 `json:"q"`
-	N         int     `json:"n"`
-	Ones      []int   `json:"ones"`
-}
-
-// UnmarshalLegacyState implements Oracle.
-func (u *UE) UnmarshalLegacyState(data []byte) error {
-	var st ueState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return stateDecodeError(u.name, err)
-	}
-	return u.applyState(st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (u *UE) applyState(st ueState) error {
-	if err := checkStateVersion(u.name, st.V); err != nil {
-		return err
-	}
-	if st.Mechanism != u.name || st.Epsilon != u.epsilon || st.Domain != u.d ||
-		st.P != u.p || st.Q != u.q {
-		return stateParamError(u.name)
-	}
-	if err := checkStateShape(u.name, st.N, len(st.Ones), u.d); err != nil {
-		return err
-	}
-	for _, c := range st.Ones {
-		// Each position tallies at most one 1 per report.
-		if c < 0 || c > st.N {
-			return stateShapeError(u.name)
-		}
-	}
-	copy(u.ones, st.Ones)
-	u.n = st.N
-	return nil
 }

@@ -171,11 +171,6 @@ func Intn(s Source, n int) int {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func Int63(s Source) int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Shuffle permutes the first n elements using the Fisher–Yates algorithm,
 // calling swap(i, j) for each exchange.
 func Shuffle(s Source, n int, swap func(i, j int)) {

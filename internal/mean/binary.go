@@ -1,12 +1,13 @@
 // State codec for the mean estimators, mirroring the freq oracle
 // layouts: a leading version byte (checked before anything else), the
 // mechanism name and parameters, then the sum vector and report
-// count. Decoding feeds the same applyState validation as the legacy
-// JSON decoders.
+// count. A decoder reads every field and refuses parameter mismatches
+// and malformed tallies before it installs anything.
 package mean
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/binenc"
 )
@@ -21,7 +22,7 @@ func readBinaryStateVersion(name string, r *binenc.Reader) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("mean: %s state: %w", name, err)
 	}
-	if version != 0 {
+	if version != binaryStateVersion {
 		return fmt.Errorf("mean: %s state: unsupported state version %d", name, version)
 	}
 	return nil
@@ -47,15 +48,19 @@ func (d *Duchi) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion("Duchi", r); err != nil {
 		return err
 	}
-	var st duchiState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Sum = r.Float64()
-	st.N = int(r.Varint())
+	mechanism, epsilon := r.String(), r.Float64()
+	sum, n := r.Float64(), int(r.Varint())
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("mean: Duchi state: %w", err)
 	}
-	return d.applyState(st)
+	if mechanism != "duchi" || epsilon != d.epsilon {
+		return fmt.Errorf("mean: Duchi state parameter mismatch")
+	}
+	if n < 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return fmt.Errorf("mean: Duchi state has malformed tallies")
+	}
+	d.sum, d.n = sum, n
+	return nil
 }
 
 // MarshalState serializes the aggregate state.
@@ -79,14 +84,23 @@ func (h *Harmony) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion("Harmony", r); err != nil {
 		return err
 	}
-	var st harmonyState
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Dim = int(r.Varint())
-	st.Sums = r.PackedFloat64s()
-	st.N = int(r.Varint())
+	mechanism, epsilon, dim := r.String(), r.Float64(), int(r.Varint())
+	sums, n := r.PackedFloat64s(), int(r.Varint())
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("mean: Harmony state: %w", err)
 	}
-	return h.applyState(st)
+	if mechanism != "harmony" || epsilon != h.epsilon || dim != h.dim {
+		return fmt.Errorf("mean: Harmony state parameter mismatch")
+	}
+	if n < 0 || len(sums) != h.dim {
+		return fmt.Errorf("mean: Harmony state has malformed tallies")
+	}
+	for _, s := range sums {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return fmt.Errorf("mean: Harmony state has malformed tallies")
+		}
+	}
+	copy(h.sums, sums)
+	h.n = n
+	return nil
 }

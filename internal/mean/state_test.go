@@ -8,8 +8,51 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/ldprand"
 )
+
+// forgeState writes a state blob field by field, the way MarshalState
+// lays it out: a byte is the version tag, ints are varints, []float64
+// a packed float vector.
+func forgeState(fields ...any) []byte {
+	w := binenc.NewWriter()
+	defer w.Release()
+	for _, f := range fields {
+		switch v := f.(type) {
+		case byte:
+			w.Byte(v)
+		case string:
+			w.String(v)
+		case float64:
+			w.Float64(v)
+		case int:
+			w.Varint(int64(v))
+		case []float64:
+			w.PackedFloat64s(v)
+		default:
+			panic("forgeState: unsupported field type")
+		}
+	}
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// refuseAll requires every state to bounce off r without moving it.
+func refuseAll(t *testing.T, r stater, bad map[string][]byte) {
+	t.Helper()
+	before, err := r.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, state := range bad {
+		if err := r.UnmarshalState(state); err == nil {
+			t.Errorf("state with %s accepted", what)
+		}
+		if after, err := r.MarshalState(); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("refused state with %s mutated the receiver (%v)", what, err)
+		}
+	}
+}
 
 // TestDuchiMergeMatchesSequential pins exact mergeability: splitting a
 // report stream across two estimators and merging equals one estimator
@@ -127,17 +170,20 @@ func TestDuchiStateRoundTrip(t *testing.T) {
 	if err := NewDuchi(2, nil).UnmarshalState(blob); err == nil {
 		t.Fatal("state restored onto mismatched epsilon")
 	}
-	if err := back.UnmarshalLegacyState([]byte(`{"mechanism":"duchi","epsilon":1.5,"sum":0,"n":-1}`)); err == nil {
-		t.Fatal("negative count accepted")
+	v := byte(binaryStateVersion)
+	if err := NewDuchi(1.5, nil).UnmarshalState(forgeState(v, "duchi", 1.5, 0.25, 3)); err != nil {
+		t.Fatalf("well-formed forged state refused: %v", err)
 	}
-	for _, garbage := range [][]byte{nil, []byte(`garbage`), blob[:len(blob)-1], append([]byte{7}, blob[1:]...)} {
-		if err := back.UnmarshalState(garbage); err == nil {
-			t.Fatalf("garbage state %q accepted", garbage)
-		}
-	}
-	if back.Collected() != d.Collected() || back.Estimate() != d.Estimate() {
-		t.Fatal("refused restore mutated the receiver")
-	}
+	refuseAll(t, back, map[string][]byte{
+		"a negative count":       forgeState(v, "duchi", 1.5, 0.0, -1),
+		"a NaN sum":              forgeState(v, "duchi", 1.5, math.NaN(), 3),
+		"an infinite sum":        forgeState(v, "duchi", 1.5, math.Inf(-1), 3),
+		"Harmony's name":         forgeState(v, "harmony", 1.5, 0.25, 3),
+		"no bytes":               nil,
+		"text":                   []byte(`garbage`),
+		"a truncated tail":       blob[:len(blob)-1],
+		"an unknown version tag": append([]byte{7}, blob[1:]...),
+	})
 }
 
 // TestHarmonyStateRoundTrip does the same for the vector path,
@@ -175,6 +221,20 @@ func TestHarmonyStateRoundTrip(t *testing.T) {
 	if err := NewHarmony(1, dim+1, nil).UnmarshalState(blob); err == nil {
 		t.Fatal("state restored onto mismatched dimension")
 	}
+	v := byte(binaryStateVersion)
+	if err := NewHarmony(1, dim, nil).UnmarshalState(forgeState(v, "harmony", 1.0, dim, []float64{1, -2, 0.5}, 4)); err != nil {
+		t.Fatalf("well-formed forged state refused: %v", err)
+	}
+	refuseAll(t, back, map[string][]byte{
+		"a NaN sum":              forgeState(v, "harmony", 1.0, dim, []float64{1, math.NaN(), 0.5}, 4),
+		"an infinite sum":        forgeState(v, "harmony", 1.0, dim, []float64{1, -2, math.Inf(1)}, 4),
+		"a short sum vector":     forgeState(v, "harmony", 1.0, dim, []float64{1, -2}, 4),
+		"a negative count":       forgeState(v, "harmony", 1.0, dim, []float64{1, -2, 0.5}, -4),
+		"another epsilon":        forgeState(v, "harmony", 2.0, dim, []float64{1, -2, 0.5}, 4),
+		"Duchi's name":           forgeState(v, "duchi", 1.0, dim, []float64{1, -2, 0.5}, 4),
+		"a truncated tail":       blob[:len(blob)-1],
+		"an unknown version tag": append([]byte{7}, blob[1:]...),
+	})
 	// Reset clears the restored aggregate.
 	back.Reset()
 	if back.Collected() != 0 {
@@ -182,32 +242,27 @@ func TestHarmonyStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateRejectsUnknownVersion pins the version gate of the legacy
-// JSON decoders against the frozen fixtures: untagged and explicitly
-// v=0 blobs restore, anything else is a future revision and must be
-// refused. (The binary gate is the leading byte, pinned in the
-// round-trip tests above and in TestLegacyStateFixtures' goldens.)
+// TestStateRejectsUnknownVersion pins the version gate against the
+// frozen fixtures: the leading tag is checked before anything else is
+// read, and any value but the current one is a future revision that
+// must be refused.
 func TestStateRejectsUnknownVersion(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		unmarshal func([]byte) error
-	}{
-		{"duchi", NewDuchi(1, nil).UnmarshalLegacyState},
-		{"harmony", NewHarmony(1, 3, nil).UnmarshalLegacyState},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			state, err := os.ReadFile(filepath.Join("testdata", "state_"+tc.name+".json"))
+	for name, r := range map[string]stater{"duchi": NewDuchi(1, nil), "harmony": NewHarmony(1, 3, nil)} {
+		t.Run(name, func(t *testing.T) {
+			state, err := os.ReadFile(filepath.Join("testdata", "state_"+name+".bin"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Contains(state, []byte(`"v":`)) {
-				t.Fatalf("fixture carries a version tag: %s", state)
+			if state[0] != binaryStateVersion {
+				t.Fatalf("fixture opens with version byte %d", state[0])
 			}
-			if err := tc.unmarshal(append([]byte(`{"v":7,`), state[1:]...)); err == nil {
-				t.Fatal("restore accepted a version-7 state blob")
-			}
-			if err := tc.unmarshal(append([]byte(`{"v":0,`), state[1:]...)); err != nil {
-				t.Fatalf("restore rejected an explicit v=0 tag: %v", err)
+			refuseAll(t, r, map[string][]byte{
+				"version tag 1":   append([]byte{1}, state[1:]...),
+				"version tag 7":   append([]byte{7}, state[1:]...),
+				"version tag 255": append([]byte{0xFF}, state[1:]...),
+			})
+			if err := r.UnmarshalState(state); err != nil {
+				t.Fatalf("restore rejected the fixture after the hostile ones: %v", err)
 			}
 		})
 	}
@@ -217,44 +272,25 @@ func TestStateRejectsUnknownVersion(t *testing.T) {
 type stater interface {
 	MarshalState() ([]byte, error)
 	UnmarshalState([]byte) error
-	UnmarshalLegacyState([]byte) error
 	Collected() int
 }
 
 // TestLegacyStateFixtures is the frozen half of the compatibility
-// contract: testdata/state_<mechanism>.json and .bin are the JSON and
-// binary encodings of one 200-report aggregate, written at commit
-// 5a353ae by the last build that had a JSON encoder. The JSON must
-// still restore, to exactly the aggregate the binary fixture holds,
-// and this build must write that aggregate as exactly those bytes.
+// contract: testdata/state_<mechanism>.bin is the state of one
+// 200-report aggregate as an older build wrote it, at commit 5a353ae.
+// It must still restore, to that aggregate, and this build must write
+// that aggregate as exactly those bytes.
 func TestLegacyStateFixtures(t *testing.T) {
-	for name, build := range map[string]func() stater{
-		"duchi":   func() stater { return NewDuchi(1, nil) },
-		"harmony": func() stater { return NewHarmony(1, 3, nil) },
-	} {
-		legacy, err := os.ReadFile(filepath.Join("testdata", "state_"+name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, r := range map[string]stater{"duchi": NewDuchi(1, nil), "harmony": NewHarmony(1, 3, nil)} {
 		golden, err := os.ReadFile(filepath.Join("testdata", "state_"+name+".bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromLegacy, fromGolden := build(), build()
-		if err := fromLegacy.UnmarshalLegacyState(legacy); err != nil {
-			t.Fatalf("%s: legacy JSON fixture refused: %v", name, err)
+		if err := r.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden fixture refused: %v", name, err)
 		}
-		if err := fromGolden.UnmarshalState(golden); err != nil {
-			t.Fatalf("%s: golden binary fixture refused: %v", name, err)
-		}
-		for via, r := range map[string]stater{"legacy JSON": fromLegacy, "binary": fromGolden} {
-			got, err := r.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Collected() != 200 || !bytes.Equal(got, golden) {
-				t.Errorf("%s via %s: %d reports, MarshalState = %x, golden %x", name, via, r.Collected(), got, golden)
-			}
+		if got, err := r.MarshalState(); err != nil || r.Collected() != 200 || !bytes.Equal(got, golden) {
+			t.Errorf("%s: %d reports, MarshalState = %x (%v), golden %x", name, r.Collected(), got, err, golden)
 		}
 	}
 }

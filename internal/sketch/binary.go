@@ -3,12 +3,13 @@
 // float64 cells), so the layout writes it as raw 8-byte words streamed
 // row by row — no flattened copy on encode, no number parsing on
 // restore — under a single length prefix. The leading version byte is
-// checked before the payload is read, and decoding feeds the same
-// applyState validation as the legacy JSON decoders.
+// checked before the payload is read, and a decoder refuses parameter
+// mismatches and malformed counters before it installs anything.
 package sketch
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/binenc"
 )
@@ -23,7 +24,7 @@ func readBinaryStateVersion(name string, r *binenc.Reader) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("sketch: %s state: %w", name, err)
 	}
-	if version != 0 {
+	if version != binaryStateVersion {
 		return fmt.Errorf("sketch: %s state: unsupported state version %d", name, version)
 	}
 	return nil
@@ -54,16 +55,22 @@ func (c *CountMin) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion("count-min", r); err != nil {
 		return err
 	}
-	var st countMinState
-	st.K = int(r.Varint())
-	st.M = int(r.Varint())
-	st.Seed = r.Uint64()
-	st.Rows = r.Float64s()
-	st.Total = r.Float64()
+	k, m, seed := int(r.Varint()), int(r.Varint()), r.Uint64()
+	cells, total := r.Float64s(), r.Float64() // k*m counters, row-major
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("sketch: count-min state: %w", err)
 	}
-	return c.applyState(st)
+	if k != c.k || m != c.m || seed != c.seed {
+		return fmt.Errorf("sketch: count-min state parameter mismatch")
+	}
+	if !soundCells(cells, c.k*c.m) || !finite(total) {
+		return fmt.Errorf("sketch: count-min state has malformed counters")
+	}
+	for i := range c.rows {
+		copy(c.rows[i], cells[i*c.m:(i+1)*c.m])
+	}
+	c.total = total
+	return nil
 }
 
 // MarshalState serializes the sketch (parameters and counters).
@@ -88,13 +95,36 @@ func (c *CountSketch) UnmarshalState(data []byte) error {
 	if err := readBinaryStateVersion("count sketch", r); err != nil {
 		return err
 	}
-	var st countSketchState
-	st.K = int(r.Varint())
-	st.M = int(r.Varint())
-	st.Seed = r.Uint64()
-	st.Rows = r.Float64s()
+	k, m, seed := int(r.Varint()), int(r.Varint()), r.Uint64()
+	cells := r.Float64s() // k*m counters, row-major
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("sketch: count sketch state: %w", err)
 	}
-	return c.applyState(st)
+	if k != c.k || m != c.m || seed != c.seed {
+		return fmt.Errorf("sketch: count sketch state parameter mismatch")
+	}
+	if !soundCells(cells, c.k*c.m) {
+		return fmt.Errorf("sketch: count sketch state has malformed counters")
+	}
+	for i := range c.rows {
+		copy(c.rows[i], cells[i*c.m:(i+1)*c.m])
+	}
+	return nil
+}
+
+// finite reports whether v is a usable counter value.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// soundCells reports whether a decoded counter matrix has the
+// receiver's size and only usable values.
+func soundCells(cells []float64, want int) bool {
+	if len(cells) != want {
+		return false
+	}
+	for _, v := range cells {
+		if !finite(v) {
+			return false
+		}
+	}
+	return true
 }

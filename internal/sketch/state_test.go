@@ -3,10 +3,57 @@ package sketch
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/binenc"
 )
+
+// forgeState writes a sketch state the way MarshalState lays it out,
+// with whatever parameters and cells the caller claims; a nil total
+// leaves the field out (the count sketch keeps none).
+func forgeState(version byte, k, m int, seed uint64, cells []float64, total *float64) []byte {
+	w := binenc.NewWriter()
+	defer w.Release()
+	w.Byte(version)
+	w.Varint(int64(k))
+	w.Varint(int64(m))
+	w.Uint64(seed)
+	w.Float64s(cells)
+	if total != nil {
+		w.Float64(*total)
+	}
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// refuseAll requires every state to bounce off r without moving it.
+func refuseAll(t *testing.T, r stater, bad map[string][]byte) {
+	t.Helper()
+	before, err := r.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, state := range bad {
+		if err := r.UnmarshalState(state); err == nil {
+			t.Errorf("state with %s accepted", what)
+		}
+		if after, err := r.MarshalState(); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("refused state with %s mutated the receiver (%v)", what, err)
+		}
+	}
+}
+
+// poisoned returns k*m unit cells with one replaced.
+func poisoned(n int, bad float64) []float64 {
+	cells := make([]float64, n)
+	for i := range cells {
+		cells[i] = 1
+	}
+	cells[n/2] = bad
+	return cells
+}
 
 // TestCountMinStateRoundTrip pins bit-identical checkpoint restore:
 // marshal → fresh sketch → unmarshal reproduces every estimate.
@@ -44,17 +91,22 @@ func TestCountMinStateRoundTrip(t *testing.T) {
 			t.Fatal("state restored onto mismatched parameters")
 		}
 	}
-	if err := back.UnmarshalLegacyState([]byte(`{"k":4,"m":32,"seed":7,"rows":[1],"total":1}`)); err == nil {
-		t.Fatal("short rows accepted")
+	v, one, nan := byte(binaryStateVersion), 1.0, math.NaN()
+	if err := NewCountMin(4, 32, 7).UnmarshalState(forgeState(v, 4, 32, 7, poisoned(4*32, 1), &one)); err != nil {
+		t.Fatalf("well-formed forged state refused: %v", err)
 	}
-	for _, garbage := range [][]byte{nil, []byte(`garbage`), blob[:len(blob)-1], append([]byte{2}, blob[1:]...)} {
-		if err := back.UnmarshalState(garbage); err == nil {
-			t.Fatalf("garbage state (%d bytes) accepted", len(garbage))
-		}
-	}
-	if back.Total() != c.Total() {
-		t.Fatal("refused restore mutated the receiver")
-	}
+	refuseAll(t, back, map[string][]byte{
+		"short rows":             forgeState(v, 4, 32, 7, []float64{1}, &one),
+		"a NaN cell":             forgeState(v, 4, 32, 7, poisoned(4*32, math.NaN()), &one),
+		"an infinite cell":       forgeState(v, 4, 32, 7, poisoned(4*32, math.Inf(1)), &one),
+		"a NaN total":            forgeState(v, 4, 32, 7, poisoned(4*32, 1), &nan),
+		"another seed":           forgeState(v, 4, 32, 8, poisoned(4*32, 1), &one),
+		"transposed dimensions":  forgeState(v, 32, 4, 7, poisoned(4*32, 1), &one),
+		"no bytes":               nil,
+		"text":                   []byte(`garbage`),
+		"a truncated tail":       blob[:len(blob)-1],
+		"an unknown version tag": append([]byte{2}, blob[1:]...),
+	})
 }
 
 // TestCountMinSnapshotAndReset pins snapshot independence and Reset.
@@ -96,9 +148,18 @@ func TestCountSketchStateRoundTrip(t *testing.T) {
 	if err := NewCountSketch(5, 32, 10).UnmarshalState(blob); err == nil {
 		t.Fatal("state restored onto mismatched seed")
 	}
-	if err := back.UnmarshalState(append([]byte{2}, blob[1:]...)); err == nil {
-		t.Fatal("version-2 state accepted")
+	v := byte(binaryStateVersion)
+	if err := NewCountSketch(5, 32, 9).UnmarshalState(forgeState(v, 5, 32, 9, poisoned(5*32, -1), nil)); err != nil {
+		t.Fatalf("well-formed forged state refused: %v", err)
 	}
+	refuseAll(t, back, map[string][]byte{
+		"short rows":             forgeState(v, 5, 32, 9, []float64{1}, nil),
+		"a NaN cell":             forgeState(v, 5, 32, 9, poisoned(5*32, math.NaN()), nil),
+		"an infinite cell":       forgeState(v, 5, 32, 9, poisoned(5*32, math.Inf(-1)), nil),
+		"transposed dimensions":  forgeState(v, 32, 5, 9, poisoned(5*32, 1), nil),
+		"a truncated tail":       blob[:len(blob)-1],
+		"an unknown version tag": append([]byte{2}, blob[1:]...),
+	})
 	snap := c.Snapshot()
 	c.Reset()
 	if c.Estimate([]byte("item-0")) != 0 {
@@ -113,7 +174,6 @@ func TestCountSketchStateRoundTrip(t *testing.T) {
 type stater interface {
 	MarshalState() ([]byte, error)
 	UnmarshalState([]byte) error
-	UnmarshalLegacyState([]byte) error
 }
 
 // fixtures pairs each frozen fixture name with a fresh sketch of the
@@ -126,59 +186,50 @@ var fixtures = []struct {
 	{"count-sketch", func() stater { return NewCountSketch(4, 32, 9) }},
 }
 
-func fixture(t *testing.T, name, ext string) []byte {
+func fixture(t *testing.T, name string) []byte {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join("testdata", "state_"+name+ext))
+	blob, err := os.ReadFile(filepath.Join("testdata", "state_"+name+".bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return blob
 }
 
-// TestStateRejectsUnknownVersion pins the version gate of the legacy
-// JSON decoders against the frozen fixtures: untagged and v=0 blobs
-// restore, any other tag is refused.
+// TestStateRejectsUnknownVersion pins the version gate against the
+// frozen fixtures: the leading tag is checked before anything else is
+// read, and any value but the current one is refused.
 func TestStateRejectsUnknownVersion(t *testing.T) {
 	for _, tc := range fixtures {
 		t.Run(tc.name, func(t *testing.T) {
-			state := fixture(t, tc.name, ".json")
-			if bytes.Contains(state, []byte(`"v":`)) {
-				t.Fatalf("fixture carries a version tag: %s", state)
+			state := fixture(t, tc.name)
+			if state[0] != binaryStateVersion {
+				t.Fatalf("fixture opens with version byte %d", state[0])
 			}
-			if err := tc.fresh().UnmarshalLegacyState(append([]byte(`{"v":2,`), state[1:]...)); err == nil {
-				t.Fatal("restore accepted a version-2 state blob")
-			}
-			if err := tc.fresh().UnmarshalLegacyState(append([]byte(`{"v":0,`), state[1:]...)); err != nil {
-				t.Fatalf("restore rejected an explicit v=0 tag: %v", err)
+			r := tc.fresh()
+			refuseAll(t, r, map[string][]byte{
+				"version tag 1":   append([]byte{1}, state[1:]...),
+				"version tag 2":   append([]byte{2}, state[1:]...),
+				"version tag 255": append([]byte{0xFF}, state[1:]...),
+			})
+			if err := r.UnmarshalState(state); err != nil {
+				t.Fatalf("restore rejected the fixture after the hostile ones: %v", err)
 			}
 		})
 	}
 }
 
 // TestLegacyStateFixtures is the frozen half of the compatibility
-// contract: testdata/state_<sketch>.json and .bin are the JSON and
-// binary encodings of one populated sketch, written at commit 5a353ae
-// by the last build that had a JSON encoder. The JSON must still
-// restore, to exactly the sketch the binary fixture holds, and this
-// build must write that sketch as exactly those bytes.
+// contract: testdata/state_<sketch>.bin is one populated sketch as an
+// older build wrote it, at commit 5a353ae. It must still restore, and
+// this build must write the restored sketch as exactly those bytes.
 func TestLegacyStateFixtures(t *testing.T) {
 	for _, tc := range fixtures {
-		golden := fixture(t, tc.name, ".bin")
-		fromLegacy, fromGolden := tc.fresh(), tc.fresh()
-		if err := fromLegacy.UnmarshalLegacyState(fixture(t, tc.name, ".json")); err != nil {
-			t.Fatalf("%s: legacy JSON fixture refused: %v", tc.name, err)
+		golden, r := fixture(t, tc.name), tc.fresh()
+		if err := r.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden fixture refused: %v", tc.name, err)
 		}
-		if err := fromGolden.UnmarshalState(golden); err != nil {
-			t.Fatalf("%s: golden binary fixture refused: %v", tc.name, err)
-		}
-		for via, r := range map[string]stater{"legacy JSON": fromLegacy, "binary": fromGolden} {
-			got, err := r.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, golden) {
-				t.Errorf("%s via %s: MarshalState diverges from the golden bytes", tc.name, via)
-			}
+		if got, err := r.MarshalState(); err != nil || !bytes.Equal(got, golden) {
+			t.Errorf("%s: MarshalState diverges from the golden bytes (%v)", tc.name, err)
 		}
 	}
 }

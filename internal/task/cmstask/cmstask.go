@@ -259,29 +259,6 @@ func (a *Aggregator) Snapshot() task.Aggregator {
 	return &cp
 }
 
-// legacyState is the JSON adapter state builds before the binary
-// layout wrote: the mechanism and epsilon guard restores onto a
-// differently-debiased aggregator (width, hashes and seed are guarded
-// by the sketch state itself).
-type legacyState struct {
-	Mechanism string          `json:"mechanism"`
-	Epsilon   float64         `json:"epsilon"`
-	Sketch    json.RawMessage `json:"sketch"`
-}
-
-// UnmarshalLegacyState implements task.LegacyStater. The wrapper never
-// carried a version tag of its own; the sketch state inside it does.
-func (a *Aggregator) UnmarshalLegacyState(data []byte) error {
-	var st legacyState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("cmstask: state: %w", err)
-	}
-	if st.Mechanism != a.mechanism || st.Epsilon != a.params.Epsilon {
-		return fmt.Errorf("cmstask: state parameter mismatch")
-	}
-	return a.cm.UnmarshalLegacyState(st.Sketch)
-}
-
 // ItemCount is one queried item's estimate.
 type ItemCount struct {
 	Item  string  `json:"item"`

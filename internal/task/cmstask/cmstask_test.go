@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/cms"
 	"repro/internal/ldprand"
 	"repro/internal/task"
@@ -233,47 +234,68 @@ func TestMergeAndStateRoundTrip(t *testing.T) {
 
 // TestLegacyStateFixtures is the frozen half of the compatibility
 // contract for the adapter's own {mechanism, epsilon, sketch} wrapper:
-// testdata/state_<mechanism>.json and .bin are the JSON and binary
-// encodings of one 200-report aggregate, written at commit 5a353ae by
-// the last build that had a JSON encoder. The JSON must still restore,
-// to exactly the aggregate the binary fixture holds, and this build
-// must write that aggregate as exactly those bytes.
+// testdata/state_<mechanism>.bin is the state of one 200-report
+// aggregate as an older build wrote it, at commit 5a353ae. It must
+// still restore, to that aggregate, and this build must write that
+// aggregate as exactly those bytes. Re-wrapping the fixture's sketch
+// under forged guard fields pins the wrapper's refusals, each leaving
+// the receiver byte for byte as it was.
 func TestLegacyStateFixtures(t *testing.T) {
 	for _, mech := range cmstask.Mechanisms() {
-		legacy, err := os.ReadFile(filepath.Join("testdata", "state_"+mech+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		golden, err := os.ReadFile(filepath.Join("testdata", "state_"+mech+".bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromLegacy, _ := cmstask.New(sketchCfg(mech))
-		fromGolden, _ := cmstask.New(sketchCfg(mech))
-		if err := fromLegacy.(task.LegacyStater).UnmarshalLegacyState(legacy); err != nil {
-			t.Fatalf("%s: legacy JSON fixture refused: %v", mech, err)
+		a, _ := cmstask.New(sketchCfg(mech))
+		if err := a.UnmarshalState(golden); err != nil {
+			t.Fatalf("%s: golden fixture refused: %v", mech, err)
 		}
-		if err := fromGolden.UnmarshalState(golden); err != nil {
-			t.Fatalf("%s: golden binary fixture refused: %v", mech, err)
+		if got, err := a.MarshalState(); err != nil || a.Collected() != 200 || !bytes.Equal(got, golden) {
+			t.Errorf("%s: %d reports, MarshalState diverges from the golden bytes (%v)", mech, a.Collected(), err)
 		}
-		for via, a := range map[string]task.Aggregator{"legacy JSON": fromLegacy, "binary": fromGolden} {
-			got, err := a.MarshalState()
-			if err != nil {
-				t.Fatal(err)
+
+		r := binenc.NewReader(golden)
+		version, _, epsilon, sketch := r.Byte(), r.String(), r.Float64(), r.Blob()
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+		wrap := func(version byte, mechanism string, epsilon float64, sketch []byte) []byte {
+			w := binenc.NewWriter()
+			defer w.Release()
+			w.Byte(version)
+			w.String(mechanism)
+			w.Float64(epsilon)
+			w.Blob(sketch)
+			return append([]byte(nil), w.Bytes()...)
+		}
+		if !bytes.Equal(wrap(version, mech, epsilon, sketch), golden) {
+			t.Fatalf("%s: re-wrapping the fixture's fields does not reproduce it", mech)
+		}
+		other := cmstask.MechanismCMS
+		if mech == other {
+			other = cmstask.MechanismHCMS
+		}
+		poisoned := append([]byte(nil), sketch...)
+		copy(poisoned[len(poisoned)-8:], []byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F}) // the population total becomes NaN
+		for what, state := range map[string][]byte{
+			"the other mechanism's name": wrap(version, other, epsilon, sketch),
+			"another epsilon":            wrap(version, mech, epsilon+1, sketch),
+			"an unknown wrapper version": wrap(version+1, mech, epsilon, sketch),
+			"an unknown sketch version":  wrap(version, mech, epsilon, append([]byte{9}, sketch[1:]...)),
+			"a NaN population total":     wrap(version, mech, epsilon, poisoned),
+			"a truncated sketch":         wrap(version, mech, epsilon, sketch[:len(sketch)/2]),
+		} {
+			if err := a.UnmarshalState(state); err == nil {
+				t.Errorf("%s: state with %s accepted", mech, what)
 			}
-			if a.Collected() != 200 || !bytes.Equal(got, golden) {
-				t.Errorf("%s via %s: %d reports, MarshalState diverges from the golden bytes", mech, via, a.Collected())
+			if after, err := a.MarshalState(); err != nil || !bytes.Equal(after, golden) {
+				t.Errorf("%s: refused state with %s mutated the receiver (%v)", mech, what, err)
 			}
 		}
-		// The wrapper's guard: the other mechanism's state is refused.
-		for _, other := range cmstask.Mechanisms() {
-			if other == mech {
-				continue
-			}
-			wrong, _ := cmstask.New(sketchCfg(other))
-			if wrong.(task.LegacyStater).UnmarshalLegacyState(legacy) == nil || wrong.UnmarshalState(golden) == nil {
-				t.Errorf("%s state restored onto a %s aggregator", mech, other)
-			}
+		// The other mechanism's aggregator refuses this one's fixture.
+		wrong, _ := cmstask.New(sketchCfg(other))
+		if wrong.UnmarshalState(golden) == nil {
+			t.Errorf("%s state restored onto a %s aggregator", mech, other)
 		}
 	}
 }

@@ -300,10 +300,6 @@ func New(cfg task.Config) (task.Aggregator, error) {
 	return &Aggregator{oracle: o}, nil
 }
 
-// Wrap adapts an existing oracle (tests and simulations that built one
-// directly) to task.Aggregator.
-func Wrap(o freq.Oracle) *Aggregator { return &Aggregator{oracle: o} }
-
 // Oracle exposes the wrapped frequency oracle, for callers that need
 // the full freq.Oracle surface (EstimateCounts, TheoreticalVariance).
 func (a *Aggregator) Oracle() freq.Oracle { return a.oracle }
@@ -370,13 +366,6 @@ func (a *Aggregator) MarshalState() ([]byte, error) { return a.oracle.MarshalSta
 
 // UnmarshalState restores a state blob produced by MarshalState.
 func (a *Aggregator) UnmarshalState(data []byte) error { return a.oracle.UnmarshalState(data) }
-
-// UnmarshalLegacyState implements task.LegacyStater: the legacy blob
-// is the oracle's own JSON state — the format pre-task checkpoints
-// hold — so untagged snapshots restore through this adapter too.
-func (a *Aggregator) UnmarshalLegacyState(data []byte) error {
-	return a.oracle.UnmarshalLegacyState(data)
-}
 
 // EstimateResult is the frequency task's estimate payload: debiased
 // counts over the full domain, plus the top-k values when the query

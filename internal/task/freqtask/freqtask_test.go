@@ -105,11 +105,11 @@ func TestAdapterMatchesDirectOracle(t *testing.T) {
 	}
 }
 
-// TestAdapterRestoresPreTaskOracleState pins backward compatibility:
-// a state blob written by a bare oracle restores through the adapter
-// bit-identically — in today's layout, and in the JSON format PR 3
-// checkpoints hold (the frozen internal/freq fixture, which must
-// re-marshal to its golden binary twin).
+// TestAdapterRestoresPreTaskOracleState pins that the adapter adds no
+// wrapper of its own: a state blob written by a bare oracle restores
+// through it bit-identically — one marshalled here, and the frozen
+// internal/freq fixture an older build's bare oracle wrote, which must
+// re-marshal to itself.
 func TestAdapterRestoresPreTaskOracleState(t *testing.T) {
 	o, err := freqtask.NewOracle("OLH", 2, 8, ldprand.NewSplitMix64(5))
 	if err != nil {
@@ -136,10 +136,6 @@ func TestAdapterRestoresPreTaskOracleState(t *testing.T) {
 		t.Fatal("bare oracle state restored with different estimates")
 	}
 
-	legacy, err := os.ReadFile(filepath.Join("..", "..", "freq", "testdata", "state_OLH.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	golden, err := os.ReadFile(filepath.Join("..", "..", "freq", "testdata", "state_OLH.bin"))
 	if err != nil {
 		t.Fatal(err)
@@ -148,11 +144,11 @@ func TestAdapterRestoresPreTaskOracleState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.(task.LegacyStater).UnmarshalLegacyState(legacy); err != nil {
-		t.Fatalf("pre-task JSON oracle state refused: %v", err)
+	if err := old.UnmarshalState(golden); err != nil {
+		t.Fatalf("bare oracle fixture refused: %v", err)
 	}
 	if got, err := old.MarshalState(); err != nil || !bytes.Equal(got, golden) {
-		t.Fatalf("pre-task JSON oracle state re-marshals to %x (%v), golden %x", got, err, golden)
+		t.Fatalf("bare oracle fixture re-marshals to %x (%v), golden %x", got, err, golden)
 	}
 }
 
@@ -267,7 +263,11 @@ func TestFoldAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := freqtask.Wrap(o)
+	agg, err := freqtask.New(task.Config{Task: task.TypeFreq, Mechanism: "OLH", Epsilon: 2, Domain: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := agg.(task.BinaryReporter)
 	allocs := testing.AllocsPerRun(100, func() {
 		prepared, err := a.PrepareBinary(payload)
 		if err != nil {

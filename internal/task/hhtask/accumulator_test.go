@@ -2,8 +2,8 @@ package hhtask
 
 // Tests for the fixed-size candidate accumulator that replaced the
 // per-round report list: exact (bit-for-bit) equivalence against the
-// list-based EstimateCounts reference, legacy report-list snapshot
-// restoration, state-version guards, and the bounded-round-memory
+// list-based EstimateCounts reference, restoration of the frozen state
+// fixture, the state decoder's refusals, and the bounded-round-memory
 // regression the load-harness roadmap depends on.
 
 import (
@@ -14,14 +14,15 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/heavyhitters"
 	"repro/internal/ldprand"
 	"repro/internal/task"
 )
 
-// fixtureValue reproduces the value distribution the committed legacy
-// fixture was generated from (see testdata/state_legacy_reports.json):
-// planted hitters 0xAB and 0x17 over a uniform background.
+// fixtureValue reproduces the value distribution the committed state
+// fixture was generated from: planted hitters 0xAB and 0x17 over a
+// uniform background.
 func fixtureValue(src ldprand.Source) uint64 {
 	v := uint64(ldprand.Intn(src, 256))
 	switch ldprand.Intn(src, 10) {
@@ -34,28 +35,16 @@ func fixtureValue(src ldprand.Source) uint64 {
 }
 
 // TestLegacySnapshotRestoresBitIdentically pins the snapshot
-// compatibility contract against frozen bytes. The committed PR5/PR6
-// report-list state restores by folding the listed reports into the
-// accumulator at load, and the result is bit-identical — same
+// compatibility contract against frozen bytes: testdata/state.bin, a
+// mid-round-1 state an older build wrote at commit 5a353ae, restores
+// and re-marshals to itself, and the result is bit-identical — same
 // marshaled state, same frontier, same post-advance survivors — to an
-// aggregator that absorbed the same envelope stream live. That
-// marshaled state is testdata/state.bin, written at commit 5a353ae,
-// and the accumulator-layout JSON of the same aggregate (state_v2.json,
-// the last JSON the adapter ever wrote) restores to it too.
+// aggregator that absorbs the same envelope stream live.
 func TestLegacySnapshotRestoresBitIdentically(t *testing.T) {
 	golden := fixture(t, "state.bin")
-	for _, name := range []string{"state_v2.json", "state_legacy_reports.json"} {
-		a, _ := task.New(cfg())
-		if err := a.(task.LegacyStater).UnmarshalLegacyState(fixture(t, name)); err != nil {
-			t.Fatalf("%s refused: %v", name, err)
-		}
-		if got, err := a.MarshalState(); err != nil || !bytes.Equal(got, golden) {
-			t.Fatalf("%s re-marshals to %x (%v), golden %x", name, got, err, golden)
-		}
-	}
 	restored, _ := task.New(cfg())
-	if err := restored.(task.LegacyStater).UnmarshalLegacyState(fixture(t, "state_legacy_reports.json")); err != nil {
-		t.Fatalf("legacy snapshot refused: %v", err)
+	if err := restored.UnmarshalState(golden); err != nil {
+		t.Fatalf("golden state refused: %v", err)
 	}
 	if restored.Collected() != 420 || restored.(task.Phased).RoundReports() != 120 {
 		t.Fatalf("restored counters: collected %d round %d, want 420/120",
@@ -97,8 +86,8 @@ func TestLegacySnapshotRestoresBitIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotState, wantState) {
-		t.Fatalf("legacy restore diverged from live aggregation:\nrestored %x\nlive     %x", gotState, wantState)
+	if !bytes.Equal(gotState, golden) || !bytes.Equal(wantState, golden) {
+		t.Fatalf("golden state diverged:\nrestored %x\nlive     %x\ngolden   %x", gotState, wantState, golden)
 	}
 	wantF, _ := live.(task.Phased).Frontier()
 	gotF, _ := restored.(task.Phased).Frontier()
@@ -264,58 +253,111 @@ func TestAccumulatorMatchesListReference(t *testing.T) {
 	}
 }
 
-// TestStateVersionGuards pins the state envelope's refusals: future
-// versions, mixed layouts and impossible support sums are all corrupt.
-// The forgeries are edits of the frozen accumulator-layout JSON fixture
-// (round 1, 120 reports over 16 candidates) fed through the legacy
-// decoder, whose validation the binary decoder shares; the binary
-// layout's own version byte is checked last.
-func TestStateVersionGuards(t *testing.T) {
-	var st map[string]any
-	if err := json.Unmarshal(fixture(t, "state_v2.json"), &st); err != nil {
+// stateFields is the binary state layout field by field, so tests can
+// decode a sound state, corrupt one field and re-encode it.
+type stateFields struct {
+	version                 byte
+	mechanism               string
+	epsilon                 float64
+	bits, levels, k, budget int
+	round                   int
+	done                    bool
+	prevUsers               int
+	survivors               []Prefix
+	roundReports            int
+	sums                    []int64
+	hits                    []Prefix
+}
+
+func decodeFields(t testing.TB, blob []byte) stateFields {
+	t.Helper()
+	r := binenc.NewReader(blob)
+	f := stateFields{version: r.Byte(), mechanism: r.String(), epsilon: r.Float64()}
+	f.bits, f.levels, f.k, f.budget = int(r.Varint()), int(r.Varint()), int(r.Varint()), int(r.Varint())
+	f.round, f.done, f.prevUsers = int(r.Varint()), r.Byte() != 0, int(r.Varint())
+	f.survivors = readPrefixes(r)
+	f.roundReports, f.sums = int(r.Varint()), r.Int64s()
+	f.hits = readPrefixes(r)
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	sums := func(first float64) []any {
-		out := append([]any(nil), st["sums"].([]any)...)
-		out[0] = first
-		return out
+	if !bytes.Equal(f.encode(), blob) {
+		t.Fatal("re-encoding the decoded fields does not reproduce the state")
 	}
-	cases := map[string]func(map[string]any){
-		"future version":          func(m map[string]any) { m["v"] = 3.0 },
-		"v2 with report list":     func(m map[string]any) { m["reports"] = []map[string]any{{"seed": 1.0, "bucket": 0.0}} },
-		"sums width mismatch":     func(m map[string]any) { m["sums"] = []any{1.0, 2.0} },
-		"sum above round_reports": func(m map[string]any) { m["sums"] = sums(999) },
-		"negative sum":            func(m map[string]any) { m["sums"] = sums(-1) },
-		"negative round_reports":  func(m map[string]any) { m["round_reports"] = -4.0 },
-		"legacy with sums": func(m map[string]any) {
-			delete(m, "v")
-			delete(m, "round_reports")
-		},
+	return f
+}
+
+func (f stateFields) encode() []byte {
+	w := binenc.NewWriter()
+	defer w.Release()
+	w.Byte(f.version)
+	w.String(f.mechanism)
+	w.Float64(f.epsilon)
+	for _, v := range []int{f.bits, f.levels, f.k, f.budget, f.round} {
+		w.Varint(int64(v))
+	}
+	if f.done {
+		w.Byte(1)
+	} else {
+		w.Byte(0)
+	}
+	w.Varint(int64(f.prevUsers))
+	writePrefixes(w, f.survivors)
+	w.Varint(int64(f.roundReports))
+	w.Int64s(f.sums)
+	writePrefixes(w, f.hits)
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// TestStateVersionGuards pins the state decoder's refusals: unknown
+// versions, foreign parameters, a protocol position that breaks
+// done ⇔ round == levels, and support sums no report multiset could
+// produce are all corrupt. The forgeries are one-field edits of the
+// frozen fixture (round 1, 120 reports over 16 candidates), and each
+// must leave a populated receiver byte for byte as it was.
+func TestStateVersionGuards(t *testing.T) {
+	golden := fixture(t, "state.bin")
+	sums := func(f *stateFields, first int64) {
+		f.sums = append([]int64(nil), f.sums...)
+		f.sums[0] = first
+	}
+	cases := map[string]func(*stateFields){
+		"future version":           func(f *stateFields) { f.version = 3 },
+		"report-list version":      func(f *stateFields) { f.version = 0 },
+		"another mechanism":        func(f *stateFields) { f.mechanism = "TreeHist" },
+		"another epsilon":          func(f *stateFields) { f.epsilon++ },
+		"another level count":      func(f *stateFields) { f.levels++ },
+		"another candidate budget": func(f *stateFields) { f.budget = 5 },
+		"negative round":           func(f *stateFields) { f.round = -1 },
+		"round past the last":      func(f *stateFields) { f.round = f.levels + 1 },
+		"final round not done":     func(f *stateFields) { f.round = f.levels },
+		"done mid-protocol":        func(f *stateFields) { f.done = true },
+		"done with in-flight sums": func(f *stateFields) { f.round, f.done = f.levels, true },
+		"sums width mismatch":      func(f *stateFields) { f.sums = []int64{1, 2} },
+		"sum above round_reports":  func(f *stateFields) { sums(f, 999) },
+		"negative sum":             func(f *stateFields) { sums(f, -1) },
+		"negative round_reports":   func(f *stateFields) { f.roundReports = -4 },
+		"reports without sums":     func(f *stateFields) { f.sums = nil },
+	}
+	a, _ := task.New(cfg())
+	if err := a.UnmarshalState(golden); err != nil {
+		t.Fatal(err)
 	}
 	for name, corrupt := range cases {
-		m := map[string]any{}
-		for k, v := range st {
-			m[k] = v
-		}
-		corrupt(m)
-		forged, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, _ := task.New(cfg())
-		if err := fresh.(task.LegacyStater).UnmarshalLegacyState(forged); err == nil {
+		f := decodeFields(t, golden)
+		corrupt(&f)
+		if err := a.UnmarshalState(f.encode()); err == nil {
 			t.Errorf("%s: corrupt state restored without error", name)
 		}
-		// A refused restore leaves the receiver untouched and usable.
-		if fresh.Collected() != 0 || fresh.(task.Phased).Round() != 0 {
-			t.Errorf("%s: refused restore mutated the receiver", name)
+		if after, err := a.MarshalState(); err != nil || !bytes.Equal(after, golden) {
+			t.Errorf("%s: refused restore mutated the receiver (%v)", name, err)
 		}
 	}
-	for _, version := range []byte{0, 3} {
-		fresh, _ := task.New(cfg())
-		if err := fresh.UnmarshalState(append([]byte{version}, fixture(t, "state.bin")[1:]...)); err == nil {
-			t.Errorf("binary state tagged version %d restored without error", version)
-		}
+	// An idle round may omit its all-zero sums; the decoder re-sizes them.
+	f := decodeFields(t, golden)
+	f.roundReports, f.sums = 0, nil
+	if err := a.UnmarshalState(f.encode()); err != nil {
+		t.Errorf("idle round without sums refused: %v", err)
 	}
 }
 

@@ -1,16 +1,23 @@
 // State codec for the heavy-hitter aggregator: the accumulator layout
 // (stateVersionSums) with varint-packed support sums. The leading
-// version byte is checked before the payload is read; the legacy
-// report-list layout was never given a binary form, so only the
-// accumulator version is accepted. Decoding feeds the same applyState
-// validation as the legacy JSON decoder.
+// version byte is checked before the payload is read, and the decoded
+// protocol position is validated in full before any of it is
+// installed.
 package hhtask
 
 import (
 	"fmt"
 
 	"repro/internal/binenc"
+	"repro/internal/heavyhitters"
 )
+
+// stateVersionSums is the state layout's version tag: support sums
+// plus a round report counter. The candidate vector itself is not
+// stored — it is a deterministic function of round and survivors,
+// recomputed at load. The value is frozen in every state written so
+// far; a new layout takes the next number.
+const stateVersionSums = 2
 
 // MarshalState serializes the full protocol state: parameters, round
 // position, surviving prefixes, the current round's accumulator and
@@ -51,25 +58,67 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 	if version != stateVersionSums {
 		return fmt.Errorf("hhtask: state version %d not supported (have %d)", version, stateVersionSums)
 	}
-	var st state
-	st.V = version
-	st.Mechanism = r.String()
-	st.Epsilon = r.Float64()
-	st.Bits = int(r.Varint())
-	st.Levels = int(r.Varint())
-	st.K = int(r.Varint())
-	st.Budget = int(r.Varint())
-	st.Round = int(r.Varint())
-	st.Done = r.Byte() != 0
-	st.PrevUsers = int(r.Varint())
-	st.Survivors = readPrefixes(r)
-	st.RoundReports = int(r.Varint())
-	st.Sums = r.Int64s()
-	st.Hits = readPrefixes(r)
+	mechanism := r.String()
+	params := heavyhitters.PEMParams{
+		Epsilon:         r.Float64(),
+		Bits:            int(r.Varint()),
+		Levels:          int(r.Varint()),
+		K:               int(r.Varint()),
+		CandidateBudget: int(r.Varint()),
+	}
+	round, done, prevUsers := int(r.Varint()), r.Byte() != 0, int(r.Varint())
+	survivors := readPrefixes(r)
+	roundReports, sums := int(r.Varint()), r.Int64s()
+	hits := readPrefixes(r)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("hhtask: bad state: %w", err)
 	}
-	return a.applyState(st)
+	if mechanism != MechanismPEM {
+		return fmt.Errorf("hhtask: state mechanism %q does not match %q", mechanism, MechanismPEM)
+	}
+	if params != a.params {
+		return fmt.Errorf("hhtask: state parameters %+v do not match aggregator %+v", params, a.params)
+	}
+	if round < 0 || round > params.Levels {
+		return fmt.Errorf("hhtask: state round %d outside [0,%d]", round, params.Levels)
+	}
+	// The protocol maintains done ⇔ round == Levels (only the final
+	// Advance sets done) with no reports in flight afterwards; a state
+	// violating either is corrupt or hand-edited, and restoring it
+	// would open a phantom round past the protocol's end.
+	if done != (round == params.Levels) {
+		return fmt.Errorf("hhtask: state done=%v inconsistent with round %d of %d levels", done, round, params.Levels)
+	}
+	if done && (len(sums) > 0 || roundReports > 0) {
+		return fmt.Errorf("hhtask: completed state carries in-flight round data")
+	}
+	if roundReports < 0 {
+		return fmt.Errorf("hhtask: state round_reports %d negative", roundReports)
+	}
+	// The restored accumulator is built aside: every failure below
+	// must leave the receiver untouched.
+	var cands []uint64
+	var acc []int64
+	if !done {
+		cands = candidatesFor(a.params, round, survivors)
+		acc = make([]int64, len(cands))
+		if len(sums) != len(cands) && !(len(sums) == 0 && roundReports == 0) {
+			return fmt.Errorf("hhtask: state carries %d support sums for %d candidates", len(sums), len(cands))
+		}
+	}
+	for i, s := range sums {
+		// Each report supports a candidate at most once, so a sum
+		// outside [0, round_reports] cannot come from any report
+		// multiset.
+		if s < 0 || s > int64(roundReports) {
+			return fmt.Errorf("hhtask: support sum %d at candidate %d outside [0,%d]", s, i, roundReports)
+		}
+		acc[i] = s
+	}
+	a.round, a.done, a.prevUsers = round, done, prevUsers
+	a.survivors, a.hits = survivors, hits
+	a.cands, a.sums, a.roundReports = cands, acc, roundReports
+	return nil
 }
 
 // writePrefixes appends a length-prefixed prefix list: each entry is

@@ -560,132 +560,6 @@ func (a *Aggregator) Snapshot() task.Aggregator {
 	return &cp
 }
 
-// stateVersionSums identifies the accumulator state layout: support
-// sums plus a round report counter instead of the report list earlier
-// releases carried. The field is absent (0) in legacy report-list
-// states, which UnmarshalLegacyState still restores — bit-identically,
-// by folding the listed reports into a fresh accumulator at load.
-const stateVersionSums = 2
-
-// state is the decoded aggregate state: the fields of the binary layout
-// (binary.go), tagged for the legacy JSON format that also carried the
-// version-0 report list.
-type state struct {
-	V         int      `json:"v,omitempty"` // 0 = legacy report list, 2 = accumulator
-	Mechanism string   `json:"mechanism"`
-	Epsilon   float64  `json:"epsilon"`
-	Bits      int      `json:"bits"`
-	Levels    int      `json:"levels"`
-	K         int      `json:"k"`
-	Budget    int      `json:"budget,omitempty"`
-	Round     int      `json:"round"`
-	Done      bool     `json:"done,omitempty"`
-	PrevUsers int      `json:"prev_users"`
-	Survivors []Prefix `json:"survivors,omitempty"`
-	// RoundReports and Sums are the current round's accumulator
-	// (stateVersionSums states). The candidate vector itself is not
-	// stored: it is a deterministic function of round and survivors,
-	// recomputed at load.
-	RoundReports int     `json:"round_reports,omitempty"`
-	Sums         []int64 `json:"sums,omitempty"`
-	// Reports is the legacy (version-0) in-flight report list.
-	Reports []heavyhitters.LHReport `json:"reports,omitempty"`
-	Hits    []Prefix                `json:"hits,omitempty"`
-}
-
-// UnmarshalLegacyState implements task.LegacyStater: it restores a
-// JSON state in the accumulator layout or the older report-list
-// layout, which restores bit-identically by folding the listed reports
-// into the accumulator at load. Errors leave the receiver unchanged.
-func (a *Aggregator) UnmarshalLegacyState(data []byte) error {
-	var st state
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("hhtask: bad state: %w", err)
-	}
-	return a.applyState(st)
-}
-
-// applyState validates a decoded state (shared by the binary and the
-// legacy JSON decoder) and installs it.
-func (a *Aggregator) applyState(st state) error {
-	if st.V != 0 && st.V != stateVersionSums {
-		return fmt.Errorf("hhtask: state version %d not supported (have legacy and %d)", st.V, stateVersionSums)
-	}
-	if st.Mechanism != MechanismPEM {
-		return fmt.Errorf("hhtask: state mechanism %q does not match %q", st.Mechanism, MechanismPEM)
-	}
-	got := heavyhitters.PEMParams{Epsilon: st.Epsilon, Bits: st.Bits, Levels: st.Levels, K: st.K, CandidateBudget: st.Budget}
-	if got != a.params {
-		return fmt.Errorf("hhtask: state parameters %+v do not match aggregator %+v", got, a.params)
-	}
-	if st.Round < 0 || st.Round > st.Levels {
-		return fmt.Errorf("hhtask: state round %d outside [0,%d]", st.Round, st.Levels)
-	}
-	// The protocol maintains done ⇔ round == Levels (only the final
-	// Advance sets done) with no reports in flight afterwards; a state
-	// violating either is corrupt or hand-edited, and restoring it
-	// would open a phantom round past the protocol's end.
-	if st.Done != (st.Round == st.Levels) {
-		return fmt.Errorf("hhtask: state done=%v inconsistent with round %d of %d levels", st.Done, st.Round, st.Levels)
-	}
-	if st.Done && (len(st.Reports) > 0 || len(st.Sums) > 0 || st.RoundReports > 0) {
-		return fmt.Errorf("hhtask: completed state carries in-flight round data")
-	}
-
-	// Build the restored accumulator aside first: every validation
-	// failure below must leave the receiver untouched.
-	var cands []uint64
-	var sums []int64
-	roundReports := 0
-	if !st.Done {
-		cands = candidatesFor(a.params, st.Round, st.Survivors)
-		sums = make([]int64, len(cands))
-	}
-	switch {
-	case st.V == stateVersionSums:
-		if len(st.Reports) > 0 {
-			return fmt.Errorf("hhtask: version-%d state carries a legacy report list", st.V)
-		}
-		if st.RoundReports < 0 {
-			return fmt.Errorf("hhtask: state round_reports %d negative", st.RoundReports)
-		}
-		if !st.Done && len(st.Sums) != len(cands) && !(len(st.Sums) == 0 && st.RoundReports == 0) {
-			return fmt.Errorf("hhtask: state carries %d support sums for %d candidates", len(st.Sums), len(cands))
-		}
-		for i, s := range st.Sums {
-			// Each report supports a candidate at most once, so a sum
-			// outside [0, round_reports] cannot come from any report
-			// multiset.
-			if s < 0 || s > int64(st.RoundReports) {
-				return fmt.Errorf("hhtask: support sum %d at candidate %d outside [0,%d]", s, i, st.RoundReports)
-			}
-			sums[i] = s
-		}
-		roundReports = st.RoundReports
-	default: // legacy report list
-		if st.RoundReports != 0 || len(st.Sums) > 0 {
-			return fmt.Errorf("hhtask: legacy state carries accumulator fields")
-		}
-		for i, r := range st.Reports {
-			if r.Bucket < 0 || r.Bucket >= a.mech.G() {
-				return fmt.Errorf("hhtask: legacy report %d bucket %d out of range [0,%d)", i, r.Bucket, a.mech.G())
-			}
-		}
-		// Folding at load is bit-identical to having folded each report
-		// as it arrived: the sums are integer tallies of the same
-		// support indicators, in an order that cannot matter.
-		for _, r := range st.Reports {
-			a.mech.FoldSupport(r, cands, sums)
-		}
-		roundReports = len(st.Reports)
-	}
-
-	a.round, a.done, a.prevUsers = st.Round, st.Done, st.PrevUsers
-	a.survivors, a.hits = st.Survivors, st.Hits
-	a.cands, a.sums, a.roundReports = cands, sums, roundReports
-	return nil
-}
-
 // EstimateResult is the hh task's estimate payload: the protocol
 // position plus, mid-protocol, the surviving frontier prefixes, or,
 // once done, the discovered heavy hitters (?top=k caps either list).

@@ -288,31 +288,17 @@ func TestStateRoundTripsMidRound(t *testing.T) {
 	}
 
 	// Corrupt phase invariants are refused: done must track the final
-	// round exactly, and a completed state carries no reports. The
-	// forgeries are edits of the frozen JSON fixture (also round 1,
-	// mid-flight), fed through the legacy decoder — the validation
-	// they exercise is the one both decoders share.
-	var st map[string]any
-	if err := json.Unmarshal(fixture(t, "state_v2.json"), &st); err != nil {
-		t.Fatal(err)
-	}
-	for _, corrupt := range []func(map[string]any){
-		func(m map[string]any) { m["round"] = 4.0 },                  // round==levels but done absent
-		func(m map[string]any) { m["done"] = true },                  // done mid-protocol
-		func(m map[string]any) { m["round"], m["done"] = 4.0, true }, // done with in-flight reports
+	// round exactly, and a completed state carries no reports.
+	for _, corrupt := range []func(*stateFields){
+		func(f *stateFields) { f.round = f.levels },               // round==levels but not done
+		func(f *stateFields) { f.done = true },                    // done mid-protocol
+		func(f *stateFields) { f.round, f.done = f.levels, true }, // done with in-flight reports
 	} {
-		m := map[string]any{}
-		for k, v := range st {
-			m[k] = v
-		}
-		corrupt(m)
-		forged, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := decodeFields(t, blob)
+		corrupt(&f)
 		fresh, _ := task.New(cfg())
-		if err := fresh.(task.LegacyStater).UnmarshalLegacyState(forged); err == nil {
-			t.Fatalf("corrupt state %s restored without error", forged[:80])
+		if err := fresh.UnmarshalState(f.encode()); err == nil {
+			t.Fatalf("corrupt state %+v restored without error", f)
 		}
 	}
 }

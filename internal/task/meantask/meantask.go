@@ -242,15 +242,6 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 	return a.harmony.UnmarshalState(data)
 }
 
-// UnmarshalLegacyState implements task.LegacyStater by delegating to
-// the estimator's legacy JSON decoder.
-func (a *Aggregator) UnmarshalLegacyState(data []byte) error {
-	if a.duchi != nil {
-		return a.duchi.UnmarshalLegacyState(data)
-	}
-	return a.harmony.UnmarshalLegacyState(data)
-}
-
 // EstimateResult is the mean task's estimate payload: the unbiased
 // mean estimate(s) with a worst-case 95% confidence half-width
 // (1.96·sqrt(Var), Var the mechanism's analytic estimator variance at

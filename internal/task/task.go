@@ -145,16 +145,6 @@ type Preparer interface {
 	Fold(prepared any) error
 }
 
-// LegacyStater is an optional Aggregator capability: restoring the
-// JSON state format builds before the single binary codec wrote.
-// Read-only — nothing encodes it any more — and asserted for in one
-// place, internal/core/legacy.go, which upgrades old checkpoints and
-// journal merge frames on load. It restores to exactly the aggregate
-// UnmarshalState would from the binary form of the same state.
-type LegacyStater interface {
-	UnmarshalLegacyState(data []byte) error
-}
-
 // BinaryReporter is an optional Aggregator capability extending
 // Prepare to the binary wire encoding: PrepareBinary parses and
 // validates one binary report payload into the same fold-ready values
