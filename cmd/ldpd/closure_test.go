@@ -1,6 +1,9 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -100,5 +103,38 @@ func TestStateHasOneDecoder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestJournalHasOneJSONReader pins, structurally, that the journal has
+// one frame encoder and it is not JSON: internal/core/journal.go calls
+// json.Marshal nowhere, and json.Unmarshal in exactly one function —
+// the read-only reader of the JSON payloads older builds wrote. A
+// second JSON reader, or a writer, cannot be added there unnoticed.
+func TestJournalHasOneJSONReader(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "../../internal/core/journal.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := make(map[string][]string) // json function → the functions calling it
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "json" {
+					calls[sel.Sel.Name] = append(calls[sel.Sel.Name], fn.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	if got := calls["Marshal"]; len(got) != 0 {
+		t.Errorf("journal.go calls json.Marshal in %v; frames are binenc records", got)
+	}
+	if got := calls["Unmarshal"]; len(got) != 1 || got[0] != "legacyJSONRecord" {
+		t.Errorf("journal.go calls json.Unmarshal in %v, want legacyJSONRecord alone", got)
 	}
 }

@@ -315,7 +315,12 @@ func TestTransientFaultSweepAllBatchesLand(t *testing.T) {
 // without a flush sink — passed its checksum, and so did the batch
 // behind it: both were acknowledged, so they move byte for byte to a
 // .corrupt file beside the segment before the segment is cut, and
-// putting them back under a store that has the sink recovers them.
+// putting them back under a store that has the sink recovers them. The
+// same holds for a frame replay cannot even read: a sound frame whose
+// kind byte this build does not know, which is what a rolled-back build
+// meets after any format change. (Until PR 20 that frame parsed as
+// "not a frame" and was cut with the torn tail, taking the batch
+// behind it along.)
 func TestRestartReplaysSetAsideRefusedFrames(t *testing.T) {
 	batches := crashBatches(t)
 	// journaled builds a state dir whose one segment holds what write
@@ -444,6 +449,43 @@ func TestRestartReplaysSetAsideRefusedFrames(t *testing.T) {
 	}
 	if got := counts(t, c); !reflect.DeepEqual(got, crashReference(t, batches[1:2])) {
 		t.Fatalf("replay with a sink: estimates %v, want batch 1 alone", got)
+	}
+
+	// Unreadable tail: batch 0, a sound frame of a kind no build here
+	// knows, batch 1. Only the bytes have to survive — a build that
+	// knows the kind replays them.
+	var cutAt int
+	dir, seg = journaled(func(c *Collection) {
+		ingest(c, 0)
+		_, lag, _ := c.JournalHealth()
+		cutAt = int(lag)
+		c.journal.mu.Lock()
+		_, err := c.journal.f.Write(framePayload([]byte{0xEE, 4, 'n', 'e', 'x', 't', 1, 2, 3}))
+		c.journal.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingest(c, 1)
+	})
+	if whole, err = os.ReadFile(seg); err != nil {
+		t.Fatal(err)
+	}
+	logged := captureLog(t)
+	if got := counts(t, load(dir, nil)); !reflect.DeepEqual(got, crashReference(t, batches[:1])) {
+		t.Fatalf("unreadable tail: estimates %v, want batch 0 alone", got)
+	}
+	aside := fmt.Sprintf("%s.tail-%d%s", seg, cutAt, corruptExt)
+	if found = asides(dir); len(found) != 1 || found[0] != aside {
+		t.Fatalf("unreadable tail: set aside %v, want %s (state dir holds %v)", found, filepath.Base(aside), dirListing(t, dir))
+	}
+	if tail, err = os.ReadFile(aside); err != nil || !bytes.Equal(tail, whole[cutAt:]) {
+		t.Fatalf("unreadable tail: set-aside file holds %d bytes, want the segment's last %d (%v)", len(tail), len(whole)-cutAt, err)
+	}
+	if head, err = os.ReadFile(seg); err != nil || !bytes.Equal(head, whole[:cutAt]) {
+		t.Fatalf("unreadable tail: segment holds %d bytes, want the first frame's %d (%v)", len(head), cutAt, err)
+	}
+	if !strings.Contains(logged.String(), "unknown frame kind 0xee") {
+		t.Errorf("log does not name the unknown kind:\n%s", logged)
 	}
 }
 
@@ -731,15 +773,18 @@ func TestHealthzDegradesAndRecovers(t *testing.T) {
 
 // TestOversizeFrameAckSurvivesRestart: no request body the HTTP caps
 // admit may be journaled as a frame replay refuses. Both bodies below
-// sit inside the 8 MiB batch cap yet inflate inside the frame JSON — a
-// binary batch of kilobyte payloads by base64, a JSON envelope full of
-// '<' by < escaping, six bytes for one. Every envelope in them is
-// rejected, but the batch is journaled before it is folded; a frame
-// over maxFrameBytes used to be written, acknowledged, and then refused
-// at replay as an insane length — truncating away the acknowledged
-// batch journaled behind it. The last part pins the other half of the
-// fix: a record over the (now sufficient) limit is refused at append
-// with nothing written and the journal still healthy.
+// sit at the 8 MiB batch cap and every envelope in them is rejected,
+// but a batch is journaled before it is folded. When the payload was
+// JSON they inflated inside the frame — the kilobyte binary payloads by
+// base64, the envelope full of '<' sixfold by \u003c escaping — past
+// the limit of the day: the frame was written, acknowledged, and then
+// refused at replay as an insane length, truncating away the
+// acknowledged batch journaled behind it. Frames now hold the bytes
+// received, so the two frames together outgrow the two bodies by no
+// more than their headers (TestFrameSizeBound has the arithmetic for
+// every kind). The last part pins the other half of the fix: a record
+// over the limit is refused at append with nothing written and the
+// journal still healthy.
 func TestOversizeFrameAckSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewStore(dir)
@@ -759,7 +804,7 @@ func TestOversizeFrameAckSurvivesRestart(t *testing.T) {
 	for i := 0; i < 7500; i++ {
 		w.Blob(make([]byte, 1024))
 	}
-	binBody := append([]byte(nil), w.Bytes()...)
+	binBody := bytes.Clone(w.Bytes())
 	w.Release()
 	resp, err := http.Post(url, ContentTypeBinary, bytes.NewReader(binBody))
 	if err != nil {
@@ -769,14 +814,13 @@ func TestOversizeFrameAckSurvivesRestart(t *testing.T) {
 	if len(binBody) > maxBatchBytes || resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("%d-byte binary batch of junk payloads: %d, want 400 (journaled, every envelope rejected)", len(binBody), resp.StatusCode)
 	}
-	// A quarter of the cap in '<' already outgrows the old limit; the
-	// full cap is six times itself, which the limit is sized for.
-	jsonBody := []byte(`[{"mechanism":"` + strings.Repeat("<", maxBatchBytes/4) + `"}]`)
-	if resp, _ := postBatch(t, url, "", jsonBody); resp.StatusCode != http.StatusBadRequest {
+	jsonBody := []byte(`[{"mechanism":"` + strings.Repeat("<", maxBatchBytes-64) + `"}]`)
+	if resp, _ := postBatch(t, url, "", jsonBody); len(jsonBody) > maxBatchBytes || resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("%d-byte JSON batch of escapable bytes: %d, want 400", len(jsonBody), resp.StatusCode)
 	}
-	if 6*maxBatchBytes >= maxFrameBytes {
-		t.Fatalf("maxFrameBytes %d does not cover a %d-byte body escaped sixfold", maxFrameBytes, maxBatchBytes)
+	c, _ := reg.Get("big")
+	if frames, lag, _ := c.JournalHealth(); frames != 2 || lag > int64(len(binBody)+len(jsonBody)+2*48) {
+		t.Fatalf("%d frames of %d bytes journaled for bodies of %d + %d", frames, lag, len(binBody), len(jsonBody))
 	}
 	batch := crashBatches(t)[0]
 	if resp, br := postBatch(t, url, "after-big", mustRaw(t, batch)); resp.StatusCode != http.StatusAccepted || br.Accepted != len(batch) {
@@ -784,9 +828,8 @@ func TestOversizeFrameAckSurvivesRestart(t *testing.T) {
 	}
 
 	// A record no HTTP body can produce: refused, not written, not latched.
-	c, _ := reg.Get("big")
 	frames, _, _ := c.JournalHealth()
-	_, err = c.IngestBatchBinary("too-big", [][]byte{make([]byte, maxFrameBytes*3/4+1)})
+	_, err = c.IngestBatchBinary("too-big", [][]byte{make([]byte, maxFrameBytes)})
 	if !errors.Is(err, errFrameTooLarge) || errors.Is(err, ErrJournal) {
 		t.Fatalf("over-limit record: %v, want errFrameTooLarge", err)
 	}

@@ -1,26 +1,34 @@
 package core
 
-// Golden journal: a state directory written by the parent build
-// (commit 42ca3c4, the last one with a separate ingest function per
-// route and encoding) whose two journal segments hold one frame of
-// every kind and encoding — batch JSON, batch binary, single JSON,
-// single binary, merge, flush on a freq collection; batch, single,
-// advance, merge, flush and adopt on a phased hh collection. The
-// fixture pins three things at once: the live ingest path still
-// writes those bytes, replay still folds them to the state, dedup
-// marks and re-cut deltas the parent build reached, and frame() still
-// re-encodes every record to the bytes it was read from.
+// Golden journals: two state directories holding the same traffic
+// script, whose journal segments carry one frame of every kind and
+// encoding — batch JSON, batch binary, single JSON, single binary,
+// merge, flush on a freq collection; batch, single, advance, merge,
+// flush and adopt on a phased hh collection.
+//
+// testdata/golden_journal was written by the build of commit 42ca3c4,
+// whose frame payload was a JSON object. It is frozen: nothing writes
+// that format any more, and the fixture pins that it is still read —
+// replaying it reaches the state, dedup marks and re-cut deltas that
+// build reached (the replayed.* files beside it).
+//
+// testdata/golden_journal_v2 is the same script written by this build.
+// It pins the writer: the live ingest path journals exactly those
+// bytes, every record re-frames to the bytes it was read from, and its
+// replay equals the same replayed.* files — one set of expected states
+// for both formats, so "the format changed, what it means did not" is
+// a byte comparison.
 //
 // LDP_UPDATE_GOLDEN=1 go test -run TestGoldenJournal ./internal/core/
-// rewrites the fixture from the running build; the committed one must
-// only ever be regenerated at a commit whose journal format is the
-// reference.
+// rewrites golden_journal_v2 (and nothing else) from the running
+// build; regenerate it only in a change that means to move the format.
 
 import (
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -30,7 +38,10 @@ import (
 	"repro/internal/task/hhtask"
 )
 
-const goldenJournalDir = "testdata/golden_journal"
+const (
+	goldenJournalDir   = "testdata/golden_journal"    // JSON payloads, frozen at 42ca3c4
+	goldenJournalV2Dir = "testdata/golden_journal_v2" // binary payloads, written by this build
+)
 
 // goldenFreqReports privatizes n values in both wire forms from one
 // seed (the two clients consume identical randomness).
@@ -101,7 +112,7 @@ func goldenScript(t *testing.T, dir string) {
 	// Frequency collection: every report encoding, a merge and a flush.
 	fc := create("gfreq", testCfg())
 	envs, bins := goldenFreqReports(t, 101, 12)
-	bad := mustRaw(t, freqtask.Envelope{Mechanism: "<GRR&>", Value: 1}) // rejected, and HTML-escaped in the frame
+	bad := mustRaw(t, freqtask.Envelope{Mechanism: "<GRR&>", Value: 1}) // rejected; a JSON payload HTML-escaped it, a binary one holds it as sent
 	res, err := fc.IngestBatch("g-json", append(append([]json.RawMessage(nil), envs[:4]...), bad))
 	must(err)
 	if res.Accepted != 4 || res.Rejected != 1 {
@@ -226,62 +237,34 @@ func sortedKeys(m map[string][]byte) []string {
 	return keys
 }
 
-func TestGoldenJournal(t *testing.T) {
-	live := t.TempDir()
-	goldenScript(t, live)
-	liveFiles := stateDirFiles(t, live)
-
-	if os.Getenv("LDP_UPDATE_GOLDEN") != "" {
-		if err := os.RemoveAll(goldenJournalDir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(goldenJournalDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, set := range []map[string][]byte{liveFiles, goldenReplay(t, live)} {
-			for name, blob := range set {
-				if err := os.WriteFile(filepath.Join(goldenJournalDir, name), blob, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		t.Logf("rewrote %s", goldenJournalDir)
-		return
-	}
-
-	// The live path journals (and checkpoints) exactly the fixture's bytes.
-	golden := stateDirFiles(t, goldenJournalDir)
-	if got, want := sortedKeys(liveFiles), sortedKeys(golden); strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("state dir holds %v, fixture %v", got, want)
-	}
-	kinds := make(map[string]bool)
-	for name, want := range golden {
-		if !bytes.Equal(liveFiles[name], want) {
-			t.Errorf("%s: live path wrote\n%q\nfixture\n%q", name, liveFiles[name], want)
-		}
+// goldenFrames parses every journal segment among files, requires them
+// to read whole, to hold every record kind (batches in both encodings)
+// and every record to survive re-framing, and returns the set of first
+// payload bytes seen — the byte that tells the two formats apart.
+func goldenFrames(t *testing.T, files map[string][]byte) map[byte]bool {
+	t.Helper()
+	kinds, firstBytes := make(map[string]bool), make(map[byte]bool)
+	for name, data := range files {
 		if !strings.Contains(name, ".journal.") {
 			continue
 		}
-		// Every record re-encodes to the bytes it was read from.
-		recs, goodLen := parseFrames(want)
-		if goodLen != len(want) {
-			t.Fatalf("%s: fixture sound only up to byte %d of %d", name, goodLen, len(want))
-		}
-		var again []byte
-		for _, rec := range recs {
-			buf, err := frame(rec)
+		for off := 0; off < len(data); {
+			rec, n, err := nextFrame(data[off:])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: frame at byte %d of %d: %v", name, off, len(data), err)
 			}
-			again = append(again, buf...)
 			kind := rec.Kind
 			if rec.Kind == recordBatch {
 				kind += "/" + rec.Enc
 			}
 			kinds[kind] = true
-		}
-		if !bytes.Equal(again, want) {
-			t.Errorf("%s: records re-encode to\n%q\nfixture\n%q", name, again, want)
+			firstBytes[data[off+8]] = true
+			// Every record re-frames to one that reads back equal, whichever
+			// format it was read from.
+			if again, _, err := nextFrame(frameBytes(t, rec)); err != nil || !reflect.DeepEqual(again, rec) {
+				t.Errorf("%s: record at byte %d does not survive re-framing (%v)", name, off, err)
+			}
+			off += n
 		}
 	}
 	for _, kind := range []string{"batch/", "batch/" + EncBinary, recordAdvance, recordMerge, recordFlush, recordAdopt} {
@@ -289,17 +272,70 @@ func TestGoldenJournal(t *testing.T) {
 			t.Errorf("fixture holds no %q frame", kind)
 		}
 	}
+	return firstBytes
+}
 
-	// Replaying the fixture reaches the parent build's state, dedup
-	// marks and re-cut deltas.
-	dir := t.TempDir()
-	for name, blob := range golden {
-		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+func TestGoldenJournal(t *testing.T) {
+	live := t.TempDir()
+	goldenScript(t, live)
+	liveFiles := stateDirFiles(t, live)
+
+	if os.Getenv("LDP_UPDATE_GOLDEN") != "" {
+		if err := os.RemoveAll(goldenJournalV2Dir); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.MkdirAll(goldenJournalV2Dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, blob := range liveFiles {
+			if err := os.WriteFile(filepath.Join(goldenJournalV2Dir, name), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("rewrote %s", goldenJournalV2Dir)
+		return
 	}
-	replayed := goldenReplay(t, dir)
-	wantReplayed := 0
+
+	// The live path journals (and checkpoints) exactly the v2 fixture's
+	// bytes, and its records re-frame to the bytes they were read from.
+	v2 := stateDirFiles(t, goldenJournalV2Dir)
+	if got, want := sortedKeys(liveFiles), sortedKeys(v2); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("state dir holds %v, fixture %v", got, want)
+	}
+	for name, want := range v2 {
+		if !bytes.Equal(liveFiles[name], want) {
+			t.Errorf("%s: live path wrote\n%q\nfixture\n%q", name, liveFiles[name], want)
+		}
+		if !strings.Contains(name, ".journal.") {
+			continue
+		}
+		recs, _ := parseFrames(want)
+		var again []byte
+		for _, rec := range recs {
+			again = append(again, frameBytes(t, rec)...)
+		}
+		if !bytes.Equal(again, want) {
+			t.Errorf("%s: records re-encode to\n%q\nfixture\n%q", name, again, want)
+		}
+	}
+	if first := goldenFrames(t, v2); first['{'] {
+		t.Errorf("%s holds a frame whose payload begins with '{': the legacy reader would claim it", goldenJournalV2Dir)
+	}
+
+	// The frozen fixture is all JSON payloads, over the same checkpoints.
+	legacy := stateDirFiles(t, goldenJournalDir)
+	if first := goldenFrames(t, legacy); len(first) != 1 || !first['{'] {
+		t.Errorf("%s holds payloads beginning %v, want only '{'", goldenJournalDir, first)
+	}
+	for name, blob := range legacy {
+		if !strings.Contains(name, ".journal.") && !bytes.Equal(blob, v2[name]) {
+			t.Errorf("%s differs between the two fixtures", name)
+		}
+	}
+
+	// Replaying either fixture reaches the one committed set of states,
+	// dedup marks and re-cut deltas.
+	want := make(map[string][]byte)
 	entries, err := os.ReadDir(goldenJournalDir)
 	if err != nil {
 		t.Fatal(err)
@@ -308,16 +344,31 @@ func TestGoldenJournal(t *testing.T) {
 		if !strings.HasPrefix(e.Name(), "replayed.") {
 			continue
 		}
-		wantReplayed++
-		want, err := os.ReadFile(filepath.Join(goldenJournalDir, e.Name()))
-		if err != nil {
+		if want[e.Name()], err = os.ReadFile(filepath.Join(goldenJournalDir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := replayed[e.Name()]; !ok || !bytes.Equal(got, want) {
-			t.Errorf("%s: replay produced\n%q\nparent build\n%q", e.Name(), got, want)
-		}
 	}
-	if wantReplayed != len(replayed) || wantReplayed != 6 {
-		t.Errorf("replay produced %v, fixture holds %d replay outputs", sortedKeys(replayed), wantReplayed)
+	if len(want) != 6 {
+		t.Fatalf("fixture holds replay outputs %v, want 6", sortedKeys(want))
+	}
+	for _, fixture := range []struct {
+		dir   string
+		files map[string][]byte
+	}{{goldenJournalDir, legacy}, {goldenJournalV2Dir, v2}} {
+		dir := t.TempDir()
+		for name, blob := range fixture.files {
+			if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replayed := goldenReplay(t, dir)
+		if len(replayed) != len(want) {
+			t.Errorf("%s: replay produced %v, want %v", fixture.dir, sortedKeys(replayed), sortedKeys(want))
+		}
+		for name, blob := range want {
+			if got, ok := replayed[name]; !ok || !bytes.Equal(got, blob) {
+				t.Errorf("%s: %s: replay produced\n%q\ncommitted\n%q", fixture.dir, name, got, blob)
+			}
+		}
 	}
 }

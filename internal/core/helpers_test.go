@@ -7,7 +7,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"log"
 	"os"
 	"testing"
@@ -121,4 +123,40 @@ func captureLog(t testing.TB) *bytes.Buffer {
 	log.SetOutput(&buf)
 	t.Cleanup(func() { log.SetOutput(prev) })
 	return &buf
+}
+
+// frameBytes returns rec's frame as the journal writes it.
+func frameBytes(t testing.TB, rec journalRecord) []byte {
+	t.Helper()
+	w, err := frame(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Release()
+	return bytes.Clone(w.Bytes())
+}
+
+// framePayload wraps arbitrary payload bytes in a sound header: the
+// forgery helper for frames no current encoder writes — a JSON payload
+// of an older build, a kind byte of a newer one, checksummed junk.
+func framePayload(payload []byte) []byte {
+	buf := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
+	return append(buf, payload...)
+}
+
+// parseFrames walks a segment's bytes and returns the decoded records
+// plus the offset of the first frame that is torn or unreadable (==
+// len(data) when the whole segment reads).
+func parseFrames(data []byte) (recs []journalRecord, goodLen int) {
+	off := 0
+	for {
+		rec, n, err := nextFrame(data[off:])
+		if err != nil {
+			return recs, off
+		}
+		recs = append(recs, rec)
+		off += n
+	}
 }

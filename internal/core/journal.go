@@ -11,13 +11,33 @@
 //
 // Frame format (little-endian):
 //
-//	[4 bytes payload length][4 bytes CRC32C of payload][payload JSON]
+//	[4 bytes payload length][4 bytes CRC32C of payload][payload]
+//
+// The payload is a binenc record — a kind byte, the idempotency key
+// (a length-prefixed string, empty when the record has none), then the
+// kind's fields as zig-zag varints and length-prefixed blobs:
+//
+//	kind  record          fields after the key
+//	0x01  batch, JSON     uvarint n, n blobs: the report envelopes as received
+//	0x02  batch, binary   uvarint n, n blobs: the binary report payloads as received
+//	0x03  advance         varint round
+//	0x04  merge           varint reports, blob: the delta's binary task state
+//	0x05  flush           varint reports, varint round
+//	0x06  adopt           varint round, blob: the adopted frontier
+//
+// Envelopes, payloads and states are stored as the bytes the client
+// sent — nothing is re-spelled, escaped or base64'd — so a frame is its
+// request body plus at most five bytes a report and a header of at most
+// 160. Builds up to commit 71ad1eb wrote the payload as a JSON object
+// instead; no kind byte is '{', so the first payload byte tells the two
+// apart. JSON payloads are read, never written (see legacyJSONRecord).
 //
 // A torn final frame — the expected debris of a crash mid-append — fails
 // its length or checksum and is truncated away at replay; it was never
-// acknowledged, so dropping it is exactly right. A sound frame replay
-// cannot apply was acknowledged, so it is set aside, not dropped (see
-// Store.cutTail). Replay never refuses startup.
+// acknowledged, so dropping it is exactly right. A frame whose checksum
+// holds was written whole, hence acknowledged: if this build cannot
+// read its payload, or replay cannot apply it, it is set aside, not
+// dropped (see Store.cutTail). Replay never refuses startup.
 package core
 
 import (
@@ -34,6 +54,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/binenc"
 	"repro/internal/fsio"
 	"repro/internal/task"
 )
@@ -63,7 +84,7 @@ const (
 // for storage framing (iSCSI, ext4, leveldb).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Frame kinds. Batches carry report envelopes (and the dedup ID that
+// Record kinds. Batches carry report envelopes (and the dedup ID that
 // acknowledged them); advances record a phased collection's round
 // boundary so replay closes rounds at exactly the positions the live
 // process did. The relay tier adds three kinds: merges carry a folded
@@ -80,35 +101,53 @@ const (
 	recordAdopt   = "adopt"
 )
 
+// Kind bytes, the first byte of a frame payload (layout in the file
+// header). A batch has one per report encoding, so the byte alone says
+// which decoder folds it. None may ever be '{': that byte is how a
+// JSON payload is recognised.
+const (
+	kindBatchJSON byte = 1 + iota
+	kindBatchBinary
+	kindAdvance
+	kindMerge
+	kindFlush
+	kindAdopt
+)
+
 // EncBinary tags binary-encoded payloads wherever an encoding is
-// recorded. In journal batch frames the zero value (absent) means JSON
-// report envelopes. For task state — checkpoint headers, delta
-// headers, merge frames — it is a constant, and anything else is
-// refused.
+// recorded. In a batch record the zero value means JSON report
+// envelopes. For task state — checkpoint headers, delta headers, merge
+// records — it is a constant, and anything else is refused.
 const EncBinary = "bin"
 
-// journalRecord is one frame's JSON payload.
+// journalRecord is one frame's content: what ingest hands the journal
+// and what replay gets back. A record read from a segment aliases the
+// segment's bytes (Envs, Bins, State, Frontier are slices of the buffer
+// it was parsed from), as one built by the HTTP layer aliases the
+// request body; nothing downstream of the fold retains them. The JSON
+// tags are the field names of the JSON payload and serve
+// legacyJSONRecord alone.
 type journalRecord struct {
 	Kind     string            `json:"kind"`
 	ID       string            `json:"id,omitempty"`       // batch/merge: idempotency key; flush: the cut delta's key
 	Envs     []json.RawMessage `json:"envs,omitempty"`     // batch: JSON report envelopes as received
 	Enc      string            `json:"enc,omitempty"`      // batch: EncBinary when Bins carries the reports; merge: always EncBinary
-	Bins     [][]byte          `json:"bins,omitempty"`     // batch: binary report payloads (base64 inside the frame JSON)
+	Bins     [][]byte          `json:"bins,omitempty"`     // batch: binary report payloads as received
 	Round    int               `json:"round,omitempty"`    // advance: the round that was closed; flush/adopt: round at the boundary
-	State    []byte            `json:"state,omitempty"`    // merge: the delta's task state (base64 inside the frame JSON)
+	State    []byte            `json:"state,omitempty"`    // merge: the delta's binary task state
 	Reports  int               `json:"reports,omitempty"`  // merge/flush: report count the state carries
 	Frontier json.RawMessage   `json:"frontier,omitempty"` // adopt: the upstream frontier that was adopted
 }
 
 // maxFrameBytes bounds a frame's payload length, at append and at
-// replay alike: the largest legitimate frame is the worst-case
-// encoding of one maxBatchBytes request body, so anything claiming
-// more is corruption, not data. The worst case is a JSON batch —
-// json.Marshal escapes each of < > & (one byte on the wire) to a
-// six-byte \u00XX inside the frame; binary payloads and merge states
-// are base64 (4/3, at most 3.5× for a batch of one-byte payloads once
-// quotes and commas are counted). The extra mebibyte covers the
-// record's own fields.
+// replay alike; anything claiming more is corruption, not data. A
+// frame this build writes is its request body plus five bytes a report
+// and a small header (TestFrameSizeBound), so maxBatchBytes and a
+// mebibyte would do. The limit keeps the value the JSON payload needed
+// — json.Marshal spelled each of < > & as a six-byte \u00XX and binary
+// payloads as base64 — for as long as legacyJSONRecord lives, because a
+// frame an older build acknowledged under that limit must still be
+// read; the 6× term goes when that reader does.
 const maxFrameBytes = 6*maxBatchBytes + (1 << 20)
 
 // errFrameTooLarge refuses a record whose frame replay would refuse.
@@ -200,17 +239,57 @@ func journalSegments(fsys fsio.FS, dir, name string) ([]segRef, error) {
 	return segs, nil
 }
 
-// frame encodes one record: length, CRC32C, payload.
-func frame(rec journalRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
+// frame encodes one record, header and payload, into a pooled Writer
+// the caller Releases. It is the journal's only encoder.
+func frame(rec journalRecord) (*binenc.Writer, error) {
+	kind := kindBatchJSON
+	switch rec.Kind {
+	case recordBatch:
+		if rec.Enc == EncBinary {
+			kind = kindBatchBinary
+		}
+	case recordAdvance:
+		kind = kindAdvance
+	case recordMerge:
+		kind = kindMerge
+	case recordFlush:
+		kind = kindFlush
+	case recordAdopt:
+		kind = kindAdopt
+	default:
+		return nil, fmt.Errorf("unknown journal record kind %q", rec.Kind)
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[8:], payload)
-	return buf, nil
+	w := binenc.NewWriter()
+	w.Uint64(0) // length and CRC32C, patched once the payload is behind them
+	w.Byte(kind)
+	w.String(rec.ID)
+	switch kind {
+	case kindBatchJSON:
+		w.Uvarint(uint64(len(rec.Envs)))
+		for _, env := range rec.Envs {
+			w.Blob(env)
+		}
+	case kindBatchBinary:
+		w.Uvarint(uint64(len(rec.Bins)))
+		for _, bin := range rec.Bins {
+			w.Blob(bin)
+		}
+	case kindAdvance:
+		w.Varint(int64(rec.Round))
+	case kindMerge:
+		w.Varint(int64(rec.Reports))
+		w.Blob(rec.State)
+	case kindFlush:
+		w.Varint(int64(rec.Reports))
+		w.Varint(int64(rec.Round))
+	case kindAdopt:
+		w.Varint(int64(rec.Round))
+		w.Blob(rec.Frontier)
+	}
+	buf := w.Bytes()
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-8))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[8:], crcTable))
+	return w, nil
 }
 
 // append writes one frame to the active segment, creating it if
@@ -234,19 +313,24 @@ func (j *journal) appendSync(rec journalRecord) error {
 }
 
 func (j *journal) appendWith(rec journalRecord, forceSync bool) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.broken != nil {
-		return fmt.Errorf("%w (since: %v)", ErrJournal, j.broken)
-	}
-	buf, err := frame(rec)
+	// The frame is encoded and checksummed before the lock is taken:
+	// concurrent ingests (they hold walMu shared) serialize on the
+	// write and the sync alone.
+	w, err := frame(rec)
 	if err != nil {
 		return fmt.Errorf("%w: encoding frame: %v", ErrJournal, err)
 	}
+	defer w.Release()
+	buf := w.Bytes()
 	if n := len(buf) - 8; n > maxFrameBytes {
 		// Acknowledging a frame replay would refuse loses it — and
 		// every acknowledged frame behind it — at the next restart.
 		return fmt.Errorf("%w (%d > %d bytes)", errFrameTooLarge, n, maxFrameBytes)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.broken != nil {
+		return fmt.Errorf("%w (since: %v)", ErrJournal, j.broken)
 	}
 	if j.f == nil {
 		f, err := j.fs.OpenFile(journalSegPath(j.dir, j.name, j.gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -256,8 +340,8 @@ func (j *journal) appendWith(rec journalRecord, forceSync bool) error {
 		}
 		j.f = f
 	}
-	// One Write call per frame: a torn write can split a frame (the
-	// replay truncates it) but frames never interleave.
+	// One Write call per frame, under the lock: a torn write can split
+	// a frame (the replay truncates it) but frames never interleave.
 	if _, err := j.f.Write(buf); err != nil {
 		j.broken = err
 		return fmt.Errorf("%w: %v", ErrJournal, err)
@@ -361,44 +445,120 @@ func (j *journal) close() {
 	}
 }
 
-// nextFrame decodes the frame at the start of data, returning the
-// record, the frame's total size, and whether a sound frame was there
-// at all. A torn length, an insane length, a checksum mismatch or
-// checksummed garbage all report !ok: framing has lost sync and
-// everything from here on is untrusted.
-func nextFrame(data []byte) (journalRecord, int, bool) {
+// errTornFrame is nextFrame's answer when no whole frame starts the
+// data: framing has lost sync and everything from there on is
+// untrusted — and was never acknowledged.
+var errTornFrame = errors.New("torn journal frame")
+
+// nextFrame decodes the frame at the start of data. errTornFrame means
+// a short header, a length that is zero, insane or runs past the data,
+// or a checksum mismatch: nothing sound is there. Any other error comes
+// with the frame's size: the checksum held, so the frame was written
+// whole and acknowledged, but this build cannot read its payload (a
+// kind it does not know, malformed or trailing fields, JSON it cannot
+// decode) — the caller must preserve it, not cut it.
+func nextFrame(data []byte) (journalRecord, int, error) {
 	if len(data) < 8 {
-		return journalRecord{}, 0, false // torn inside the header
+		return journalRecord{}, 0, errTornFrame // torn inside the header
 	}
 	n := int(binary.LittleEndian.Uint32(data[0:4]))
 	sum := binary.LittleEndian.Uint32(data[4:8])
-	if n > maxFrameBytes || 8+n > len(data) {
-		return journalRecord{}, 0, false // torn or insane length
+	if n == 0 || n > maxFrameBytes || 8+n > len(data) {
+		// Torn or insane length. Zero is never written (every payload
+		// has a kind byte) but checksums clean, and is what a crash
+		// that grew the file ahead of its data leaves behind.
+		return journalRecord{}, 0, errTornFrame
 	}
 	payload := data[8 : 8+n]
 	if crc32.Checksum(payload, crcTable) != sum {
-		return journalRecord{}, 0, false // bit rot or torn write inside the frame
+		return journalRecord{}, 0, errTornFrame // bit rot or torn write inside the frame
 	}
-	var rec journalRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return journalRecord{}, 0, false // checksummed garbage: still not a record
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return journalRecord{}, 8 + n, fmt.Errorf("sound frame with a payload this build cannot read: %w", err)
 	}
-	return rec, 8 + n, true
+	return rec, 8 + n, nil
 }
 
-// parseFrames walks a segment's bytes and returns the decoded records
-// plus the offset of the first bad frame (== len(data) when the whole
-// segment is sound).
-func parseFrames(data []byte) (recs []journalRecord, goodLen int) {
-	off := 0
-	for {
-		rec, n, ok := nextFrame(data[off:])
-		if !ok {
-			return recs, off
-		}
-		recs = append(recs, rec)
-		off += n
+// decodeRecord parses one checksummed, non-empty frame payload. The
+// record's slices alias payload.
+func decodeRecord(payload []byte) (journalRecord, error) {
+	if payload[0] == '{' {
+		return legacyJSONRecord(payload)
 	}
+	r := binenc.NewReader(payload)
+	kind := r.Byte()
+	rec := journalRecord{ID: r.String()}
+	switch kind {
+	case kindBatchJSON:
+		rec.Kind = recordBatch
+		rec.Envs = make([]json.RawMessage, r.Length(1))
+		for i := range rec.Envs {
+			rec.Envs[i] = r.Blob()
+		}
+	case kindBatchBinary:
+		rec.Kind, rec.Enc = recordBatch, EncBinary
+		rec.Bins = make([][]byte, r.Length(1))
+		for i := range rec.Bins {
+			rec.Bins[i] = r.Blob()
+		}
+	case kindAdvance:
+		rec.Kind = recordAdvance
+		rec.Round = int(r.Varint())
+	case kindMerge:
+		rec.Kind, rec.Enc = recordMerge, EncBinary
+		rec.Reports = int(r.Varint())
+		rec.State = r.Blob()
+	case kindFlush:
+		rec.Kind = recordFlush
+		rec.Reports = int(r.Varint())
+		rec.Round = int(r.Varint())
+	case kindAdopt:
+		rec.Kind = recordAdopt
+		rec.Round = int(r.Varint())
+		rec.Frontier = r.Blob()
+	default:
+		return journalRecord{}, fmt.Errorf("unknown frame kind 0x%02x", kind)
+	}
+	if err := r.Done(); err != nil {
+		return journalRecord{}, err
+	}
+	return rec, nil
+}
+
+// legacyJSONRecord reads the payload builds up to commit 71ad1eb
+// wrote: the record as a JSON object, envelopes compacted and
+// HTML-escaped, binary payloads and states base64 inside it. Such
+// frames are acknowledged data in whatever state directory an upgrade
+// finds, so they stay readable — and are never written: this function
+// is the only JSON frame code, testdata/golden_journal is its fixture,
+// and it goes (with maxFrameBytes' 6× term) at the next support-window
+// decision. It keeps exactly the fields the record's kind carries, so
+// what it returns is a record frame writes back whole; anything else —
+// a kind or encoding no build wrote, or the JSON delta state of a merge
+// frame older than the binary state codec — is refused.
+func legacyJSONRecord(payload []byte) (journalRecord, error) {
+	var in journalRecord
+	if err := json.Unmarshal(payload, &in); err != nil {
+		return journalRecord{}, fmt.Errorf("JSON frame payload: %w", err)
+	}
+	switch {
+	case in.Kind == recordBatch && in.Enc == "":
+		return journalRecord{Kind: recordBatch, ID: in.ID, Envs: in.Envs}, nil
+	case in.Kind == recordBatch && in.Enc == EncBinary:
+		return journalRecord{Kind: recordBatch, ID: in.ID, Enc: EncBinary, Bins: in.Bins}, nil
+	case in.Kind == recordAdvance:
+		return journalRecord{Kind: recordAdvance, ID: in.ID, Round: in.Round}, nil
+	case in.Kind == recordMerge && in.Enc == EncBinary:
+		return journalRecord{Kind: recordMerge, ID: in.ID, Enc: EncBinary, State: in.State, Reports: in.Reports}, nil
+	case in.Kind == recordMerge && in.Enc == "":
+		return journalRecord{}, errors.New("merge frame carries a JSON delta state, written before the binary state codec, " + upgradeHint)
+	case in.Kind == recordFlush:
+		return journalRecord{Kind: recordFlush, ID: in.ID, Reports: in.Reports, Round: in.Round}, nil
+	case in.Kind == recordAdopt:
+		return journalRecord{Kind: recordAdopt, ID: in.ID, Round: in.Round, Frontier: in.Frontier}, nil
+	}
+	return journalRecord{}, fmt.Errorf("JSON frame payload of kind %q, encoding %q", in.Kind, in.Enc)
 }
 
 // BatchResult is the outcome of one idempotent batch ingest.

@@ -7,12 +7,17 @@ package core
 // crash_test.go exercises the same pieces end to end.
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,55 +28,75 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	rec := journalRecord{Kind: recordBatch, ID: "b-1", Envs: rawEnvs(t, []freqtask.Envelope{{Mechanism: MechanismGRR, Value: 3}})}
-	buf, err := frame(rec)
+	buf := frameBytes(t, rec)
+	got, n, err := nextFrame(buf)
 	if err != nil {
-		t.Fatal(err)
-	}
-	got, n, ok := nextFrame(buf)
-	if !ok {
-		t.Fatal("nextFrame rejected a sound frame")
+		t.Fatalf("nextFrame rejected a sound frame: %v", err)
 	}
 	if n != len(buf) {
 		t.Fatalf("frame size = %d, want %d", n, len(buf))
 	}
-	if got.Kind != rec.Kind || got.ID != rec.ID || len(got.Envs) != 1 {
+	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("decoded record = %+v, want %+v", got, rec)
+	}
+	// The envelope is in the frame as the client sent it, and the
+	// decoded record points into the frame rather than at a copy.
+	if at := bytes.Index(buf, rec.Envs[0]); at < 0 || &got.Envs[0][0] != &buf[at] {
+		t.Fatalf("envelope %q is not stored verbatim and aliased (found at %d)", rec.Envs[0], at)
 	}
 }
 
+// TestNextFrameRejectsCorruption pins the two ways a frame is not a
+// record. Torn — nothing whole and checksummed is there — reports
+// errTornFrame and no size: it was never acknowledged and replay cuts
+// it. Sound but unreadable — the checksum holds, so it was written
+// whole, but the payload is nothing this build decodes — reports the
+// frame's size and another error: replay sets it aside first.
 func TestNextFrameRejectsCorruption(t *testing.T) {
-	sound, err := frame(journalRecord{Kind: recordAdvance, Round: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := append([]byte(nil), sound...)
-	flipped[10] ^= 0x40 // a bit of the payload rots
-
-	badLen := append([]byte(nil), sound...)
+	sound := frameBytes(t, journalRecord{Kind: recordAdvance, Round: 2})
+	flipped := bytes.Clone(sound)
+	flipped[8] ^= 0x40 // a bit of the payload rots
+	badLen := bytes.Clone(sound)
 	binary.LittleEndian.PutUint32(badLen[0:4], uint32(maxFrameBytes+1))
 
-	// Correctly framed and checksummed bytes that are not a JSON
-	// record: framing is intact but the content is garbage.
-	junk := []byte("not json at all")
-	framedJunk := make([]byte, 8+len(junk))
-	binary.LittleEndian.PutUint32(framedJunk[0:4], uint32(len(junk)))
-	binary.LittleEndian.PutUint32(framedJunk[4:8], crc32.Checksum(junk, crcTable))
-	copy(framedJunk[8:], junk)
-
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
 		{"empty", nil},
 		{"torn header", sound[:5]},
-		{"torn payload", sound[:len(sound)-3]},
+		{"torn payload", sound[:len(sound)-1]},
 		{"flipped payload byte", flipped},
 		{"insane length", badLen},
-		{"checksummed junk", framedJunk},
+		{"zero length (a file grown ahead of its data)", make([]byte, 64)},
+	} {
+		if _, n, err := nextFrame(tc.data); !errors.Is(err, errTornFrame) || n != 0 {
+			t.Errorf("%s: nextFrame = (%d bytes, %v), want (0, errTornFrame)", tc.name, n, err)
+		}
 	}
-	for _, tc := range cases {
-		if _, _, ok := nextFrame(tc.data); ok {
-			t.Errorf("%s: nextFrame accepted corrupt data", tc.name)
+
+	payload := sound[8:]
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"junk", []byte("not a record at all")},
+		{"unknown kind byte", []byte{0xEE, 0}},
+		{"kind byte zero", []byte{0, 0}},
+		{"truncated fields", payload[:len(payload)-1]},
+		{"trailing byte", append(bytes.Clone(payload), 0)},
+		{"key longer than the payload", []byte{kindAdvance, 0x7f, 'x'}},
+		{"report count larger than the payload", []byte{kindBatchBinary, 0, 0xff, 0xff, 0xff, 0x0f, 0}},
+		{"JSON, malformed", []byte(`{"kind":"advance",`)},
+		{"JSON, wrong field type", []byte(`{"kind":"advance","round":"two"}`)},
+		{"JSON, unknown kind", []byte(`{"kind":"compact"}`)},
+		{"JSON, unknown batch encoding", []byte(`{"kind":"batch","enc":"cbor"}`)},
+		{"JSON, merge with a JSON state", []byte(`{"kind":"merge","state":"e30="}`)},
+	} {
+		data := append(framePayload(tc.payload), sound...)
+		_, n, err := nextFrame(data)
+		if err == nil || errors.Is(err, errTornFrame) || n != 8+len(tc.payload) {
+			t.Errorf("%s: nextFrame = (%d bytes, %v), want the frame's %d bytes and a refusal", tc.name, n, err, 8+len(tc.payload))
 		}
 	}
 }
@@ -79,17 +104,10 @@ func TestNextFrameRejectsCorruption(t *testing.T) {
 func TestParseFramesStopsAtFirstBadFrame(t *testing.T) {
 	var data []byte
 	for round := 0; round < 3; round++ {
-		buf, err := frame(journalRecord{Kind: recordAdvance, Round: round})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, buf...)
+		data = append(data, frameBytes(t, journalRecord{Kind: recordAdvance, Round: round})...)
 	}
 	goodEnd := len(data)
-	torn, err := frame(journalRecord{Kind: recordBatch, ID: "tail"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	torn := frameBytes(t, journalRecord{Kind: recordBatch, ID: "tail"})
 	data = append(data, torn[:len(torn)/2]...) // crash mid-append
 
 	recs, goodLen := parseFrames(data)
@@ -103,6 +121,147 @@ func TestParseFramesStopsAtFirstBadFrame(t *testing.T) {
 		if rec.Round != i {
 			t.Fatalf("record %d replayed round %d", i, rec.Round)
 		}
+	}
+}
+
+// TestFrameSizeBound is the arithmetic maxFrameBytes and the request
+// caps rest on, as a test instead of a worst-case comment: whatever a
+// record carries, its frame is those bytes plus at most five per blob,
+// the idempotency key, and 48 for everything else (the 8-byte header,
+// the kind byte, three length or count prefixes, two varint fields).
+// So a body inside maxBatchBytes cannot come near maxFrameBytes.
+func TestFrameSizeBound(t *testing.T) {
+	id := strings.Repeat("k", maxBatchIDBytes)
+	blobs := func(sizes ...int) [][]byte {
+		out := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			out[i] = bytes.Repeat([]byte{'<'}, n)
+		}
+		return out
+	}
+	envs := func(sizes ...int) []json.RawMessage {
+		var out []json.RawMessage
+		for _, b := range blobs(sizes...) {
+			out = append(out, b)
+		}
+		return out
+	}
+	many := make([]int, 7500)
+	for i := range many {
+		many[i] = 1024
+	}
+	for name, rec := range map[string]journalRecord{
+		"batch JSON, empty":            {Kind: recordBatch},
+		"batch JSON, mixed sizes":      {Kind: recordBatch, ID: id, Envs: envs(0, 1, 127, 128, 16383, 16384, 1<<21)},
+		"batch JSON, one 8 MiB of '<'": {Kind: recordBatch, ID: id, Envs: envs(maxBatchBytes)},
+		"batch binary, empty payloads": {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(make([]int, 1000)...)},
+		"batch binary, 7500 x 1 KiB":   {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(many...)},
+		"advance":                      {Kind: recordAdvance, Round: math.MaxInt},
+		"merge":                        {Kind: recordMerge, ID: id, Enc: EncBinary, State: blobs(maxBatchBytes)[0], Reports: math.MaxInt},
+		"flush":                        {Kind: recordFlush, ID: id, Reports: math.MaxInt, Round: math.MaxInt},
+		"adopt":                        {Kind: recordAdopt, Round: math.MaxInt, Frontier: envs(1 << 20)[0]},
+	} {
+		carried, n := len(rec.State)+len(rec.Frontier), len(rec.Envs)+len(rec.Bins)
+		for _, env := range rec.Envs {
+			carried += len(env)
+		}
+		for _, bin := range rec.Bins {
+			carried += len(bin)
+		}
+		if rec.State != nil || rec.Frontier != nil {
+			n++
+		}
+		buf := frameBytes(t, rec)
+		if bound := carried + 5*n + len(rec.ID) + 48; len(buf) > bound {
+			t.Errorf("%s: frame is %d bytes, bound %d (%d carried in %d blobs)", name, len(buf), bound, carried, n)
+		}
+		if got, size, err := nextFrame(buf); err != nil || size != len(buf) || !sameRecord(got, rec) {
+			t.Errorf("%s: frame does not read back (%d of %d bytes, %v)", name, size, len(buf), err)
+		}
+	}
+}
+
+// TestJournalConcurrentAppend is the test behind appendWith's "one
+// Write per frame, frames never interleave": frames are encoded
+// outside journal.mu, so eight goroutines append distinct records of
+// assorted sizes to one journal while a ninth keeps rotating it, and
+// afterwards every segment must parse whole and the records read back
+// must be exactly the ones appended, each once.
+func TestJournalConcurrentAppend(t *testing.T) {
+	const writers, each = 8, 40
+	record := func(g, i int) journalRecord {
+		id := fmt.Sprintf("w%d-%03d", g, i)
+		if i%5 == 4 {
+			return journalRecord{Kind: recordFlush, ID: id, Reports: g, Round: i}
+		}
+		// The payload spells the key, at a length that differs per record.
+		return journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: [][]byte{bytes.Repeat([]byte(id), 1+(g*each+i)*7%400)}}
+	}
+	dir := t.TempDir()
+	j := newJournal(fsio.OS, dir, "col", 1, JournalSyncNone)
+	var appenders sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		appenders.Add(1)
+		go func() {
+			defer appenders.Done()
+			for i := 0; i < each; i++ {
+				if err := j.append(record(g, i)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	stop, rotated := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(rotated)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				j.rotate()
+				runtime.Gosched()
+			}
+		}
+	}()
+	appenders.Wait()
+	close(stop)
+	<-rotated
+	j.close()
+
+	segs, err := journalSegments(fsio.OS, dir, "col")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]journalRecord)
+	var total int64
+	for _, s := range segs {
+		data, err := os.ReadFile(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, goodLen := parseFrames(data)
+		if goodLen != len(data) {
+			t.Fatalf("%s reads only to byte %d of %d: frames interleaved or torn", filepath.Base(s.path), goodLen, len(data))
+		}
+		for _, rec := range recs {
+			if _, dup := seen[rec.ID]; dup {
+				t.Errorf("record %s was written twice", rec.ID)
+			}
+			seen[rec.ID] = rec
+		}
+		total += int64(len(data))
+	}
+	for g := 0; g < writers; g++ {
+		for i := 0; i < each; i++ {
+			want := record(g, i)
+			if got, ok := seen[want.ID]; !ok || !sameRecord(got, want) {
+				t.Errorf("record %s read back as %+v (found %v)", want.ID, got, ok)
+			}
+		}
+	}
+	if frames, lag := j.lag(); len(seen) != writers*each || frames != writers*each || lag != total {
+		t.Errorf("%d records in %d bytes on disk; lag says %d frames, %d bytes; want %d records", len(seen), total, frames, lag, writers*each)
 	}
 }
 

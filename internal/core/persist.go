@@ -729,12 +729,13 @@ func (st *Store) Load(reg *CollectionRegistry) ([]string, error) {
 // many frames were replayed.
 //
 // Replay never refuses startup: the first bad frame (torn tail,
-// checksum mismatch, or a record the aggregator rejects) truncates its
-// segment at the last applied frame, and any later segments — written
-// after a frame that was not applied, so of uncertain lineage — are
-// quarantined. A torn tail was never acknowledged and is simply cut; a
-// sound frame replay could not apply was, so it and everything behind
-// it are first copied aside under a .corrupt name.
+// checksum mismatch, a payload this build cannot read, or a record the
+// aggregator rejects) truncates its segment at the last applied frame,
+// and any later segments — written after a frame that was not applied,
+// so of uncertain lineage — are quarantined. A torn tail was never
+// acknowledged and is simply cut; a frame whose checksum holds was, so
+// when replay cannot read or apply one, it and everything behind it
+// are first copied aside under a .corrupt name.
 func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, error) {
 	c.dedup.seed(snap.Batches)
 
@@ -770,13 +771,18 @@ func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, err
 			continue
 		}
 		frames, bytes, off := 0, int64(0), 0
-		var refused error // set when the frame at off is sound but could not be applied
+		var refused error // set when the frame at off is sound but could not be read or applied
 		for off < len(data) {
-			rec, n, ok := nextFrame(data[off:])
-			if !ok {
+			// rec aliases data, which nothing writes to again.
+			rec, n, err := nextFrame(data[off:])
+			if errors.Is(err, errTornFrame) {
 				break
 			}
-			if refused = c.replayRecord(rec, st.flushSink); refused != nil {
+			if err == nil {
+				err = c.replayRecord(rec, st.flushSink)
+			}
+			if err != nil {
+				refused = err
 				break
 			}
 			off += n
@@ -802,10 +808,11 @@ func (st *Store) replayJournal(c *Collection, snap CollectionSnapshot) (int, err
 // cutTail truncates a segment at off, the end of its last applied
 // frame, so the file matches what was replayed. A torn tail (refused
 // is nil) was never acknowledged and is simply cut. Frames that are
-// sound but could not be applied were acknowledged: they are first
-// copied aside under a .corrupt name that is not a generation, so no
-// later Load takes it for a segment, and if that copy fails the segment
-// is left whole rather than cut.
+// sound but could not be read (a format this build does not know —
+// what a rolled-back build meets) or applied were acknowledged: they
+// are first copied aside under a .corrupt name that is not a
+// generation, so no later Load takes it for a segment, and if that copy
+// fails the segment is left whole rather than cut.
 func (st *Store) cutTail(seg string, off int, tail []byte, refused error) {
 	if refused != nil {
 		aside := fmt.Sprintf("%s.tail-%d%s", seg, off, corruptExt)
@@ -838,9 +845,6 @@ func (c *Collection) replayRecord(rec journalRecord, sink FlushSink) error {
 		// splitting users across rounds.
 		return c.agg.AdvanceExpecting(rec.Round)
 	case recordMerge:
-		if rec.Enc != EncBinary {
-			return errors.New("merge frame carries a JSON delta state, written before the binary state codec, " + upgradeHint)
-		}
 		delta, err := c.agg.NewDelta(rec.State)
 		if err != nil {
 			return err

@@ -394,8 +394,9 @@ func ingestError(w http.ResponseWriter, err error) {
 
 // splitBinaryBatch parses a binary batch body — a uvarint report count
 // followed by that many length-prefixed envelopes — into per-report
-// payload slices aliasing the body buffer (the frame encoder copies
-// what the journal keeps, so the aliases die with the request),
+// payload slices aliasing the body buffer (the journal frame stores
+// them as they are, copied into its own buffer before the write, and
+// the fold retains nothing, so the aliases die with the request),
 // answering 400 itself when the framing is broken.
 func splitBinaryBatch(w http.ResponseWriter, data []byte) ([][]byte, bool) {
 	r := binenc.NewReader(data)
