@@ -20,9 +20,9 @@ import (
 // tests.
 var servingClosure = []string{
 	"binenc", "bitvec", "cluster", "cms", "core", "freq", "fsio",
-	"hashutil", "heavyhitters", "ldprand", "mean", "sketch", "task",
-	"task/cmstask", "task/freqtask", "task/hhtask", "task/meantask",
-	"transform",
+	"hashutil", "heavyhitters", "ldprand", "mean", "sketch", "tally",
+	"task", "task/cmstask", "task/freqtask", "task/hhtask",
+	"task/meantask", "transform",
 }
 
 // TestServingImportClosure fails when a package outside servingClosure
@@ -63,15 +63,15 @@ func TestServingImportClosure(t *testing.T) {
 // Unmarshal…State — beside UnmarshalState.
 func TestStateHasOneDecoder(t *testing.T) {
 	cmd := exec.Command("go", "list", "-f", `{{.ImportPath}}: {{join .Imports " "}}`,
-		"./internal/freq", "./internal/mean", "./internal/sketch")
+		"./internal/freq", "./internal/mean", "./internal/sketch", "./internal/tally")
 	cmd.Dir = "../.."
 	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("go list reported %d packages, want 3:\n%s", len(lines), out)
+	if len(lines) != 4 {
+		t.Fatalf("go list reported %d packages, want 4:\n%s", len(lines), out)
 	}
 	for _, line := range lines {
 		pkg, imports, _ := strings.Cut(line, ": ")
@@ -136,5 +136,43 @@ func TestJournalHasOneJSONReader(t *testing.T) {
 	}
 	if got := calls["Unmarshal"]; len(got) != 1 || got[0] != "legacyJSONRecord" {
 		t.Errorf("journal.go calls json.Unmarshal in %v, want legacyJSONRecord alone", got)
+	}
+}
+
+// TestTalliesLiveInTally pins, structurally, that the counting states
+// have one type: no struct in internal/freq or internal/task/hhtask
+// declares a field of type []int or []int64. Their per-value and
+// per-candidate report counts are a tally.Tally, with its one Merge,
+// Clone, codec and refusal; a second hand-rolled count vector beside
+// it cannot be added there unnoticed.
+func TestTalliesLiveInTally(t *testing.T) {
+	for _, p := range []string{"freq", "task/hhtask"} {
+		files, err := filepath.Glob(filepath.Join("../../internal", p, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files for internal/%s (%v)", p, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					if arr, ok := field.Type.(*ast.ArrayType); ok && arr.Len == nil {
+						if elt, ok := arr.Elt.(*ast.Ident); ok && (elt.Name == "int" || elt.Name == "int64") {
+							t.Errorf("%s declares a []%s struct field; count vectors are tally.Tally", name, elt.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
 	}
 }

@@ -146,7 +146,7 @@ func (v *Vector) Ones() []int {
 // AddOnesTo increments counts[i] for every set bit i. It is the tally
 // step of the unary-encoding aggregators: the same walk as Ones without
 // the index slice. counts must have at least Len entries.
-func (v *Vector) AddOnesTo(counts []int) {
+func (v *Vector) AddOnesTo(counts []int64) {
 	counts = counts[:v.n]
 	for wi, w := range v.words {
 		for w != 0 {

@@ -258,7 +258,7 @@ func TestKernelAdds(t *testing.T) {
 	}
 	weights := [2]float64{-0.4, 1.7}
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000, 1024} {
-		counts, wantCounts := make([]int, n+3), make([]int, n+3)
+		counts, wantCounts := make([]int64, n+3), make([]int64, n+3)
 		cells, wantCells := make([]float64, n+3), make([]float64, n+3)
 		for round := 0; round < 5; round++ {
 			v := New(n)
@@ -299,6 +299,6 @@ func TestKernelAddsPanicOnShortDestination(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("AddOnesTo", func() { v.AddOnesTo(make([]int, 64)) })
+	mustPanic("AddOnesTo", func() { v.AddOnesTo(make([]int64, 64)) })
 	mustPanic("AddWeightsTo", func() { v.AddWeightsTo(make([]float64, 64), &[2]float64{}) })
 }

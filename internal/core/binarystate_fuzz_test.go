@@ -22,13 +22,20 @@ import (
 	"repro/internal/task/meantask"
 )
 
-// fuzzStateConfigs spans the four task families and the three
-// frequency payload shapes (hash-bucket, real-vector, subset).
+// fuzzStateConfigs spans the four task families, the three frequency
+// payload shapes (hash-bucket, real-vector, subset), and every
+// counting state layout: GRR's and SS's fixed-sum tallies, the unary
+// and thresholded encodings' (p, q) and θ fields, and LH's tally at
+// both hash ranges.
 func fuzzStateConfigs() []task.Config {
 	return []task.Config{
 		FreqTaskConfig(MechanismOLH, PrivacyParams{Epsilon: 2, Domain: 8}),
 		FreqTaskConfig(MechanismSHE, PrivacyParams{Epsilon: 2, Domain: 8}),
 		FreqTaskConfig(MechanismSS, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(MechanismGRR, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(MechanismOUE, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(MechanismTHE, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(MechanismBLH, PrivacyParams{Epsilon: 2, Domain: 8}),
 		{Task: task.TypeMean, Mechanism: meantask.MechanismHarmony, Epsilon: 1, Dim: 2},
 		{Task: task.TypeSketch, Mechanism: cmstask.MechanismCMS, Epsilon: 2, Width: 32, Hashes: 4, SketchSeed: 9},
 		{Task: task.TypeHH, Mechanism: hhtask.MechanismPEM, Epsilon: 2, Bits: 8, Levels: 4, K: 3},

@@ -543,6 +543,97 @@ func TestMergeJournalReplay(t *testing.T) {
 	}
 }
 
+// mergeTarget serves a journaled two-shard collection of cfg over
+// HTTP and folds one honest delta of 12 reports into it through /merge.
+// It returns that delta (whose layout forged deltas reuse), a poster
+// of deltas answering the status code, the served /estimate body, and
+// the collection's journal frame count.
+func mergeTarget(t *testing.T, cfg CollectionConfig) (good Delta, merge func(Delta) int, estimate func() string, frames func() int) {
+	t.Helper()
+	reg := NewCollectionRegistry()
+	agg, err := reg.Create("agg", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Attach(agg); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewMultiService(reg, store).Handler())
+	t.Cleanup(ts.Close)
+
+	client, err := NewClient(cfg.Mechanism, cfg.Params(), ldprand.NewSplitMix64(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]json.RawMessage, 12)
+	for i := range batch {
+		env, err := client.Report(i % cfg.Domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = mustRaw(t, env)
+	}
+	good = cutFrom(t, cfg, "good-"+cfg.Mechanism, batch)
+	estimate = func() string {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/collections/agg/estimate")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate: %s, %v", resp.Status, err)
+		}
+		return body.String()
+	}
+	merge = func(d Delta) int {
+		t.Helper()
+		blob, err := EncodeDeltaBinary(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/collections/agg/merge", ContentTypeBinary, bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	frames = func() int {
+		n, _, _ := agg.JournalHealth()
+		return n
+	}
+	if code := merge(good); code != http.StatusOK {
+		t.Fatalf("%s: honest delta: %d", cfg.Mechanism, code)
+	}
+	return good, merge, estimate, frames
+}
+
+// forgedDelta is d with its state replaced by a freq state layout:
+// version byte, mechanism, ε, d, the fields given, and an n-report
+// tally of the given cells.
+func forgedDelta(d Delta, id string, cfg CollectionConfig, fields func(*binenc.Writer), n int64, cells []int64) Delta {
+	w := binenc.NewWriter()
+	defer w.Release()
+	w.Byte(0)
+	w.String(cfg.Mechanism)
+	w.Float64(cfg.Epsilon)
+	w.Varint(int64(cfg.Domain))
+	if fields != nil {
+		fields(w)
+	}
+	w.Varint(n)
+	w.Int64s(cells)
+	d.ID = id
+	d.State = append([]byte(nil), w.Bytes()...)
+	return d
+}
+
 // TestMergeRefusesPoisonedLHSupport: a delta whose OLH/BLH support
 // vector holds anything but whole numbers in [0, reports] must bounce
 // off /merge with 400 before it is journaled or folded — a NaN, a
@@ -551,65 +642,8 @@ func TestMergeJournalReplay(t *testing.T) {
 func TestMergeRefusesPoisonedLHSupport(t *testing.T) {
 	for _, mech := range []string{MechanismOLH, MechanismBLH} {
 		cfg := FreqCollectionConfig(mech, PrivacyParams{Epsilon: 2, Domain: 8}, 2)
-		reg := NewCollectionRegistry()
-		agg, err := reg.Create("agg", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := NewStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Attach(agg); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(NewMultiService(reg, store).Handler())
-		defer ts.Close()
-
-		client, err := NewClient(cfg.Mechanism, cfg.Params(), ldprand.NewSplitMix64(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := make([]json.RawMessage, 12)
-		for i := range batch {
-			env, err := client.Report(i % cfg.Domain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch[i] = mustRaw(t, env)
-		}
-		good := cutFrom(t, cfg, "good-"+mech, batch)
-		estimate := func() string {
-			t.Helper()
-			resp, err := ts.Client().Get(ts.URL + "/collections/agg/estimate")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var body bytes.Buffer
-			if _, err := body.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("estimate: %s, %v", resp.Status, err)
-			}
-			return body.String()
-		}
-		merge := func(d Delta) int {
-			t.Helper()
-			blob, err := EncodeDeltaBinary(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := ts.Client().Post(ts.URL+"/collections/agg/merge", ContentTypeBinary, bytes.NewReader(blob))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			return resp.StatusCode
-		}
-		if code := merge(good); code != http.StatusOK {
-			t.Fatalf("%s: honest delta: %d", mech, code)
-		}
-		before := estimate()
-		frames, _, _ := agg.JournalHealth()
+		good, merge, estimate, frames := mergeTarget(t, cfg)
+		before, framesBefore := estimate(), frames()
 
 		// The honest state's layout, with one support cell replaced.
 		g := 2
@@ -641,12 +675,49 @@ func TestMergeRefusesPoisonedLHSupport(t *testing.T) {
 		if after := estimate(); after != before {
 			t.Errorf("%s: /estimate moved after refused deltas:\n%s\n%s", mech, before, after)
 		}
-		if now, _, _ := agg.JournalHealth(); now != frames {
-			t.Errorf("%s: refused deltas journaled %d frames", mech, now-frames)
+		if now := frames(); now != framesBefore {
+			t.Errorf("%s: refused deltas journaled %d frames", mech, now-framesBefore)
 		}
 		// The layout is the real one: with a possible tally it folds.
 		if code := merge(withCell(1)); code != http.StatusOK {
 			t.Errorf("%s: delta with support cell 1: %d, want 200", mech, code)
+		}
+	}
+}
+
+// TestMergeRefusesForgedTallies: a GRR delta whose counts reach n only
+// by wrapping int64, and an SS delta whose cells each lie in [0, n] but
+// do not sum to k·n, are tallies no reports could produce. /merge must
+// answer 400, journal nothing and leave /estimate byte-identical; a
+// possible tally in the same layout folds.
+func TestMergeRefusesForgedTallies(t *testing.T) {
+	const wrap = 1 << 62
+	ssK := func(w *binenc.Writer) { w.Varint(2) } // k = round(8/(e+1)) at ε=1, d=8
+	for _, tc := range []struct {
+		cfg       CollectionConfig
+		fields    func(*binenc.Writer)
+		n         int64
+		bad, good []int64
+	}{
+		{FreqCollectionConfig(MechanismGRR, PrivacyParams{Epsilon: 2, Domain: 4}, 2), nil,
+			3, []int64{wrap, wrap, wrap, wrap + 3}, []int64{1, 0, 2, 0}},
+		{FreqCollectionConfig(MechanismSS, PrivacyParams{Epsilon: 1, Domain: 8}, 2), ssK,
+			5, []int64{5, 5, 5, 5, 5, 5, 5, 5}, []int64{5, 3, 2, 0, 0, 0, 0, 0}},
+	} {
+		mech := tc.cfg.Mechanism
+		good, merge, estimate, frames := mergeTarget(t, tc.cfg)
+		before, framesBefore := estimate(), frames()
+		if code := merge(forgedDelta(good, "forged-"+mech, tc.cfg, tc.fields, tc.n, tc.bad)); code != http.StatusBadRequest {
+			t.Errorf("%s: delta with cells %v over %d reports: %d, want 400", mech, tc.bad, tc.n, code)
+		}
+		if after := estimate(); after != before {
+			t.Errorf("%s: /estimate moved after a refused delta:\n%s\n%s", mech, before, after)
+		}
+		if now := frames(); now != framesBefore {
+			t.Errorf("%s: a refused delta journaled %d frames", mech, now-framesBefore)
+		}
+		if code := merge(forgedDelta(good, "possible-"+mech, tc.cfg, tc.fields, tc.n, tc.good)); code != http.StatusOK {
+			t.Errorf("%s: delta with a possible tally: %d, want 200", mech, code)
 		}
 	}
 }

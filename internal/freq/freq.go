@@ -13,6 +13,14 @@
 // A mechanism is used either through its concrete client/server halves
 // (Privatize / Aggregate, for distributed collection) or through the
 // Oracle interface, which runs both halves in-process for simulations.
+//
+// All but two are one estimator: count how many reports support each
+// value, then debias by (c − n·q)/(p − q). GRR, the unary encodings,
+// THE, local hashing and subset selection therefore share one state, a
+// tally.Tally, behind the unexported counting base (counting.go), and
+// differ only in their parameters and fold kernels. SHE sums Laplace
+// noise and HRR sums debiased ±1 coefficients; their states are float
+// vectors of their own.
 package freq
 
 import (
@@ -104,16 +112,11 @@ func stateParamError(name string) error {
 	return fmt.Errorf("freq: %s state parameter mismatch", name)
 }
 
-// stateShapeError reports serialized state whose tallies are
-// malformed: wrong vector length or a negative report count.
-func stateShapeError(name string) error {
-	return fmt.Errorf("freq: %s state has malformed tallies", name)
-}
-
-// checkStateShape validates the parts every mechanism state shares.
+// checkStateShape validates the report count and vector length of a
+// float-sum state (SHE, HRR); counting states are tally.Check's.
 func checkStateShape(name string, n, gotLen, wantLen int) error {
 	if n < 0 || gotLen != wantLen {
-		return stateShapeError(name)
+		return fmt.Errorf("freq: %s state has malformed sums", name)
 	}
 	return nil
 }

@@ -294,7 +294,7 @@ func TestLHSupportProbability(t *testing.T) {
 func hashSupports(l *LH, r LHReport, v int) bool {
 	tmp := newLH("tmp", l.Epsilon(), l.Domain(), l.G(), ldprand.NewSplitMix64(0))
 	tmp.Aggregate(r)
-	return tmp.support[v] > 0
+	return tmp.tally.Cells[v] > 0
 }
 
 func TestHRRReportsValid(t *testing.T) {
@@ -328,9 +328,10 @@ func TestHRRSignFlipRate(t *testing.T) {
 	}
 }
 
+// TestResetClearsState covers the float-sum oracles; Reset of every
+// counting oracle is TestTallyLifecycle's.
 func TestResetClearsState(t *testing.T) {
-	for _, m := range Mechanisms() {
-		o := m.Build(Config{Epsilon: 1, Domain: 4, Source: ldprand.NewSplitMix64(2)})
+	for _, o := range []Oracle{NewSHE(1, 4, ldprand.NewSplitMix64(2)), NewHRR(1, 4, ldprand.NewSplitMix64(2))} {
 		o.Collect(1)
 		o.Collect(2)
 		o.Reset()

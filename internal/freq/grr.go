@@ -12,36 +12,15 @@ import (
 // 1965 binary randomized response to a d-ary domain and is the mechanism
 // of choice while d is small (d < 3e^ε + 2, the E3 crossover).
 type GRR struct {
-	epsilon float64
-	d       int
-	p, q    float64 // report truth w.p. p; each specific lie w.p. q
-	src     ldprand.Source
-	counts  []int
-	n       int
+	counting // p: report the truth; q: report one specific lie
 }
 
 // NewGRR returns a generalized randomized response oracle over [0, d).
 func NewGRR(epsilon float64, d int, src ldprand.Source) *GRR {
 	checkParams(epsilon, d)
 	expE := math.Exp(epsilon)
-	return &GRR{
-		epsilon: epsilon,
-		d:       d,
-		p:       expE / (expE + float64(d) - 1),
-		q:       1 / (expE + float64(d) - 1),
-		src:     defaultSource(src),
-		counts:  make([]int, d),
-	}
+	return &GRR{newCounting("GRR", epsilon, d, expE/(expE+float64(d)-1), 1/(expE+float64(d)-1), src)}
 }
-
-// Name implements Oracle.
-func (g *GRR) Name() string { return "GRR" }
-
-// Epsilon implements Oracle.
-func (g *GRR) Epsilon() float64 { return g.epsilon }
-
-// Domain implements Oracle.
-func (g *GRR) Domain() int { return g.d }
 
 // P returns the truth-telling probability e^ε/(e^ε+d−1).
 func (g *GRR) P() float64 { return g.p }
@@ -67,43 +46,15 @@ func (g *GRR) Privatize(v int) int {
 // Aggregate folds one privatized report into the tally.
 func (g *GRR) Aggregate(report int) {
 	checkDomain(report, g.d)
-	g.counts[report]++
-	g.n++
+	g.tally.Cells[report]++
+	g.tally.N++
 }
 
 // Collect implements Oracle.
 func (g *GRR) Collect(v int) { g.Aggregate(g.Privatize(v)) }
 
-// Collected implements Oracle.
-func (g *GRR) Collected() int { return g.n }
-
-// EstimateCounts implements Oracle: ĉ_v = (obs_v − n·q) / (p − q).
-func (g *GRR) EstimateCounts() []float64 {
-	out := make([]float64, g.d)
-	den := g.p - g.q
-	for v, c := range g.counts {
-		out[v] = (float64(c) - float64(g.n)*g.q) / den
-	}
-	return out
-}
-
-// TheoreticalVariance implements Oracle: n·(d−2+e^ε)/(e^ε−1)² in the
-// f→0 approximation (Wang et al. 2017, eq. for DE).
-func (g *GRR) TheoreticalVariance(n int) float64 {
-	expE := math.Exp(g.epsilon)
-	return float64(n) * (float64(g.d) - 2 + expE) / ((expE - 1) * (expE - 1))
-}
-
 // ReportBits implements Oracle: one value in [0, d).
 func (g *GRR) ReportBits() int { return bitsFor(g.d) }
-
-// Reset implements Oracle.
-func (g *GRR) Reset() {
-	for i := range g.counts {
-		g.counts[i] = 0
-	}
-	g.n = 0
-}
 
 // Merge implements Oracle: tallies add component-wise.
 func (g *GRR) Merge(other Oracle) error {
@@ -111,18 +62,7 @@ func (g *GRR) Merge(other Oracle) error {
 	if !ok {
 		return mergeTypeError(g, other)
 	}
-	return g.mergeGRR(o)
-}
-
-func (g *GRR) mergeGRR(o *GRR) error {
-	if o.d != g.d || o.epsilon != g.epsilon {
-		return mergeParamError(g.Name())
-	}
-	for i, c := range o.counts {
-		g.counts[i] += c
-	}
-	g.n += o.n
-	return nil
+	return g.mergeFrom(&o.counting, true)
 }
 
 // Snapshot implements Oracle.
@@ -130,7 +70,7 @@ func (g *GRR) Snapshot() Oracle { return g.snapshotGRR() }
 
 func (g *GRR) snapshotGRR() *GRR {
 	c := *g
-	c.counts = append([]int(nil), g.counts...)
+	c.tally = g.tally.Clone()
 	return &c
 }
 
@@ -150,26 +90,24 @@ func bitsFor(d int) int {
 // question (§1.1): answer truthfully with probability e^ε/(e^ε+1). It is
 // exactly GRR with d = 2 but is kept as a named type because the
 // tutorial introduces it first and example code reads better with the
-// historical name.
+// historical name. Its name is "RR", so neither its state nor its
+// tallies mix with a plain d=2 GRR's.
 type BinaryRR struct{ *GRR }
 
 // NewBinaryRR returns Warner's randomized response mechanism.
 func NewBinaryRR(epsilon float64, src ldprand.Source) BinaryRR {
-	return BinaryRR{NewGRR(epsilon, 2, src)}
+	g := NewGRR(epsilon, 2, src)
+	g.name = "RR"
+	return BinaryRR{g}
 }
 
-// Name implements Oracle.
-func (BinaryRR) Name() string { return "RR" }
-
 // Merge implements Oracle. Only another BinaryRR merges in: the
-// embedded GRR would accept a plain d=2 GRR, but mixing the named
-// wrapper with the generic mechanism is almost certainly a bug.
+// embedded GRR refuses a plain d=2 GRR by name.
 func (b BinaryRR) Merge(other Oracle) error {
-	o, ok := other.(BinaryRR)
-	if !ok {
-		return mergeTypeError(b, other)
+	if o, ok := other.(BinaryRR); ok {
+		other = o.GRR
 	}
-	return b.GRR.mergeGRR(o.GRR)
+	return b.GRR.Merge(other)
 }
 
 // Snapshot implements Oracle.
@@ -186,7 +124,7 @@ func (b BinaryRR) EstimateProportion(delta float64) (estimate, ci float64) {
 		return 0, math.Inf(1)
 	}
 	nf := float64(n)
-	observedRate := float64(b.counts[1]) / nf
+	observedRate := float64(b.tally.Cells[1]) / nf
 	est := b.EstimateCounts()[1] / nf
 	den := b.p - b.q
 	v := observedRate * (1 - observedRate) / (nf * den * den)

@@ -126,14 +126,9 @@ func (s *SHE) Snapshot() Oracle {
 // is the Laplace(2/ε) CDF; the usual (c − nq)/(p − q) estimator applies.
 // θ is chosen in (1/2, 1) to minimize variance, per Wang et al.
 type THE struct {
-	epsilon float64
-	d       int
-	b       float64
-	theta   float64
-	p, q    float64
-	src     ldprand.Source
-	ones    []int
-	n       int
+	counting // per-position counts of reported 1s
+	b        float64
+	theta    float64
 }
 
 // NewTHE returns a thresholded histogram-encoding oracle with the
@@ -152,16 +147,8 @@ func NewTHEWithThreshold(epsilon float64, d int, theta float64, src ldprand.Sour
 		panic("freq: THE threshold must be in (0, 1]")
 	}
 	b := 2 / epsilon
-	return &THE{
-		epsilon: epsilon,
-		d:       d,
-		b:       b,
-		theta:   theta,
-		p:       1 - laplaceCDF(theta-1, b),
-		q:       1 - laplaceCDF(theta, b),
-		src:     defaultSource(src),
-		ones:    make([]int, d),
-	}
+	p, q := 1-laplaceCDF(theta-1, b), 1-laplaceCDF(theta, b)
+	return &THE{counting: newCounting("THE", epsilon, d, p, q, src), b: b, theta: theta}
 }
 
 // laplaceCDF is the CDF of Laplace(0, b) at x.
@@ -195,15 +182,6 @@ func optimalTheta(epsilon float64) float64 {
 	return (lo + hi) / 2
 }
 
-// Name implements Oracle.
-func (t *THE) Name() string { return "THE" }
-
-// Epsilon implements Oracle.
-func (t *THE) Epsilon() float64 { return t.epsilon }
-
-// Domain implements Oracle.
-func (t *THE) Domain() int { return t.d }
-
 // Theta returns the threshold in use.
 func (t *THE) Theta() float64 { return t.theta }
 
@@ -229,42 +207,15 @@ func (t *THE) Aggregate(report *bitvec.Vector) {
 	if report.Len() != t.d {
 		panic("freq: THE report length mismatch")
 	}
-	report.AddOnesTo(t.ones)
-	t.n++
+	report.AddOnesTo(t.tally.Cells)
+	t.tally.N++
 }
 
 // Collect implements Oracle.
 func (t *THE) Collect(v int) { t.Aggregate(t.Privatize(v)) }
 
-// Collected implements Oracle.
-func (t *THE) Collected() int { return t.n }
-
-// EstimateCounts implements Oracle.
-func (t *THE) EstimateCounts() []float64 {
-	out := make([]float64, t.d)
-	den := t.p - t.q
-	for v, c := range t.ones {
-		out[v] = (float64(c) - float64(t.n)*t.q) / den
-	}
-	return out
-}
-
-// TheoreticalVariance implements Oracle: n·q(1−q)/(p−q)².
-func (t *THE) TheoreticalVariance(n int) float64 {
-	den := t.p - t.q
-	return float64(n) * t.q * (1 - t.q) / (den * den)
-}
-
 // ReportBits implements Oracle: one bit per domain value.
 func (t *THE) ReportBits() int { return t.d }
-
-// Reset implements Oracle.
-func (t *THE) Reset() {
-	for i := range t.ones {
-		t.ones[i] = 0
-	}
-	t.n = 0
-}
 
 // Merge implements Oracle: per-position tallies add. The thresholds
 // must match, since θ determines the (p, q) debiasing constants.
@@ -273,19 +224,12 @@ func (t *THE) Merge(other Oracle) error {
 	if !ok {
 		return mergeTypeError(t, other)
 	}
-	if o.d != t.d || o.epsilon != t.epsilon || o.theta != t.theta {
-		return mergeParamError(t.Name())
-	}
-	for i, c := range o.ones {
-		t.ones[i] += c
-	}
-	t.n += o.n
-	return nil
+	return t.mergeFrom(&o.counting, o.theta == t.theta)
 }
 
 // Snapshot implements Oracle.
 func (t *THE) Snapshot() Oracle {
 	c := *t
-	c.ones = append([]int(nil), t.ones...)
+	c.tally = t.tally.Clone()
 	return &c
 }

@@ -37,10 +37,10 @@ func TestKernelLHAggregate(t *testing.T) {
 				}
 			}
 			got := make([]float64, d)
-			for v, s := range l.support {
+			for v, s := range l.tally.Cells {
 				got[v] = float64(s)
 			}
-			if !reflect.DeepEqual(got, want) || l.n != n {
+			if !reflect.DeepEqual(got, want) || l.Collected() != n {
 				t.Fatalf("g=%d d=%d: kernel support differs from the scalar definition", g, d)
 			}
 		}
@@ -55,7 +55,7 @@ func TestKernelBitTallies(t *testing.T) {
 	for _, d := range []int{2, 63, 64, 65, 1000, 1024} {
 		ue := NewOUE(1, d, src)
 		the := NewTHE(1, d, src)
-		want := make([]int, d)
+		want := make([]int64, d)
 		for i := 0; i < 20; i++ {
 			report := bitvec.New(d)
 			for b := 0; b < d; b++ {
@@ -69,7 +69,7 @@ func TestKernelBitTallies(t *testing.T) {
 				want[b]++
 			}
 		}
-		if !reflect.DeepEqual(ue.ones, want) || !reflect.DeepEqual(the.ones, want) {
+		if !reflect.DeepEqual(ue.tally.Cells, want) || !reflect.DeepEqual(the.tally.Cells, want) {
 			t.Fatalf("d=%d: bit-walk tallies differ from the Ones() reference", d)
 		}
 	}

@@ -19,14 +19,11 @@ import (
 // log₂(g)-bit payloads. The seed doubles as the per-user randomness that
 // Apple/Microsoft-style deployments memoize.
 type LH struct {
-	name    string
-	epsilon float64
-	d       int
-	g       int     // hash range
-	p       float64 // GRR keep-probability over [g]
-	src     ldprand.Source
-	support []int64 // per-value support tallies
-	n       int
+	// Per-value support tallies. p is the GRR keep-probability over
+	// [g]: a report supports its own value with probability p and any
+	// other with q = 1/g on average.
+	counting
+	g int // hash range
 }
 
 // LHReport is the wire format of one local-hashing report.
@@ -63,25 +60,10 @@ func NewLH(epsilon float64, d, g int, src ldprand.Source) *LH {
 
 func newLH(name string, epsilon float64, d, g int, src ldprand.Source) *LH {
 	expE := math.Exp(epsilon)
-	return &LH{
-		name:    name,
-		epsilon: epsilon,
-		d:       d,
-		g:       g,
-		p:       expE / (expE + float64(g) - 1),
-		src:     defaultSource(src),
-		support: make([]int64, d),
-	}
+	l := &LH{counting: newCounting(name, epsilon, d, expE/(expE+float64(g)-1), 1/float64(g), src), g: g}
+	l.wholeTag = true
+	return l
 }
-
-// Name implements Oracle.
-func (l *LH) Name() string { return l.name }
-
-// Epsilon implements Oracle.
-func (l *LH) Epsilon() float64 { return l.epsilon }
-
-// Domain implements Oracle.
-func (l *LH) Domain() int { return l.d }
 
 // G returns the hash range.
 func (l *LH) G() int { return l.g }
@@ -114,10 +96,11 @@ func (l *LH) Aggregate(r LHReport) {
 		panic("freq: LH report bucket out of range")
 	}
 	h := hashutil.NewIntHasher(r.Seed, l.g)
-	for v := range l.support {
-		l.support[v] += b2i(h.Bucket(v) == r.Bucket)
+	support := l.tally.Cells
+	for v := range support {
+		support[v] += b2i(h.Bucket(v) == r.Bucket)
 	}
-	l.n++
+	l.tally.N++
 }
 
 // b2i is 1 for true and 0 for false; the compiler materializes the
@@ -132,44 +115,11 @@ func b2i(b bool) int64 {
 // Collect implements Oracle.
 func (l *LH) Collect(v int) { l.Aggregate(l.Privatize(v)) }
 
-// Collected implements Oracle.
-func (l *LH) Collected() int { return l.n }
-
-// EstimateCounts implements Oracle. A value's report supports it with
-// probability p* = p if true, and q* = 1/g on average otherwise, giving
-// ĉ_v = (support_v − n/g) / (p − 1/g).
-func (l *LH) EstimateCounts() []float64 {
-	out := make([]float64, l.d)
-	q := 1 / float64(l.g)
-	den := l.p - q
-	for v, s := range l.support {
-		out[v] = (float64(s) - float64(l.n)*q) / den
-	}
-	return out
-}
-
-// TheoreticalVariance implements Oracle. In the f→0 approximation,
-// Var = n · q*(1−q*)/(p*−q*)² with q* = 1/g; for OLH's g = e^ε+1 this
-// becomes n·4e^ε/(e^ε−1)², matching OUE.
-func (l *LH) TheoreticalVariance(n int) float64 {
-	q := 1 / float64(l.g)
-	den := l.p - q
-	return float64(n) * q * (1 - q) / (den * den)
-}
-
 // ReportBits implements Oracle: a 64-bit seed plus the bucket. The seed
 // can be elided when derived from a shared per-user secret, so the
 // payload column in E13 reports both; here we count the payload bits
 // only, matching how the literature compares communication.
 func (l *LH) ReportBits() int { return bitsFor(l.g) }
-
-// Reset implements Oracle.
-func (l *LH) Reset() {
-	for i := range l.support {
-		l.support[i] = 0
-	}
-	l.n = 0
-}
 
 // Merge implements Oracle: support tallies add component-wise. The
 // hash range g must match (it fixes the debiasing constants), and the
@@ -179,19 +129,12 @@ func (l *LH) Merge(other Oracle) error {
 	if !ok {
 		return mergeTypeError(l, other)
 	}
-	if o.name != l.name || o.d != l.d || o.g != l.g || o.epsilon != l.epsilon {
-		return mergeParamError(l.name)
-	}
-	for i, s := range o.support {
-		l.support[i] += s
-	}
-	l.n += o.n
-	return nil
+	return l.mergeFrom(&o.counting, o.g == l.g)
 }
 
 // Snapshot implements Oracle.
 func (l *LH) Snapshot() Oracle {
 	c := *l
-	c.support = append([]int64(nil), l.support...)
+	c.tally = l.tally.Clone()
 	return &c
 }

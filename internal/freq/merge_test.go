@@ -12,11 +12,13 @@ package freq_test
 // same randomized reports to both sides without an import cycle.
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/freq"
 	"repro/internal/ldprand"
+	"repro/internal/tally"
 	"repro/internal/task/freqtask"
 )
 
@@ -91,7 +93,10 @@ func TestMergeLawAllMechanisms(t *testing.T) {
 }
 
 // TestMergeRejectsIncompatible checks that cross-mechanism and
-// cross-parameter merges fail rather than silently corrupting tallies.
+// cross-parameter merges fail rather than silently corrupting tallies,
+// and so does a merge whose report count would wrap int64: two sound
+// GRR states of 2⁶² reports each would otherwise merge to n = −2⁶³, a
+// state the oracle's own UnmarshalState then refuses.
 func TestMergeRejectsIncompatible(t *testing.T) {
 	for _, name := range freqtask.Mechanisms() {
 		name := name
@@ -131,6 +136,28 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 			if dst.Collected() != 0 {
 				t.Errorf("%s: failed merges changed state", name)
 			}
+			if name != freqtask.MechanismGRR {
+				return
+			}
+			half := tally.New(16)
+			half.N, half.Cells[0] = 1<<62, 1<<62
+			forge := forgeCounting(dst)
+			src, err := newOracle(name, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.UnmarshalState(forge(half)); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.UnmarshalState(forge(half)); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Merge(src); err == nil {
+				t.Errorf("%s: merge past math.MaxInt64 reports accepted (n=%d)", name, dst.Collected())
+			}
+			if after, err := dst.MarshalState(); err != nil || !bytes.Equal(after, forge(half)) {
+				t.Errorf("%s: refused overflowing merge changed state (%v)", name, err)
+			}
 		})
 	}
 }
@@ -169,39 +196,15 @@ func TestSnapshotIsIndependent(t *testing.T) {
 	}
 }
 
-// TestBinaryRRMerge covers the named Warner wrapper, which is not in
-// the core registry but must still satisfy the merge law.
+// TestBinaryRRMerge covers what is particular to the named Warner
+// wrapper (its merge law is TestTallyLifecycle's RR case): it merges
+// neither way with a bare GRR, even at d=2.
 func TestBinaryRRMerge(t *testing.T) {
-	a := freq.NewBinaryRR(1, ldprand.NewSplitMix64(31))
-	b := freq.NewBinaryRR(1, ldprand.NewSplitMix64(32))
-	all := freq.NewBinaryRR(1, ldprand.NewSplitMix64(33))
-	// Feed identical report streams by replaying privatized outputs.
-	for i := 0; i < 500; i++ {
-		r := a.Privatize(i % 2)
-		a.Aggregate(r)
-		all.Aggregate(r)
-	}
-	for i := 0; i < 500; i++ {
-		r := b.Privatize(i % 2)
-		b.Aggregate(r)
-		all.Aggregate(r)
-	}
-	merged := freq.NewBinaryRR(1, nil)
-	if err := merged.Merge(a.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if merged.Collected() != all.Collected() {
-		t.Fatalf("collected %d want %d", merged.Collected(), all.Collected())
-	}
-	got, want := merged.EstimateCounts(), all.EstimateCounts()
-	if got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("merged %v want %v", got, want)
-	}
-	// The wrapper must not merge with a bare GRR even at d=2.
-	if err := merged.Merge(freq.NewGRR(1, 2, nil)); err == nil {
+	rr, grr := freq.NewBinaryRR(1, nil), freq.NewGRR(1, 2, nil)
+	if err := rr.Merge(grr); err == nil {
 		t.Error("BinaryRR merged a bare GRR")
+	}
+	if err := grr.Merge(rr); err == nil {
+		t.Error("GRR merged a BinaryRR")
 	}
 }

@@ -13,14 +13,10 @@ import (
 // asymptotically optimal for small ε, at the cost of k·log₂(d)-bit
 // reports.
 type SS struct {
-	epsilon float64
-	d       int
-	k       int
-	p       float64 // Pr[true value included]
-	q       float64 // Pr[any other fixed value included]
-	src     ldprand.Source
-	support []int
-	n       int
+	// Per-value support tallies. p = Pr[true value included],
+	// q = Pr[any other fixed value included].
+	counting
+	k int
 }
 
 // NewSS returns a subset-selection oracle with the variance-optimal
@@ -49,25 +45,8 @@ func NewSSWithK(epsilon float64, d, k int, src ldprand.Source) *SS {
 	p := expE * kf / (expE*kf + df - kf)
 	// Pr[u in S | true != u] = p·(k−1)/(d−1) + (1−p)·k/(d−1).
 	q := (p*(kf-1) + (1-p)*kf) / (df - 1)
-	return &SS{
-		epsilon: epsilon,
-		d:       d,
-		k:       k,
-		p:       p,
-		q:       q,
-		src:     defaultSource(src),
-		support: make([]int, d),
-	}
+	return &SS{counting: newCounting("SS", epsilon, d, p, q, src), k: k}
 }
-
-// Name implements Oracle.
-func (s *SS) Name() string { return "SS" }
-
-// Epsilon implements Oracle.
-func (s *SS) Epsilon() float64 { return s.epsilon }
-
-// Domain implements Oracle.
-func (s *SS) Domain() int { return s.d }
 
 // K returns the subset size.
 func (s *SS) K() int { return s.k }
@@ -119,44 +98,16 @@ func (s *SS) Aggregate(report []int) {
 			panic("freq: SS report has duplicate values")
 		}
 		seen[u] = true
-		s.support[u]++
+		s.tally.Cells[u]++
 	}
-	s.n++
+	s.tally.N++
 }
 
 // Collect implements Oracle.
 func (s *SS) Collect(v int) { s.Aggregate(s.Privatize(v)) }
 
-// Collected implements Oracle.
-func (s *SS) Collected() int { return s.n }
-
-// EstimateCounts implements Oracle: ĉ_v = (support_v − n·q)/(p − q).
-func (s *SS) EstimateCounts() []float64 {
-	out := make([]float64, s.d)
-	den := s.p - s.q
-	for v, c := range s.support {
-		out[v] = (float64(c) - float64(s.n)*s.q) / den
-	}
-	return out
-}
-
-// TheoreticalVariance implements Oracle: n·q(1−q)/(p−q)² in the f→0
-// approximation.
-func (s *SS) TheoreticalVariance(n int) float64 {
-	den := s.p - s.q
-	return float64(n) * s.q * (1 - s.q) / (den * den)
-}
-
 // ReportBits implements Oracle: k values of log₂(d) bits.
 func (s *SS) ReportBits() int { return s.k * bitsFor(s.d) }
-
-// Reset implements Oracle.
-func (s *SS) Reset() {
-	for i := range s.support {
-		s.support[i] = 0
-	}
-	s.n = 0
-}
 
 // Merge implements Oracle: support tallies add component-wise. The
 // subset size k must match since it fixes (p, q).
@@ -165,20 +116,13 @@ func (s *SS) Merge(other Oracle) error {
 	if !ok {
 		return mergeTypeError(s, other)
 	}
-	if o.d != s.d || o.k != s.k || o.epsilon != s.epsilon {
-		return mergeParamError(s.Name())
-	}
-	for i, c := range o.support {
-		s.support[i] += c
-	}
-	s.n += o.n
-	return nil
+	return s.mergeFrom(&o.counting, o.k == s.k)
 }
 
 // Snapshot implements Oracle.
 func (s *SS) Snapshot() Oracle {
 	c := *s
-	c.support = append([]int(nil), s.support...)
+	c.tally = s.tally.Clone()
 	return &c
 }
 

@@ -182,8 +182,10 @@ func forgeState(fields ...any) []byte {
 // TestStateFailureLeavesOracleUsable pins every refusal a decoder
 // holds beyond the parameter match, on forged states whose header is
 // the receiver's own: tallies no multiset of reports could produce are
-// refused, and a refused restore leaves the receiver's state byte for
-// byte as it was — validation runs before any tally is touched.
+// refused — including a GRR sum that only reaches n by wrapping int64,
+// and SS cells each within [0, n] that do not sum to k·n — and a
+// refused restore leaves the receiver's state byte for byte as it was:
+// validation runs before any tally is touched.
 func TestStateFailureLeavesOracleUsable(t *testing.T) {
 	const eps, d = 1.2, 4
 	sue, oue := NewSUE(eps, d, nil), NewOUE(eps, d, nil)
@@ -199,13 +201,13 @@ func TestStateFailureLeavesOracleUsable(t *testing.T) {
 	intCases := []struct {
 		build func() Oracle
 		forge func(n int, tallies []int) []byte
-		exact bool // tallies must sum to n (GRR), not merely stay within [0, n]
+		exact bool // tallies must sum to n (GRR, and SS at k=1), not merely stay within [0, n]
 	}{
 		{func() Oracle { return NewGRR(eps, d, nil) }, ints(v, "GRR", eps, d), true},
 		{func() Oracle { return NewSUE(eps, d, nil) }, ints(v, "SUE", eps, d, sue.p, sue.q), false},
 		{func() Oracle { return NewOUE(eps, d, nil) }, ints(v, "OUE", eps, d, oue.p, oue.q), false},
 		{func() Oracle { return NewTHE(eps, d, nil) }, ints(v, "THE", eps, d, the.theta), false},
-		{func() Oracle { return NewSS(eps, d, nil) }, ints(v, "SS", eps, d, ss.k), false},
+		{func() Oracle { return NewSS(eps, d, nil) }, ints(v, "SS", eps, d, ss.k), ss.k == 1},
 	}
 	floatCases := []struct {
 		build func() Oracle
@@ -253,11 +255,18 @@ func TestStateFailureLeavesOracleUsable(t *testing.T) {
 		if tc.exact {
 			bad["tallies summing below n"] = tc.forge(3, []int{1, 1, 0, 0})
 			bad["tallies summing above n"] = tc.forge(1, []int{1, 1, 0, 0})
-		} else {
-			bad["a tally above n"] = tc.forge(2, []int{3, 0, 0, 0})
+			bad["tallies whose sum wraps to n"] = tc.forge(3, []int{1 << 62, 1 << 62, 1 << 62, 1<<62 + 3})
 		}
+		bad["a tally above n"] = tc.forge(2, []int{3, 0, 0, 0})
 		check(t, tc.build, tc.forge(2, []int{1, 1, 0, 0}), bad)
 	}
+	// Every SS report supports exactly k values, so cells that each stay
+	// within [0, n] but sum past k·n are no report multiset's.
+	ss8 := ints(v, "SS", eps, 8, 2)
+	check(t, func() Oracle { return NewSSWithK(eps, 8, 2, nil) }, ss8(5, []int{5, 5, 0, 0, 0, 0, 0, 0}), map[string][]byte{
+		"every cell at n (Σ=40, not k·n=10)": ss8(5, []int{5, 5, 5, 5, 5, 5, 5, 5}),
+		"cells summing short of k·n":         ss8(5, []int{5, 4, 0, 0, 0, 0, 0, 0}),
+	})
 	for _, tc := range floatCases {
 		check(t, tc.build, tc.forge(2, []float64{1, 1, 0, 0}), map[string][]byte{
 			"a short sum vector":    tc.forge(2, []float64{1, 1, 0}),

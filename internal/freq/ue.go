@@ -16,13 +16,7 @@ import (
 // fixes p = 1/2 and spends the whole budget on protecting zeros,
 // q = 1/(e^ε+1), which minimizes estimator variance.
 type UE struct {
-	name    string
-	epsilon float64
-	d       int
-	p, q    float64
-	src     ldprand.Source
-	ones    []int // per-position counts of reported 1s
-	n       int
+	counting // per-position counts of reported 1s
 }
 
 // NewSUE returns the symmetric unary encoding oracle.
@@ -56,25 +50,8 @@ func NewUE(epsilon float64, d int, p, q float64, src ldprand.Source) *UE {
 }
 
 func newUE(name string, epsilon float64, d int, p, q float64, src ldprand.Source) *UE {
-	return &UE{
-		name:    name,
-		epsilon: epsilon,
-		d:       d,
-		p:       p,
-		q:       q,
-		src:     defaultSource(src),
-		ones:    make([]int, d),
-	}
+	return &UE{newCounting(name, epsilon, d, p, q, src)}
 }
-
-// Name implements Oracle.
-func (u *UE) Name() string { return u.name }
-
-// Epsilon implements Oracle.
-func (u *UE) Epsilon() float64 { return u.epsilon }
-
-// Domain implements Oracle.
-func (u *UE) Domain() int { return u.d }
 
 // P returns the probability a true 1 bit stays 1.
 func (u *UE) P() float64 { return u.p }
@@ -103,43 +80,15 @@ func (u *UE) Aggregate(report *bitvec.Vector) {
 	if report.Len() != u.d {
 		panic("freq: UE report length mismatch")
 	}
-	report.AddOnesTo(u.ones)
-	u.n++
+	report.AddOnesTo(u.tally.Cells)
+	u.tally.N++
 }
 
 // Collect implements Oracle.
 func (u *UE) Collect(v int) { u.Aggregate(u.Privatize(v)) }
 
-// Collected implements Oracle.
-func (u *UE) Collected() int { return u.n }
-
-// EstimateCounts implements Oracle: ĉ_v = (ones_v − n·q)/(p − q).
-func (u *UE) EstimateCounts() []float64 {
-	out := make([]float64, u.d)
-	den := u.p - u.q
-	for v, c := range u.ones {
-		out[v] = (float64(c) - float64(u.n)*u.q) / den
-	}
-	return out
-}
-
-// TheoreticalVariance implements Oracle: n·q(1−q)/(p−q)². For OUE this
-// equals n·4e^ε/(e^ε−1)².
-func (u *UE) TheoreticalVariance(n int) float64 {
-	den := u.p - u.q
-	return float64(n) * u.q * (1 - u.q) / (den * den)
-}
-
 // ReportBits implements Oracle: one bit per domain value.
 func (u *UE) ReportBits() int { return u.d }
-
-// Reset implements Oracle.
-func (u *UE) Reset() {
-	for i := range u.ones {
-		u.ones[i] = 0
-	}
-	u.n = 0
-}
 
 // Merge implements Oracle: per-position tallies add. The (p, q) pair
 // must match exactly, which distinguishes SUE from OUE from custom UE
@@ -149,19 +98,12 @@ func (u *UE) Merge(other Oracle) error {
 	if !ok {
 		return mergeTypeError(u, other)
 	}
-	if o.name != u.name || o.d != u.d || o.epsilon != u.epsilon || o.p != u.p || o.q != u.q {
-		return mergeParamError(u.name)
-	}
-	for i, c := range o.ones {
-		u.ones[i] += c
-	}
-	u.n += o.n
-	return nil
+	return u.mergeFrom(&o.counting, true)
 }
 
 // Snapshot implements Oracle.
 func (u *UE) Snapshot() Oracle {
 	c := *u
-	c.ones = append([]int(nil), u.ones...)
+	c.tally = u.tally.Clone()
 	return &c
 }

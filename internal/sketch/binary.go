@@ -1,4 +1,4 @@
-// State codec for the sketch substrates. The counter matrix dominates
+// State codec for the count-min sketch. The counter matrix dominates
 // a sketch snapshot (a realistic Apple-CMS deployment is 2¹⁶ × 2¹⁰
 // float64 cells), so the layout writes it as raw 8-byte words streamed
 // row by row — no flattened copy on encode, no number parsing on
@@ -14,21 +14,9 @@ import (
 	"repro/internal/binenc"
 )
 
-// binaryStateVersion tags the current sketch layouts; it is the first
+// binaryStateVersion tags the current sketch layout; it is the first
 // payload byte.
 const binaryStateVersion = 0
-
-// readBinaryStateVersion consumes and checks the leading version tag.
-func readBinaryStateVersion(name string, r *binenc.Reader) error {
-	version := int(r.Byte())
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("sketch: %s state: %w", name, err)
-	}
-	if version != binaryStateVersion {
-		return fmt.Errorf("sketch: %s state: unsupported state version %d", name, version)
-	}
-	return nil
-}
 
 // MarshalState serializes the sketch (parameters and counters).
 func (c *CountMin) MarshalState() ([]byte, error) {
@@ -52,8 +40,12 @@ func (c *CountMin) MarshalState() ([]byte, error) {
 // counter — and malformed states leave the receiver unchanged.
 func (c *CountMin) UnmarshalState(data []byte) error {
 	r := binenc.NewReader(data)
-	if err := readBinaryStateVersion("count-min", r); err != nil {
-		return err
+	version := int(r.Byte())
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("sketch: count-min state: %w", err)
+	}
+	if version != binaryStateVersion {
+		return fmt.Errorf("sketch: count-min state: unsupported state version %d", version)
 	}
 	k, m, seed := int(r.Varint()), int(r.Varint()), r.Uint64()
 	cells, total := r.Float64s(), r.Float64() // k*m counters, row-major
@@ -70,45 +62,6 @@ func (c *CountMin) UnmarshalState(data []byte) error {
 		copy(c.rows[i], cells[i*c.m:(i+1)*c.m])
 	}
 	c.total = total
-	return nil
-}
-
-// MarshalState serializes the sketch (parameters and counters).
-func (c *CountSketch) MarshalState() ([]byte, error) {
-	w := binenc.NewWriter()
-	defer w.Release()
-	w.Byte(binaryStateVersion)
-	w.Varint(int64(c.k))
-	w.Varint(int64(c.m))
-	w.Uint64(c.seed)
-	w.Uvarint(uint64(c.k * c.m))
-	for _, row := range c.rows {
-		w.RawFloat64s(row)
-	}
-	return append([]byte(nil), w.Bytes()...), nil
-}
-
-// UnmarshalState replaces the counters with a marshalled state; the
-// parameters must match and malformed states leave c unchanged.
-func (c *CountSketch) UnmarshalState(data []byte) error {
-	r := binenc.NewReader(data)
-	if err := readBinaryStateVersion("count sketch", r); err != nil {
-		return err
-	}
-	k, m, seed := int(r.Varint()), int(r.Varint()), r.Uint64()
-	cells := r.Float64s() // k*m counters, row-major
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("sketch: count sketch state: %w", err)
-	}
-	if k != c.k || m != c.m || seed != c.seed {
-		return fmt.Errorf("sketch: count sketch state parameter mismatch")
-	}
-	if !soundCells(cells, c.k*c.m) {
-		return fmt.Errorf("sketch: count sketch state has malformed counters")
-	}
-	for i := range c.rows {
-		copy(c.rows[i], cells[i*c.m:(i+1)*c.m])
-	}
 	return nil
 }
 

@@ -1,20 +1,21 @@
-// Package sketch implements the (non-private) sketching substrates that
-// Apple's system builds on (§1.2(2)): the count-min sketch and the count
-// sketch (count-mean variant). The private client/server protocol lives
-// in internal/cms; this package supplies the plain data structures and
-// their estimators so they can be tested and benchmarked independently.
+// Package sketch implements the count-min cell matrix that Apple's
+// system builds on (§1.2(2)): k rows of m counters, one seeded hash
+// per row. The private client/server protocol lives in internal/cms
+// and its serving adapter in internal/task/cmstask, which folds
+// privatized vectors straight into the rows and answers with its own
+// debiased count-mean estimator; this package supplies the matrix, its
+// hash positions, and its exact Merge, Snapshot, Reset and state codec
+// (binary.go), so the adapter can shard, merge and checkpoint.
 package sketch
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hashutil"
 )
 
 // CountMin is a count-min sketch: k rows of m counters with independent
-// seeded hash functions. Point queries return an overestimate
-// (min over rows) within εn with high probability.
+// seeded hash functions, plus the population total.
 type CountMin struct {
 	k, m  int
 	seed  uint64
@@ -36,12 +37,6 @@ func NewCountMin(k, m int, seed uint64) *CountMin {
 	return &CountMin{k: k, m: m, seed: seed, rows: rows}
 }
 
-// K returns the number of rows.
-func (c *CountMin) K() int { return c.k }
-
-// M returns the number of counters per row.
-func (c *CountMin) M() int { return c.m }
-
 // rowSeed derives the hash seed of row i.
 func (c *CountMin) rowSeed(i int) uint64 {
 	return c.seed + uint64(i)*0x9e3779b97f4a7c15
@@ -52,41 +47,20 @@ func (c *CountMin) Position(i int, item []byte) int {
 	return hashutil.HashBytesRange(c.rowSeed(i), item, c.m)
 }
 
-// Add increments item's counter in every row by weight.
-func (c *CountMin) Add(item []byte, weight float64) {
-	for i := 0; i < c.k; i++ {
-		c.rows[i][c.Position(i, item)] += weight
-	}
-	c.total += weight
+// Row exposes row i's counters for aggregators that fold privatized
+// vectors directly into the sketch (Apple CMS server).
+func (c *CountMin) Row(i int) []float64 { return c.rows[i] }
+
+// AddToCell adds weight directly to a cell; used by private aggregators
+// that debias before insertion.
+func (c *CountMin) AddToCell(row, col int, weight float64) {
+	c.rows[row][col] += weight
+	// Note: callers tracking totals must call AddTotal; direct cell
+	// updates do not imply one unit of population weight.
 }
 
-// Estimate returns the count-min point estimate for item: the minimum
-// counter across rows.
-func (c *CountMin) Estimate(item []byte) float64 {
-	est := c.rows[0][c.Position(0, item)]
-	for i := 1; i < c.k; i++ {
-		if v := c.rows[i][c.Position(i, item)]; v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// EstimateMean returns the debiased count-mean estimate used by Apple's
-// aggregator: average over rows of (counter − total/m) · m/(m−1). Unlike
-// the min estimator it is unbiased under uniform hashing.
-func (c *CountMin) EstimateMean(item []byte) float64 {
-	if c.m == 1 {
-		return c.total
-	}
-	var sum float64
-	for i := 0; i < c.k; i++ {
-		sum += c.rows[i][c.Position(i, item)]
-	}
-	mean := sum / float64(c.k)
-	m := float64(c.m)
-	return (mean - c.total/m) * m / (m - 1)
-}
+// AddTotal adds weight to the population total.
+func (c *CountMin) AddTotal(weight float64) { c.total += weight }
 
 // Total returns the total weight added.
 func (c *CountMin) Total() float64 { return c.total }
@@ -108,96 +82,20 @@ func (c *CountMin) Merge(other *CountMin) error {
 	return nil
 }
 
-// CountSketch is the classic AMS-style count sketch: k rows of m
-// counters, each item mapped to one counter per row with a random ±1
-// sign. The median-of-rows estimator is unbiased with variance O(F2/m).
-type CountSketch struct {
-	k, m int
-	seed uint64
-	rows [][]float64
-}
-
-// NewCountSketch returns an empty count sketch with k rows of m counters.
-func NewCountSketch(k, m int, seed uint64) *CountSketch {
-	if k <= 0 || m <= 0 {
-		panic("sketch: k and m must be positive")
-	}
-	rows := make([][]float64, k)
-	backing := make([]float64, k*m)
-	for i := range rows {
-		rows[i], backing = backing[:m], backing[m:]
-	}
-	return &CountSketch{k: k, m: m, seed: seed, rows: rows}
-}
-
-// K returns the number of rows.
-func (c *CountSketch) K() int { return c.k }
-
-// M returns the number of counters per row.
-func (c *CountSketch) M() int { return c.m }
-
-func (c *CountSketch) rowSeed(i int) uint64 {
-	return c.seed ^ (uint64(i)+1)*0xa0761d6478bd642f
-}
-
-// Position returns item's counter index in row i.
-func (c *CountSketch) Position(i int, item []byte) int {
-	return hashutil.HashBytesRange(c.rowSeed(i), item, c.m)
-}
-
-// Sign returns item's ±1 sign in row i.
-func (c *CountSketch) Sign(i int, item []byte) float64 {
-	if hashutil.Hash64(c.rowSeed(i)^0xdeadbeefcafef00d, item)&1 == 1 {
-		return -1
-	}
-	return 1
-}
-
-// Add increments item's signed counter in every row by weight.
-func (c *CountSketch) Add(item []byte, weight float64) {
-	for i := 0; i < c.k; i++ {
-		c.rows[i][c.Position(i, item)] += c.Sign(i, item) * weight
-	}
-}
-
-// Estimate returns the median-of-rows unbiased estimate for item.
-func (c *CountSketch) Estimate(item []byte) float64 {
-	ests := make([]float64, c.k)
-	for i := 0; i < c.k; i++ {
-		ests[i] = c.Sign(i, item) * c.rows[i][c.Position(i, item)]
-	}
-	sort.Float64s(ests)
-	mid := c.k / 2
-	if c.k%2 == 1 {
-		return ests[mid]
-	}
-	return (ests[mid-1] + ests[mid]) / 2
-}
-
-// Merge adds other's counters into c; parameters must match.
-func (c *CountSketch) Merge(other *CountSketch) error {
-	if c.k != other.k || c.m != other.m || c.seed != other.seed {
-		return fmt.Errorf("sketch: incompatible count sketch")
-	}
+// Reset zeroes every counter and the population total.
+func (c *CountMin) Reset() {
 	for i := range c.rows {
-		for j := range c.rows[i] {
-			c.rows[i][j] += other.rows[i][j]
-		}
+		clear(c.rows[i])
 	}
-	return nil
+	c.total = 0
 }
 
-// Row exposes row i's counters for aggregators that fold privatized
-// vectors directly into the sketch (Apple CMS server).
-func (c *CountMin) Row(i int) []float64 { return c.rows[i] }
-
-// AddToCell adds weight directly to a cell; used by private aggregators
-// that debias before insertion.
-func (c *CountMin) AddToCell(row, col int, weight float64) {
-	c.rows[row][col] += weight
-	// Note: callers tracking totals must call AddTotal; direct cell
-	// updates do not imply one unit of population weight.
+// Snapshot returns an independent deep copy of the sketch.
+func (c *CountMin) Snapshot() *CountMin {
+	cp := NewCountMin(c.k, c.m, c.seed)
+	for i := range c.rows {
+		copy(cp.rows[i], c.rows[i])
+	}
+	cp.total = c.total
+	return cp
 }
-
-// AddTotal adds weight to the population total used by EstimateMean.
-func (c *CountMin) AddTotal(weight float64) { c.total += weight }

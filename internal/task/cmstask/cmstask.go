@@ -311,9 +311,8 @@ func (a *Aggregator) Estimate(query url.Values) (json.RawMessage, error) {
 
 // estimateCMS is the count-mean debiased point estimate, written with
 // exactly cms.Server.Estimate's floating-point expression so the
-// adapter reproduces that server's estimates bit for bit (the backing
-// CountMin's EstimateMean parenthesizes the debias differently, which
-// costs an ulp).
+// adapter reproduces that server's estimates bit for bit (another
+// parenthesization of the debias can cost an ulp).
 func (a *Aggregator) estimateCMS(item []byte) float64 {
 	m := float64(a.params.Width)
 	var sum float64

@@ -209,13 +209,13 @@ func TestAccumulatorMatchesListReference(t *testing.T) {
 						mech.FoldSupport(r, midAgg.cands, wantSums)
 					}
 					for k := range wantSums {
-						if midAgg.sums[k] != wantSums[k] {
+						if midAgg.tally.Cells[k] != wantSums[k] {
 							t.Fatalf("trial %d round %d: mid-round merged sum[%d] = %d, reference fold %d",
-								trial, round, k, midAgg.sums[k], wantSums[k])
+								trial, round, k, midAgg.tally.Cells[k], wantSums[k])
 						}
 					}
-					if midAgg.roundReports != half {
-						t.Fatalf("trial %d round %d: mid-round reports %d want %d", trial, round, midAgg.roundReports, half)
+					if midAgg.RoundReports() != half {
+						t.Fatalf("trial %d round %d: mid-round reports %d want %d", trial, round, midAgg.RoundReports(), half)
 					}
 				}
 			}

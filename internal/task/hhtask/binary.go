@@ -1,8 +1,9 @@
 // State codec for the heavy-hitter aggregator: the accumulator layout
-// (stateVersionSums) with varint-packed support sums. The leading
-// version byte is checked before the payload is read, and the decoded
-// protocol position is validated in full before any of it is
-// installed.
+// (stateVersionSums), whose round accumulator is written in the
+// tally.Tally layout — the report count, then varint-packed support
+// sums. The leading version byte is checked before the payload is
+// read, and the decoded protocol position is validated in full before
+// any of it is installed.
 package hhtask
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/heavyhitters"
+	"repro/internal/tally"
 )
 
 // stateVersionSums is the state layout's version tag: support sums
@@ -40,8 +42,7 @@ func (a *Aggregator) MarshalState() ([]byte, error) {
 	}
 	w.Varint(int64(a.prevUsers))
 	writePrefixes(w, a.survivors)
-	w.Varint(int64(a.roundReports))
-	w.Int64s(a.sums)
+	a.tally.Write(w)
 	writePrefixes(w, a.hits)
 	return append([]byte(nil), w.Bytes()...), nil
 }
@@ -68,7 +69,7 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 	}
 	round, done, prevUsers := int(r.Varint()), r.Byte() != 0, int(r.Varint())
 	survivors := readPrefixes(r)
-	roundReports, sums := int(r.Varint()), r.Int64s()
+	acc := tally.Read(r)
 	hits := readPrefixes(r)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("hhtask: bad state: %w", err)
@@ -89,35 +90,24 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 	if done != (round == params.Levels) {
 		return fmt.Errorf("hhtask: state done=%v inconsistent with round %d of %d levels", done, round, params.Levels)
 	}
-	if done && (len(sums) > 0 || roundReports > 0) {
+	if done && (len(acc.Cells) > 0 || acc.N != 0) {
 		return fmt.Errorf("hhtask: completed state carries in-flight round data")
-	}
-	if roundReports < 0 {
-		return fmt.Errorf("hhtask: state round_reports %d negative", roundReports)
 	}
 	// The restored accumulator is built aside: every failure below
 	// must leave the receiver untouched.
 	var cands []uint64
-	var acc []int64
 	if !done {
 		cands = candidatesFor(a.params, round, survivors)
-		acc = make([]int64, len(cands))
-		if len(sums) != len(cands) && !(len(sums) == 0 && roundReports == 0) {
-			return fmt.Errorf("hhtask: state carries %d support sums for %d candidates", len(sums), len(cands))
+		if acc.N == 0 && len(acc.Cells) == 0 {
+			acc = tally.New(len(cands)) // an idle round may omit its zero sums
 		}
 	}
-	for i, s := range sums {
-		// Each report supports a candidate at most once, so a sum
-		// outside [0, round_reports] cannot come from any report
-		// multiset.
-		if s < 0 || s > int64(roundReports) {
-			return fmt.Errorf("hhtask: support sum %d at candidate %d outside [0,%d]", s, i, roundReports)
-		}
-		acc[i] = s
+	if err := acc.Check(len(cands), 0); err != nil {
+		return fmt.Errorf("hhtask: state round accumulator: %w", err)
 	}
 	a.round, a.done, a.prevUsers = round, done, prevUsers
 	a.survivors, a.hits = survivors, hits
-	a.cands, a.sums, a.roundReports = cands, acc, roundReports
+	a.cands, a.tally = cands, acc
 	return nil
 }
 

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/heavyhitters"
 	"repro/internal/ldprand"
+	"repro/internal/tally"
 	"repro/internal/task"
 )
 
@@ -148,7 +149,7 @@ func params(cfg task.Config) (heavyhitters.PEMParams, error) {
 // candidate set is frozen when the round opens (it is a deterministic
 // function of the round and the survivors, so every shard freezes the
 // same one), and each accepted report folds its 0/1 support indicator
-// per candidate into an integer sum vector. Per-round memory is
+// per candidate into a tally.Tally. Per-round memory is
 // O(budget · 2^grow) — bounded by maxRoundCandidates — regardless of
 // how many reports the round absorbs, and because the sums are
 // integer-valued the accumulator is bit-identical to the report list
@@ -168,12 +169,11 @@ type Aggregator struct {
 	survivors []Prefix
 	// cands is the current round's frozen candidate set; nil once done.
 	cands []uint64
-	// sums[i] counts the current round's reports supporting cands[i].
-	sums []int64
-	// roundReports counts the current round's accepted reports (the n
-	// the debiasing at Advance needs).
-	roundReports int
-	hits         []Prefix // final population-scaled results, once done
+	// tally counts the current round's accepted reports (the n the
+	// debiasing at Advance needs) and, in cell i, those supporting
+	// cands[i]; it has no cells once done.
+	tally tally.Tally
+	hits  []Prefix // final population-scaled results, once done
 }
 
 // New builds an hh task aggregator: Bits-long items discovered over
@@ -238,8 +238,8 @@ func (a *Aggregator) Fold(prepared any) error {
 	if r.round != a.round {
 		return fmt.Errorf("hhtask: report for round %d, collection at round %d: %w", r.round, a.round, task.ErrWrongRound)
 	}
-	a.mech.FoldSupport(r.rep, a.cands, a.sums)
-	a.roundReports++
+	a.mech.FoldSupport(r.rep, a.cands, a.tally.Cells)
+	a.tally.N++
 	return nil
 }
 
@@ -249,7 +249,7 @@ func (a *Aggregator) AddBatch(reports []json.RawMessage) (int, error) {
 }
 
 // Collected returns the total reports absorbed across all rounds.
-func (a *Aggregator) Collected() int { return a.prevUsers + a.roundReports }
+func (a *Aggregator) Collected() int { return a.prevUsers + a.RoundReports() }
 
 // ReportBits returns the per-report payload size: the 64-bit hash seed
 // plus the bucket index.
@@ -276,7 +276,7 @@ func (a *Aggregator) Reset() {
 func (a *Aggregator) Round() int { return a.round }
 
 // RoundReports returns the current round's report count (task.Phased).
-func (a *Aggregator) RoundReports() int { return a.roundReports }
+func (a *Aggregator) RoundReports() int { return int(a.tally.N) }
 
 // Done reports whether all rounds have completed (task.Phased).
 func (a *Aggregator) Done() bool { return a.done }
@@ -324,13 +324,12 @@ func candidatesFor(p heavyhitters.PEMParams, round int, survivors []Prefix) []ui
 // protocol is done there is no round to score and the accumulator is
 // released.
 func (a *Aggregator) openRound() {
-	a.roundReports = 0
 	if a.done {
-		a.cands, a.sums = nil, nil
+		a.cands, a.tally = nil, tally.Tally{}
 		return
 	}
 	a.cands = candidatesFor(a.params, a.round, a.survivors)
-	a.sums = make([]int64, len(a.cands))
+	a.tally = tally.New(len(a.cands))
 }
 
 // Advance closes the current round (task.Phased): the round's reports
@@ -347,7 +346,8 @@ func (a *Aggregator) Advance() error {
 		return fmt.Errorf("hhtask: protocol already completed all %d rounds", a.params.Levels)
 	}
 	cands := a.cands
-	counts := a.mech.EstimateFromSupport(a.sums, a.roundReports)
+	roundUsers := a.RoundReports()
+	counts := a.mech.EstimateFromSupport(a.tally.Cells, roundUsers)
 	final := a.round == a.params.Levels-1
 	keep := a.params.Budget()
 	if final {
@@ -369,7 +369,6 @@ func (a *Aggregator) Advance() error {
 	for i := 0; i < keep; i++ {
 		kept[i] = Prefix{Value: cands[idx[i]], Count: counts[idx[i]]}
 	}
-	roundUsers := a.roundReports
 	a.survivors = kept
 	a.prevUsers += roundUsers
 	a.round++
@@ -495,12 +494,12 @@ func (a *Aggregator) AdoptFrontier(raw json.RawMessage) error {
 // advanced a round — the state task.New returns, and the only state in
 // which Merge may adopt another aggregator's phase wholesale.
 func (a *Aggregator) virgin() bool {
-	return a.round == 0 && !a.done && a.prevUsers == 0 && a.roundReports == 0
+	return a.round == 0 && !a.done && a.prevUsers == 0 && a.tally.N == 0
 }
 
 // Merge folds another hh aggregator's state into the receiver. The
-// support sums add vector-wise (both sides froze the same candidate
-// set, so the vectors are index-aligned) and the report counters add;
+// round tallies merge (both sides froze the same candidate set, so the
+// cells are index-aligned) and the report counters add;
 // the replicated phase state (round, survivors, results) must agree —
 // merging across rounds is a protocol violation, not a recoverable
 // condition, except into a virgin receiver (a fresh merge target),
@@ -525,16 +524,12 @@ func (a *Aggregator) Merge(other task.Aggregator) error {
 	if !samePrefixes(a.survivors, o.survivors) {
 		return fmt.Errorf("hhtask: cannot merge diverged frontiers at round %d", a.round)
 	}
-	if len(a.sums) != len(o.sums) {
-		// Unreachable given equal params, round and survivors; refusing
-		// beats silently misaligning the accumulators.
-		return fmt.Errorf("hhtask: accumulator width %d does not match %d at round %d", len(o.sums), len(a.sums), a.round)
+	// A width mismatch is unreachable given equal params, round and
+	// survivors; refusing beats silently misaligning the accumulators.
+	if err := a.tally.Merge(o.tally); err != nil {
+		return fmt.Errorf("hhtask: round %d: %w", a.round, err)
 	}
 	a.prevUsers += o.prevUsers
-	for i, s := range o.sums {
-		a.sums[i] += s
-	}
-	a.roundReports += o.roundReports
 	return nil
 }
 
@@ -555,7 +550,7 @@ func (a *Aggregator) Snapshot() task.Aggregator {
 	cp := *a
 	cp.survivors = append([]Prefix(nil), a.survivors...)
 	cp.cands = append([]uint64(nil), a.cands...)
-	cp.sums = append([]int64(nil), a.sums...)
+	cp.tally = a.tally.Clone()
 	cp.hits = append([]Prefix(nil), a.hits...)
 	return &cp
 }
@@ -583,7 +578,7 @@ func (a *Aggregator) Estimate(query url.Values) (json.RawMessage, error) {
 		Round:        a.round,
 		Levels:       a.params.Levels,
 		Phase:        PhaseCollecting,
-		RoundReports: a.roundReports,
+		RoundReports: a.RoundReports(),
 		PrefixBits:   a.prefixBits(),
 		Prefixes:     append([]Prefix(nil), a.survivors...),
 	}
