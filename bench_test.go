@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/heavyhitters"
 	"repro/internal/ldprand"
 	"repro/internal/rappor"
+	"repro/internal/task"
 	"repro/internal/task/freqtask"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -194,13 +196,14 @@ func BenchmarkPEM(b *testing.B) {
 }
 
 // BenchmarkEnvelopeRoundTrip measures the wire-format overhead of the
-// HTTP collection path for a 1-bit OLH report.
+// HTTP collection path for a 1-bit OLH report: privatize, encode the
+// JSON envelope, and fold it through the freq task adapter.
 func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 	o, err := freqtask.NewOracle(core.MechanismOLH, 1, 128, ldprand.NewSplitMix64(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := freqtask.NewOracle(core.MechanismOLH, 1, 128, ldprand.NewSplitMix64(2))
+	srv, err := freqtask.New(task.Config{Task: task.TypeFreq, Mechanism: core.MechanismOLH, Epsilon: 1, Domain: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,7 +213,11 @@ func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := freqtask.Aggregate(srv, env); err != nil {
+		raw, err := json.Marshal(env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Add(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

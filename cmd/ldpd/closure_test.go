@@ -4,12 +4,18 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // servingClosure is every repro/internal package the serving binaries
@@ -175,4 +181,264 @@ func TestTalliesLiveInTally(t *testing.T) {
 			})
 		}
 	}
+}
+
+// unreachableAllowed lists what may stay under internal/ although no
+// main package reaches it, each entry with its reason. An entry covers
+// every top-level declaration of one package dir, or of one file in it
+// when file is set. An entry that covers no unreachable declaration, or
+// covers one a main package now reaches, is stale: the test fails on it
+// so the list only ever shrinks to what is true.
+var unreachableAllowed = []struct{ dir, file, reason string }{
+	{"internal/fsio", "fault.go", "the fault-injecting FS the crash sweeps run Store and Relay on"},
+	{"internal/analysis/analyzertest", "", "a test-helper package: the runner for the analyzers' fixtures"},
+}
+
+// TestNoUnreachableDeclarations pins, semantically, that the module
+// carries no dead code: every top-level func, method, type, var and
+// const under internal/ is reachable from some main package (cmd/*,
+// examples/*, bench/ldpload) through the identifiers declarations use.
+// Tests are not roots — code only a test calls is dead. staticcheck's
+// U1000 cannot say this: it treats every exported name as used.
+//
+// Roots are every declaration of a main package, every init and blank
+// var. A method is also live when its receiver type is and its name is
+// a method of some interface type (module or stdlib): it may be called
+// through an interface no identifier records, so when in doubt it is
+// live. A value of a type no live declaration names cannot exist, so a
+// dead type's methods stay dead.
+func TestNoUnreachableDeclarations(t *testing.T) {
+	pkgs, err := analysis.Load("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newDeclGraph()
+	for _, p := range pkgs {
+		g.add(p, root)
+	}
+	live := g.reach()
+
+	type finding struct{ pos, key string }
+	var dead []finding
+	covered := make([]int, len(unreachableAllowed))
+	for _, d := range g.decls {
+		if !strings.HasPrefix(d.file, "internal/") {
+			continue
+		}
+		entry := -1
+		for i, a := range unreachableAllowed {
+			if filepath.Dir(d.file) == a.dir && (a.file == "" || filepath.Base(d.file) == a.file) {
+				entry = i
+			}
+		}
+		switch {
+		case entry >= 0 && live[d.key]:
+			a := unreachableAllowed[entry]
+			t.Errorf("stale allow-list entry %s: %s (%s) is reachable from a main package",
+				path.Join(a.dir, a.file), d.key, d.pos)
+		case entry >= 0:
+			covered[entry]++
+		case !live[d.key]:
+			dead = append(dead, finding{d.pos, d.key})
+		}
+	}
+	for i, n := range covered {
+		if n == 0 {
+			a := unreachableAllowed[i]
+			t.Errorf("stale allow-list entry %s: it covers no unreachable declaration", path.Join(a.dir, a.file))
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
+	for _, f := range dead {
+		t.Errorf("%s: %s is reachable from no main package; delete it", f.pos, f.key)
+	}
+}
+
+// A topDecl is one top-level declared name, keyed by import path,
+// receiver type (for methods) and name: each package is type-checked
+// against export data for its imports, so the same declaration is a
+// different types.Object in every package that uses it.
+type topDecl struct {
+	key, pos, file string
+	uses           []string // keys of the module declarations it refers to
+	root           bool
+	recv           string // key of the receiver type, for a method
+	method         string // method name, for a method
+}
+
+type declGraph struct {
+	decls []*topDecl
+	// ifaceMethods holds every method name of every interface type
+	// seen: a method of that name on a live type may be called through
+	// an interface no identifier records.
+	ifaceMethods map[string]bool
+}
+
+func newDeclGraph() *declGraph {
+	// Methods errors.Is, errors.As and errors.Unwrap find through
+	// interfaces declared inside their bodies, which export data omits.
+	return &declGraph{ifaceMethods: map[string]bool{"Is": true, "As": true, "Unwrap": true}}
+}
+
+// objKey names a package-level object of this module, or returns ""
+// for anything else (locals, fields, interface methods, other modules).
+func objKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	pkg := obj.Pkg().Path()
+	if pkg != "repro" && !strings.HasPrefix(pkg, "repro/") {
+		return ""
+	}
+	switch obj := obj.(type) {
+	case *types.Func:
+		recv := obj.Origin().Signature().Recv()
+		if recv == nil {
+			return pkg + "." + obj.Name()
+		}
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		if n, ok := rt.(*types.Named); ok && !types.IsInterface(n) {
+			return pkg + "." + n.Obj().Name() + "." + obj.Name()
+		}
+		return ""
+	case *types.TypeName, *types.Var, *types.Const:
+		if obj.Parent() != obj.Pkg().Scope() {
+			return ""
+		}
+		return pkg + "." + obj.Name()
+	}
+	return ""
+}
+
+func (g *declGraph) noteInterface(typ types.Type) {
+	if iface, ok := typ.Underlying().(*types.Interface); ok {
+		for i := 0; i < iface.NumMethods(); i++ {
+			g.ifaceMethods[iface.Method(i).Name()] = true
+		}
+	}
+}
+
+func (g *declGraph) add(p *analysis.LoadedPackage, root string) {
+	for _, tv := range p.Info.Types {
+		if tv.Type != nil {
+			g.noteInterface(tv.Type)
+		}
+	}
+	seen := make(map[*types.Package]bool)
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				g.noteInterface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	walk(p.Pkg)
+
+	isMain := p.Pkg.Name() == "main"
+	for _, file := range p.Files {
+		for _, decl := range file.Decls {
+			var names []*ast.Ident
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				names = []*ast.Ident{decl.Name}
+			case *ast.GenDecl:
+				// One node per spec: names sharing a spec share its
+				// initialiser.
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						g.addDecl(p, root, spec, []*ast.Ident{spec.Name}, isMain)
+					case *ast.ValueSpec:
+						g.addDecl(p, root, spec, spec.Names, isMain)
+					}
+				}
+				continue
+			}
+			g.addDecl(p, root, decl, names, isMain)
+		}
+	}
+}
+
+func (g *declGraph) addDecl(p *analysis.LoadedPackage, root string, node ast.Node, names []*ast.Ident, isMain bool) {
+	var uses []string
+	ast.Inspect(node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if k := objKey(p.Info.Uses[id]); k != "" {
+				uses = append(uses, k)
+			}
+		}
+		return true
+	})
+	for _, id := range names {
+		pos := p.Fset.Position(id.Pos())
+		rel, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			rel = pos.Filename
+		}
+		d := &topDecl{pos: rel + ":" + strconv.Itoa(pos.Line), file: rel, uses: uses}
+		obj := p.Info.Defs[id]
+		switch {
+		case id.Name == "_" || id.Name == "init" || isMain:
+			d.root = true
+			d.key = p.Path + "." + id.Name
+		default:
+			d.key = objKey(obj)
+		}
+		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			d.method = fn.Name()
+			d.recv = strings.TrimSuffix(d.key, "."+fn.Name())
+		}
+		g.decls = append(g.decls, d)
+	}
+}
+
+// reach returns the set of live declaration keys.
+func (g *declGraph) reach() map[string]bool {
+	byKey := make(map[string][]*topDecl)
+	methods := make(map[string][]*topDecl) // receiver key → its interface-named methods
+	var work []string
+	live := make(map[string]bool)
+	mark := func(k string) {
+		if !live[k] {
+			live[k] = true
+			work = append(work, k)
+		}
+	}
+	for _, d := range g.decls {
+		byKey[d.key] = append(byKey[d.key], d)
+		if d.method != "" && g.ifaceMethods[d.method] {
+			methods[d.recv] = append(methods[d.recv], d)
+		}
+		if d.root {
+			mark(d.key)
+		}
+	}
+	for len(work) > 0 {
+		k := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, d := range byKey[k] {
+			for _, u := range d.uses {
+				mark(u)
+			}
+		}
+		for _, m := range methods[k] {
+			mark(m.key)
+		}
+	}
+	return live
 }

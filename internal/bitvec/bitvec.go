@@ -1,9 +1,9 @@
 // Package bitvec implements packed bit vectors.
 //
 // Bit vectors are the wire format of the unary-encoding mechanisms
-// (SUE/OUE), of Bloom-filter reports in RAPPOR, and of the d-bit histogram
-// reports in Microsoft-style telemetry, so the representation is kept
-// compact (one bit per position) and the operations allocation-light.
+// (SUE/OUE), of Apple's count-mean sketch rows and of Bloom-filter
+// reports in RAPPOR, so the representation is kept compact (one bit per
+// position) and the operations allocation-light.
 package bitvec
 
 import (
@@ -30,17 +30,6 @@ func New(n int) *Vector {
 	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromBools builds a vector whose i-th bit is set iff b[i] is true.
-func FromBools(b []bool) *Vector {
-	v := New(len(b))
-	for i, set := range b {
-		if set {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
@@ -54,12 +43,6 @@ func (v *Vector) Set(i int) {
 func (v *Vector) Clear(i int) {
 	v.bound(i)
 	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
-// Flip inverts bit i.
-func (v *Vector) Flip(i int) {
-	v.bound(i)
-	v.words[i/wordBits] ^= 1 << (uint(i) % wordBits)
 }
 
 // SetTo sets bit i to the given value.
@@ -84,50 +67,6 @@ func (v *Vector) Count() int {
 		total += bits.OnesCount64(w)
 	}
 	return total
-}
-
-// Clone returns an independent copy of v.
-func (v *Vector) Clone() *Vector {
-	c := &Vector{n: v.n, words: make([]uint64, len(v.words))}
-	copy(c.words, v.words)
-	return c
-}
-
-// Or sets v to the bitwise OR of v and other. Lengths must match.
-func (v *Vector) Or(other *Vector) {
-	v.match(other)
-	for i := range v.words {
-		v.words[i] |= other.words[i]
-	}
-}
-
-// And sets v to the bitwise AND of v and other. Lengths must match.
-func (v *Vector) And(other *Vector) {
-	v.match(other)
-	for i := range v.words {
-		v.words[i] &= other.words[i]
-	}
-}
-
-// Xor sets v to the bitwise XOR of v and other. Lengths must match.
-func (v *Vector) Xor(other *Vector) {
-	v.match(other)
-	for i := range v.words {
-		v.words[i] ^= other.words[i]
-	}
-}
-
-// Equal reports whether v and other have the same length and bits.
-func (v *Vector) Equal(other *Vector) bool {
-	if v.n != other.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Ones returns the indices of all set bits in increasing order.
@@ -242,11 +181,5 @@ func (v *Vector) UnmarshalBinary(data []byte) error {
 func (v *Vector) bound(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
-	}
-}
-
-func (v *Vector) match(other *Vector) {
-	if v.n != other.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, other.n))
 	}
 }

@@ -4,8 +4,6 @@
 package bloom
 
 import (
-	"math"
-
 	"repro/internal/bitvec"
 	"repro/internal/hashutil"
 )
@@ -30,25 +28,6 @@ func New(m, k int, seed uint64) *Filter {
 	return &Filter{m: m, k: k, seed: seed, bits: bitvec.New(m)}
 }
 
-// OptimalK returns the false-positive-minimizing hash count for a filter
-// of m bits expecting n insertions: round(m/n · ln 2), at least 1.
-func OptimalK(m, n int) int {
-	if n <= 0 {
-		return 1
-	}
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// M returns the filter size in bits.
-func (f *Filter) M() int { return f.m }
-
-// K returns the number of hash functions.
-func (f *Filter) K() int { return f.k }
-
 // Seed returns the seed the hash functions derive from.
 func (f *Filter) Seed() uint64 { return f.seed }
 
@@ -69,16 +48,6 @@ func (f *Filter) Add(item []byte) {
 	}
 }
 
-// Test reports whether item may be in the filter (no false negatives).
-func (f *Filter) Test(item []byte) bool {
-	for _, p := range f.Positions(item) {
-		if !f.bits.Get(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // Bits returns the underlying bit vector (not a copy); RAPPOR perturbs
 // it in place.
 func (f *Filter) Bits() *bitvec.Vector { return f.bits }
@@ -91,11 +60,4 @@ func (f *Filter) Encode(item []byte) *bitvec.Vector {
 		v.Set(p)
 	}
 	return v
-}
-
-// FalsePositiveRate estimates the false-positive probability after n
-// insertions: (1 − e^{−kn/m})^k.
-func (f *Filter) FalsePositiveRate(n int) float64 {
-	exp := -float64(f.k) * float64(n) / float64(f.m)
-	return math.Pow(1-math.Exp(exp), float64(f.k))
 }

@@ -42,123 +42,8 @@ func (m *LaplaceMechanism) Release(value float64) float64 {
 	return value + ldprand.Laplace(m.src, m.Scale())
 }
 
-// ReleaseVector adds independent noise to each component. The stated
-// sensitivity must already account for the whole vector (L1 across
-// components), as it does for histograms (sensitivity 1 per user for
-// disjoint buckets ⇒ 2 including removals, or 1 under add-one
-// semantics).
-func (m *LaplaceMechanism) ReleaseVector(values []float64) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = v + ldprand.Laplace(m.src, m.Scale())
-	}
-	return out
-}
-
 // Variance returns the noise variance of one released value: 2b².
 func (m *LaplaceMechanism) Variance() float64 {
 	b := m.Scale()
 	return 2 * b * b
-}
-
-// GeometricMechanism releases integer counts with two-sided geometric
-// noise, the discrete analogue of Laplace (used when released values
-// must stay integral).
-type GeometricMechanism struct {
-	alpha float64 // e^{-ε/sensitivity}
-	src   ldprand.Source
-}
-
-// NewGeometric returns a geometric mechanism for integer queries with
-// the given budget and sensitivity.
-func NewGeometric(epsilon, sensitivity float64, src ldprand.Source) *GeometricMechanism {
-	if epsilon <= 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
-		panic("central: epsilon must be positive and finite")
-	}
-	if sensitivity <= 0 {
-		panic("central: sensitivity must be positive")
-	}
-	if src == nil {
-		src = ldprand.NewCrypto()
-	}
-	return &GeometricMechanism{alpha: math.Exp(-epsilon / sensitivity), src: src}
-}
-
-// Release returns count plus two-sided geometric noise.
-func (m *GeometricMechanism) Release(count int64) int64 {
-	return count + m.noise()
-}
-
-// noise samples the two-sided geometric distribution with parameter
-// alpha: P(k) proportional to alpha^{|k|}.
-func (m *GeometricMechanism) noise() int64 {
-	// Sample magnitude from a geometric tail, then a sign; the atom at
-	// zero has the correct mass (1−alpha)/(1+alpha) by construction.
-	u := ldprand.Float64(m.src)
-	// P(K = 0) = (1-a)/(1+a); P(|K| = k) = 2a^k (1-a)/(1+a) for k >= 1.
-	p0 := (1 - m.alpha) / (1 + m.alpha)
-	if u < p0 {
-		return 0
-	}
-	// Remaining mass splits evenly between signs.
-	u = (u - p0) / (1 - p0) // uniform again
-	sign := int64(1)
-	if u < 0.5 {
-		sign = -1
-		u *= 2
-	} else {
-		u = (u - 0.5) * 2
-	}
-	// Geometric with success prob (1-alpha), shifted to start at 1.
-	k := int64(1)
-	for {
-		if ldprand.Float64(m.src) < 1-m.alpha {
-			return sign * k
-		}
-		k++
-		if k > 1<<40 { // unreachable in practice; avoid spinning forever
-			return sign * k
-		}
-	}
-}
-
-// Variance returns the noise variance 2a/(1−a)².
-func (m *GeometricMechanism) Variance() float64 {
-	return 2 * m.alpha / ((1 - m.alpha) * (1 - m.alpha))
-}
-
-// Histogram releases a histogram of counts under ε-DP with the Laplace
-// mechanism, sensitivity 1 (each user contributes to exactly one
-// bucket; neighboring datasets differ by one user's presence).
-func Histogram(epsilon float64, counts []int, src ldprand.Source) []float64 {
-	m := NewLaplace(epsilon, 1, src)
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = m.Release(float64(c))
-	}
-	return out
-}
-
-// Mean releases the mean of values known to lie in [lo, hi] under ε-DP,
-// by releasing a noisy sum (sensitivity hi−lo after shifting) and
-// dividing by the (public) count n.
-func Mean(epsilon float64, values []float64, lo, hi float64, src ldprand.Source) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	if hi <= lo {
-		panic("central: invalid range")
-	}
-	var sum float64
-	for _, v := range values {
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		sum += v
-	}
-	m := NewLaplace(epsilon, hi-lo, src)
-	return m.Release(sum) / float64(len(values))
 }

@@ -44,104 +44,11 @@ func TestLaplaceScale(t *testing.T) {
 	}
 }
 
-func TestReleaseVector(t *testing.T) {
-	m := NewLaplace(10, 1, ldprand.NewSplitMix64(3))
-	in := []float64{1, 2, 3}
-	out := m.ReleaseVector(in)
-	if len(out) != 3 {
-		t.Fatalf("length %d", len(out))
-	}
-	for i := range in {
-		if math.Abs(out[i]-in[i]) > 10 {
-			t.Errorf("noise at %d implausibly large: %v", i, out[i]-in[i])
-		}
-	}
-}
-
-func TestGeometricIntegerAndUnbiased(t *testing.T) {
-	m := NewGeometric(1.0, 1.0, ldprand.NewSplitMix64(4))
-	const trials = 100000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += float64(m.Release(5))
-	}
-	got := sum / trials
-	if math.Abs(got-5) > 0.05 {
-		t.Errorf("mean release %.3f want about 5", got)
-	}
-}
-
-func TestGeometricVariance(t *testing.T) {
-	m := NewGeometric(1.0, 1.0, ldprand.NewSplitMix64(5))
-	const trials = 200000
-	var sumSq float64
-	for i := 0; i < trials; i++ {
-		d := float64(m.Release(0))
-		sumSq += d * d
-	}
-	got := sumSq / trials
-	want := m.Variance()
-	if math.Abs(got-want) > 0.1*want {
-		t.Errorf("empirical variance %.3f want %.3f", got, want)
-	}
-}
-
-func TestHistogramCloseToTruth(t *testing.T) {
-	counts := []int{100, 500, 50}
-	out := Histogram(1.0, counts, ldprand.NewSplitMix64(6))
-	for i, c := range counts {
-		if math.Abs(out[i]-float64(c)) > 20 {
-			t.Errorf("bucket %d: %v want about %d", i, out[i], c)
-		}
-	}
-}
-
-func TestMeanClampsAndEstimates(t *testing.T) {
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = 0.5
-	}
-	vals[0] = 100 // clamped to 1
-	got := Mean(1.0, vals, 0, 1, ldprand.NewSplitMix64(7))
-	if math.Abs(got-0.5005) > 0.05 {
-		t.Errorf("mean %.4f want about 0.5", got)
-	}
-	if Mean(1, nil, 0, 1, nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-}
-
-func TestCentralBeatsLocalScaling(t *testing.T) {
-	// The §1.5 story: central error is O(1/ε) independent of n, so the
-	// noisy mean error should shrink as 1/n while an LDP mean's error
-	// shrinks as 1/√n. Check the central error at two n values.
-	errAt := func(n int) float64 {
-		src := ldprand.NewSplitMix64(uint64(n))
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = 0.3
-		}
-		var total float64
-		const reps = 50
-		for r := 0; r < reps; r++ {
-			total += math.Abs(Mean(1.0, vals, 0, 1, src) - 0.3)
-		}
-		return total / reps
-	}
-	e1, e2 := errAt(100), errAt(10000)
-	if e2 > e1/10 {
-		t.Errorf("central mean error should shrink about 100x from n=100 (%.5f) to n=10000 (%.5f)", e1, e2)
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewLaplace(0, 1, nil) },
 		func() { NewLaplace(1, 0, nil) },
 		func() { NewLaplace(math.NaN(), 1, nil) },
-		func() { NewGeometric(-1, 1, nil) },
-		func() { NewGeometric(1, -1, nil) },
-		func() { Mean(1, []float64{1}, 1, 0, nil) },
 	} {
 		func() {
 			defer func() {

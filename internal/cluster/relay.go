@@ -489,8 +489,11 @@ func (r *Relay) handleAdvance(w http.ResponseWriter, req *http.Request) {
 		var body struct {
 			Round *int `json:"round"`
 		}
-		data, err := io.ReadAll(io.LimitReader(req.Body, 1<<16))
-		if err != nil || json.Unmarshal(data, &body) != nil {
+		data, ok := readControlBody(w, req, "advance request")
+		if !ok {
+			return
+		}
+		if json.Unmarshal(data, &body) != nil {
 			http.Error(w, "bad advance request", http.StatusBadRequest)
 			return
 		}
@@ -534,9 +537,8 @@ func (r *Relay) handleAdvance(w http.ResponseWriter, req *http.Request) {
 // handleCreate forwards a collection creation upstream, mirrors it
 // locally, and relays the upstream's answer.
 func (r *Relay) handleCreate(w http.ResponseWriter, req *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(req.Body, 1<<16))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad collection config: %v", err), http.StatusBadRequest)
+	data, ok := readControlBody(w, req, "collection config")
+	if !ok {
 		return
 	}
 	status, body, err := r.up.Proxy(req.Context(), http.MethodPost, "/collections", "application/json", data)
@@ -554,6 +556,28 @@ func (r *Relay) handleCreate(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
+}
+
+// maxControlBytes caps a control-plane body (a collection config, an
+// advance request) at the single node's limit.
+const maxControlBytes = 1 << 16
+
+// readControlBody reads a control-plane body whole. A body over
+// maxControlBytes answers 413, as on a single node, before anything is
+// flushed or sent upstream: forwarding a truncated prefix would turn
+// the oversize into the upstream's 400 about malformed JSON.
+func readControlBody(w http.ResponseWriter, req *http.Request, what string) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxControlBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("%s exceeds %d bytes", what, tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return nil, false
+		}
+		http.Error(w, fmt.Sprintf("bad %s: %v", what, err), http.StatusBadRequest)
+		return nil, false
+	}
+	return data, true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

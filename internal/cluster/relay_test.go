@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -74,11 +75,15 @@ func freqCounts(t testing.TB, c *core.Collection) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, ok := m.(*freqtask.Aggregator)
-	if !ok {
-		t.Fatalf("aggregator is %T, want *freqtask.Aggregator", m)
+	raw, err := m.Estimate(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return fa.Oracle().EstimateCounts()
+	var res freqtask.EstimateResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	return res.Counts
 }
 
 // newUpstream boots a memory-only aggregation node with the given
@@ -209,6 +214,45 @@ func TestRelayFanInMatchesSingleNode(t *testing.T) {
 	}
 	if got := up.Aggregator().Collected(); got != 6*5 {
 		t.Fatalf("empty flush changed the upstream count to %d", got)
+	}
+}
+
+// TestRelayRefusesOversizeControlBodies pins that a relay answers an
+// oversize collection config or advance request with 413, as a single
+// node does, and forwards nothing: neither a truncated create reaches
+// the upstream nor a round closes there.
+func TestRelayRefusesOversizeControlBodies(t *testing.T) {
+	upReg, upTS := newUpstream(t, map[string]core.CollectionConfig{"topics": hhCfg()})
+	_, _, ts := newTestRelay(t, upTS.URL)
+	pad := strings.Repeat("x", 70<<10)
+	for _, c := range []struct{ path, body string }{
+		{"/collections", `{"name":"big","mechanism":"GRR","epsilon":1,"domain":8,"pad":"` + pad + `"}`},
+		{"/collections/topics/advance", `{"round":0,"pad":"` + pad + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 70 KiB body: %s %s, want 413", c.path, resp.Status, msg)
+		}
+	}
+	if _, ok := upReg.Get("big"); ok {
+		t.Error("the oversize create reached the upstream")
+	}
+	up, _ := upReg.Get("topics")
+	raw, err := up.Aggregator().Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr hhtask.Frontier
+	if err := json.Unmarshal(raw, &fr); err != nil {
+		t.Fatal(err)
+	}
+	if fr.Round != 0 {
+		t.Errorf("upstream round %d after a refused advance, want 0", fr.Round)
 	}
 }
 

@@ -279,29 +279,6 @@ func (s *HadamardServer) Estimate(item []byte) float64 {
 	return (m / (m - 1)) * (mean - float64(s.n)/m)
 }
 
-// EstimateAll inverts every row once and returns the estimates of all
-// items, far cheaper than calling Estimate per item.
-func (s *HadamardServer) EstimateAll(items [][]byte) []float64 {
-	m := float64(s.params.Width)
-	inverted := make([][]float64, s.params.Hashes)
-	for j := range inverted {
-		spectrum := make([]float64, s.params.Width)
-		copy(spectrum, s.rows[j])
-		transform.Inverse(spectrum)
-		inverted[j] = spectrum
-	}
-	out := make([]float64, len(items))
-	for idx, item := range items {
-		var sum float64
-		for j := 0; j < s.params.Hashes; j++ {
-			sum += inverted[j][s.params.position(j, item)]
-		}
-		mean := sum / float64(s.params.Hashes)
-		out[idx] = (m / (m - 1)) * (mean - float64(s.n)/m)
-	}
-	return out
-}
-
 // ReportBits returns the payload size: 1 sign bit (row and index are
 // derivable from shared randomness in a deployment, so the literature
 // counts HCMS as a 1-bit mechanism).

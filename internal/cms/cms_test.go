@@ -182,22 +182,6 @@ func TestHCMSEndToEndAccuracy(t *testing.T) {
 	}
 }
 
-func TestHCMSEstimateAllMatchesEstimate(t *testing.T) {
-	p := Params{Epsilon: 2, Width: 64, Hashes: 4, Seed: 13}
-	client, _ := NewHadamardClient(p, ldprand.NewSplitMix64(8))
-	server, _ := NewHadamardServer(p)
-	for i := 0; i < 2000; i++ {
-		_ = server.Add(client.Report(item(i % 5)))
-	}
-	items := [][]byte{item(0), item(1), item(2)}
-	all := server.EstimateAll(items)
-	for i, it := range items {
-		if one := server.Estimate(it); math.Abs(one-all[i]) > 1e-6 {
-			t.Errorf("EstimateAll[%d]=%v but Estimate=%v", i, all[i], one)
-		}
-	}
-}
-
 func TestHCMSServerRejectsBadReports(t *testing.T) {
 	p := cmsParams()
 	s, _ := NewHadamardServer(p)

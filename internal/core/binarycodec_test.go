@@ -23,6 +23,7 @@ import (
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/cmstask"
+	"repro/internal/task/freqtask"
 	"repro/internal/task/hhtask"
 	"repro/internal/task/meantask"
 )
@@ -66,8 +67,8 @@ func codecCases() []codecCase {
 		}
 	}
 	return []codecCase{
-		freq(MechanismGRR), freq(MechanismOUE), freq(MechanismSHE), freq(MechanismTHE),
-		freq(MechanismOLH), freq(MechanismHRR), freq(MechanismSS),
+		freq(MechanismGRR), freq(MechanismOUE), freq(freqtask.MechanismSHE), freq(freqtask.MechanismTHE),
+		freq(MechanismOLH), freq(freqtask.MechanismHRR), freq(freqtask.MechanismSS),
 		{
 			name: "mean-harmony", cfg: meanCfg(), fill: fillMean,
 			golden:     "mean/testdata/state_harmony.bin",
@@ -178,7 +179,7 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 			t.Fatalf("wire forms diverge:\n%s\nvs\n%s", sj, sb)
 		}
 	}
-	for _, mech := range []string{MechanismGRR, MechanismSUE, MechanismOUE, MechanismSHE, MechanismTHE, MechanismBLH, MechanismOLH, MechanismHRR, MechanismSS} {
+	for _, mech := range freqtask.Mechanisms() {
 		t.Run("freq-"+mech, func(t *testing.T) {
 			p := PrivacyParams{Epsilon: 1.5, Domain: 16}
 			cj, err := NewClient(mech, p, ldprand.NewSplitMix64(31))
@@ -388,7 +389,7 @@ func getJSON(t *testing.T, url string, v any) {
 // on-disk size.
 func TestStatusReportsCheckpointInfo(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func loadFixtureDir(t *testing.T, files map[string][]byte) (string, *Store, *Col
 			t.Fatal(err)
 		}
 	}
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +474,7 @@ func TestGoldenSnapshotsRestore(t *testing.T) {
 			if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, want.State) {
 				t.Fatalf("restore diverges from the golden state (%v)", err)
 			}
-			fresh, err := NewStore(dir)
+			fresh, err := newStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -522,7 +523,7 @@ func TestPreContainerSnapshotQuarantined(t *testing.T) {
 	}
 	// A later start ignores the set-aside files and restores the same
 	// neighbour.
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func dirListing(t *testing.T, dir string) []string {
 // container (magic prefix), not JSON.
 func TestBinaryCheckpointKillRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +590,7 @@ func TestBinaryCheckpointKillRestart(t *testing.T) {
 	if strings.Contains(string(blob), `"state"`) {
 		t.Fatal("binary container still carries a JSON state field")
 	}
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/cmstask"
+	"repro/internal/task/freqtask"
 	"repro/internal/task/hhtask"
 	"repro/internal/task/meantask"
 )
@@ -30,12 +31,12 @@ import (
 func fuzzStateConfigs() []task.Config {
 	return []task.Config{
 		FreqTaskConfig(MechanismOLH, PrivacyParams{Epsilon: 2, Domain: 8}),
-		FreqTaskConfig(MechanismSHE, PrivacyParams{Epsilon: 2, Domain: 8}),
-		FreqTaskConfig(MechanismSS, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(freqtask.MechanismSHE, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(freqtask.MechanismSS, PrivacyParams{Epsilon: 2, Domain: 8}),
 		FreqTaskConfig(MechanismGRR, PrivacyParams{Epsilon: 2, Domain: 8}),
 		FreqTaskConfig(MechanismOUE, PrivacyParams{Epsilon: 2, Domain: 8}),
-		FreqTaskConfig(MechanismTHE, PrivacyParams{Epsilon: 2, Domain: 8}),
-		FreqTaskConfig(MechanismBLH, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(freqtask.MechanismTHE, PrivacyParams{Epsilon: 2, Domain: 8}),
+		FreqTaskConfig(freqtask.MechanismBLH, PrivacyParams{Epsilon: 2, Domain: 8}),
 		{Task: task.TypeMean, Mechanism: meantask.MechanismHarmony, Epsilon: 1, Dim: 2},
 		{Task: task.TypeSketch, Mechanism: cmstask.MechanismCMS, Epsilon: 2, Width: 32, Hashes: 4, SketchSeed: 9},
 		{Task: task.TypeHH, Mechanism: hhtask.MechanismPEM, Epsilon: 2, Bits: 8, Levels: 4, K: 3},

@@ -245,7 +245,7 @@ func TestEstimateUsesEpochCache(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	agg := svc.Aggregator()
+	agg := defaultAggregator(t, svc)
 
 	body := []byte(`{"mechanism":"GRR","value":3}`)
 	if resp := postJSON(t, ts.URL+"/report", body); resp.StatusCode != http.StatusAccepted {

@@ -38,14 +38,8 @@ type PrivacyParams struct {
 // re-exported from freqtask.
 const (
 	MechanismGRR = freqtask.MechanismGRR
-	MechanismSUE = freqtask.MechanismSUE
 	MechanismOUE = freqtask.MechanismOUE
-	MechanismSHE = freqtask.MechanismSHE
-	MechanismTHE = freqtask.MechanismTHE
-	MechanismBLH = freqtask.MechanismBLH
 	MechanismOLH = freqtask.MechanismOLH
-	MechanismHRR = freqtask.MechanismHRR
-	MechanismSS  = freqtask.MechanismSS
 )
 
 // FreqTaskConfig is the task configuration of a frequency survey, the
@@ -88,25 +82,3 @@ func (c *Client) ReportBinary(v int) ([]byte, error) {
 	}
 	return freqtask.PrivatizeBinary(c.oracle, v)
 }
-
-// ReportBatch privatizes a slice of values into wire envelopes, the
-// payload of one POST /report/batch. Each value is randomized
-// independently, exactly as per-value Report calls would; batching
-// changes only the transport framing, never the privacy guarantee.
-func (c *Client) ReportBatch(values []int) ([]freqtask.Envelope, error) {
-	out := make([]freqtask.Envelope, 0, len(values))
-	for i, v := range values {
-		env, err := c.Report(v)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch value %d: %w", i, err)
-		}
-		out = append(out, env)
-	}
-	return out, nil
-}
-
-// Mechanism returns the client's mechanism name.
-func (c *Client) Mechanism() string { return c.oracle.Name() }
-
-// Params returns the client's privacy parameters.
-func (c *Client) Params() PrivacyParams { return c.params }

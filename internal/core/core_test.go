@@ -40,7 +40,7 @@ func TestNewOracleRejectsBad(t *testing.T) {
 
 func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 	// Privatize on a "client" oracle, serialize through JSON, aggregate
-	// on a fresh "server" oracle — the full wire path for every
+	// on a fresh "server" aggregator — the full wire path for every
 	// mechanism, checking estimates converge on a skewed input.
 	const n = 20000
 	for _, name := range freqtask.Mechanisms() {
@@ -50,7 +50,7 @@ func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			server, err := newOracle(name, params(), ldprand.NewSplitMix64(3))
+			server, err := freqtask.New(FreqTaskConfig(name, params()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,23 +66,15 @@ func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				data, err := json.Marshal(env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var back freqtask.Envelope
-				if err := json.Unmarshal(data, &back); err != nil {
-					t.Fatal(err)
-				}
-				if err := freqtask.Aggregate(server, back); err != nil {
+				if err := server.Add(mustRaw(t, env)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if server.Collected() != n {
 				t.Fatalf("collected %d", server.Collected())
 			}
-			est := server.EstimateCounts()
-			tol := 5*math.Sqrt(server.TheoreticalVariance(n)) + 0.02*n
+			est := freqCounts(t, server)
+			tol := 5*math.Sqrt(client.TheoreticalVariance(n)) + 0.02*n
 			if math.Abs(est[0]-truth[0]) > tol {
 				t.Errorf("estimate %.0f truth %.0f (tol %.0f)", est[0], truth[0], tol)
 			}
@@ -91,8 +83,8 @@ func TestEnvelopeRoundTripAllMechanisms(t *testing.T) {
 }
 
 func TestAggregateRejectsMismatchedMechanism(t *testing.T) {
-	grr, _ := newOracle(MechanismGRR, params(), ldprand.NewSplitMix64(5))
-	if err := freqtask.Aggregate(grr, freqtask.Envelope{Mechanism: "OLH", Value: 1}); err == nil {
+	grr, _ := freqtask.New(FreqTaskConfig(MechanismGRR, params()))
+	if err := grr.Add(mustRaw(t, freqtask.Envelope{Mechanism: "OLH", Value: 1})); err == nil {
 		t.Fatal("mechanism mismatch accepted")
 	}
 }
@@ -106,14 +98,14 @@ func TestAggregateRejectsMalformed(t *testing.T) {
 		{MechanismGRR, freqtask.Envelope{Mechanism: "GRR", Value: -1}},
 		{MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: "!!!not-base64!!!"}},
 		{MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: ""}},
-		{MechanismSHE, freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1, 2}}},
+		{freqtask.MechanismSHE, freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1, 2}}},
 		{MechanismOLH, freqtask.Envelope{Mechanism: "OLH", Value: 10000}},
-		{MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: 0, Sign: 0}},
-		{MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: -2, Sign: 1}},
+		{freqtask.MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: 0, Sign: 0}},
+		{freqtask.MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: -2, Sign: 1}},
 	}
 	for _, c := range cases {
-		o, _ := newOracle(c.mech, params(), ldprand.NewSplitMix64(6))
-		if err := freqtask.Aggregate(o, c.env); err == nil {
+		o, _ := freqtask.New(FreqTaskConfig(c.mech, params()))
+		if err := o.Add(mustRaw(t, c.env)); err == nil {
 			t.Errorf("%s: malformed envelope accepted: %+v", c.mech, c.env)
 		}
 		if o.Collected() != 0 {
@@ -126,12 +118,6 @@ func TestClientReport(t *testing.T) {
 	c, err := NewClient(MechanismOLH, params(), ldprand.NewSplitMix64(7))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Mechanism() != "OLH" {
-		t.Errorf("mechanism %q", c.Mechanism())
-	}
-	if c.Params().Domain != 8 {
-		t.Errorf("params %+v", c.Params())
 	}
 	env, err := c.Report(3)
 	if err != nil {

@@ -149,7 +149,7 @@ func runCrashWorkload(t testing.TB, fsys fsio.FS, dir string, batches [][]json.R
 // exactly once.
 func verifyCrashRecovery(t *testing.T, dir string, batches [][]json.RawMessage, acked map[int]bool, want []float64) {
 	t.Helper()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRestartReplaysJournalWithoutCheckpoint(t *testing.T) {
 	want := crashReference(t, batches)
 	dir := t.TempDir()
 
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRestartReplaysJournalWithoutCheckpoint(t *testing.T) {
 	}
 	// No final checkpoint: the process just dies here.
 
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestRestartReplaysSetAsideRefusedFrames(t *testing.T) {
 	// appended after the creation checkpoint, and returns the segment.
 	journaled := func(write func(c *Collection)) (dir, seg string) {
 		dir = t.TempDir()
-		store, err := NewStore(dir)
+		store, err := newStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestRestartReplaysSetAsideRefusedFrames(t *testing.T) {
 		return dir, segs[0].path
 	}
 	load := func(dir string, sink FlushSink) *Collection {
-		store, err := NewStore(dir)
+		store, err := newStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +522,7 @@ func TestSnapshotCorruptionModes(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
-			store, err := NewStore(dir)
+			store, err := newStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -551,7 +551,7 @@ func TestSnapshotCorruptionModes(t *testing.T) {
 
 			mode.corrupt(t, filepath.Join(dir, "victim.json"))
 
-			store2, err := NewStore(dir)
+			store2, err := newStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -627,7 +627,7 @@ func estimateReports(t *testing.T, base string) int {
 // final checkpoint) to go on.
 func TestBatchIdempotencyOverHTTP(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +660,7 @@ func TestBatchIdempotencyOverHTTP(t *testing.T) {
 	// Kill the process without a final checkpoint: the journal alone
 	// carries both the batch and its idempotency mark.
 	ts.Close()
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,7 +787,7 @@ func TestHealthzDegradesAndRecovers(t *testing.T) {
 // journal still healthy.
 func TestOversizeFrameAckSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -848,7 +848,7 @@ func TestOversizeFrameAckSurvivesRestart(t *testing.T) {
 	// Kill without a checkpoint; the journal alone must carry the ack.
 	ts.Close()
 	c.CloseJournal()
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func goldenScript(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	must(err)
 	reg := NewCollectionRegistry()
 	create := func(name string, cfg CollectionConfig) *Collection {
@@ -181,7 +181,7 @@ func goldenScript(t *testing.T, dir string) {
 func goldenReplay(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/freq"
+	"repro/internal/fsio"
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/freqtask"
@@ -24,6 +25,37 @@ import (
 // PrivacyParams the suite's fixtures are written in.
 func newOracle(name string, p PrivacyParams, src ldprand.Source) (freq.Oracle, error) {
 	return freqtask.NewOracle(name, p.Epsilon, p.Domain, src)
+}
+
+// newStore opens a state directory on the real filesystem with the
+// default journal policy.
+func newStore(dir string) (*Store, error) {
+	return NewStoreFS(dir, fsio.OS, JournalSyncEvery)
+}
+
+// defaultAggregator returns the sharded aggregator of the service's
+// default collection.
+func defaultAggregator(t testing.TB, s *Service) *ShardedAggregator {
+	t.Helper()
+	c, ok := s.reg.Get(DefaultCollection)
+	if !ok {
+		t.Fatal("service has no default collection")
+	}
+	return c.Aggregator()
+}
+
+// reportAll privatizes each value into its own wire envelope.
+func reportAll(t testing.TB, c *Client, values []int) []freqtask.Envelope {
+	t.Helper()
+	envs := make([]freqtask.Envelope, len(values))
+	for i, v := range values {
+		env, err := c.Report(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs[i] = env
+	}
+	return envs
 }
 
 // newFreqService returns a single-survey frequency service: the survey
@@ -62,11 +94,15 @@ func rawEnvs(t testing.TB, envs []freqtask.Envelope) []json.RawMessage {
 // task aggregator.
 func freqCounts(t testing.TB, a task.Aggregator) []float64 {
 	t.Helper()
-	fa, ok := a.(*freqtask.Aggregator)
-	if !ok {
-		t.Fatalf("aggregator is %T, want *freqtask.Aggregator", a)
+	raw, err := a.Estimate(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return fa.Oracle().EstimateCounts()
+	var res freqtask.EstimateResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	return res.Counts
 }
 
 // readSnapshotFile reads and decodes a snapshot file, failing the test

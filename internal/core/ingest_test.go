@@ -108,7 +108,7 @@ func TestIngestEntryPointsAgree(t *testing.T) {
 			var marks []string
 			for _, route := range routes {
 				dir := t.TempDir()
-				store, err := NewStore(dir)
+				store, err := newStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,7 +132,7 @@ func TestIngestEntryPointsAgree(t *testing.T) {
 				ts.Close()
 				c.CloseJournal()
 				reg2 := NewCollectionRegistry()
-				store2, err := NewStore(dir)
+				store2, err := newStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}

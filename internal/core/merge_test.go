@@ -24,6 +24,7 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/ldprand"
 	"repro/internal/task"
+	"repro/internal/task/freqtask"
 	"repro/internal/task/hhtask"
 )
 
@@ -319,7 +320,7 @@ func TestMergeHTTPStatuses(t *testing.T) {
 	if _, err := reg.Create("hh", hhCfg(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewStore(t.TempDir())
+	store, err := newStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +489,7 @@ func TestMergeJournalReplay(t *testing.T) {
 	want := crashReference(t, batches)
 	dir := t.TempDir()
 
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +518,7 @@ func TestMergeJournalReplay(t *testing.T) {
 	}
 	// Process dies here: no checkpoint after the merges.
 
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +556,7 @@ func mergeTarget(t *testing.T, cfg CollectionConfig) (good Delta, merge func(Del
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewStore(t.TempDir())
+	store, err := newStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +641,7 @@ func forgedDelta(d Delta, id string, cfg CollectionConfig, fields func(*binenc.W
 // fraction or an inflated tally folded in would skew every later
 // /estimate, and NaN would make the served JSON unencodable.
 func TestMergeRefusesPoisonedLHSupport(t *testing.T) {
-	for _, mech := range []string{MechanismOLH, MechanismBLH} {
+	for _, mech := range []string{MechanismOLH, freqtask.MechanismBLH} {
 		cfg := FreqCollectionConfig(mech, PrivacyParams{Epsilon: 2, Domain: 8}, 2)
 		good, merge, estimate, frames := mergeTarget(t, cfg)
 		before, framesBefore := estimate(), frames()
@@ -701,7 +702,7 @@ func TestMergeRefusesForgedTallies(t *testing.T) {
 	}{
 		{FreqCollectionConfig(MechanismGRR, PrivacyParams{Epsilon: 2, Domain: 4}, 2), nil,
 			3, []int64{wrap, wrap, wrap, wrap + 3}, []int64{1, 0, 2, 0}},
-		{FreqCollectionConfig(MechanismSS, PrivacyParams{Epsilon: 1, Domain: 8}, 2), ssK,
+		{FreqCollectionConfig(freqtask.MechanismSS, PrivacyParams{Epsilon: 1, Domain: 8}, 2), ssK,
 			5, []int64{5, 5, 5, 5, 5, 5, 5, 5}, []int64{5, 3, 2, 0, 0, 0, 0, 0}},
 	} {
 		mech := tc.cfg.Mechanism

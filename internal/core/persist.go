@@ -174,12 +174,6 @@ type nameLock struct {
 	refs int
 }
 
-// NewStore opens (creating if needed) a snapshot directory on the real
-// filesystem with the default (sync-every-append) journal policy.
-func NewStore(dir string) (*Store, error) {
-	return NewStoreFS(dir, fsio.OS, JournalSyncEvery)
-}
-
 // NewStoreFS opens a snapshot directory over an explicit filesystem —
 // the seam the crash-consistency tests inject faults through — with
 // the given journal sync policy, and sweeps temp files orphaned by a

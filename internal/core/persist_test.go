@@ -54,7 +54,7 @@ func counts(t *testing.T, c *Collection) []float64 {
 // estimates bit-identical to pre-restart, for every mechanism.
 func TestCheckpointRestartCycle(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCheckpointRestartCycle(t *testing.T) {
 
 	// "Kill" the process: everything in-memory is dropped; a fresh
 	// store over the same directory restores into a fresh registry.
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCheckpointRestartCycle(t *testing.T) {
 
 func TestStoreSkipsUnchangedAndLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestStoreSkipsUnchangedAndLeavesNoTempFiles(t *testing.T) {
 
 func TestStoreRemoveAndCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestStoreRemoveAndCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte(`{"name":"bad","config"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStore(dir); err != nil {
+	if _, err := newStore(dir); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := store.Load(NewCollectionRegistry())
@@ -222,7 +222,7 @@ func TestStoreRemoveAndCorruptSnapshot(t *testing.T) {
 // otherwise the deleted survey would rise again on the next restart.
 func TestSaveCannotResurrectDeletedCollection(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSaveCannotResurrectDeletedCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg3 := NewCollectionRegistry()
-	store3, err := NewStore(dir)
+	store3, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestSaveCannotResurrectDeletedCollection(t *testing.T) {
 // fresh names do not grow the per-name lock map forever — the entries
 // are refcounted and dropped with their last holder.
 func TestStoreLockMapReclaimed(t *testing.T) {
-	store, err := NewStore(t.TempDir())
+	store, err := newStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestStoreLockMapReclaimed(t *testing.T) {
 // setting the losing snapshot aside instead of refusing to start.
 func TestCaseVariantOrphanDoesNotBrickLoad(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestCaseVariantOrphanDoesNotBrickLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg2 := NewCollectionRegistry()
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func mustSnapshotBlob(t *testing.T, name string) []byte {
 // genuinely orphaned snapshot cleans it up.
 func TestDeleteSweepGuards(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestDeleteSweepGuards(t *testing.T) {
 // and compare the /estimate JSON byte-for-byte.
 func TestServerRestartOverHTTP(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestServerRestartOverHTTP(t *testing.T) {
 	ts.Close()
 
 	// Restart: fresh registry, fresh store, same directory.
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -338,7 +338,7 @@ func TestShardedAdvanceMatchesSingleAggregator(t *testing.T) {
 // finishes the protocol and recovers the planted hitters.
 func TestPhasedMidRoundRestartResumesProtocol(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestPhasedMidRoundRestartResumesProtocol(t *testing.T) {
 	}
 
 	// Kill; restore into a fresh stack.
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestPhasedMidRoundRestartResumesProtocol(t *testing.T) {
 // round/frontier).
 func TestSnapshotRoundTripPerTask(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestSnapshotRoundTripPerTask(t *testing.T) {
 	}
 
 	reg2 := NewCollectionRegistry()
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestSnapshotRoundTripPerTask(t *testing.T) {
 func TestSnapshotVersion6Quarantined(t *testing.T) {
 	logged := captureLog(t)
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestSnapshotVersion6Quarantined(t *testing.T) {
 // must not restore — it is set aside under .corrupt instead.
 func TestTornRoundSnapshotQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestTornRoundSnapshotQuarantined(t *testing.T) {
 	// Re-wrap with a valid checksum: the corruption under test is the
 	// round field, not the framing.
 	writeSnapshotFile(t, filepath.Join(dir, "torn.json"), snap)
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,15 +603,15 @@ func TestEstimateResponseCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.EstimateCacheHits() != 0 {
-		t.Fatalf("cache hits %d before any repeat", agg.EstimateCacheHits())
+	if agg.estHits.Load() != 0 {
+		t.Fatalf("cache hits %d before any repeat", agg.estHits.Load())
 	}
 	again, err := agg.Estimate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.EstimateCacheHits() != 1 {
-		t.Fatalf("cache hits %d after repeat, want 1", agg.EstimateCacheHits())
+	if agg.estHits.Load() != 1 {
+		t.Fatalf("cache hits %d after repeat, want 1", agg.estHits.Load())
 	}
 	if !bytes.Equal(first, again) {
 		t.Fatalf("cached estimate differs:\n%s\n%s", first, again)
@@ -621,14 +621,14 @@ func TestEstimateResponseCache(t *testing.T) {
 	if _, err := agg.Estimate(q2); err != nil {
 		t.Fatal(err)
 	}
-	if agg.EstimateCacheHits() != 1 {
-		t.Fatalf("cache hits %d after distinct query, want 1", agg.EstimateCacheHits())
+	if agg.estHits.Load() != 1 {
+		t.Fatalf("cache hits %d after distinct query, want 1", agg.estHits.Load())
 	}
 	if _, err := agg.Estimate(q2); err != nil {
 		t.Fatal(err)
 	}
-	if agg.EstimateCacheHits() != 2 {
-		t.Fatalf("cache hits %d, want 2", agg.EstimateCacheHits())
+	if agg.estHits.Load() != 2 {
+		t.Fatalf("cache hits %d, want 2", agg.estHits.Load())
 	}
 	// A new report moves the epoch: the next read recomputes.
 	addOne()
@@ -636,8 +636,8 @@ func TestEstimateResponseCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.EstimateCacheHits() != 2 {
-		t.Fatalf("cache hit served a stale epoch (hits %d)", agg.EstimateCacheHits())
+	if agg.estHits.Load() != 2 {
+		t.Fatalf("cache hit served a stale epoch (hits %d)", agg.estHits.Load())
 	}
 	var before, after hhtask.EstimateResult
 	if err := json.Unmarshal(first, &before); err != nil {
@@ -676,7 +676,7 @@ func TestEstimateResponseCache(t *testing.T) {
 // the state directory still loading cleanly — is the assertion.
 func TestAdvanceCheckpointDeleteRace(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -818,7 +818,7 @@ func TestAdvanceCheckpointDeleteRace(t *testing.T) {
 
 	// Whatever interleaving happened, the directory must hold either
 	// no snapshot or a consistent one — never a torn round.
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -834,7 +834,7 @@ func TestAdvanceCheckpointDeleteRace(t *testing.T) {
 // the aggregator's round counter rather than any per-report state.
 func TestStatusUnchangedAcrossMidRoundRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -890,7 +890,7 @@ func TestStatusUnchangedAcrossMidRoundRestart(t *testing.T) {
 	}
 
 	// Kill without a final checkpoint; restore from checkpoint + journal.
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,17 +163,6 @@ func (s *Service) SetRelayInfo(fn func(collection string) *RelayInfo) {
 	s.relayInfo = fn
 }
 
-// Aggregator exposes the default collection's sharded aggregator, for
-// embedding the service in a larger process that also ingests reports
-// directly. It is nil when no default collection exists.
-func (s *Service) Aggregator() *ShardedAggregator {
-	c, ok := s.reg.Get(DefaultCollection)
-	if !ok {
-		return nil
-	}
-	return c.agg
-}
-
 // Handler returns the service's HTTP routes. Method-qualified patterns
 // make the mux answer wrong-method requests with 405 and an Allow
 // header.

@@ -71,10 +71,7 @@ func TestHandleReportBatchHappyPath(t *testing.T) {
 	for i := range values {
 		values[i] = i % 8
 	}
-	envs, err := client.ReportBatch(values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envs := reportAll(t, client, values)
 	body, _ := json.Marshal(envs)
 	resp := postJSON(t, ts.URL+"/report/batch", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -126,7 +123,7 @@ func TestHandleReportBatchPartialReject(t *testing.T) {
 		t.Fatalf("batch response %+v", br)
 	}
 	// The valid envelopes still landed.
-	if got := svc.Aggregator().Collected(); got != 2 {
+	if got := defaultAggregator(t, svc).Collected(); got != 2 {
 		t.Fatalf("collected %d want 2", got)
 	}
 }
@@ -143,12 +140,12 @@ func TestHandleReportRejectsMalformedEnvelopes(t *testing.T) {
 		{"negative GRR value", MechanismGRR, freqtask.Envelope{Mechanism: "GRR", Value: -1}},
 		{"bad base64 bits", MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: "***"}},
 		{"empty bits", MechanismOUE, freqtask.Envelope{Mechanism: "OUE", Bits: ""}},
-		{"wrong SHE length", MechanismSHE, freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1}}},
-		{"overflow-scale SHE component", MechanismSHE,
+		{"wrong SHE length", freqtask.MechanismSHE, freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1}}},
+		{"overflow-scale SHE component", freqtask.MechanismSHE,
 			freqtask.Envelope{Mechanism: "SHE", Reals: []float64{1.7e308, 0, 0, 0, 0, 0, 0, 0}}},
-		{"negative overflow SHE component", MechanismSHE,
+		{"negative overflow SHE component", freqtask.MechanismSHE,
 			freqtask.Envelope{Mechanism: "SHE", Reals: []float64{0, -1e10, 0, 0, 0, 0, 0, 0}}},
-		{"bad HRR sign", MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: 1, Sign: 2}},
+		{"bad HRR sign", freqtask.MechanismHRR, freqtask.Envelope{Mechanism: "HRR", Value: 1, Sign: 2}},
 	}
 	for _, c := range cases {
 		c := c
@@ -159,7 +156,7 @@ func TestHandleReportRejectsMalformedEnvelopes(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d want 400", resp.StatusCode)
 			}
-			if svc.Aggregator().Collected() != 0 {
+			if defaultAggregator(t, svc).Collected() != 0 {
 				t.Fatal("rejected envelope was counted")
 			}
 		})
@@ -217,7 +214,7 @@ func TestHandleReportRejectsTrailingGarbage(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d want 400", resp.StatusCode)
 			}
-			if got := svc.Aggregator().Collected(); got != 0 {
+			if got := defaultAggregator(t, svc).Collected(); got != 0 {
 				t.Fatalf("garbage-framed request aggregated %d reports", got)
 			}
 		})
@@ -270,10 +267,7 @@ func TestBatchAndSingleReportsAgree(t *testing.T) {
 	for i := range values {
 		values[i] = ldprand.Intn(src, 8)
 	}
-	envs, err := client.ReportBatch(values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envs := reportAll(t, client, values)
 
 	for _, env := range envs {
 		body, _ := json.Marshal(env)
@@ -290,11 +284,11 @@ func TestBatchAndSingleReportsAgree(t *testing.T) {
 		}
 	}
 
-	mSingle, err := single.Aggregator().Merged()
+	mSingle, err := defaultAggregator(t, single).Merged()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mBatch, err := batched.Aggregator().Merged()
+	mBatch, err := defaultAggregator(t, batched).Merged()
 	if err != nil {
 		t.Fatal(err)
 	}

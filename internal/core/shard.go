@@ -163,20 +163,6 @@ func (a *ShardedAggregator) BinaryWire() bool { return a.binaryWire }
 // TaskType returns the task type name the aggregator serves.
 func (a *ShardedAggregator) TaskType() string { return a.cfg.Type() }
 
-// Config returns the task configuration the aggregator was built with.
-func (a *ShardedAggregator) Config() task.Config { return a.cfg }
-
-// Mechanism returns the configured mechanism name within the task
-// family (an oracle registry name for freq, "duchi"/"harmony" for
-// mean, "CMS"/"HCMS" for sketch).
-func (a *ShardedAggregator) Mechanism() string { return a.cfg.Mechanism }
-
-// Params returns the frequency-style privacy parameters (epsilon and,
-// for tasks that have one, the categorical domain size).
-func (a *ShardedAggregator) Params() PrivacyParams {
-	return PrivacyParams{Epsilon: a.cfg.Epsilon, Domain: a.cfg.Domain}
-}
-
 // Shards returns the number of shards.
 func (a *ShardedAggregator) Shards() int { return len(a.shards) }
 
@@ -494,11 +480,6 @@ func (a *ShardedAggregator) EstimateCached(query map[string][]string) (json.RawM
 	a.readMu.Unlock()
 	return est, reports, nil
 }
-
-// EstimateCacheHits returns how many estimate reads were served from
-// the per-query response cache, exposed so tests (and curious
-// operators) can verify it is working.
-func (a *ShardedAggregator) EstimateCacheHits() uint64 { return a.estHits.Load() }
 
 // Epoch returns the current ingestion epoch: a counter advanced by
 // every accepted report, reset and restore. Equal epochs across two

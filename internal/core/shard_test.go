@@ -28,10 +28,7 @@ func genEnvelopes(t testing.TB, mechanism string, n int, seed uint64) []freqtask
 	for i := range values {
 		values[i] = ldprand.Intn(src, shardParams().Domain)
 	}
-	envs, err := client.ReportBatch(values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envs := reportAll(t, client, values)
 	return envs
 }
 
@@ -48,19 +45,19 @@ func TestShardedMatchesSequentialUnderConcurrency(t *testing.T) {
 		batches   = 10
 		batchSize = 50
 	)
-	for _, name := range []string{MechanismGRR, MechanismOUE, MechanismOLH, MechanismSS, MechanismTHE} {
+	for _, name := range []string{MechanismGRR, MechanismOUE, MechanismOLH, freqtask.MechanismSS, freqtask.MechanismTHE} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			envs := genEnvelopes(t, name, workers*batches*batchSize, 41)
 			raws := rawEnvs(t, envs)
 
-			// Sequential baseline: one oracle, one order.
-			seq, err := newOracle(name, shardParams(), nil)
+			// Sequential baseline: one aggregator, one order.
+			seq, err := freqtask.New(FreqTaskConfig(name, shardParams()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range envs {
-				if err := freqtask.Aggregate(seq, e); err != nil {
+			for _, raw := range raws {
+				if err := seq.Add(raw); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -100,7 +97,7 @@ func TestShardedMatchesSequentialUnderConcurrency(t *testing.T) {
 			if merged.Collected() != seq.Collected() {
 				t.Fatalf("merged collected %d, sequential %d", merged.Collected(), seq.Collected())
 			}
-			got, want := freqCounts(t, merged), seq.EstimateCounts()
+			got, want := freqCounts(t, merged), freqCounts(t, seq)
 			for v := range want {
 				if got[v] != want[v] {
 					t.Errorf("value %d: merged estimate %v != sequential %v", v, got[v], want[v])
@@ -308,8 +305,8 @@ func TestShardedAggregatorDefaults(t *testing.T) {
 	if agg.Shards() < 1 {
 		t.Fatalf("shards %d", agg.Shards())
 	}
-	if agg.Mechanism() != MechanismGRR || agg.Params().Domain != 32 || agg.TaskType() != "freq" {
-		t.Fatalf("accessors: %s %s %+v", agg.TaskType(), agg.Mechanism(), agg.Params())
+	if agg.TaskType() != "freq" {
+		t.Fatalf("task type %q", agg.TaskType())
 	}
 	if _, err := NewShardedAggregator(FreqTaskConfig("NOPE", shardParams()), 2); err == nil {
 		t.Fatal("unknown mechanism accepted")

@@ -87,7 +87,7 @@ func fillSketch(t *testing.T, c *Collection, seed uint64, n int) {
 // byte-identical /estimate responses.
 func TestThreeTaskServerRestartCycle(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestThreeTaskServerRestartCycle(t *testing.T) {
 	ts.Close()
 
 	// "Kill" the process; restore from disk into a fresh stack.
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestPreTaskSnapshotRestoresAsFreq(t *testing.T) {
 // each new task family at the store level.
 func TestTaggedSnapshotRoundTripsPerTask(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestTaggedSnapshotRoundTripsPerTask(t *testing.T) {
 	}
 
 	reg2 := NewCollectionRegistry()
-	store2, err := NewStore(dir)
+	store2, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestTaggedSnapshotRoundTripsPerTask(t *testing.T) {
 // from a newer build is quarantined instead of being misread.
 func TestFutureSnapshotVersionRefused(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	store, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

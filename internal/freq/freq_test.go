@@ -174,8 +174,8 @@ func TestGRRPrivatizeCalibration(t *testing.T) {
 		}
 	}
 	got := float64(keep) / n
-	if math.Abs(got-g.P()) > 0.005 {
-		t.Errorf("GRR keep rate %.4f want %.4f", got, g.P())
+	if math.Abs(got-g.p) > 0.005 {
+		t.Errorf("GRR keep rate %.4f want %.4f", got, g.p)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestGRRLiesUniform(t *testing.T) {
 	// Each lie value should appear with probability q.
 	for v := 1; v < d; v++ {
 		got := float64(counts[v]) / n
-		if math.Abs(got-g.Q()) > 0.005 {
-			t.Errorf("lie value %d rate %.4f want %.4f", v, got, g.Q())
+		if math.Abs(got-g.q) > 0.005 {
+			t.Errorf("lie value %d rate %.4f want %.4f", v, got, g.q)
 		}
 	}
 }
@@ -208,11 +208,11 @@ func TestUEBitCalibration(t *testing.T) {
 			onesFalse++
 		}
 	}
-	if got := float64(onesTrue) / n; math.Abs(got-u.P()) > 0.01 {
-		t.Errorf("true-bit keep rate %.4f want %.4f", got, u.P())
+	if got := float64(onesTrue) / n; math.Abs(got-u.p) > 0.01 {
+		t.Errorf("true-bit keep rate %.4f want %.4f", got, u.p)
 	}
-	if got := float64(onesFalse) / n; math.Abs(got-u.Q()) > 0.01 {
-		t.Errorf("false-bit flip rate %.4f want %.4f", got, u.Q())
+	if got := float64(onesFalse) / n; math.Abs(got-u.q) > 0.01 {
+		t.Errorf("false-bit flip rate %.4f want %.4f", got, u.q)
 	}
 }
 

@@ -22,12 +22,6 @@ func NewGRR(epsilon float64, d int, src ldprand.Source) *GRR {
 	return &GRR{newCounting("GRR", epsilon, d, expE/(expE+float64(d)-1), 1/(expE+float64(d)-1), src)}
 }
 
-// P returns the truth-telling probability e^ε/(e^ε+d−1).
-func (g *GRR) P() float64 { return g.p }
-
-// Q returns the probability of any one specific lie, 1/(e^ε+d−1).
-func (g *GRR) Q() float64 { return g.q }
-
 // Privatize runs the client side: it returns the randomized value the
 // user would transmit.
 func (g *GRR) Privatize(v int) int {
@@ -131,8 +125,9 @@ func (b BinaryRR) EstimateProportion(delta float64) (estimate, ci float64) {
 	return est, normalCIHalfWidth(v, delta)
 }
 
-// normalCIHalfWidth mirrors stats.NormalCI without importing the stats
-// package (avoiding a dependency cycle for packages that embed oracles).
+// normalCIHalfWidth returns the half-width of a two-sided normal
+// confidence interval of coverage 1−delta for an estimator of the given
+// variance.
 func normalCIHalfWidth(variance, delta float64) float64 {
 	// z for common deltas; falls back to a Chebyshev-style bound.
 	var z float64

@@ -17,15 +17,16 @@ package freq_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/binenc"
+	"repro/internal/bitvec"
 	"repro/internal/freq"
 	"repro/internal/ldprand"
 	"repro/internal/tally"
 	"repro/internal/task"
-	"repro/internal/task/freqtask"
 	"repro/internal/task/hhtask"
 )
 
@@ -81,24 +82,11 @@ func TestTallyLifecycle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			client := tc.build(lifeEps, ldprand.NewSplitMix64(1))
-			values := ldprand.NewSplitMix64(2)
-			envs := make([]freqtask.Envelope, lifeReports)
-			for i := range envs {
-				env, err := freqtask.Privatize(client, ldprand.Intn(values, client.Domain()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				envs[i] = env
-			}
 			u := tallyUser[freq.Oracle]{
 				fresh:   func() freq.Oracle { return tc.build(lifeEps, ldprand.NewSplitMix64(0)) },
 				foreign: func() freq.Oracle { return tc.build(2*lifeEps, ldprand.NewSplitMix64(0)) },
-				fold: func(o freq.Oracle, i int) {
-					if err := freqtask.Aggregate(o, envs[i]); err != nil {
-						t.Fatal(err)
-					}
-				},
-				width: client.Domain(),
+				fold:    foldFor(client),
+				width:   client.Domain(),
 			}
 			var params []any
 			if tc.params != nil {
@@ -166,7 +154,53 @@ func TestTallyLifecycle(t *testing.T) {
 
 func oneCell(freq.Oracle) int { return 1 }
 
-func ueParams(o freq.Oracle) []any { u := o.(*freq.UE); return []any{u.P(), u.Q()} }
+// ueParams reads UE's p and q back out of its own state layout, after
+// the version byte, name, ε and d.
+func ueParams(o freq.Oracle) []any {
+	state, err := o.MarshalState()
+	if err != nil {
+		panic(err)
+	}
+	r := binenc.NewReader(state)
+	r.Byte()
+	_ = r.String()
+	r.Float64()
+	r.Varint()
+	return []any{r.Float64(), r.Float64()}
+}
+
+// foldFor privatizes a fixed stream of lifeReports values on client
+// and returns the fold of report i into any oracle of client's type,
+// so every instance folds the identical reports.
+func foldFor(client freq.Oracle) func(freq.Oracle, int) {
+	switch client.(type) {
+	case *freq.GRR:
+		return typedFold[int, *freq.GRR](client)
+	case freq.BinaryRR:
+		return typedFold[int, freq.BinaryRR](client)
+	case *freq.UE:
+		return typedFold[*bitvec.Vector, *freq.UE](client)
+	case *freq.THE:
+		return typedFold[*bitvec.Vector, *freq.THE](client)
+	case *freq.LH:
+		return typedFold[freq.LHReport, *freq.LH](client)
+	case *freq.SS:
+		return typedFold[[]int, *freq.SS](client)
+	}
+	panic(fmt.Sprintf("no typed fold for %T", client))
+}
+
+func typedFold[R any, O interface {
+	Privatize(int) R
+	Aggregate(R)
+}](client freq.Oracle) func(freq.Oracle, int) {
+	values := ldprand.NewSplitMix64(2)
+	reports := make([]R, lifeReports)
+	for i := range reports {
+		reports[i] = client.(O).Privatize(ldprand.Intn(values, client.Domain()))
+	}
+	return func(o freq.Oracle, i int) { o.(O).Aggregate(reports[i]) }
+}
 
 func lhParams(o freq.Oracle) []any { return []any{o.(*freq.LH).G()} }
 

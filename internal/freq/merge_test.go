@@ -7,9 +7,8 @@ package freq_test
 // so it is pinned here, driven through the freqtask.Mechanisms() registry
 // so any mechanism added there is covered automatically.
 //
-// The external test package is deliberate: it lets the test reuse the
-// freqtask wire path (Privatize/Aggregate envelopes) to feed the exact
-// same randomized reports to both sides without an import cycle.
+// The external test package is deliberate: it lets the test use the
+// freqtask registry without an import cycle.
 
 import (
 	"bytes"
@@ -34,35 +33,25 @@ func TestMergeLawAllMechanisms(t *testing.T) {
 	for _, name := range freqtask.Mechanisms() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			client, err := newOracle(name, ldprand.NewSplitMix64(11))
+			// The split oracles share one source seeded like the
+			// sequential oracle's, so report i is privatized from the
+			// same random draws on both sides.
+			sequential, err := newOracle(name, ldprand.NewSplitMix64(11))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sequential, err := newOracle(name, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			splitSrc := ldprand.NewSplitMix64(11)
 			shards := make([]freq.Oracle, parts)
 			for i := range shards {
-				if shards[i], err = newOracle(name, nil); err != nil {
+				if shards[i], err = newOracle(name, splitSrc); err != nil {
 					t.Fatal(err)
 				}
 			}
 			src := ldprand.NewSplitMix64(12)
 			for i := 0; i < n; i++ {
 				v := ldprand.Intn(src, 16)
-				env, err := freqtask.Privatize(client, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The same envelope goes to the sequential oracle and
-				// to one of the split oracles.
-				if err := freqtask.Aggregate(sequential, env); err != nil {
-					t.Fatal(err)
-				}
-				if err := freqtask.Aggregate(shards[i%parts], env); err != nil {
-					t.Fatal(err)
-				}
+				sequential.Collect(v)
+				shards[i%parts].Collect(v)
 			}
 
 			merged, err := newOracle(name, nil)

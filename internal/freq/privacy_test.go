@@ -19,7 +19,7 @@ func TestGRRAnalyticLDPBound(t *testing.T) {
 	for _, eps := range []float64{0.1, 0.5, 1, 2, 5} {
 		for _, d := range []int{2, 10, 100} {
 			g := NewGRR(eps, d, nil)
-			ratio := g.P() / g.Q()
+			ratio := g.p / g.q
 			if math.Abs(ratio-math.Exp(eps)) > 1e-9*math.Exp(eps) {
 				t.Errorf("eps=%v d=%d: ratio %v want e^eps=%v", eps, d, ratio, math.Exp(eps))
 			}
@@ -73,7 +73,7 @@ func TestUEAnalyticLDPBound(t *testing.T) {
 		sue := NewSUE(eps, 8, nil)
 		oue := NewOUE(eps, 8, nil)
 		for name, u := range map[string]*UE{"SUE": sue, "OUE": oue} {
-			ratio := ueWorstRatio(u.P(), u.Q())
+			ratio := ueWorstRatio(u.p, u.q)
 			if ratio > math.Exp(eps)*(1+1e-9) {
 				t.Errorf("%s eps=%v: worst ratio %v exceeds e^eps %v", name, eps, ratio, math.Exp(eps))
 			}

@@ -51,12 +51,6 @@ func NewSSWithK(epsilon float64, d, k int, src ldprand.Source) *SS {
 // K returns the subset size.
 func (s *SS) K() int { return s.k }
 
-// P returns Pr[true value ∈ subset].
-func (s *SS) P() float64 { return s.p }
-
-// Q returns Pr[other fixed value ∈ subset].
-func (s *SS) Q() float64 { return s.q }
-
 // Privatize reports a random k-subset (sorted ascending): with
 // probability p the true value plus k−1 uniform others, otherwise k
 // uniform values excluding the truth.

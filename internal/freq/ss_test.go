@@ -64,11 +64,11 @@ func TestSSInclusionCalibration(t *testing.T) {
 			}
 		}
 	}
-	if got := float64(inTrue) / n; math.Abs(got-s.P()) > 0.01 {
-		t.Errorf("true inclusion %.4f want %.4f", got, s.P())
+	if got := float64(inTrue) / n; math.Abs(got-s.p) > 0.01 {
+		t.Errorf("true inclusion %.4f want %.4f", got, s.p)
 	}
-	if got := float64(inOther) / n; math.Abs(got-s.Q()) > 0.01 {
-		t.Errorf("other inclusion %.4f want %.4f", got, s.Q())
+	if got := float64(inOther) / n; math.Abs(got-s.q) > 0.01 {
+		t.Errorf("other inclusion %.4f want %.4f", got, s.q)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestSSLDPBudgetExact(t *testing.T) {
 		// Pr[S ∋ v | true v] / Pr[S ∋ v | true u ∉ S]: the mechanism's
 		// subset distribution gives the e^ε ratio through p/(k/(d... the
 		// direct check: p/(1−p) · (d−k)/k must equal e^ε.
-		ratio := s.P() / (1 - s.P()) * (df - kf) / kf
+		ratio := s.p / (1 - s.p) * (df - kf) / kf
 		if math.Abs(ratio-math.Exp(eps)) > 1e-6*math.Exp(eps) {
 			t.Errorf("eps=%v: ratio %v want %v", eps, ratio, math.Exp(eps))
 		}

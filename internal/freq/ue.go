@@ -53,12 +53,6 @@ func newUE(name string, epsilon float64, d int, p, q float64, src ldprand.Source
 	return &UE{newCounting(name, epsilon, d, p, q, src)}
 }
 
-// P returns the probability a true 1 bit stays 1.
-func (u *UE) P() float64 { return u.p }
-
-// Q returns the probability a true 0 bit flips to 1.
-func (u *UE) Q() float64 { return u.q }
-
 // Privatize one-hot encodes v and perturbs every bit.
 func (u *UE) Privatize(v int) *bitvec.Vector {
 	checkDomain(v, u.d)

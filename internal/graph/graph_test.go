@@ -11,7 +11,7 @@ import (
 
 func TestNoisyDegreesUnbiased(t *testing.T) {
 	src := ldprand.NewSplitMix64(1)
-	g := workload.ErdosRenyi(src, 400, 0.05)
+	g := workload.BarabasiAlbert(src, 400, 10)
 	noisy := NoisyDegrees(1.0, g, src)
 	if len(noisy) != g.N {
 		t.Fatalf("length %d", len(noisy))
@@ -130,7 +130,7 @@ func TestGenerateRejectsBadParams(t *testing.T) {
 
 func TestGenerateMoreClustersThanVertices(t *testing.T) {
 	src := ldprand.NewSplitMix64(5)
-	g := workload.ErdosRenyi(src, 5, 0.5)
+	g := workload.BarabasiAlbert(src, 5, 2)
 	syn, err := Generate(GenParams{Epsilon: 2, Clusters: 50}, g, src)
 	if err != nil {
 		t.Fatal(err)

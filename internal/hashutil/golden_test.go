@@ -35,9 +35,6 @@ func TestGoldenHash(t *testing.T) {
 		if got := HashIntRange(seed, item, m); got != want {
 			t.Errorf("HashIntRange(%d, %d, %d) = %d, want %d", seed, item, m, got, want)
 		}
-		if got := Range(HashInt64(seed, item), m); got != want {
-			t.Errorf("Range(HashInt64(%d, %d), %d) = %d, want %d", seed, item, m, got, want)
-		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)

@@ -5,11 +5,9 @@
 // sketch all assume a publicly known family {H_s} of hash functions from
 // an item domain into a small range [m], indexed by a seed that travels
 // with each report. Byte strings (Hash64) are hashed with FNV-1a and a
-// SplitMix64 finalizer; integers (IntHasher, HashInt64) with two
-// SplitMix64 finalizers keyed by the seed. Both empirically behave as
-// universal families for the ranges used in LDP protocols. Pairwise is
-// an exact pairwise-independent family over a Mersenne-prime field for
-// code that needs provable 2-independence.
+// SplitMix64 finalizer; integers (IntHasher) with two SplitMix64
+// finalizers keyed by the seed. Both empirically behave as universal
+// families for the ranges used in LDP protocols.
 //
 // The integer hash is wire protocol: a local-hashing client reports a
 // bucket the server recomputes, at ingest and at every journal replay.
@@ -58,12 +56,6 @@ func (h IntHasher) Bucket(item int) int {
 	return int(hi)
 }
 
-// HashInt64 hashes an integer item with a 64-bit seed. It avoids
-// allocating for the common case of integer-encoded domains.
-func HashInt64(seed uint64, item int) uint64 {
-	return NewIntHasher(seed, 0).Hash(item)
-}
-
 // Range maps a 64-bit hash onto [0, m) without modulo bias, using the
 // multiply-shift reduction.
 func Range(h uint64, m int) int {
@@ -86,44 +78,4 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Pairwise is an exactly pairwise-independent hash family
-// h(x) = ((a·x + b) mod p) mod m over the Mersenne prime p = 2^61 − 1.
-// Draw a fresh (A, B) per function instance; A must be in [1, p), B in
-// [0, p).
-type Pairwise struct {
-	A, B uint64 // coefficients; A in [1,p), B in [0,p)
-	M    int    // output range
-}
-
-// MersennePrime61 is the field modulus of the Pairwise family.
-const MersennePrime61 = (1 << 61) - 1
-
-// NewPairwise derives a pairwise-independent function from two random
-// words, reducing them into the valid coefficient ranges, with output
-// range m.
-func NewPairwise(r1, r2 uint64, m int) Pairwise {
-	a := r1%(MersennePrime61-1) + 1 // [1, p)
-	b := r2 % MersennePrime61       // [0, p)
-	return Pairwise{A: a, B: b, M: m}
-}
-
-// Hash evaluates the function at x.
-func (pw Pairwise) Hash(x uint64) int {
-	v := modMulAdd(pw.A, x%MersennePrime61, pw.B)
-	return int(v % uint64(pw.M))
-}
-
-// modMulAdd computes (a*x + b) mod (2^61 - 1) without overflow, using the
-// Mersenne reduction (hi<<3 | lo-part folding).
-func modMulAdd(a, x, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, x)
-	// 2^64 ≡ 2^3 (mod 2^61-1), so fold: value = hi*2^64 + lo.
-	res := (lo & MersennePrime61) + (lo >> 61) + (hi<<3)&MersennePrime61 + hi>>58
-	res += b
-	for res >= MersennePrime61 {
-		res -= MersennePrime61
-	}
-	return res
 }

@@ -19,7 +19,7 @@ func TestHash64Deterministic(t *testing.T) {
 func TestHashInt64SeedSeparation(t *testing.T) {
 	collisions := 0
 	for seed := uint64(0); seed < 100; seed++ {
-		if HashInt64(seed, 42) == HashInt64(seed+1, 42) {
+		if NewIntHasher(seed, 0).Hash(42) == NewIntHasher(seed+1, 0).Hash(42) {
 			collisions++
 		}
 	}
@@ -67,83 +67,9 @@ func TestHashBytesRangeDeterministic(t *testing.T) {
 	}
 }
 
-func TestPairwiseRangeProperty(t *testing.T) {
-	f := func(r1, r2, x uint64, mRaw uint8) bool {
-		m := int(mRaw%64) + 2
-		pw := NewPairwise(r1, r2, m)
-		v := pw.Hash(x)
-		return v >= 0 && v < m
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPairwiseDeterministic(t *testing.T) {
-	pw := NewPairwise(111, 222, 10)
-	for x := uint64(0); x < 100; x++ {
-		if pw.Hash(x) != pw.Hash(x) {
-			t.Fatal("pairwise hash not deterministic")
-		}
-	}
-}
-
-func TestPairwiseCollisionRate(t *testing.T) {
-	// For a pairwise-independent family into [m], Pr[h(x)=h(y)] is about
-	// 1/m for x != y. Estimate over many function draws.
-	const m = 8
-	const trials = 20000
-	collisions := 0
-	for i := 0; i < trials; i++ {
-		pw := NewPairwise(uint64(i)*2654435761+1, uint64(i)*40503+7, m)
-		if pw.Hash(12345) == pw.Hash(67890) {
-			collisions++
-		}
-	}
-	rate := float64(collisions) / trials
-	if math.Abs(rate-1.0/m) > 0.02 {
-		t.Errorf("pairwise collision rate %v, want about %v", rate, 1.0/m)
-	}
-}
-
-func TestPairwiseUniformSingle(t *testing.T) {
-	// Marginal of a pairwise family is uniform: fix x, vary the function.
-	const m = 5
-	const trials = 50000
-	counts := make([]int, m)
-	for i := 0; i < trials; i++ {
-		pw := NewPairwise(uint64(i)*0x9e3779b97f4a7c15+3, uint64(i)*0xbf58476d1ce4e5b9+11, m)
-		counts[pw.Hash(777)]++
-	}
-	want := float64(trials) / m
-	for b, c := range counts {
-		if math.Abs(float64(c)-want) > 0.05*want {
-			t.Errorf("bucket %d: %d, want about %.0f", b, c, want)
-		}
-	}
-}
-
-func TestModMulAddSmallCases(t *testing.T) {
-	cases := []struct{ a, x, b uint64 }{
-		{0, 0, 0}, {1, 1, 1}, {2, 3, 4}, {1 << 20, 1 << 20, 99},
-		{MersennePrime61 - 1, 2, 5},
-	}
-	for _, c := range cases {
-		if got := modMulAdd(c.a, c.x, c.b); got >= MersennePrime61 {
-			t.Fatalf("modMulAdd(%d,%d,%d) = %d >= p", c.a, c.x, c.b, got)
-		}
-	}
-	if got := modMulAdd(2, 3, 4); got != 10 {
-		t.Fatalf("modMulAdd(2,3,4)=%d want 10", got)
-	}
-	if got := modMulAdd(1, MersennePrime61-1, 1); got != 0 {
-		t.Fatalf("modMulAdd(1,p-1,1)=%d want 0", got)
-	}
-}
-
-// TestMul128KnownValues checks the 128-bit products behind Range and
-// Pairwise at the values that exercise every carry of the hand-rolled
-// multiply they used before math/bits.Mul64.
+// TestMul128KnownValues checks the 128-bit product behind Range at the
+// values that exercise every carry of the hand-rolled multiply it used
+// before math/bits.Mul64.
 func TestMul128KnownValues(t *testing.T) {
 	// Range(h, m) is the high word of h·m.
 	for _, c := range []struct {
@@ -164,19 +90,6 @@ func TestMul128KnownValues(t *testing.T) {
 		if got := int(refMul128Hi(c.h, uint64(c.m))); got != c.want {
 			t.Errorf("oracle hi(%#x·%d) = %d, want %d", c.h, c.m, got, c.want)
 		}
-	}
-	// modMulAdd reduces the full 128-bit a·x mod 2^61−1: with
-	// a = x = p−1 ≡ −1 the product is 1, and a = 2^60, x = 4 wraps the
-	// high word (2^62 ≡ 2).
-	if got := modMulAdd(MersennePrime61-1, MersennePrime61-1, 0); got != 1 {
-		t.Errorf("modMulAdd(p-1,p-1,0) = %d, want 1", got)
-	}
-	if got := modMulAdd(1<<60, 4, 7); got != 9 {
-		t.Errorf("modMulAdd(2^60,4,7) = %d, want 9", got)
-	}
-	if got := (Pairwise{A: MersennePrime61 - 1, B: 3, M: 1000}).Hash(MersennePrime61 - 2); got != 5 {
-		// (−1)(−2) + 3 = 5 mod p.
-		t.Errorf("Pairwise(-1,3).Hash(-2) = %d, want 5", got)
 	}
 }
 
@@ -218,7 +131,7 @@ func TestKernelIntHasher(t *testing.T) {
 			want := refHashIntRange(seed, item, m)
 			h := NewIntHasher(seed, m)
 			if h.Bucket(item) != want || HashIntRange(seed, item, m) != want ||
-				Range(h.Hash(item), m) != want || h.Hash(item) != HashInt64(seed, item) {
+				Range(h.Hash(item), m) != want || h.Hash(item) != NewIntHasher(seed, 0).Hash(item) {
 				return false
 			}
 		}
@@ -229,9 +142,9 @@ func TestKernelIntHasher(t *testing.T) {
 	}
 }
 
-func BenchmarkHashInt64(b *testing.B) {
+func BenchmarkIntHasherHash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		HashInt64(uint64(i), i)
+		NewIntHasher(uint64(i), 0).Hash(i)
 	}
 }
 

@@ -107,13 +107,6 @@ func (m LHMech) EstimateCounts(reports []LHReport, candidates []uint64) []float6
 	return out
 }
 
-// Supports reports whether report r supports candidate c: whether c
-// hashes (under r's seed) into the bucket r announced. This is the 0/1
-// frequency indicator both estimate paths sum per candidate.
-func (m LHMech) Supports(r LHReport, c uint64) bool {
-	return hashutil.HashIntRange(r.Seed, int(c), m.g) == r.Bucket
-}
-
 // FoldSupport adds one report's support indicators into the
 // per-candidate sums, which must have len(candidates) entries. Folding
 // every report of a multiset (in any order — integer addition commutes)

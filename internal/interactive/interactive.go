@@ -3,26 +3,23 @@
 // new queries in light of previous answers, splitting each user's
 // budget across rounds.
 //
-// Two protocols are provided:
+// Quantile search is an interactive bisection over a numeric range.
+// Each round asks a fresh user group the threshold question "is your
+// value below t?" through randomized response, and the next threshold
+// depends on the previous answer — something a single non-interactive
+// round cannot do without paying for every possible threshold at once.
 //
-//   - Quantile search: an interactive bisection over a numeric range.
-//     Each round asks a fresh user group the threshold question
-//     "is your value below t?" through randomized response, and the
-//     next threshold depends on the previous answer — something a
-//     single non-interactive round cannot do without paying for every
-//     possible threshold at once.
-//
-//   - Two-phase frequency refinement: round one spends half the users
-//     on a coarse pass over the full domain to find a small candidate
-//     set; round two asks the remaining users a GRR question restricted
-//     to those candidates (plus "other"), whose variance depends on the
-//     small candidate count rather than the full domain size.
+// RefinementGain is the analytic case for two-phase frequency
+// refinement: round one spends half the users on a coarse pass over
+// the full domain to find a small candidate set; round two asks the
+// remaining users a GRR question restricted to those candidates (plus
+// "other"), whose variance depends on the small candidate count rather
+// than the full domain size.
 package interactive
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/freq"
 	"repro/internal/ldprand"
@@ -102,93 +99,6 @@ func Quantile(params QuantileParams, values []float64, src ldprand.Source) (floa
 // Median estimates the median: Quantile with Q = 1/2.
 func Median(epsilon, lo, hi float64, rounds int, values []float64, src ldprand.Source) (float64, error) {
 	return Quantile(QuantileParams{Epsilon: epsilon, Lo: lo, Hi: hi, Rounds: rounds, Q: 0.5}, values, src)
-}
-
-// RefineParams configures two-phase frequency refinement.
-type RefineParams struct {
-	Epsilon    float64 // per-user budget (each user answers one phase)
-	Domain     int     // full domain size
-	Candidates int     // candidate set size kept after phase one
-}
-
-// Validate checks parameter ranges.
-func (p RefineParams) Validate() error {
-	switch {
-	case p.Epsilon <= 0 || math.IsNaN(p.Epsilon) || math.IsInf(p.Epsilon, 0):
-		return fmt.Errorf("interactive: epsilon must be positive and finite")
-	case p.Domain < 4:
-		return fmt.Errorf("interactive: domain must be at least 4, got %d", p.Domain)
-	case p.Candidates < 1 || p.Candidates >= p.Domain:
-		return fmt.Errorf("interactive: Candidates must be in [1,Domain), got %d", p.Candidates)
-	}
-	return nil
-}
-
-// RefineResult reports the two-phase estimates.
-type RefineResult struct {
-	Candidates []int     // domain values kept after phase one, sorted
-	Counts     []float64 // phase-two estimated counts, scaled to the population
-}
-
-// Refine runs the two-phase protocol: phase one (first half of users)
-// runs OLH over the full domain and keeps the top candidates; phase
-// two (second half) answers GRR over candidates+other with far lower
-// variance than a full-domain pass.
-func Refine(params RefineParams, values []int, src ldprand.Source) (RefineResult, error) {
-	if err := params.Validate(); err != nil {
-		return RefineResult{}, err
-	}
-	for _, v := range values {
-		if v < 0 || v >= params.Domain {
-			return RefineResult{}, fmt.Errorf("interactive: value %d outside domain [0,%d)", v, params.Domain)
-		}
-	}
-	if src == nil {
-		src = ldprand.NewCrypto()
-	}
-	n := len(values)
-	if n < 4 {
-		return RefineResult{}, fmt.Errorf("interactive: need at least 4 users, got %d", n)
-	}
-	order := ldprand.Perm(src, n)
-	half := n / 2
-
-	// Phase one: coarse full-domain pass.
-	coarse := freq.NewOLH(params.Epsilon, params.Domain, src)
-	for _, idx := range order[:half] {
-		coarse.Collect(values[idx])
-	}
-	counts := coarse.EstimateCounts()
-	idxs := make([]int, params.Domain)
-	for i := range idxs {
-		idxs[i] = i
-	}
-	sort.SliceStable(idxs, func(a, b int) bool { return counts[idxs[a]] > counts[idxs[b]] })
-	cands := append([]int(nil), idxs[:params.Candidates]...)
-	sort.Ints(cands)
-	candIndex := make(map[int]int, len(cands))
-	for i, c := range cands {
-		candIndex[c] = i
-	}
-
-	// Phase two: GRR over candidates + "other".
-	other := len(cands)
-	fine := freq.NewGRR(params.Epsilon, len(cands)+1, src)
-	for _, idx := range order[half:] {
-		slot, ok := candIndex[values[idx]]
-		if !ok {
-			slot = other
-		}
-		fine.Collect(slot)
-	}
-	est := fine.EstimateCounts()
-	phase2 := n - half
-	scale := float64(n) / float64(phase2)
-	out := make([]float64, len(cands))
-	for i := range cands {
-		out[i] = est[i] * scale
-	}
-	return RefineResult{Candidates: cands, Counts: out}, nil
 }
 
 // RefinementGain returns the analytic variance ratio between a

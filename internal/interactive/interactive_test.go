@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/ldprand"
-	"repro/internal/workload"
 )
 
 func TestQuantileParamsValidate(t *testing.T) {
@@ -73,70 +72,6 @@ func TestQuantileErrors(t *testing.T) {
 	if _, err := Quantile(QuantileParams{Epsilon: 1, Lo: 0, Hi: 1, Rounds: 10, Q: 0.5},
 		[]float64{1, 2, 3}, ldprand.NewSplitMix64(1)); err == nil {
 		t.Error("3 users across 10 rounds accepted")
-	}
-}
-
-func TestRefineParamsValidate(t *testing.T) {
-	good := RefineParams{Epsilon: 1, Domain: 100, Candidates: 5}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []RefineParams{
-		{Epsilon: 0, Domain: 100, Candidates: 5},
-		{Epsilon: 1, Domain: 2, Candidates: 1},
-		{Epsilon: 1, Domain: 100, Candidates: 0},
-		{Epsilon: 1, Domain: 100, Candidates: 100},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestRefineFindsHeavyItems(t *testing.T) {
-	src := ldprand.NewSplitMix64(3)
-	const d, n = 256, 80000
-	zipf := workload.NewZipf(src, 2.0, 6)
-	heavy := []int{17, 63, 128, 200, 254, 90}
-	values := make([]int, n)
-	truth := make(map[int]int)
-	for i := range values {
-		values[i] = heavy[zipf.Next()]
-		truth[values[i]]++
-	}
-	res, err := Refine(RefineParams{Epsilon: 1.5, Domain: d, Candidates: 6}, values, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Candidates) != 6 || len(res.Counts) != 6 {
-		t.Fatalf("result shape %+v", res)
-	}
-	// The two heaviest items must be among candidates with counts in
-	// the right ballpark.
-	for _, want := range []int{heavy[0], heavy[1]} {
-		found := false
-		for i, c := range res.Candidates {
-			if c == want {
-				found = true
-				if math.Abs(res.Counts[i]-float64(truth[want])) > 0.35*float64(truth[want])+2000 {
-					t.Errorf("item %d: estimate %.0f truth %d", want, res.Counts[i], truth[want])
-				}
-			}
-		}
-		if !found {
-			t.Errorf("heavy item %d missing from candidates %v", want, res.Candidates)
-		}
-	}
-}
-
-func TestRefineRejectsBadInput(t *testing.T) {
-	p := RefineParams{Epsilon: 1, Domain: 16, Candidates: 4}
-	if _, err := Refine(p, []int{1, 2, 99}, ldprand.NewSplitMix64(1)); err == nil {
-		t.Error("out-of-domain value accepted")
-	}
-	if _, err := Refine(p, []int{1, 2}, ldprand.NewSplitMix64(1)); err == nil {
-		t.Error("too few users accepted")
 	}
 }
 

@@ -198,12 +198,6 @@ func Normal(s Source) float64 {
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }
 
-// Exponential returns an Exp(1) variate (mean 1).
-func Exponential(s Source) float64 {
-	u := 1.0 - Float64(s) // in (0, 1]
-	return -math.Log(u)
-}
-
 // Laplace returns a Laplace(0, b) variate, the noise distribution of the
 // central-DP baseline.
 func Laplace(s Source, b float64) float64 {

@@ -273,22 +273,6 @@ func TestLaplaceMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := NewSplitMix64(55)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := Exponential(s)
-		if x < 0 {
-			t.Fatalf("negative exponential draw %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.03 {
-		t.Errorf("exponential mean %v, want about 1", mean)
-	}
-}
-
 func TestShuffleKeepsElements(t *testing.T) {
 	s := NewSplitMix64(8)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}

@@ -320,9 +320,6 @@ func (dr *Direct) Marginal(i int) []float64 {
 	return out
 }
 
-// Masks returns the configured mask list.
-func (dr *Direct) Masks() []int { return dr.masks }
-
 func bitsOf(mask int) []int {
 	var out []int
 	for b := 0; mask != 0; b++ {

@@ -178,7 +178,7 @@ func TestDirectMarginal(t *testing.T) {
 	for _, r := range records {
 		dr.Collect(r)
 	}
-	for i, mask := range dr.Masks() {
+	for i, mask := range masks {
 		got := dr.Marginal(i)
 		truth := TrueMarginal(mask, 4, records)
 		if tv := stats.TotalVariation(got, truth); tv > 0.1 {

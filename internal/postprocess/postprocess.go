@@ -1,102 +1,12 @@
 // Package postprocess implements consistency post-processing for LDP
 // estimates. Post-processing never weakens differential privacy, so
 // the aggregator is free to repair the artifacts of unbiased
-// estimation — negative counts, totals that do not add up, children
-// disagreeing with parents in a hierarchy — before publishing.
-//
-// The projections implemented here are the standard ones from the
-// consistency literature: non-negativity clamping, Norm-Sub
-// (projection onto the simplex scaled to a known total, the method
-// recommended by follow-up work to Wang et al.), and weighted
-// parent/child averaging for two-level hierarchies such as the
-// spatial grids in internal/spatial.
+// estimation before publishing. This package holds the
+// inverse-variance blend the quadtree in internal/spatial uses to
+// reconcile a parent cell with the sum of its children.
 package postprocess
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Clamp zeroes negative estimates in place and returns the slice. The
-// cheapest repair; it biases totals upward.
-func Clamp(xs []float64) []float64 {
-	for i, x := range xs {
-		if x < 0 {
-			xs[i] = 0
-		}
-	}
-	return xs
-}
-
-// NormSub projects estimates onto {x : x >= 0, Σx = total}: it
-// subtracts a uniform δ from every positive entry and clamps negatives
-// to zero, choosing δ so the result sums to the target. This is the
-// exact Euclidean projection onto that set, computed in O(d log d).
-func NormSub(xs []float64, total float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	if total < 0 {
-		total = 0
-	}
-	// Sort a copy to find the threshold δ such that
-	// Σ max(x_i − δ, 0) = total.
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	// Walk from the largest down, maintaining the suffix sum.
-	var suffix float64
-	delta := math.Inf(-1)
-	for i := len(sorted) - 1; i >= 0; i-- {
-		suffix += sorted[i]
-		k := float64(len(sorted) - i)
-		d := (suffix - total) / k
-		// δ = d is feasible if every entry in the active suffix stays
-		// positive after subtraction, i.e. sorted[i] − d >= 0, and the
-		// next-smaller entry would be clamped, i.e. it is <= d.
-		lowerOK := sorted[i]-d >= -1e-12
-		upperOK := i == 0 || sorted[i-1]-d <= 1e-12
-		if lowerOK && upperOK {
-			delta = d
-			break
-		}
-	}
-	if math.IsInf(delta, -1) {
-		// All mass clamped (total 0 or extreme negatives): uniform 0s
-		// except distribute total over the largest entry.
-		delta = sorted[len(sorted)-1] - total
-	}
-	for i, x := range xs {
-		v := x - delta
-		if v < 0 {
-			v = 0
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// NormalizeTo rescales non-negative estimates to sum to total,
-// clamping negatives first. Unlike NormSub it preserves ratios rather
-// than differences.
-func NormalizeTo(xs []float64, total float64) []float64 {
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		if x > 0 {
-			out[i] = x
-			sum += x
-		}
-	}
-	if sum == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] *= total / sum
-	}
-	return out
-}
+import "fmt"
 
 // WeightedAverage combines two unbiased estimates of the same quantity
 // with inverse-variance weights; varA and varB must be positive.
@@ -106,42 +16,4 @@ func WeightedAverage(a, varA, b, varB float64) (float64, error) {
 	}
 	wa, wb := 1/varA, 1/varB
 	return (wa*a + wb*b) / (wa + wb), nil
-}
-
-// HierarchyConsistency reconciles a two-level estimate: parent[i] and
-// the corresponding children (a contiguous block of fan children per
-// parent). Each parent value and its child sum are two unbiased
-// estimates of the same count; they are blended by inverse variance
-// and the adjustment is spread evenly over the children. Returns the
-// repaired (parents, children).
-func HierarchyConsistency(parents, children []float64, fan int, varParent, varChild float64) ([]float64, []float64, error) {
-	if fan < 1 {
-		return nil, nil, fmt.Errorf("postprocess: fan must be at least 1, got %d", fan)
-	}
-	if len(children) != len(parents)*fan {
-		return nil, nil, fmt.Errorf("postprocess: %d children with fan %d cannot match %d parents",
-			len(children), fan, len(parents))
-	}
-	if varParent <= 0 || varChild <= 0 {
-		return nil, nil, fmt.Errorf("postprocess: variances must be positive")
-	}
-	outP := make([]float64, len(parents))
-	outC := make([]float64, len(children))
-	varChildSum := varChild * float64(fan)
-	for i, p := range parents {
-		var childSum float64
-		for j := 0; j < fan; j++ {
-			childSum += children[i*fan+j]
-		}
-		blended, err := WeightedAverage(p, varParent, childSum, varChildSum)
-		if err != nil {
-			return nil, nil, err
-		}
-		outP[i] = blended
-		adjust := (blended - childSum) / float64(fan)
-		for j := 0; j < fan; j++ {
-			outC[i*fan+j] = children[i*fan+j] + adjust
-		}
-	}
-	return outP, outC, nil
 }

@@ -3,100 +3,7 @@ package postprocess
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestClamp(t *testing.T) {
-	xs := []float64{-2, 0, 3, -0.5}
-	Clamp(xs)
-	want := []float64{0, 0, 3, 0}
-	for i := range want {
-		if xs[i] != want[i] {
-			t.Fatalf("Clamp=%v want %v", xs, want)
-		}
-	}
-}
-
-func TestNormSubKnownCase(t *testing.T) {
-	// xs = [5, 3, -2], total 4: δ = 2 gives [3, 1, 0], sum 4.
-	got := NormSub([]float64{5, 3, -2}, 4)
-	want := []float64{3, 1, 0}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("NormSub=%v want %v", got, want)
-		}
-	}
-}
-
-func TestNormSubAlreadyConsistent(t *testing.T) {
-	got := NormSub([]float64{1, 2, 3}, 6)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("NormSub=%v want %v", got, want)
-		}
-	}
-}
-
-func TestNormSubEmpty(t *testing.T) {
-	if got := NormSub(nil, 5); len(got) != 0 {
-		t.Fatalf("NormSub(nil)=%v", got)
-	}
-}
-
-func TestNormSubProperty(t *testing.T) {
-	f := func(raw []float64, totRaw uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				return true
-			}
-		}
-		total := float64(totRaw)
-		out := NormSub(raw, total)
-		var sum float64
-		for _, v := range out {
-			if v < -1e-9 {
-				return false
-			}
-			sum += v
-		}
-		// Sum matches target unless everything was clamped to zero and
-		// the target is unreachable... NormSub always reaches the target
-		// by lowering δ, so require equality within float error.
-		return math.Abs(sum-total) < 1e-6*(1+total)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormSubOrderPreserved(t *testing.T) {
-	// The projection subtracts a constant, so relative order of
-	// surviving entries must be preserved.
-	xs := []float64{10, 7, 4, -1}
-	out := NormSub(xs, 12)
-	for i := 1; i < len(out); i++ {
-		if out[i] > out[i-1]+1e-12 {
-			t.Fatalf("order violated: %v", out)
-		}
-	}
-}
-
-func TestNormalizeTo(t *testing.T) {
-	got := NormalizeTo([]float64{1, 3, -2}, 8)
-	if math.Abs(got[0]-2) > 1e-9 || math.Abs(got[1]-6) > 1e-9 || got[2] != 0 {
-		t.Fatalf("NormalizeTo=%v", got)
-	}
-	zero := NormalizeTo([]float64{-1, -2}, 5)
-	for _, v := range zero {
-		if v != 0 {
-			t.Fatal("all-negative input should normalize to zeros")
-		}
-	}
-}
 
 func TestWeightedAverage(t *testing.T) {
 	got, err := WeightedAverage(10, 1, 20, 1)
@@ -110,51 +17,5 @@ func TestWeightedAverage(t *testing.T) {
 	}
 	if _, err := WeightedAverage(1, 0, 2, 1); err == nil {
 		t.Fatal("zero variance accepted")
-	}
-}
-
-func TestHierarchyConsistency(t *testing.T) {
-	// One parent (estimate 100) with two children (30 + 50 = 80).
-	parents := []float64{100}
-	children := []float64{30, 50}
-	outP, outC, err := HierarchyConsistency(parents, children, 2, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Blend: parent var 10, child-sum var 20 ⇒ blended = (100/10 + 80/20)/(1/10+1/20) = 93.33.
-	want := (100.0/10 + 80.0/20) / (1.0/10 + 1.0/20)
-	if math.Abs(outP[0]-want) > 1e-9 {
-		t.Fatalf("parent %v want %v", outP[0], want)
-	}
-	// Children sum must equal the blended parent.
-	if math.Abs(outC[0]+outC[1]-outP[0]) > 1e-9 {
-		t.Fatalf("children %v do not sum to parent %v", outC, outP[0])
-	}
-	// Adjustment split evenly.
-	if math.Abs((outC[0]-30)-(outC[1]-50)) > 1e-9 {
-		t.Fatalf("uneven adjustment: %v", outC)
-	}
-}
-
-func TestHierarchyConsistencyValidation(t *testing.T) {
-	if _, _, err := HierarchyConsistency([]float64{1}, []float64{1}, 2, 1, 1); err == nil {
-		t.Error("mismatched shapes accepted")
-	}
-	if _, _, err := HierarchyConsistency([]float64{1}, []float64{1, 2}, 0, 1, 1); err == nil {
-		t.Error("fan 0 accepted")
-	}
-	if _, _, err := HierarchyConsistency([]float64{1}, []float64{1, 2}, 2, 0, 1); err == nil {
-		t.Error("zero variance accepted")
-	}
-}
-
-func TestHierarchyConsistencyPreservesUnbiasedness(t *testing.T) {
-	// If parent and child sums agree, nothing changes.
-	outP, outC, err := HierarchyConsistency([]float64{80}, []float64{30, 50}, 2, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(outP[0]-80) > 1e-9 || math.Abs(outC[0]-30) > 1e-9 || math.Abs(outC[1]-50) > 1e-9 {
-		t.Fatalf("consistent input modified: %v %v", outP, outC)
 	}
 }

@@ -119,9 +119,6 @@ func NewClient(params Params, secret []byte, src ldprand.Source) (*Client, error
 	}, nil
 }
 
-// Cohort returns the client's cohort assignment.
-func (c *Client) Cohort() int { return c.cohort }
-
 // permanentBits returns the memoized permanent randomized response for
 // value, computing it on first use with randomness derived from the
 // client secret (so it also survives client restarts).

@@ -56,7 +56,7 @@ func TestClientMemoizesPermanent(t *testing.T) {
 	}
 	a := c.permanentBits("example.com")
 	b := c.permanentBits("example.com")
-	if !a.Equal(b) {
+	if a.String() != b.String() {
 		t.Fatal("permanent response changed between calls")
 	}
 }
@@ -67,10 +67,10 @@ func TestPermanentStableAcrossRestart(t *testing.T) {
 	p := testParams()
 	c1, _ := NewClient(p, []byte("stable-secret"), ldprand.NewSplitMix64(1))
 	c2, _ := NewClient(p, []byte("stable-secret"), ldprand.NewSplitMix64(1))
-	if c1.Cohort() != c2.Cohort() {
+	if c1.cohort != c2.cohort {
 		t.Skip("cohorts differ; permanent bits are cohort-specific")
 	}
-	if !c1.permanentBits("v").Equal(c2.permanentBits("v")) {
+	if c1.permanentBits("v").String() != c2.permanentBits("v").String() {
 		t.Fatal("same secret produced different permanent responses")
 	}
 }
@@ -80,7 +80,7 @@ func TestInstantaneousVaries(t *testing.T) {
 	c, _ := NewClient(p, []byte("s"), ldprand.NewSplitMix64(2))
 	r1 := c.Report("x")
 	r2 := c.Report("x")
-	if r1.Bits.Equal(r2.Bits) {
+	if r1.Bits.String() == r2.Bits.String() {
 		t.Fatal("two instantaneous reports identical — IRR not applied")
 	}
 }
@@ -163,7 +163,7 @@ func TestEstimateBitCountsUnbiased(t *testing.T) {
 	perCohort := make([]int, p.Cohorts)
 	for i := 0; i < n; i++ {
 		c, _ := NewClient(p, []byte(fmt.Sprintf("u%d", i)), src)
-		perCohort[c.Cohort()]++
+		perCohort[c.cohort]++
 		_ = s.Add(c.Report("onlyvalue"))
 	}
 	bits := s.EstimateBitCounts()

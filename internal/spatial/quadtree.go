@@ -43,9 +43,6 @@ func NewQuadtree(epsilon float64, depth int, src ldprand.Source) (*Quadtree, err
 	return &Quadtree{depth: depth, levels: levels, src: src}, nil
 }
 
-// Depth returns the number of levels.
-func (q *Quadtree) Depth() int { return q.depth }
-
 // Collect routes one user to a uniformly random level (one report per
 // user, full budget).
 func (q *Quadtree) Collect(p workload.Point) {

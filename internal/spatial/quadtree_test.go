@@ -19,8 +19,8 @@ func TestNewQuadtreeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qt.Depth() != 3 {
-		t.Fatalf("depth %d", qt.Depth())
+	if qt.depth != 3 {
+		t.Fatalf("depth %d", qt.depth)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestConsistencyMakesLevelsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After reconciliation, every parent equals the sum of its children.
-	for level := 0; level+1 < qt.Depth(); level++ {
+	for level := 0; level+1 < qt.depth; level++ {
 		gp := 1 << uint(level+1)
 		for pc := range est[level] {
 			px, py := pc%gp, pc/gp

@@ -1,7 +1,7 @@
 // Package spatial implements private location collection (§1.3): user
 // positions in the unit square are discretized onto a uniform grid and
 // collected through a frequency oracle, supporting rectilinear range
-// queries and hotspot detection. A two-level hierarchy trades off the
+// queries and hotspot detection. A multi-level quadtree trades off the
 // grid-granularity dilemma the E8 ablation measures: finer grids reduce
 // discretization error but spread the privacy noise over more cells.
 package spatial
@@ -54,9 +54,6 @@ func NewGrid(epsilon float64, g int, src ldprand.Source) (*Grid, error) {
 	}
 	return &Grid{g: g, oracle: freq.NewOLH(epsilon, g*g, src)}, nil
 }
-
-// Granularity returns g.
-func (gr *Grid) Granularity() int { return gr.g }
 
 // CellOf returns the cell index of a point (row-major).
 func (gr *Grid) CellOf(p workload.Point) int {
@@ -130,75 +127,4 @@ func (gr *Grid) Hotspots(k int) []int {
 		k = len(idx)
 	}
 	return idx[:k]
-}
-
-// TrueCells computes the exact per-cell histogram of points, the
-// ground truth for experiments.
-func (gr *Grid) TrueCells(points []workload.Point) []float64 {
-	counts := make([]float64, gr.g*gr.g)
-	for _, p := range points {
-		counts[gr.CellOf(p)]++
-	}
-	return counts
-}
-
-// Hierarchy is a two-level spatial decomposition: a coarse grid and a
-// fine grid, each fed by half the population. Range queries are
-// answered from whichever level better matches the query extent,
-// reducing the worst-case error of a single-granularity grid.
-type Hierarchy struct {
-	coarse, fine *Grid
-	flip         ldprand.Source
-}
-
-// NewHierarchy returns a hierarchy with the given granularities
-// (coarse < fine required).
-func NewHierarchy(epsilon float64, coarseG, fineG int, src ldprand.Source) (*Hierarchy, error) {
-	if coarseG >= fineG {
-		return nil, fmt.Errorf("spatial: coarse granularity %d must be below fine %d", coarseG, fineG)
-	}
-	if src == nil {
-		src = ldprand.NewCrypto()
-	}
-	coarse, err := NewGrid(epsilon, coarseG, src)
-	if err != nil {
-		return nil, err
-	}
-	fine, err := NewGrid(epsilon, fineG, src)
-	if err != nil {
-		return nil, err
-	}
-	return &Hierarchy{coarse: coarse, fine: fine, flip: src}, nil
-}
-
-// Collect routes the user to one of the two levels uniformly at random
-// (each user reports once, keeping the full per-user budget).
-func (h *Hierarchy) Collect(p workload.Point) {
-	if ldprand.Bernoulli(h.flip, 0.5) {
-		h.coarse.Collect(p)
-	} else {
-		h.fine.Collect(p)
-	}
-}
-
-// RangeCount answers a range query from the better-suited level: wide
-// queries (area above the coarse-cell scale) use the coarse grid,
-// narrow ones the fine grid. Estimates are scaled from the sampled
-// sub-population back to the full population.
-func (h *Hierarchy) RangeCount(q Rect) float64 {
-	total := h.coarse.Collected() + h.fine.Collected()
-	coarseCell := 1 / float64(h.coarse.g*h.coarse.g)
-	var est float64
-	var sub int
-	if q.Area() >= 4*coarseCell {
-		est = h.coarse.RangeCount(q)
-		sub = h.coarse.Collected()
-	} else {
-		est = h.fine.RangeCount(q)
-		sub = h.fine.Collected()
-	}
-	if sub == 0 {
-		return 0
-	}
-	return est * float64(total) / float64(sub)
 }

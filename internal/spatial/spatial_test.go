@@ -107,20 +107,6 @@ func TestHotspotsFindClusterCenters(t *testing.T) {
 	}
 }
 
-func TestTrueCellsMatchesManualCount(t *testing.T) {
-	g, _ := NewGrid(1, 2, ldprand.NewSplitMix64(5))
-	pts := []workload.Point{
-		{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.1}, {X: 0.9, Y: 0.9}, {X: 0.6, Y: 0.7},
-	}
-	cells := g.TrueCells(pts)
-	want := []float64{1, 1, 0, 2}
-	for i := range want {
-		if cells[i] != want[i] {
-			t.Fatalf("TrueCells=%v want %v", cells, want)
-		}
-	}
-}
-
 func TestGranularityTradeoffShape(t *testing.T) {
 	// The E8 ablation in miniature: for a boundary-crossing small query,
 	// the error typically behaves differently across granularities; at
@@ -151,53 +137,11 @@ func TestGranularityTradeoffShape(t *testing.T) {
 	}
 }
 
-func TestHierarchyRouting(t *testing.T) {
-	src := ldprand.NewSplitMix64(7)
-	h, err := NewHierarchy(2, 4, 16, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := workload.Locations(src, workload.DefaultCityClusters(), 20000)
-	for _, p := range points {
-		h.Collect(p)
-	}
-	nc, nf := h.coarse.Collected(), h.fine.Collected()
-	if nc+nf != len(points) {
-		t.Fatalf("split %d+%d != %d", nc, nf, len(points))
-	}
-	if nc < len(points)/3 || nf < len(points)/3 {
-		t.Errorf("unbalanced split %d/%d", nc, nf)
-	}
-	// Wide query.
-	wide := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	if got := h.RangeCount(wide); math.Abs(got-float64(len(points))) > 0.15*float64(len(points)) {
-		t.Errorf("full-square count %.0f want about %d", got, len(points))
-	}
-	// Narrow query should still return something finite and plausible.
-	narrow := Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.3, MaxY: 0.3}
-	truth := 0
-	for _, p := range points {
-		if narrow.Contains(p) {
-			truth++
-		}
-	}
-	got := h.RangeCount(narrow)
-	if math.Abs(got-float64(truth)) > 0.2*float64(len(points)) {
-		t.Errorf("narrow count %.0f truth %d", got, truth)
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	if _, err := NewGrid(1, 0, nil); err == nil {
 		t.Error("granularity 0 accepted")
 	}
 	if _, err := NewGrid(1, 1, nil); err == nil {
 		t.Error("1x1 grid accepted (single-cell domain)")
-	}
-	if _, err := NewHierarchy(1, 8, 8, nil); err == nil {
-		t.Error("coarse == fine accepted")
-	}
-	if _, err := NewHierarchy(1, 16, 8, nil); err == nil {
-		t.Error("coarse > fine accepted")
 	}
 }

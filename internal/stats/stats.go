@@ -1,51 +1,12 @@
-// Package stats implements the statistical machinery the tutorial builds
-// on (§1.1): moments, confidence tail bounds, and the error metrics used
-// throughout the experiment suite (MSE, total variation, KS distance,
-// precision/recall for heavy hitters).
+// Package stats implements the error metrics the experiment suite
+// scores estimators with (§1.1): MSE, total variation, KS distance, and
+// top-k precision/recall for heavy hitters.
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (dividing by n), or 0
-// for fewer than two samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
-// SampleVariance returns the unbiased sample variance (dividing by n−1).
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // MSE returns the mean squared error between estimates and truth. The
 // slices must have equal length.
@@ -73,18 +34,6 @@ func MAE(est, truth []float64) float64 {
 		sum += math.Abs(est[i] - truth[i])
 	}
 	return sum / float64(len(est))
-}
-
-// MaxAbsError returns the largest absolute error (L∞ distance).
-func MaxAbsError(est, truth []float64) float64 {
-	mustMatch(len(est), len(truth))
-	var worst float64
-	for i := range est {
-		if d := math.Abs(est[i] - truth[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // TotalVariation returns the total variation distance between two
@@ -136,76 +85,6 @@ func normalize(p []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// HoeffdingBound returns the two-sided deviation t such that the mean of
-// n independent samples bounded in [lo, hi] stays within ±t of its
-// expectation with probability at least 1−delta.
-func HoeffdingBound(n int, lo, hi, delta float64) float64 {
-	if n <= 0 {
-		return math.Inf(1)
-	}
-	width := hi - lo
-	return width * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
-}
-
-// ChernoffCountBound returns the deviation t such that a sum of n
-// independent indicator-like variables with per-sample variance v stays
-// within ±t of its mean with probability at least 1−delta, using the
-// Bernstein form that the LDP literature quotes for count estimators.
-func ChernoffCountBound(n int, v, delta float64) float64 {
-	if n <= 0 {
-		return math.Inf(1)
-	}
-	logTerm := math.Log(2 / delta)
-	return math.Sqrt(2*float64(n)*v*logTerm) + 2*logTerm/3
-}
-
-// NormalCI returns the half-width of a two-sided normal confidence
-// interval with the given variance of the estimator and coverage
-// 1−delta, i.e. z_{1−delta/2}·sqrt(variance).
-func NormalCI(variance, delta float64) float64 {
-	return zQuantile(1-delta/2) * math.Sqrt(variance)
-}
-
-// zQuantile approximates the standard normal quantile function using the
-// Beasley–Springer–Moro rational approximation.
-func zQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		if p == 0.5 {
-			return 0
-		}
-		return math.Inf(int(math.Copysign(1, p-0.5)))
-	}
-	a := [4]float64{2.50662823884, -18.61500062529, 41.39119773534, -25.44106049637}
-	b := [4]float64{-8.47351093090, 23.08336743743, -21.06224101826, 3.13082909833}
-	c := [9]float64{
-		0.3374754822726147, 0.9761690190917186, 0.1607979714918209,
-		0.0276438810333863, 0.0038405729373609, 0.0003951896511919,
-		0.0000321767881768, 0.0000002888167364, 0.0000003960315187,
-	}
-	y := p - 0.5
-	if math.Abs(y) < 0.42 {
-		r := y * y
-		num := y * (((a[3]*r+a[2])*r+a[1])*r + a[0])
-		den := (((b[3]*r+b[2])*r+b[1])*r+b[0])*r + 1
-		return num / den
-	}
-	r := p
-	if y > 0 {
-		r = 1 - p
-	}
-	r = math.Log(-math.Log(r))
-	x := c[0]
-	pow := 1.0
-	for i := 1; i < 9; i++ {
-		pow *= r
-		x += c[i] * pow
-	}
-	if y < 0 {
-		return -x
-	}
-	return x
 }
 
 // TopK returns the indices of the k largest values, ties broken by lower
@@ -267,26 +146,6 @@ func NCR(predicted, truth []int) float64 {
 		got += weight[p]
 	}
 	return float64(got) / float64(total)
-}
-
-// Counts converts integer counts to float64 for use with the metric
-// helpers.
-func Counts(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// Histogram tallies values in [0, d) into counts; out-of-range values
-// panic, since they indicate an encoding bug upstream.
-func Histogram(values []int, d int) []int {
-	counts := make([]int, d)
-	for _, v := range values {
-		counts[v]++
-	}
-	return counts
 }
 
 func mustMatch(a, b int) {

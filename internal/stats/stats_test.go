@@ -6,36 +6,9 @@ import (
 	"testing/quick"
 )
 
-func TestMeanVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("Mean=%v want 5", got)
-	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance=%v want 4", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev=%v want 2", got)
-	}
-}
-
 func TestEmptyAndSingleton(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty slice should give zeros")
-	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("singleton variance should be 0")
-	}
 	if MSE(nil, nil) != 0 || MAE(nil, nil) != 0 {
 		t.Error("empty error metrics should be 0")
-	}
-}
-
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	// Population variance 1.25, sample variance 5/3.
-	if got := SampleVariance(xs); math.Abs(got-5.0/3.0) > 1e-12 {
-		t.Errorf("SampleVariance=%v want %v", got, 5.0/3.0)
 	}
 }
 
@@ -47,9 +20,6 @@ func TestMSEAndMAE(t *testing.T) {
 	}
 	if got := MAE(est, truth); math.Abs(got-1) > 1e-12 {
 		t.Errorf("MAE=%v want 1", got)
-	}
-	if got := MaxAbsError(est, truth); got != 2 {
-		t.Errorf("MaxAbsError=%v want 2", got)
 	}
 }
 
@@ -112,59 +82,6 @@ func TestTVSymmetricProperty(t *testing.T) {
 	}
 }
 
-func TestHoeffdingBoundShrinks(t *testing.T) {
-	b1 := HoeffdingBound(100, 0, 1, 0.05)
-	b2 := HoeffdingBound(10000, 0, 1, 0.05)
-	if b2 >= b1 {
-		t.Errorf("bound should shrink with n: %v vs %v", b1, b2)
-	}
-	// Known value: sqrt(ln(40)/200) for n=100, delta=0.05.
-	want := math.Sqrt(math.Log(40) / 200)
-	if math.Abs(b1-want) > 1e-12 {
-		t.Errorf("Hoeffding=%v want %v", b1, want)
-	}
-	if !math.IsInf(HoeffdingBound(0, 0, 1, 0.05), 1) {
-		t.Error("n=0 should give +Inf")
-	}
-}
-
-func TestChernoffCountBound(t *testing.T) {
-	b1 := ChernoffCountBound(1000, 1.0, 0.05)
-	b2 := ChernoffCountBound(1000, 4.0, 0.05)
-	if b2 <= b1 {
-		t.Error("bound should grow with variance")
-	}
-	if !math.IsInf(ChernoffCountBound(0, 1, 0.05), 1) {
-		t.Error("n=0 should give +Inf")
-	}
-}
-
-func TestZQuantile(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0},
-		{0.975, 1.959964},
-		{0.95, 1.644854},
-		{0.025, -1.959964},
-		{0.995, 2.575829},
-	}
-	for _, c := range cases {
-		if got := zQuantile(c.p); math.Abs(got-c.want) > 1e-3 {
-			t.Errorf("zQuantile(%v)=%v want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestNormalCI(t *testing.T) {
-	// 95% CI half-width for unit variance is about 1.96.
-	if got := NormalCI(1, 0.05); math.Abs(got-1.96) > 0.01 {
-		t.Errorf("NormalCI=%v want about 1.96", got)
-	}
-	// Scales with sqrt of variance.
-	if got := NormalCI(4, 0.05); math.Abs(got-3.92) > 0.02 {
-		t.Errorf("NormalCI(var=4)=%v want about 3.92", got)
-	}
-}
-
 func TestTopK(t *testing.T) {
 	xs := []float64{1, 9, 3, 7, 7}
 	got := TopK(xs, 3)
@@ -200,23 +117,6 @@ func TestNCR(t *testing.T) {
 	}
 	if got := NCR([]int{99}, truth); got != 0 {
 		t.Errorf("NCR=%v want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]int{0, 1, 1, 3}, 4)
-	want := []int{1, 2, 0, 1}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("Histogram=%v want %v", h, want)
-		}
-	}
-}
-
-func TestCounts(t *testing.T) {
-	c := Counts([]int{1, 2, 3})
-	if c[0] != 1 || c[1] != 2 || c[2] != 3 {
-		t.Fatalf("Counts=%v", c)
 	}
 }
 

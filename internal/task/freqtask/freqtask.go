@@ -143,23 +143,6 @@ func Privatize(o freq.Oracle, v int) (Envelope, error) {
 	}
 }
 
-// Aggregate folds an Envelope into the matching oracle. The envelope's
-// mechanism name must match the oracle's, and malformed payloads are
-// rejected rather than panicking: they arrive from the network.
-//
-// It is the fused form of the prepare/fold split below: prepare does
-// all validation and payload decoding against the oracle's immutable
-// configuration, fold is the pure accumulate. The sharding layer uses
-// the halves separately (task.Preparer) so decoding runs outside the
-// shard locks.
-func Aggregate(o freq.Oracle, e Envelope) error {
-	prepared, err := prepareEnvelope(o, e)
-	if err != nil {
-		return err
-	}
-	return foldPrepared(o, prepared)
-}
-
 // prepareEnvelope validates e against the oracle's configuration and
 // decodes its payload into the typed report the oracle aggregates. It
 // reads no aggregate state, so it is safe without synchronization.
@@ -299,10 +282,6 @@ func New(cfg task.Config) (task.Aggregator, error) {
 	}
 	return &Aggregator{oracle: o}, nil
 }
-
-// Oracle exposes the wrapped frequency oracle, for callers that need
-// the full freq.Oracle surface (EstimateCounts, TheoreticalVariance).
-func (a *Aggregator) Oracle() freq.Oracle { return a.oracle }
 
 // Type returns "freq".
 func (a *Aggregator) Type() string { return task.TypeFreq }

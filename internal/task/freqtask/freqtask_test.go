@@ -41,28 +41,38 @@ func envelopes(t *testing.T, mech string, n int, seed uint64) []json.RawMessage 
 	return out
 }
 
+// counts reads the debiased count estimates out of a freq aggregator.
+func counts(t *testing.T, a task.Aggregator) []float64 {
+	t.Helper()
+	raw, err := a.Estimate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res freqtask.EstimateResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	return res.Counts
+}
+
 // TestAdapterMatchesDirectOracle is the behavior-identity claim of the
-// port: feeding the same envelope stream through the task adapter and
-// through the pre-task path (Aggregate onto a bare oracle) must
-// produce bit-identical estimates, for every mechanism.
+// port: an envelope stream folded through the task adapter must leave
+// bit-identical state and estimates to a bare oracle that privatized
+// and aggregated the same values from the same random draws (the
+// client's seed), for every mechanism.
 func TestAdapterMatchesDirectOracle(t *testing.T) {
 	for _, mech := range freqtask.Mechanisms() {
 		mech := mech
 		t.Run(mech, func(t *testing.T) {
 			raws := envelopes(t, mech, 400, 11)
 
-			direct, err := freqtask.NewOracle(mech, 2, 8, nil)
+			direct, err := freqtask.NewOracle(mech, 2, 8, ldprand.NewSplitMix64(11))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, raw := range raws {
-				var e freqtask.Envelope
-				if err := json.Unmarshal(raw, &e); err != nil {
-					t.Fatal(err)
-				}
-				if err := freqtask.Aggregate(direct, e); err != nil {
-					t.Fatal(err)
-				}
+			values := ldprand.NewSplitMix64(12)
+			for range raws {
+				direct.Collect(ldprand.Intn(values, 8))
 			}
 
 			a, err := freqtask.New(cfg(mech))
@@ -78,18 +88,20 @@ func TestAdapterMatchesDirectOracle(t *testing.T) {
 			if a.Collected() != direct.Collected() {
 				t.Fatalf("collected %d want %d", a.Collected(), direct.Collected())
 			}
-			got := a.(*freqtask.Aggregator).Oracle().EstimateCounts()
-			want := direct.EstimateCounts()
+			got, want := counts(t, a), direct.EstimateCounts()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("adapter estimates differ from direct oracle:\n%v\n%v", got, want)
 			}
-
-			// And the state blob round-trips bit-identically through a
-			// fresh adapter — the checkpoint contract.
 			blob, err := a.MarshalState()
 			if err != nil {
 				t.Fatal(err)
 			}
+			if directBlob, err := direct.MarshalState(); err != nil || !bytes.Equal(blob, directBlob) {
+				t.Fatalf("adapter state differs from direct oracle's (%v)", err)
+			}
+
+			// And the state blob round-trips bit-identically through a
+			// fresh adapter — the checkpoint contract.
 			b, err := freqtask.New(cfg(mech))
 			if err != nil {
 				t.Fatal(err)
@@ -97,8 +109,7 @@ func TestAdapterMatchesDirectOracle(t *testing.T) {
 			if err := b.UnmarshalState(blob); err != nil {
 				t.Fatal(err)
 			}
-			got2 := b.(*freqtask.Aggregator).Oracle().EstimateCounts()
-			if !reflect.DeepEqual(got2, want) {
+			if got2 := counts(t, b); !reflect.DeepEqual(got2, want) {
 				t.Fatalf("restored estimates differ")
 			}
 		})
@@ -132,7 +143,7 @@ func TestAdapterRestoresPreTaskOracleState(t *testing.T) {
 	if a.Collected() != 300 {
 		t.Fatalf("collected %d want 300", a.Collected())
 	}
-	if !reflect.DeepEqual(a.(*freqtask.Aggregator).Oracle().EstimateCounts(), o.EstimateCounts()) {
+	if !reflect.DeepEqual(counts(t, a), o.EstimateCounts()) {
 		t.Fatal("bare oracle state restored with different estimates")
 	}
 
@@ -175,8 +186,7 @@ func TestMergeMatchesSequential(t *testing.T) {
 	if err := left.Merge(right.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	a := left.(*freqtask.Aggregator).Oracle().EstimateCounts()
-	b := whole.(*freqtask.Aggregator).Oracle().EstimateCounts()
+	a, b := counts(t, left), counts(t, whole)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("merged estimates differ:\n%v\n%v", a, b)
 	}

@@ -1,9 +1,9 @@
 // Package telemetry implements Microsoft's repeated-collection system
 // (Ding, Kulkarni, Yekhanin, NeurIPS 2017), the third deployment the
 // tutorial covers (§1.2(3)): one-bit mean estimation for numeric
-// counters, one-bit histogram collection, and α-point rounding with
-// memoized responses so that collecting every day does not erode the
-// privacy guarantee — the "fixed random numbers" idea.
+// counters and α-point rounding with memoized responses, so that
+// collecting every day does not erode the privacy guarantee — the
+// "fixed random numbers" idea.
 package telemetry
 
 import (
@@ -151,117 +151,6 @@ func (c *Client) Report(x float64) int {
 // ablation.
 func (c *Client) NaiveReport(x float64, src ldprand.Source) int {
 	return OneBit(c.params, x, src)
-}
-
-// HistogramParams configures one-bit histogram collection over d
-// buckets.
-type HistogramParams struct {
-	Epsilon float64
-	Buckets int
-}
-
-// Validate checks parameter ranges.
-func (p HistogramParams) Validate() error {
-	if p.Epsilon <= 0 || math.IsNaN(p.Epsilon) || math.IsInf(p.Epsilon, 0) {
-		return fmt.Errorf("telemetry: epsilon must be positive and finite, got %v", p.Epsilon)
-	}
-	if p.Buckets < 2 {
-		return fmt.Errorf("telemetry: need at least 2 buckets, got %d", p.Buckets)
-	}
-	return nil
-}
-
-// HistogramReport is one report: the bucket the user was asked about
-// and the randomized membership bit.
-type HistogramReport struct {
-	Bucket int
-	Bit    int
-}
-
-// HistogramBit runs the client side: the user is assigned a uniformly
-// random bucket (in deployments, derived from the user ID so it is
-// stable) and answers "is my value in this bucket" through binary
-// randomized response with the full budget.
-func HistogramBit(p HistogramParams, value int, src ldprand.Source) HistogramReport {
-	if src == nil {
-		src = ldprand.NewCrypto()
-	}
-	if value < 0 || value >= p.Buckets {
-		panic(fmt.Sprintf("telemetry: value %d outside [0,%d)", value, p.Buckets))
-	}
-	bucket := ldprand.Intn(src, p.Buckets)
-	truth := 0
-	if value == bucket {
-		truth = 1
-	}
-	e := math.Exp(p.Epsilon)
-	keep := e / (e + 1)
-	if !ldprand.Bernoulli(src, keep) {
-		truth = 1 - truth
-	}
-	return HistogramReport{Bucket: bucket, Bit: truth}
-}
-
-// HistogramCollector aggregates one-bit histogram reports.
-type HistogramCollector struct {
-	params HistogramParams
-	ones   []int // per-bucket count of 1 bits
-	asked  []int // per-bucket count of reports
-}
-
-// NewHistogramCollector returns an aggregator.
-func NewHistogramCollector(params HistogramParams) (*HistogramCollector, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	return &HistogramCollector{
-		params: params,
-		ones:   make([]int, params.Buckets),
-		asked:  make([]int, params.Buckets),
-	}, nil
-}
-
-// Add folds one report in.
-func (h *HistogramCollector) Add(r HistogramReport) error {
-	if r.Bucket < 0 || r.Bucket >= h.params.Buckets {
-		return fmt.Errorf("telemetry: bucket %d out of range", r.Bucket)
-	}
-	if r.Bit != 0 && r.Bit != 1 {
-		return fmt.Errorf("telemetry: bit must be 0 or 1, got %d", r.Bit)
-	}
-	h.ones[r.Bucket] += r.Bit
-	h.asked[r.Bucket]++
-	return nil
-}
-
-// Collected returns the total reports aggregated.
-func (h *HistogramCollector) Collected() int {
-	total := 0
-	for _, a := range h.asked {
-		total += a
-	}
-	return total
-}
-
-// EstimateCounts returns unbiased estimated counts per bucket. With
-// keep probability p = e^ε/(e^ε+1), the fraction of 1-answers among
-// users asked about bucket j estimates p·f_j + (1−p)(1−f_j), inverted
-// per bucket and scaled to the population.
-func (h *HistogramCollector) EstimateCounts() []float64 {
-	e := math.Exp(h.params.Epsilon)
-	p := e / (e + 1)
-	total := float64(h.Collected())
-	out := make([]float64, h.params.Buckets)
-	for j := range out {
-		asked := float64(h.asked[j])
-		if asked == 0 {
-			continue
-		}
-		obs := float64(h.ones[j]) / asked
-		fj := (obs - (1 - p)) / (2*p - 1)
-		out[j] = fj * total
-	}
-	return out
 }
 
 func clamp(x, lo, hi float64) float64 {

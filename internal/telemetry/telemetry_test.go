@@ -159,53 +159,6 @@ func TestMemoizationDefeatsAveraging(t *testing.T) {
 	}
 }
 
-func TestHistogramRecovery(t *testing.T) {
-	hp := HistogramParams{Epsilon: 2, Buckets: 8}
-	col, err := NewHistogramCollector(hp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := ldprand.NewSplitMix64(5)
-	zipf := workload.NewZipf(src, 1.2, hp.Buckets)
-	const n = 200000
-	truth := make([]int, hp.Buckets)
-	for i := 0; i < n; i++ {
-		v := zipf.Next()
-		truth[v]++
-		if err := col.Add(HistogramBit(hp, v, src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	est := col.EstimateCounts()
-	for j := range truth {
-		if math.Abs(est[j]-float64(truth[j])) > 0.05*float64(n) {
-			t.Errorf("bucket %d: estimate %.0f truth %d", j, est[j], truth[j])
-		}
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogramCollector(HistogramParams{Epsilon: 0, Buckets: 4}); err == nil {
-		t.Error("epsilon 0 accepted")
-	}
-	if _, err := NewHistogramCollector(HistogramParams{Epsilon: 1, Buckets: 1}); err == nil {
-		t.Error("1 bucket accepted")
-	}
-	col, _ := NewHistogramCollector(HistogramParams{Epsilon: 1, Buckets: 4})
-	if err := col.Add(HistogramReport{Bucket: 9, Bit: 1}); err == nil {
-		t.Error("bad bucket accepted")
-	}
-	if err := col.Add(HistogramReport{Bucket: 0, Bit: 3}); err == nil {
-		t.Error("bad bit accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range value should panic")
-		}
-	}()
-	HistogramBit(HistogramParams{Epsilon: 1, Buckets: 4}, 4, ldprand.NewSplitMix64(1))
-}
-
 func TestParamsValidation(t *testing.T) {
 	if _, err := NewMeanCollector(MeanParams{Epsilon: 0, Max: 1}); err == nil {
 		t.Error("epsilon 0 accepted")

@@ -67,20 +67,6 @@ func NextPow2(n int) int {
 	return p
 }
 
-// Log2 returns the base-2 logarithm of a power of two, panicking on
-// other inputs so silent misuse is caught early.
-func Log2(n int) int {
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("transform: %d is not a power of two", n))
-	}
-	l := 0
-	for n > 1 {
-		n >>= 1
-		l++
-	}
-	return l
-}
-
 // Subset enumerates the Fourier basis of d binary attributes: each basis
 // function is indexed by a bitmask over attributes. Coefficient returns
 // the Fourier coefficient f̂(mask) of an indicator distribution sample x

@@ -116,20 +116,6 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestLog2(t *testing.T) {
-	for _, c := range []struct{ in, want int }{{1, 0}, {2, 1}, {1024, 10}} {
-		if got := Log2(c.in); got != c.want {
-			t.Errorf("Log2(%d)=%d want %d", c.in, got, c.want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non power of two")
-		}
-	}()
-	Log2(6)
-}
-
 func TestMasksOfWeightAtMost(t *testing.T) {
 	got := MasksOfWeightAtMost(3, 1)
 	want := []int{0, 1, 2, 4}

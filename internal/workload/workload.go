@@ -59,27 +59,6 @@ func (z *Zipf) Next() int {
 	return lo
 }
 
-// Probabilities returns the exact sampling distribution, for computing
-// ground truth without sampling error.
-func (z *Zipf) Probabilities() []float64 {
-	out := make([]float64, len(z.cdf))
-	prev := 0.0
-	for i, c := range z.cdf {
-		out[i] = c - prev
-		prev = c
-	}
-	return out
-}
-
-// Draw returns n samples from the sampler.
-func (z *Zipf) Draw(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = z.Next()
-	}
-	return out
-}
-
 // Categorical draws values from an explicit distribution.
 type Categorical struct {
 	cdf []float64
@@ -356,19 +335,6 @@ func (g *Graph) ClusteringCoefficient() float64 {
 	}
 	// Each triangle is counted once per corner (3 times).
 	return triangles / wedges
-}
-
-// ErdosRenyi samples G(n, p).
-func ErdosRenyi(src ldprand.Source, n int, p float64) *Graph {
-	g := NewGraph(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if ldprand.Bernoulli(src, p) {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
 }
 
 // BarabasiAlbert grows a preferential-attachment graph where each new
