@@ -16,11 +16,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/freq"
-	"repro/internal/heavyhitters"
 	"repro/internal/ldprand"
 	"repro/internal/rappor"
 	"repro/internal/task"
 	"repro/internal/task/freqtask"
+	"repro/internal/task/hhtask"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -178,19 +178,41 @@ func BenchmarkTelemetryOneBit(b *testing.B) {
 	}
 }
 
-// BenchmarkPEM measures end-to-end heavy-hitter discovery at a small
-// population (dominated by server-side candidate evaluation).
+// BenchmarkPEM measures end-to-end heavy-hitter discovery through the
+// served hh task at a small population: every round's reports
+// privatized, folded and advanced (dominated by server-side candidate
+// evaluation).
 func BenchmarkPEM(b *testing.B) {
+	const levels = 3
 	src := ldprand.NewSplitMix64(3)
 	values := make([]uint64, 5000)
 	for i := range values {
 		values[i] = uint64(ldprand.Intn(src, 1<<12))
 	}
-	params := heavyhitters.PEMParams{Epsilon: 2, Bits: 12, Levels: 3, K: 5}
+	cfg := task.Config{Task: task.TypeHH, Mechanism: hhtask.MechanismPEM, Epsilon: 2, Bits: 12, Levels: levels, K: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := heavyhitters.FindPEM(params, values, ldprand.NewSplitMix64(uint64(i))); err != nil {
+		a, err := task.New(cfg)
+		if err != nil {
 			b.Fatal(err)
+		}
+		client, err := hhtask.NewClient(cfg.Epsilon, cfg.Bits, levels, ldprand.NewSplitMix64(uint64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for round := 0; round < levels; round++ {
+			for _, v := range values[round*len(values)/levels : (round+1)*len(values)/levels] {
+				raw, err := client.Report(v, round)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := a.Add(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := a.(task.Phased).Advance(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -5,11 +5,14 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 
-	"repro/internal/cms"
+	"repro/internal/core"
 	"repro/internal/heavyhitters"
 	"repro/internal/ldprand"
+	"repro/internal/task"
+	"repro/internal/task/cmstask"
 	"repro/internal/workload"
 )
 
@@ -34,24 +37,38 @@ func main() {
 		}
 	}
 
-	// Part 1 — frequency of KNOWN words via the count-mean sketch.
-	params := cms.Params{Epsilon: 4, Width: 1024, Hashes: 64, Seed: 99}
-	client, err := cms.NewClient(params, nil)
+	// Part 1 — frequency of KNOWN words via the count-mean sketch, as
+	// ldpd serves it: binary client reports, a ?item= estimate read.
+	cfg := task.Config{Task: task.TypeSketch, Mechanism: cmstask.MechanismCMS,
+		Epsilon: 4, Width: 1024, Hashes: 64, SketchSeed: 99}
+	client, err := cmstask.NewClient(cfg, nil)
 	if err != nil {
 		panic(err)
 	}
-	server, err := cms.NewServer(params)
+	server, err := core.NewShardedAggregator(cfg, 0)
 	if err != nil {
 		panic(err)
 	}
-	for _, w := range words {
-		if err := server.Add(client.Report([]byte(w))); err != nil {
+	reports := make([][]byte, len(words))
+	for i, w := range words {
+		if reports[i], err = client.ReportBinary([]byte(w)); err != nil {
 			panic(err)
 		}
 	}
+	if _, err := server.AddBatchBinary(reports); err != nil {
+		panic(err)
+	}
+	raw, err := server.Estimate(map[string][]string{"item": trending})
+	if err != nil {
+		panic(err)
+	}
+	var est cmstask.EstimateResult
+	if err := json.Unmarshal(raw, &est); err != nil {
+		panic(err)
+	}
 	fmt.Println("CMS estimates for the three trending words:")
-	for _, w := range trending {
-		fmt.Printf("  %s: %8.0f reports (of %d users)\n", w, server.Estimate([]byte(w)), users)
+	for _, it := range est.Items {
+		fmt.Printf("  %s: %8.0f reports (of %d users)\n", it.Item, it.Count, users)
 	}
 
 	// Part 2 — discovering them WITHOUT a dictionary via SFP.

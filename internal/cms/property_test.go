@@ -3,60 +3,9 @@ package cms
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/ldprand"
 )
-
-// TestCMSReportAlwaysValidProperty: any item under any reasonable
-// parameters yields a structurally valid report the server accepts.
-func TestCMSReportAlwaysValidProperty(t *testing.T) {
-	f := func(seed uint64, item []byte, widthRaw, hashesRaw uint8) bool {
-		p := Params{
-			Epsilon: 2,
-			Width:   int(widthRaw%62) + 2,
-			Hashes:  int(hashesRaw%16) + 1,
-			Seed:    seed,
-		}
-		client, err := NewClient(p, ldprand.NewSplitMix64(seed))
-		if err != nil {
-			return false
-		}
-		server, err := NewServer(p)
-		if err != nil {
-			return false
-		}
-		return server.Add(client.Report(item)) == nil
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestHCMSReportAlwaysValidProperty: same for the Hadamard variant
-// with power-of-two widths.
-func TestHCMSReportAlwaysValidProperty(t *testing.T) {
-	f := func(seed uint64, item []byte, widthExpRaw, hashesRaw uint8) bool {
-		p := Params{
-			Epsilon: 2,
-			Width:   1 << (uint(widthExpRaw%7) + 1), // 2..128
-			Hashes:  int(hashesRaw%16) + 1,
-			Seed:    seed,
-		}
-		client, err := NewHadamardClient(p, ldprand.NewSplitMix64(seed))
-		if err != nil {
-			return false
-		}
-		server, err := NewHadamardServer(p)
-		if err != nil {
-			return false
-		}
-		return server.Add(client.Report(item)) == nil
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestCMSPrivacyFlipBound: the per-coordinate flip probability must
 // correspond to exactly ε/2 per differing coordinate (two coordinates
@@ -88,46 +37,6 @@ func TestHCMSPrivacyFlipBound(t *testing.T) {
 		ratio := keep / c.flip
 		if math.Abs(ratio-math.Exp(eps)) > 1e-9*math.Exp(eps) {
 			t.Errorf("eps=%v: bit ratio %v want e^eps=%v", eps, ratio, math.Exp(eps))
-		}
-	}
-}
-
-// TestCMSEstimateAdditiveAcrossServers: two servers' sketches folded
-// into a third give the same estimate as one server seeing everything,
-// because aggregation is a sum of debiased reports — the sharding
-// property deployments rely on.
-func TestCMSEstimateAdditiveAcrossServers(t *testing.T) {
-	p := Params{Epsilon: 2, Width: 64, Hashes: 8, Seed: 7}
-	client, _ := NewClient(p, ldprand.NewSplitMix64(2))
-	all, _ := NewServer(p)
-	s1, _ := NewServer(p)
-	s2, _ := NewServer(p)
-	for i := 0; i < 2000; i++ {
-		r := client.Report(item(i % 10))
-		if err := all.Add(r); err != nil {
-			t.Fatal(err)
-		}
-		target := s1
-		if i%2 == 1 {
-			target = s2
-		}
-		if err := target.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Shard merge: cell-wise sum plus report-count sum.
-	merged, _ := NewServer(p)
-	for j := 0; j < p.Hashes; j++ {
-		for i := 0; i < p.Width; i++ {
-			merged.rows[j][i] = s1.rows[j][i] + s2.rows[j][i]
-		}
-	}
-	merged.n = s1.n + s2.n
-	for v := 0; v < 10; v++ {
-		a := all.Estimate(item(v))
-		b := merged.Estimate(item(v))
-		if math.Abs(a-b) > 1e-6*(1+math.Abs(a)) {
-			t.Fatalf("item %d: single %v sharded %v", v, a, b)
 		}
 	}
 }

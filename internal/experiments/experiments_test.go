@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -27,6 +29,31 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("%s produced suspiciously short output:\n%s", e.ID, out)
 			}
 		})
+	}
+}
+
+// TestExperimentGoldens pins the tables of the experiments that run on
+// the served code (served.go) at smallConfig, byte for byte:
+// testdata/<id>.txt is the table as it was printed before E5 moved off
+// its offline CMS/HCMS servers, so a change to the served sketch or hh
+// path that moves a number shows here.
+func TestExperimentGoldens(t *testing.T) {
+	for _, id := range []string{"E5", "E18"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := Run(&got, e, smallConfig()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s table differs from testdata/%s.txt:\n%s\nwant:\n%s", id, id, got.Bytes(), want)
+		}
 	}
 }
 

@@ -16,17 +16,21 @@ import (
 	"repro/internal/workload"
 )
 
-// runE6 reproduces the heavy-hitter comparison: PEM and SFP find the
-// frequent items of a huge implicit domain; the full-domain baseline
-// is only feasible when the domain is enumerable.
+// runE6 reproduces the heavy-hitter comparison: PEM (the served
+// protocol, through servedPEM) and SFP find the frequent items of a
+// huge implicit domain; the full-domain baseline is only feasible when
+// the domain is enumerable.
 func runE6(w io.Writer, cfg Config) error {
 	tw := table(w)
 	fmt.Fprintln(tw, "eps\tn\tmethod\ttop5_recall\ttop5_f1")
 	const bits = 16 // 65k item domain for PEM; baseline uses 8 bits
 	for _, eps := range []float64{2, 4} {
 		for _, n := range []int{cfg.Users, cfg.Users * 2} {
-			// PEM over the 16-bit domain.
-			recall, f1 := pemQuality(cfg, eps, bits, n)
+			// PEM over the 16-bit domain, served.
+			recall, f1, err := pemQuality(cfg, eps, bits, n)
+			if err != nil {
+				return err
+			}
 			fmt.Fprintf(tw, "%.0f\t%d\tPEM(16bit)\t%.2f\t%.2f\n", eps, n, recall, f1)
 			// SFP over 6-letter words (26^6 ≈ 3·10^8 domain).
 			recall, f1 = sfpQuality(cfg, eps, n)
@@ -71,15 +75,13 @@ func hitQuality(found []uint64, truth []uint64) (recall, f1 float64) {
 	return recall, f1
 }
 
-func pemQuality(cfg Config, eps float64, bits, n int) (recall, f1 float64) {
+func pemQuality(cfg Config, eps float64, bits, n int) (recall, f1 float64, err error) {
 	for trial := 0; trial < cfg.Trials; trial++ {
 		src := ldprand.NewSplitMix64(cfg.Seed + uint64(trial) + uint64(eps*7) + uint64(n))
 		values, heavy := heavyValues(src, bits, n)
-		hits, err := heavyhitters.FindPEM(heavyhitters.PEMParams{
-			Epsilon: eps, Bits: bits, Levels: 4, K: 5,
-		}, values, src)
+		hits, err := servedPEM(values, eps, bits, 4, 5, src)
 		if err != nil {
-			continue
+			return 0, 0, err
 		}
 		found := make([]uint64, len(hits))
 		for i, h := range hits {
@@ -90,7 +92,7 @@ func pemQuality(cfg Config, eps float64, bits, n int) (recall, f1 float64) {
 		f1 += f
 	}
 	k := float64(cfg.Trials)
-	return recall / k, f1 / k
+	return recall / k, f1 / k, nil
 }
 
 func sfpQuality(cfg Config, eps float64, n int) (recall, f1 float64) {

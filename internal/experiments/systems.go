@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/cms"
 	"repro/internal/ldprand"
 	"repro/internal/rappor"
 	"repro/internal/stats"
@@ -76,83 +75,6 @@ func userSecret(src ldprand.Source) []byte {
 		}
 	}
 	return buf
-}
-
-// runE5 reproduces the Apple white-paper trade-off: CMS accuracy vs
-// sketch width and ε, and HCMS achieving comparable error with 1-bit
-// reports (vs m-bit CMS reports).
-func runE5(w io.Writer, cfg Config) error {
-	tw := table(w)
-	fmt.Fprintln(tw, "eps\twidth\tsystem\tmae_top20/n\tbits_per_report")
-	const numWords = 200
-	words := workload.Words(numWords)
-	items := make([][]byte, numWords)
-	for i, s := range words {
-		items[i] = []byte(s)
-	}
-	n := cfg.Users
-	for _, eps := range []float64{2.0, 4.0} {
-		for _, width := range []int{128, 1024} {
-			params := cms.Params{Epsilon: eps, Width: width, Hashes: 64, Seed: cfg.Seed}
-			for _, system := range []string{"CMS", "HCMS"} {
-				var mae float64
-				var bits int
-				for trial := 0; trial < cfg.Trials; trial++ {
-					src := ldprand.NewSplitMix64(cfg.Seed + uint64(trial) + uint64(width) + uint64(eps*100))
-					zipf := workload.NewZipf(src, 1.2, numWords)
-					truth := make([]float64, numWords)
-					var estimate func([]byte) float64
-					switch system {
-					case "CMS":
-						client, err := cms.NewClient(params, src)
-						if err != nil {
-							return err
-						}
-						server, err := cms.NewServer(params)
-						if err != nil {
-							return err
-						}
-						for i := 0; i < n; i++ {
-							v := zipf.Next()
-							truth[v]++
-							if err := server.Add(client.Report(items[v])); err != nil {
-								return err
-							}
-						}
-						estimate = server.Estimate
-						bits = server.ReportBits()
-					case "HCMS":
-						client, err := cms.NewHadamardClient(params, src)
-						if err != nil {
-							return err
-						}
-						server, err := cms.NewHadamardServer(params)
-						if err != nil {
-							return err
-						}
-						for i := 0; i < n; i++ {
-							v := zipf.Next()
-							truth[v]++
-							if err := server.Add(client.Report(items[v])); err != nil {
-								return err
-							}
-						}
-						estimate = server.Estimate
-						bits = server.ReportBits()
-					}
-					top := stats.TopK(truth, 20)
-					var m float64
-					for _, v := range top {
-						m += math.Abs(estimate(items[v]) - truth[v])
-					}
-					mae += m / 20 / float64(n)
-				}
-				fmt.Fprintf(tw, "%.1f\t%d\t%s\t%.4f\t%d\n",
-					eps, width, system, mae/float64(cfg.Trials), bits)
-			}
-		}
-	}
-	return tw.Flush()
 }
 
 // runE7 reproduces Ding et al.: 1-bit mean error vs ε and n, and the

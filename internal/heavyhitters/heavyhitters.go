@@ -4,17 +4,23 @@
 // tutorial follows through Bassily–Smith, Qin et al. and Wang et al.
 // (§1.2).
 //
-// Two protocols are implemented:
+// Two protocols are supported:
 //
 //   - PEM, the prefix extending method: items are B-bit strings; user
 //     groups reveal progressively longer prefixes through a local-hashing
 //     oracle, and only children of surviving prefixes are considered at
-//     the next level, keeping every level's candidate set small.
+//     the next level, keeping every level's candidate set small. This
+//     package holds its parameters (PEMParams) and oracle (LHMech); the
+//     protocol itself runs in one place, the interactive hh task in
+//     internal/task/hhtask that ldpd serves and the experiments drive.
 //
 //   - SFP, a sequence fragment puzzle in the style of Apple's discovery
 //     pipeline: users report one random fragment of their word tagged
 //     with a short hash of the whole word; fragments sharing a tag are
 //     assembled into candidate words and verified with a second oracle.
+//     It has no served form and runs here in batch (FindSFP).
+//
+// BaselineGRR, the full-domain comparison E6 draws, runs in batch too.
 package heavyhitters
 
 import (
@@ -42,8 +48,8 @@ type LHReport struct {
 }
 
 // LHMech privatizes uint64 values with OLH and estimates counts over
-// explicit candidate sets — the building block the batch protocols and
-// the served multi-round hh task share.
+// explicit candidate sets — the building block BaselineGRR and the
+// served multi-round hh task share.
 type LHMech struct {
 	epsilon float64
 	g       int
@@ -188,100 +194,6 @@ func (p PEMParams) Budget() int {
 // spreading Bits evenly across Levels and always ending at Bits.
 func (p PEMParams) PrefixLen(i int) int {
 	return p.Bits * (i + 1) / p.Levels
-}
-
-// FindPEM runs the prefix extending method over the users' values.
-// Each user participates in exactly one level (single report, full ε).
-// It returns up to K heavy hitters sorted by decreasing estimated
-// count, with counts scaled back to the full population.
-func FindPEM(params PEMParams, values []uint64, src ldprand.Source) ([]Hit, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if src == nil {
-		src = ldprand.NewCrypto()
-	}
-	for _, v := range values {
-		if params.Bits < 64 && v >= 1<<uint(params.Bits) {
-			return nil, fmt.Errorf("heavyhitters: value %d exceeds %d bits", v, params.Bits)
-		}
-	}
-	mech := NewLHMech(params.Epsilon)
-	n := len(values)
-	if n == 0 {
-		return nil, nil
-	}
-
-	// Shuffle users into level groups so skewed input order cannot bias
-	// a level.
-	order := ldprand.Perm(src, n)
-	groupOf := func(u int) int { return order[u] * params.Levels / n }
-
-	// Privatize: each user reports its prefix at its level.
-	reportsAt := make([][]LHReport, params.Levels)
-	for u, v := range values {
-		lvl := groupOf(u)
-		shift := uint(params.Bits - params.PrefixLen(lvl))
-		reportsAt[lvl] = append(reportsAt[lvl], mech.Privatize(v>>shift, src))
-	}
-
-	// Extend prefixes level by level.
-	candidates := []uint64{0} // the empty prefix
-	prevLen := 0
-	var lastCounts []float64
-	for lvl := 0; lvl < params.Levels; lvl++ {
-		plen := params.PrefixLen(lvl)
-		grow := plen - prevLen
-		next := make([]uint64, 0, len(candidates)<<uint(grow))
-		for _, c := range candidates {
-			base := c << uint(grow)
-			for ext := uint64(0); ext < 1<<uint(grow); ext++ {
-				next = append(next, base|ext)
-			}
-		}
-		counts := mech.EstimateCounts(reportsAt[lvl], next)
-		// Keep the top candidates for the next level.
-		idx := make([]int, len(next))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return counts[idx[a]] > counts[idx[b]] })
-		keep := params.Budget()
-		if lvl == params.Levels-1 {
-			keep = params.K
-		}
-		if keep > len(idx) {
-			keep = len(idx)
-		}
-		kept := make([]uint64, keep)
-		keptCounts := make([]float64, keep)
-		for i := 0; i < keep; i++ {
-			kept[i] = next[idx[i]]
-			keptCounts[i] = counts[idx[i]]
-		}
-		candidates, lastCounts = kept, keptCounts
-		prevLen = plen
-	}
-
-	// Scale the last level's counts (estimated within its group) to the
-	// full population.
-	scale := float64(n) / float64(maxInt(len(reportsAt[params.Levels-1]), 1))
-	hits := make([]Hit, 0, len(candidates))
-	for i, c := range candidates {
-		if lastCounts[i] <= 0 {
-			continue
-		}
-		hits = append(hits, Hit{Value: c, Count: lastCounts[i] * scale})
-	}
-	sort.SliceStable(hits, func(a, b int) bool { return hits[a].Count > hits[b].Count })
-	return hits, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // BaselineGRR finds heavy hitters by running plain OLH over the whole

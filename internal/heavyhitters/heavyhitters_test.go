@@ -5,101 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ldprand"
-	"repro/internal/workload"
 )
-
-// zipfValues draws n values over a 2^bits domain where the first few
-// items carry most of the mass.
-func zipfValues(seed uint64, bits, n int) []uint64 {
-	src := ldprand.NewSplitMix64(seed)
-	// Heavy items are spread across the prefix space (not clustered at
-	// 0) to make prefix discovery non-trivial.
-	domain := 1 << uint(bits)
-	heavy := []uint64{
-		uint64(domain * 3 / 7), uint64(domain * 5 / 9), uint64(domain / 13),
-		uint64(domain * 7 / 11), uint64(domain * 2 / 5),
-	}
-	zipf := workload.NewZipf(src, 1.7, len(heavy)+1)
-	out := make([]uint64, n)
-	for i := range out {
-		k := zipf.Next()
-		if k < len(heavy) {
-			out[i] = heavy[k]
-		} else {
-			out[i] = uint64(ldprand.Intn(src, domain))
-		}
-	}
-	return out
-}
-
-func TestPEMFindsTopHitters(t *testing.T) {
-	const bits, n = 12, 60000
-	values := zipfValues(1, bits, n)
-	truth := make(map[uint64]int)
-	for _, v := range values {
-		truth[v]++
-	}
-	params := PEMParams{Epsilon: 3, Bits: bits, Levels: 3, K: 5}
-	hits, err := FindPEM(params, values, ldprand.NewSplitMix64(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) == 0 {
-		t.Fatal("no heavy hitters found")
-	}
-	// The most frequent item must be discovered.
-	var best uint64
-	bestCount := 0
-	for v, c := range truth {
-		if c > bestCount {
-			best, bestCount = v, c
-		}
-	}
-	found := false
-	for _, h := range hits {
-		if h.Value == best {
-			found = true
-			// Count should be in the right ballpark.
-			if math.Abs(h.Count-float64(bestCount)) > 0.5*float64(bestCount) {
-				t.Errorf("top item count %.0f truth %d", h.Count, bestCount)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("top item %d (count %d) not among hits %v", best, bestCount, hits)
-	}
-}
-
-func TestPEMSortedDescending(t *testing.T) {
-	values := zipfValues(3, 10, 20000)
-	hits, err := FindPEM(PEMParams{Epsilon: 3, Bits: 10, Levels: 2, K: 8}, values, ldprand.NewSplitMix64(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(hits); i++ {
-		if hits[i].Count > hits[i-1].Count {
-			t.Fatalf("hits not sorted: %v", hits)
-		}
-	}
-}
-
-func TestPEMEmptyInput(t *testing.T) {
-	hits, err := FindPEM(PEMParams{Epsilon: 1, Bits: 8, Levels: 2, K: 3}, nil, ldprand.NewSplitMix64(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits != nil {
-		t.Fatalf("expected nil hits, got %v", hits)
-	}
-}
-
-func TestPEMRejectsOverflowValues(t *testing.T) {
-	_, err := FindPEM(PEMParams{Epsilon: 1, Bits: 4, Levels: 2, K: 3},
-		[]uint64{1 << 4}, ldprand.NewSplitMix64(1))
-	if err == nil {
-		t.Fatal("value beyond Bits accepted")
-	}
-}
 
 func TestPEMParamsValidate(t *testing.T) {
 	bad := []PEMParams{
@@ -134,26 +40,6 @@ func TestPrefixLenMonotone(t *testing.T) {
 	}
 	if prev != p.Bits {
 		t.Fatalf("final prefix length %d want %d", prev, p.Bits)
-	}
-}
-
-func TestBaselineMatchesPEMOnSmallDomain(t *testing.T) {
-	// On a small domain both methods should find the same top item.
-	const bits, n = 8, 40000
-	values := zipfValues(7, bits, n)
-	base, err := BaselineGRR(3, bits, 3, values, ldprand.NewSplitMix64(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pem, err := FindPEM(PEMParams{Epsilon: 3, Bits: bits, Levels: 2, K: 3}, values, ldprand.NewSplitMix64(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) == 0 || len(pem) == 0 {
-		t.Fatal("empty results")
-	}
-	if base[0].Value != pem[0].Value {
-		t.Errorf("baseline top %d != PEM top %d", base[0].Value, pem[0].Value)
 	}
 }
 

@@ -97,7 +97,7 @@ func FindSFP(params SFPParams, words []string, src ldprand.Source) ([]WordHit, e
 	for u, w := range words {
 		slot := order[u]
 		if slot < half {
-			pos := slot * params.WordLen / maxInt(half, 1)
+			pos := slot * params.WordLen / max(half, 1)
 			fv, err := params.fragmentValue(w, pos)
 			if err != nil {
 				return nil, err
@@ -200,7 +200,7 @@ func FindSFP(params SFPParams, words []string, src ldprand.Source) ([]WordHit, e
 		candVals[i] = uint64(i)
 	}
 	counts := mech.EstimateCounts(verifyReports, candVals)
-	scale := float64(n) / float64(maxInt(len(verifyReports), 1))
+	scale := float64(n) / float64(max(len(verifyReports), 1))
 	hits := make([]WordHit, 0, len(assembled))
 	for i, w := range assembled {
 		if counts[i] <= 0 {

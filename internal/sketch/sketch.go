@@ -1,21 +1,19 @@
 // Package sketch implements the count-min cell matrix that Apple's
 // system builds on (§1.2(2)): k rows of m counters, one seeded hash
-// per row. The private client/server protocol lives in internal/cms
-// and its serving adapter in internal/task/cmstask, which folds
-// privatized vectors straight into the rows and answers with its own
-// debiased count-mean estimator; this package supplies the matrix, its
-// hash positions, and its exact Merge, Snapshot, Reset and state codec
-// (binary.go), so the adapter can shard, merge and checkpoint.
+// per row. The private clients live in internal/cms, which also owns
+// the row hash (cms.Params.Position), and the server is the sketch
+// task in internal/task/cmstask, which folds privatized vectors
+// straight into the rows and answers with its debiased count-mean
+// estimator; this package supplies the matrix and its exact Merge,
+// Snapshot, Reset and state codec (binary.go), so the task can shard,
+// merge and checkpoint.
 package sketch
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/hashutil"
-)
-
-// CountMin is a count-min sketch: k rows of m counters with independent
-// seeded hash functions, plus the population total.
+// CountMin is a count-min sketch: k rows of m counters plus the
+// population total. The hash seed is carried, not used: the state
+// layout records it and Merge refuses sketches hashed under another.
 type CountMin struct {
 	k, m  int
 	seed  uint64
@@ -24,7 +22,7 @@ type CountMin struct {
 }
 
 // NewCountMin returns an empty count-min sketch with k rows of m
-// counters, hashes derived from seed.
+// counters, for items hashed under seed.
 func NewCountMin(k, m int, seed uint64) *CountMin {
 	if k <= 0 || m <= 0 {
 		panic("sketch: k and m must be positive")
@@ -37,27 +35,13 @@ func NewCountMin(k, m int, seed uint64) *CountMin {
 	return &CountMin{k: k, m: m, seed: seed, rows: rows}
 }
 
-// rowSeed derives the hash seed of row i.
-func (c *CountMin) rowSeed(i int) uint64 {
-	return c.seed + uint64(i)*0x9e3779b97f4a7c15
-}
-
-// Position returns the counter index of item in row i.
-func (c *CountMin) Position(i int, item []byte) int {
-	return hashutil.HashBytesRange(c.rowSeed(i), item, c.m)
-}
-
-// Row exposes row i's counters for aggregators that fold privatized
-// vectors directly into the sketch (Apple CMS server).
+// Row exposes row i's counters, into which the sketch task folds
+// debiased CMS rows directly.
 func (c *CountMin) Row(i int) []float64 { return c.rows[i] }
 
-// AddToCell adds weight directly to a cell; used by private aggregators
-// that debias before insertion.
-func (c *CountMin) AddToCell(row, col int, weight float64) {
-	c.rows[row][col] += weight
-	// Note: callers tracking totals must call AddTotal; direct cell
-	// updates do not imply one unit of population weight.
-}
+// AddToCell adds weight to one cell (a debiased HCMS coefficient). It
+// leaves the population total to AddTotal.
+func (c *CountMin) AddToCell(row, col int, weight float64) { c.rows[row][col] += weight }
 
 // AddTotal adds weight to the population total.
 func (c *CountMin) AddTotal(weight float64) { c.total += weight }

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/cms"
 )
 
 func item(i int) []byte { return []byte(fmt.Sprintf("item-%d", i)) }
 
 // add folds weight for item into every row and the total, the way the
-// private aggregators fill the matrix (AddToCell at Position, then
-// AddTotal).
+// sketch task fills the matrix (AddToCell at the row hash's position,
+// then AddTotal).
 func add(c *CountMin, item []byte, weight float64) {
+	p := cms.Params{Width: c.m, Seed: c.seed}
 	for i := range c.rows {
-		c.AddToCell(i, c.Position(i, item), weight)
+		c.AddToCell(i, p.Position(i, item), weight)
 	}
 	c.AddTotal(weight)
 }

@@ -98,7 +98,7 @@ func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 		return preparedCMS{row: row, bits: bits}, nil
 	}
 	index := int(r.Varint())
-	sign := int8(r.Varint())
+	sign := r.Varint()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("cmstask: bad binary envelope: %w", err)
 	}

@@ -1,14 +1,17 @@
-// Package cmstask adapts Apple's private sketch protocols
-// (internal/cms: Count-Mean-Sketch and its one-bit Hadamard variant)
-// to the task-generic aggregation interface, backed by the mergeable
-// count-min substrate in internal/sketch. It is the huge-domain task:
+// Package cmstask is the server half of Apple's private sketch
+// protocols (internal/cms holds the clients: Count-Mean-Sketch and its
+// one-bit Hadamard variant) behind the task-generic aggregation
+// interface, backed by the mergeable count-min substrate in
+// internal/sketch. It is the only CMS/HCMS server: ldpd serves it, and
+// the E5 experiment and the newwords example fold through it. It is
+// the huge-domain task:
 // items are arbitrary byte strings (words, URLs), never enumerated by
 // the server, and analysts query the sketch for the counts of the
 // candidates they care about — the heavy-hitter read over domains no
 // frequency oracle could tabulate.
 //
-// Clients randomize locally exactly as cms.Client/cms.HadamardClient
-// do; the server folds the debiased contribution of each report into a
+// Clients randomize locally with cms.Client/cms.HadamardClient; the
+// server folds the debiased contribution of each report into a
 // sketch.CountMin whose cells are then unbiased estimates of the true
 // counts landing there. Because the backing sketch merges exactly and
 // serializes exactly, the task inherits sharding and checkpointing for
@@ -84,7 +87,7 @@ func New(cfg task.Config) (task.Aggregator, error) {
 		k := float64(p.Hashes)
 		// The float64 conversions round every intermediate, so no
 		// platform may fuse the multiply into the add: the weights
-		// equal cms.Server's per-cell expression bit for bit.
+		// are the per-cell expression bit for bit on every platform.
 		weight := func(v float64) float64 { return float64(k * float64(float64(cEps/2*v)+0.5)) }
 		return &Aggregator{mechanism: MechanismCMS, params: p, cEps: cEps,
 			cmsWeights: [2]float64{weight(-1), weight(1)},
@@ -161,7 +164,7 @@ func (a *Aggregator) Prepare(report json.RawMessage) (any, error) {
 		}
 		return preparedCMS{row: e.Row, bits: *bits}, nil
 	}
-	return a.prepareHCMSReport(e.Row, e.Index, e.Sign)
+	return a.prepareHCMSReport(e.Row, e.Index, int64(e.Sign))
 }
 
 // checkCMSShape validates the row and width of one decoded CMS row
@@ -177,8 +180,10 @@ func (a *Aggregator) checkCMSShape(row, width int) error {
 }
 
 // prepareHCMSReport validates one decoded HCMS coefficient report; the
-// JSON and binary wire decoders both feed it.
-func (a *Aggregator) prepareHCMSReport(row, index int, sign int8) (any, error) {
+// JSON and binary wire decoders both feed it. The sign arrives at full
+// width and is narrowed only once it is ±1: the binary varint 257 would
+// otherwise wrap to an accepted 1, a report the JSON decoder refuses.
+func (a *Aggregator) prepareHCMSReport(row, index int, sign int64) (any, error) {
 	if row < 0 || row >= a.params.Hashes {
 		return nil, fmt.Errorf("cmstask: row %d out of range [0,%d)", row, a.params.Hashes)
 	}
@@ -188,14 +193,17 @@ func (a *Aggregator) prepareHCMSReport(row, index int, sign int8) (any, error) {
 	if sign != 1 && sign != -1 {
 		return nil, fmt.Errorf("cmstask: sign must be ±1, got %d", sign)
 	}
-	return preparedHCMS{row: row, index: index, sign: sign}, nil
+	return preparedHCMS{row: row, index: index, sign: int8(sign)}, nil
 }
 
 // Fold accumulates a Prepared report (task.Preparer): every coordinate
-// of a CMS row gets the debiased contribution k·(c_ε/2·v + 1/2), a
-// HCMS coefficient gets k·m·c_ε·sign — exactly as cms.Server and
-// cms.HadamardServer fold them. The CMS row is the O(m) step that sets
-// a sketch collection's throughput (README, "Fold kernels").
+// of a CMS row gets the debiased contribution k·(c_ε/2·v + 1/2), so
+// each cell is an unbiased estimate of the true count landing there; a
+// HCMS coefficient gets k·m·c_ε·sign, which cancels the 1/(k·m)
+// chance of sampling it and the flip bias, so each cell is an unbiased
+// estimate of its row's full-population Hadamard spectrum. The CMS row
+// is the O(m) step that sets a sketch collection's throughput (README,
+// "Fold kernels").
 func (a *Aggregator) Fold(prepared any) error {
 	switch p := prepared.(type) {
 	case preparedCMS:
@@ -286,50 +294,33 @@ func (a *Aggregator) Estimate(query url.Values) (json.RawMessage, error) {
 		Hashes:    a.params.Hashes,
 		Items:     make([]ItemCount, 0, len(items)),
 	}
-	var inverted [][]float64
+	rows := make([][]float64, a.params.Hashes)
+	for j := range rows {
+		rows[j] = a.cm.Row(j)
+	}
 	if a.mechanism == MechanismHCMS && len(items) > 0 {
 		// Invert every row's spectrum once, then read all items from it.
-		inverted = make([][]float64, a.params.Hashes)
-		for j := range inverted {
-			spectrum := make([]float64, a.params.Width)
-			copy(spectrum, a.cm.Row(j))
-			transform.Inverse(spectrum)
-			inverted[j] = spectrum
+		for j, row := range rows {
+			rows[j] = append([]float64(nil), row...)
+			transform.Inverse(rows[j])
 		}
 	}
 	for _, it := range items {
-		var count float64
-		if a.mechanism == MechanismCMS {
-			count = a.estimateCMS([]byte(it))
-		} else {
-			count = a.estimateInverted(inverted, []byte(it))
-		}
-		res.Items = append(res.Items, ItemCount{Item: it, Count: count})
+		res.Items = append(res.Items, ItemCount{Item: it, Count: a.countMean(rows, []byte(it))})
 	}
 	return json.Marshal(res)
 }
 
-// estimateCMS is the count-mean debiased point estimate, written with
-// exactly cms.Server.Estimate's floating-point expression so the
-// adapter reproduces that server's estimates bit for bit (another
-// parenthesization of the debias can cost an ulp).
-func (a *Aggregator) estimateCMS(item []byte) float64 {
+// countMean is the count-mean debiased point estimate of item read
+// from rows — the CMS cells, or the inverted HCMS spectra:
+// (m/(m−1))·(mean over rows of the item's cell − n/m). Another
+// parenthesization can move the result by an ulp; TestKernelCMSFold
+// pins this one bit for bit.
+func (a *Aggregator) countMean(rows [][]float64, item []byte) float64 {
 	m := float64(a.params.Width)
 	var sum float64
-	for j := 0; j < a.params.Hashes; j++ {
-		sum += a.cm.Row(j)[a.cm.Position(j, item)]
-	}
-	mean := sum / float64(a.params.Hashes)
-	return (m / (m - 1)) * (mean - a.cm.Total()/m)
-}
-
-// estimateInverted applies the count-mean debiasing to pre-inverted
-// HCMS rows, mirroring cms.HadamardServer.Estimate.
-func (a *Aggregator) estimateInverted(inverted [][]float64, item []byte) float64 {
-	m := float64(a.params.Width)
-	var sum float64
-	for j := 0; j < a.params.Hashes; j++ {
-		sum += inverted[j][a.cm.Position(j, item)]
+	for j, row := range rows {
+		sum += row[a.params.Position(j, item)]
 	}
 	mean := sum / float64(a.params.Hashes)
 	return (m / (m - 1)) * (mean - a.cm.Total()/m)

@@ -5,15 +5,16 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/binenc"
-	"repro/internal/cms"
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/cmstask"
@@ -21,10 +22,6 @@ import (
 
 func sketchCfg(mech string) task.Config {
 	return task.Config{Task: task.TypeSketch, Mechanism: mech, Epsilon: 2, Width: 64, Hashes: 8, SketchSeed: 42}
-}
-
-func cmsParams() cms.Params {
-	return cms.Params{Epsilon: 2, Width: 64, Hashes: 8, Seed: 42}
 }
 
 // items returns a deterministic stream of n items over a small
@@ -51,78 +48,128 @@ func estimate(t *testing.T, a task.Aggregator, names ...string) cmstask.Estimate
 	return res
 }
 
-// TestAdapterMatchesCMSServer is the fidelity claim: the task adapter
-// folding client reports into its count-min backing must produce
-// exactly the estimates cms.Server produces from the same reports —
-// same debiasing, same hash positions, bit for bit.
-func TestAdapterMatchesCMSServer(t *testing.T) {
-	server, err := cms.NewServer(cmsParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := cmstask.New(sketchCfg("CMS"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := cms.NewClient(cmsParams(), ldprand.NewSplitMix64(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range items(3000, 2) {
-		r := client.Report(it)
-		if err := server.Add(r); err != nil {
-			t.Fatal(err)
+// cmsVariance is the analytic variance of the served count-mean
+// estimate of item d, over the clients' randomness and the hash seed.
+// counts[x] is the number of users holding item x and nd the number
+// holding d. Each user adds Y to the row mean at d's position, with
+// E[Y | row] = 1 when its item shares d's cell in the row it picked.
+// Its collision rate q over the k rows is Binomial(k, 1/m)/k, so
+// E[q] = 1/m and Var(q) = (1−1/m)/(k·m). Per user:
+//
+//	CMS:  Var(Y) = (c²−1)/4 + q(1−q)   (c = c_{ε/2}, the ±1 coordinate noise)
+//	HCMS: Var(Y) = c² − q²             (Y = ±c always, c = c_ε)
+//
+// Averaged over hash seeds, that is (c²−1)/4 + 1/m − 1/m² − Var(q) and
+// c² − 1/m² − Var(q) for x ≠ d, and (c²−1)/4 and c²−1 for x = d. The
+// seed also moves every other item's mean contribution n_x·q_x, adding
+// Σ_{x≠d} n_x²·Var(q). The estimate scales the sum by m/(m−1).
+func cmsVariance(mech string, eps float64, m, k int, counts map[string]int, d string) float64 {
+	mf, kf := float64(m), float64(k)
+	varQ := (1 - 1/mf) / (kf * mf)
+	var sum float64
+	for _, x := range slices.Sorted(maps.Keys(counts)) {
+		nx := counts[x]
+		var perUser float64
+		switch {
+		case mech == cmstask.MechanismCMS:
+			c := (math.Exp(eps/2) + 1) / (math.Exp(eps/2) - 1)
+			perUser = (c*c - 1) / 4
+			if x != d {
+				perUser += 1/mf - 1/(mf*mf) - varQ
+			}
+		case x == d:
+			c := (math.Exp(eps) + 1) / (math.Exp(eps) - 1)
+			perUser = c*c - 1
+		default:
+			c := (math.Exp(eps) + 1) / (math.Exp(eps) - 1)
+			perUser = c*c - 1/(mf*mf) - varQ
 		}
-		env := cmstask.Envelope{Mechanism: "CMS", Row: r.Row, Bits: b64(r.Bits)}
-		raw, _ := json.Marshal(env)
-		if err := a.Add(raw); err != nil {
-			t.Fatal(err)
+		sum += float64(nx) * perUser
+		if x != d {
+			sum += float64(nx) * float64(nx) * varQ
 		}
 	}
-	if a.Collected() != server.Collected() {
-		t.Fatalf("collected %d want %d", a.Collected(), server.Collected())
-	}
-	for _, name := range []string{"word-0", "word-3", "word-9", "absent"} {
-		want := server.Estimate([]byte(name))
-		got := estimate(t, a, name).Items[0].Count
-		if got != want {
-			t.Fatalf("%s: adapter %v, cms.Server %v", name, got, want)
-		}
-	}
+	return mf * mf / ((mf - 1) * (mf - 1)) * sum
 }
 
-// TestAdapterMatchesHCMSServer: same fidelity claim for the one-bit
-// Hadamard variant, including the spectrum inversion at estimate time.
-func TestAdapterMatchesHCMSServer(t *testing.T) {
-	server, err := cms.NewHadamardServer(cmsParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := cmstask.New(sketchCfg("HCMS"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := cms.NewHadamardClient(cmsParams(), ldprand.NewSplitMix64(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range items(5000, 4) {
-		r := client.Report(it)
-		if err := server.Add(r); err != nil {
-			t.Fatal(err)
+// TestServedEstimateUnbiased checks the served estimates against the
+// truth rather than against another implementation: over many
+// populations privatized under fresh client randomness and a fresh
+// sketch seed, the estimates of a heavy item and of an absent one have
+// mean z-score near 0 and variance within [0.8, 1.25] of cmsVariance.
+// Leaving out the collision terms moves the absent item's ratio out of
+// the band.
+func TestServedEstimateUnbiased(t *testing.T) {
+	const (
+		eps    = 2.0
+		width  = 32
+		hashes = 8
+		n      = 1000
+		trials = 400
+	)
+	// A fixed population: "hot" holds 40 %, the rest spreads over 30
+	// items.
+	population := make([][]byte, n)
+	counts := make(map[string]int)
+	for i := range population {
+		population[i] = []byte(fmt.Sprintf("word-%d", i%30))
+		if i < 2*n/5 {
+			population[i] = []byte("hot")
 		}
-		env := cmstask.Envelope{Mechanism: "HCMS", Row: r.Row, Index: r.Index, Sign: r.Sign}
-		raw, _ := json.Marshal(env)
-		if err := a.Add(raw); err != nil {
-			t.Fatal(err)
-		}
+		counts[string(population[i])]++
 	}
-	for _, name := range []string{"word-1", "word-7", "missing"} {
-		want := server.Estimate([]byte(name))
-		got := estimate(t, a, name).Items[0].Count
-		if got != want {
-			t.Fatalf("%s: adapter %v, cms.HadamardServer %v", name, got, want)
-		}
+	for _, mech := range cmstask.Mechanisms() {
+		t.Run(mech, func(t *testing.T) {
+			queries := []string{"hot", "absent"}
+			z := make([][]float64, len(queries))
+			for trial := uint64(0); trial < trials; trial++ {
+				cfg := task.Config{Task: task.TypeSketch, Mechanism: mech, Epsilon: eps,
+					Width: width, Hashes: hashes, SketchSeed: 1000 + trial}
+				a, err := cmstask.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				client, err := cmstask.NewClient(cfg, ldprand.NewSplitMix64(trial))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, it := range population {
+					raw, err := client.ReportBinary(it)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prepared, err := a.(task.BinaryReporter).PrepareBinary(raw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := a.Fold(prepared); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, it := range estimate(t, a, queries...).Items {
+					sd := math.Sqrt(cmsVariance(mech, eps, width, hashes, counts, it.Item))
+					z[i] = append(z[i], (it.Count-float64(counts[it.Item]))/sd)
+				}
+			}
+			for i, q := range queries {
+				var mean, sq float64
+				for _, v := range z[i] {
+					mean += v
+				}
+				mean /= trials
+				for _, v := range z[i] {
+					sq += (v - mean) * (v - mean)
+				}
+				ratio := sq / (trials - 1)
+				t.Logf("%s %s: mean z %.3f, variance ratio %.3f", mech, q, mean, ratio)
+				if math.Abs(mean) > 3/math.Sqrt(trials) {
+					t.Errorf("%s: mean z-score %.3f over %d trials, want |z| ≤ %.3f", q, mean, trials, 3/math.Sqrt(trials))
+				}
+				if ratio < 0.8 || ratio > 1.25 {
+					t.Errorf("%s: empirical/analytic variance %.3f, want within [0.8, 1.25]", q, ratio)
+				}
+			}
+		})
 	}
 }
 
@@ -336,6 +383,40 @@ func TestAddRejectsMalformed(t *testing.T) {
 	}
 	if a.Collected() != 0 || h.Collected() != 0 {
 		t.Fatal("rejected reports were counted")
+	}
+}
+
+// hcmsBinary lays out a binary HCMS envelope with an arbitrary sign,
+// as Client.ReportBinary would for sign ±1.
+func hcmsBinary(row, index, sign int64) []byte {
+	w := binenc.NewWriter()
+	defer w.Release()
+	w.Byte(0) // envelope layout version
+	w.String(cmstask.MechanismHCMS)
+	w.Varint(row)
+	w.Varint(index)
+	w.Varint(sign)
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// TestHCMSSignRefusedOnBothWires: a report's HCMS sign is ±1 on both
+// wires. The binary decoder judges the varint before narrowing it, so
+// 257 and −255, which would wrap to an int8 1, are refused there as
+// the JSON decoder refuses them.
+func TestHCMSSignRefusedOnBothWires(t *testing.T) {
+	a, err := cmstask.New(sketchCfg(cmstask.MechanismHCMS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sign int64
+		ok   bool
+	}{{1, true}, {-1, true}, {0, false}, {257, false}, {-255, false}} {
+		jsonErr := a.Add(json.RawMessage(fmt.Sprintf(`{"mechanism":"HCMS","row":0,"index":3,"sign":%d}`, c.sign)))
+		_, binErr := a.(task.BinaryReporter).PrepareBinary(hcmsBinary(0, 3, c.sign))
+		if (jsonErr == nil) != c.ok || (binErr == nil) != c.ok {
+			t.Errorf("sign %d: JSON error %v, binary error %v; want accepted=%v on both", c.sign, jsonErr, binErr, c.ok)
+		}
 	}
 }
 

@@ -1,14 +1,15 @@
 package cmstask
 
-// The packed CMS fold against its definition: cms.Server.Add's
-// per-cell expression applied one unpacked coordinate at a time, which
-// is the loop Fold ran before it kept reports packed.
+// The packed CMS fold against its definition: the per-cell debias
+// expression applied one unpacked coordinate at a time, which is the
+// loop Fold ran before it kept reports packed.
 
 import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/url"
 	"testing"
 
 	"repro/internal/binenc"
@@ -57,6 +58,24 @@ func encodeCMSBinary(t testing.TB, r cms.Report) []byte {
 	return append([]byte(nil), w.Bytes()...)
 }
 
+// estimateItems reads the served estimates of word-0 … word-(n−1).
+func estimateItems(t *testing.T, a *Aggregator, n int) []ItemCount {
+	t.Helper()
+	query := url.Values{}
+	for i := 0; i < n; i++ {
+		query.Add("item", fmt.Sprintf("word-%d", i))
+	}
+	raw, err := a.Estimate(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res EstimateResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	return res.Items
+}
+
 func mustNew(t testing.TB, cfg task.Config) *Aggregator {
 	t.Helper()
 	a, err := New(cfg)
@@ -73,10 +92,6 @@ func TestKernelCMSFold(t *testing.T) {
 	for _, width := range []int{2, 63, 64, 65, 1000, 1024} {
 		cfg := kernelConfig(width, hashes)
 		params := cms.Params{Epsilon: cfg.Epsilon, Width: width, Hashes: hashes, Seed: cfg.SketchSeed}
-		server, err := cms.NewServer(params)
-		if err != nil {
-			t.Fatal(err)
-		}
 		client, err := cms.NewClient(params, ldprand.NewSplitMix64(uint64(width)))
 		if err != nil {
 			t.Fatal(err)
@@ -111,9 +126,6 @@ func TestKernelCMSFold(t *testing.T) {
 		}
 
 		for _, r := range reports {
-			if err := server.Add(r); err != nil {
-				t.Fatal(err)
-			}
 			refFoldCMS(ref, r, viaJSON.cEps)
 			raw, err := json.Marshal(Envelope{Mechanism: MechanismCMS, Row: r.Row, Bits: base64.StdEncoding.EncodeToString(r.Bits)})
 			if err != nil {
@@ -142,10 +154,18 @@ func TestKernelCMSFold(t *testing.T) {
 			if a.Collected() != len(reports) {
 				t.Fatalf("width %d, %s: collected %d, want %d", width, name, a.Collected(), len(reports))
 			}
-			for i := 0; i < 10; i++ {
-				item := []byte(fmt.Sprintf("word-%d", i))
-				if got, want := a.estimateCMS(item), server.Estimate(item); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("width %d, %s: estimate(%s) = %v, cms.Server says %v", width, name, item, got, want)
+			// The count-mean estimate, written out over the reference
+			// rows: (m/(m−1))·(mean over rows of the item's cell − n/m).
+			for i, got := range estimateItems(t, a, 10) {
+				item := []byte(got.Item)
+				var sum float64
+				for j := range ref {
+					sum += ref[j][params.Position(j, item)]
+				}
+				m, n := float64(width), float64(len(reports))
+				want := (m / (m - 1)) * (sum/hashes - n/m)
+				if math.Float64bits(got.Count) != math.Float64bits(want) {
+					t.Fatalf("width %d, %s: estimate(word-%d) = %v, want %v", width, name, i, got.Count, want)
 				}
 			}
 		}

@@ -95,7 +95,13 @@ func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 		e.Value = int(r.Varint())
 	case *freq.HRR:
 		e.Value = int(r.Varint())
-		e.Sign = int8(r.Varint())
+		// Judge the sign at full width: narrowing first would wrap −255
+		// to an accepted 1, a report the JSON decoder refuses.
+		sign := r.Varint()
+		if r.Err() == nil && sign != 1 && sign != -1 {
+			return nil, fmt.Errorf("freqtask: HRR sign %d must be ±1", sign)
+		}
+		e.Sign = int8(sign)
 	case *freq.SS:
 		e.Values = r.Ints()
 	default:

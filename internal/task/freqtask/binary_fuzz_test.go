@@ -41,6 +41,8 @@ func FuzzBinaryEnvelope(f *testing.F) {
 	// holds: the over-allocation guard must refuse, not allocate.
 	f.Add([]byte{0, 2, 'S', 'S', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte{})
+	// An HRR sign of −255, which narrows to an int8 1: refused.
+	f.Add(hrrBinary(3, -255))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mech := range mechs {

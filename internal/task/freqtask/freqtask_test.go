@@ -3,12 +3,14 @@ package freqtask_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/freqtask"
@@ -258,6 +260,39 @@ func TestAddRejectsMalformed(t *testing.T) {
 	}
 	if a.Collected() != 0 {
 		t.Fatalf("rejected reports counted: %d", a.Collected())
+	}
+}
+
+// hrrBinary lays out a binary HRR envelope with an arbitrary sign, as
+// PrivatizeBinary would for sign ±1.
+func hrrBinary(index, sign int64) []byte {
+	w := binenc.NewWriter()
+	defer w.Release()
+	w.Byte(0) // envelope layout version
+	w.String(freqtask.MechanismHRR)
+	w.Varint(index)
+	w.Varint(sign)
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// TestHRRSignRefusedOnBothWires: a report's HRR sign is ±1 on both
+// wires. The binary decoder judges the varint before narrowing it, so
+// −255 and 257, which would wrap to an int8 1, are refused there as
+// the JSON decoder refuses them.
+func TestHRRSignRefusedOnBothWires(t *testing.T) {
+	a, err := freqtask.New(cfg(freqtask.MechanismHRR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sign int64
+		ok   bool
+	}{{1, true}, {-1, true}, {0, false}, {-255, false}, {257, false}} {
+		jsonErr := a.Add(json.RawMessage(fmt.Sprintf(`{"mechanism":"HRR","value":3,"sign":%d}`, c.sign)))
+		_, binErr := a.(task.BinaryReporter).PrepareBinary(hrrBinary(3, c.sign))
+		if (jsonErr == nil) != c.ok || (binErr == nil) != c.ok {
+			t.Errorf("sign %d: JSON error %v, binary error %v; want accepted=%v on both", c.sign, jsonErr, binErr, c.ok)
+		}
 	}
 }
 

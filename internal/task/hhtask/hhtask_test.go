@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -333,69 +334,92 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestServedMatchesBatchPEM cross-validates the served protocol
-// against FindPEM: with the same per-round populations the served
-// variant should recover the same dominant value.
-func TestServedMatchesBatchPEM(t *testing.T) {
-	values := make([]uint64, 2000)
+// TestServedCountUnbiased checks the served protocol's final count
+// against the truth: over many runs under fresh client randomness, the
+// population-scaled count of a planted value has mean z-score near 0
+// and variance within [0.8, 1.25] of the analytic one. The final
+// round's n_r reporters alone score the finalists, and Advance scales
+// that count by n/n_r, so the truth is the planted value's holders
+// among them (n_v) times n/n_r. Under a random hash seed a holder
+// supports the value with probability p = e^ε/(e^ε+g−1) and anyone
+// else with q = 1/g, so the variance is
+// (n/n_r)² · (n_v·p(1−p) + (n_r−n_v)·q(1−q)) / (p−q)².
+func TestServedCountUnbiased(t *testing.T) {
+	const (
+		eps     = 2.0
+		bits    = 8
+		levels  = 2
+		n       = 600
+		planted = 0xC4
+		trials  = 400
+	)
+	values := make([]uint64, n)
 	src := ldprand.NewSplitMix64(19)
 	for i := range values {
+		values[i] = uint64(ldprand.Intn(src, 1<<bits))
 		if i%3 == 0 {
-			values[i] = 0xC4
-		} else {
-			values[i] = uint64(ldprand.Intn(src, 256))
+			values[i] = planted
 		}
 	}
-	batch, err := heavyhitters.FindPEM(heavyhitters.PEMParams{Epsilon: 2, Bits: 8, Levels: 4, K: 3}, values, ldprand.NewSplitMix64(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := task.New(cfg())
-	client, err := NewClient(2, 8, 4, ldprand.NewSplitMix64(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := a.(task.Phased)
-	for round := 0; round < 4; round++ {
-		for _, v := range values[round*500 : (round+1)*500] {
-			raw, err := client.Report(v, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Add(raw); err != nil {
-				t.Fatal(err)
-			}
+	nr, nv := 0, 0 // the final round's reporters, and the holders among them
+	for _, v := range values[(levels-1)*n/levels:] {
+		nr++
+		if v == planted {
+			nv++
 		}
-		if err := p.Advance(); err != nil {
+	}
+	scale := float64(n) / float64(nr)
+	g := float64(heavyhitters.NewLHMech(eps).G())
+	p, q := math.Exp(eps)/(math.Exp(eps)+g-1), 1/g
+	truth := float64(nv) * scale
+	sd := scale * math.Sqrt(float64(nv)*p*(1-p)+float64(nr-nv)*q*(1-q)) / (p - q)
+
+	var sum, sq float64
+	for trial := uint64(0); trial < trials; trial++ {
+		a, err := task.New(task.Config{Task: task.TypeHH, Mechanism: MechanismPEM,
+			Epsilon: eps, Bits: bits, Levels: levels, K: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	raw, err := a.Estimate(url.Values{"top": {"1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res EstimateResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) == 0 || len(res.Hits) == 0 {
-		t.Fatalf("batch %v served %v", batch, res.Hits)
-	}
-	if batch[0].Value != 0xC4 || res.Hits[0].Value != 0xC4 {
-		t.Fatalf("dominant value: batch %d served %d want 0xC4", batch[0].Value, res.Hits[0].Value)
-	}
-	// The served scale-up lands in the same ballpark as the batch run
-	// (both estimate ~667 holders from a quarter of the population).
-	truth := 0.0
-	for _, v := range values {
-		if v == 0xC4 {
-			truth++
+		client, err := NewClient(eps, bits, levels, ldprand.NewSplitMix64(trial))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, got := range []float64{batch[0].Count, res.Hits[0].Count} {
-		if got < truth*0.5 || got > truth*1.5 {
-			t.Fatalf("count %v too far from truth %v", got, truth)
+		for round := 0; round < levels; round++ {
+			for _, v := range values[round*n/levels : (round+1)*n/levels] {
+				raw, err := client.Report(v, round)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Add(raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.(task.Phased).Advance(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		count := math.NaN()
+		for _, h := range a.(*Aggregator).hits {
+			if h.Value == planted {
+				count = h.Count
+			}
+		}
+		if math.IsNaN(count) {
+			t.Fatalf("trial %d: planted value missing from hits %v", trial, a.(*Aggregator).hits)
+		}
+		z := (count - truth) / sd
+		sum += z
+		sq += z * z
+	}
+	mean := sum / trials
+	ratio := (sq - trials*mean*mean) / (trials - 1)
+	t.Logf("mean z %.3f, variance ratio %.3f", mean, ratio)
+	if math.Abs(mean) > 3/math.Sqrt(trials) {
+		t.Errorf("mean z-score %.3f over %d trials, want |z| ≤ %.3f", mean, trials, 3/math.Sqrt(trials))
+	}
+	if ratio < 0.8 || ratio > 1.25 {
+		t.Errorf("empirical/analytic variance %.3f, want within [0.8, 1.25]", ratio)
 	}
 }
 
