@@ -32,12 +32,8 @@
 // transport framing only, every value is still randomized
 // independently before it is buffered.
 //
-// With -encoding binary the envelopes travel in the compact binary
-// wire format (Content-Type: application/x-ldp-binary) instead of
-// JSON — same randomization, same validation, fewer bytes. The server
-// advertises which encodings a collection accepts in its /status
-// "encodings" field; hh collections are JSON-only, so -task hh
-// rejects -encoding binary.
+// Envelopes travel in the binary wire format (Content-Type:
+// application/x-ldp-binary), which every collection accepts.
 //
 // Requests that fail with a transport error or a retriable status
 // (5xx, 429) are retried up to -retries times with exponential backoff
@@ -88,37 +84,6 @@ import (
 	"repro/internal/task/meantask"
 )
 
-// privatizer turns one stdin line into a privatized wire envelope (a
-// JSON object or a binary frame, per the selected -encoding).
-type privatizer func(line string) (json.RawMessage, error)
-
-// wireCodec is the transport framing half of -encoding: the request
-// media type plus how a slice of envelopes becomes one batch body.
-type wireCodec struct {
-	contentType string
-	binary      bool
-}
-
-var (
-	jsonCodec   = wireCodec{contentType: "application/json"}
-	binaryCodec = wireCodec{contentType: core.ContentTypeBinary, binary: true}
-)
-
-// encodeBatch frames the pending envelopes into one /report/batch
-// body: a JSON array, or the binary count-plus-length-prefixed form.
-func (wc wireCodec) encodeBatch(batch []json.RawMessage) ([]byte, error) {
-	if !wc.binary {
-		return json.Marshal(batch)
-	}
-	w := binenc.NewWriter()
-	defer w.Release()
-	w.Uvarint(uint64(len(batch)))
-	for _, env := range batch {
-		w.Blob(env)
-	}
-	return append([]byte(nil), w.Bytes()...), nil
-}
-
 func main() {
 	var (
 		server     = flag.String("server", "http://localhost:8080", "ldpd base URL, or a comma-separated list of relay URLs to round-robin batches across")
@@ -135,7 +100,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-request timeout")
 		retries    = flag.Int("retries", 3, "retry attempts per request on transport errors and 5xx/429 responses (idempotent: every batch carries a dedup key; 0 disables retrying and sends -batch 1 via bare POST /report)")
 		hhAdvance  = flag.Bool("hh-advance", true, "hh: close each round via POST .../advance after reporting its group (disable when the server auto-advances on advance_quota)")
-		encoding   = flag.String("encoding", "json", "report wire encoding: json, or binary for collections that advertise it (freq, mean, sketch)")
 	)
 	flag.Parse()
 	if *batch < 1 {
@@ -144,20 +108,6 @@ func main() {
 	}
 	if *retries < 0 {
 		fmt.Fprintln(os.Stderr, "ldpclient: -retries must be non-negative")
-		os.Exit(2)
-	}
-	codec := jsonCodec
-	switch *encoding {
-	case "json":
-	case "binary":
-		codec = binaryCodec
-		if *taskName == task.TypeHH {
-			// The hh protocol's phased envelopes ride the JSON wire only.
-			fmt.Fprintln(os.Stderr, "ldpclient: -task hh has no binary encoding; use -encoding json")
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "ldpclient: unknown -encoding %q (have json, binary)\n", *encoding)
 		os.Exit(2)
 	}
 	var targets []string
@@ -188,7 +138,7 @@ func main() {
 		return
 	}
 
-	privatize, err := newPrivatizer(*taskName, *mechanism, *epsilon, *domain, *dim, *width, *hashes, *sketchSeed, codec.binary)
+	privatize, err := newPrivatizer(*taskName, *mechanism, *epsilon, *domain, *dim, *width, *hashes, *sketchSeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ldpclient:", err)
 		os.Exit(2)
@@ -201,13 +151,13 @@ func main() {
 	const maxBatchBody = 6 << 20
 
 	sent, failed := 0, 0
-	pending := make([]json.RawMessage, 0, *batch)
+	pending := make([][]byte, 0, *batch)
 	pendingBytes := 0
 	flush := func() {
 		if len(pending) == 0 {
 			return
 		}
-		n, err := postBatch(httpClient, ring.pick(), codec, pending, *retries)
+		n, err := postBatch(httpClient, ring.pick(), pending, *retries)
 		sent += n
 		failed += len(pending) - n
 		if err != nil {
@@ -234,7 +184,7 @@ func main() {
 				// A single-envelope batch rides the idempotent route, so
 				// a lost acknowledgment can be retried without the risk
 				// of double-counting the report.
-				n, err := postBatch(httpClient, ring.pick(), codec, []json.RawMessage{env}, *retries)
+				n, err := postBatch(httpClient, ring.pick(), [][]byte{env}, *retries)
 				sent += n
 				failed += 1 - n
 				if err != nil {
@@ -242,7 +192,7 @@ func main() {
 				}
 				continue
 			}
-			if err := post(httpClient, ring.pick()+"/report", codec.contentType, env); err != nil {
+			if err := post(httpClient, ring.pick()+"/report", env); err != nil {
 				fmt.Fprintf(os.Stderr, "ldpclient: %v\n", err)
 				failed++
 				continue
@@ -250,7 +200,7 @@ func main() {
 			sent++
 			continue
 		}
-		size := len(env) + 1 // plus the array separator
+		size := len(env) + 5 // plus its uvarint length prefix, at most
 		if len(pending) > 0 && pendingBytes+size > maxBatchBody {
 			flush()
 		}
@@ -292,11 +242,9 @@ func (t *targetRing) pick() string {
 // first returns the stable control-plane target.
 func (t *targetRing) first() string { return t.targets[0] }
 
-// newPrivatizer builds the line → envelope function for the selected
-// task family, resolving the per-task default mechanism. With binary
-// set the envelopes come out in the task's binary wire layout instead
-// of JSON (the caller ships them under the matching Content-Type).
-func newPrivatizer(taskName, mechanism string, epsilon float64, domain, dim, width, hashes int, sketchSeed uint64, binary bool) (privatizer, error) {
+// newPrivatizer builds the line → binary envelope function for the
+// selected task family, resolving the per-task default mechanism.
+func newPrivatizer(taskName, mechanism string, epsilon float64, domain, dim, width, hashes int, sketchSeed uint64) (func(line string) ([]byte, error), error) {
 	switch taskName {
 	case task.TypeFreq:
 		if mechanism == "" {
@@ -306,19 +254,12 @@ func newPrivatizer(taskName, mechanism string, epsilon float64, domain, dim, wid
 		if err != nil {
 			return nil, err
 		}
-		return func(line string) (json.RawMessage, error) {
+		return func(line string) ([]byte, error) {
 			v, err := strconv.Atoi(line)
 			if err != nil {
 				return nil, err
 			}
-			if binary {
-				return client.ReportBinary(v)
-			}
-			env, err := client.Report(v)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(env)
+			return client.ReportBinary(v)
 		}, nil
 	case task.TypeMean:
 		if mechanism == "" {
@@ -331,7 +272,7 @@ func newPrivatizer(taskName, mechanism string, epsilon float64, domain, dim, wid
 		if err != nil {
 			return nil, err
 		}
-		return func(line string) (json.RawMessage, error) {
+		return func(line string) ([]byte, error) {
 			parts := strings.Split(line, ",")
 			if len(parts) != client.Dim() {
 				return nil, fmt.Errorf("record has %d values, want %d", len(parts), client.Dim())
@@ -344,10 +285,7 @@ func newPrivatizer(taskName, mechanism string, epsilon float64, domain, dim, wid
 				}
 				x[i] = v
 			}
-			if binary {
-				return client.ReportBinary(x)
-			}
-			return client.Report(x)
+			return client.ReportBinary(x)
 		}, nil
 	case task.TypeSketch:
 		if mechanism == "" {
@@ -360,11 +298,8 @@ func newPrivatizer(taskName, mechanism string, epsilon float64, domain, dim, wid
 		if err != nil {
 			return nil, err
 		}
-		return func(line string) (json.RawMessage, error) {
-			if binary {
-				return client.ReportBinary([]byte(line))
-			}
-			return client.Report([]byte(line))
+		return func(line string) ([]byte, error) {
+			return client.ReportBinary([]byte(line))
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown task %q (have freq, mean, sketch, hh)", taskName)
@@ -412,13 +347,13 @@ func runHH(c *http.Client, ring *targetRing, batchSize, retries int, advance boo
 	// round is a fresh ε-spend of the same single budget, since the stale
 	// one was never aggregated).
 	reportRound := func(reporter *hhtask.Client, users []uint64, round int) (carry []uint64) {
-		pending := make([]json.RawMessage, 0, min(batchSize, len(users)))
+		pending := make([][]byte, 0, min(batchSize, len(users)))
 		pendingUsers := make([]uint64, 0, min(batchSize, len(users)))
 		flush := func(tail []uint64) []uint64 {
 			if len(pending) == 0 {
 				return nil
 			}
-			got, err := postBatch(c, ring.pick(), jsonCodec, pending, retries)
+			got, err := postBatch(c, ring.pick(), pending, retries)
 			if errors.Is(err, errStaleRound) {
 				left := append(append([]uint64(nil), pendingUsers...), tail...)
 				fmt.Fprintf(os.Stderr, "ldpclient: round %d: %v; re-reporting %d users against the new round\n",
@@ -434,7 +369,7 @@ func runHH(c *http.Client, ring *targetRing, batchSize, retries int, advance boo
 			return nil
 		}
 		for i, v := range users {
-			env, err := reporter.Report(v, round)
+			env, err := reporter.ReportBinary(v, round)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ldpclient: skipping %d: %v\n", v, err)
 				failed++
@@ -553,8 +488,8 @@ func postAdvance(c *http.Client, base string, round int) error {
 	return nil
 }
 
-func post(c *http.Client, url, contentType string, env json.RawMessage) error {
-	resp, err := c.Post(url, contentType, bytes.NewReader(env))
+func post(c *http.Client, url string, env []byte) error {
+	resp, err := c.Post(url, core.ContentTypeBinary, bytes.NewReader(env))
 	if err != nil {
 		return err
 	}
@@ -575,14 +510,16 @@ func post(c *http.Client, url, contentType string, env json.RawMessage) error {
 // a retry of a batch the server already processed (the acknowledgment
 // was lost, not the request) is answered from the server's dedup
 // record instead of aggregated twice.
-func postBatch(c *http.Client, base string, codec wireCodec, batch []json.RawMessage, retries int) (int, error) {
-	body, err := codec.encodeBatch(batch)
-	if err != nil {
-		return 0, err
+func postBatch(c *http.Client, base string, batch [][]byte, retries int) (int, error) {
+	w := binenc.NewWriter() // the body: a uvarint count, then the length-prefixed envelopes
+	defer w.Release()
+	w.Uvarint(uint64(len(batch)))
+	for _, env := range batch {
+		w.Blob(env)
 	}
-	id := newBatchID()
+	body, id := w.Bytes(), newBatchID()
 	for attempt := 0; ; attempt++ {
-		n, retriable, err := postBatchOnce(c, base, id, codec.contentType, body, len(batch))
+		n, retriable, err := postBatchOnce(c, base, id, body, len(batch))
 		if err == nil || !retriable || attempt >= retries {
 			return n, err
 		}
@@ -597,12 +534,12 @@ func postBatch(c *http.Client, base string, codec wireCodec, batch []json.RawMes
 // 405, a proxy error page, ...) the error carries the HTTP status and
 // a snippet of the body, which is what actually identifies the problem
 // — not the decode failure.
-func postBatchOnce(c *http.Client, base, id, contentType string, body []byte, batchLen int) (n int, retriable bool, err error) {
+func postBatchOnce(c *http.Client, base, id string, body []byte, batchLen int) (n int, retriable bool, err error) {
 	req, err := http.NewRequest(http.MethodPost, base+"/report/batch", bytes.NewReader(body))
 	if err != nil {
 		return 0, false, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", core.ContentTypeBinary)
 	if id != "" {
 		req.Header.Set("Idempotency-Key", id)
 	}

@@ -145,6 +145,83 @@ func TestJournalHasOneJSONReader(t *testing.T) {
 	}
 }
 
+// TestReportsHaveOneDecoder pins, structurally, that a report has one
+// decoder: JSON is translated to the task's binary payload at the edge
+// and validated by PrepareBinary alone. No method under internal/task
+// takes a json.RawMessage and returns a prepared value (an any) — a
+// second, JSON decoder beside PrepareBinary cannot be added there
+// unnoticed — and frame in internal/core/journal.go never names
+// kindBatchJSON: the 0x01 batch is read, never written.
+func TestReportsHaveOneDecoder(t *testing.T) {
+	isJSONRaw := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "json" && sel.Sel.Name == "RawMessage"
+	}
+	isAny := func(e ast.Expr) bool {
+		if id, ok := e.(*ast.Ident); ok {
+			return id.Name == "any"
+		}
+		iface, ok := e.(*ast.InterfaceType)
+		return ok && len(iface.Methods.List) == 0
+	}
+	files := 0
+	err := filepath.WalkDir("../../internal/task", func(name string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return err
+		}
+		files++
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Type.Results == nil || len(fn.Type.Results.List) == 0 || !isAny(fn.Type.Results.List[0].Type) {
+				continue
+			}
+			for _, param := range fn.Type.Params.List {
+				if isJSONRaw(param.Type) {
+					t.Errorf("%s: method %s takes a json.RawMessage and returns a prepared value; translate JSON to the binary payload instead", name, fn.Name.Name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no Go files under internal/task")
+	}
+
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "../../internal/core/journal.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil || fn.Name.Name != "frame" {
+			continue
+		}
+		found = true
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "kindBatchJSON" {
+				t.Errorf("%s: frame names kindBatchJSON; JSON batches are read, never written", fset.Position(id.Pos()))
+			}
+			return true
+		})
+	}
+	if !found {
+		t.Fatal("journal.go declares no func frame")
+	}
+}
+
 // TestTalliesLiveInTally pins, structurally, that the counting states
 // have one type: no struct in internal/freq or internal/task/hhtask
 // declares a field of type []int or []int64. Their per-value and

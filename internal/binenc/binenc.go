@@ -65,6 +65,11 @@ func (w *Writer) Release() {
 // Reset discards the accumulated payload, keeping the buffer.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
+// Truncate discards everything appended after the first n bytes — how
+// a caller writing several payloads into one buffer drops a payload it
+// gave up on half-way.
+func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
+
 // Bytes returns the accumulated payload. The slice aliases the
 // Writer's buffer: copy it (or finish with it) before Release.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -155,9 +155,6 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ab.BinaryWire() {
-			t.Fatal("task does not accept binary reports")
-		}
 		for i := 0; i < n; i++ {
 			raw, bin := report(i)
 			if err := aj.Add(raw); err != nil {
@@ -261,14 +258,35 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 			})
 		})
 	}
+	t.Run("hh-PEM", func(t *testing.T) {
+		cj, err := hhtask.NewClient(2, 8, 4, ldprand.NewSplitMix64(35))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := hhtask.NewClient(2, 8, 4, ldprand.NewSplitMix64(35))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, hhCfg(2, 0).Config, func(i int) (json.RawMessage, []byte) {
+			raw, err := cj.Report(uint64(i*37%256), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin, err := cb.ReportBinary(uint64(i*37%256), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw, bin
+		})
+	})
 }
 
-// TestBinaryWireHTTP drives the negotiated binary wire through the
-// real HTTP surface: /status advertises the encodings, binary single
-// and batch reports are accepted and fold, a JSON-only collection
-// (none ship today, so the stand-in is a malformed-negotiation check)
-// answers 415 for tasks without a binary decoder, and garbage binary
-// bodies bounce with 400 without poisoning the collection.
+// TestBinaryWireHTTP drives the binary wire through the real HTTP
+// surface: /status advertises both encodings for every task, binary
+// single and batch reports are accepted and fold — on the phased hh
+// collection too, where a binary report reaches the state a JSON one
+// does — and garbage binary bodies bounce with 400 without poisoning
+// the collection.
 func TestBinaryWireHTTP(t *testing.T) {
 	reg := NewCollectionRegistry()
 	if _, err := reg.Create(DefaultCollection, FreqCollectionConfig(MechanismOLH, PrivacyParams{Epsilon: 2, Domain: 8}, 2)); err != nil {
@@ -281,15 +299,14 @@ func TestBinaryWireHTTP(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	// The default freq collection advertises both encodings; the hh
-	// collection is JSON-only.
+	// Every collection advertises both encodings.
 	var st StatusResponse
 	getJSON(t, ts.URL+"/status", &st)
 	if !reflect.DeepEqual(st.Encodings, []string{"json", "binary"}) {
 		t.Fatalf("freq encodings = %v", st.Encodings)
 	}
 	getJSON(t, ts.URL+"/collections/hh/status", &st)
-	if !reflect.DeepEqual(st.Encodings, []string{"json"}) {
+	if !reflect.DeepEqual(st.Encodings, []string{"json", "binary"}) {
 		t.Fatalf("hh encodings = %v", st.Encodings)
 	}
 
@@ -342,14 +359,52 @@ func TestBinaryWireHTTP(t *testing.T) {
 		t.Fatalf("reports after binary ingest = %d, want 6", st.Reports)
 	}
 
-	// A binary report for a JSON-only task is refused by media type.
-	resp, err = http.Post(ts.URL+"/collections/hh/report", ContentTypeBinary, bytes.NewReader(bin))
+	// The hh collection takes a binary report, and lands on the state
+	// the same report sent as JSON reaches in a twin collection; a
+	// binary report of a stale round is a 409, as a JSON one is.
+	if _, err := reg.Create("hh-json", hhCfg(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	hj, err := hhtask.NewClient(2, 8, 4, ldprand.NewSplitMix64(43))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary report to hh: %s, want 415", resp.Status)
+	hb, err := hhtask.NewClient(2, 8, 4, ldprand.NewSplitMix64(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, want := range []int{http.StatusAccepted, http.StatusConflict} {
+		raw, err := hj.Report(77, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hbin, err := hb.ReportBinary(77, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, post := range []struct {
+			path, contentType string
+			body              []byte
+		}{{"/collections/hh-json/report", "application/json", raw}, {"/collections/hh/report", ContentTypeBinary, hbin}} {
+			resp, err = http.Post(ts.URL+post.path, post.contentType, bytes.NewReader(post.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Fatalf("%s report of round %d to %s: %s, want %d", post.contentType, round, post.path, resp.Status, want)
+			}
+		}
+	}
+	hhStates := make([][]byte, 2)
+	for i, name := range []string{"hh", "hh-json"} {
+		c, _ := reg.Get(name)
+		if hhStates[i], err = c.Aggregator().MarshalState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(hhStates[0], hhStates[1]) {
+		t.Fatal("hh: the binary report and its JSON twin reach different states")
 	}
 	// Garbage binary bodies are 400s, and the collection keeps serving.
 	for _, garbage := range [][]byte{nil, {0xFF}, {0x00, 0x01, 0x02}, bytes.Repeat([]byte{0x7F}, 64)} {

@@ -1,10 +1,9 @@
 package core
 
-// Golden journals: two state directories holding the same traffic
-// script, whose journal segments carry one frame of every kind and
-// encoding — batch JSON, batch binary, single JSON, single binary,
-// merge, flush on a freq collection; batch, single, advance, merge,
-// flush and adopt on a phased hh collection.
+// Golden journals: three state directories holding the same traffic
+// script — JSON and binary batches, JSON and binary single reports, a
+// merge and a flush on a freq collection; batches, a single report, an
+// advance, a merge, a flush and an adopt on a phased hh collection.
 //
 // testdata/golden_journal was written by the build of commit 42ca3c4,
 // whose frame payload was a JSON object. It is frozen: nothing writes
@@ -12,15 +11,21 @@ package core
 // replaying it reaches the state, dedup marks and re-cut deltas that
 // build reached (the replayed.* files beside it).
 //
-// testdata/golden_journal_v2 is the same script written by this build.
-// It pins the writer: the live ingest path journals exactly those
-// bytes, every record re-frames to the bytes it was read from, and its
-// replay equals the same replayed.* files — one set of expected states
-// for both formats, so "the format changed, what it means did not" is
-// a byte comparison.
+// testdata/golden_journal_v2 is the same script as the builds up to
+// commit e14390b wrote it: binary payloads, with JSON reports journaled
+// as received in 0x01 batch frames. It is frozen too: this build reads
+// 0x01 frames, translating their envelopes at replay, and writes none.
+//
+// testdata/golden_journal_v3 is the same script written by this build,
+// where every batch — JSON clients' included — is journaled as binary
+// payloads. It pins the writer: the live ingest path journals exactly
+// those bytes, every record re-frames to the bytes it was read from,
+// and its replay equals the same replayed.* files — one set of
+// expected states for all three formats, so "the format changed, what
+// it means did not" is a byte comparison.
 //
 // LDP_UPDATE_GOLDEN=1 go test -run TestGoldenJournal ./internal/core/
-// rewrites golden_journal_v2 (and nothing else) from the running
+// rewrites golden_journal_v3 (and nothing else) from the running
 // build; regenerate it only in a change that means to move the format.
 
 import (
@@ -40,7 +45,8 @@ import (
 
 const (
 	goldenJournalDir   = "testdata/golden_journal"    // JSON payloads, frozen at 42ca3c4
-	goldenJournalV2Dir = "testdata/golden_journal_v2" // binary payloads, written by this build
+	goldenJournalV2Dir = "testdata/golden_journal_v2" // binary payloads with 0x01 JSON batches, frozen at e14390b
+	goldenJournalV3Dir = "testdata/golden_journal_v3" // binary payloads, binary batches only, written by this build
 )
 
 // goldenFreqReports privatizes n values in both wire forms from one
@@ -112,7 +118,7 @@ func goldenScript(t *testing.T, dir string) {
 	// Frequency collection: every report encoding, a merge and a flush.
 	fc := create("gfreq", testCfg())
 	envs, bins := goldenFreqReports(t, 101, 12)
-	bad := mustRaw(t, freqtask.Envelope{Mechanism: "<GRR&>", Value: 1}) // rejected; a JSON payload HTML-escaped it, a binary one holds it as sent
+	bad := mustRaw(t, freqtask.Envelope{Mechanism: "<GRR&>", Value: 1}) // rejected; a JSON payload HTML-escaped it, a binary one holds its name as sent
 	res, err := fc.IngestBatch("g-json", append(append([]json.RawMessage(nil), envs[:4]...), bad))
 	must(err)
 	if res.Accepted != 4 || res.Rejected != 1 {
@@ -238,12 +244,13 @@ func sortedKeys(m map[string][]byte) []string {
 }
 
 // goldenFrames parses every journal segment among files, requires them
-// to read whole, to hold every record kind (batches in both encodings)
-// and every record to survive re-framing, and returns the set of first
-// payload bytes seen — the byte that tells the two formats apart.
-func goldenFrames(t *testing.T, files map[string][]byte) map[byte]bool {
+// to read whole and every record but a JSON batch (read, never
+// written) to survive re-framing, and returns the record kinds seen
+// (a batch as "batch/<encoding>") and the set of first payload bytes —
+// the byte that tells the formats apart.
+func goldenFrames(t *testing.T, files map[string][]byte) (kinds map[string]bool, firstBytes map[byte]bool) {
 	t.Helper()
-	kinds, firstBytes := make(map[string]bool), make(map[byte]bool)
+	kinds, firstBytes = make(map[string]bool), make(map[byte]bool)
 	for name, data := range files {
 		if !strings.Contains(name, ".journal.") {
 			continue
@@ -261,18 +268,26 @@ func goldenFrames(t *testing.T, files map[string][]byte) map[byte]bool {
 			firstBytes[data[off+8]] = true
 			// Every record re-frames to one that reads back equal, whichever
 			// format it was read from.
-			if again, _, err := nextFrame(frameBytes(t, rec)); err != nil || !reflect.DeepEqual(again, rec) {
-				t.Errorf("%s: record at byte %d does not survive re-framing (%v)", name, off, err)
+			if kind != recordBatch+"/" {
+				if again, _, err := nextFrame(frameBytes(t, rec)); err != nil || !reflect.DeepEqual(again, rec) {
+					t.Errorf("%s: record at byte %d does not survive re-framing (%v)", name, off, err)
+				}
 			}
 			off += n
 		}
 	}
-	for _, kind := range []string{"batch/", "batch/" + EncBinary, recordAdvance, recordMerge, recordFlush, recordAdopt} {
+	return kinds, firstBytes
+}
+
+// requireKinds fails for every kind in want that a fixture's frames
+// do not hold.
+func requireKinds(t *testing.T, fixture string, kinds map[string]bool, want ...string) {
+	t.Helper()
+	for _, kind := range want {
 		if !kinds[kind] {
-			t.Errorf("fixture holds no %q frame", kind)
+			t.Errorf("%s holds no %q frame", fixture, kind)
 		}
 	}
-	return firstBytes
 }
 
 func TestGoldenJournal(t *testing.T) {
@@ -281,28 +296,28 @@ func TestGoldenJournal(t *testing.T) {
 	liveFiles := stateDirFiles(t, live)
 
 	if os.Getenv("LDP_UPDATE_GOLDEN") != "" {
-		if err := os.RemoveAll(goldenJournalV2Dir); err != nil {
+		if err := os.RemoveAll(goldenJournalV3Dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(goldenJournalV2Dir, 0o755); err != nil {
+		if err := os.MkdirAll(goldenJournalV3Dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for name, blob := range liveFiles {
-			if err := os.WriteFile(filepath.Join(goldenJournalV2Dir, name), blob, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(goldenJournalV3Dir, name), blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		t.Logf("rewrote %s", goldenJournalV2Dir)
+		t.Logf("rewrote %s", goldenJournalV3Dir)
 		return
 	}
 
-	// The live path journals (and checkpoints) exactly the v2 fixture's
+	// The live path journals (and checkpoints) exactly the v3 fixture's
 	// bytes, and its records re-frame to the bytes they were read from.
-	v2 := stateDirFiles(t, goldenJournalV2Dir)
-	if got, want := sortedKeys(liveFiles), sortedKeys(v2); strings.Join(got, " ") != strings.Join(want, " ") {
+	v3 := stateDirFiles(t, goldenJournalV3Dir)
+	if got, want := sortedKeys(liveFiles), sortedKeys(v3); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("state dir holds %v, fixture %v", got, want)
 	}
-	for name, want := range v2 {
+	for name, want := range v3 {
 		if !bytes.Equal(liveFiles[name], want) {
 			t.Errorf("%s: live path wrote\n%q\nfixture\n%q", name, liveFiles[name], want)
 		}
@@ -318,22 +333,35 @@ func TestGoldenJournal(t *testing.T) {
 			t.Errorf("%s: records re-encode to\n%q\nfixture\n%q", name, again, want)
 		}
 	}
-	if first := goldenFrames(t, v2); first['{'] {
-		t.Errorf("%s holds a frame whose payload begins with '{': the legacy reader would claim it", goldenJournalV2Dir)
+	allKinds := []string{recordAdvance, recordMerge, recordFlush, recordAdopt}
+	kinds, first := goldenFrames(t, v3)
+	requireKinds(t, goldenJournalV3Dir, kinds, append(allKinds, "batch/"+EncBinary)...)
+	if first['{'] || first[kindBatchJSON] {
+		t.Errorf("%s holds payloads beginning %v: a JSON payload or a 0x01 batch", goldenJournalV3Dir, first)
 	}
 
-	// The frozen fixture is all JSON payloads, over the same checkpoints.
+	// The frozen fixtures: v2's JSON reports sit in 0x01 batches, the
+	// first fixture's payloads are all JSON. Both lie over the same
+	// checkpoints.
+	v2 := stateDirFiles(t, goldenJournalV2Dir)
+	kinds, first = goldenFrames(t, v2)
+	requireKinds(t, goldenJournalV2Dir, kinds, append(allKinds, "batch/", "batch/"+EncBinary)...)
+	if first['{'] {
+		t.Errorf("%s holds a frame whose payload begins with '{': the legacy reader would claim it", goldenJournalV2Dir)
+	}
 	legacy := stateDirFiles(t, goldenJournalDir)
-	if first := goldenFrames(t, legacy); len(first) != 1 || !first['{'] {
+	if _, first := goldenFrames(t, legacy); len(first) != 1 || !first['{'] {
 		t.Errorf("%s holds payloads beginning %v, want only '{'", goldenJournalDir, first)
 	}
-	for name, blob := range legacy {
-		if !strings.Contains(name, ".journal.") && !bytes.Equal(blob, v2[name]) {
-			t.Errorf("%s differs between the two fixtures", name)
+	for _, fixture := range []map[string][]byte{legacy, v2} {
+		for name, blob := range fixture {
+			if !strings.Contains(name, ".journal.") && !bytes.Equal(blob, v3[name]) {
+				t.Errorf("%s differs between the fixtures", name)
+			}
 		}
 	}
 
-	// Replaying either fixture reaches the one committed set of states,
+	// Replaying any fixture reaches the one committed set of states,
 	// dedup marks and re-cut deltas.
 	want := make(map[string][]byte)
 	entries, err := os.ReadDir(goldenJournalDir)
@@ -354,7 +382,7 @@ func TestGoldenJournal(t *testing.T) {
 	for _, fixture := range []struct {
 		dir   string
 		files map[string][]byte
-	}{{goldenJournalDir, legacy}, {goldenJournalV2Dir, v2}} {
+	}{{goldenJournalDir, legacy}, {goldenJournalV2Dir, v2}, {goldenJournalV3Dir, v3}} {
 		dir := t.TempDir()
 		for name, blob := range fixture.files {
 			if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {

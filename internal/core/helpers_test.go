@@ -14,6 +14,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/freq"
 	"repro/internal/fsio"
 	"repro/internal/ldprand"
@@ -180,6 +181,19 @@ func framePayload(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
 	return append(buf, payload...)
+}
+
+// jsonBatchFrame forges the 0x01 frame older builds wrote for a batch
+// of JSON envelopes, as received.
+func jsonBatchFrame(id string, envs ...json.RawMessage) []byte {
+	var w binenc.Writer
+	w.Byte(kindBatchJSON)
+	w.String(id)
+	w.Uvarint(uint64(len(envs)))
+	for _, env := range envs {
+		w.Blob(env)
+	}
+	return framePayload(w.Bytes())
 }
 
 // parseFrames walks a segment's bytes and returns the decoded records

@@ -13,24 +13,82 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/cmstask"
+	"repro/internal/task/hhtask"
+	"repro/internal/task/meantask"
 )
 
-// TestIngestEntryPointsAgree feeds the same privatized reports — with
-// one undecodable report per batch — through POST …/report in both
+// TestIngestEntryPointsAgree feeds the same privatized reports of every
+// task family — with two bad reports per batch, one of them a JSON
+// envelope that does not translate — through POST …/report in both
 // encodings, IngestBatch and IngestBatchBinary, each into its own
 // journaled collection, then restarts each from its journal alone.
 // All eight states must be bit-identical, the batch routes must record
-// identical dedup marks (the single routes none), and replay must
-// re-record exactly the marks the live path did.
+// identical dedup marks (the single routes none), replay must
+// re-record exactly the marks the live path did, and the JSON batch
+// route must still name the translation error.
 func TestIngestEntryPointsAgree(t *testing.T) {
 	const n, per = 24, 6
 	freqReports := func(t *testing.T) ([]json.RawMessage, [][]byte) { return goldenFreqReports(t, 61, n) }
+	// twins privatizes n reports in both wire forms from one seed (the
+	// two clients consume identical randomness).
+	twins := func(t *testing.T, report func(i int) (json.RawMessage, []byte, error)) ([]json.RawMessage, [][]byte) {
+		envs, bins := make([]json.RawMessage, n), make([][]byte, n)
+		for i := range envs {
+			var err error
+			if envs[i], bins[i], err = report(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return envs, bins
+	}
+	meanReports := func(cfg CollectionConfig) func(*testing.T) ([]json.RawMessage, [][]byte) {
+		return func(t *testing.T) ([]json.RawMessage, [][]byte) {
+			cj, err := meantask.NewClient(cfg.Config, ldprand.NewSplitMix64(63))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb, _ := meantask.NewClient(cfg.Config, ldprand.NewSplitMix64(63))
+			return twins(t, func(i int) (json.RawMessage, []byte, error) {
+				x := make([]float64, cj.Dim())
+				for j := range x {
+					x[j] = float64((i+j)%9)/4 - 1
+				}
+				env, err := cj.Report(x)
+				if err != nil {
+					return nil, nil, err
+				}
+				bin, err := cb.ReportBinary(x)
+				return env, bin, err
+			})
+		}
+	}
+	duchi := CollectionConfig{Config: task.Config{Task: task.TypeMean, Mechanism: meantask.MechanismDuchi, Epsilon: 1}, Shards: 1}
+	harmony := meanCfg()
+	harmony.Shards = 1 // float sums: bit equality needs one fold order
+	hhReports := func(t *testing.T) ([]json.RawMessage, [][]byte) {
+		cj, err := hhtask.NewClient(2, 8, 4, ldprand.NewSplitMix64(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, _ := hhtask.NewClient(2, 8, 4, ldprand.NewSplitMix64(64))
+		src := ldprand.NewSplitMix64(65)
+		return twins(t, func(i int) (json.RawMessage, []byte, error) {
+			v := plantedValue(src)
+			env, err := cj.Report(v, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			bin, err := cb.ReportBinary(v, 0)
+			return env, bin, err
+		})
+	}
 	sketch := sketchCfg()
 	sketch.Shards = 1 // float cells: bit equality needs one fold order
 	sketchReports := func(t *testing.T) ([]json.RawMessage, [][]byte) {
@@ -54,23 +112,34 @@ func TestIngestEntryPointsAgree(t *testing.T) {
 	for name, tc := range map[string]struct {
 		cfg     CollectionConfig
 		reports func(*testing.T) ([]json.RawMessage, [][]byte)
-	}{"freq": {testCfg(), freqReports}, "sketch": {sketch, sketchReports}} {
+	}{
+		"freq":         {testCfg(), freqReports},
+		"sketch":       {sketch, sketchReports},
+		"mean-duchi":   {duchi, meanReports(duchi)},
+		"mean-harmony": {harmony, meanReports(harmony)},
+		"hh":           {hhCfg(2, 0), hhReports},
+	} {
 		t.Run(name, func(t *testing.T) {
 			envs, bins := tc.reports(t)
-			badEnv, badBin := json.RawMessage(`{"mechanism":"nope"}`), []byte{0xff}
+			// The bad reports: a JSON envelope naming another mechanism
+			// (it translates, and PrepareBinary refuses it), one whose
+			// mechanism is not a string (it does not translate), and
+			// their binary stand-ins — a payload of junk, an empty one.
+			badEnvs := []json.RawMessage{json.RawMessage(`{"mechanism":"nope"}`), json.RawMessage(`{"mechanism":["nope"]}`)}
+			badBins := [][]byte{{0xff}, {}}
 			// Each route ingests batch b as reports [b*per, (b+1)*per)
-			// followed by one bad report.
+			// followed by the bad reports.
 			// postSingles sends one POST …/report per report: 202 for
-			// the good ones, 400 for the bad one behind them.
-			postSingles := func(url, contentType string, good [][]byte, bad []byte) (int, error) {
-				for i, body := range append(append([][]byte(nil), good...), bad) {
+			// the good ones, 400 for the bad ones behind them.
+			postSingles := func(url, contentType string, good, bad [][]byte) (int, error) {
+				for i, body := range append(append([][]byte(nil), good...), bad...) {
 					resp, err := http.Post(url+"/collections/diff/report", contentType, bytes.NewReader(body))
 					if err != nil {
 						return 0, err
 					}
 					resp.Body.Close()
 					want := http.StatusAccepted
-					if i == len(good) {
+					if i >= len(good) {
 						want = http.StatusBadRequest
 					}
 					if resp.StatusCode != want {
@@ -88,18 +157,21 @@ func TestIngestEntryPointsAgree(t *testing.T) {
 					for i, env := range envs[b*per : (b+1)*per] {
 						good[i] = env
 					}
-					return postSingles(url, "application/json", good, badEnv)
+					return postSingles(url, "application/json", good, [][]byte{badEnvs[0], badEnvs[1]})
 				}},
 				{"report-binary", func(_ *Collection, url string, b int) (int, error) {
-					return postSingles(url, ContentTypeBinary, bins[b*per:(b+1)*per], badBin)
+					return postSingles(url, ContentTypeBinary, bins[b*per:(b+1)*per], badBins)
 				}},
 				{"batch", func(c *Collection, _ string, b int) (int, error) {
-					batch := append(append([]json.RawMessage(nil), envs[b*per:(b+1)*per]...), badEnv)
+					batch := append(append([]json.RawMessage(nil), envs[b*per:(b+1)*per]...), badEnvs...)
 					res, err := c.IngestBatch(fmt.Sprintf("diff-%d", b), batch)
+					if err == nil && !regexp.MustCompile(fmt.Sprintf(`envelope %d: \w+: bad envelope: json`, per+1)).MatchString(fmt.Sprint(res.RejectErr)) {
+						err = fmt.Errorf("rejections %v do not name the translation error of envelope %d", res.RejectErr, per+1)
+					}
 					return res.Accepted, err
 				}},
 				{"batch-binary", func(c *Collection, _ string, b int) (int, error) {
-					batch := append(append([][]byte(nil), bins[b*per:(b+1)*per]...), badBin)
+					batch := append(append([][]byte(nil), bins[b*per:(b+1)*per]...), badBins...)
 					res, err := c.IngestBatchBinary(fmt.Sprintf("diff-%d", b), batch)
 					return res.Accepted, err
 				}},

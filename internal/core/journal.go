@@ -18,19 +18,20 @@
 // kind's fields as zig-zag varints and length-prefixed blobs:
 //
 //	kind  record          fields after the key
-//	0x01  batch, JSON     uvarint n, n blobs: the report envelopes as received
-//	0x02  batch, binary   uvarint n, n blobs: the binary report payloads as received
+//	0x01  batch, JSON     uvarint n, n blobs: JSON report envelopes (read, never written)
+//	0x02  batch, binary   uvarint n, n blobs: the binary report payloads
 //	0x03  advance         varint round
 //	0x04  merge           varint reports, blob: the delta's binary task state
 //	0x05  flush           varint reports, varint round
 //	0x06  adopt           varint round, blob: the adopted frontier
 //
-// Envelopes, payloads and states are stored as the bytes the client
-// sent — nothing is re-spelled, escaped or base64'd — so a frame is its
-// request body plus at most five bytes a report and a header of at most
-// 160. Builds up to commit 71ad1eb wrote the payload as a JSON object
-// instead; no kind byte is '{', so the first payload byte tells the two
-// apart. JSON payloads are read, never written (see legacyJSONRecord).
+// A JSON report is journaled as the binary payload its task translated
+// it to (empty if it did not translate), so nothing is escaped or
+// base64'd. Builds up to commit 71ad1eb wrote the payload as a JSON
+// object, and builds up to e14390b wrote JSON reports in 0x01 batches;
+// both are read, never written, and replay translates their envelopes.
+// No kind byte is '{': the first payload byte tells a JSON payload
+// apart (see legacyJSONRecord).
 //
 // A torn final frame — the expected debris of a crash mid-append — fails
 // its length or checksum and is truncated away at replay; it was never
@@ -102,9 +103,8 @@ const (
 )
 
 // Kind bytes, the first byte of a frame payload (layout in the file
-// header). A batch has one per report encoding, so the byte alone says
-// which decoder folds it. None may ever be '{': that byte is how a
-// JSON payload is recognised.
+// header). kindBatchJSON is read, never written. None may ever be '{':
+// that byte is how a JSON payload is recognised.
 const (
 	kindBatchJSON byte = 1 + iota
 	kindBatchBinary
@@ -130,7 +130,7 @@ const EncBinary = "bin"
 type journalRecord struct {
 	Kind     string            `json:"kind"`
 	ID       string            `json:"id,omitempty"`       // batch/merge: idempotency key; flush: the cut delta's key
-	Envs     []json.RawMessage `json:"envs,omitempty"`     // batch: JSON report envelopes as received
+	Envs     []json.RawMessage `json:"envs,omitempty"`     // batch, read only: JSON report envelopes as received
 	Enc      string            `json:"enc,omitempty"`      // batch: EncBinary when Bins carries the reports; merge: always EncBinary
 	Bins     [][]byte          `json:"bins,omitempty"`     // batch: binary report payloads as received
 	Round    int               `json:"round,omitempty"`    // advance: the round that was closed; flush/adopt: round at the boundary
@@ -141,13 +141,12 @@ type journalRecord struct {
 
 // maxFrameBytes bounds a frame's payload length, at append and at
 // replay alike; anything claiming more is corruption, not data. A
-// frame this build writes is its request body plus five bytes a report
-// and a small header (TestFrameSizeBound), so maxBatchBytes and a
-// mebibyte would do. The limit keeps the value the JSON payload needed
-// — json.Marshal spelled each of < > & as a six-byte \u00XX and binary
-// payloads as base64 — for as long as legacyJSONRecord lives, because a
-// frame an older build acknowledged under that limit must still be
-// read; the 6× term goes when that reader does.
+// frame this build writes is its payloads plus five bytes a report and
+// a small header (TestFrameSizeBound); translated JSON is smaller than
+// its body, but for floats spelled in under eight bytes (an SHE vector
+// of bare zeros grows 4×). The limit keeps the value the JSON payload
+// needed — json.Marshal spelled each of < > & as a six-byte \u00XX and
+// binary payloads as base64 — for as long as legacyJSONRecord lives.
 const maxFrameBytes = 6*maxBatchBytes + (1 << 20)
 
 // errFrameTooLarge refuses a record whose frame replay would refuse.
@@ -242,12 +241,10 @@ func journalSegments(fsys fsio.FS, dir, name string) ([]segRef, error) {
 // frame encodes one record, header and payload, into a pooled Writer
 // the caller Releases. It is the journal's only encoder.
 func frame(rec journalRecord) (*binenc.Writer, error) {
-	kind := kindBatchJSON
+	var kind byte
 	switch rec.Kind {
 	case recordBatch:
-		if rec.Enc == EncBinary {
-			kind = kindBatchBinary
-		}
+		kind = kindBatchBinary
 	case recordAdvance:
 		kind = kindAdvance
 	case recordMerge:
@@ -264,11 +261,6 @@ func frame(rec journalRecord) (*binenc.Writer, error) {
 	w.Byte(kind)
 	w.String(rec.ID)
 	switch kind {
-	case kindBatchJSON:
-		w.Uvarint(uint64(len(rec.Envs)))
-		for _, env := range rec.Envs {
-			w.Blob(env)
-		}
 	case kindBatchBinary:
 		w.Uvarint(uint64(len(rec.Bins)))
 		for _, bin := range rec.Bins {
@@ -573,16 +565,19 @@ type BatchResult struct {
 	RejectErr error
 }
 
-// IngestBatch runs the write-ahead ingest path (see ingest) for one
-// batch of JSON report envelopes. id may be empty (no deduplication;
-// the batch is still journaled).
+// IngestBatch is IngestBatchBinary for JSON report envelopes, which
+// the task translates first, outside every lock; RejectErr names the
+// translation error of an envelope that did not translate.
 func (c *Collection) IngestBatch(id string, batch []json.RawMessage) (BatchResult, error) {
-	return c.ingest(journalRecord{Kind: recordBatch, ID: id, Envs: batch})
+	t := c.agg.translate(batch)
+	defer t.w.Release()
+	res, err := c.IngestBatchBinary(id, t.bins)
+	res.RejectErr = t.explain(res.RejectErr)
+	return res, err
 }
 
-// IngestBatchBinary is IngestBatch for binary wire payloads: the
-// journal frame carries the raw payload bytes (Enc/Bins instead of
-// Envs).
+// IngestBatchBinary runs the write-ahead ingest path (see ingest) for
+// one batch of binary wire payloads. id may be empty (no dedup).
 func (c *Collection) IngestBatchBinary(id string, batch [][]byte) (BatchResult, error) {
 	return c.ingest(journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: batch})
 }
@@ -604,7 +599,7 @@ func (c *Collection) claim(id string) (first BatchMark, replayed bool, err error
 }
 
 // ingest is the one write-ahead path every report takes, whatever its
-// route and encoding: claim the idempotency key (dedup retries, fence
+// route and wire encoding: claim the idempotency key (dedup retries, fence
 // concurrent duplicates), append the record to the journal, then fold
 // it into the aggregator and record the outcome under the key — in
 // that order, so an acknowledged batch is always recoverable and an
@@ -631,19 +626,20 @@ func (c *Collection) ingest(rec journalRecord) (BatchResult, error) {
 	return c.foldBatch(rec), nil
 }
 
-// foldBatch folds one batch record's reports through the decoder its
-// encoding names and records the outcome under its idempotency key:
-// what the live path does after its append and what replay does with
-// the frame it read.
+// foldBatch folds one batch record's payloads and records the outcome
+// under its idempotency key: what the live path does after its append
+// and what replay does with the frame it read — translating first the
+// JSON envelopes of a frame an older build wrote.
 func (c *Collection) foldBatch(rec journalRecord) BatchResult {
-	var res BatchResult
-	if rec.Enc == EncBinary {
-		res.Accepted, res.RejectErr = c.agg.AddBatchBinary(rec.Bins)
-		res.Rejected = len(rec.Bins) - res.Accepted
-	} else {
-		res.Accepted, res.RejectErr = c.agg.AddBatch(rec.Envs)
-		res.Rejected = len(rec.Envs) - res.Accepted
+	bins := rec.Bins
+	if rec.Enc != EncBinary {
+		t := c.agg.translate(rec.Envs)
+		defer t.w.Release()
+		bins = t.bins
 	}
+	var res BatchResult
+	res.Accepted, res.RejectErr = c.agg.AddBatchBinary(bins)
+	res.Rejected = len(bins) - res.Accepted
 	if rec.ID != "" {
 		c.dedup.complete(BatchMark{ID: rec.ID, Accepted: res.Accepted, Rejected: res.Rejected})
 	}

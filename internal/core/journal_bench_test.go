@@ -2,13 +2,15 @@ package core
 
 // Allocation pins and micro-benchmarks for the journal's two kernels,
 // frame encode (the live path's append) and frame decode + fold
-// (replay), on the three batch shapes the end-to-end harness drives:
+// (replay), on the three batch shapes the end-to-end harness drives
+// (grr20's JSON envelopes as the binary payloads they translate to):
 //
 //	go test -run '^$' -bench 'Journal|Replay' ./internal/core/
 //
 // regenerates the figures README "Benchmarks" quotes for them.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -69,18 +71,30 @@ func benchRecord(tb testing.TB, cfg CollectionConfig, n int, bin bool) journalRe
 			return json.Marshal(env)
 		}
 	}
-	rec := journalRecord{Kind: recordBatch, ID: "bench-batch-0001"}
+	rec := journalRecord{Kind: recordBatch, ID: "bench-batch-0001", Enc: EncBinary}
+	var envs []json.RawMessage
 	for i := 0; i < n; i++ {
 		payload, err := report(i)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if bin {
-			rec.Enc = EncBinary
 			rec.Bins = append(rec.Bins, payload)
 		} else {
-			rec.Envs = append(rec.Envs, payload)
+			envs = append(envs, payload)
 		}
+	}
+	if !bin {
+		// JSON reports reach ingest as IngestBatch hands them on: translated.
+		agg, err := NewShardedAggregator(cfg.Config, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		t := agg.translate(envs)
+		for _, payload := range t.bins {
+			rec.Bins = append(rec.Bins, bytes.Clone(payload))
+		}
+		t.w.Release()
 	}
 	return rec
 }

@@ -9,7 +9,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -23,11 +22,20 @@ import (
 	"testing"
 
 	"repro/internal/fsio"
+	"repro/internal/ldprand"
 	"repro/internal/task/freqtask"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	rec := journalRecord{Kind: recordBatch, ID: "b-1", Envs: rawEnvs(t, []freqtask.Envelope{{Mechanism: MechanismGRR, Value: 3}})}
+	client, err := NewClient(MechanismGRR, PrivacyParams{Epsilon: 2, Domain: 8}, ldprand.NewSplitMix64(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := client.ReportBinary(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := journalRecord{Kind: recordBatch, ID: "b-1", Enc: EncBinary, Bins: [][]byte{bin}}
 	buf := frameBytes(t, rec)
 	got, n, err := nextFrame(buf)
 	if err != nil {
@@ -39,10 +47,24 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("decoded record = %+v, want %+v", got, rec)
 	}
-	// The envelope is in the frame as the client sent it, and the
+	// The payload is in the frame as the client sent it, and the
 	// decoded record points into the frame rather than at a copy.
-	if at := bytes.Index(buf, rec.Envs[0]); at < 0 || &got.Envs[0][0] != &buf[at] {
-		t.Fatalf("envelope %q is not stored verbatim and aliased (found at %d)", rec.Envs[0], at)
+	if at := bytes.Index(buf, rec.Bins[0]); at < 0 || &got.Bins[0][0] != &buf[at] {
+		t.Fatalf("payload %q is not stored verbatim and aliased (found at %d)", rec.Bins[0], at)
+	}
+
+	// A JSON batch an older build wrote as a 0x01 frame reads back as
+	// its envelopes, aliased likewise.
+	envs := rawEnvs(t, []freqtask.Envelope{{Mechanism: MechanismGRR, Value: 3}})
+	buf = jsonBatchFrame("b-1", envs...)
+	if got, n, err = nextFrame(buf); err != nil || n != len(buf) {
+		t.Fatalf("nextFrame on a 0x01 frame = (%d of %d bytes, %v)", n, len(buf), err)
+	}
+	if want := (journalRecord{Kind: recordBatch, ID: "b-1", Envs: envs}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded record = %+v, want %+v", got, want)
+	}
+	if at := bytes.Index(buf, envs[0]); at < 0 || &got.Envs[0][0] != &buf[at] {
+		t.Fatalf("envelope %q is not stored verbatim and aliased (found at %d)", envs[0], at)
 	}
 }
 
@@ -139,32 +161,22 @@ func TestFrameSizeBound(t *testing.T) {
 		}
 		return out
 	}
-	envs := func(sizes ...int) []json.RawMessage {
-		var out []json.RawMessage
-		for _, b := range blobs(sizes...) {
-			out = append(out, b)
-		}
-		return out
-	}
 	many := make([]int, 7500)
 	for i := range many {
 		many[i] = 1024
 	}
 	for name, rec := range map[string]journalRecord{
-		"batch JSON, empty":            {Kind: recordBatch},
-		"batch JSON, mixed sizes":      {Kind: recordBatch, ID: id, Envs: envs(0, 1, 127, 128, 16383, 16384, 1<<21)},
-		"batch JSON, one 8 MiB of '<'": {Kind: recordBatch, ID: id, Envs: envs(maxBatchBytes)},
+		"batch, empty":                 {Kind: recordBatch, Enc: EncBinary},
+		"batch, mixed sizes":           {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(0, 1, 127, 128, 16383, 16384, 1<<21)},
+		"batch, one 8 MiB of '<'":      {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(maxBatchBytes)},
 		"batch binary, empty payloads": {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(make([]int, 1000)...)},
 		"batch binary, 7500 x 1 KiB":   {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(many...)},
 		"advance":                      {Kind: recordAdvance, Round: math.MaxInt},
 		"merge":                        {Kind: recordMerge, ID: id, Enc: EncBinary, State: blobs(maxBatchBytes)[0], Reports: math.MaxInt},
 		"flush":                        {Kind: recordFlush, ID: id, Reports: math.MaxInt, Round: math.MaxInt},
-		"adopt":                        {Kind: recordAdopt, Round: math.MaxInt, Frontier: envs(1 << 20)[0]},
+		"adopt":                        {Kind: recordAdopt, Round: math.MaxInt, Frontier: blobs(1 << 20)[0]},
 	} {
-		carried, n := len(rec.State)+len(rec.Frontier), len(rec.Envs)+len(rec.Bins)
-		for _, env := range rec.Envs {
-			carried += len(env)
-		}
+		carried, n := len(rec.State)+len(rec.Frontier), len(rec.Bins)
 		for _, bin := range rec.Bins {
 			carried += len(bin)
 		}

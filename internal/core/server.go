@@ -30,10 +30,9 @@ const (
 // ContentTypeBinary is the request media type of the binary report
 // wire format. A single report body is one task-defined binary
 // envelope; a batch body is a uvarint report count followed by that
-// many length-prefixed envelopes. Collections advertise whether they
-// accept it in the "encodings" field of /status, /collections and
-// /frontier; posting it to a collection whose task has no binary
-// decoder is a 415.
+// many length-prefixed envelopes. Every task accepts it; the
+// "encodings" field of /status, /collections and /frontier lists it
+// beside "json".
 const ContentTypeBinary = "application/x-ldp-binary"
 
 // isBinaryReport reports whether the request body declares the binary
@@ -275,54 +274,48 @@ const maxBatchIDBytes = 128
 // or many, under the report or the batch size cap — and in how the
 // outcome is phrased (a bare status for one report, a BatchResponse
 // for a batch, whose Idempotency-Key only the batch route honours);
-// the encodings differ in the body reader. Everything between —
-// journal, fold, dedup, auto-advance — is Collection.ingest on the one
-// record the readers fill.
+// the encodings differ in the body reader. Everything after — JSON's
+// translation, journal, fold, dedup, auto-advance — is Collection.ingest.
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request, c *Collection) {
 	batch := strings.HasSuffix(r.URL.Path, "/batch")
 	limit, what := int64(maxReportBytes), "report"
-	rec := journalRecord{Kind: recordBatch}
+	var id string
 	if batch {
 		limit, what = maxBatchBytes, "batch"
-		if rec.ID = r.Header.Get("Idempotency-Key"); len(rec.ID) > maxBatchIDBytes {
+		if id = r.Header.Get("Idempotency-Key"); len(id) > maxBatchIDBytes {
 			http.Error(w, fmt.Sprintf("Idempotency-Key exceeds %d bytes", maxBatchIDBytes), http.StatusBadRequest)
 			return
 		}
 	}
+	var res BatchResult
+	var err error
 	if isBinaryReport(r) {
-		// The gate is per collection: a task without a binary decoder
-		// answers 415, and the /status and /frontier bodies advertise
-		// which encodings a collection accepts so clients need not
-		// probe.
-		if !c.agg.BinaryWire() {
-			http.Error(w, ErrBinaryWire.Error(), http.StatusUnsupportedMediaType)
-			return
-		}
 		buf, ok := readRawBody(w, r, limit, what)
 		if !ok {
 			return
 		}
 		defer releaseBodyBuf(buf)
-		rec.Enc = EncBinary
+		var bins [][]byte
 		if !batch {
-			rec.Bins = [][]byte{buf.Bytes()}
-		} else if rec.Bins, ok = splitBinaryBatch(w, buf.Bytes()); !ok {
+			bins = [][]byte{buf.Bytes()}
+		} else if bins, ok = splitBinaryBatch(w, buf.Bytes()); !ok {
 			return
 		}
+		res, err = c.IngestBatchBinary(id, bins)
 	} else {
 		// Reports are decoded only to raw JSON values here — the
-		// collection's task owns the envelope schema and validates it.
-		var body any = &rec.Envs
+		// collection's task owns the envelope schema and translates it.
+		var envs []json.RawMessage
+		var body any = &envs
 		if !batch {
-			rec.Envs = make([]json.RawMessage, 1)
-			body = &rec.Envs[0]
+			envs = make([]json.RawMessage, 1)
+			body = &envs[0]
 		}
 		if !decodeBody(w, r, limit, body, what) {
 			return
 		}
+		res, err = c.IngestBatch(id, envs)
 	}
-
-	res, err := c.ingest(rec)
 	if err != nil {
 		ingestError(w, err)
 		return
@@ -375,8 +368,6 @@ func ingestError(w http.ResponseWriter, err error) {
 		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, task.ErrWrongRound):
 		status = http.StatusConflict
-	case errors.Is(err, ErrBinaryWire):
-		status = http.StatusUnsupportedMediaType
 	}
 	http.Error(w, err.Error(), status)
 }
@@ -607,7 +598,7 @@ func frontierResponseFor(c *Collection) (FrontierResponse, error) {
 		Phase:        phaseOf(c.agg),
 		Reports:      c.agg.Collected(),
 		RoundReports: c.agg.RoundReports(),
-		Encodings:    encodingsFor(c),
+		Encodings:    reportEncodings,
 		Frontier:     frontier,
 	}, nil
 }
@@ -690,9 +681,9 @@ type StatusResponse struct {
 	RoundReports *int   `json:"round_reports,omitempty"`
 	Phase        string `json:"phase,omitempty"`
 	// Encodings lists the report wire encodings the collection accepts
-	// ("json" always; "binary" when the task has a binary decoder), and
-	// the embedded CheckpointInfo carries the size of the collection's
-	// last durable snapshot when a store tracks one.
+	// (reportEncodings: every task takes both), and the embedded
+	// CheckpointInfo carries the size of the collection's last durable
+	// snapshot when a store tracks one.
 	Encodings []string `json:"encodings"`
 	// Config is the full round-trippable collection configuration — the
 	// flattened fields above cover the common ones, but a relay
@@ -704,15 +695,8 @@ type StatusResponse struct {
 	*CheckpointInfo
 }
 
-// encodingsFor lists the report wire encodings a collection accepts,
-// most compact last (the order clients should prefer is theirs to
-// choose; the gate is per collection, not per deployment).
-func encodingsFor(c *Collection) []string {
-	if c.agg.BinaryWire() {
-		return []string{"json", "binary"}
-	}
-	return []string{"json"}
-}
+// reportEncodings lists the report wire encodings every task accepts.
+var reportEncodings = []string{"json", "binary"}
 
 func (s *Service) statusFor(c *Collection) StatusResponse {
 	st := StatusResponse{
@@ -727,7 +711,7 @@ func (s *Service) statusFor(c *Collection) StatusResponse {
 		Shards:     c.agg.Shards(),
 		Reports:    c.agg.Collected(),
 		ReportBits: c.agg.ReportBits(),
-		Encodings:  encodingsFor(c),
+		Encodings:  reportEncodings,
 		Config:     c.cfg,
 	}
 	if s.relayInfo != nil {

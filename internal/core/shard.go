@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/url"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/binenc"
 	"repro/internal/hashutil"
 	"repro/internal/task"
 )
@@ -41,17 +43,11 @@ type ShardedAggregator struct {
 	// lock.
 	reportBits int
 
-	// decodeJSON and decodeBinary turn one wire payload into a
-	// fold-ready value: the task's Prepare and PrepareBinary, captured
-	// from the shard-0 aggregator. Both read nothing but immutable
-	// configuration (the task.Preparer contract), so they run OUTSIDE
-	// the shard locks without synchronization and their values fold
-	// into any shard. A task with no binary wire form (binaryWire
-	// false) gets a decodeBinary that refuses every payload with
-	// ErrBinaryWire.
-	decodeJSON   decoder
-	decodeBinary decoder
-	binaryWire   bool
+	// proto is the aggregator shard 0 was built with. Its Translate and
+	// PrepareBinary read nothing but immutable configuration (the
+	// task.Preparer contract), so they run OUTSIDE the shard locks
+	// without synchronization and their values fold into any shard.
+	proto task.Preparer
 
 	// collected counts accepted reports across all shards, maintained
 	// atomically so Collected — which backs every /status hit and the
@@ -147,18 +143,10 @@ func NewShardedAggregator(cfg task.Config, shards int) (*ShardedAggregator, erro
 	}
 	proto := a.shards[0].agg
 	a.reportBits = proto.ReportBits()
-	a.decodeJSON = func(payload []byte) (any, error) { return proto.Prepare(payload) }
-	a.decodeBinary = func([]byte) (any, error) { return nil, ErrBinaryWire }
-	if b, ok := proto.(task.BinaryReporter); ok {
-		a.decodeBinary, a.binaryWire = b.PrepareBinary, true
-	}
+	a.proto = proto
 	_, a.phased = proto.(task.Phased)
 	return a, nil
 }
-
-// BinaryWire reports whether the collection's task accepts binary wire
-// report envelopes (implements task.BinaryReporter).
-func (a *ShardedAggregator) BinaryWire() bool { return a.binaryWire }
 
 // TaskType returns the task type name the aggregator serves.
 func (a *ShardedAggregator) TaskType() string { return a.cfg.Type() }
@@ -190,14 +178,6 @@ func fingerprint(raw json.RawMessage) uint64 {
 	}
 	return hashutil.Hash64(0x5ca1ab1e^uint64(len(raw)), tail)
 }
-
-// ErrBinaryWire is returned when a binary wire payload reaches a
-// collection whose task has no binary decoder; HTTP maps it to 415.
-var ErrBinaryWire = errors.New("core: collection task does not accept binary reports")
-
-// decoder is the one thing the ingest loop is parameterised by: how a
-// wire payload becomes a fold-ready value.
-type decoder func(payload []byte) (any, error)
 
 // batchChunk bounds how long one stripe lock is held: a large batch is
 // aggregated in chunks, each routed independently, so a single 8 MiB
@@ -240,17 +220,63 @@ func (a *ShardedAggregator) Add(raw json.RawMessage) error {
 	return soleRejection(err)
 }
 
-// AddBatch folds a batch of JSON envelopes (see addBatch) and returns
-// the number accepted.
+// AddBatch folds a batch of JSON envelopes, translated (see translate).
 func (a *ShardedAggregator) AddBatch(batch []json.RawMessage) (int, error) {
-	return a.addBatch(len(batch), func(i int) []byte { return batch[i] }, a.decodeJSON)
+	t := a.translate(batch)
+	defer t.w.Release()
+	n, err := a.AddBatchBinary(t.bins)
+	return n, t.explain(err)
 }
 
 // AddBatchBinary folds a batch of binary wire envelopes (see addBatch).
-// Against a task with no binary decoder every envelope is rejected
-// with ErrBinaryWire.
 func (a *ShardedAggregator) AddBatchBinary(batch [][]byte) (int, error) {
-	return a.addBatch(len(batch), func(i int) []byte { return batch[i] }, a.decodeBinary)
+	return a.addBatch(len(batch), func(i int) []byte { return batch[i] })
+}
+
+// translation is a batch of JSON envelopes as the task's binary
+// payloads, views of one pooled buffer w. An envelope that did not
+// translate has an empty payload, which every PrepareBinary refuses,
+// and its error in errs[i].
+type translation struct {
+	w    *binenc.Writer
+	bins [][]byte
+	errs []error // nil when every envelope translated
+}
+
+// translate turns a batch of JSON envelopes into a translation. It runs
+// outside every lock; the caller releases w after the fold.
+func (a *ShardedAggregator) translate(envs []json.RawMessage) translation {
+	t := translation{w: binenc.NewWriter(), bins: make([][]byte, len(envs))}
+	for i, env := range envs {
+		start := t.w.Len()
+		if err := a.proto.Translate(t.w, env); err != nil {
+			t.w.Truncate(start)
+			if t.errs == nil {
+				t.errs = make([]error, len(envs))
+			}
+			t.errs[i] = err
+		}
+		end := t.w.Len() // capped there: later appends never write into the view
+		t.bins[i] = t.w.Bytes()[start:end:end]
+	}
+	return t
+}
+
+// explain puts each untranslated envelope's own error in place of
+// PrepareBinary's refusal of its empty payload in a batch's joined
+// error; positions, count and summary are unchanged.
+func (t translation) explain(err error) error {
+	joined, ok := err.(interface{ Unwrap() []error })
+	if t.errs == nil || !ok {
+		return err
+	}
+	errs := slices.Clone(joined.Unwrap())
+	for i, e := range errs {
+		if r, ok := e.(rejection); ok && t.errs[r.idx] != nil {
+			errs[i] = rejection{idx: r.idx, err: t.errs[r.idx]}
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // addBatch is the one route a report takes into a shard, whatever its
@@ -260,14 +286,13 @@ func (a *ShardedAggregator) AddBatchBinary(batch [][]byte) (int, error) {
 // to nearly zero) while the rotating stripe spreads chunks and
 // successive batches across shards. Any shard can absorb any envelope,
 // so placement never affects the merged estimate. Payloads (fetched by
-// index, so JSON and binary batches share the loop without copying
-// into a common slice type) are decoded before their chunk's lock is
-// taken and only the folds run under it, so concurrent batches contend
-// on vector adds, never on decoding. The batch is not atomic: invalid
+// index) are decoded before their chunk's lock is taken and only the
+// folds run under it, so concurrent batches contend on vector adds,
+// never on decoding. The batch is not atomic: invalid
 // envelopes are skipped and reported via the joined error (detailed up
 // to maxBatchErrors, then summarized) while the valid remainder is
 // still aggregated.
-func (a *ShardedAggregator) addBatch(n int, payload func(int) []byte, decode decoder) (int, error) {
+func (a *ShardedAggregator) addBatch(n int, payload func(int) []byte) (int, error) {
 	accepted, suppressed := 0, 0
 	var errs []error
 	reject := func(i int, err error) {
@@ -287,7 +312,7 @@ func (a *ShardedAggregator) addBatch(n int, payload func(int) []byte, decode dec
 		sh := a.shards[a.route(payload(off))]
 		prepared = prepared[:0]
 		for i := off; i < end; i++ {
-			v, err := decode(payload(i))
+			v, err := a.proto.PrepareBinary(payload(i))
 			if err != nil {
 				reject(i, err)
 				continue
@@ -854,10 +879,10 @@ func (a *ShardedAggregator) advanceLocked() error {
 	// The advanced merged aggregator becomes shard 0 — it carries the
 	// full cross-round history — and the other shards adopt its phase
 	// with empty tallies, so a walk over the shards still counts every
-	// report exactly once. (The decoders captured from the aggregator
-	// shard 0 was built with stay valid — Prepare reads only immutable
-	// configuration, which every replacement shares — and keep that one
-	// object, with its round-0 accumulator, reachable.)
+	// report exactly once. (proto, the aggregator shard 0 was built
+	// with, stays valid — its decoders read only immutable
+	// configuration, which every replacement shares — and keeps that
+	// one object, with its round-0 accumulator, reachable.)
 	a.shards[0].agg = merged
 	for _, s := range a.shards[1:] {
 		if err := s.agg.(task.Phased).AdoptPhase(merged); err != nil {

@@ -8,7 +8,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,8 +15,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/ldprand"
 	"repro/internal/task"
 	"repro/internal/task/cmstask"
@@ -364,9 +365,9 @@ func TestFutureSnapshotVersionRefused(t *testing.T) {
 	}
 }
 
-// plainAgg is a minimal task.Aggregator — no binary wire form, no
-// phases — registered under a test-only type name:
-// the smallest adapter the sharded aggregator must serve.
+// plainAgg is a minimal task.Aggregator — no phases, a one-varint
+// binary envelope — registered under a test-only type name: the
+// smallest adapter the sharded aggregator must serve.
 type plainAgg struct{ sum, n int }
 
 func init() {
@@ -379,23 +380,26 @@ type plainReport struct {
 	V int `json:"v"`
 }
 
-func (p *plainAgg) Type() string { return "plain-test" }
-func (p *plainAgg) Add(raw json.RawMessage) error {
-	prepared, err := p.Prepare(raw)
-	if err != nil {
-		return err
-	}
-	return p.Fold(prepared)
-}
-func (p *plainAgg) Prepare(raw json.RawMessage) (any, error) {
+func (p *plainAgg) Type() string                  { return "plain-test" }
+func (p *plainAgg) Add(raw json.RawMessage) error { return task.Add(p, raw) }
+func (p *plainAgg) Translate(w *binenc.Writer, raw json.RawMessage) error {
 	var r plainReport
 	if err := json.Unmarshal(raw, &r); err != nil {
+		return err
+	}
+	w.Varint(int64(r.V))
+	return nil
+}
+func (p *plainAgg) PrepareBinary(payload []byte) (any, error) {
+	r := binenc.NewReader(payload)
+	v := r.Varint()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if r.V < 0 {
+	if v < 0 {
 		return nil, fmt.Errorf("plain-test: negative report")
 	}
-	return r, nil
+	return plainReport{V: int(v)}, nil
 }
 func (p *plainAgg) Fold(prepared any) error {
 	p.sum += prepared.(plainReport).V
@@ -432,8 +436,10 @@ func (p *plainAgg) Estimate(q url.Values) (json.RawMessage, error) {
 }
 
 // TestShardedMinimalAdapter pins that an adapter implementing only the
-// core interface is served by the one ingest loop, and that its missing
-// binary wire form surfaces as ErrBinaryWire per envelope.
+// core interface is served by the one ingest loop: a JSON batch and its
+// binary twin are accepted and rejected alike, with the same errors,
+// and an envelope that does not translate is rejected with its own
+// error.
 func TestShardedMinimalAdapter(t *testing.T) {
 	agg, err := NewShardedAggregator(task.Config{Task: "plain-test"}, 2)
 	if err != nil {
@@ -445,6 +451,9 @@ func TestShardedMinimalAdapter(t *testing.T) {
 	if err := agg.Add(json.RawMessage(`{"v":-3}`)); err == nil || err.Error() != "plain-test: negative report" {
 		t.Fatalf("single rejection %v, want the report's own error", err)
 	}
+	if err := agg.Add(json.RawMessage(`{"v":"x"}`)); err == nil || !strings.Contains(err.Error(), "cannot unmarshal string") {
+		t.Fatalf("untranslatable report: %v, want its JSON error", err)
+	}
 	batch := []json.RawMessage{
 		json.RawMessage(`{"v":1}`),
 		json.RawMessage(`{"v":-1}`), // rejected
@@ -454,14 +463,12 @@ func TestShardedMinimalAdapter(t *testing.T) {
 	if accepted != 2 || err == nil || err.Error() != "envelope 1: plain-test: negative report" {
 		t.Fatalf("accepted %d err %v", accepted, err)
 	}
-	if agg.BinaryWire() {
-		t.Fatal("adapter without PrepareBinary advertises the binary wire")
+	accepted, binErr := agg.AddBatchBinary([][]byte{{2}, {1}, {4}}) // the same values as zig-zag varints
+	if accepted != 2 || binErr == nil || binErr.Error() != err.Error() {
+		t.Fatalf("binary twin: accepted %d err %v, want 2 and %v", accepted, binErr, err)
 	}
-	if n, err := agg.AddBatchBinary([][]byte{{1}, {2}}); n != 0 || !errors.Is(err, ErrBinaryWire) {
-		t.Fatalf("AddBatchBinary = %d, %v; want 0, ErrBinaryWire", n, err)
-	}
-	if agg.Collected() != 3 || agg.collectedWalk() != 3 {
-		t.Fatalf("collected %d / walk %d want 3", agg.Collected(), agg.collectedWalk())
+	if agg.Collected() != 5 || agg.collectedWalk() != 5 {
+		t.Fatalf("collected %d / walk %d want 5", agg.Collected(), agg.collectedWalk())
 	}
 	merged, err := agg.Merged()
 	if err != nil {
@@ -471,7 +478,7 @@ func TestShardedMinimalAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(est) != `{"sum":6}` {
+	if string(est) != `{"sum":9}` {
 		t.Fatalf("estimate %s", est)
 	}
 	if agg.ReportBits() != 32 {
@@ -479,10 +486,21 @@ func TestShardedMinimalAdapter(t *testing.T) {
 	}
 }
 
+// recordingPreparer records every envelope a collection translates.
+type recordingPreparer struct {
+	task.Preparer
+	envs *[]json.RawMessage
+}
+
+func (r recordingPreparer) Translate(w *binenc.Writer, env json.RawMessage) error {
+	*r.envs = append(*r.envs, append(json.RawMessage(nil), env...))
+	return r.Preparer.Translate(w, env)
+}
+
 // TestBuiltinAdaptersArePreparers pins the Preparer contract for every
-// built-in task family, the phased one included: Prepare then Fold is
-// Add, bit for bit, and a value prepared by one instance folds into
-// another of the same configuration.
+// built-in task family, the phased one included: Translate, then
+// PrepareBinary, then Fold is Add, bit for bit, and a value prepared by
+// one instance folds into another of the same configuration.
 func TestBuiltinAdaptersArePreparers(t *testing.T) {
 	reg := NewCollectionRegistry()
 	for name, tc := range map[string]struct {
@@ -495,16 +513,13 @@ func TestBuiltinAdaptersArePreparers(t *testing.T) {
 		"hh":     {hhCfg(1, 0), fillHH},
 	} {
 		// A journal-less collection is just a recorder here: its
-		// envelopes are replayed through both halves below.
+		// envelopes are replayed through the steps below.
 		src, err := reg.Create(name, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var envs []json.RawMessage
-		src.agg.decodeJSON = func(p []byte) (any, error) {
-			envs = append(envs, append(json.RawMessage(nil), p...))
-			return src.agg.shards[0].agg.Prepare(p)
-		}
+		src.agg.proto = recordingPreparer{src.agg.proto, &envs}
 		tc.fill(t, src, 77, 30)
 		if len(envs) != 30 {
 			t.Fatalf("%s: recorded %d envelopes", name, len(envs))
@@ -513,24 +528,28 @@ func TestBuiltinAdaptersArePreparers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		halves, _ := task.New(tc.cfg.Config)
+		steps, _ := task.New(tc.cfg.Config)
 		preparer, _ := task.New(tc.cfg.Config)
 		for _, env := range envs {
 			if err := whole.Add(env); err != nil {
 				t.Fatalf("%s: Add: %v", name, err)
 			}
-			v, err := preparer.Prepare(env)
-			if err != nil {
-				t.Fatalf("%s: Prepare: %v", name, err)
+			var w binenc.Writer
+			if err := preparer.Translate(&w, env); err != nil {
+				t.Fatalf("%s: Translate: %v", name, err)
 			}
-			if err := halves.Fold(v); err != nil {
+			v, err := preparer.PrepareBinary(w.Bytes())
+			if err != nil {
+				t.Fatalf("%s: PrepareBinary: %v", name, err)
+			}
+			if err := steps.Fold(v); err != nil {
 				t.Fatalf("%s: Fold: %v", name, err)
 			}
 		}
 		a, _ := whole.MarshalState()
-		b, _ := halves.MarshalState()
+		b, _ := steps.MarshalState()
 		if !bytes.Equal(a, b) || preparer.Collected() != 0 {
-			t.Errorf("%s: Prepare+Fold state %x, Add state %x (preparer collected %d)", name, b, a, preparer.Collected())
+			t.Errorf("%s: Translate+PrepareBinary+Fold state %x, Add state %x (preparer collected %d)", name, b, a, preparer.Collected())
 		}
 	}
 }

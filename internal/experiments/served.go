@@ -123,15 +123,15 @@ func servedPEM(values []uint64, epsilon float64, bits, levels, k int, src ldpran
 	}
 	n := len(values)
 	for round := 0; round < levels; round++ {
-		batch := make([]json.RawMessage, 0, n/levels+1)
+		batch := make([][]byte, 0, n/levels+1)
 		for _, v := range values[round*n/levels : (round+1)*n/levels] {
-			raw, err := client.Report(v, round)
+			raw, err := client.ReportBinary(v, round)
 			if err != nil {
 				return nil, err
 			}
 			batch = append(batch, raw)
 		}
-		if _, err := agg.AddBatch(batch); err != nil {
+		if _, err := agg.AddBatchBinary(batch); err != nil {
 			return nil, err
 		}
 		if err := agg.Advance(); err != nil {

@@ -3,14 +3,15 @@
 // base64 of m whole bytes — so the binary envelope packs the row into
 // a bit vector (m/8 bytes plus the length word), an ~10× wire
 // reduction at Apple-scale widths. The HCMS report is a mechanism tag,
-// a row, a coefficient index and a sign. Both decode paths feed the
-// same prepare validation as the JSON envelope.
+// a row, a coefficient index and a sign.
 //
 // The state wraps the backing sketch's layout in a {mechanism,
 // epsilon, sketch} guard.
 package cmstask
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/binenc"
@@ -63,10 +64,46 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 	return a.cm.UnmarshalState(blob)
 }
 
-// PrepareBinary implements task.BinaryReporter: it decodes one binary
-// report envelope — the CMS bit row stays packed — and applies exactly
-// the validation the JSON Prepare applies, reading only the immutable
-// parameters.
+// Translate implements task.Preparer for the JSON Envelope: it writes
+// what ReportBinary writes for the same report.
+func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
+	var e Envelope
+	if err := json.Unmarshal(envelope, &e); err != nil {
+		return fmt.Errorf("cmstask: bad envelope: %w", err)
+	}
+	w.Byte(binaryEnvelopeVersion)
+	w.String(e.Mechanism)
+	w.Varint(int64(e.Row))
+	if a.mechanism == MechanismHCMS {
+		w.Varint(int64(e.Index))
+		w.Varint(int64(e.Sign))
+		return nil
+	}
+	raw, err := base64.StdEncoding.DecodeString(e.Bits)
+	if err != nil {
+		return fmt.Errorf("cmstask: bad bits encoding: %w", err)
+	}
+	bits := bitvec.New(len(raw))
+	for i, b := range raw {
+		switch b {
+		case 0:
+		case 1:
+			bits.Set(i)
+		default:
+			return fmt.Errorf("cmstask: report bit %d has value %d, want 0 or 1", i, b)
+		}
+	}
+	packed, err := bits.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	w.Blob(packed)
+	return nil
+}
+
+// PrepareBinary implements task.Preparer: it decodes one binary report
+// envelope — the CMS bit row stays packed — and validates it, reading
+// only the immutable parameters.
 func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 	r := binenc.NewReader(payload)
 	version := int(r.Byte())

@@ -107,20 +107,13 @@ func New(cfg task.Config) (task.Aggregator, error) {
 // Type returns "sketch".
 func (a *Aggregator) Type() string { return task.TypeSketch }
 
-// Add validates one sketch envelope and folds its debiased
-// contribution into the backing sketch.
-func (a *Aggregator) Add(report json.RawMessage) error {
-	prepared, err := a.Prepare(report)
-	if err != nil {
-		return err
-	}
-	return a.Fold(prepared)
-}
+// Add validates one JSON sketch envelope and folds its debiased
+// contribution into the backing sketch (task.Add).
+func (a *Aggregator) Add(report json.RawMessage) error { return task.Add(a, report) }
 
 // preparedCMS is a validated CMS row report, its ±1 coordinates packed
-// one per bit. Both wire decoders produce it and Fold consumes it
-// packed: the row is never expanded to a byte or an index per
-// coordinate.
+// one per bit. PrepareBinary produces it and Fold consumes it packed:
+// the row is never expanded to a byte or an index per coordinate.
 type preparedCMS struct {
 	row  int
 	bits bitvec.Vector // width bits; 1 encodes +1, 0 encodes −1
@@ -132,43 +125,8 @@ type preparedHCMS struct {
 	sign       int8
 }
 
-// Prepare parses, validates and payload-decodes one raw envelope
-// (task.Preparer); only the immutable parameters are read, so the
-// expensive base64 decoding runs without synchronization.
-func (a *Aggregator) Prepare(report json.RawMessage) (any, error) {
-	var e Envelope
-	if err := json.Unmarshal(report, &e); err != nil {
-		return nil, fmt.Errorf("cmstask: bad envelope: %w", err)
-	}
-	if e.Mechanism != a.mechanism {
-		return nil, fmt.Errorf("cmstask: envelope mechanism %q does not match aggregator %q", e.Mechanism, a.mechanism)
-	}
-	if a.mechanism == MechanismCMS {
-		raw, err := base64.StdEncoding.DecodeString(e.Bits)
-		if err != nil {
-			return nil, fmt.Errorf("cmstask: bad bits encoding: %w", err)
-		}
-		if err := a.checkCMSShape(e.Row, len(raw)); err != nil {
-			return nil, err
-		}
-		// The JSON envelope spends a byte per coordinate; pack them.
-		bits := bitvec.New(len(raw))
-		for i, b := range raw {
-			switch b {
-			case 0:
-			case 1:
-				bits.Set(i)
-			default:
-				return nil, fmt.Errorf("cmstask: report bit %d has value %d, want 0 or 1", i, b)
-			}
-		}
-		return preparedCMS{row: e.Row, bits: *bits}, nil
-	}
-	return a.prepareHCMSReport(e.Row, e.Index, int64(e.Sign))
-}
-
 // checkCMSShape validates the row and width of one decoded CMS row
-// report; the JSON and binary wire decoders both call it.
+// report.
 func (a *Aggregator) checkCMSShape(row, width int) error {
 	if row < 0 || row >= a.params.Hashes {
 		return fmt.Errorf("cmstask: row %d out of range [0,%d)", row, a.params.Hashes)
@@ -179,10 +137,9 @@ func (a *Aggregator) checkCMSShape(row, width int) error {
 	return nil
 }
 
-// prepareHCMSReport validates one decoded HCMS coefficient report; the
-// JSON and binary wire decoders both feed it. The sign arrives at full
-// width and is narrowed only once it is ±1: the binary varint 257 would
-// otherwise wrap to an accepted 1, a report the JSON decoder refuses.
+// prepareHCMSReport validates one decoded HCMS coefficient report. The
+// sign arrives at full width and is narrowed only once it is ±1: the
+// varint 257 would otherwise wrap to an accepted 1.
 func (a *Aggregator) prepareHCMSReport(row, index int, sign int64) (any, error) {
 	if row < 0 || row >= a.params.Hashes {
 		return nil, fmt.Errorf("cmstask: row %d out of range [0,%d)", row, a.params.Hashes)
@@ -196,7 +153,7 @@ func (a *Aggregator) prepareHCMSReport(row, index int, sign int64) (any, error) 
 	return preparedHCMS{row: row, index: index, sign: int8(sign)}, nil
 }
 
-// Fold accumulates a Prepared report (task.Preparer): every coordinate
+// Fold accumulates a prepared report (task.Preparer): every coordinate
 // of a CMS row gets the debiased contribution k·(c_ε/2·v + 1/2), so
 // each cell is an unbiased estimate of the true count landing there; a
 // HCMS coefficient gets k·m·c_ε·sign, which cancels the 1/(k·m)

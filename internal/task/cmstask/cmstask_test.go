@@ -401,8 +401,9 @@ func hcmsBinary(row, index, sign int64) []byte {
 
 // TestHCMSSignRefusedOnBothWires: a report's HCMS sign is ±1 on both
 // wires. The binary decoder judges the varint before narrowing it, so
-// 257 and −255, which would wrap to an int8 1, are refused there as
-// the JSON decoder refuses them.
+// 257 and −255, which would wrap to an int8 1, are refused there, as
+// JSON envelopes carrying them are (Translate cannot fit them in the
+// int8 field).
 func TestHCMSSignRefusedOnBothWires(t *testing.T) {
 	a, err := cmstask.New(sketchCfg(cmstask.MechanismHCMS))
 	if err != nil {

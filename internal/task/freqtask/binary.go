@@ -1,15 +1,14 @@
 // Binary wire codec for the frequency task. The binary report
-// envelope replaces the JSON Envelope on collections negotiated
-// to application/x-ldp-binary: a leading format-version byte, the
-// mechanism name, and the mechanism-typed payload — raw packed bit
-// vectors for the unary mechanisms instead of base64-in-JSON, varints
-// for the integer reports, raw 8-byte words for SHE's noisy reals.
-// Decoding feeds the exact validation the JSON path uses
-// (prepareEnvelope / decodeBits), so the two wire forms accept and
-// reject identical report populations.
+// envelope, the one form a report takes past the HTTP handler, is a
+// leading format-version byte, the mechanism name, and the
+// mechanism-typed payload — raw packed bit vectors for the unary
+// mechanisms instead of base64-in-JSON, varints for the integer
+// reports, raw 8-byte words for SHE's noisy reals.
 package freqtask
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/binenc"
@@ -63,11 +62,42 @@ func PrivatizeBinary(o freq.Oracle, v int) ([]byte, error) {
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
-// PrepareBinary implements task.BinaryReporter: it decodes one binary
-// report envelope into the typed report the oracle aggregates, applying
-// exactly the validation the JSON Prepare applies. Like Prepare it
-// reads only the oracle's immutable configuration, so it is safe to
-// run outside the shard locks.
+// Translate implements task.Preparer for the JSON Envelope: it writes
+// what PrivatizeBinary writes for the same report.
+func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
+	var e Envelope
+	if err := json.Unmarshal(envelope, &e); err != nil {
+		return fmt.Errorf("freqtask: bad envelope: %w", err)
+	}
+	w.Byte(binaryEnvelopeVersion)
+	w.String(e.Mechanism)
+	switch a.oracle.(type) {
+	case *freq.GRR, freq.BinaryRR:
+		w.Varint(int64(e.Value))
+	case *freq.UE, *freq.THE:
+		bits, err := base64.StdEncoding.DecodeString(e.Bits)
+		if err != nil {
+			return fmt.Errorf("freqtask: bad bits encoding: %w", err)
+		}
+		w.Blob(bits)
+	case *freq.SHE:
+		w.Float64s(e.Reals)
+	case *freq.LH:
+		w.Uint64(e.Seed)
+		w.Varint(int64(e.Value))
+	case *freq.HRR:
+		w.Varint(int64(e.Value))
+		w.Varint(int64(e.Sign))
+	case *freq.SS:
+		w.Ints(e.Values)
+	}
+	return nil
+}
+
+// PrepareBinary implements task.Preparer: it decodes one binary report
+// envelope into the typed report the oracle aggregates, applying the
+// validation every report gets. It reads only the oracle's immutable
+// configuration, so it is safe to run outside the shard locks.
 func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 	r := binenc.NewReader(payload)
 	version := int(r.Byte())
@@ -96,7 +126,7 @@ func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 	case *freq.HRR:
 		e.Value = int(r.Varint())
 		// Judge the sign at full width: narrowing first would wrap −255
-		// to an accepted 1, a report the JSON decoder refuses.
+		// to an accepted 1.
 		sign := r.Varint()
 		if r.Err() == nil && sign != 1 && sign != -1 {
 			return nil, fmt.Errorf("freqtask: HRR sign %d must be ±1", sign)

@@ -1,9 +1,8 @@
 // Package freqtask adapts the frequency-oracle family (internal/freq)
 // to the task-generic aggregation interface (internal/task). It owns
-// the frequency wire format — the Envelope JSON that clients POST and
-// the per-mechanism validation that network-received reports need —
-// which previously lived in internal/core; internal/core re-exports
-// the names so existing callers are untouched.
+// the frequency wire formats — the binary envelope, the JSON Envelope
+// Translate turns into one, and the per-mechanism validation that
+// network-received reports need.
 //
 // The adapter is behavior-identical to the pre-task frequency path:
 // Add performs exactly the validation core.Aggregate performed, the
@@ -143,9 +142,10 @@ func Privatize(o freq.Oracle, v int) (Envelope, error) {
 	}
 }
 
-// prepareEnvelope validates e against the oracle's configuration and
-// decodes its payload into the typed report the oracle aggregates. It
-// reads no aggregate state, so it is safe without synchronization.
+// prepareEnvelope validates e — the fields PrepareBinary read from a
+// binary envelope; a unary bit vector goes to decodeBitsRaw instead —
+// against the oracle's configuration and returns the typed report the
+// oracle aggregates. It reads no aggregate state.
 func prepareEnvelope(o freq.Oracle, e Envelope) (any, error) {
 	if e.Mechanism != o.Name() {
 		return nil, fmt.Errorf("freqtask: envelope mechanism %q does not match oracle %q", e.Mechanism, o.Name())
@@ -155,8 +155,6 @@ func prepareEnvelope(o freq.Oracle, e Envelope) (any, error) {
 		return prepareGRR(m, e)
 	case freq.BinaryRR:
 		return prepareGRR(m.GRR, e)
-	case *freq.UE:
-		return decodeBits(e.Bits, m.Domain())
 	case *freq.SHE:
 		if len(e.Reals) != m.Domain() {
 			return nil, fmt.Errorf("freqtask: SHE vector length %d, want %d", len(e.Reals), m.Domain())
@@ -173,8 +171,6 @@ func prepareEnvelope(o freq.Oracle, e Envelope) (any, error) {
 			}
 		}
 		return e.Reals, nil
-	case *freq.THE:
-		return decodeBits(e.Bits, m.Domain())
 	case *freq.LH:
 		if e.Value < 0 || e.Value >= m.G() {
 			return nil, fmt.Errorf("freqtask: LH bucket %d out of range [0,%d)", e.Value, m.G())
@@ -260,14 +256,6 @@ func foldPrepared(o freq.Oracle, prepared any) error {
 	return fmt.Errorf("freqtask: prepared value %T does not fit oracle %T", prepared, o)
 }
 
-func decodeBits(s string, wantLen int) (*bitvec.Vector, error) {
-	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("freqtask: bad bits encoding: %w", err)
-	}
-	return decodeBitsRaw(raw, wantLen)
-}
-
 // Aggregator adapts one frequency oracle to task.Aggregator.
 type Aggregator struct {
 	oracle freq.Oracle
@@ -286,27 +274,10 @@ func New(cfg task.Config) (task.Aggregator, error) {
 // Type returns "freq".
 func (a *Aggregator) Type() string { return task.TypeFreq }
 
-// Add validates and folds one Envelope (as raw JSON) into the oracle.
-func (a *Aggregator) Add(report json.RawMessage) error {
-	prepared, err := a.Prepare(report)
-	if err != nil {
-		return err
-	}
-	return a.Fold(prepared)
-}
+// Add validates and folds one Envelope (as raw JSON) (task.Add).
+func (a *Aggregator) Add(report json.RawMessage) error { return task.Add(a, report) }
 
-// Prepare parses, validates and payload-decodes one raw envelope into
-// the typed report the oracle aggregates (task.Preparer). It touches
-// only the oracle's immutable configuration.
-func (a *Aggregator) Prepare(report json.RawMessage) (any, error) {
-	var e Envelope
-	if err := json.Unmarshal(report, &e); err != nil {
-		return nil, fmt.Errorf("freqtask: bad envelope: %w", err)
-	}
-	return prepareEnvelope(a.oracle, e)
-}
-
-// Fold accumulates a Prepared report (task.Preparer).
+// Fold accumulates a prepared report (task.Preparer).
 func (a *Aggregator) Fold(prepared any) error {
 	return foldPrepared(a.oracle, prepared)
 }

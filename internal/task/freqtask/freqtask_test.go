@@ -277,8 +277,9 @@ func hrrBinary(index, sign int64) []byte {
 
 // TestHRRSignRefusedOnBothWires: a report's HRR sign is ±1 on both
 // wires. The binary decoder judges the varint before narrowing it, so
-// −255 and 257, which would wrap to an int8 1, are refused there as
-// the JSON decoder refuses them.
+// −255 and 257, which would wrap to an int8 1, are refused there, as
+// JSON envelopes carrying them are (Translate cannot fit them in the
+// int8 field).
 func TestHRRSignRefusedOnBothWires(t *testing.T) {
 	a, err := freqtask.New(cfg(freqtask.MechanismHRR))
 	if err != nil {

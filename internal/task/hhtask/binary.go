@@ -1,18 +1,81 @@
-// State codec for the heavy-hitter aggregator: the accumulator layout
-// (stateVersionSums), whose round accumulator is written in the
-// tally.Tally layout — the report count, then varint-packed support
-// sums. The leading version byte is checked before the payload is
-// read, and the decoded protocol position is validated in full before
-// any of it is installed.
+// Binary codecs for the heavy-hitter task. The report envelope is
+// freqtask's local-hashing layout plus the round. The state is the
+// accumulator layout (stateVersionSums), whose round accumulator is
+// written in the tally.Tally layout — the report count, then
+// varint-packed support sums. Leading version bytes are checked before
+// anything else is read, and a decoded protocol position is validated
+// in full before any of it is installed.
 package hhtask
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/binenc"
 	"repro/internal/heavyhitters"
 	"repro/internal/tally"
 )
+
+// binaryEnvelopeVersion tags the binary report envelope layout.
+const binaryEnvelopeVersion = 0
+
+// writeEnvelope appends e in the binary envelope layout: the version,
+// the mechanism name, the 8-byte seed, the varint bucket and round.
+func writeEnvelope(w *binenc.Writer, e Envelope) {
+	w.Byte(binaryEnvelopeVersion)
+	w.String(e.Mechanism)
+	w.Uint64(e.Seed)
+	w.Varint(int64(e.Bucket))
+	w.Varint(int64(e.Round))
+}
+
+// ReportBinary privatizes value v's prefix at the given round's length
+// into a round-tagged binary wire envelope.
+func (c *Client) ReportBinary(v uint64, round int) ([]byte, error) {
+	e, err := c.envelope(v, round)
+	if err != nil {
+		return nil, err
+	}
+	w := binenc.NewWriter()
+	defer w.Release()
+	writeEnvelope(w, e)
+	return append([]byte(nil), w.Bytes()...), nil
+}
+
+// Translate implements task.Preparer for the JSON Envelope.
+func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
+	var e Envelope
+	if err := json.Unmarshal(envelope, &e); err != nil {
+		return fmt.Errorf("hhtask: bad envelope: %w", err)
+	}
+	writeEnvelope(w, e)
+	return nil
+}
+
+// PrepareBinary implements task.Preparer: it decodes one binary report
+// envelope and validates mechanism and bucket; the round is Fold's.
+func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
+	r := binenc.NewReader(payload)
+	version := int(r.Byte())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("hhtask: bad binary envelope: %w", err)
+	}
+	if version != binaryEnvelopeVersion {
+		return nil, fmt.Errorf("hhtask: binary envelope version %d not supported", version)
+	}
+	mechanism := r.String()
+	if r.Err() == nil && mechanism != MechanismPEM {
+		return nil, fmt.Errorf("hhtask: envelope mechanism %q does not match %q", mechanism, MechanismPEM)
+	}
+	seed, bucket, round := r.Uint64(), r.Varint(), r.Varint()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("hhtask: bad binary envelope: %w", err)
+	}
+	if bucket < 0 || bucket >= int64(a.mech.G()) {
+		return nil, fmt.Errorf("hhtask: bucket %d out of range [0,%d)", bucket, a.mech.G())
+	}
+	return roundReport{round: int(round), rep: heavyhitters.LHReport{Seed: seed, Bucket: int(bucket)}}, nil
+}
 
 // stateVersionSums is the state layout's version tag: support sums
 // plus a round report counter. The candidate vector itself is not

@@ -20,7 +20,7 @@
 // task.ErrWrongRound so a lagging client refetches the frontier; this
 // is what keeps each user's single ε-budget report inside exactly one
 // round. The round check reads the mutable round counter, so it lives
-// in Fold (under the shard lock); Prepare validates only what the
+// in Fold (under the shard lock); PrepareBinary validates only what the
 // immutable parameters decide.
 package hhtask
 
@@ -191,40 +191,17 @@ func New(cfg task.Config) (task.Aggregator, error) {
 // Type returns "hh".
 func (a *Aggregator) Type() string { return task.TypeHH }
 
-// Add validates and folds one round-tagged envelope: Prepare, then
-// Fold.
-func (a *Aggregator) Add(report json.RawMessage) error {
-	prepared, err := a.Prepare(report)
-	if err != nil {
-		return err
-	}
-	return a.Fold(prepared)
-}
+// Add validates and folds one round-tagged JSON envelope (task.Add).
+func (a *Aggregator) Add(report json.RawMessage) error { return task.Add(a, report) }
 
-// roundReport is a Prepared envelope: the local-hashing report plus the
+// roundReport is a prepared envelope: the local-hashing report plus the
 // round it was privatized against, which only Fold can judge.
 type roundReport struct {
 	round int
 	rep   heavyhitters.LHReport
 }
 
-// Prepare parses one envelope and validates what the immutable
-// parameters decide — mechanism and bucket range (task.Preparer).
-func (a *Aggregator) Prepare(report json.RawMessage) (any, error) {
-	var e Envelope
-	if err := json.Unmarshal(report, &e); err != nil {
-		return nil, fmt.Errorf("hhtask: bad envelope: %w", err)
-	}
-	if e.Mechanism != MechanismPEM {
-		return nil, fmt.Errorf("hhtask: envelope mechanism %q does not match %q", e.Mechanism, MechanismPEM)
-	}
-	if e.Bucket < 0 || e.Bucket >= a.mech.G() {
-		return nil, fmt.Errorf("hhtask: bucket %d out of range [0,%d)", e.Bucket, a.mech.G())
-	}
-	return roundReport{round: e.Round, rep: heavyhitters.LHReport{Seed: e.Seed, Bucket: e.Bucket}}, nil
-}
-
-// Fold accumulates a Prepared report (task.Preparer). Reports for any
+// Fold accumulates a prepared report (task.Preparer). Reports for any
 // round but the current one — including any report once the protocol
 // is done — are rejected wrapping task.ErrWrongRound.
 func (a *Aggregator) Fold(prepared any) error {
@@ -629,16 +606,25 @@ func NewClient(epsilon float64, bits, levels int, src ldprand.Source) (*Client, 
 }
 
 // Report privatizes value v's prefix at the given round's length into
-// a round-tagged wire envelope.
+// a round-tagged JSON wire envelope.
 func (c *Client) Report(v uint64, round int) (json.RawMessage, error) {
+	e, err := c.envelope(v, round)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(e)
+}
+
+// envelope privatizes value v's prefix at the given round's length.
+func (c *Client) envelope(v uint64, round int) (Envelope, error) {
 	if round < 0 || round >= c.levels {
-		return nil, fmt.Errorf("hhtask: round %d outside [0,%d)", round, c.levels)
+		return Envelope{}, fmt.Errorf("hhtask: round %d outside [0,%d)", round, c.levels)
 	}
 	if c.bits < 64 && v >= 1<<uint(c.bits) {
-		return nil, fmt.Errorf("hhtask: value %d exceeds %d bits", v, c.bits)
+		return Envelope{}, fmt.Errorf("hhtask: value %d exceeds %d bits", v, c.bits)
 	}
 	p := heavyhitters.PEMParams{Epsilon: c.epsilon, Bits: c.bits, Levels: c.levels, K: 1}
 	shift := uint(c.bits - p.PrefixLen(round))
 	r := c.mech.Privatize(v>>shift, c.src)
-	return json.Marshal(Envelope{Mechanism: MechanismPEM, Round: round, Seed: r.Seed, Bucket: r.Bucket})
+	return Envelope{Mechanism: MechanismPEM, Round: round, Seed: r.Seed, Bucket: r.Bucket}, nil
 }

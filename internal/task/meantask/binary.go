@@ -1,11 +1,11 @@
-// Binary wire codec for the mean task. A mean report is tiny — a mechanism tag, a coordinate, and one float64 — so the
-// binary envelope is a fixed handful of bytes: a leading
-// format-version byte, the mechanism name, the varint coordinate, and
-// the raw 8-byte value. Decoding feeds the same prepareEnvelope
-// validation as the JSON path.
+// Binary wire codec for the mean task. A mean report is tiny — a
+// mechanism tag, a coordinate, and one float64 — so the binary
+// envelope is a fixed handful of bytes: a leading format-version byte,
+// the mechanism name, the varint coordinate, and the raw 8-byte value.
 package meantask
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/binenc"
@@ -15,9 +15,26 @@ import (
 // the first payload byte and is checked before anything else is read.
 const binaryEnvelopeVersion = 0
 
-// PrepareBinary implements task.BinaryReporter: it decodes one binary
-// report envelope and applies exactly the validation the JSON Prepare
-// applies, reading only the immutable configuration.
+// writeEnvelope appends e in the binary envelope layout.
+func writeEnvelope(w *binenc.Writer, e Envelope) {
+	w.Byte(binaryEnvelopeVersion)
+	w.String(e.Mechanism)
+	w.Varint(int64(e.Coord))
+	w.Float64(e.Value)
+}
+
+// Translate implements task.Preparer for the JSON Envelope.
+func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
+	var e Envelope
+	if err := json.Unmarshal(envelope, &e); err != nil {
+		return fmt.Errorf("meantask: bad envelope: %w", err)
+	}
+	writeEnvelope(w, e)
+	return nil
+}
+
+// PrepareBinary implements task.Preparer: it decodes one binary report
+// envelope and validates it, reading only the immutable configuration.
 func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 	r := binenc.NewReader(payload)
 	version := int(r.Byte())
@@ -46,9 +63,6 @@ func (c *Client) ReportBinary(x []float64) ([]byte, error) {
 	}
 	w := binenc.NewWriter()
 	defer w.Release()
-	w.Byte(binaryEnvelopeVersion)
-	w.String(e.Mechanism)
-	w.Varint(int64(e.Coord))
-	w.Float64(e.Value)
+	writeEnvelope(w, e)
 	return append([]byte(nil), w.Bytes()...), nil
 }

@@ -97,30 +97,11 @@ func New(cfg task.Config) (task.Aggregator, error) {
 // Type returns "mean".
 func (a *Aggregator) Type() string { return task.TypeMean }
 
-// Add validates and folds one mean envelope. The value must be exactly
-// one of the two magnitudes the mechanism emits; the coordinate (for
-// Harmony) must be in range.
-func (a *Aggregator) Add(report json.RawMessage) error {
-	prepared, err := a.Prepare(report)
-	if err != nil {
-		return err
-	}
-	return a.Fold(prepared)
-}
-
-// Prepare parses and validates one raw envelope (task.Preparer),
-// reading only the aggregator's immutable configuration (C, dim).
-func (a *Aggregator) Prepare(report json.RawMessage) (any, error) {
-	var e Envelope
-	if err := json.Unmarshal(report, &e); err != nil {
-		return nil, fmt.Errorf("meantask: bad envelope: %w", err)
-	}
-	return a.prepareEnvelope(e)
-}
+// Add validates and folds one JSON mean envelope (task.Add).
+func (a *Aggregator) Add(report json.RawMessage) error { return task.Add(a, report) }
 
 // prepareEnvelope validates a decoded envelope against the mechanism's
-// immutable configuration; the JSON and binary wire decoders both feed
-// it, so the two wire forms accept identical report populations.
+// immutable configuration.
 func (a *Aggregator) prepareEnvelope(e Envelope) (any, error) {
 	if e.Mechanism != a.mechanism {
 		return nil, fmt.Errorf("meantask: envelope mechanism %q does not match aggregator %q", e.Mechanism, a.mechanism)
@@ -145,7 +126,7 @@ func (a *Aggregator) prepareEnvelope(e Envelope) (any, error) {
 	return e, nil
 }
 
-// Fold accumulates a Prepared envelope (task.Preparer).
+// Fold accumulates a prepared envelope (task.Preparer).
 func (a *Aggregator) Fold(prepared any) error {
 	e, ok := prepared.(Envelope)
 	if !ok {

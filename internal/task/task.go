@@ -3,8 +3,8 @@
 // of *tasks* — frequency oracles, numeric means, heavy hitters over
 // huge domains, sketch-based counting — and a production collector
 // serves several of them at once. An Aggregator is the server half of
-// one task: it absorbs privatized report envelopes (raw JSON whose
-// schema the task defines), merges exactly with its peers (every
+// one task: it absorbs privatized reports (binary payloads in a layout
+// the task defines), merges exactly with its peers (every
 // accumulator in the repository is linear, which is what makes sharded
 // aggregation and checkpointing sound), serializes its state in one
 // versioned binary layout for restarts and relay deltas, and answers
@@ -23,6 +23,8 @@ import (
 	"net/url"
 	"sort"
 	"sync"
+
+	"repro/internal/binenc"
 )
 
 // Task type names of the built-in adapter packages. The names are part
@@ -43,12 +45,12 @@ type Aggregator interface {
 	// (e.g. "freq").
 	Type() string
 	// Add validates one privatized report envelope (raw JSON in the
-	// task's schema) and folds it into the aggregate: Prepare then
-	// Fold. Envelopes arrive from the network: malformed ones must
-	// error, never panic.
+	// task's schema) and folds it into the aggregate: Translate, then
+	// PrepareBinary and Fold. Envelopes arrive from the network:
+	// malformed ones must error, never panic.
 	Add(report json.RawMessage) error
-	// Preparer is Add in its two halves, which is how the sharding
-	// layer ingests: decode outside the shard lock, fold under it.
+	// Preparer is Add in its steps, which is how the sharding layer
+	// ingests: decode outside the shard lock, fold under it.
 	Preparer
 	// AddBatch folds a batch of envelopes, skipping invalid ones. It
 	// returns how many were accepted plus a bounded joined error
@@ -125,38 +127,46 @@ func (c Config) Type() string {
 	return c.Task
 }
 
-// Preparer splits Add into its two halves: Prepare parses and validates
-// one raw envelope into a typed, fold-ready value, and Fold accumulates
-// a prepared value. The point is lock scope — parsing and payload
-// decoding are the expensive part of ingestion, so the sharding layer
-// runs Prepare outside the shard lock and only Fold under it:
-// concurrent batches contend on vector adds, not on JSON decoding.
+// Preparer splits Add into its steps. Translate appends the binary
+// payload of one JSON envelope to w: JSON is an edge codec, and past it
+// a report is only its binary payload. PrepareBinary parses and
+// validates one payload into a typed, fold-ready value — the one
+// decoder — and Fold accumulates it. Decoding is the expensive part,
+// so the sharding layer runs it outside the shard lock and only Fold
+// under it: concurrent batches contend on vector adds.
 //
-// Contract: Prepare must touch only the aggregator's immutable
-// configuration (never the accumulated state), so it is safe to call
-// without synchronization while other goroutines Fold; a value
-// Prepared by one instance may be Folded into any instance of the same
-// configuration. Fold must accept exactly the values Prepare returns.
-// Whatever depends on mutable state is Fold's to check — a phased task
-// validates the report's round there — and a Fold error is counted as
-// a rejected report.
+// Contract: Translate and PrepareBinary touch only the aggregator's
+// immutable configuration, so they are safe without synchronization
+// while other goroutines Fold, and a value prepared by one instance
+// folds into any instance of the same configuration. Translate refuses
+// only what the binary layout cannot express; the sharding layer
+// journals such an envelope as an empty payload, which every
+// PrepareBinary refuses. Fold must accept exactly the values
+// PrepareBinary returns; whatever depends on mutable state (a phased
+// task's round) is Fold's to check, and its error rejects the report.
 type Preparer interface {
-	Prepare(report json.RawMessage) (any, error)
+	Translate(w *binenc.Writer, envelope json.RawMessage) error
+	PrepareBinary(payload []byte) (any, error)
 	Fold(prepared any) error
 }
 
-// BinaryReporter is an optional Aggregator capability extending
-// Prepare to the binary wire encoding: PrepareBinary parses and
-// validates one binary report payload into the same fold-ready values
-// Prepare produces, under the same contract (immutable configuration
-// only, safe without synchronization, Fold accepts the result).
-// Aggregators implement it only when every report their configuration
-// accepts has a binary layout; the sharding layer detects the
-// capability structurally and advertises the binary content type for
-// the collection.
-type BinaryReporter interface {
-	Preparer
-	PrepareBinary(payload []byte) (any, error)
+// BinaryReporter is Preparer's name from when the binary wire was an
+// optional capability.
+type BinaryReporter = Preparer
+
+// Add is Aggregator.Add for the adapters: Translate, PrepareBinary,
+// Fold.
+func Add(p Preparer, envelope json.RawMessage) error {
+	w := binenc.NewWriter()
+	defer w.Release()
+	if err := p.Translate(w, envelope); err != nil {
+		return err
+	}
+	prepared, err := p.PrepareBinary(w.Bytes())
+	if err != nil {
+		return err
+	}
+	return p.Fold(prepared)
 }
 
 // Factory builds an empty Aggregator from a configuration, validating
