@@ -142,11 +142,12 @@ type journalRecord struct {
 // maxFrameBytes bounds a frame's payload length, at append and at
 // replay alike; anything claiming more is corruption, not data. A
 // frame this build writes is its payloads plus five bytes a report and
-// a small header (TestFrameSizeBound); translated JSON is smaller than
-// its body, but for floats spelled in under eight bytes (an SHE vector
-// of bare zeros grows 4×). The limit keeps the value the JSON payload
-// needed — json.Marshal spelled each of < > & as a six-byte \u00XX and
-// binary payloads as base64 — for as long as legacyJSONRecord lives.
+// a small header, and translated JSON frames to at most 13 bytes for
+// every 3 of its body — an hh `{}` becomes a 12-byte payload and its
+// length byte (TestFrameSizeBound). The limit keeps the value the JSON
+// payload needed — json.Marshal spelled each of < > & as a six-byte
+// \u00XX and binary payloads as base64 — for as long as
+// legacyJSONRecord lives.
 const maxFrameBytes = 6*maxBatchBytes + (1 << 20)
 
 // errFrameTooLarge refuses a record whose frame replay would refuse.
@@ -572,7 +573,7 @@ func (c *Collection) IngestBatch(id string, batch []json.RawMessage) (BatchResul
 	t := c.agg.translate(batch)
 	defer t.w.Release()
 	res, err := c.IngestBatchBinary(id, t.bins)
-	res.RejectErr = t.explain(res.RejectErr)
+	res.RejectErr = c.agg.explain(batch, t.bins, res.RejectErr)
 	return res, err
 }
 

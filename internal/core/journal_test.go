@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,7 +25,11 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/ldprand"
+	"repro/internal/task"
+	"repro/internal/task/cmstask"
 	"repro/internal/task/freqtask"
+	"repro/internal/task/hhtask"
+	"repro/internal/task/meantask"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -190,6 +196,51 @@ func TestFrameSizeBound(t *testing.T) {
 		if got, size, err := nextFrame(buf); err != nil || size != len(buf) || !sameRecord(got, rec) {
 			t.Errorf("%s: frame does not read back (%d of %d bytes, %v)", name, size, len(buf), err)
 		}
+	}
+
+	// A JSON batch, translated, is journaled as a binary frame. The
+	// most a body can grow is 13 bytes for every 3: a `{}` of hh
+	// becomes a 12-byte payload plus its length byte, and no other
+	// envelope of any task grows more (an SHE vector of bare zeros, a
+	// float spelled in two bytes, grows fourfold). Translation and
+	// framing are linear in the body, so a 1 MiB body pins the ratio and
+	// the ratio pins the 8 MiB body cap under maxFrameBytes.
+	const body = maxBatchBytes / 8
+	if 13*maxBatchBytes/3+len(id)+48 > maxFrameBytes {
+		t.Errorf("an 8 MiB body may frame to %d bytes, past the %d-byte limit", 13*maxBatchBytes/3+len(id)+48, maxFrameBytes)
+	}
+	zeros := `{"reals":[0` + strings.Repeat(",0", (body-len(`[{"reals":[0]}]`))/2) + `]}`
+	for _, tc := range []struct {
+		name string
+		cfg  task.Config
+		env  string
+	}{
+		{"freq OLH {}", task.Config{Mechanism: MechanismOLH, Epsilon: 1, Domain: 16}, `{}`},
+		{"freq SHE zeros", task.Config{Mechanism: freqtask.MechanismSHE, Epsilon: 1, Domain: 16}, zeros},
+		{"sketch CMS {}", task.Config{Task: task.TypeSketch, Mechanism: cmstask.MechanismCMS, Epsilon: 2, Width: 32, Hashes: 4}, `{}`},
+		{"sketch HCMS {}", task.Config{Task: task.TypeSketch, Mechanism: cmstask.MechanismHCMS, Epsilon: 2, Width: 32, Hashes: 4}, `{}`},
+		{"mean Harmony {}", task.Config{Task: task.TypeMean, Mechanism: meantask.MechanismHarmony, Epsilon: 1, Dim: 2}, `{}`},
+		{"hh {}", task.Config{Task: task.TypeHH, Mechanism: hhtask.MechanismPEM, Epsilon: 2, Bits: 8, Levels: 4, K: 3}, `{}`},
+	} {
+		agg, err := NewShardedAggregator(tc.cfg, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// n envelopes and their commas fill the body's brackets.
+		n := (body - 1) / (len(tc.env) + 1)
+		tr := agg.translate(slices.Repeat([]json.RawMessage{json.RawMessage(tc.env)}, n))
+		if len(tr.bins[0]) == 0 {
+			t.Fatalf("%s: envelope does not translate", tc.name)
+		}
+		w, err := frame(journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: tr.bins})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := w.Len() - 8; got > 13*body/3+len(id)+48 {
+			t.Errorf("%s: a %d-byte body of %d envelopes frames to %d bytes (%.2f×)", tc.name, body, n, got, float64(got)/body)
+		}
+		w.Release()
+		tr.w.Release()
 	}
 }
 

@@ -225,22 +225,16 @@ func (a *ShardedAggregator) AddBatch(batch []json.RawMessage) (int, error) {
 	t := a.translate(batch)
 	defer t.w.Release()
 	n, err := a.AddBatchBinary(t.bins)
-	return n, t.explain(err)
-}
-
-// AddBatchBinary folds a batch of binary wire envelopes (see addBatch).
-func (a *ShardedAggregator) AddBatchBinary(batch [][]byte) (int, error) {
-	return a.addBatch(len(batch), func(i int) []byte { return batch[i] })
+	return n, a.explain(batch, t.bins, err)
 }
 
 // translation is a batch of JSON envelopes as the task's binary
 // payloads, views of one pooled buffer w. An envelope that did not
-// translate has an empty payload, which every PrepareBinary refuses,
-// and its error in errs[i].
+// translate has an empty payload, which every PrepareBinary refuses;
+// its error is not kept (see explain).
 type translation struct {
 	w    *binenc.Writer
 	bins [][]byte
-	errs []error // nil when every envelope translated
 }
 
 // translate turns a batch of JSON envelopes into a translation. It runs
@@ -249,12 +243,8 @@ func (a *ShardedAggregator) translate(envs []json.RawMessage) translation {
 	t := translation{w: binenc.NewWriter(), bins: make([][]byte, len(envs))}
 	for i, env := range envs {
 		start := t.w.Len()
-		if err := a.proto.Translate(t.w, env); err != nil {
+		if a.proto.Translate(t.w, env) != nil {
 			t.w.Truncate(start)
-			if t.errs == nil {
-				t.errs = make([]error, len(envs))
-			}
-			t.errs[i] = err
 		}
 		end := t.w.Len() // capped there: later appends never write into the view
 		t.bins[i] = t.w.Bytes()[start:end:end]
@@ -264,35 +254,41 @@ func (a *ShardedAggregator) translate(envs []json.RawMessage) translation {
 
 // explain puts each untranslated envelope's own error in place of
 // PrepareBinary's refusal of its empty payload in a batch's joined
-// error; positions, count and summary are unchanged.
-func (t translation) explain(err error) error {
+// error; positions, count and summary are unchanged. The error comes
+// from translating the envelope again: the joined error names at most
+// maxBatchErrors envelopes, so a batch of any size keeps at most that
+// many errors alive.
+func (a *ShardedAggregator) explain(envs []json.RawMessage, bins [][]byte, err error) error {
 	joined, ok := err.(interface{ Unwrap() []error })
-	if t.errs == nil || !ok {
+	if !ok {
 		return err
 	}
 	errs := slices.Clone(joined.Unwrap())
+	var w binenc.Writer
 	for i, e := range errs {
-		if r, ok := e.(rejection); ok && t.errs[r.idx] != nil {
-			errs[i] = rejection{idx: r.idx, err: t.errs[r.idx]}
+		if r, ok := e.(rejection); ok && len(bins[r.idx]) == 0 {
+			if terr := a.proto.Translate(&w, envs[r.idx]); terr != nil {
+				errs[i] = rejection{idx: r.idx, err: terr}
+			}
+			w.Reset()
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// addBatch is the one route a report takes into a shard, whatever its
-// encoding and whether it arrived alone or in a batch. The batch is
+// AddBatchBinary is the one route a report takes into a shard, whatever
+// its encoding and whether it arrived alone or in a batch. The batch is
 // folded chunk by chunk: one route and one lock acquisition per chunk
 // (the whole point of batching — per-report locking overhead amortizes
 // to nearly zero) while the rotating stripe spreads chunks and
 // successive batches across shards. Any shard can absorb any envelope,
-// so placement never affects the merged estimate. Payloads (fetched by
-// index) are decoded before their chunk's lock is taken and only the
-// folds run under it, so concurrent batches contend on vector adds,
-// never on decoding. The batch is not atomic: invalid
-// envelopes are skipped and reported via the joined error (detailed up
-// to maxBatchErrors, then summarized) while the valid remainder is
-// still aggregated.
-func (a *ShardedAggregator) addBatch(n int, payload func(int) []byte) (int, error) {
+// so placement never affects the merged estimate. Payloads are decoded
+// before their chunk's lock is taken and only the folds run under it,
+// so concurrent batches contend on vector adds, never on decoding. The
+// batch is not atomic: invalid envelopes are skipped and reported via
+// the joined error (detailed up to maxBatchErrors, then summarized)
+// while the valid remainder is still aggregated.
+func (a *ShardedAggregator) AddBatchBinary(batch [][]byte) (int, error) {
 	accepted, suppressed := 0, 0
 	var errs []error
 	reject := func(i int, err error) {
@@ -307,12 +303,12 @@ func (a *ShardedAggregator) addBatch(n int, payload func(int) []byte) (int, erro
 		val any
 	}
 	var prepared []preparedReport // reused across chunks
-	for off := 0; off < n; off += batchChunk {
-		end := min(off+batchChunk, n)
-		sh := a.shards[a.route(payload(off))]
+	for off := 0; off < len(batch); off += batchChunk {
+		end := min(off+batchChunk, len(batch))
+		sh := a.shards[a.route(batch[off])]
 		prepared = prepared[:0]
 		for i := off; i < end; i++ {
-			v, err := a.proto.PrepareBinary(payload(i))
+			v, err := a.proto.PrepareBinary(batch[i])
 			if err != nil {
 				reject(i, err)
 				continue

@@ -2,7 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -263,6 +267,42 @@ func TestShardedAggregatorBatchPartialAccept(t *testing.T) {
 	// Empty batch is a no-op.
 	if n, err := agg.AddBatch(nil); n != 0 || err != nil {
 		t.Fatalf("empty batch: %d, %v", n, err)
+	}
+}
+
+// TestUntranslatedBatchHoldsNoErrors pins what a batch of envelopes
+// that do not translate costs while it is folded: the payload views
+// only, 24 bytes an envelope. Translation errors are not kept — the
+// joined error re-derives the maxBatchErrors it names — so an 8 MiB
+// body of `0,` (4 million envelopes, each refused with a ~200-byte
+// error) cannot hold a gigabyte.
+func TestUntranslatedBatchHoldsNoErrors(t *testing.T) {
+	agg, err := NewShardedAggregator(FreqTaskConfig(MechanismGRR, shardParams()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100_000
+	envs := slices.Repeat([]json.RawMessage{json.RawMessage("0")}, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := agg.translate(envs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > 48*n {
+		t.Errorf("translating %d refused envelopes holds %d bytes, want at most %d", n, held, 48*n)
+	}
+	runtime.KeepAlive(tr)
+	tr.w.Release()
+
+	accepted, err := agg.AddBatch(envs)
+	if accepted != 0 || err == nil {
+		t.Fatalf("accepted %d, err %v", accepted, err)
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "envelope 0: freqtask: bad envelope: json: cannot unmarshal number") ||
+		!strings.HasSuffix(msg, fmt.Sprintf("and %d more rejected envelopes", n-maxBatchErrors)) {
+		t.Errorf("joined error does not name the translation errors: %.200s", msg)
 	}
 }
 

@@ -64,41 +64,50 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 	return a.cm.UnmarshalState(blob)
 }
 
-// Translate implements task.Preparer for the JSON Envelope: it writes
-// what ReportBinary writes for the same report.
-func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
-	var e Envelope
-	if err := json.Unmarshal(envelope, &e); err != nil {
-		return fmt.Errorf("cmstask: bad envelope: %w", err)
-	}
+// writeEnvelope appends one report of the given mechanism in the binary
+// envelope layout: e's fields, and for CMS the row's bits — one 0/1
+// byte each, refused otherwise — packed into a bit vector.
+func writeEnvelope(w *binenc.Writer, mechanism string, e Envelope, bits []byte) error {
 	w.Byte(binaryEnvelopeVersion)
 	w.String(e.Mechanism)
 	w.Varint(int64(e.Row))
-	if a.mechanism == MechanismHCMS {
+	if mechanism == MechanismHCMS {
 		w.Varint(int64(e.Index))
 		w.Varint(int64(e.Sign))
 		return nil
 	}
-	raw, err := base64.StdEncoding.DecodeString(e.Bits)
-	if err != nil {
-		return fmt.Errorf("cmstask: bad bits encoding: %w", err)
-	}
-	bits := bitvec.New(len(raw))
-	for i, b := range raw {
+	v := bitvec.New(len(bits))
+	for i, b := range bits {
 		switch b {
 		case 0:
 		case 1:
-			bits.Set(i)
+			v.Set(i)
 		default:
 			return fmt.Errorf("cmstask: report bit %d has value %d, want 0 or 1", i, b)
 		}
 	}
-	packed, err := bits.MarshalBinary()
+	packed, err := v.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	w.Blob(packed)
 	return nil
+}
+
+// Translate implements task.Preparer for the JSON Envelope.
+func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
+	var e Envelope
+	if err := json.Unmarshal(envelope, &e); err != nil {
+		return fmt.Errorf("cmstask: bad envelope: %w", err)
+	}
+	var bits []byte
+	if a.mechanism == MechanismCMS {
+		var err error
+		if bits, err = base64.StdEncoding.DecodeString(e.Bits); err != nil {
+			return fmt.Errorf("cmstask: bad bits encoding: %w", err)
+		}
+	}
+	return writeEnvelope(w, a.mechanism, e, bits)
 }
 
 // PrepareBinary implements task.Preparer: it decodes one binary report
@@ -147,28 +156,16 @@ func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 func (c *Client) ReportBinary(item []byte) ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()
-	w.Byte(binaryEnvelopeVersion)
+	var err error
 	if c.cms != nil {
 		r := c.cms.Report(item)
-		v := bitvec.New(len(r.Bits))
-		for i, b := range r.Bits {
-			if b == 1 {
-				v.Set(i)
-			}
-		}
-		packed, err := v.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.String(MechanismCMS)
-		w.Varint(int64(r.Row))
-		w.Blob(packed)
+		err = writeEnvelope(w, MechanismCMS, Envelope{Mechanism: MechanismCMS, Row: r.Row}, r.Bits)
 	} else {
 		r := c.hcms.Report(item)
-		w.String(MechanismHCMS)
-		w.Varint(int64(r.Row))
-		w.Varint(int64(r.Index))
-		w.Varint(int64(r.Sign))
+		err = writeEnvelope(w, MechanismHCMS, Envelope{Mechanism: MechanismHCMS, Row: r.Row, Index: r.Index, Sign: r.Sign}, nil)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return append([]byte(nil), w.Bytes()...), nil
 }

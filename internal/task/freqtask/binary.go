@@ -20,65 +20,16 @@ import (
 // the first payload byte and is checked before anything else is read.
 const binaryEnvelopeVersion = 0
 
-// PrivatizeBinary runs the client half of the oracle on value v and
-// encodes the report in the binary envelope layout.
-func PrivatizeBinary(o freq.Oracle, v int) ([]byte, error) {
-	w := binenc.NewWriter()
-	defer w.Release()
-	w.Byte(binaryEnvelopeVersion)
-	w.String(o.Name())
-	switch m := o.(type) {
-	case *freq.GRR:
-		w.Varint(int64(m.Privatize(v)))
-	case freq.BinaryRR:
-		w.Varint(int64(m.Privatize(v)))
-	case *freq.UE:
-		bits, err := m.Privatize(v).MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Blob(bits)
-	case *freq.SHE:
-		w.Float64s(m.Privatize(v))
-	case *freq.THE:
-		bits, err := m.Privatize(v).MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Blob(bits)
-	case *freq.LH:
-		r := m.Privatize(v)
-		w.Uint64(r.Seed)
-		w.Varint(int64(r.Bucket))
-	case *freq.HRR:
-		r := m.Privatize(v)
-		w.Varint(int64(r.Index))
-		w.Varint(int64(r.Sign))
-	case *freq.SS:
-		w.Ints(m.Privatize(v))
-	default:
-		return nil, fmt.Errorf("freqtask: unsupported oracle type %T", o)
-	}
-	return append([]byte(nil), w.Bytes()...), nil
-}
-
-// Translate implements task.Preparer for the JSON Envelope: it writes
-// what PrivatizeBinary writes for the same report.
-func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
-	var e Envelope
-	if err := json.Unmarshal(envelope, &e); err != nil {
-		return fmt.Errorf("freqtask: bad envelope: %w", err)
-	}
+// writeEnvelope appends one report of oracle o's mechanism in the
+// binary envelope layout: e's fields, or for the unary mechanisms
+// bits, the packed bit vector.
+func writeEnvelope(w *binenc.Writer, o freq.Oracle, e *Envelope, bits []byte) {
 	w.Byte(binaryEnvelopeVersion)
 	w.String(e.Mechanism)
-	switch a.oracle.(type) {
+	switch o.(type) {
 	case *freq.GRR, freq.BinaryRR:
 		w.Varint(int64(e.Value))
 	case *freq.UE, *freq.THE:
-		bits, err := base64.StdEncoding.DecodeString(e.Bits)
-		if err != nil {
-			return fmt.Errorf("freqtask: bad bits encoding: %w", err)
-		}
 		w.Blob(bits)
 	case *freq.SHE:
 		w.Float64s(e.Reals)
@@ -91,6 +42,37 @@ func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error
 	case *freq.SS:
 		w.Ints(e.Values)
 	}
+}
+
+// PrivatizeBinary runs the client half of the oracle on value v and
+// encodes the report in the binary envelope layout.
+func PrivatizeBinary(o freq.Oracle, v int) ([]byte, error) {
+	var e Envelope
+	bits, err := privatize(o, v, &e)
+	if err != nil {
+		return nil, err
+	}
+	w := binenc.NewWriter()
+	defer w.Release()
+	writeEnvelope(w, o, &e, bits)
+	return append([]byte(nil), w.Bytes()...), nil
+}
+
+// Translate implements task.Preparer for the JSON Envelope.
+func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error {
+	var e Envelope
+	if err := json.Unmarshal(envelope, &e); err != nil {
+		return fmt.Errorf("freqtask: bad envelope: %w", err)
+	}
+	var bits []byte
+	switch a.oracle.(type) {
+	case *freq.UE, *freq.THE:
+		var err error
+		if bits, err = base64.StdEncoding.DecodeString(e.Bits); err != nil {
+			return fmt.Errorf("freqtask: bad bits encoding: %w", err)
+		}
+	}
+	writeEnvelope(w, a.oracle, &e, bits)
 	return nil
 }
 

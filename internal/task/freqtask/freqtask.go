@@ -110,36 +110,45 @@ type Envelope struct {
 // Privatize runs the client half of the oracle on value v and wraps
 // the report in an Envelope.
 func Privatize(o freq.Oracle, v int) (Envelope, error) {
+	var e Envelope
+	bits, err := privatize(o, v, &e)
+	if err != nil {
+		return Envelope{}, err
+	}
+	if bits != nil {
+		e.Bits = base64.StdEncoding.EncodeToString(bits)
+	}
+	return e, nil
+}
+
+// privatize runs the client half of the oracle on value v into e's
+// fields, save a unary mechanism's bit vector, which comes back packed
+// in bits — the one form both wires build theirs from.
+func privatize(o freq.Oracle, v int, e *Envelope) (bits []byte, err error) {
+	e.Mechanism = o.Name()
 	switch m := o.(type) {
 	case *freq.GRR:
-		return Envelope{Mechanism: m.Name(), Value: m.Privatize(v)}, nil
+		e.Value = m.Privatize(v)
 	case freq.BinaryRR:
-		return Envelope{Mechanism: m.Name(), Value: m.Privatize(v)}, nil
+		e.Value = m.Privatize(v)
 	case *freq.UE:
-		bits, err := m.Privatize(v).MarshalBinary()
-		if err != nil {
-			return Envelope{}, err
-		}
-		return Envelope{Mechanism: m.Name(), Bits: base64.StdEncoding.EncodeToString(bits)}, nil
+		bits, err = m.Privatize(v).MarshalBinary()
 	case *freq.SHE:
-		return Envelope{Mechanism: m.Name(), Reals: m.Privatize(v)}, nil
+		e.Reals = m.Privatize(v)
 	case *freq.THE:
-		bits, err := m.Privatize(v).MarshalBinary()
-		if err != nil {
-			return Envelope{}, err
-		}
-		return Envelope{Mechanism: m.Name(), Bits: base64.StdEncoding.EncodeToString(bits)}, nil
+		bits, err = m.Privatize(v).MarshalBinary()
 	case *freq.LH:
 		r := m.Privatize(v)
-		return Envelope{Mechanism: m.Name(), Seed: r.Seed, Value: r.Bucket}, nil
+		e.Seed, e.Value = r.Seed, r.Bucket
 	case *freq.HRR:
 		r := m.Privatize(v)
-		return Envelope{Mechanism: m.Name(), Value: r.Index, Sign: r.Sign}, nil
+		e.Value, e.Sign = r.Index, r.Sign
 	case *freq.SS:
-		return Envelope{Mechanism: m.Name(), Values: m.Privatize(v)}, nil
+		e.Values = m.Privatize(v)
 	default:
-		return Envelope{}, fmt.Errorf("freqtask: unsupported oracle type %T", o)
+		err = fmt.Errorf("freqtask: unsupported oracle type %T", o)
 	}
+	return bits, err
 }
 
 // prepareEnvelope validates e — the fields PrepareBinary read from a

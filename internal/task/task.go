@@ -138,9 +138,10 @@ func (c Config) Type() string {
 // Contract: Translate and PrepareBinary touch only the aggregator's
 // immutable configuration, so they are safe without synchronization
 // while other goroutines Fold, and a value prepared by one instance
-// folds into any instance of the same configuration. Translate refuses
-// only what the binary layout cannot express; the sharding layer
-// journals such an envelope as an empty payload, which every
+// folds into any instance of the same configuration. What Translate
+// writes is never empty (every layout leads with its version byte), and
+// it refuses only what the binary layout cannot express; the sharding
+// layer journals such an envelope as an empty payload, which every
 // PrepareBinary refuses. Fold must accept exactly the values
 // PrepareBinary returns; whatever depends on mutable state (a phased
 // task's round) is Fold's to check, and its error rejects the report.
