@@ -109,8 +109,7 @@ type Envelope struct {
 
 // Privatize runs the client half of the oracle on value v and wraps
 // the report in an Envelope.
-func Privatize(o freq.Oracle, v int) (Envelope, error) {
-	var e Envelope
+func Privatize(o freq.Oracle, v int) (e Envelope, err error) {
 	bits, err := privatize(o, v, &e)
 	if err != nil {
 		return Envelope{}, err
