@@ -60,6 +60,11 @@ func (v *Vector) Get(i int) bool {
 	return v.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
+// Words returns the packed words backing v: bit i is bit i%64 of word
+// i/64. Writes through the slice change v, and must leave every bit at
+// index Len and beyond clear.
+func (v *Vector) Words() []uint64 { return v.words }
+
 // Count returns the number of set bits.
 func (v *Vector) Count() int {
 	total := 0

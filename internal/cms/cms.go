@@ -5,7 +5,11 @@
 //
 // CMS clients pick one of k hash functions at random, one-hot encode
 // their value's hash into m positions as a ±1 vector, and flip every
-// coordinate independently with probability 1/(1+e^(ε/2)). HCMS sends a
+// coordinate independently with probability 1/(1+e^(ε/2)). The m flips
+// are drawn 64 at a time by ldprand.BernoulliWords, about 7.3 random
+// words per 64 coordinates (118.6 a report at m = 1024, against the
+// m + 1 a coin per coordinate costs), with each coordinate's law
+// unchanged. HCMS sends a
 // single ±1 Hadamard coefficient of that one-hot row, flipped with
 // probability 1/(1+e^ε), cutting the report to one bit at the price of
 // a constant-factor variance increase — the exact trade-off E5
@@ -20,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bitvec"
 	"repro/internal/hashutil"
 	"repro/internal/ldprand"
 	"repro/internal/transform"
@@ -58,11 +63,11 @@ func (p Params) Position(j int, item []byte) int {
 }
 
 // Report is one CMS client report: the chosen hash row and the
-// perturbed ±1 vector over the row's m positions, packed as bytes with
-// values 0 (for −1) and 1 (for +1).
+// perturbed ±1 vector over the row's m positions, one bit each: a set
+// bit encodes +1, a clear one −1.
 type Report struct {
 	Row  int
-	Bits []byte // length Width; 1 encodes +1, 0 encodes −1
+	Bits *bitvec.Vector // length Width
 }
 
 // Client produces CMS reports.
@@ -87,21 +92,16 @@ func NewClient(params Params, src ldprand.Source) (*Client, error) {
 	}, nil
 }
 
-// Report privatizes one item.
+// Report privatizes one item: the row's flips, each set with
+// probability flip, XORed with the one-hot encoding of the item's
+// position.
 func (c *Client) Report(item []byte) Report {
 	j := ldprand.Intn(c.src, c.params.Hashes)
 	pos := c.params.Position(j, item)
-	bits := make([]byte, c.params.Width)
-	for i := range bits {
-		truth := byte(0)
-		if i == pos {
-			truth = 1
-		}
-		if ldprand.Bernoulli(c.src, c.flip) {
-			truth ^= 1
-		}
-		bits[i] = truth
-	}
+	bits := bitvec.New(c.params.Width)
+	words := bits.Words()
+	ldprand.BernoulliWords(c.src, c.flip, words, c.params.Width)
+	words[pos/64] ^= 1 << (pos % 64)
 	return Report{Row: j, Bits: bits}
 }
 

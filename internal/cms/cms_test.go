@@ -52,13 +52,16 @@ func TestCMSReportShape(t *testing.T) {
 	if r.Row < 0 || r.Row >= p.Hashes {
 		t.Fatalf("row %d out of range", r.Row)
 	}
-	if len(r.Bits) != p.Width {
-		t.Fatalf("width %d want %d", len(r.Bits), p.Width)
+	if r.Bits.Len() != p.Width {
+		t.Fatalf("width %d want %d", r.Bits.Len(), p.Width)
 	}
-	for _, b := range r.Bits {
-		if b != 0 && b != 1 {
-			t.Fatalf("bit value %d", b)
-		}
+	// The round trip refuses set bits beyond the width.
+	packed, err := r.Bits.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Bits.UnmarshalBinary(packed); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -73,7 +76,7 @@ func TestCMSFlipCalibration(t *testing.T) {
 		r := c.Report(item(1))
 		pos := p.Position(r.Row, item(1))
 		probe := (pos + 1) % p.Width
-		if r.Bits[probe] == 1 {
+		if r.Bits.Get(probe) {
 			ones++
 		}
 	}

@@ -35,8 +35,20 @@ func mustServer(t *testing.T, mech string, p cms.Params) task.Aggregator {
 }
 
 func addCMS(a task.Aggregator, r cms.Report) error {
-	raw, err := json.Marshal(cmstask.Envelope{Mechanism: cmstask.MechanismCMS, Row: r.Row,
-		Bits: base64.StdEncoding.EncodeToString(r.Bits)})
+	bits := make([]byte, r.Bits.Len())
+	for i := range bits {
+		if r.Bits.Get(i) {
+			bits[i] = 1
+		}
+	}
+	return addCMSBytes(a, r.Row, bits)
+}
+
+// addCMSBytes adds a JSON CMS envelope whose row is one byte per
+// coordinate, as it travels.
+func addCMSBytes(a task.Aggregator, row int, bits []byte) error {
+	raw, err := json.Marshal(cmstask.Envelope{Mechanism: cmstask.MechanismCMS, Row: row,
+		Bits: base64.StdEncoding.EncodeToString(bits)})
 	if err != nil {
 		return err
 	}
@@ -137,15 +149,15 @@ func TestHCMSEndToEndAccuracy(t *testing.T) {
 func TestCMSServerRejectsBadReports(t *testing.T) {
 	p := cms.Params{Epsilon: 4, Width: 256, Hashes: 16, Seed: 99}
 	s := mustServer(t, cmstask.MechanismCMS, p)
-	if err := addCMS(s, cms.Report{Row: -1, Bits: make([]byte, p.Width)}); err == nil {
+	if err := addCMSBytes(s, -1, make([]byte, p.Width)); err == nil {
 		t.Error("negative row accepted")
 	}
-	if err := addCMS(s, cms.Report{Row: 0, Bits: make([]byte, 3)}); err == nil {
+	if err := addCMSBytes(s, 0, make([]byte, 3)); err == nil {
 		t.Error("short report accepted")
 	}
-	bad := cms.Report{Row: 0, Bits: make([]byte, p.Width)}
-	bad.Bits[0] = 7
-	if err := addCMS(s, bad); err == nil {
+	bad := make([]byte, p.Width)
+	bad[0] = 7
+	if err := addCMSBytes(s, 0, bad); err == nil {
 		t.Error("non-binary bit accepted")
 	}
 	if s.Collected() != 0 {

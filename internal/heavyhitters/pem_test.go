@@ -157,3 +157,21 @@ func TestBaselineMatchesPEMOnSmallDomain(t *testing.T) {
 		t.Errorf("baseline top %d != PEM top %d", base[0].Value, pem[0].Value)
 	}
 }
+
+// TestServedMechanismsSpendAtMostEpsilon checks ε-LDP exactly for every
+// heavy-hitter mechanism ldpd serves: each user sends one LHMech report
+// at the full ε, and its worst likelihood ratio, computed from the
+// fields Privatize reads, must not exceed e^ε beyond float rounding. A
+// served mechanism with no row here fails.
+func TestServedMechanismsSpendAtMostEpsilon(t *testing.T) {
+	for _, eps := range []float64{0.01, 0.1, 0.5, 1, 2, 4, 8} {
+		for _, name := range hhtask.Mechanisms() {
+			if name != hhtask.MechanismPEM {
+				t.Fatalf("served mechanism %s has no privacy row", name)
+			}
+			if ratio := heavyhitters.WorstRatio(heavyhitters.NewLHMech(eps)); ratio > math.Exp(eps)*(1+1e-12) {
+				t.Errorf("%s eps=%v: worst ratio %.15g exceeds e^eps = %.15g", name, eps, ratio, math.Exp(eps))
+			}
+		}
+	}
+}

@@ -7,6 +7,33 @@
 // seedable generators (SplitMix64, PCG64) and a keyed source derived from
 // SHA-256, which is what the Microsoft-style memoization needs: the same
 // (secret, value) pair must always yield the same "fresh" randomness.
+//
+// Bernoulli(s, p) is one coin: Float64(s) < p, one word of s per call.
+// The clients that flip every coordinate of an m-bit report (CMS, the
+// unary encodings, RAPPOR's instantaneous response) use BernoulliWords
+// instead, which flips 64 coins per word of output from a few words of
+// s. It compares each output bit (a lane) with p digit by digit: p's
+// binary expansion 0.d₁d₂…d₅₃ is read from floor(p·2⁵³), one uniform
+// word is drawn per level for every output word that still has an
+// undecided lane, and a lane is decided at the first level where its
+// random bit differs from p's digit — a 0 against a 1 means the uniform
+// lies below p (the lane is 1), a 1 against a 0 that it lies above (the
+// lane is 0). A lane that matches all 53 digits is the tie of
+// Float64(s) == floor(p·2⁵³)/2⁵³, and takes the value Float64(s) < p
+// has there: 1 exactly when p has set bits beyond digit 53. A lane is
+// also decided as soon as the digits it has not seen cannot change its
+// outcome (p's remaining digits are all 0 with no bits beyond digit 53,
+// or all 1 with some), which is what makes p = 1/2 cost one level. So
+// every lane is independently 1 with exactly the probability
+// Bernoulli(s, p) has, and a report's law is the scalar loop's; only
+// which words of s are read, and how many, differs. For 64 lanes a
+// level decides about half of those left, so an output word costs
+// about log₂64 + 1.3 ≈ 7.3 words of s instead of 64.
+//
+// A Source with a Fill([]uint64) method (Crypto has one) is asked for a
+// level's words in one call, so a report takes Crypto's lock once per
+// level instead of once per word; Fill must return what as many Uint64
+// calls would.
 package ldprand
 
 import (
@@ -14,6 +41,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/bits"
 	"sync"
@@ -30,8 +58,9 @@ type Source interface {
 // randomness must not send anything at all, so there is no meaningful way
 // to continue.
 type Crypto struct {
-	mu sync.Mutex
-	r  *bufio.Reader
+	mu  sync.Mutex
+	r   *bufio.Reader
+	buf [512]byte // Fill's staging buffer, guarded by mu
 }
 
 // NewCrypto returns a buffered CSPRNG source.
@@ -48,6 +77,23 @@ func (c *Crypto) Uint64() uint64 {
 		panic("ldprand: crypto/rand failed: " + err.Error())
 	}
 	return binary.LittleEndian.Uint64(buf[:])
+}
+
+// Fill sets dst to the next len(dst) words of the stream, exactly what
+// as many Uint64 calls would return, under one lock acquisition.
+func (c *Crypto) Fill(dst []uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(dst) > 0 {
+		n := min(len(dst), len(c.buf)/8)
+		if _, err := io.ReadFull(c.r, c.buf[:8*n]); err != nil {
+			panic("ldprand: crypto/rand failed: " + err.Error())
+		}
+		for i := range dst[:n] {
+			dst[i] = binary.LittleEndian.Uint64(c.buf[8*i:])
+		}
+		dst = dst[n:]
+	}
 }
 
 // SplitMix64 is a tiny, fast, seedable generator (Steele et al.). It is
@@ -140,8 +186,13 @@ func Float64(s Source) float64 {
 }
 
 // Bernoulli returns true with probability p. Values of p outside [0, 1]
-// are clamped.
+// are clamped. A NaN p panics: a coin whose probability is undefined
+// would otherwise come up false every time, and a report built on it
+// would carry its input in the clear.
 func Bernoulli(s Source, p float64) bool {
+	if math.IsNaN(p) {
+		panic(errNaN)
+	}
 	if p <= 0 {
 		return false
 	}
@@ -149,6 +200,100 @@ func Bernoulli(s Source, p float64) bool {
 		return true
 	}
 	return Float64(s) < p
+}
+
+const errNaN = "ldprand: Bernoulli probability is NaN"
+
+// levelWords bounds how many output words BernoulliWords works on at
+// once, so that its level buffers have a fixed size: longer outputs are
+// cut into runs of this many words, each run drawn level by level.
+const levelWords = 64
+
+// BernoulliWords sets each of the first n bits of dst (bit i is bit
+// i%64 of dst[i/64]) to 1 independently with probability p, exactly as
+// Bernoulli(s, p) would, and every other bit of dst to 0; dst must hold
+// (n+63)/64 words. See the package documentation for how the lanes are
+// drawn. Values of p outside [0, 1] are clamped and draw nothing; a NaN
+// p panics, as Bernoulli's does.
+func BernoulliWords(s Source, p float64, dst []uint64, n int) {
+	if math.IsNaN(p) {
+		panic(errNaN)
+	}
+	if n < 0 || len(dst) != (n+63)/64 {
+		panic("ldprand: BernoulliWords needs (n+63)/64 words")
+	}
+	// digits holds p's digits d₁…d₅₃, d₁ at bit 52, and tie the value
+	// of a lane that matches all of them. A clamped p draws nothing: 0
+	// has no digits, and 1 is read as all of them set with more beyond.
+	var digits, tie uint64
+	switch {
+	case p >= 1:
+		digits, tie = 1<<53-1, ^uint64(0)
+	case p > 0:
+		scaled := p * (1 << 53) // exact
+		digits = uint64(scaled)
+		if float64(digits) != scaled { // p has set bits beyond digit 53
+			tie = ^uint64(0)
+		}
+	}
+	// Below bit last, p's digits are all 1 where the tie is 1 and all 0
+	// where it is 0, so a lane that has matched p down to bit last can
+	// only end at the tie.
+	last := bits.TrailingZeros64(digits)
+	if tie != 0 {
+		last = bits.TrailingZeros64(^digits)
+	}
+	for start := 0; start < len(dst); start += levelWords {
+		run := dst[start:min(start+levelWords, len(dst))]
+		lanes := min(n-64*start, 64*len(run))
+		bernoulliRun(s, digits, last, tie, run, lanes)
+	}
+}
+
+// bernoulliRun is BernoulliWords on at most levelWords words: it draws
+// level by level, one uniform word per output word with an undecided
+// lane, in ascending word order.
+func bernoulliRun(s Source, digits uint64, last int, tie uint64, dst []uint64, lanes int) {
+	var undecided, uniform [levelWords]uint64
+	var live [levelWords]uint8 // indices of the words with undecided lanes
+	for i := range dst {
+		dst[i] = 0
+		undecided[i] = ^uint64(0)
+		live[i] = uint8(i)
+	}
+	if r := lanes % 64; r != 0 {
+		undecided[len(dst)-1] = 1<<r - 1
+	}
+	k := len(dst)
+	for level := 52; k > 0 && level >= last; level-- {
+		d := -(digits >> level & 1) // all ones when the digit is 1
+		fill(s, uniform[:k])
+		next := 0
+		for j, w := range live[:k] {
+			decided := undecided[w] & (uniform[j] ^ d)
+			dst[w] |= decided & d
+			if undecided[w] &^= decided; undecided[w] != 0 {
+				live[next] = w
+				next++
+			}
+		}
+		k = next
+	}
+	for _, w := range live[:k] {
+		dst[w] |= undecided[w] & tie
+	}
+}
+
+// fill sets dst to the next len(dst) words of s, in one Fill call when
+// s has one.
+func fill(s Source, dst []uint64) {
+	if f, ok := s.(interface{ Fill([]uint64) }); ok {
+		f.Fill(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = s.Uint64()
+	}
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

@@ -306,3 +306,233 @@ func BenchmarkPCG64(b *testing.B) {
 		s.Uint64()
 	}
 }
+
+// script is a Source that returns words from a generator and records
+// them, so a test can replay which words a kernel call read.
+type script struct {
+	next  func(draw int) uint64
+	drawn []uint64
+}
+
+func (s *script) Uint64() uint64 {
+	w := s.next(len(s.drawn))
+	s.drawn = append(s.drawn, w)
+	return w
+}
+
+// filling is a script that also offers Fill, which BernoulliWords must
+// use without changing what it reads.
+type filling struct{ *script }
+
+func (f filling) Fill(dst []uint64) {
+	for i := range dst {
+		dst[i] = f.Uint64()
+	}
+}
+
+// settled reports whether a lane whose uniform has the 53-bit prefix k
+// (its first 53−b digits, then zeros) is decided — below p for every
+// way of completing its b unread digits, or above for every way — and
+// if so whether it is below: U < p is monotone in U, so the lowest and
+// highest completions settle it.
+func settled(k uint64, b int, p float64) (decided, below bool) {
+	lo := float64(k) / (1 << 53)
+	hi := float64(k|(1<<b-1)) / (1 << 53)
+	return (lo < p) == (hi < p), lo < p
+}
+
+// replayWords rebuilds, from the words a BernoulliWords(p, n) call
+// drew, each lane's uniform digit by digit, following the documented
+// draw order (runs of 64 words; in each run, level by level, one word
+// for every word with a lane whose outcome is not yet settled, in
+// ascending order), and returns the lanes' outcomes U < p and the
+// number of words that order reads.
+func replayWords(t *testing.T, drawn []uint64, p float64, n int) ([]uint64, int) {
+	t.Helper()
+	words := (n + 63) / 64
+	out := make([]uint64, words)
+	prefix := make([]uint64, n) // each lane's digits so far, top-aligned at bit 52
+	used := 0
+	for start := 0; start < words; start += 64 {
+		end := min(start+64, words)
+		open := make(map[int]bool) // lanes not yet settled
+		for i := 64 * start; i < min(64*end, n); i++ {
+			open[i] = true
+		}
+		for level := 52; level >= 0 && len(open) > 0; level-- {
+			for w := start; w < end; w++ {
+				live := false
+				for lane := 64 * w; lane < min(64*w+64, n); lane++ {
+					live = live || open[lane]
+				}
+				if !live {
+					continue
+				}
+				if used == len(drawn) {
+					t.Fatalf("p=%v n=%d: the documented order reads past the %d words drawn", p, n, len(drawn))
+				}
+				u := drawn[used]
+				used++
+				for lane := 64 * w; lane < min(64*w+64, n); lane++ {
+					if !open[lane] {
+						continue
+					}
+					prefix[lane] |= (u >> (lane % 64) & 1) << level
+					if decided, below := settled(prefix[lane], level, p); decided {
+						delete(open, lane)
+						if below {
+							out[w] |= 1 << (lane % 64)
+						}
+					}
+				}
+			}
+		}
+		if len(open) > 0 {
+			t.Fatalf("p=%v n=%d: %d lanes unsettled after 53 digits", p, n, len(open))
+		}
+	}
+	return out, used
+}
+
+// TestBernoulliWordsMatchScalar checks the kernel's law exactly: every
+// lane must come out as U < p, with U rebuilt from the digits that lane
+// read, which is Bernoulli(s, p) on a word whose top 53 bits are U; and
+// the kernel must read exactly the words the documented order reads,
+// through Fill or Uint64 alike. Lanes that copy p's digits tie at digit
+// 53 (or wherever p's remaining digits can no longer change them); a p
+// with set bits beyond digit 53 must resolve that tie to 1 and any
+// other p to 0.
+func TestBernoulliWordsMatchScalar(t *testing.T) {
+	ps := []float64{
+		0.5, 0.25, 0.75, 1.0 / 3, 0.1, 0.2689414213699951, 0.9,
+		math.Ldexp(1, -1070),                          // below every nonzero 53-bit uniform but 0
+		1 - math.Ldexp(1, -53),                        // every digit 1, nothing beyond
+		0.25 + math.Ldexp(1, -53),                     // ends in digit 53, nothing beyond
+		0.25 + math.Ldexp(1, -60),                     // digits end at 2, set bits beyond 53
+		0.5 + math.Ldexp(1, -52) + math.Ldexp(1, -55), // digit 53 is 0, bits beyond
+	}
+	rng := NewSplitMix64(2024)
+	for i := 0; i < 20; i++ {
+		ps = append(ps, Float64(rng))
+	}
+	for _, p := range ps {
+		digits := uint64(p * (1 << 53))
+		for _, n := range []int{1, 37, 64, 65, 130, 1024, 64*64 + 70} {
+			for _, tied := range []uint64{0, 1 << 3, 1<<0 | 1<<36 | 1<<63} {
+				if tied != 0 && n > 64 {
+					continue // a draw is a level only while there is one word
+				}
+				seed := rng.Uint64()
+				gen := func(draw int) uint64 {
+					u := NewSplitMix64(seed + uint64(draw)).Uint64()
+					if tied == 0 {
+						return u
+					}
+					d := -(digits >> (52 - draw) & 1)
+					return u&^tied | d&tied
+				}
+				plain := &script{next: gen}
+				got := make([]uint64, (n+63)/64)
+				BernoulliWords(plain, p, got, n)
+				want, used := replayWords(t, plain.drawn, p, n)
+				if used != len(plain.drawn) {
+					t.Errorf("p=%v n=%d: drew %d words, the documented order reads %d", p, n, len(plain.drawn), used)
+				}
+				for w := range got {
+					if got[w] != want[w] {
+						t.Errorf("p=%v n=%d tied=%#x: word %d = %#x, want U < p lanes %#x", p, n, tied, w, got[w], want[w])
+					}
+				}
+				viaFill := filling{&script{next: gen}}
+				again := make([]uint64, len(got))
+				BernoulliWords(viaFill, p, again, n)
+				if len(viaFill.drawn) != len(plain.drawn) {
+					t.Errorf("p=%v n=%d: %d words through Fill, %d without", p, n, len(viaFill.drawn), len(plain.drawn))
+				}
+				for w := range got {
+					if again[w] != got[w] {
+						t.Errorf("p=%v n=%d: word %d differs through Fill", p, n, w)
+					}
+				}
+				if tied != 0 {
+					lanes := tied
+					if n < 64 {
+						lanes &= 1<<n - 1
+					}
+					wantTie := uint64(0)
+					if float64(digits) != p*(1<<53) {
+						wantTie = lanes
+					}
+					if got[0]&lanes != wantTie {
+						t.Errorf("p=%v n=%d: tied lanes %#x came out %#x, want %#x", p, n, lanes, got[0]&lanes, wantTie)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBernoulliWordsClamps: p outside (0, 1) draws nothing and fills
+// every lane with Bernoulli's clamped value, leaving bits past n clear.
+func TestBernoulliWordsClamps(t *testing.T) {
+	for _, c := range []struct {
+		p    float64
+		want [2]uint64
+	}{
+		{0, [2]uint64{}}, {-0.5, [2]uint64{}}, {math.Inf(-1), [2]uint64{}},
+		{1, [2]uint64{^uint64(0), 1<<37 - 1}}, {1.5, [2]uint64{^uint64(0), 1<<37 - 1}}, {math.Inf(1), [2]uint64{^uint64(0), 1<<37 - 1}},
+	} {
+		s := &script{next: func(int) uint64 { return 0 }}
+		got := []uint64{7, 7}
+		BernoulliWords(s, c.p, got, 101)
+		if got[0] != c.want[0] || got[1] != c.want[1] || len(s.drawn) != 0 {
+			t.Errorf("p=%v: words %#x after %d draws, want %#x and none", c.p, got, len(s.drawn), c.want)
+		}
+	}
+}
+
+func TestBernoulliRejectsNaN(t *testing.T) {
+	for name, coin := range map[string]func(){
+		"Bernoulli":      func() { Bernoulli(NewSplitMix64(1), math.NaN()) },
+		"BernoulliWords": func() { BernoulliWords(NewSplitMix64(1), math.NaN(), make([]uint64, 1), 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			coin()
+		}()
+	}
+}
+
+func TestCryptoFill(t *testing.T) {
+	c := NewCrypto()
+	words := make([]uint64, 200) // more than one internal read
+	c.Fill(words)
+	seen := make(map[uint64]bool)
+	for _, w := range words {
+		seen[w] = true
+	}
+	if len(seen) < 195 {
+		t.Fatalf("Fill produced only %d distinct words in 200", len(seen))
+	}
+}
+
+// BenchmarkBernoulliWords measures one CMS row (m = 1024 lanes at
+// flip probability 1/(1+e^(ε/2)), ε = 2) per operation.
+func BenchmarkBernoulliWords(b *testing.B) {
+	flip := 1 / (1 + math.Exp(1))
+	for _, c := range []struct {
+		name string
+		src  Source
+	}{{"seeded", NewSplitMix64(1)}, {"crypto", NewCrypto()}} {
+		b.Run(c.name, func(b *testing.B) {
+			row := make([]uint64, 16)
+			for i := 0; i < b.N; i++ {
+				BernoulliWords(c.src, flip, row, 1024)
+			}
+		})
+	}
+}

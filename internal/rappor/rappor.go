@@ -144,18 +144,19 @@ func (c *Client) permanentBits(value string) *bitvec.Vector {
 	return out
 }
 
-// Report produces one instantaneous report for value.
+// Report produces one instantaneous report for value: bit i is 1 with
+// probability Q where the permanent response has a 1 and P where it has
+// a 0. Both masks are drawn whole by ldprand.BernoulliWords, and the
+// permanent bits select between them.
 func (c *Client) Report(value string) Report {
-	perm := c.permanentBits(value)
+	perm := c.permanentBits(value).Words()
 	out := bitvec.New(c.params.BloomBits)
-	for i := 0; i < c.params.BloomBits; i++ {
-		prob := c.params.P
-		if perm.Get(i) {
-			prob = c.params.Q
-		}
-		if ldprand.Bernoulli(c.src, prob) {
-			out.Set(i)
-		}
+	words := out.Words()
+	atP := make([]uint64, len(words))
+	ldprand.BernoulliWords(c.src, c.params.P, atP, c.params.BloomBits)
+	ldprand.BernoulliWords(c.src, c.params.Q, words, c.params.BloomBits)
+	for i, p := range atP {
+		words[i] = words[i]&perm[i] | p&^perm[i]
 	}
 	return Report{Cohort: c.cohort, Bits: out}
 }

@@ -1,6 +1,7 @@
 package rappor
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -227,6 +228,33 @@ func TestGaussSolveSingularDoesNotCrash(t *testing.T) {
 	for _, v := range w {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("non-finite solution %v", w)
+		}
+	}
+}
+
+// TestPermanentBitsPinned pins the memoized permanent response of a
+// fixed secret, value and cohort to the bytes earlier builds produced.
+// A permanent response that changed across an upgrade would hand an
+// observer a second one for the same value, so its keyed stream is
+// frozen; only the instantaneous response may change how it draws.
+func TestPermanentBitsPinned(t *testing.T) {
+	c, err := NewClient(DefaultParams(), []byte("fixed-user-secret"), ldprand.NewSplitMix64(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.cohort != 4 {
+		t.Fatalf("cohort %d, want 4", c.cohort)
+	}
+	for value, want := range map[string]string{
+		"www.example.com": "80000000183c05140a40a441c133e0803418818c",
+		"about:blank":     "80000000a6650050042c0881206401802e828100",
+	} {
+		packed, err := c.permanentBits(value).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(packed); got != want {
+			t.Errorf("permanent bits of %q = %s, want %s", value, got, want)
 		}
 	}
 }

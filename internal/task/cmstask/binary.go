@@ -65,9 +65,8 @@ func (a *Aggregator) UnmarshalState(data []byte) error {
 }
 
 // writeEnvelope appends one report of the given mechanism in the binary
-// envelope layout: e's fields, and for CMS the row's bits — one 0/1
-// byte each, refused otherwise — packed into a bit vector.
-func writeEnvelope(w *binenc.Writer, mechanism string, e Envelope, bits []byte) error {
+// envelope layout: e's fields, and for CMS the row's packed bit vector.
+func writeEnvelope(w *binenc.Writer, mechanism string, e Envelope, bits *bitvec.Vector) error {
 	w.Byte(binaryEnvelopeVersion)
 	w.String(e.Mechanism)
 	w.Varint(int64(e.Row))
@@ -76,22 +75,40 @@ func writeEnvelope(w *binenc.Writer, mechanism string, e Envelope, bits []byte) 
 		w.Varint(int64(e.Sign))
 		return nil
 	}
-	v := bitvec.New(len(bits))
-	for i, b := range bits {
-		switch b {
-		case 0:
-		case 1:
-			v.Set(i)
-		default:
-			return fmt.Errorf("cmstask: report bit %d has value %d, want 0 or 1", i, b)
-		}
-	}
-	packed, err := v.MarshalBinary()
+	packed, err := bits.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	w.Blob(packed)
 	return nil
+}
+
+// packBits packs a JSON envelope's row — one 0/1 byte per coordinate,
+// refused otherwise — into a bit vector.
+func packBits(bytes []byte) (*bitvec.Vector, error) {
+	v := bitvec.New(len(bytes))
+	for i, b := range bytes {
+		switch b {
+		case 0:
+		case 1:
+			v.Set(i)
+		default:
+			return nil, fmt.Errorf("cmstask: report bit %d has value %d, want 0 or 1", i, b)
+		}
+	}
+	return v, nil
+}
+
+// unpackBits is packBits' inverse: the row as one 0/1 byte per
+// coordinate, as the JSON envelope carries it.
+func unpackBits(v *bitvec.Vector) []byte {
+	bytes := make([]byte, v.Len())
+	for i := range bytes {
+		if v.Get(i) {
+			bytes[i] = 1
+		}
+	}
+	return bytes
 }
 
 // Translate implements task.Preparer for the JSON Envelope.
@@ -100,11 +117,14 @@ func (a *Aggregator) Translate(w *binenc.Writer, envelope json.RawMessage) error
 	if err := json.Unmarshal(envelope, &e); err != nil {
 		return fmt.Errorf("cmstask: bad envelope: %w", err)
 	}
-	var bits []byte
+	var bits *bitvec.Vector
 	if a.mechanism == MechanismCMS {
-		var err error
-		if bits, err = base64.StdEncoding.DecodeString(e.Bits); err != nil {
+		raw, err := base64.StdEncoding.DecodeString(e.Bits)
+		if err != nil {
 			return fmt.Errorf("cmstask: bad bits encoding: %w", err)
+		}
+		if bits, err = packBits(raw); err != nil {
+			return err
 		}
 	}
 	return writeEnvelope(w, a.mechanism, e, bits)
@@ -152,7 +172,9 @@ func (a *Aggregator) PrepareBinary(payload []byte) (any, error) {
 }
 
 // ReportBinary privatizes one item into a binary wire envelope, the
-// counterpart of Report for binary-negotiated collections.
+// counterpart of Report for binary-negotiated collections. A CMS row
+// goes out as the words the client drew, with no byte per coordinate
+// in between.
 func (c *Client) ReportBinary(item []byte) ([]byte, error) {
 	w := binenc.NewWriter()
 	defer w.Release()

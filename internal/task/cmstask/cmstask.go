@@ -318,7 +318,7 @@ func (c *Client) Report(item []byte) (json.RawMessage, error) {
 	var e Envelope
 	if c.cms != nil {
 		r := c.cms.Report(item)
-		e = Envelope{Mechanism: MechanismCMS, Row: r.Row, Bits: base64.StdEncoding.EncodeToString(r.Bits)}
+		e = Envelope{Mechanism: MechanismCMS, Row: r.Row, Bits: base64.StdEncoding.EncodeToString(unpackBits(r.Bits))}
 	} else {
 		r := c.hcms.Report(item)
 		e = Envelope{Mechanism: MechanismHCMS, Row: r.Row, Index: r.Index, Sign: r.Sign}

@@ -23,9 +23,9 @@ import (
 // implementation's expression, cell by cell.
 func refFoldCMS(rows [][]float64, r cms.Report, cEps float64) {
 	k := float64(len(rows))
-	for i, b := range r.Bits {
+	for i := 0; i < r.Bits.Len(); i++ {
 		v := -1.0
-		if b == 1 {
+		if r.Bits.Get(i) {
 			v = 1
 		}
 		rows[r.Row][i] += k * (cEps/2*v + 0.5)
@@ -39,13 +39,7 @@ func kernelConfig(width, hashes int) task.Config {
 // encodeCMSBinary lays r out as Client.ReportBinary does.
 func encodeCMSBinary(t testing.TB, r cms.Report) []byte {
 	t.Helper()
-	v := bitvec.New(len(r.Bits))
-	for i, b := range r.Bits {
-		if b == 1 {
-			v.Set(i)
-		}
-	}
-	packed, err := v.MarshalBinary()
+	packed, err := r.Bits.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +109,9 @@ func TestKernelCMSFold(t *testing.T) {
 				func(i int) bool { return i == width-1 },
 				func(i int) bool { return i != width-1 },
 			} {
-				bits := make([]byte, width)
-				for i := range bits {
-					if plus(i) {
-						bits[i] = 1
-					}
+				bits := bitvec.New(width)
+				for i := 0; i < width; i++ {
+					bits.SetTo(i, plus(i))
 				}
 				reports = append(reports, cms.Report{Row: row, Bits: bits})
 			}
@@ -127,7 +119,7 @@ func TestKernelCMSFold(t *testing.T) {
 
 		for _, r := range reports {
 			refFoldCMS(ref, r, viaJSON.cEps)
-			raw, err := json.Marshal(Envelope{Mechanism: MechanismCMS, Row: r.Row, Bits: base64.StdEncoding.EncodeToString(r.Bits)})
+			raw, err := json.Marshal(Envelope{Mechanism: MechanismCMS, Row: r.Row, Bits: base64.StdEncoding.EncodeToString(unpackBits(r.Bits))})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,6 +219,29 @@ func BenchmarkCMSFold(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(width), "ns/cell")
+		})
+	}
+}
+
+// BenchmarkReportBinary measures one CMS client report on the binary
+// wire at ldpload's sketch configuration (ε = 2, m = 1024, k = 128),
+// from a seeded source and from crypto/rand (ldpclient's).
+func BenchmarkReportBinary(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		src  ldprand.Source
+	}{{"seeded", ldprand.NewSplitMix64(1)}, {"crypto", ldprand.NewCrypto()}} {
+		b.Run(c.name, func(b *testing.B) {
+			client, err := NewClient(kernelConfig(1024, 128), c.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := client.ReportBinary([]byte("word-1")); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -32,8 +32,12 @@ func (p MeanParams) Validate() error {
 
 // OneBit reports a single bit per user such that the population mean is
 // recoverable: the bit is 1 with probability
-// 1/(e^ε+1) + (x/Max)·(e^ε−1)/(e^ε+1).
+// 1/(e^ε+1) + (x/Max)·(e^ε−1)/(e^ε+1). A NaN x panics: it has no place
+// in [0, Max], and the coin it would give has no defined probability.
 func OneBit(p MeanParams, x float64, src ldprand.Source) int {
+	if math.IsNaN(x) {
+		panic("telemetry: OneBit of NaN")
+	}
 	if src == nil {
 		src = ldprand.NewCrypto()
 	}

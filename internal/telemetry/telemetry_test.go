@@ -180,3 +180,15 @@ func TestMeanVarianceShrinks(t *testing.T) {
 		t.Error("n=0 variance should be infinite")
 	}
 }
+
+// TestOneBitRefusesNaN: clamp lets NaN through, and the coin it gives
+// has no defined probability, so OneBit must refuse it rather than
+// report the bit of one fixed input.
+func TestOneBitRefusesNaN(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OneBit(NaN) reported a bit")
+		}
+	}()
+	OneBit(MeanParams{Epsilon: 1, Max: 10}, math.NaN(), ldprand.NewSplitMix64(1))
+}
