@@ -88,7 +88,7 @@ func main() {
 	var (
 		server     = flag.String("server", "http://localhost:8080", "ldpd base URL, or a comma-separated list of relay URLs to round-robin batches across")
 		collection = flag.String("collection", "", "target collection (empty = the server's default collection via the flat routes)")
-		taskName   = flag.String("task", task.TypeFreq, "task family: freq, mean, sketch")
+		taskName   = flag.String("task", task.TypeFreq, "task family: freq, mean, sketch, hh")
 		mechanism  = flag.String("mechanism", "", "mechanism within the task family (default: OLH / duchi / CMS per task)")
 		epsilon    = flag.Float64("epsilon", 1.0, "privacy budget per report")
 		domain     = flag.Int("domain", 128, "freq: input domain size")

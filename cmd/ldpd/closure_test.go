@@ -112,37 +112,29 @@ func TestStateHasOneDecoder(t *testing.T) {
 	}
 }
 
-// TestJournalHasOneJSONReader pins, structurally, that the journal has
-// one frame encoder and it is not JSON: internal/core/journal.go calls
-// json.Marshal nowhere, and json.Unmarshal in exactly one function —
-// the read-only reader of the JSON payloads older builds wrote. A
-// second JSON reader, or a writer, cannot be added there unnoticed.
-func TestJournalHasOneJSONReader(t *testing.T) {
-	file, err := parser.ParseFile(token.NewFileSet(), "../../internal/core/journal.go", nil, 0)
+// TestJournalCallsNoJSON pins, structurally, that the journal neither
+// writes nor reads JSON: internal/core/journal.go calls no function of
+// encoding/json. Frames are binenc records, and the JSON payloads older
+// builds wrote are refused by their first byte, never decoded. A JSON
+// frame reader or writer cannot be added there unnoticed.
+func TestJournalCallsNoJSON(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "../../internal/core/journal.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := make(map[string][]string) // json function → the functions calling it
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			continue
-		}
-		ast.Inspect(fn, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "json" {
-					calls[sel.Sel.Name] = append(calls[sel.Sel.Name], fn.Name.Name)
-				}
-			}
 			return true
-		})
-	}
-	if got := calls["Marshal"]; len(got) != 0 {
-		t.Errorf("journal.go calls json.Marshal in %v; frames are binenc records", got)
-	}
-	if got := calls["Unmarshal"]; len(got) != 1 || got[0] != "legacyJSONRecord" {
-		t.Errorf("journal.go calls json.Unmarshal in %v, want legacyJSONRecord alone", got)
-	}
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "json" {
+				t.Errorf("%s: journal.go calls json.%s; frames are binenc records", fset.Position(call.Pos()), sel.Sel.Name)
+			}
+		}
+		return true
+	})
 }
 
 // TestReportsHaveOneDecoder pins, structurally, that a report has one
@@ -150,8 +142,10 @@ func TestJournalHasOneJSONReader(t *testing.T) {
 // and validated by PrepareBinary alone. No method under internal/task
 // takes a json.RawMessage and returns a prepared value (an any) — a
 // second, JSON decoder beside PrepareBinary cannot be added there
-// unnoticed — and frame in internal/core/journal.go never names
-// kindBatchJSON: the 0x01 batch is read, never written.
+// unnoticed. Frame in internal/core/journal.go never names
+// kindBatchJSON: the 0x01 batch is refused, never written. And replay
+// never translates: in internal/core, translate is called by the live
+// JSON edge alone (Collection.IngestBatch, ShardedAggregator.AddBatch).
 func TestReportsHaveOneDecoder(t *testing.T) {
 	isJSONRaw := func(e ast.Expr) bool {
 		sel, ok := e.(*ast.SelectorExpr)
@@ -219,6 +213,39 @@ func TestReportsHaveOneDecoder(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("journal.go declares no func frame")
+	}
+
+	core, err := filepath.Glob("../../internal/core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	for _, name := range core {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "translate" {
+						callers = append(callers, fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(callers)
+	if got := strings.Join(callers, " "); got != "AddBatch IngestBatch" {
+		t.Errorf("internal/core calls translate in [%s], want [AddBatch IngestBatch]: replay folds the binary payloads it journaled, never translating", got)
 	}
 }
 

@@ -423,7 +423,7 @@ func TestRestartReplaysSetAsideRefusedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, good := parseFrames(tail)
-	if good != len(tail) || len(recs) != 2 || recs[0].Kind != recordFlush || recs[0].ID != "cut-1" || recs[1].Kind != recordBatch || recs[1].ID != batchID(1) {
+	if good != len(tail) || len(recs) != 2 || recs[0].Kind != kindFlush || recs[0].ID != "cut-1" || recs[1].Kind != kindBatch || recs[1].ID != batchID(1) {
 		t.Fatalf("set-aside file holds %d sound bytes of %d, records %+v; want the flush and batch 1", good, len(tail), recs)
 	}
 	head, err := os.ReadFile(seg)
@@ -771,15 +771,16 @@ func TestHealthzDegradesAndRecovers(t *testing.T) {
 	checkHealthz(t, ts.URL, http.StatusOK, "ok")
 }
 
-// TestOversizeFrameAckSurvivesRestart: no request body the HTTP caps
-// admit may be journaled as a frame replay refuses. Both bodies below
+// TestOversizeFrameAckSurvivesRestart: every request body the HTTP caps
+// admit is journaled within the frame limit. Both bodies below
 // sit at the 8 MiB batch cap and every envelope in them is rejected,
 // but a batch is journaled before it is folded. When the payload was
 // JSON they inflated inside the frame — the kilobyte binary payloads by
 // base64, the envelope full of '<' sixfold by \u003c escaping — past
 // the limit of the day: the frame was written, acknowledged, and then
 // refused at replay as an insane length, truncating away the
-// acknowledged batch journaled behind it. Frames now hold the bytes
+// acknowledged batch journaled behind it (replay now judges a frame by
+// its checksum alone, and the limit is append-side). Frames hold the bytes
 // received, so the two frames together outgrow the two bodies by no
 // more than their headers (TestFrameSizeBound has the arithmetic for
 // every kind). The last part pins the other half of the fix: a record

@@ -5,35 +5,30 @@ package core
 // merge and a flush on a freq collection; batches, a single report, an
 // advance, a merge, a flush and an adopt on a phased hh collection.
 //
-// testdata/golden_journal was written by the build of commit 42ca3c4,
-// whose frame payload was a JSON object. It is frozen: nothing writes
-// that format any more, and the fixture pins that it is still read —
-// replaying it reaches the state, dedup marks and re-cut deltas that
-// build reached (the replayed.* files beside it).
-//
-// testdata/golden_journal_v2 is the same script as the builds up to
-// commit e14390b wrote it: binary payloads, with JSON reports journaled
-// as received in 0x01 batch frames. It is frozen too: this build reads
-// 0x01 frames, translating their envelopes at replay, and writes none.
-//
-// testdata/golden_journal_v3 is the same script written by this build,
+// testdata/golden_journal_v3 is the script written by this build,
 // where every batch — JSON clients' included — is journaled as binary
 // payloads. It pins the writer: the live ingest path journals exactly
-// those bytes, every record re-frames to the bytes it was read from,
-// and its replay equals the same replayed.* files — one set of
-// expected states for all three formats, so "the format changed, what
-// it means did not" is a byte comparison.
+// those bytes and every record re-frames to the bytes it was read
+// from. It is the one replayed fixture: its replay reaches the state,
+// dedup marks and re-cut deltas in the replayed.* files beside it.
+//
+// testdata/golden_journal (written by the build of commit 42ca3c4,
+// frame payloads as JSON objects) and testdata/golden_journal_v2
+// (builds up to commit e14390b: binary payloads, JSON reports
+// journaled as received in 0x01 batch frames) are frozen on the
+// refusal side: this build reads neither format, and sets their frames
+// aside whole (TestLegacyFramesSetAside).
 //
 // LDP_UPDATE_GOLDEN=1 go test -run TestGoldenJournal ./internal/core/
-// rewrites golden_journal_v3 (and nothing else) from the running
-// build; regenerate it only in a change that means to move the format.
+// rewrites golden_journal_v3's segments and snapshots (never its
+// replayed.* files, nor anything else) from the running build;
+// regenerate it only in a change that means to move the format.
 
 import (
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -43,11 +38,7 @@ import (
 	"repro/internal/task/hhtask"
 )
 
-const (
-	goldenJournalDir   = "testdata/golden_journal"    // JSON payloads, frozen at 42ca3c4
-	goldenJournalV2Dir = "testdata/golden_journal_v2" // binary payloads with 0x01 JSON batches, frozen at e14390b
-	goldenJournalV3Dir = "testdata/golden_journal_v3" // binary payloads, binary batches only, written by this build
-)
+const goldenJournalV3Dir = "testdata/golden_journal_v3" // binary payloads, binary batches only, written by this build
 
 // goldenFreqReports privatizes n values in both wire forms from one
 // seed (the two clients consume identical randomness).
@@ -243,64 +234,16 @@ func sortedKeys(m map[string][]byte) []string {
 	return keys
 }
 
-// goldenFrames parses every journal segment among files, requires them
-// to read whole and every record but a JSON batch (read, never
-// written) to survive re-framing, and returns the record kinds seen
-// (a batch as "batch/<encoding>") and the set of first payload bytes —
-// the byte that tells the formats apart.
-func goldenFrames(t *testing.T, files map[string][]byte) (kinds map[string]bool, firstBytes map[byte]bool) {
-	t.Helper()
-	kinds, firstBytes = make(map[string]bool), make(map[byte]bool)
-	for name, data := range files {
-		if !strings.Contains(name, ".journal.") {
-			continue
-		}
-		for off := 0; off < len(data); {
-			rec, n, err := nextFrame(data[off:])
-			if err != nil {
-				t.Fatalf("%s: frame at byte %d of %d: %v", name, off, len(data), err)
-			}
-			kind := rec.Kind
-			if rec.Kind == recordBatch {
-				kind += "/" + rec.Enc
-			}
-			kinds[kind] = true
-			firstBytes[data[off+8]] = true
-			// Every record re-frames to one that reads back equal, whichever
-			// format it was read from.
-			if kind != recordBatch+"/" {
-				if again, _, err := nextFrame(frameBytes(t, rec)); err != nil || !reflect.DeepEqual(again, rec) {
-					t.Errorf("%s: record at byte %d does not survive re-framing (%v)", name, off, err)
-				}
-			}
-			off += n
-		}
-	}
-	return kinds, firstBytes
-}
-
-// requireKinds fails for every kind in want that a fixture's frames
-// do not hold.
-func requireKinds(t *testing.T, fixture string, kinds map[string]bool, want ...string) {
-	t.Helper()
-	for _, kind := range want {
-		if !kinds[kind] {
-			t.Errorf("%s holds no %q frame", fixture, kind)
-		}
-	}
-}
-
 func TestGoldenJournal(t *testing.T) {
 	live := t.TempDir()
 	goldenScript(t, live)
 	liveFiles := stateDirFiles(t, live)
 
 	if os.Getenv("LDP_UPDATE_GOLDEN") != "" {
-		if err := os.RemoveAll(goldenJournalV3Dir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(goldenJournalV3Dir, 0o755); err != nil {
-			t.Fatal(err)
+		for name := range stateDirFiles(t, goldenJournalV3Dir) {
+			if err := os.Remove(filepath.Join(goldenJournalV3Dir, name)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for name, blob := range liveFiles {
 			if err := os.WriteFile(filepath.Join(goldenJournalV3Dir, name), blob, 0o644); err != nil {
@@ -312,11 +255,13 @@ func TestGoldenJournal(t *testing.T) {
 	}
 
 	// The live path journals (and checkpoints) exactly the v3 fixture's
-	// bytes, and its records re-frame to the bytes they were read from.
+	// bytes, its segments read whole, and its records re-frame to the
+	// bytes they were read from.
 	v3 := stateDirFiles(t, goldenJournalV3Dir)
 	if got, want := sortedKeys(liveFiles), sortedKeys(v3); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("state dir holds %v, fixture %v", got, want)
 	}
+	kinds := make(map[byte]bool)
 	for name, want := range v3 {
 		if !bytes.Equal(liveFiles[name], want) {
 			t.Errorf("%s: live path wrote\n%q\nfixture\n%q", name, liveFiles[name], want)
@@ -324,47 +269,29 @@ func TestGoldenJournal(t *testing.T) {
 		if !strings.Contains(name, ".journal.") {
 			continue
 		}
-		recs, _ := parseFrames(want)
+		recs, good := parseFrames(want)
+		if good != len(want) {
+			t.Errorf("%s: frame at byte %d of %d does not read", name, good, len(want))
+		}
 		var again []byte
 		for _, rec := range recs {
+			kinds[rec.Kind] = true
 			again = append(again, frameBytes(t, rec)...)
 		}
 		if !bytes.Equal(again, want) {
 			t.Errorf("%s: records re-encode to\n%q\nfixture\n%q", name, again, want)
 		}
 	}
-	allKinds := []string{recordAdvance, recordMerge, recordFlush, recordAdopt}
-	kinds, first := goldenFrames(t, v3)
-	requireKinds(t, goldenJournalV3Dir, kinds, append(allKinds, "batch/"+EncBinary)...)
-	if first['{'] || first[kindBatchJSON] {
-		t.Errorf("%s holds payloads beginning %v: a JSON payload or a 0x01 batch", goldenJournalV3Dir, first)
-	}
-
-	// The frozen fixtures: v2's JSON reports sit in 0x01 batches, the
-	// first fixture's payloads are all JSON. Both lie over the same
-	// checkpoints.
-	v2 := stateDirFiles(t, goldenJournalV2Dir)
-	kinds, first = goldenFrames(t, v2)
-	requireKinds(t, goldenJournalV2Dir, kinds, append(allKinds, "batch/", "batch/"+EncBinary)...)
-	if first['{'] {
-		t.Errorf("%s holds a frame whose payload begins with '{': the legacy reader would claim it", goldenJournalV2Dir)
-	}
-	legacy := stateDirFiles(t, goldenJournalDir)
-	if _, first := goldenFrames(t, legacy); len(first) != 1 || !first['{'] {
-		t.Errorf("%s holds payloads beginning %v, want only '{'", goldenJournalDir, first)
-	}
-	for _, fixture := range []map[string][]byte{legacy, v2} {
-		for name, blob := range fixture {
-			if !strings.Contains(name, ".journal.") && !bytes.Equal(blob, v3[name]) {
-				t.Errorf("%s differs between the fixtures", name)
-			}
+	for _, kind := range []byte{kindBatch, kindAdvance, kindMerge, kindFlush, kindAdopt} {
+		if !kinds[kind] {
+			t.Errorf("%s holds no frame of kind 0x%02x", goldenJournalV3Dir, kind)
 		}
 	}
 
-	// Replaying any fixture reaches the one committed set of states,
-	// dedup marks and re-cut deltas.
+	// Replaying it reaches the committed states, dedup marks and re-cut
+	// deltas.
 	want := make(map[string][]byte)
-	entries, err := os.ReadDir(goldenJournalDir)
+	entries, err := os.ReadDir(goldenJournalV3Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,31 +299,147 @@ func TestGoldenJournal(t *testing.T) {
 		if !strings.HasPrefix(e.Name(), "replayed.") {
 			continue
 		}
-		if want[e.Name()], err = os.ReadFile(filepath.Join(goldenJournalDir, e.Name())); err != nil {
+		if want[e.Name()], err = os.ReadFile(filepath.Join(goldenJournalV3Dir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(want) != 6 {
 		t.Fatalf("fixture holds replay outputs %v, want 6", sortedKeys(want))
 	}
-	for _, fixture := range []struct {
-		dir   string
-		files map[string][]byte
-	}{{goldenJournalDir, legacy}, {goldenJournalV2Dir, v2}, {goldenJournalV3Dir, v3}} {
-		dir := t.TempDir()
-		for name, blob := range fixture.files {
-			if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		replayed := goldenReplay(t, dir)
-		if len(replayed) != len(want) {
-			t.Errorf("%s: replay produced %v, want %v", fixture.dir, sortedKeys(replayed), sortedKeys(want))
-		}
-		for name, blob := range want {
-			if got, ok := replayed[name]; !ok || !bytes.Equal(got, blob) {
-				t.Errorf("%s: %s: replay produced\n%q\ncommitted\n%q", fixture.dir, name, got, blob)
-			}
+	dir := t.TempDir()
+	for name, blob := range v3 {
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	replayed := goldenReplay(t, dir)
+	if len(replayed) != len(want) {
+		t.Errorf("replay produced %v, want %v", sortedKeys(replayed), sortedKeys(want))
+	}
+	for name, blob := range want {
+		if got, ok := replayed[name]; !ok || !bytes.Equal(got, blob) {
+			t.Errorf("%s: replay produced\n%q\ncommitted\n%q", name, got, blob)
+		}
+	}
+}
+
+// TestLegacyFramesSetAside pins what happens to a journal frame in a
+// format this build does not read. Each row is a state directory whose
+// segments begin with one:
+//   - legacy_merge, by the build of commit 5a353ae: a JSON payload, a
+//     merge frame carrying a JSON delta state;
+//   - golden_journal: JSON payloads of every kind;
+//   - golden_journal_v2: 0x01 batches of JSON envelopes;
+//   - a JSON payload longer than maxFrameBytes — as `<` escaping could
+//     make one — with an advance frame behind it.
+//
+// Such a frame is sound — its checksum holds, so it was acknowledged —
+// and replay refuses it, never rewrites it: every collection serves
+// exactly its snapshot's state, no idempotency key is recorded, the
+// frame and everything behind it move, byte for byte, to a .corrupt
+// file beside the segment, and the log names the format and the build
+// that replays it.
+func TestLegacyFramesSetAside(t *testing.T) {
+	oversized := []byte(`{"kind":"batch","envs":["`)
+	oversized = append(oversized, bytes.Repeat([]byte(`\u003c`), maxFrameBytes/6)...)
+	oversized = append(oversized, `"]}`...)
+	if len(oversized) <= maxFrameBytes {
+		t.Fatalf("oversized payload is %d bytes, within the %d-byte limit", len(oversized), maxFrameBytes)
+	}
+	for _, tc := range []struct {
+		name   string
+		files  map[string][]byte
+		format string
+	}{
+		{"legacy_merge", stateDirFiles(t, "testdata/legacy_merge"), "a JSON frame payload"},
+		{"golden_journal", stateDirFiles(t, "testdata/golden_journal"), "a JSON frame payload"},
+		{"golden_journal_v2", stateDirFiles(t, "testdata/golden_journal_v2"), "a 0x01 batch of JSON report envelopes"},
+		{"oversized JSON payload", map[string][]byte{
+			"mergelegacy.json":           fixtureFile(t, "core/testdata/legacy_merge/mergelegacy.json"),
+			"mergelegacy.journal.000002": append(framePayload(oversized), frameBytes(t, journalRecord{Kind: kindAdvance})...),
+		}, "a JSON frame payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			logged := captureLog(t)
+			dir := t.TempDir()
+			for name, blob := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			store, reg := restart(t, dir)
+			asides := make(map[string][]byte)
+			for name, seg := range tc.files {
+				if !strings.Contains(name, ".journal.") {
+					continue
+				}
+				// The segment's first frame is sound, and refused.
+				if _, n, err := nextFrame(seg); n == 0 || err == nil {
+					t.Fatalf("%s does not begin with a sound frame this build refuses: %d bytes, %v", name, n, err)
+				}
+				collection, _, _ := strings.Cut(name, ".journal.")
+				c, ok := reg.Get(collection)
+				if !ok {
+					t.Fatalf("collection %q not restored; state dir holds %v", collection, dirListing(t, dir))
+				}
+				want := readSnapshotFile(t, filepath.Join(dir, collection+snapshotExt)).State
+				if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, want) || c.Aggregator().Collected() != 0 {
+					t.Fatalf("%s: served state is not the snapshot's: %d reports (%v)", collection, c.Aggregator().Collected(), err)
+				}
+				if marks := c.dedup.marks(); len(marks) != 0 {
+					t.Fatalf("%s: refused frame left dedup marks %+v", collection, marks)
+				}
+				aside := name + ".tail-0" + corruptExt
+				if got, err := os.ReadFile(filepath.Join(dir, aside)); err != nil || !bytes.Equal(got, seg) {
+					t.Fatalf("%s: refused frames not preserved (%v); state dir holds %v", name, err, dirListing(t, dir))
+				}
+				if cut, err := os.ReadFile(filepath.Join(dir, name)); err != nil || len(cut) != 0 {
+					t.Fatalf("%s still holds %d bytes after the refusal (%v)", name, len(cut), err)
+				}
+				for _, hint := range []string{name + " at offset 0: sound frame with a payload this build cannot read: " + tc.format, "commit " + frameUpgradeBuild, aside} {
+					if !strings.Contains(logged.String(), hint) {
+						t.Errorf("log does not mention %q:\n%s", hint, logged)
+					}
+				}
+				asides[aside] = seg
+			}
+			if len(asides) == 0 {
+				t.Fatal("fixture holds no journal segment")
+			}
+			// The collections keep serving, and neither a checkpoint nor a
+			// restart touches the preserved frames.
+			if err := store.SaveAll(reg); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range reg.Collections() {
+				c.CloseJournal()
+			}
+			_, reg = restart(t, dir)
+			for _, c := range reg.Collections() {
+				if c.Aggregator().Collected() != 0 {
+					t.Errorf("restart served %d reports in %s", c.Aggregator().Collected(), c.Name())
+				}
+				c.CloseJournal()
+			}
+			for aside, seg := range asides {
+				if got, err := os.ReadFile(filepath.Join(dir, aside)); err != nil || !bytes.Equal(got, seg) {
+					t.Errorf("%s did not survive a checkpoint and a restart (%v)", aside, err)
+				}
+			}
+		})
+	}
+}
+
+// restart opens a store over dir and loads it into a fresh registry.
+func restart(t *testing.T, dir string) (*Store, *CollectionRegistry) {
+	t.Helper()
+	store, err := newStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewCollectionRegistry()
+	if _, err := store.Load(reg); err != nil {
+		t.Fatal(err)
+	}
+	return store, reg
 }

@@ -18,8 +18,8 @@
 // kind's fields as zig-zag varints and length-prefixed blobs:
 //
 //	kind  record          fields after the key
-//	0x01  batch, JSON     uvarint n, n blobs: JSON report envelopes (read, never written)
-//	0x02  batch, binary   uvarint n, n blobs: the binary report payloads
+//	0x01  —               refused: JSON report envelopes, written by builds up to e14390b
+//	0x02  batch           uvarint n, n blobs: the binary report payloads
 //	0x03  advance         varint round
 //	0x04  merge           varint reports, blob: the delta's binary task state
 //	0x05  flush           varint reports, varint round
@@ -27,11 +27,9 @@
 //
 // A JSON report is journaled as the binary payload its task translated
 // it to (empty if it did not translate), so nothing is escaped or
-// base64'd. Builds up to commit 71ad1eb wrote the payload as a JSON
-// object, and builds up to e14390b wrote JSON reports in 0x01 batches;
-// both are read, never written, and replay translates their envelopes.
-// No kind byte is '{': the first payload byte tells a JSON payload
-// apart (see legacyJSONRecord).
+// base64'd, and replay never translates. A payload that begins with
+// '{' — the JSON object builds up to commit 71ad1eb wrote — is refused
+// like a 0x01 batch: no kind byte is '{'.
 //
 // A torn final frame — the expected debris of a crash mid-append — fails
 // its length or checksum and is truncated away at replay; it was never
@@ -85,8 +83,9 @@ const (
 // for storage framing (iSCSI, ext4, leveldb).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Record kinds. Batches carry report envelopes (and the dedup ID that
-// acknowledged them); advances record a phased collection's round
+// Record kinds, each the first byte of its frame payload (layout in
+// the file header). Batches carry report payloads (and the dedup ID
+// that acknowledged them); advances record a phased collection's round
 // boundary so replay closes rounds at exactly the positions the live
 // process did. The relay tier adds three kinds: merges carry a folded
 // delta's state (so an acknowledged /merge is recoverable exactly like
@@ -94,67 +93,49 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // accumulated state into an outbound delta (replay re-cuts and re-emits
 // the same delta under the same idempotency key), and adopts record a
 // relay re-aligning with an upstream-published frontier.
-const (
-	recordBatch   = "batch"
-	recordAdvance = "advance"
-	recordMerge   = "merge"
-	recordFlush   = "flush"
-	recordAdopt   = "adopt"
-)
-
-// Kind bytes, the first byte of a frame payload (layout in the file
-// header). kindBatchJSON is read, never written. None may ever be '{':
-// that byte is how a JSON payload is recognised.
+// kindBatchJSON is refused, never written. None may ever be '{'.
 const (
 	kindBatchJSON byte = 1 + iota
-	kindBatchBinary
+	kindBatch
 	kindAdvance
 	kindMerge
 	kindFlush
 	kindAdopt
 )
 
-// EncBinary tags binary-encoded payloads wherever an encoding is
-// recorded. In a batch record the zero value means JSON report
-// envelopes. For task state — checkpoint headers, delta headers, merge
-// records — it is a constant, and anything else is refused.
+// EncBinary tags binary-encoded task state wherever an encoding is
+// recorded — checkpoint headers and delta headers. It is a constant,
+// and anything else is refused.
 const EncBinary = "bin"
 
 // journalRecord is one frame's content: what ingest hands the journal
 // and what replay gets back. A record read from a segment aliases the
-// segment's bytes (Envs, Bins, State, Frontier are slices of the buffer
-// it was parsed from), as one built by the HTTP layer aliases the
-// request body; nothing downstream of the fold retains them. The JSON
-// tags are the field names of the JSON payload and serve
-// legacyJSONRecord alone.
+// segment's bytes (Bins, State, Frontier are slices of the buffer it
+// was parsed from), as one built by the HTTP layer aliases the request
+// body; nothing downstream of the fold retains them.
 type journalRecord struct {
-	Kind     string            `json:"kind"`
-	ID       string            `json:"id,omitempty"`       // batch/merge: idempotency key; flush: the cut delta's key
-	Envs     []json.RawMessage `json:"envs,omitempty"`     // batch, read only: JSON report envelopes as received
-	Enc      string            `json:"enc,omitempty"`      // batch: EncBinary when Bins carries the reports; merge: always EncBinary
-	Bins     [][]byte          `json:"bins,omitempty"`     // batch: binary report payloads as received
-	Round    int               `json:"round,omitempty"`    // advance: the round that was closed; flush/adopt: round at the boundary
-	State    []byte            `json:"state,omitempty"`    // merge: the delta's binary task state
-	Reports  int               `json:"reports,omitempty"`  // merge/flush: report count the state carries
-	Frontier json.RawMessage   `json:"frontier,omitempty"` // adopt: the upstream frontier that was adopted
+	Kind     byte
+	ID       string          // batch/merge: idempotency key; flush: the cut delta's key
+	Bins     [][]byte        // batch: binary report payloads as received
+	Round    int             // advance: the round that was closed; flush/adopt: round at the boundary
+	State    []byte          // merge: the delta's binary task state
+	Reports  int             // merge/flush: report count the state carries
+	Frontier json.RawMessage // adopt: the upstream frontier that was adopted
 }
 
-// maxFrameBytes bounds a frame's payload length, at append and at
-// replay alike; anything claiming more is corruption, not data. A
-// frame this build writes is its payloads plus five bytes a report and
-// a small header, and translated JSON frames to at most 13 bytes for
-// every 3 of its body — an hh `{}` becomes a 12-byte payload and its
-// length byte (TestFrameSizeBound). The limit keeps the value the JSON
-// payload needed — json.Marshal spelled each of < > & as a six-byte
-// \u00XX and binary payloads as base64 — for as long as
-// legacyJSONRecord lives.
-const maxFrameBytes = 6*maxBatchBytes + (1 << 20)
+// maxFrameBytes bounds the payload length of a frame this build
+// appends. A frame is its payloads plus five bytes a report, the
+// idempotency key and a small header, and translated JSON frames to at
+// most 13 bytes for every 3 of its body — an hh `{}` becomes a 12-byte
+// payload and its length byte (TestFrameSizeBound). Replay does not
+// read the limit: a checksummed frame is sound whatever its length.
+const maxFrameBytes = 13*maxBatchBytes/3 + maxBatchIDBytes + 48
 
-// errFrameTooLarge refuses a record whose frame replay would refuse.
-// Nothing was written and the journal stays healthy; HTTP maps it to
-// 413. No body within the request caps can reach it (see
-// maxFrameBytes) — it guards embedders that call the ingest functions
-// directly.
+// errFrameTooLarge refuses a record past maxFrameBytes. Nothing was
+// written and the journal stays healthy; HTTP maps it to 413. No body
+// within the request caps can reach it (see maxFrameBytes) — it guards
+// embedders that call the ingest functions directly, and keeps every
+// length well inside the frame header's 32 bits.
 var errFrameTooLarge = errors.New("core: record exceeds the journal's frame limit")
 
 // segStats tracks one segment's outstanding (not yet checkpointed)
@@ -242,27 +223,12 @@ func journalSegments(fsys fsio.FS, dir, name string) ([]segRef, error) {
 // frame encodes one record, header and payload, into a pooled Writer
 // the caller Releases. It is the journal's only encoder.
 func frame(rec journalRecord) (*binenc.Writer, error) {
-	var kind byte
-	switch rec.Kind {
-	case recordBatch:
-		kind = kindBatchBinary
-	case recordAdvance:
-		kind = kindAdvance
-	case recordMerge:
-		kind = kindMerge
-	case recordFlush:
-		kind = kindFlush
-	case recordAdopt:
-		kind = kindAdopt
-	default:
-		return nil, fmt.Errorf("unknown journal record kind %q", rec.Kind)
-	}
 	w := binenc.NewWriter()
 	w.Uint64(0) // length and CRC32C, patched once the payload is behind them
-	w.Byte(kind)
+	w.Byte(rec.Kind)
 	w.String(rec.ID)
-	switch kind {
-	case kindBatchBinary:
+	switch rec.Kind {
+	case kindBatch:
 		w.Uvarint(uint64(len(rec.Bins)))
 		for _, bin := range rec.Bins {
 			w.Blob(bin)
@@ -278,6 +244,9 @@ func frame(rec journalRecord) (*binenc.Writer, error) {
 	case kindAdopt:
 		w.Varint(int64(rec.Round))
 		w.Blob(rec.Frontier)
+	default:
+		w.Release()
+		return nil, fmt.Errorf("unknown journal record kind 0x%02x", rec.Kind)
 	}
 	buf := w.Bytes()
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-8))
@@ -316,8 +285,6 @@ func (j *journal) appendWith(rec journalRecord, forceSync bool) error {
 	defer w.Release()
 	buf := w.Bytes()
 	if n := len(buf) - 8; n > maxFrameBytes {
-		// Acknowledging a frame replay would refuse loses it — and
-		// every acknowledged frame behind it — at the next restart.
 		return fmt.Errorf("%w (%d > %d bytes)", errFrameTooLarge, n, maxFrameBytes)
 	}
 	j.mu.Lock()
@@ -444,22 +411,24 @@ func (j *journal) close() {
 var errTornFrame = errors.New("torn journal frame")
 
 // nextFrame decodes the frame at the start of data. errTornFrame means
-// a short header, a length that is zero, insane or runs past the data,
-// or a checksum mismatch: nothing sound is there. Any other error comes
+// a short header, a length that is zero or runs past the data, or a
+// checksum mismatch: nothing sound is there. Any other error comes
 // with the frame's size: the checksum held, so the frame was written
 // whole and acknowledged, but this build cannot read its payload (a
-// kind it does not know, malformed or trailing fields, JSON it cannot
-// decode) — the caller must preserve it, not cut it.
+// format it refuses, a kind it does not know, malformed or trailing
+// fields) — the caller must preserve it, not cut it. The length is
+// never judged against maxFrameBytes: a longer frame an older build
+// wrote is sound, and is refused by its payload, not cut as torn.
 func nextFrame(data []byte) (journalRecord, int, error) {
 	if len(data) < 8 {
 		return journalRecord{}, 0, errTornFrame // torn inside the header
 	}
 	n := int(binary.LittleEndian.Uint32(data[0:4]))
 	sum := binary.LittleEndian.Uint32(data[4:8])
-	if n == 0 || n > maxFrameBytes || 8+n > len(data) {
-		// Torn or insane length. Zero is never written (every payload
-		// has a kind byte) but checksums clean, and is what a crash
-		// that grew the file ahead of its data leaves behind.
+	if n == 0 || 8+n > len(data) {
+		// Torn length. Zero is never written (every payload has a kind
+		// byte) but checksums clean, and is what a crash that grew the
+		// file ahead of its data leaves behind.
 		return journalRecord{}, 0, errTornFrame
 	}
 	payload := data[8 : 8+n]
@@ -474,84 +443,41 @@ func nextFrame(data []byte) (journalRecord, int, error) {
 }
 
 // decodeRecord parses one checksummed, non-empty frame payload. The
-// record's slices alias payload.
+// record's slices alias payload. The two formats older builds wrote —
+// a JSON object, and a 0x01 batch of JSON envelopes — are refused,
+// naming the build that reads them.
 func decodeRecord(payload []byte) (journalRecord, error) {
 	if payload[0] == '{' {
-		return legacyJSONRecord(payload)
+		return journalRecord{}, errors.New("a JSON frame payload, written by builds up to commit 71ad1eb, " + upgradeHint(frameUpgradeBuild))
 	}
 	r := binenc.NewReader(payload)
-	kind := r.Byte()
-	rec := journalRecord{ID: r.String()}
-	switch kind {
-	case kindBatchJSON:
-		rec.Kind = recordBatch
-		rec.Envs = make([]json.RawMessage, r.Length(1))
-		for i := range rec.Envs {
-			rec.Envs[i] = r.Blob()
-		}
-	case kindBatchBinary:
-		rec.Kind, rec.Enc = recordBatch, EncBinary
+	rec := journalRecord{Kind: r.Byte(), ID: r.String()}
+	switch rec.Kind {
+	case kindBatch:
 		rec.Bins = make([][]byte, r.Length(1))
 		for i := range rec.Bins {
 			rec.Bins[i] = r.Blob()
 		}
 	case kindAdvance:
-		rec.Kind = recordAdvance
 		rec.Round = int(r.Varint())
 	case kindMerge:
-		rec.Kind, rec.Enc = recordMerge, EncBinary
 		rec.Reports = int(r.Varint())
 		rec.State = r.Blob()
 	case kindFlush:
-		rec.Kind = recordFlush
 		rec.Reports = int(r.Varint())
 		rec.Round = int(r.Varint())
 	case kindAdopt:
-		rec.Kind = recordAdopt
 		rec.Round = int(r.Varint())
 		rec.Frontier = r.Blob()
+	case kindBatchJSON:
+		return journalRecord{}, errors.New("a 0x01 batch of JSON report envelopes, written by builds up to commit e14390b, " + upgradeHint(frameUpgradeBuild))
 	default:
-		return journalRecord{}, fmt.Errorf("unknown frame kind 0x%02x", kind)
+		return journalRecord{}, fmt.Errorf("unknown frame kind 0x%02x", rec.Kind)
 	}
 	if err := r.Done(); err != nil {
 		return journalRecord{}, err
 	}
 	return rec, nil
-}
-
-// legacyJSONRecord reads the payload builds up to commit 71ad1eb
-// wrote: the record as a JSON object, envelopes compacted and
-// HTML-escaped, binary payloads and states base64 inside it. Such
-// frames are acknowledged data in whatever state directory an upgrade
-// finds, so they stay readable — and are never written: this function
-// is the only JSON frame code, testdata/golden_journal is its fixture,
-// and it goes (with maxFrameBytes' 6× term) at the next support-window
-// decision. It keeps exactly the fields the record's kind carries, so
-// what it returns is a record frame writes back whole; anything else —
-// a kind or encoding no build wrote, or the JSON delta state of a merge
-// frame older than the binary state codec — is refused.
-func legacyJSONRecord(payload []byte) (journalRecord, error) {
-	var in journalRecord
-	if err := json.Unmarshal(payload, &in); err != nil {
-		return journalRecord{}, fmt.Errorf("JSON frame payload: %w", err)
-	}
-	switch {
-	case in.Kind == recordBatch && in.Enc == "":
-		return journalRecord{Kind: recordBatch, ID: in.ID, Envs: in.Envs}, nil
-	case in.Kind == recordBatch && in.Enc == EncBinary:
-		return journalRecord{Kind: recordBatch, ID: in.ID, Enc: EncBinary, Bins: in.Bins}, nil
-	case in.Kind == recordAdvance:
-		return journalRecord{Kind: recordAdvance, ID: in.ID, Round: in.Round}, nil
-	case in.Kind == recordMerge && in.Enc == EncBinary:
-		return journalRecord{Kind: recordMerge, ID: in.ID, Enc: EncBinary, State: in.State, Reports: in.Reports}, nil
-	case in.Kind == recordMerge && in.Enc == "":
-		return journalRecord{}, errors.New("merge frame carries a JSON delta state, written before the binary state codec, " + upgradeHint)
-	case in.Kind == recordFlush:
-		return journalRecord{Kind: recordFlush, ID: in.ID, Reports: in.Reports, Round: in.Round}, nil
-	case in.Kind == recordAdopt:
-		return journalRecord{Kind: recordAdopt, ID: in.ID, Round: in.Round, Frontier: in.Frontier}, nil
-	}
-	return journalRecord{}, fmt.Errorf("JSON frame payload of kind %q, encoding %q", in.Kind, in.Enc)
 }
 
 // BatchResult is the outcome of one idempotent batch ingest.
@@ -580,7 +506,7 @@ func (c *Collection) IngestBatch(id string, batch []json.RawMessage) (BatchResul
 // IngestBatchBinary runs the write-ahead ingest path (see ingest) for
 // one batch of binary wire payloads. id may be empty (no dedup).
 func (c *Collection) IngestBatchBinary(id string, batch [][]byte) (BatchResult, error) {
-	return c.ingest(journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: batch})
+	return c.ingest(journalRecord{Kind: kindBatch, ID: id, Bins: batch})
 }
 
 // claim takes the idempotency key for one request (a no-op for the
@@ -629,18 +555,11 @@ func (c *Collection) ingest(rec journalRecord) (BatchResult, error) {
 
 // foldBatch folds one batch record's payloads and records the outcome
 // under its idempotency key: what the live path does after its append
-// and what replay does with the frame it read — translating first the
-// JSON envelopes of a frame an older build wrote.
+// and what replay does with the frame it read.
 func (c *Collection) foldBatch(rec journalRecord) BatchResult {
-	bins := rec.Bins
-	if rec.Enc != EncBinary {
-		t := c.agg.translate(rec.Envs)
-		defer t.w.Release()
-		bins = t.bins
-	}
 	var res BatchResult
-	res.Accepted, res.RejectErr = c.agg.AddBatchBinary(bins)
-	res.Rejected = len(bins) - res.Accepted
+	res.Accepted, res.RejectErr = c.agg.AddBatchBinary(rec.Bins)
+	res.Rejected = len(rec.Bins) - res.Accepted
 	if rec.ID != "" {
 		c.dedup.complete(BatchMark{ID: rec.ID, Accepted: res.Accepted, Rejected: res.Rejected})
 	}
@@ -695,7 +614,7 @@ func (c *Collection) journalAdvanceLocked(round int) {
 	if c.journal == nil {
 		return
 	}
-	if err := c.journal.append(journalRecord{Kind: recordAdvance, Round: round}); err != nil {
+	if err := c.journal.append(journalRecord{Kind: kindAdvance, Round: round}); err != nil {
 		log.Printf("core: journaling advance of collection %q past round %d: %v", c.name, round, err)
 	}
 }
@@ -757,7 +676,7 @@ func (c *Collection) mergeClaimed(d Delta) (int, error) {
 		return 0, err
 	}
 	if c.journal != nil {
-		rec := journalRecord{Kind: recordMerge, ID: d.ID, Enc: EncBinary, State: d.State, Reports: delta.Collected()}
+		rec := journalRecord{Kind: kindMerge, ID: d.ID, State: d.State, Reports: delta.Collected()}
 		if err := c.journal.append(rec); err != nil {
 			return 0, err
 		}
@@ -855,7 +774,7 @@ func (c *Collection) cutLocked(id string, journalFrame bool) (*Delta, error) {
 		d.Round, d.Done = p.Round(), p.Done()
 	}
 	if journalFrame && c.journal != nil {
-		if err := c.journal.appendSync(journalRecord{Kind: recordFlush, ID: id, Reports: d.Reports, Round: d.Round}); err != nil {
+		if err := c.journal.appendSync(journalRecord{Kind: kindFlush, ID: id, Reports: d.Reports, Round: d.Round}); err != nil {
 			return nil, err
 		}
 	}
@@ -876,7 +795,7 @@ func (c *Collection) adoptLocked(frontier json.RawMessage) error {
 		return err
 	}
 	if c.journal != nil {
-		if err := c.journal.appendSync(journalRecord{Kind: recordAdopt, Frontier: frontier, Round: c.agg.Round()}); err != nil {
+		if err := c.journal.appendSync(journalRecord{Kind: kindAdopt, Frontier: frontier, Round: c.agg.Round()}); err != nil {
 			log.Printf("core: journaling frontier adoption of collection %q at round %d: %v", c.name, c.agg.Round(), err)
 		}
 	}

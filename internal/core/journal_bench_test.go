@@ -71,7 +71,7 @@ func benchRecord(tb testing.TB, cfg CollectionConfig, n int, bin bool) journalRe
 			return json.Marshal(env)
 		}
 	}
-	rec := journalRecord{Kind: recordBatch, ID: "bench-batch-0001", Enc: EncBinary}
+	rec := journalRecord{Kind: kindBatch, ID: "bench-batch-0001"}
 	var envs []json.RawMessage
 	for i := 0; i < n; i++ {
 		payload, err := report(i)

@@ -5,7 +5,9 @@ package core
 // leaves in a segment file, and replay must never refuse startup — so
 // the parser must never panic, must report a sound-prefix length it can
 // stand behind, must not let a length prefix size an allocation, and
-// every record it does accept must survive re-framing.
+// every record it does accept must survive re-framing. The formats
+// older builds wrote — JSON payloads and 0x01 batches — are seeds of
+// the refused kind: sound frames, never accepted.
 
 import (
 	"bytes"
@@ -15,18 +17,12 @@ import (
 )
 
 // sameRecord compares two records field by field, an empty slice equal
-// to a nil one: a JSON payload can say "bins":[null] where a binary one
-// holds a zero-length blob.
+// to a nil one: a record built in memory may hold nil where one read
+// back holds a zero-length blob.
 func sameRecord(a, b journalRecord) bool {
-	if a.Kind != b.Kind || a.ID != b.ID || a.Enc != b.Enc || a.Round != b.Round || a.Reports != b.Reports ||
-		!bytes.Equal(a.State, b.State) || !bytes.Equal(a.Frontier, b.Frontier) ||
-		len(a.Envs) != len(b.Envs) || len(a.Bins) != len(b.Bins) {
+	if a.Kind != b.Kind || a.ID != b.ID || a.Round != b.Round || a.Reports != b.Reports ||
+		!bytes.Equal(a.State, b.State) || !bytes.Equal(a.Frontier, b.Frontier) || len(a.Bins) != len(b.Bins) {
 		return false
-	}
-	for i := range a.Envs {
-		if !bytes.Equal(a.Envs[i], b.Envs[i]) {
-			return false
-		}
 	}
 	for i := range a.Bins {
 		if !bytes.Equal(a.Bins[i], b.Bins[i]) {
@@ -44,9 +40,9 @@ func FuzzJournalFrames(f *testing.F) {
 		}
 		return buf
 	}
-	// A 0x01 batch, as builds before the edge translation wrote it.
+	// A 0x01 batch, as builds before the edge translation wrote it: refused.
 	batch := jsonBatchFrame("batch-1", json.RawMessage(`{"task":"hh","payload":"AQID"}`))
-	adv := journalRecord{Kind: recordAdvance, Round: 3}
+	adv := journalRecord{Kind: kindAdvance, Round: 3}
 	whole := append(bytes.Clone(batch), mk(adv)...)
 	f.Add([]byte{})
 	f.Add(mk(adv))
@@ -58,14 +54,14 @@ func FuzzJournalFrames(f *testing.F) {
 	f.Add(corrupt)
 	// The other binary kinds, and a frame from a build that knows more.
 	f.Add(mk(
-		journalRecord{Kind: recordBatch, ID: "bin-1", Enc: EncBinary, Bins: [][]byte{{1, 2, 3}, {}, {0xff}}},
-		journalRecord{Kind: recordMerge, ID: "m-1", Enc: EncBinary, State: []byte{0, 1, 2, 3}, Reports: 40},
-		journalRecord{Kind: recordFlush, ID: "f-1", Reports: 40, Round: 2},
-		journalRecord{Kind: recordAdopt, Round: 2, Frontier: json.RawMessage(`{"round":2}`)},
+		journalRecord{Kind: kindBatch, ID: "bin-1", Bins: [][]byte{{1, 2, 3}, {}, {0xff}}},
+		journalRecord{Kind: kindMerge, ID: "m-1", State: []byte{0, 1, 2, 3}, Reports: 40},
+		journalRecord{Kind: kindFlush, ID: "f-1", Reports: 40, Round: 2},
+		journalRecord{Kind: kindAdopt, Round: 2, Frontier: json.RawMessage(`{"round":2}`)},
 	))
 	f.Add(append(framePayload([]byte{0xEE, 0, 1, 2}), whole...))
-	f.Add(framePayload([]byte{kindBatchBinary, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})) // a count no payload could hold
-	// JSON payloads as builds up to 71ad1eb wrote them, one per kind.
+	f.Add(framePayload([]byte{kindBatch, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})) // a count no payload could hold
+	// JSON payloads as builds up to 71ad1eb wrote them, one per kind: refused.
 	for _, payload := range []string{
 		`{"kind":"batch","id":"j-1","envs":[{"mechanism":"<GRR&>","value":1},null]}`,
 		`{"kind":"batch","enc":"bin","bins":["AQID",null,""]}`,
@@ -95,9 +91,9 @@ func FuzzJournalFrames(f *testing.F) {
 		}
 		runtime.ReadMemStats(&after)
 		// A record is slices into data plus one slice header per report,
-		// and a report takes at least a byte; a JSON payload decodes to
-		// copies no larger than itself. Anything beyond a small multiple
-		// of the input was sized by a length prefix, not by bytes present.
+		// and a report takes at least a byte. Anything beyond a small
+		// multiple of the input was sized by a length prefix, not by
+		// bytes present.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(data))+1<<16 {
 			t.Fatalf("parsing %d bytes allocated %d", len(data), grew)
 		}
@@ -116,14 +112,9 @@ func FuzzJournalFrames(f *testing.F) {
 			}
 		}
 		for i, rec := range recs {
-			// Every accepted record — read from a binary payload or a
-			// JSON one — re-frames as binary, reads back equal, and that
-			// frame is already canonical. A batch of JSON envelopes is
-			// the exception: it is read, never written (replay translates
-			// it).
-			if rec.Kind == recordBatch && rec.Enc != EncBinary {
-				continue
-			}
+			// Every accepted record re-frames, reads back equal, and that
+			// frame is already canonical — so nothing this build reads is
+			// a format it does not write.
 			b := frameBytes(t, rec)
 			if b[8] == '{' {
 				t.Fatalf("record %d: re-framed payload begins with '{'", i)

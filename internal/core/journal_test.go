@@ -41,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := journalRecord{Kind: recordBatch, ID: "b-1", Enc: EncBinary, Bins: [][]byte{bin}}
+	rec := journalRecord{Kind: kindBatch, ID: "b-1", Bins: [][]byte{bin}}
 	buf := frameBytes(t, rec)
 	got, n, err := nextFrame(buf)
 	if err != nil {
@@ -58,20 +58,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	if at := bytes.Index(buf, rec.Bins[0]); at < 0 || &got.Bins[0][0] != &buf[at] {
 		t.Fatalf("payload %q is not stored verbatim and aliased (found at %d)", rec.Bins[0], at)
 	}
-
-	// A JSON batch an older build wrote as a 0x01 frame reads back as
-	// its envelopes, aliased likewise.
-	envs := rawEnvs(t, []freqtask.Envelope{{Mechanism: MechanismGRR, Value: 3}})
-	buf = jsonBatchFrame("b-1", envs...)
-	if got, n, err = nextFrame(buf); err != nil || n != len(buf) {
-		t.Fatalf("nextFrame on a 0x01 frame = (%d of %d bytes, %v)", n, len(buf), err)
-	}
-	if want := (journalRecord{Kind: recordBatch, ID: "b-1", Envs: envs}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded record = %+v, want %+v", got, want)
-	}
-	if at := bytes.Index(buf, envs[0]); at < 0 || &got.Envs[0][0] != &buf[at] {
-		t.Fatalf("envelope %q is not stored verbatim and aliased (found at %d)", envs[0], at)
-	}
 }
 
 // TestNextFrameRejectsCorruption pins the two ways a frame is not a
@@ -81,11 +67,12 @@ func TestFrameRoundTrip(t *testing.T) {
 // whole, but the payload is nothing this build decodes — reports the
 // frame's size and another error: replay sets it aside first.
 func TestNextFrameRejectsCorruption(t *testing.T) {
-	sound := frameBytes(t, journalRecord{Kind: recordAdvance, Round: 2})
+	sound := frameBytes(t, journalRecord{Kind: kindAdvance, Round: 2})
 	flipped := bytes.Clone(sound)
 	flipped[8] ^= 0x40 // a bit of the payload rots
 	badLen := bytes.Clone(sound)
 	binary.LittleEndian.PutUint32(badLen[0:4], uint32(maxFrameBytes+1))
+	jsonBatch := jsonBatchFrame("b-1", rawEnvs(t, []freqtask.Envelope{{Mechanism: MechanismGRR, Value: 3}})...)
 
 	for _, tc := range []struct {
 		name string
@@ -95,7 +82,7 @@ func TestNextFrameRejectsCorruption(t *testing.T) {
 		{"torn header", sound[:5]},
 		{"torn payload", sound[:len(sound)-1]},
 		{"flipped payload byte", flipped},
-		{"insane length", badLen},
+		{"length past the data", badLen},
 		{"zero length (a file grown ahead of its data)", make([]byte, 64)},
 	} {
 		if _, n, err := nextFrame(tc.data); !errors.Is(err, errTornFrame) || n != 0 {
@@ -114,11 +101,10 @@ func TestNextFrameRejectsCorruption(t *testing.T) {
 		{"truncated fields", payload[:len(payload)-1]},
 		{"trailing byte", append(bytes.Clone(payload), 0)},
 		{"key longer than the payload", []byte{kindAdvance, 0x7f, 'x'}},
-		{"report count larger than the payload", []byte{kindBatchBinary, 0, 0xff, 0xff, 0xff, 0x0f, 0}},
+		{"report count larger than the payload", []byte{kindBatch, 0, 0xff, 0xff, 0xff, 0x0f, 0}},
+		{"0x01 batch of JSON envelopes", jsonBatch[8:]},
+		{"JSON payload", []byte(`{"kind":"advance","round":3}`)},
 		{"JSON, malformed", []byte(`{"kind":"advance",`)},
-		{"JSON, wrong field type", []byte(`{"kind":"advance","round":"two"}`)},
-		{"JSON, unknown kind", []byte(`{"kind":"compact"}`)},
-		{"JSON, unknown batch encoding", []byte(`{"kind":"batch","enc":"cbor"}`)},
 		{"JSON, merge with a JSON state", []byte(`{"kind":"merge","state":"e30="}`)},
 	} {
 		data := append(framePayload(tc.payload), sound...)
@@ -132,10 +118,10 @@ func TestNextFrameRejectsCorruption(t *testing.T) {
 func TestParseFramesStopsAtFirstBadFrame(t *testing.T) {
 	var data []byte
 	for round := 0; round < 3; round++ {
-		data = append(data, frameBytes(t, journalRecord{Kind: recordAdvance, Round: round})...)
+		data = append(data, frameBytes(t, journalRecord{Kind: kindAdvance, Round: round})...)
 	}
 	goodEnd := len(data)
-	torn := frameBytes(t, journalRecord{Kind: recordBatch, ID: "tail"})
+	torn := frameBytes(t, journalRecord{Kind: kindBatch, ID: "tail"})
 	data = append(data, torn[:len(torn)/2]...) // crash mid-append
 
 	recs, goodLen := parseFrames(data)
@@ -157,7 +143,7 @@ func TestParseFramesStopsAtFirstBadFrame(t *testing.T) {
 // record carries, its frame is those bytes plus at most five per blob,
 // the idempotency key, and 48 for everything else (the 8-byte header,
 // the kind byte, three length or count prefixes, two varint fields).
-// So a body inside maxBatchBytes cannot come near maxFrameBytes.
+// So no body inside maxBatchBytes frames past maxFrameBytes.
 func TestFrameSizeBound(t *testing.T) {
 	id := strings.Repeat("k", maxBatchIDBytes)
 	blobs := func(sizes ...int) [][]byte {
@@ -172,15 +158,15 @@ func TestFrameSizeBound(t *testing.T) {
 		many[i] = 1024
 	}
 	for name, rec := range map[string]journalRecord{
-		"batch, empty":                 {Kind: recordBatch, Enc: EncBinary},
-		"batch, mixed sizes":           {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(0, 1, 127, 128, 16383, 16384, 1<<21)},
-		"batch, one 8 MiB of '<'":      {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(maxBatchBytes)},
-		"batch binary, empty payloads": {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(make([]int, 1000)...)},
-		"batch binary, 7500 x 1 KiB":   {Kind: recordBatch, ID: id, Enc: EncBinary, Bins: blobs(many...)},
-		"advance":                      {Kind: recordAdvance, Round: math.MaxInt},
-		"merge":                        {Kind: recordMerge, ID: id, Enc: EncBinary, State: blobs(maxBatchBytes)[0], Reports: math.MaxInt},
-		"flush":                        {Kind: recordFlush, ID: id, Reports: math.MaxInt, Round: math.MaxInt},
-		"adopt":                        {Kind: recordAdopt, Round: math.MaxInt, Frontier: blobs(1 << 20)[0]},
+		"batch, empty":                 {Kind: kindBatch},
+		"batch, mixed sizes":           {Kind: kindBatch, ID: id, Bins: blobs(0, 1, 127, 128, 16383, 16384, 1<<21)},
+		"batch, one 8 MiB of '<'":      {Kind: kindBatch, ID: id, Bins: blobs(maxBatchBytes)},
+		"batch binary, empty payloads": {Kind: kindBatch, ID: id, Bins: blobs(make([]int, 1000)...)},
+		"batch binary, 7500 x 1 KiB":   {Kind: kindBatch, ID: id, Bins: blobs(many...)},
+		"advance":                      {Kind: kindAdvance, Round: math.MaxInt},
+		"merge":                        {Kind: kindMerge, ID: id, State: blobs(maxBatchBytes)[0], Reports: math.MaxInt},
+		"flush":                        {Kind: kindFlush, ID: id, Reports: math.MaxInt, Round: math.MaxInt},
+		"adopt":                        {Kind: kindAdopt, Round: math.MaxInt, Frontier: blobs(1 << 20)[0]},
 	} {
 		carried, n := len(rec.State)+len(rec.Frontier), len(rec.Bins)
 		for _, bin := range rec.Bins {
@@ -232,7 +218,7 @@ func TestFrameSizeBound(t *testing.T) {
 		if len(tr.bins[0]) == 0 {
 			t.Fatalf("%s: envelope does not translate", tc.name)
 		}
-		w, err := frame(journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: tr.bins})
+		w, err := frame(journalRecord{Kind: kindBatch, ID: id, Bins: tr.bins})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -255,10 +241,10 @@ func TestJournalConcurrentAppend(t *testing.T) {
 	record := func(g, i int) journalRecord {
 		id := fmt.Sprintf("w%d-%03d", g, i)
 		if i%5 == 4 {
-			return journalRecord{Kind: recordFlush, ID: id, Reports: g, Round: i}
+			return journalRecord{Kind: kindFlush, ID: id, Reports: g, Round: i}
 		}
 		// The payload spells the key, at a length that differs per record.
-		return journalRecord{Kind: recordBatch, ID: id, Enc: EncBinary, Bins: [][]byte{bytes.Repeat([]byte(id), 1+(g*each+i)*7%400)}}
+		return journalRecord{Kind: kindBatch, ID: id, Bins: [][]byte{bytes.Repeat([]byte(id), 1+(g*each+i)*7%400)}}
 	}
 	dir := t.TempDir()
 	j := newJournal(fsio.OS, dir, "col", 1, JournalSyncNone)
@@ -336,7 +322,7 @@ func TestJournalSegmentLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	j := newJournal(fsio.OS, dir, "col", 1, JournalSyncEvery)
 	for i := 0; i < 2; i++ {
-		if err := j.append(journalRecord{Kind: recordBatch, ID: fmt.Sprintf("a-%d", i)}); err != nil {
+		if err := j.append(journalRecord{Kind: kindBatch, ID: fmt.Sprintf("a-%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +332,7 @@ func TestJournalSegmentLifecycle(t *testing.T) {
 	if gen := j.rotate(); gen != 2 {
 		t.Fatalf("rotate returned generation %d, want 2", gen)
 	}
-	if err := j.append(journalRecord{Kind: recordBatch, ID: "b-0"}); err != nil {
+	if err := j.append(journalRecord{Kind: kindBatch, ID: "b-0"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -389,7 +375,7 @@ func TestJournalBrokenLatch(t *testing.T) {
 	j := newJournal(fault, dir, "col", 1, JournalSyncEvery)
 
 	fault.FailAt(0) // the segment-creating open fails
-	if err := j.append(journalRecord{Kind: recordBatch, ID: "x"}); !errors.Is(err, ErrJournal) {
+	if err := j.append(journalRecord{Kind: kindBatch, ID: "x"}); !errors.Is(err, ErrJournal) {
 		t.Fatalf("append over failed open = %v, want ErrJournal", err)
 	}
 	if !j.isBroken() {
@@ -397,7 +383,7 @@ func TestJournalBrokenLatch(t *testing.T) {
 	}
 	fault.Disarm()
 	ops := fault.Ops()
-	if err := j.append(journalRecord{Kind: recordBatch, ID: "y"}); !errors.Is(err, ErrJournal) {
+	if err := j.append(journalRecord{Kind: kindBatch, ID: "y"}); !errors.Is(err, ErrJournal) {
 		t.Fatalf("append on broken journal = %v, want ErrJournal", err)
 	}
 	if fault.Ops() != ops {
@@ -411,7 +397,7 @@ func TestJournalBrokenLatch(t *testing.T) {
 	if j.isBroken() {
 		t.Fatal("dropBefore did not clear the broken latch")
 	}
-	if err := j.append(journalRecord{Kind: recordBatch, ID: "z"}); err != nil {
+	if err := j.append(journalRecord{Kind: kindBatch, ID: "z"}); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	seg := journalSegPath(dir, "col", newGen)

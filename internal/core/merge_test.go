@@ -15,8 +15,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -413,62 +411,6 @@ func TestMergeHTTPStatuses(t *testing.T) {
 	resp, _ = post("/collections/agg/merge", ContentTypeBinary, strings.Repeat("k", 200), blob)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized key: %s, want 400", resp.Status)
-	}
-}
-
-// TestLegacyMergeFrameRefused pins what happens to a merge frame
-// older than the binary state codec: a state directory written by the
-// build of commit 5a353ae whose journal holds a merge frame with a JSON
-// delta state. Replay refuses the frame — the collection serves exactly
-// its snapshot's state, the frame's idempotency key is not recorded —
-// and preserves it: the frame moves, byte for byte, to a .corrupt file
-// beside the segment, and the log says what it is and which build
-// replays it.
-func TestLegacyMergeFrameRefused(t *testing.T) {
-	logged := captureLog(t)
-	files := make(map[string][]byte)
-	for _, name := range []string{"mergelegacy.json", "mergelegacy.journal.000002"} {
-		files[name] = fixtureFile(t, "core/testdata/legacy_merge/"+name)
-	}
-	frame := files["mergelegacy.journal.000002"]
-	// The frame is sound — length and checksum hold over the whole file
-	// — and the legacy reader is what refuses its untagged state.
-	if _, n, err := nextFrame(frame); n != len(frame) || err == nil || !strings.Contains(err.Error(), "JSON delta state") {
-		t.Fatalf("fixture journal does not hold exactly one untagged (JSON-state) merge frame: %d of %d bytes, %v", n, len(frame), err)
-	}
-	dir, store, reg := loadFixtureDir(t, files)
-	c, _ := reg.Get("mergelegacy")
-	want := readSnapshotFile(t, filepath.Join(dir, "mergelegacy"+snapshotExt)).State
-	if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, want) || c.Aggregator().Collected() != 0 {
-		t.Fatalf("served state is not the snapshot's: %d reports (%v)", c.Aggregator().Collected(), err)
-	}
-	if marks := c.dedup.marks(); len(marks) != 0 {
-		t.Fatalf("refused frame left dedup marks %+v", marks)
-	}
-	aside, err := os.ReadFile(filepath.Join(dir, "mergelegacy.journal.000002.tail-0"+corruptExt))
-	if err != nil || !bytes.Equal(aside, frame) {
-		t.Fatalf("refused frame not preserved (%v); state dir holds %v", err, dirListing(t, dir))
-	}
-	if seg, err := os.ReadFile(filepath.Join(dir, "mergelegacy.journal.000002")); err != nil || len(seg) != 0 {
-		t.Fatalf("segment still holds %d bytes after the refusal (%v)", len(seg), err)
-	}
-	for _, hint := range []string{"JSON delta state", "commit " + upgradeBuild, "mergelegacy.journal.000002.tail-0" + corruptExt} {
-		if !strings.Contains(logged.String(), hint) {
-			t.Errorf("log does not mention %q:\n%s", hint, logged)
-		}
-	}
-	// The collection keeps serving, and neither a checkpoint nor a
-	// restart touches the preserved frame.
-	if err := store.SaveAll(reg); err != nil {
-		t.Fatal(err)
-	}
-	c.CloseJournal()
-	_, _, reg2 := loadFixtureDir(t, stateDirFiles(t, dir))
-	if c2, _ := reg2.Get("mergelegacy"); c2.Aggregator().Collected() != 0 {
-		t.Fatalf("restart served %d reports", c2.Aggregator().Collected())
-	}
-	if aside, err := os.ReadFile(filepath.Join(dir, "mergelegacy.journal.000002.tail-0"+corruptExt)); err != nil || !bytes.Equal(aside, frame) {
-		t.Fatalf("preserved frame did not survive a checkpoint (%v)", err)
 	}
 }
 

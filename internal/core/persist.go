@@ -69,22 +69,28 @@ const SnapshotVersion = 5
 // so the pre-container builds quarantine (never misparse) the file.
 var snapshotMagic = []byte("LDPSNAP5")
 
-// upgradeBuild names the last commit that reads what this build
-// refuses: JSON checkpoints (envelope versions 0–4) and journal merge
-// frames carrying a JSON delta state. Started once on the state
-// directory, it replays such frames and rewrites every collection as
-// an LDPSNAP5 container at its first checkpoint. upgradeHint is how
-// both refusals tell the operator so.
+// upgradeBuild names the last commit that reads JSON checkpoints
+// (envelope versions 0–4). Started once on the state directory, it
+// rewrites every collection as an LDPSNAP5 container at its first
+// checkpoint. frameUpgradeBuild names the last commit that reads every
+// journal frame format any build wrote — JSON payloads and 0x01 batches
+// included. Started once on the state directory and stopped cleanly,
+// it replays such frames and checkpoints them away. upgradeHint is how
+// each refusal tells the operator so.
 const (
-	upgradeBuild = "87453f2"
-	upgradeHint  = "which this build does not read — start a build of commit " + upgradeBuild + " on the state directory once to upgrade it, then this build"
+	upgradeBuild      = "87453f2"
+	frameUpgradeBuild = "ec114ed"
 )
+
+func upgradeHint(build string) string {
+	return "which this build does not read — start a build of commit " + build + " on the state directory once to upgrade it, then this build"
+}
 
 // errPreContainer refuses a JSON snapshot file. Nothing since the
 // container was introduced writes one, so it either predates
 // LDPSNAP5 or is not a checkpoint at all; it is quarantined like any
 // other file this build cannot read, never upgraded in place.
-var errPreContainer = errors.New("a JSON file, not an LDPSNAP5 container: if it is a checkpoint it predates LDPSNAP5 (envelope versions 0–4), " + upgradeHint)
+var errPreContainer = errors.New("a JSON file, not an LDPSNAP5 container: if it is a checkpoint it predates LDPSNAP5 (envelope versions 0–4), " + upgradeHint(upgradeBuild))
 
 // CollectionSnapshot is the on-disk format of one collection: its
 // configuration (enough to rebuild the aggregator, task tag included)
@@ -827,25 +833,25 @@ func (st *Store) cutTail(seg string, off int, tail []byte, refused error) {
 // frame.
 func (c *Collection) replayRecord(rec journalRecord, sink FlushSink) error {
 	switch rec.Kind {
-	case recordBatch:
+	case kindBatch:
 		// Envelopes the fold rejects were rejected live too; the frame
 		// itself never fails.
 		c.foldBatch(rec)
 		return nil
-	case recordAdvance:
+	case kindAdvance:
 		// The frame records which round was closed; replay refuses to
 		// close any other round, so a frame applied out of order (or
 		// against the wrong snapshot) surfaces instead of silently
 		// splitting users across rounds.
 		return c.agg.AdvanceExpecting(rec.Round)
-	case recordMerge:
+	case kindMerge:
 		delta, err := c.agg.NewDelta(rec.State)
 		if err != nil {
 			return err
 		}
 		_, err = c.foldMerge(rec.ID, delta)
 		return err
-	case recordFlush:
+	case kindFlush:
 		// A relay cut its state into an outbound delta here. Re-cut the
 		// replayed state under the frame's idempotency key and hand it
 		// to the flush sink (which rewrites the outbox file); the
@@ -865,10 +871,10 @@ func (c *Collection) replayRecord(rec journalRecord, sink FlushSink) error {
 			return nil
 		}
 		return sink(c.name, *d)
-	case recordAdopt:
+	case kindAdopt:
 		return c.agg.AdoptFrontier(rec.Frontier)
 	default:
-		return fmt.Errorf("unknown journal record kind %q", rec.Kind)
+		return fmt.Errorf("unknown journal record kind 0x%02x", rec.Kind)
 	}
 }
 

@@ -8,17 +8,22 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/cms"
 	"repro/internal/freq"
+	"repro/internal/hashutil"
 	"repro/internal/ldprand"
 	"repro/internal/rappor"
 )
 
 // TestPrivacyAudit is an empirical ε-LDP audit in the style of StatDP
 // (Ding et al., "Detecting Violations of Differential Privacy", CCS
-// 2018) of the clients that draw their reports with BernoulliWords:
-// CMS, SUE, OUE and RAPPOR's instantaneous response. For two inputs v
-// and v′ over a small domain it samples reports at each, counts the
-// output event with the largest predicted ratio — the lanes set under
-// v and not v′ all 1, those set under v′ and not v all 0 — and fails
+// 2018) of the clients that draw their reports with BernoulliWords —
+// CMS, SUE, OUE and RAPPOR's instantaneous response — and of GRR, OLH
+// and SS. Every report is read as lanes, one per domain value: GRR's
+// as the one lane of its reported value, SS's as the lanes of its
+// subset, OLH's as the lanes of every value its seed hashes into its
+// bucket. For two inputs v and v′ over a small domain it samples
+// reports at each, counts the output event with the largest predicted
+// ratio — the lanes set under v and not v′ all 1, those set under v′
+// and not v all 0 — and fails
 // when Clopper–Pearson bounds at α = 10⁻⁶ put Pr[E | v] / Pr[E | v′]
 // above e^ε. Both orders of the pair are audited. It is deterministic
 // per seed; the predicted ratio of each event is exactly e^ε, so a
@@ -52,6 +57,33 @@ func TestPrivacyAudit(t *testing.T) {
 		rows = append(rows, row{ue.Name(), eps, [2]uint64{1, 2},
 			func(input int) uint64 { return ue.Privatize(input).Words()[0] }})
 	}
+
+	grr := freq.NewGRR(eps, 4, src)
+	rows = append(rows, row{"GRR", eps, [2]uint64{1, 2},
+		func(input int) uint64 { return 1 << grr.Privatize(input) }})
+
+	olh := freq.NewOLH(eps, 8, src)
+	rows = append(rows, row{"OLH", eps, [2]uint64{1, 2},
+		func(input int) uint64 {
+			r := olh.Privatize(input)
+			var lanes uint64
+			for v := 0; v < 8; v++ {
+				if hashutil.HashIntRange(r.Seed, v, olh.G()) == r.Bucket {
+					lanes |= 1 << v
+				}
+			}
+			return lanes
+		}})
+
+	ss := freq.NewSS(1, 16, src) // k = 4
+	rows = append(rows, row{"SS", 1, [2]uint64{1, 2},
+		func(input int) uint64 {
+			var lanes uint64
+			for _, v := range ss.Privatize(input) {
+				lanes |= 1 << v
+			}
+			return lanes
+		}})
 
 	// With no permanent noise (F = 0) the permanent response is the
 	// Bloom filter itself, so the instantaneous response is the whole

@@ -30,10 +30,9 @@
 // level decides about half of those left, so an output word costs
 // about log₂64 + 1.3 ≈ 7.3 words of s instead of 64.
 //
-// A Source with a Fill([]uint64) method (Crypto has one) is asked for a
-// level's words in one call, so a report takes Crypto's lock once per
-// level instead of once per word; Fill must return what as many Uint64
-// calls would.
+// A *Crypto source is asked for a level's words in one Fill call, so a
+// report takes its lock once per level instead of once per word; Fill
+// returns what as many Uint64 calls would.
 package ldprand
 
 import (
@@ -60,7 +59,7 @@ type Source interface {
 type Crypto struct {
 	mu  sync.Mutex
 	r   *bufio.Reader
-	buf [512]byte // Fill's staging buffer, guarded by mu
+	buf [512]byte // staging buffer of Uint64 and Fill, guarded by mu
 }
 
 // NewCrypto returns a buffered CSPRNG source.
@@ -70,13 +69,12 @@ func NewCrypto() *Crypto {
 
 // Uint64 returns a uniformly random 64-bit word from the system CSPRNG.
 func (c *Crypto) Uint64() uint64 {
-	var buf [8]byte
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.r.Read(buf[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.buf[:8]); err != nil {
 		panic("ldprand: crypto/rand failed: " + err.Error())
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return binary.LittleEndian.Uint64(c.buf[:8])
 }
 
 // Fill sets dst to the next len(dst) words of the stream, exactly what
@@ -285,10 +283,12 @@ func bernoulliRun(s Source, digits uint64, last int, tie uint64, dst []uint64, l
 }
 
 // fill sets dst to the next len(dst) words of s, in one Fill call when
-// s has one.
+// s is a *Crypto. The assertion names the concrete type: through an
+// interface method, dst would escape, and every run would allocate its
+// level buffer.
 func fill(s Source, dst []uint64) {
-	if f, ok := s.(interface{ Fill([]uint64) }); ok {
-		f.Fill(dst)
+	if c, ok := s.(*Crypto); ok {
+		c.Fill(dst)
 		return
 	}
 	for i := range dst {

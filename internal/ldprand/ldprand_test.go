@@ -1,6 +1,9 @@
 package ldprand
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -320,14 +323,16 @@ func (s *script) Uint64() uint64 {
 	return w
 }
 
-// filling is a script that also offers Fill, which BernoulliWords must
-// use without changing what it reads.
-type filling struct{ *script }
-
-func (f filling) Fill(dst []uint64) {
-	for i := range dst {
-		dst[i] = f.Uint64()
+// cryptoOver is a Crypto whose stream is the given words, little-endian,
+// and nothing after them: BernoulliWords reads it through Fill, and a
+// read past the end panics.
+func cryptoOver(words []uint64) (*Crypto, *bytes.Reader) {
+	stream := make([]byte, 8*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(stream[8*i:], w)
 	}
+	r := bytes.NewReader(stream)
+	return &Crypto{r: bufio.NewReader(r)}, r
 }
 
 // settled reports whether a lane whose uniform has the 53-bit prefix k
@@ -398,7 +403,7 @@ func replayWords(t *testing.T, drawn []uint64, p float64, n int) ([]uint64, int)
 // lane must come out as U < p, with U rebuilt from the digits that lane
 // read, which is Bernoulli(s, p) on a word whose top 53 bits are U; and
 // the kernel must read exactly the words the documented order reads,
-// through Fill or Uint64 alike. Lanes that copy p's digits tie at digit
+// through Crypto's Fill or Uint64 alike. Lanes that copy p's digits tie at digit
 // 53 (or wherever p's remaining digits can no longer change them); a p
 // with set bits beyond digit 53 must resolve that tie to 1 and any
 // other p to 0.
@@ -443,11 +448,11 @@ func TestBernoulliWordsMatchScalar(t *testing.T) {
 						t.Errorf("p=%v n=%d tied=%#x: word %d = %#x, want U < p lanes %#x", p, n, tied, w, got[w], want[w])
 					}
 				}
-				viaFill := filling{&script{next: gen}}
+				viaFill, stream := cryptoOver(plain.drawn)
 				again := make([]uint64, len(got))
 				BernoulliWords(viaFill, p, again, n)
-				if len(viaFill.drawn) != len(plain.drawn) {
-					t.Errorf("p=%v n=%d: %d words through Fill, %d without", p, n, len(viaFill.drawn), len(plain.drawn))
+				if left := stream.Len() + viaFill.r.Buffered(); left != 0 {
+					t.Errorf("p=%v n=%d: %d of %d bytes left unread through Fill", p, n, left, 8*len(plain.drawn))
 				}
 				for w := range got {
 					if again[w] != got[w] {
@@ -517,6 +522,24 @@ func TestCryptoFill(t *testing.T) {
 	}
 	if len(seen) < 195 {
 		t.Fatalf("Fill produced only %d distinct words in 200", len(seen))
+	}
+}
+
+// TestDrawsDoNotAllocate pins that a word and a row of coins cost no
+// heap: Crypto.Uint64 reads into the source's own buffer, and
+// BernoulliWords keeps its level buffers on the stack, whatever the
+// Source.
+func TestDrawsDoNotAllocate(t *testing.T) {
+	c, seeded := NewCrypto(), NewSplitMix64(1)
+	row := make([]uint64, 16)
+	for name, draw := range map[string]func(){
+		"Crypto.Uint64":          func() { c.Uint64() },
+		"BernoulliWords, seeded": func() { BernoulliWords(seeded, 0.25, row, 1024) },
+		"BernoulliWords, crypto": func() { BernoulliWords(c, 0.25, row, 1024) },
+	} {
+		if allocs := testing.AllocsPerRun(100, draw); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
 	}
 }
 
