@@ -475,8 +475,9 @@ func TestStatusReportsCheckpointInfo(t *testing.T) {
 }
 
 // loadFixtureDir restores a state directory holding the given files
-// (name → contents) into a fresh registry.
-func loadFixtureDir(t *testing.T, files map[string][]byte) (string, *Store, *CollectionRegistry) {
+// (name → contents) into a fresh registry, and fails unless exactly
+// restores collections restore.
+func loadFixtureDir(t *testing.T, files map[string][]byte, restores int) (string, *Store, *CollectionRegistry) {
 	t.Helper()
 	dir := t.TempDir()
 	for name, blob := range files {
@@ -493,8 +494,8 @@ func loadFixtureDir(t *testing.T, files map[string][]byte) (string, *Store, *Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restored) != 1 {
-		t.Fatalf("restored %v (state dir now holds %v)", restored, dirListing(t, dir))
+	if len(restored) != restores {
+		t.Fatalf("restored %v, want %d collections (state dir now holds %v)", restored, restores, dirListing(t, dir))
 	}
 	return dir, store, reg
 }
@@ -524,7 +525,7 @@ func TestGoldenSnapshotsRestore(t *testing.T) {
 				t.Fatalf("decoded container re-encodes to\n%q (%v)\ngolden\n%q", again, err, golden)
 			}
 
-			dir, _, reg := loadFixtureDir(t, map[string][]byte{tc.name + snapshotExt: golden})
+			dir, _, reg := loadFixtureDir(t, map[string][]byte{tc.name + snapshotExt: golden}, 1)
 			c, _ := reg.Get(tc.name)
 			if got, err := c.Aggregator().MarshalState(); err != nil || !bytes.Equal(got, want.State) {
 				t.Fatalf("restore diverges from the golden state (%v)", err)
@@ -569,7 +570,7 @@ func TestPreContainerSnapshotQuarantined(t *testing.T) {
 	for name, blob := range old {
 		files[name] = blob
 	}
-	dir, store, reg := loadFixtureDir(t, files) // exactly one collection restores
+	dir, store, reg := loadFixtureDir(t, files, 1) // exactly one collection restores
 	if _, ok := reg.Get("legacyhh"); !ok || len(reg.Collections()) != 1 {
 		t.Fatalf("restored %d collections, want only the v5 neighbour", len(reg.Collections()))
 	}

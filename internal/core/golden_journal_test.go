@@ -338,7 +338,10 @@ func TestGoldenJournal(t *testing.T) {
 // exactly its snapshot's state, no idempotency key is recorded, the
 // frame and everything behind it move, byte for byte, to a .corrupt
 // file beside the segment, and the log names the format and the build
-// that replays it.
+// that replays it. The set-aside frames survive a checkpoint, but the
+// checkpoint records a journal generation above the segment's and
+// deletes it, so frames put back after one are dropped unread: the
+// README's upgrade recipe holds only before this build checkpoints.
 func TestLegacyFramesSetAside(t *testing.T) {
 	oversized := []byte(`{"kind":"batch","envs":["`)
 	oversized = append(oversized, bytes.Repeat([]byte(`\u003c`), maxFrameBytes/6)...)
@@ -361,14 +364,14 @@ func TestLegacyFramesSetAside(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			logged := captureLog(t)
-			dir := t.TempDir()
-			for name, blob := range tc.files {
-				if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-					t.Fatal(err)
+			collections := 0
+			for name := range tc.files {
+				if strings.HasSuffix(name, snapshotExt) {
+					collections++
 				}
 			}
-			store, reg := restart(t, dir)
-			asides := make(map[string][]byte)
+			dir, _, reg := loadFixtureDir(t, tc.files, collections)
+			asides := make(map[string]string) // set-aside file → its segment
 			for name, seg := range tc.files {
 				if !strings.Contains(name, ".journal.") {
 					continue
@@ -396,50 +399,66 @@ func TestLegacyFramesSetAside(t *testing.T) {
 				if cut, err := os.ReadFile(filepath.Join(dir, name)); err != nil || len(cut) != 0 {
 					t.Fatalf("%s still holds %d bytes after the refusal (%v)", name, len(cut), err)
 				}
-				for _, hint := range []string{name + " at offset 0: sound frame with a payload this build cannot read: " + tc.format, "commit " + frameUpgradeBuild, aside} {
+				for _, hint := range []string{name + " at offset 0: sound frame with a payload this build cannot read: " + tc.format, frameUpgradeHint, aside} {
 					if !strings.Contains(logged.String(), hint) {
 						t.Errorf("log does not mention %q:\n%s", hint, logged)
 					}
 				}
-				asides[aside] = seg
+				asides[aside] = name
 			}
 			if len(asides) == 0 {
 				t.Fatal("fixture holds no journal segment")
 			}
-			// The collections keep serving, and neither a checkpoint nor a
-			// restart touches the preserved frames.
+			// Any ingest, periodic save or clean stop after a partial
+			// replay checkpoints; a store with no memory of the load
+			// checkpoints these unchanged collections too. The checkpoint
+			// records a journal generation above the truncated segment's
+			// and deletes the segment. The set-aside frames survive it,
+			// but can no longer be put back: a replay — this build's or
+			// the upgrade build's, which share the rule — drops the
+			// re-created segment unread as already folded.
+			store, err := newStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := store.SaveAll(reg); err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range reg.Collections() {
 				c.CloseJournal()
 			}
-			_, reg = restart(t, dir)
+			for aside, name := range asides {
+				collection, suffix, _ := strings.Cut(name, ".journal.")
+				gen, err := parseGen(suffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap := readSnapshotFile(t, filepath.Join(dir, collection+snapshotExt)); snap.JournalGen <= gen {
+					t.Errorf("%s: checkpoint recorded journal generation %d, not above the refused segment's %d", collection, snap.JournalGen, gen)
+				}
+				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+					t.Errorf("%s survived the checkpoint (%v)", name, err)
+				}
+				if got, err := os.ReadFile(filepath.Join(dir, aside)); err != nil || !bytes.Equal(got, tc.files[name]) {
+					t.Errorf("%s did not survive the checkpoint (%v)", aside, err)
+				}
+			}
+			files := stateDirFiles(t, dir)
+			for aside, name := range asides {
+				files[name] = append(files[name], files[aside]...)
+			}
+			dir, _, reg = loadFixtureDir(t, files, collections)
 			for _, c := range reg.Collections() {
 				if c.Aggregator().Collected() != 0 {
 					t.Errorf("restart served %d reports in %s", c.Aggregator().Collected(), c.Name())
 				}
 				c.CloseJournal()
 			}
-			for aside, seg := range asides {
-				if got, err := os.ReadFile(filepath.Join(dir, aside)); err != nil || !bytes.Equal(got, seg) {
-					t.Errorf("%s did not survive a checkpoint and a restart (%v)", aside, err)
+			for _, name := range asides {
+				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+					t.Errorf("put-back %s was not dropped unread as already folded (%v)", name, err)
 				}
 			}
 		})
 	}
-}
-
-// restart opens a store over dir and loads it into a fresh registry.
-func restart(t *testing.T, dir string) (*Store, *CollectionRegistry) {
-	t.Helper()
-	store, err := newStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewCollectionRegistry()
-	if _, err := store.Load(reg); err != nil {
-		t.Fatal(err)
-	}
-	return store, reg
 }

@@ -448,7 +448,7 @@ func nextFrame(data []byte) (journalRecord, int, error) {
 // naming the build that reads them.
 func decodeRecord(payload []byte) (journalRecord, error) {
 	if payload[0] == '{' {
-		return journalRecord{}, errors.New("a JSON frame payload, written by builds up to commit 71ad1eb, " + upgradeHint(frameUpgradeBuild))
+		return journalRecord{}, errors.New("a JSON frame payload, written by builds up to commit 71ad1eb, " + frameUpgradeHint)
 	}
 	r := binenc.NewReader(payload)
 	rec := journalRecord{Kind: r.Byte(), ID: r.String()}
@@ -470,7 +470,7 @@ func decodeRecord(payload []byte) (journalRecord, error) {
 		rec.Round = int(r.Varint())
 		rec.Frontier = r.Blob()
 	case kindBatchJSON:
-		return journalRecord{}, errors.New("a 0x01 batch of JSON report envelopes, written by builds up to commit e14390b, " + upgradeHint(frameUpgradeBuild))
+		return journalRecord{}, errors.New("a 0x01 batch of JSON report envelopes, written by builds up to commit e14390b, " + frameUpgradeHint)
 	default:
 		return journalRecord{}, fmt.Errorf("unknown frame kind 0x%02x", rec.Kind)
 	}

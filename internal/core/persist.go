@@ -72,25 +72,26 @@ var snapshotMagic = []byte("LDPSNAP5")
 // upgradeBuild names the last commit that reads JSON checkpoints
 // (envelope versions 0–4). Started once on the state directory, it
 // rewrites every collection as an LDPSNAP5 container at its first
-// checkpoint. frameUpgradeBuild names the last commit that reads every
-// journal frame format any build wrote — JSON payloads and 0x01 batches
-// included. Started once on the state directory and stopped cleanly,
-// it replays such frames and checkpoints them away. upgradeHint is how
-// each refusal tells the operator so.
+// checkpoint; upgradeHint says so. frameUpgradeBuild names the last
+// commit that reads every journal frame format any build wrote — JSON
+// payloads and 0x01 batches included — and frameUpgradeHint is how a
+// refused frame names it. Set-aside frames replay in order only until
+// this build checkpoints their collection: the checkpoint deletes the
+// truncated segment, and a replay drops a re-created one unread as
+// already folded. So the hint names the stop, the put-back step and
+// the README recipe.
 const (
 	upgradeBuild      = "87453f2"
+	upgradeHint       = "which this build does not read — start a build of commit " + upgradeBuild + " on the state directory once to upgrade it, then this build"
 	frameUpgradeBuild = "ec114ed"
+	frameUpgradeHint  = "which this build does not read — stop this build with SIGKILL before it checkpoints the collection, put the set-aside frames back, and start a build of commit " + frameUpgradeBuild + " on the state directory once (README.md, \"Crossing the frame window\")"
 )
-
-func upgradeHint(build string) string {
-	return "which this build does not read — start a build of commit " + build + " on the state directory once to upgrade it, then this build"
-}
 
 // errPreContainer refuses a JSON snapshot file. Nothing since the
 // container was introduced writes one, so it either predates
 // LDPSNAP5 or is not a checkpoint at all; it is quarantined like any
 // other file this build cannot read, never upgraded in place.
-var errPreContainer = errors.New("a JSON file, not an LDPSNAP5 container: if it is a checkpoint it predates LDPSNAP5 (envelope versions 0–4), " + upgradeHint(upgradeBuild))
+var errPreContainer = errors.New("a JSON file, not an LDPSNAP5 container: if it is a checkpoint it predates LDPSNAP5 (envelope versions 0–4), " + upgradeHint)
 
 // CollectionSnapshot is the on-disk format of one collection: its
 // configuration (enough to rebuild the aggregator, task tag included)

@@ -250,7 +250,7 @@ func TestPreTaskSnapshotRestoresAsFreq(t *testing.T) {
 	if bytes.Contains(untagged, []byte(`"task"`)) {
 		t.Fatalf("forged snapshot names a task: %q", untagged)
 	}
-	dir, store, reg := loadFixtureDir(t, map[string][]byte{"untagged.json": untagged})
+	dir, store, reg := loadFixtureDir(t, map[string][]byte{"untagged.json": untagged}, 1)
 	c, _ := reg.Get("untagged")
 	if c.Aggregator().TaskType() != task.TypeFreq {
 		t.Fatalf("untagged snapshot restored as task %q", c.Aggregator().TaskType())
